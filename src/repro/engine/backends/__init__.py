@@ -122,6 +122,10 @@ class BackendResult:
     received: Dict[str, List[int]]
     per_key_totals: Dict[str, Dict[Any, int]]
     key_instances: Dict[str, Dict[Any, Tuple[int, ...]]]
+    #: per table-routed stream ``{"table_hits", "hash_fallbacks"}``,
+    #: counted per *tuple* on every backend — their sum is the number
+    #: of tuples the stream's table/hash decision routed
+    route_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     op_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     fingerprint: Optional[int] = None
     #: backend-specific escape hatch (Deployment / compiled plan)

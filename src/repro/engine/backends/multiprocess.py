@@ -9,12 +9,15 @@ topology on real OS resources and **measures** them (DESIGN.md §16):
   (``instance % num_servers``, the same round-robin placement the DES
   and vectorized backends use) behind worker-local
   :class:`~repro.engine.physical.PhysicalOperator` shards;
-- routing reuses the **scalar routers** (`grouping.build_router`) with
-  the exact ``RouterContext`` the DES ``deploy`` builds — one router
-  per (stream, source instance), seeded by ``stable_hash(stream.name)``
-  — so table/hash placements are per-tuple identical by construction,
-  and hybrid/PKG routers see each source instance's tuples in the same
-  order as the DES;
+- routing goes through the shared **batch kernel**
+  (:mod:`repro.engine.routing_kernel`) once per (stream, batch), built
+  under the exact ``RouterContext`` the DES ``deploy`` gives its
+  routers: table/hash streams share one kernel per worker and place
+  every tuple where the DES does; load-dependent and stateful policies
+  (hybrid, PKG, shuffle, and anything routed through the kernel's
+  scalar-router fallback) keep one kernel per (stream, source
+  instance), as the DES keeps one router, each seeing its instance's
+  tuples in the order the instance produced them;
 - intra-server edges stay in-process (zero serialized bytes); tuples
   crossing servers are pickled onto the destination worker's bounded
   inbound queue, and the serialized length is recorded — locality shows
@@ -46,23 +49,29 @@ import pickle
 import queue as _queue
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.grouping import RouterContext, stable_hash
-from repro.engine.operators import (
-    Bolt,
-    OperatorContext,
-    Spout,
-    StatefulBolt,
-)
+import numpy as np
+
+from repro.engine.operators import Bolt, StatefulBolt
 from repro.engine.physical import (
     PhysicalOperator,
-    SourceOperator,
+    ShimContext,
+    ShimTuple,
+    SpoutSource,
     TupleBatch,
     merge_op_stats,
 )
+from repro.engine.routing_kernel import (
+    DETERMINISTIC_KINDS,
+    TABLE_KINDS,
+    RouteKernel,
+    edge_kind,
+    route_per_source,
+    stream_kernel,
+)
 from repro.engine.topology import Topology
-from repro.engine.tuples import payload_size
 from repro.errors import DeploymentError
 
 
@@ -98,122 +107,29 @@ class MultiprocessBackendError(DeploymentError):
         self.partial = partial or {}
 
 
-def _placement(instance: int, num_servers: int) -> int:
-    """Round-robin placement, identical to the DES and vectorized."""
+def _placement(instance, num_servers: int):
+    """Round-robin placement, identical to the DES and vectorized
+    (an instance index or an array of them)."""
     return instance % num_servers
 
 
-class _MPTuple:
-    """Value carrier handed to worker-hosted ``Bolt.process``."""
+class _ShardSource(SpoutSource):
+    """The spout instances of one logical spout placed on this server."""
 
-    __slots__ = ("values", "size", "root_id")
-
-    def __init__(self, values: tuple, size: int) -> None:
-        self.values = values
-        self.size = size
-        self.root_id = None
-
-
-class _MPContext(OperatorContext):
-    """Minimal operator context for worker-hosted operator objects."""
-
-    def __init__(
-        self, op_name: str, instance: int, parallelism: int, server: int
-    ) -> None:
-        super().__init__(op_name, instance, parallelism, server, lambda: 0.0)
-
-
-class _ShardSource(SourceOperator):
-    """The spout instances of one logical spout placed on this server.
-
-    Cycles its local instances, producing one single-instance batch per
-    poll — the worker routes each batch through the instance's real
-    scalar routers.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        factory,
-        parallelism: int,
-        server: int,
-        num_servers: int,
-        batch_size: int,
-        max_tuples_per_instance: Optional[int],
-        header_bytes: int,
-    ) -> None:
-        super().__init__(name)
-        self.batch_size = batch_size
-        self._header = header_bytes
-        self._spouts: Dict[int, Spout] = {}
-        self._contexts: Dict[int, _MPContext] = {}
-        self._budget: Dict[int, Optional[int]] = {}
-        self.emitted_per_instance: Dict[int, int] = {}
-        self._live: List[int] = []
-        self._cursor = 0
-        for instance in range(parallelism):
-            if _placement(instance, num_servers) != server:
-                continue
-            operator = factory()
-            if not isinstance(operator, Spout):
-                raise DeploymentError(
-                    f"factory of spout {name!r} returned "
-                    f"{type(operator).__name__}, not a Spout"
-                )
-            context = _MPContext(name, instance, parallelism, server)
-            operator.open(context)
-            self._spouts[instance] = operator
-            self._contexts[instance] = context
-            self._budget[instance] = max_tuples_per_instance
-            self.emitted_per_instance[instance] = 0
-            self._live.append(instance)
-
-    def _poll(self) -> Optional[TupleBatch]:
-        while self._live:
-            slot = self._cursor % len(self._live)
-            instance = self._live[slot]
-            values = self._pull(instance)
-            if values:
-                self._cursor = slot + 1
-                header = self._header
-                return TupleBatch(
-                    values,
-                    src_instances=[instance] * len(values),
-                    sizes=[payload_size(v) + header for v in values],
-                )
-            self._live.pop(slot)
-            if self._live:
-                self._cursor = slot % len(self._live)
-        return None
-
-    def _pull(self, instance: int) -> List[tuple]:
-        budget = self._budget[instance]
-        limit = (
-            self.batch_size
-            if budget is None
-            else min(self.batch_size, budget)
+    def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:
+        return TupleBatch(
+            values,
+            src_instances=np.full(len(values), instance, dtype=np.int64),
         )
-        if limit <= 0:
-            return []
-        values: List[tuple] = []
-        spout = self._spouts[instance]
-        context = self._contexts[instance]
-        while len(values) < limit:
-            if spout.finished or not spout.next_tuple(context):
-                break
-            values.extend(context._drain())
-        if budget is not None:
-            self._budget[instance] = budget - len(values)
-        self.emitted_per_instance[instance] += len(values)
-        return values
 
 
 class _ShardBolt(PhysicalOperator):
     """The instances of one logical bolt placed on this server.
 
     ``add_input`` batches carry per-tuple destination instances; each
-    tuple is processed by the owning local instance and any emissions
-    are buffered as an output batch for the worker to route onward.
+    local instance processes its tuples in batch order and the
+    emissions are buffered as one output batch, grouped by emitting
+    instance, for the worker to route onward.
     """
 
     def __init__(
@@ -233,7 +149,7 @@ class _ShardBolt(PhysicalOperator):
         self._header = header_bytes
         self.parallelism = parallelism
         self.operators: Dict[int, Bolt] = {}
-        self.contexts: Dict[int, _MPContext] = {}
+        self.contexts: Dict[int, ShimContext] = {}
         self.received: Dict[int, int] = {}
         for instance in range(parallelism):
             if _placement(instance, num_servers) == server:
@@ -241,7 +157,7 @@ class _ShardBolt(PhysicalOperator):
 
     def _spawn(self, instance: int) -> None:
         operator = self._factory()
-        context = _MPContext(
+        context = ShimContext(
             self.name, instance, self.parallelism, self._server
         )
         operator.open(context)
@@ -262,34 +178,38 @@ class _ShardBolt(PhysicalOperator):
     def _process(self, batch: TupleBatch, input_index: int) -> None:
         start = time.perf_counter()
         dst = batch.dst_instances
-        sizes = batch.sizes
+        header = self._header
         out_values: List[tuple] = []
-        out_src: List[int] = []
-        for index, values in enumerate(batch.values):
-            instance = dst[index]
-            try:
-                operator = self.operators[instance]
-            except KeyError:
+        out_src: List[np.ndarray] = []
+        # Plain ints: numpy integers as dict keys are several times
+        # slower to hash.
+        instances = np.unique(dst).tolist()
+        for instance in instances:
+            operator = self.operators.get(instance)
+            if operator is None:
                 raise DeploymentError(
                     f"worker {self._server} got a tuple for "
                     f"{self.name}[{instance}], which is not placed here"
-                ) from None
+                )
+            mine = (
+                batch.values
+                if len(instances) == 1
+                else list(compress(batch.values, (dst == instance).tolist()))
+            )
             context = self.contexts[instance]
-            size = sizes[index] if sizes is not None else 0
-            operator.process(_MPTuple(values, size), context)
-            self.received[instance] += 1
+            process = operator.process
+            for values in mine:
+                process(ShimTuple(values, header), context)
+            self.received[instance] += len(mine)
             emitted = context._drain()
             if emitted:
                 out_values.extend(emitted)
-                out_src.extend([instance] * len(emitted))
-        if out_values:
-            header = self._header
-            self._emit(
-                TupleBatch(
-                    out_values,
-                    src_instances=out_src,
-                    sizes=[payload_size(v) + header for v in out_values],
+                out_src.append(
+                    np.full(len(emitted), instance, dtype=np.int64)
                 )
+        if out_values:
+            self._emit(
+                TupleBatch(out_values, src_instances=np.concatenate(out_src))
             )
         self.stats.busy_s += time.perf_counter() - start
 
@@ -307,40 +227,60 @@ class _ShardBolt(PhysicalOperator):
         }
 
 
-class _StreamConfig:
-    """One stream's mutable routing configuration at a worker: the
-    live table / width / seed that both the per-source routers and the
-    migration owner math read."""
+class _StreamRoutes:
+    """One stream's routing at a worker: its kernels (built on first
+    use, under the stream's current width) and locality counters."""
 
-    __slots__ = ("name", "src", "dst", "grouping", "kind", "n", "table", "seed")
+    def __init__(
+        self, stream, width: int, server: int, num_servers: int, cache_size
+    ) -> None:
+        self.stream = stream
+        self.kind = edge_kind(stream.grouping)
+        self.n = width
+        self._server = server
+        self._num_servers = num_servers
+        self._cache_size = cache_size
+        self._kernels: Dict[int, RouteKernel] = {}
+        self.local_tuples = 0
+        self.total_tuples = 0
 
-    def __init__(self, stream, dst_parallelism: int) -> None:
-        from repro.engine.backends.vectorized import _edge_kind
-        from repro.errors import RoutingError
+    def kernel_of(self, src_instance: int) -> RouteKernel:
+        """The kernel routing ``src_instance``'s tuples: one shared by
+        all source instances when the decision is a pure function of
+        the key, the instance's own otherwise."""
+        if self.kind in DETERMINISTIC_KINDS:
+            src_instance = 0
+        kernel = self._kernels.get(src_instance)
+        if kernel is None:
+            kernel = self._kernels[src_instance] = stream_kernel(
+                self.stream,
+                src_instance,
+                self._server,
+                [_placement(i, self._num_servers) for i in range(self.n)],
+                self._cache_size,
+            )
+        return kernel
 
-        self.name = stream.name
-        self.src = stream.src
-        self.dst = stream.dst
-        self.grouping = stream.grouping
-        try:
-            self.kind, _ = _edge_kind(stream.grouping)
-        except RoutingError:
-            # The scalar routers handle every grouping; the kind only
-            # gates scripted reconfiguration (table/hash streams).
-            self.kind = "other"
-        self.n = dst_parallelism
-        self.table = getattr(stream.grouping, "initial_table", None)
-        self.seed = stable_hash(stream.name)
+    def route(self, batch: TupleBatch) -> Tuple[Sequence[tuple], np.ndarray]:
+        """(values, destination instance of each) — ``values`` is the
+        batch's own list unless per-source grouping or a multi-
+        destination select reordered or replicated tuples."""
+        values = batch.values
+        if self.kind in DETERMINISTIC_KINDS:
+            return values, self.kernel_of(0).route(values)[0]
+        dst, rows = route_per_source(
+            self.kernel_of, values, batch.src_instances
+        )
+        if rows is not None:
+            values = [values[row] for row in rows.tolist()]
+        return values, dst
 
-    def owner_of(self, key) -> int:
-        """The key's destination instance under the current table —
-        identical math to ``TableRouter._route``."""
-        table = self.table
-        if table is not None:
-            instance = table.lookup(key)
-            if instance is not None and 0 <= instance < self.n:
-                return instance
-        return stable_hash(key, self.seed) % self.n
+    def route_counts(self) -> Dict[str, int]:
+        kernels = self._kernels.values()
+        return {
+            "table_hits": sum(k.table_hits for k in kernels),
+            "hash_fallbacks": sum(k.hash_fallbacks for k in kernels),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -375,13 +315,13 @@ class _Worker:
         self.paused = False
         self.stopped = False
         self.finished_sent = False
+        #: spout tuples pulled here so far / last total sent as PROGRESS
+        self.emitted = 0
         self.emitted_reported = 0
         self.ipc_tx_bytes = 0
         self.ipc_rx_bytes = 0
         self.ipc_tx_msgs = 0
         self.ipc_rx_msgs = 0
-        #: stream -> [local_tuples, total_tuples] routed by this worker
-        self.stream_counts: Dict[str, List[int]] = {}
         #: stream -> producers (servers) that declared DONE
         self.done_from: Dict[str, set] = {}
         #: epoch -> barrier state
@@ -403,73 +343,47 @@ class _Worker:
     def setup(self) -> None:
         topo = self.topology
         options = self.options
-        header = options.costs.tuple_header_bytes
         self.widths = {
             op.name: op.parallelism for op in topo.operators.values()
         }
         self.sources: Dict[str, _ShardSource] = {}
         self.bolts: Dict[str, _ShardBolt] = {}
-        self.streams: Dict[str, _StreamConfig] = {}
+        self.streams: Dict[str, _StreamRoutes] = {}
         for name in topo.topological_order():
             spec = topo.operator(name)
-            in_streams = topo.inputs_of(name)
             if spec.is_spout:
                 self.sources[name] = _ShardSource(
                     name,
                     spec.factory,
                     spec.parallelism,
-                    self.server,
-                    self.num_servers,
+                    {
+                        instance: self.server
+                        for instance in range(spec.parallelism)
+                        if _placement(instance, self.num_servers)
+                        == self.server
+                    },
                     options.batch_size,
                     options.max_tuples_per_instance,
-                    header,
                 )
             else:
                 self.bolts[name] = _ShardBolt(
                     name,
-                    [s.name for s in in_streams],
+                    [s.name for s in topo.inputs_of(name)],
                     spec.factory,
                     spec.parallelism,
                     self.server,
                     self.num_servers,
-                    header,
+                    options.costs.tuple_header_bytes,
                 )
         for stream in topo.streams:
-            self.streams[stream.name] = _StreamConfig(
-                stream, self.widths[stream.dst]
+            self.streams[stream.name] = _StreamRoutes(
+                stream,
+                self.widths[stream.dst],
+                self.server,
+                self.num_servers,
+                options.costs.router_cache_size,
             )
-            self.stream_counts[stream.name] = [0, 0]
             self.done_from[stream.name] = set()
-        # One real scalar router per (stream, local source instance),
-        # built exactly like the DES deploy().
-        self.routers: Dict[Tuple[str, int], Any] = {}
-        for stream in topo.streams:
-            self._build_routers_for(stream.name)
-
-    def _local_instances_of(self, op_name: str) -> List[int]:
-        if op_name in self.sources:
-            return sorted(self.sources[op_name]._spouts)
-        return sorted(self.bolts[op_name].operators)
-
-    def _build_routers_for(self, stream_name: str) -> None:
-        config = self.streams[stream_name]
-        dst_placements = [
-            _placement(i, self.num_servers) for i in range(config.n)
-        ]
-        for instance in self._local_instances_of(config.src):
-            if (stream_name, instance) in self.routers:
-                continue
-            context = RouterContext(
-                stream_name=stream_name,
-                src_instance=instance,
-                src_server=self.server,
-                dst_placements=dst_placements,
-                seed=config.seed,
-                cache_size=self.options.costs.router_cache_size,
-            )
-            self.routers[(stream_name, instance)] = (
-                config.grouping.build_router(context)
-            )
 
     # -- messaging ------------------------------------------------------
 
@@ -498,60 +412,44 @@ class _Worker:
 
     def _route_batch(self, op_name: str, batch: TupleBatch) -> None:
         """Send one locally produced batch across all of ``op_name``'s
-        output streams: local destinations in-process, remote ones as
-        one pickled message per (server, stream)."""
+        output streams: one kernel call per stream, then the batch is
+        split by destination server — remote parts leave as one pickled
+        message per (server, stream), the local part stays in-process."""
         for stream in self.topology.outputs_of(op_name):
-            config = self.streams[stream.name]
-            counts = self.stream_counts[stream.name]
-            local_v: List[tuple] = []
-            local_d: List[int] = []
-            local_s: List[int] = []
-            local_z: List[int] = []
-            remote: Dict[int, List[List[Any]]] = {}
-            routers = self.routers
-            sizes = batch.sizes
-            for index, values in enumerate(batch.values):
-                src_instance = batch.src_instances[index]
-                router = routers[(stream.name, src_instance)]
-                size = sizes[index] if sizes is not None else 0
-                for dst in router.select(values):
-                    counts[1] += 1
-                    dst_server = _placement(dst, self.num_servers)
-                    if dst_server == self.server:
-                        counts[0] += 1
-                        local_v.append(values)
-                        local_d.append(dst)
-                        local_s.append(src_instance)
-                        local_z.append(size)
-                    else:
-                        bucket = remote.setdefault(
-                            dst_server, [[], [], [], []]
-                        )
-                        bucket[0].append(values)
-                        bucket[1].append(dst)
-                        bucket[2].append(src_instance)
-                        bucket[3].append(size)
-            for dst_server, (rv, rd, rs, rz) in sorted(remote.items()):
-                self._send_blob(
-                    dst_server, ("DATA", stream.name, rv, rd, rs, rz)
-                )
-            if local_v:
+            routes = self.streams[stream.name]
+            values, dst = routes.route(batch)
+            servers = _placement(dst, self.num_servers)
+            here = servers == self.server
+            n_local = int(np.count_nonzero(here))
+            routes.local_tuples += n_local
+            routes.total_tuples += len(dst)
+            if n_local < len(dst):
+                # pickled small-int lists are 2 B/entry, int64 arrays 8
+                wire = np.min_scalar_type(routes.n - 1)
+                for server in np.unique(servers[~here]).tolist():
+                    mask = servers == server
+                    self._send_blob(
+                        server,
+                        (
+                            "DATA",
+                            stream.name,
+                            list(compress(values, mask.tolist())),
+                            dst[mask].astype(wire),
+                        ),
+                    )
+                values = list(compress(values, here.tolist()))
+                dst = dst[here]
+            if n_local:
                 self._deliver(
-                    stream.name,
-                    TupleBatch(
-                        local_v,
-                        src_instances=local_s,
-                        dst_instances=local_d,
-                        sizes=local_z,
-                    ),
+                    stream.name, TupleBatch(values, dst_instances=dst)
                 )
 
     def _deliver(self, stream_name: str, batch: TupleBatch) -> None:
-        config = self.streams[stream_name]
-        shard = self.bolts[config.dst]
+        dst_op = self.streams[stream_name].stream.dst
+        shard = self.bolts[dst_op]
         shard.add_input(batch, shard.input_names.index(stream_name))
         while shard.has_next():
-            self._route_batch(config.dst, shard.get_next())
+            self._route_batch(dst_op, shard.get_next())
 
     # -- DONE protocol --------------------------------------------------
 
@@ -571,13 +469,13 @@ class _Worker:
             self._mark_stream_done(stream.name, self.server)
 
     def _stream_fully_done(self, stream_name: str) -> None:
-        config = self.streams[stream_name]
-        shard = self.bolts[config.dst]
+        dst_op = self.streams[stream_name].stream.dst
+        shard = self.bolts[dst_op]
         shard.input_done(shard.input_names.index(stream_name))
         while shard.has_next():
-            self._route_batch(config.dst, shard.get_next())
+            self._route_batch(dst_op, shard.get_next())
         if shard.completed:
-            self._declare_local_done(config.dst)
+            self._declare_local_done(dst_op)
 
     # -- source polling -------------------------------------------------
 
@@ -585,11 +483,7 @@ class _Worker:
         if self._fault is None:
             return
         kind, after = self._fault
-        emitted = sum(
-            sum(s.emitted_per_instance.values())
-            for s in self.sources.values()
-        )
-        if emitted < after:
+        if self.emitted < after:
             return
         if kind == "crash":
             os._exit(23)
@@ -606,17 +500,14 @@ class _Worker:
             batch = source.poll()
             if batch is not None:
                 progressed = True
+                self.emitted += len(batch)
                 self._route_batch(name, batch)
                 self._maybe_fault()
             else:
                 self._declare_local_done(name)
-        emitted = sum(
-            sum(s.emitted_per_instance.values())
-            for s in self.sources.values()
-        )
-        if emitted != self.emitted_reported:
-            self.emitted_reported = emitted
-            self.events.put(("PROGRESS", self.server, emitted))
+        if self.emitted != self.emitted_reported:
+            self.emitted_reported = self.emitted
+            self.events.put(("PROGRESS", self.server, self.emitted))
         return progressed
 
     # -- reconfiguration barrier ---------------------------------------
@@ -673,52 +564,39 @@ class _Worker:
 
     def _apply_action(self, epoch: int, action) -> None:
         try:
-            config = self.streams[action.stream]
+            routes = self.streams[action.stream]
         except KeyError:
             raise DeploymentError(
                 f"reconfigure action names unknown stream "
                 f"{action.stream!r}; one of {sorted(self.streams)}"
             ) from None
-        if config.kind not in ("table", "hash"):
+        if routes.kind not in DETERMINISTIC_KINDS:
             raise DeploymentError(
                 f"scripted reconfiguration requires a deterministic "
-                f"keyed stream; {action.stream!r} is {config.kind!r}"
+                f"keyed stream; {action.stream!r} is {routes.kind!r}"
             )
+        kernel = routes.kernel_of(0)
+        dst_op = routes.stream.dst
+        shard = self.bolts[dst_op]
         new_width = action.parallelism
-        config.table = action.table
-        if new_width is not None:
-            config.n = new_width
-            self.widths[config.dst] = max(
-                self.widths[config.dst], new_width
-            )
-            shard = self.bolts[config.dst]
+        if new_width is None:
+            kernel.update_table(action.table)
+        else:
+            routes.n = new_width
+            kernel.resize(new_width, action.table)
+            self.widths[dst_op] = max(self.widths[dst_op], new_width)
+            # The new local instances' own output kernels are built on
+            # first use, like every other.
             shard.resize(new_width)
-            # New local instances need routers for the dst op's own
-            # output streams before they emit anything.
-            for stream in self.topology.outputs_of(config.dst):
-                self._build_routers_for(stream.name)
-        # Swap the live routers of every local source instance.
-        for instance in self._local_instances_of(config.src):
-            router = self.routers[(config.name, instance)]
-            if hasattr(router, "update_table"):
-                if new_width is not None:
-                    router.resize(config.n, config.table)
-                else:
-                    router.update_table(config.table)
-            elif new_width is not None:
-                router.resize(config.n)
         # Migrate keyed state to each key's new owner.
-        shard = self.bolts[config.dst]
+        owner_of = kernel.owner_of
         outgoing: Dict[int, Dict[int, Dict[Any, Any]]] = {}
         local_installs: List[Tuple[int, Dict[Any, Any]]] = []
         for instance, operator in shard.stateful_instances():
-            moving = [
-                key
-                for key in operator.state
-                if config.owner_of(key) != instance
-            ]
-            for key in moving:
-                owner = config.owner_of(key)
+            for key in list(operator.state):
+                owner = owner_of(key)
+                if owner == instance:
+                    continue
                 entries = operator.extract_state([key])
                 owner_server = _placement(owner, self.num_servers)
                 if owner_server == self.server:
@@ -730,9 +608,7 @@ class _Worker:
         for owner, entries in local_installs:
             shard.operators[owner].install_state(entries)
         for server, per_instance in sorted(outgoing.items()):
-            self._send_blob(
-                server, ("MIGRATE", config.dst, per_instance)
-            )
+            self._send_blob(server, ("MIGRATE", dst_op, per_instance))
 
     def _install_migrate(self, op_name: str, per_instance: dict) -> None:
         shard = self.bolts[op_name]
@@ -758,15 +634,9 @@ class _Worker:
             payload = pickle.loads(message)
             tag = payload[0]
             if tag == "DATA":
-                _, stream_name, values, dsts, srcs, sizes = payload
+                _, stream_name, values, dst = payload
                 self._deliver(
-                    stream_name,
-                    TupleBatch(
-                        values,
-                        src_instances=srcs,
-                        dst_instances=dsts,
-                        sizes=sizes,
-                    ),
+                    stream_name, TupleBatch(values, dst_instances=dst)
                 )
             elif tag == "MIGRATE":
                 _, op_name, per_instance = payload
@@ -841,7 +711,7 @@ class _Worker:
             "ipc_tx_msgs": self.ipc_tx_msgs,
             "ipc_rx_msgs": self.ipc_rx_msgs,
             "emitted": {
-                name: dict(source.emitted_per_instance)
+                name: source.stats.tuples_out
                 for name, source in self.sources.items()
             },
             "processed": {
@@ -857,8 +727,13 @@ class _Worker:
                 for name, shard in self.bolts.items()
             },
             "stream_counts": {
-                name: list(counts)
-                for name, counts in self.stream_counts.items()
+                name: [routes.local_tuples, routes.total_tuples]
+                for name, routes in self.streams.items()
+            },
+            "route_counts": {
+                name: routes.route_counts()
+                for name, routes in self.streams.items()
+                if routes.kind in TABLE_KINDS
             },
             "widths": dict(self.widths),
             "op_stats": op_stats,
@@ -1098,16 +973,21 @@ def _assemble(
         for op, width in worker["widths"].items():
             widths[op] = max(widths.get(op, 0), width)
 
-    emitted = sum(
-        sum(per_instance.values())
-        for worker in workers
-        for per_instance in worker["emitted"].values()
-    )
+    emitted = sum(sum(worker["emitted"].values()) for worker in workers)
 
     stream_locality: Dict[str, float] = {}
+    route_counts: Dict[str, Dict[str, int]] = {}
     local_sum = 0
     total_sum = 0
     for stream in topology.streams:
+        if stream.name in workers[0]["route_counts"]:
+            route_counts[stream.name] = {
+                counter: sum(
+                    worker["route_counts"][stream.name][counter]
+                    for worker in workers
+                )
+                for counter in ("table_hits", "hash_fallbacks")
+            }
         local = sum(
             worker["stream_counts"][stream.name][0] for worker in workers
         )
@@ -1176,6 +1056,7 @@ def _assemble(
         received=received,
         per_key_totals=per_key_totals,
         key_instances=key_instances,
+        route_counts=route_counts,
         op_stats={
             op_name: stats.as_dict()
             for op_name, stats in op_stats.items()

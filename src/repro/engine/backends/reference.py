@@ -15,6 +15,7 @@ import time
 from typing import Any, Dict, List, Tuple
 
 from repro.engine.cluster import Cluster
+from repro.engine.grouping import TableRouter
 from repro.engine.operators import StatefulBolt
 from repro.engine.runner import deploy
 from repro.engine.simulator import Simulator
@@ -92,6 +93,16 @@ def run_reference(topology: Topology, options) -> "BackendResult":
                 for key, instances in holders.items()
             }
 
+    route_counts: Dict[str, Dict[str, int]] = {}
+    for executor in deployment.all_executors():
+        for edge in executor.out_edges:
+            if isinstance(edge.router, TableRouter):
+                counts = route_counts.setdefault(
+                    edge.stream_name, {"table_hits": 0, "hash_fallbacks": 0}
+                )
+                counts["table_hits"] += edge.router.table_hits
+                counts["hash_fallbacks"] += edge.router.hash_fallbacks
+
     total_processed = sum(processed.values())
     return BackendResult(
         backend="reference",
@@ -106,6 +117,7 @@ def run_reference(topology: Topology, options) -> "BackendResult":
         received=received,
         per_key_totals=per_key_totals,
         key_instances=key_instances,
+        route_counts=route_counts,
         op_stats={},
         fingerprint=sim.fingerprint if options.fingerprint else None,
         handle=deployment,

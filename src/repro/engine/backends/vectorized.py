@@ -4,12 +4,11 @@ The DES executes one simulator event per tuple hop; this backend packs
 tuples into :class:`~repro.engine.physical.TupleBatch` micro-batches
 and resolves everything per *batch*:
 
-- each keyed stream owns a **key vocabulary** (key → dense int id,
-  interned once per distinct key) and a **route array** (id →
-  destination instance) mirroring the scalar router math exactly:
-  a valid table entry wins, otherwise ``stable_hash(key, seed) % n``;
-- a batch routes as ``route[ids]`` — one numpy gather instead of
-  len(batch) Python calls;
+- each stream routes through the shared batch kernel
+  (:mod:`repro.engine.routing_kernel`): a **key vocabulary** (key →
+  dense int id, interned once per distinct key) and an id → destination
+  array resolved with the scalar routers' math, so a batch routes as
+  one numpy gather instead of len(batch) Python calls;
 - counting bolts accumulate per-instance ``np.bincount`` over key ids;
 - payload bytes, locality and the coarse time model (per-server CPU
   busy seconds, NIC transfer seconds) are numpy reductions.
@@ -44,30 +43,23 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.grouping import (
-    _SCALAR_KEY_TYPES,
-    FieldsGrouping,
-    HybridTableFieldsGrouping,
-    PartialKeyGrouping,
-    ShuffleGrouping,
-    TableFieldsGrouping,
-    candidate_instances,
-    stable_hash,
-)
-from repro.engine.operators import (
-    Bolt,
-    CountBolt,
-    IteratorSpout,
-    OperatorContext,
-    Spout,
-    StatefulBolt,
-)
+from repro.engine.operators import Bolt, CountBolt, StatefulBolt
 from repro.engine.physical import (
     PhysicalEdge,
     PhysicalOperator,
     PhysicalPlan,
-    SourceOperator,
+    ShimContext,
+    ShimTuple,
+    SpoutSource,
     TupleBatch,
+)
+from repro.engine.routing_kernel import (
+    DETERMINISTIC_KINDS,
+    TABLE_KINDS,
+    RouteKernel,
+    edge_kind,
+    route_per_source,
+    stream_kernel,
 )
 from repro.engine.topology import Topology
 from repro.engine.tuples import payload_size
@@ -102,213 +94,92 @@ class _Meter:
         return busiest
 
 
-class _Vocab:
-    """Key interning for one stream: key → dense id, id → key.
-
-    Memo keys are type-tagged exactly like the scalar routers' LRU
-    caches (``1`` / ``1.0`` / ``True`` must not alias); non-scalar keys
-    are rejected — the vectorized backend requires scalar routing keys.
-    """
-
-    __slots__ = ("memo", "keys")
-
-    def __init__(self) -> None:
-        self.memo: dict = {}
-        self.keys: List[Any] = []
-
-    def encode(self, raw_keys, stream_name: str) -> Tuple[np.ndarray, int]:
-        """Ids for ``raw_keys``; returns (ids, first_new_id)."""
-        memo = self.memo
-        get = memo.get
-        keys = self.keys
-        first_new = len(keys)
-        ids = np.empty(len(raw_keys), dtype=np.int64)
-        index = 0
-        for key in raw_keys:
-            cls = key.__class__
-            if cls not in _SCALAR_KEY_TYPES:
-                raise RoutingError(
-                    f"vectorized backend requires scalar routing keys; "
-                    f"stream {stream_name!r} saw {cls.__name__}"
-                )
-            memo_key = (cls, key)
-            kid = get(memo_key)
-            if kid is None:
-                kid = len(keys)
-                memo[memo_key] = kid
-                keys.append(key)
-            ids[index] = kid
-            index += 1
-        return ids, first_new
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
 class _VectorEdge:
-    """One stream's vectorized router + cost/locality accounting.
+    """One stream's routing kernel + cost/locality accounting.
 
-    The transform applied to every batch crossing the edge: extract
-    keys, resolve destinations, account bytes/locality/served time,
-    and hand the consumer a routed batch (``dst_instances`` and — for
-    keyed streams — ``key_ids`` filled in).
+    The transform applied to every batch crossing the edge: resolve
+    destinations through the kernel, account bytes/locality/served
+    time, and hand the consumer a routed batch (``dst_instances`` and —
+    for keyed streams — ``key_ids`` filled in).
+
+    Keyed streams own *one* kernel, hence one key vocabulary (the
+    bincount operators index their counts by its ids) and, for hybrid
+    and PKG, per-edge load counters where the DES has per-source-router
+    ones. Shuffle keeps one round-robin kernel per source instance.
     """
-
-    KEYED_KINDS = ("table", "hash", "hybrid", "pkg")
 
     def __init__(
         self,
-        stream_name: str,
-        kind: str,
-        key_fn,
-        key_spec,
-        seed: int,
+        stream,
         num_destinations: int,
-        table,
-        d: int,
         src_placement: np.ndarray,
         dst_placement: np.ndarray,
         meter: _Meter,
     ) -> None:
-        self.stream_name = stream_name
-        self.kind = kind
-        self.key_fn = key_fn
-        self.key_spec = key_spec
-        self.seed = seed
+        self.stream = stream
+        self.kind = edge_kind(stream.grouping)
+        if self.kind == "generic":
+            raise RoutingError(
+                f"vectorized backend does not support "
+                f"{type(stream.grouping).__name__} (reference backend "
+                f"required)"
+            )
         self.n = num_destinations
-        self.table = table
-        self.d = d
         self.src_placement = src_placement
         self.dst_placement = dst_placement
         self.meter = meter
-        self.vocab = _Vocab()
-        #: id → destination instance (table entry or hash fallback)
-        self.route = np.empty(0, dtype=np.int64)
-        #: pkg: id → d candidate instances
-        self.cands = np.empty((0, d), dtype=np.int64)
-        #: hybrid: id → split member tuple
-        self.splits: Dict[int, Tuple[int, ...]] = {}
-        #: hybrid/pkg: per-destination sent counters (least-loaded pick)
-        self.sent = np.zeros(num_destinations, dtype=np.int64)
-        #: shuffle: next destination per source instance
-        self._shuffle_next: Dict[int, int] = {}
+        self._shuffle: Dict[int, RouteKernel] = {}
+        self.kernel = (
+            None if self.kind == "shuffle" else self._build_kernel(0)
+        )
         self.local_tuples = 0
         self.total_tuples = 0
         self.received = np.zeros(num_destinations, dtype=np.int64)
-        self.table_hits = 0
-        self.hash_fallbacks = 0
 
-    # -- route resolution ----------------------------------------------
+    def _build_kernel(self, src_instance: int) -> RouteKernel:
+        return stream_kernel(
+            self.stream,
+            src_instance,
+            int(self.src_placement[src_instance]),
+            self.dst_placement[: self.n].tolist(),
+            self.meter.costs.router_cache_size,
+        )
 
-    def _resolve(self, key) -> int:
-        """Scalar-router-identical decision for one key."""
-        table = self.table
-        if table is not None:
-            instance = table.lookup(key)
-            if instance is not None:
-                if not 0 <= instance < self.n:
-                    raise RoutingError(
-                        f"routing table maps {key!r} to instance "
-                        f"{instance}, but stream has {self.n} destinations"
-                    )
-                self.table_hits += 1
-                return instance
-        self.hash_fallbacks += 1
-        return stable_hash(key, self.seed) % self.n
-
-    def _extend(self, first_new: int) -> None:
-        """Resolve routes (and candidates/splits) for new vocab ids."""
-        keys = self.vocab.keys
-        total = len(keys)
-        if total == len(self.route) and self.kind != "pkg":
-            return
-        if self.kind == "pkg":
-            if total > len(self.cands):
-                fresh = np.array(
-                    [
-                        candidate_instances(key, self.seed, self.n, self.d)
-                        for key in keys[len(self.cands):]
-                    ],
-                    dtype=np.int64,
-                ).reshape(-1, self.d)
-                self.cands = np.concatenate([self.cands, fresh])
-            return
-        new_routes = [self._resolve(key) for key in keys[len(self.route):]]
-        if new_routes:
-            base = len(self.route)
-            self.route = np.concatenate(
-                [self.route, np.array(new_routes, dtype=np.int64)]
+    def _shuffle_kernel(self, src_instance: int) -> RouteKernel:
+        kernel = self._shuffle.get(src_instance)
+        if kernel is None:
+            kernel = self._shuffle[src_instance] = self._build_kernel(
+                src_instance
             )
-            if self.kind == "hybrid":
-                split_fn = getattr(self.table, "split", None)
-                if split_fn is not None:
-                    for kid in range(base, len(keys)):
-                        members = split_fn(keys[kid])
-                        if members:
-                            valid = tuple(
-                                m for m in members if 0 <= m < self.n
-                            )
-                            if not valid:
-                                raise RoutingError(
-                                    f"split set maps {keys[kid]!r} to "
-                                    f"{members}, all outside the stream's "
-                                    f"{self.n} destinations"
-                                )
-                            self.splits[kid] = valid
+        return kernel
 
-    def rebuild(self, table, num_destinations: Optional[int]) -> None:
-        """Swap the routing table (and optionally the width) and
-        re-resolve every known key — the vectorized mirror of
-        ``TableRouter.update_table`` / ``resize``."""
-        if num_destinations is not None:
-            if num_destinations < 1:
-                raise RoutingError(
-                    f"num_destinations must be >= 1, got {num_destinations}"
-                )
-            self.n = num_destinations
-            old_received = self.received
-            self.received = np.zeros(self.n, dtype=np.int64)
-            limit = min(len(old_received), self.n)
-            self.received[:limit] = old_received[:limit]
-        self.table = table
-        self.route = np.empty(0, dtype=np.int64)
-        self.splits = {}
-        self.sent = np.zeros(self.n, dtype=np.int64)
-        self._extend(0)
-
-    def owner_of_ids(self) -> np.ndarray:
-        """Current owner per known key id (deterministic kinds only)."""
-        if self.kind not in ("table", "hash"):
-            raise RoutingError(
-                f"stream {self.stream_name!r} ({self.kind}) has no "
-                f"deterministic per-key owner"
-            )
-        self._extend(0)
-        return self.route
+    def reconfigure(self, table, num_destinations: Optional[int]) -> None:
+        """Swap the routing table (and optionally the width); the
+        kernel re-resolves every known key."""
+        if num_destinations is None:
+            self.kernel.update_table(table)
+            return
+        self.kernel.resize(num_destinations, table)
+        self.n = num_destinations
+        old_received = self.received
+        self.received = np.zeros(self.n, dtype=np.int64)
+        limit = min(len(old_received), self.n)
+        self.received[:limit] = old_received[:limit]
 
     # -- the batch transform -------------------------------------------
 
     def __call__(self, batch: TupleBatch) -> TupleBatch:
-        n_tuples = len(batch.values)
-        if self.kind in self.KEYED_KINDS:
-            key_fn = self.key_fn
-            raw_keys = [key_fn(v) for v in batch.values]
-            ids, _ = self.vocab.encode(raw_keys, self.stream_name)
-            self._extend(0)
-            if self.kind == "pkg":
-                dst = self._pick_pkg(ids)
-            else:
-                dst = self.route[ids]
-                if self.splits:
-                    dst = self._apply_splits(ids, dst)
-                elif self.kind == "hybrid":
-                    np.add.at(self.sent, dst, 1)
-        elif self.kind == "shuffle":
+        if self.kernel is not None:
+            dst, ids, _ = self.kernel.route(batch.values)
+        else:
             ids = None
-            dst = self._pick_shuffle(batch, n_tuples)
-        else:  # pragma: no cover - compile() rejects other kinds
-            raise RoutingError(f"unroutable kind {self.kind!r}")
-
+            dst, rows = route_per_source(
+                self._shuffle_kernel, batch.values, batch.src_instances
+            )
+            if rows is not None:  # grouped by source: back to batch order
+                in_order = np.empty_like(dst)
+                in_order[rows] = dst
+                dst = in_order
         self._account(batch, dst)
         return TupleBatch(
             batch.values,
@@ -317,72 +188,6 @@ class _VectorEdge:
             sizes=batch.sizes,
             key_ids=ids,
         )
-
-    def _apply_splits(self, ids: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Reroute split heavy hitters to their least-loaded member.
-
-        Tail traffic is credited to the load counters per batch (the
-        DES router credits per tuple) — split keys stay inside their
-        member set either way; the exact member sequence is the
-        documented divergence."""
-        dst = dst.copy()
-        splits = self.splits
-        sent = self.sent
-        split_mask = np.isin(ids, np.fromiter(splits, dtype=np.int64))
-        tail = dst[~split_mask]
-        if len(tail):
-            np.add.at(sent, tail, 1)
-        for index in np.nonzero(split_mask)[0]:
-            members = splits[int(ids[index])]
-            choice = members[0]
-            best = sent[choice]
-            for member in members[1:]:
-                if sent[member] < best:
-                    best = sent[member]
-                    choice = member
-            dst[index] = choice
-            sent[choice] += 1
-        return dst
-
-    def _pick_pkg(self, ids: np.ndarray) -> np.ndarray:
-        """d-choices pick per tuple (inherently sequential: each pick
-        feeds the load counters the next pick reads)."""
-        sent = self.sent
-        cands = self.cands
-        dst = np.empty(len(ids), dtype=np.int64)
-        for index, kid in enumerate(ids):
-            row = cands[kid]
-            choice = row[0]
-            best = sent[choice]
-            for member in row[1:]:
-                if sent[member] < best:
-                    best = sent[member]
-                    choice = member
-            dst[index] = choice
-            sent[choice] += 1
-        return dst
-
-    def _pick_shuffle(self, batch: TupleBatch, n_tuples: int) -> np.ndarray:
-        nxt = self._shuffle_next
-        n = self.n
-        src = batch.src_instances
-        dst = np.empty(n_tuples, dtype=np.int64)
-        if src is None or len(np.unique(src)) == 1:
-            instance = int(src[0]) if src is not None and len(src) else 0
-            start = nxt.get(instance)
-            if start is None:
-                start = instance % n
-            dst[:] = (start + np.arange(n_tuples)) % n
-            nxt[instance] = int((start + n_tuples) % n)
-        else:
-            for index in range(n_tuples):
-                instance = int(src[index])
-                start = nxt.get(instance)
-                if start is None:
-                    start = instance % n
-                dst[index] = start
-                nxt[instance] = (start + 1) % n
-        return dst
 
     def _account(self, batch: TupleBatch, dst: np.ndarray) -> None:
         meter = self.meter
@@ -448,117 +253,25 @@ class _VectorEdge:
 # ----------------------------------------------------------------------
 
 
-class _ShimContext(OperatorContext):
-    """Minimal operator context for backend-hosted operator objects."""
+class _VectorSpoutSource(SpoutSource):
+    """All instances of one spout; batches carry modeled sizes and the
+    spout's service time goes on the meter."""
 
-    def __init__(
-        self, op_name: str, instance: int, parallelism: int, server: int
-    ) -> None:
-        super().__init__(op_name, instance, parallelism, server, lambda: 0.0)
-
-
-class _VTuple:
-    """Value carrier handed to scalar-fallback ``Bolt.process``."""
-
-    __slots__ = ("values", "size", "root_id")
-
-    def __init__(self, values: tuple, size: int) -> None:
-        self.values = values
-        self.size = size
-        self.root_id = None
-
-
-class _VectorSpoutSource(SourceOperator):
-    """One physical source per spout logical op: cycles its instances,
-    producing one single-instance batch per poll."""
-
-    def __init__(
-        self,
-        name: str,
-        factory: Callable[[], object],
-        parallelism: int,
-        placement: np.ndarray,
-        meter: _Meter,
-        batch_size: int,
-        max_tuples_per_instance: Optional[int],
-    ) -> None:
-        super().__init__(name)
+    def __init__(self, spec, placement: np.ndarray, meter, options) -> None:
+        super().__init__(
+            spec.name,
+            spec.factory,
+            spec.parallelism,
+            {i: int(placement[i]) for i in range(spec.parallelism)},
+            options.batch_size,
+            options.max_tuples_per_instance,
+        )
         self.placement = placement
         self.meter = meter
-        self.batch_size = batch_size
-        self._header = meter.costs.tuple_header_bytes
-        self._spouts: List[Spout] = []
-        self._iters: List[Any] = []
-        self._contexts: List[_ShimContext] = []
-        self._budget: List[Optional[int]] = []
-        self._live: List[int] = []
-        self._cursor = 0
-        for instance in range(parallelism):
-            operator = factory()
-            if not isinstance(operator, Spout):
-                raise DeploymentError(
-                    f"factory of spout {name!r} returned "
-                    f"{type(operator).__name__}, not a Spout"
-                )
-            context = _ShimContext(
-                name, instance, parallelism, int(placement[instance])
-            )
-            operator.open(context)
-            self._spouts.append(operator)
-            self._contexts.append(context)
-            # Fast path: drain the IteratorSpout's iterator directly
-            # (islice-style) instead of one next_tuple call per tuple.
-            self._iters.append(
-                operator._iterator
-                if isinstance(operator, IteratorSpout)
-                else None
-            )
-            self._budget.append(max_tuples_per_instance)
-            self._live.append(instance)
-
-    def _poll(self) -> Optional[TupleBatch]:
-        while self._live:
-            slot = self._cursor % len(self._live)
-            instance = self._live[slot]
-            values = self._pull(instance)
-            if values:
-                self._cursor = slot + 1
-                return self._make_batch(instance, values)
-            self._live.pop(slot)
-            if self._live:
-                self._cursor = slot % len(self._live)
-        return None
-
-    def _pull(self, instance: int) -> List[tuple]:
-        budget = self._budget[instance]
-        limit = self.batch_size if budget is None else min(
-            self.batch_size, budget
-        )
-        if limit <= 0:
-            return []
-        values: List[tuple] = []
-        iterator = self._iters[instance]
-        if iterator is not None:
-            append = values.append
-            try:
-                for _ in range(limit):
-                    append(next(iterator))
-            except StopIteration:
-                pass
-        else:
-            spout = self._spouts[instance]
-            context = self._contexts[instance]
-            while len(values) < limit:
-                if spout.finished or not spout.next_tuple(context):
-                    break
-                values.extend(context._drain())
-        if budget is not None:
-            self._budget[instance] = budget - len(values)
-        return values
 
     def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:
         n_tuples = len(values)
-        header = self._header
+        header = self.meter.costs.tuple_header_bytes
         sizes = np.fromiter(
             (payload_size(v) + header for v in values),
             dtype=np.int64,
@@ -605,7 +318,13 @@ class _VectorCountOp(PhysicalOperator):
     def _process(self, batch: TupleBatch, input_index: int) -> None:
         ids = batch.key_ids
         dst = batch.dst_instances
-        vocab_size = len(self.in_edge.vocab)
+        if len(ids) and ids.min() < 0:
+            raise RoutingError(
+                f"the vectorized counting kernel requires scalar routing "
+                f"keys; stream {self.in_edge.stream.name!r} saw one that "
+                f"is not"
+            )
+        vocab_size = len(self.in_edge.kernel.vocab.keys)
         for instance in range(self.parallelism):
             mask = dst == instance
             if not mask.any():
@@ -647,7 +366,7 @@ class _VectorCountOp(PhysicalOperator):
     # -- result extraction ---------------------------------------------
 
     def per_key_totals(self) -> Dict[Any, int]:
-        keys = self.in_edge.vocab.keys
+        keys = self.in_edge.kernel.vocab.keys
         totals: Dict[Any, int] = {}
         for counts in self._counts:
             for kid in np.nonzero(counts)[0]:
@@ -656,7 +375,7 @@ class _VectorCountOp(PhysicalOperator):
         return totals
 
     def key_instances(self) -> Dict[Any, Tuple[int, ...]]:
-        keys = self.in_edge.vocab.keys
+        keys = self.in_edge.kernel.vocab.keys
         holders: Dict[Any, list] = {}
         for instance, counts in enumerate(self._counts):
             for kid in np.nonzero(counts)[0]:
@@ -689,10 +408,10 @@ class _ScalarBoltOp(PhysicalOperator):
         self.parallelism = parallelism
         self._header = header_bytes
         self.operators: List[Bolt] = []
-        self.contexts: List[_ShimContext] = []
+        self.contexts: List[ShimContext] = []
         for instance in range(parallelism):
             operator = factory()
-            context = _ShimContext(
+            context = ShimContext(
                 name, instance, parallelism, int(placement[instance])
             )
             operator.open(context)
@@ -702,22 +421,20 @@ class _ScalarBoltOp(PhysicalOperator):
         self._placement = placement
 
     def _process(self, batch: TupleBatch, input_index: int) -> None:
-        dst = batch.dst_instances
-        sizes = batch.sizes
+        header = self._header
         out_values: List[tuple] = []
         out_src: List[int] = []
-        for index, values in enumerate(batch.values):
-            instance = int(dst[index])
+        for instance, values in zip(
+            batch.dst_instances.tolist(), batch.values
+        ):
             operator = self.operators[instance]
             context = self.contexts[instance]
-            size = int(sizes[index]) if sizes is not None else 0
-            operator.process(_VTuple(values, size), context)
+            operator.process(ShimTuple(values, header), context)
             emitted = context._drain()
             if emitted:
                 out_values.extend(emitted)
                 out_src.extend([instance] * len(emitted))
         if out_values:
-            header = self._header
             self._emit(
                 TupleBatch(
                     out_values,
@@ -735,7 +452,7 @@ class _ScalarBoltOp(PhysicalOperator):
             instance = len(self.operators)
             operator = self._factory()
             server = int(self._placement[instance % len(self._placement)])
-            context = _ShimContext(self.name, instance, parallelism, server)
+            context = ShimContext(self.name, instance, parallelism, server)
             operator.open(context)
             self.operators.append(operator)
             self.contexts.append(context)
@@ -781,24 +498,6 @@ class _ScalarBoltOp(PhysicalOperator):
 # ----------------------------------------------------------------------
 # Compilation + driver
 # ----------------------------------------------------------------------
-
-
-def _edge_kind(grouping) -> Tuple[str, int]:
-    """(kind, d) of a grouping; raises for unsupported policies."""
-    if isinstance(grouping, HybridTableFieldsGrouping):
-        return "hybrid", 2
-    if isinstance(grouping, TableFieldsGrouping):
-        return "table", 2
-    if isinstance(grouping, FieldsGrouping):
-        return "hash", 2
-    if isinstance(grouping, PartialKeyGrouping):
-        return "pkg", grouping.d
-    if isinstance(grouping, ShuffleGrouping):
-        return "shuffle", 2
-    raise RoutingError(
-        f"vectorized backend does not support "
-        f"{type(grouping).__name__} (reference backend required)"
-    )
 
 
 def _count_fast_path(operator, in_streams) -> bool:
@@ -853,13 +552,7 @@ class _VectorizedRun:
             in_streams = topology.inputs_of(name)
             if spec.is_spout:
                 self.ops[name] = _VectorSpoutSource(
-                    name,
-                    spec.factory,
-                    spec.parallelism,
-                    self.placements[name],
-                    self.meter,
-                    options.batch_size,
-                    options.max_tuples_per_instance,
+                    spec, self.placements[name], self.meter, options
                 )
                 continue
             probe = spec.factory()
@@ -884,17 +577,9 @@ class _VectorizedRun:
                 )
 
         for stream in topology.streams:
-            kind, d = _edge_kind(stream.grouping)
-            dst_spec = topology.operator(stream.dst)
             edge = _VectorEdge(
-                stream.name,
-                kind,
-                getattr(stream.grouping, "key_fn", None),
-                getattr(stream.grouping, "key_spec", None),
-                stable_hash(stream.name),
-                dst_spec.parallelism,
-                getattr(stream.grouping, "initial_table", None),
-                d,
+                stream,
+                topology.operator(stream.dst).parallelism,
                 self.placements[stream.src],
                 self.placements[stream.dst],
                 self.meter,
@@ -936,27 +621,23 @@ class _VectorizedRun:
                 f"{action.stream!r}; one of "
                 f"{sorted(self.edges_by_stream)}"
             ) from None
-        if edge.kind not in ("table", "hash"):
+        if edge.kind not in DETERMINISTIC_KINDS:
             raise DeploymentError(
                 f"scripted reconfiguration requires a deterministic "
                 f"keyed stream; {action.stream!r} is {edge.kind!r}"
             )
-        dst = next(
-            s.dst
-            for s in self.topology.streams
-            if s.name == action.stream
-        )
+        dst = edge.stream.dst
         new_width = action.parallelism
         if new_width is not None:
             self.widths[dst] = new_width
             consumer = self.ops[dst]
             consumer.resize(new_width)
-        edge.rebuild(action.table, new_width)
+        edge.reconfigure(action.table, new_width)
         consumer = self.ops[dst]
         if isinstance(consumer, _VectorCountOp):
-            consumer.migrate(edge.owner_of_ids())
+            consumer.migrate(edge.kernel.owners)
         elif isinstance(consumer, _ScalarBoltOp):
-            consumer.migrate(lambda key: edge._resolve(key))
+            consumer.migrate(edge.kernel.owner_of)
 
     # -- execution ------------------------------------------------------
 
@@ -975,12 +656,18 @@ def run_vectorized(topology: Topology, options) -> "BackendResult":
     wall = run.execute()
 
     stream_locality: Dict[str, float] = {}
+    route_counts: Dict[str, Dict[str, int]] = {}
     local_sum = 0
     total_sum = 0
     for name, edge in run.edges_by_stream.items():
         stream_locality[name] = edge.locality()
         local_sum += edge.local_tuples
         total_sum += edge.total_tuples
+        if edge.kind in TABLE_KINDS:
+            route_counts[name] = {
+                "table_hits": edge.kernel.table_hits,
+                "hash_fallbacks": edge.kernel.hash_fallbacks,
+            }
 
     processed: Dict[str, int] = {}
     received: Dict[str, List[int]] = {}
@@ -1021,6 +708,7 @@ def run_vectorized(topology: Topology, options) -> "BackendResult":
         received=received,
         per_key_totals=per_key_totals,
         key_instances=key_instances,
+        route_counts=route_counts,
         op_stats={
             name: op.stats.as_dict() for name, op in run.ops.items()
         },

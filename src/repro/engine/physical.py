@@ -21,6 +21,11 @@ Two backends ship against this seam (see :mod:`repro.engine.backends`):
 - ``vectorized`` — batches tuples into numpy columns and resolves
   routing per *batch* instead of per tuple (DESIGN.md §15).
 
+What the batch backends share beyond the protocol lives here too: the
+:class:`ShimTuple` / :class:`ShimContext` pair that lets them host real
+operator objects, and :class:`SpoutSource`, the batch source over real
+spout instances.
+
 Data moves between physical operators as :class:`TupleBatch` — a
 columnar micro-batch: the Python value tuples ride along (operators
 that need raw values still get them), while the per-tuple key ids,
@@ -31,8 +36,11 @@ routing, counting and cost accounting are O(batch) array ops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from itertools import islice
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
+from repro.engine.operators import IteratorSpout, OperatorContext, Spout
+from repro.engine.tuples import payload_size
 from repro.errors import DeploymentError
 
 
@@ -126,14 +134,16 @@ class TupleBatch:
         and downstream key extraction can always recover full fidelity).
     src_instances:
         Per-tuple producing instance of the upstream logical operator
-        (numpy ``int64`` array, or None for spout output batches built
-        by a single instance — see ``src_instance``).
+        (numpy integer array; None on batches a multiprocess worker
+        received or routed — consumers never read it, so it is not
+        shipped).
     dst_instances:
-        Per-tuple destination instance, filled in by the edge router
-        before the batch is handed to the consumer (None until routed).
+        Per-tuple destination instance (numpy integer array), filled
+        in by the edge router before the batch is handed to the
+        consumer (None until routed).
     sizes:
-        Modeled payload bytes per tuple, header included (None until a
-        backend that accounts bytes computes them).
+        Modeled payload bytes per tuple, header included (None unless
+        the backend models bytes — the multiprocess one measures them).
     key_ids:
         Per-tuple key ids under the producing edge's key vocabulary
         (numpy ``int64``), attached by vectorized edge routers so a
@@ -282,6 +292,120 @@ class SourceOperator(PhysicalOperator):
 
     def _process(self, batch: TupleBatch, input_index: int) -> None:
         raise DeploymentError(f"source {self.name!r} takes no input")
+
+
+class ShimContext(OperatorContext):
+    """Minimal operator context for backend-hosted operator objects
+    (no simulated clock: ``now`` reads 0)."""
+
+    def __init__(
+        self, op_name: str, instance: int, parallelism: int, server: int
+    ) -> None:
+        super().__init__(op_name, instance, parallelism, server, lambda: 0.0)
+
+
+class ShimTuple:
+    """Value carrier handed to backend-hosted ``Bolt.process``.
+
+    ``size`` is the *modeled* wire size (header included), computed
+    only if an operator reads it — the payload walk is as expensive as
+    a routing decision and most operators never look."""
+
+    __slots__ = ("values", "root_id", "_header")
+
+    def __init__(self, values: tuple, header_bytes: int) -> None:
+        self.values = values
+        self.root_id = None
+        self._header = header_bytes
+
+    @property
+    def size(self) -> int:
+        return payload_size(self.values) + self._header
+
+
+class SpoutSource(SourceOperator):
+    """Some (or all) instances of one logical spout behind one physical
+    source: cycles them, producing one single-instance batch per poll.
+
+    ``placement`` maps each hosted instance to its server. Subclasses
+    implement :meth:`_make_batch` — the column layout is the backend's.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        factory: Callable[[], object],
+        parallelism: int,
+        placement: Dict[int, int],
+        batch_size: int,
+        max_tuples_per_instance: Optional[int],
+    ) -> None:
+        super().__init__(name)
+        self.batch_size = batch_size
+        self._spouts: Dict[int, Spout] = {}
+        self._iters: Dict[int, Any] = {}
+        self._contexts: Dict[int, ShimContext] = {}
+        self._budget: Dict[int, Optional[int]] = {}
+        self._live: List[int] = []
+        self._cursor = 0
+        for instance, server in sorted(placement.items()):
+            operator = factory()
+            if not isinstance(operator, Spout):
+                raise DeploymentError(
+                    f"factory of spout {name!r} returned "
+                    f"{type(operator).__name__}, not a Spout"
+                )
+            context = ShimContext(name, instance, parallelism, server)
+            operator.open(context)
+            self._spouts[instance] = operator
+            self._contexts[instance] = context
+            # Fast path: drain an IteratorSpout's iterator directly
+            # instead of one next_tuple call per tuple.
+            self._iters[instance] = (
+                operator._iterator
+                if isinstance(operator, IteratorSpout)
+                else None
+            )
+            self._budget[instance] = max_tuples_per_instance
+            self._live.append(instance)
+
+    def _poll(self) -> Optional[TupleBatch]:
+        while self._live:
+            slot = self._cursor % len(self._live)
+            instance = self._live[slot]
+            values = self._pull(instance)
+            if values:
+                self._cursor = slot + 1
+                return self._make_batch(instance, values)
+            self._live.pop(slot)
+            if self._live:
+                self._cursor = slot % len(self._live)
+        return None
+
+    def _pull(self, instance: int) -> List[tuple]:
+        budget = self._budget[instance]
+        limit = self.batch_size if budget is None else min(
+            self.batch_size, budget
+        )
+        if limit <= 0:
+            return []
+        iterator = self._iters[instance]
+        if iterator is not None:
+            values = list(islice(iterator, limit))
+        else:
+            values = []
+            spout = self._spouts[instance]
+            context = self._contexts[instance]
+            while len(values) < limit:
+                if spout.finished or not spout.next_tuple(context):
+                    break
+                values.extend(context._drain())
+        if budget is not None:
+            self._budget[instance] = budget - len(values)
+        return values
+
+    def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:
+        raise NotImplementedError
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """The multiprocess backend: equivalence, faults, teardown.
 
-Three layers of lockdown for `repro.engine.backends.multiprocess`:
+Four layers of lockdown for `repro.engine.backends.multiprocess`:
 
 1. **Equivalence stress** — ten seeds of the skew workload plus fig13
    and a 2→4 rescale replay must match the reference DES under the
@@ -12,7 +12,12 @@ Three layers of lockdown for `repro.engine.backends.multiprocess`:
    placements equal the scalar routers' per-tuple decisions; hybrid
    and PKG keep per-key totals exact with placements contained in the
    member/candidate sets.
-3. **Failure handling** — an injected worker crash mid-batch and an
+3. **The kernel's other paths** — fallback groupings with multi-
+   destination selects, mixed-source-instance batches under hybrid and
+   PKG (``parallelism > num_servers``), and the per-tuple
+   ``table_hits`` / ``hash_fallbacks`` identity across all three
+   backends.
+4. **Failure handling** — an injected worker crash mid-batch and an
    injected hang both surface as a structured
    :class:`MultiprocessBackendError` (partial progress attached), tiny
    queues exercise the backpressure path, and *every* test asserts no
@@ -39,8 +44,12 @@ from repro.engine.backends import (
     run_topology,
 )
 from repro.engine.grouping import (
+    BroadcastGrouping,
+    CustomGrouping,
     FieldsGrouping,
+    GlobalGrouping,
     HybridTableFieldsGrouping,
+    LocalOrShuffleGrouping,
     PartialKeyGrouping,
     RouterContext,
     candidate_instances,
@@ -399,6 +408,161 @@ def test_mp_pkg_totals_exact_and_contained(keys, n, d):
         assert result.per_key_totals["C"][key] == REPEATS
         cands = candidate_instances(key, seed, n, d)
         assert set(result.key_instances["C"][key]) <= set(cands)
+    assert_no_orphans()
+
+
+# ----------------------------------------------------------------------
+# The kernel's other paths: scalar-router fallback, per-source kernels,
+# per-tuple counters
+# ----------------------------------------------------------------------
+
+
+def _two_stage(first, second, tuples_per_instance=150):
+    """S(2) -> A(4) -> B(4): on two servers every A shard hosts two
+    instances, so the batches it emits mix source instances."""
+
+    def source(ctx):
+        for i in range(tuples_per_instance):
+            key = (7 * i + ctx.instance_index) % 23
+            yield (key, key % 6)
+
+    builder = TopologyBuilder()
+    builder.spout("S", lambda: IteratorSpout(source), parallelism=2)
+    builder.bolt(
+        "A",
+        lambda: CountBolt(0, forward=True),
+        parallelism=4,
+        inputs={"S": first},
+    )
+    builder.bolt(
+        "B",
+        lambda: CountBolt(1, forward=False),
+        parallelism=4,
+        inputs={"A": second},
+    )
+    return builder.build()
+
+
+def _fan_out(values, context):
+    """Custom route: zero, one or two destinations per tuple."""
+    return [(values[0] + i) % 4 for i in range(values[0] % 3)]
+
+
+@pytest.mark.parametrize(
+    "grouping",
+    [
+        BroadcastGrouping(),
+        GlobalGrouping(),
+        LocalOrShuffleGrouping(),
+        CustomGrouping(_fan_out),
+    ],
+    ids=["broadcast", "global", "local-or-shuffle", "custom-fan-out"],
+)
+def test_fallback_groupings_match_the_reference(grouping):
+    """Policies with no batch kernel go through the kernel's scalar-
+    router loop — multi-destination and empty selects included — and
+    stay per-tuple identical to the DES (the downstream table stream
+    then sees replicated tuples from mixed source instances)."""
+    report, ref, cand = run_equivalence(
+        lambda: _two_stage(grouping, FieldsGrouping(1)),
+        reference_options=BackendOptions(num_servers=2),
+        candidate="multiprocess",
+        candidate_options=mp_options(num_servers=2, batch_size=64),
+        **STRICT,
+    )
+    assert report.ok, report.summary()
+    assert cand.processed["A"] == ref.processed["A"] > 0
+    assert_no_orphans()
+
+
+@pytest.mark.parametrize("policy", ["hybrid", "pkg"])
+def test_mixed_source_batches_keep_load_dependent_streams_exact(policy):
+    """parallelism=4 on two servers: A's shards emit batches mixing two
+    source instances into a load-dependent stream, which routes each
+    instance's tuples through that instance's own kernel. Totals stay
+    exact and every holder inside the split / candidate set."""
+    splits = {0: (0, 1), 3: (2, 3)}
+    if policy == "hybrid":
+        second = HybridTableFieldsGrouping(
+            1, table=RoutingTable({k: k % 4 for k in range(6)}, splits)
+        )
+    else:
+        second = PartialKeyGrouping(1, d=2)
+    ref = run_topology(
+        _two_stage(FieldsGrouping(0), second),
+        "reference",
+        BackendOptions(num_servers=2),
+    )
+    cand = run_topology(
+        _two_stage(FieldsGrouping(0), second),
+        "multiprocess",
+        mp_options(num_servers=2, batch_size=64),
+    )
+    assert cand.processed == ref.processed
+    assert cand.per_key_totals == ref.per_key_totals
+    assert cand.key_instances["A"] == ref.key_instances["A"]
+    seed = stable_hash("A->B")
+    for key, holders in cand.key_instances["B"].items():
+        if policy == "pkg":
+            allowed = candidate_instances(key, seed, 4, 2)
+        else:
+            allowed = splits.get(key, ref.key_instances["B"][key])
+        assert set(holders) <= set(allowed)
+    assert_no_orphans()
+
+
+def test_route_counters_are_per_tuple_on_every_backend():
+    """fig13-quick on all three backends: ``table_hits`` and
+    ``hash_fallbacks`` agree stream by stream and add up to the tuples
+    routed — the scalar routers' per-select semantics, not one count
+    per distinct key."""
+    from repro.core import offline_tables
+    from repro.workloads.flickr import FlickrConfig, FlickrWorkload
+
+    workload = FlickrWorkload(FlickrConfig(seed=0))
+    blocks = [
+        [(tag, country) for tag, country in workload.pairs(400, stream_seed=i)]
+        for i in range(4)
+    ]
+    # mined from a short sample: part of the traffic misses the tables
+    tables, _ = offline_tables(workload.pairs(150, stream_seed="sample"), 4)
+
+    def make():
+        builder = TopologyBuilder()
+        builder.spout(
+            "S",
+            lambda: IteratorSpout(lambda ctx: blocks[ctx.instance_index]),
+            parallelism=4,
+        )
+        builder.bolt(
+            "A",
+            lambda: CountBolt(0, forward=True),
+            parallelism=4,
+            inputs={"S": TableFieldsGrouping(0, table=tables["S->A"])},
+        )
+        builder.bolt(
+            "B",
+            lambda: CountBolt(1, forward=False),
+            parallelism=4,
+            inputs={"A": TableFieldsGrouping(1, table=tables["A->B"])},
+        )
+        return builder.build()
+
+    results = {
+        backend: run_topology(make(), backend, mp_options())
+        for backend in ("reference", "vectorized", "multiprocess")
+    }
+    ref = results["reference"].route_counts
+    assert sorted(ref) == ["A->B", "S->A"]
+    for name, counts in ref.items():
+        consumer = name.partition("->")[2]
+        assert counts["table_hits"] > 0 and counts["hash_fallbacks"] > 0
+        assert (
+            counts["table_hits"] + counts["hash_fallbacks"]
+            == results["reference"].processed[consumer]
+        )
+    assert results["vectorized"].route_counts == ref
+    assert results["multiprocess"].route_counts == ref
     assert_no_orphans()
 
 

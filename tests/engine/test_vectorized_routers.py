@@ -1,20 +1,28 @@
-"""Property tests: vectorized edge routing == scalar routers.
+"""Property tests: the batch routing kernel == the scalar routers.
 
-The vectorized backend resolves a route *once per distinct key* into a
-numpy array and gathers per batch; the scalar routers resolve per
-tuple through LRU caches. These properties pin that the two paths are
-the same function:
+``repro.engine.routing_kernel`` is the one batch implementation of
+routing (the vectorized edges and the multiprocess workers both call
+it): a route resolved *once per distinct key* into a numpy array and
+gathered per batch. The scalar routers resolve per tuple through LRU
+caches and stay the oracle. These properties pin that the two are the
+same function:
 
-- table/hash streams: ``_VectorEdge`` routes every key exactly where
-  ``TableRouter`` / ``_HashFieldsRouter`` would, for arbitrary keys,
-  seeds, widths and (partial) tables — including after a table swap;
-- PKG streams: the vectorized candidate arrays equal
-  ``candidate_instances`` and every pick stays inside them;
-- hybrid streams: split keys land inside their member set, tail keys
+- table/hash kernels route every key exactly where ``TableRouter`` /
+  ``_HashFieldsRouter`` would, for arbitrary keys, seeds, widths and
+  (partial) tables — including after ``update_table`` and ``resize`` —
+  and count ``table_hits`` / ``hash_fallbacks`` per *tuple* as they do;
+- PKG kernels: candidate tuples equal ``candidate_instances`` and the
+  picks equal ``_DChoicesRouter``'s on the same tuple sequence;
+- hybrid kernels: split keys land inside their member set, tail keys
   route exactly like the table router;
 - key interning is type-tagged: ``1``, ``1.0`` and ``True`` are equal
   as dict keys but are distinct routing keys (distinct reprs, hence
-  potentially distinct hashes) — the vocabulary must never alias them.
+  potentially distinct hashes) — the vocabulary must never alias them;
+- non-scalar keys are never interned and resolve directly, as the
+  scalar routers bypass their cache for them;
+- groupings with no batch form (broadcast, global, local-or-shuffle,
+  custom) go through the generic kernel, multi-destination selects
+  included.
 """
 
 import numpy as np
@@ -22,17 +30,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.routing_table import RoutingTable
-from repro.engine.backends.vectorized import _Meter, _VectorEdge, _Vocab
-from repro.engine.costs import DEFAULT_COSTS
 from repro.engine.grouping import (
+    BroadcastGrouping,
+    CustomGrouping,
     FieldsGrouping,
+    GlobalGrouping,
     HybridTableFieldsGrouping,
+    LocalOrShuffleGrouping,
     PartialKeyGrouping,
     RouterContext,
+    ShuffleGrouping,
     TableFieldsGrouping,
     candidate_instances,
 )
-from repro.engine.physical import TupleBatch
+from repro.engine.routing_kernel import (
+    Vocab,
+    build_kernel,
+    edge_kind,
+    route_per_source,
+)
 
 keys_st = st.one_of(
     st.integers(min_value=-(10**6), max_value=10**6),
@@ -41,130 +57,150 @@ keys_st = st.one_of(
     st.booleans(),
     st.none(),
 )
+# containers are never interned: (1,) / (True,) would alias
+loose_keys_st = st.one_of(
+    st.tuples(st.integers(min_value=0, max_value=3)),
+    st.tuples(st.booleans(), st.text(max_size=2)),
+)
+small_tables = st.dictionaries(
+    st.integers(min_value=-100, max_value=100),
+    st.integers(min_value=0, max_value=1),
+    max_size=20,
+)
+seeds = st.integers(min_value=0, max_value=2**32)
 
 
-def _edge(kind, n, seed, table=None, d=2, num_servers=2):
-    meter = _Meter(num_servers, DEFAULT_COSTS, bandwidth_gbps=None)
-    placement = np.arange(max(n, 1), dtype=np.int64) % num_servers
-    return _VectorEdge(
-        "prop",
-        kind,
-        key_fn=lambda values: values[0],
-        key_spec=0,
-        seed=seed,
-        num_destinations=n,
-        table=table,
-        d=d,
-        src_placement=placement,
-        dst_placement=placement,
-        meter=meter,
-    )
-
-
-def _context(n, seed):
+def _context(n, seed, src_instance=0, num_servers=1):
     return RouterContext(
         stream_name="prop",
-        src_instance=0,
-        src_server=0,
-        dst_placements=[0] * n,
+        src_instance=src_instance,
+        src_server=src_instance % num_servers,
+        dst_placements=[i % num_servers for i in range(n)],
         seed=seed,
     )
 
 
-def _route_batch(edge, keys):
-    batch = TupleBatch(
-        [(k,) for k in keys],
-        src_instances=np.zeros(len(keys), dtype=np.int64),
-        sizes=np.full(len(keys), 100, dtype=np.int64),
+def _pair(grouping, n, seed):
+    """(kernel, scalar router) built from one grouping + context."""
+    return (
+        build_kernel(grouping, _context(n, seed)),
+        grouping.build_router(_context(n, seed)),
     )
-    return edge(batch).dst_instances
+
+
+def _route(kernel, keys):
+    dst, _, rows = kernel.route([(k,) for k in keys])
+    assert rows is None and len(dst) == len(keys)
+    return dst.tolist()
+
+
+def _select(router, keys):
+    return [router.select((k,))[0] for k in keys]
 
 
 @given(
     keys=st.lists(keys_st, min_size=1, max_size=40),
-    seed=st.integers(min_value=0, max_value=2**32),
+    seed=seeds,
     n=st.integers(min_value=1, max_value=9),
 )
 @settings(max_examples=150, deadline=None)
 def test_hash_edge_matches_scalar_fields_router(keys, seed, n):
-    edge = _edge("hash", n, seed)
-    router = FieldsGrouping(0).build_router(_context(n, seed))
-    dst = _route_batch(edge, keys)
-    for i, key in enumerate(keys):
-        assert [int(dst[i])] == router.select((key,))
+    kernel, router = _pair(FieldsGrouping(0), n, seed)
+    assert _route(kernel, keys) == _select(router, keys)
+    assert kernel.table_hits == 0
+    assert kernel.hash_fallbacks == len(keys)
 
 
 @given(
     keys=st.lists(keys_st, min_size=1, max_size=40),
-    seed=st.integers(min_value=0, max_value=2**32),
+    seed=seeds,
     n=st.integers(min_value=2, max_value=9),
-    mapped=st.dictionaries(
-        st.integers(min_value=-100, max_value=100),
-        st.integers(min_value=0, max_value=1),
-        max_size=20,
-    ),
+    mapped=small_tables,
 )
 @settings(max_examples=150, deadline=None)
 def test_table_edge_matches_scalar_table_router(keys, seed, n, mapped):
     # table covers some int keys (instances 0/1, valid for any n >= 2);
     # everything else exercises the hash fallback path
     table = RoutingTable(mapped)
-    edge = _edge("table", n, seed, table=table)
-    router = TableFieldsGrouping(0, table=table).build_router(
-        _context(n, seed)
-    )
-    dst = _route_batch(edge, keys)
-    for i, key in enumerate(keys):
-        assert [int(dst[i])] == router.select((key,))
+    kernel, router = _pair(TableFieldsGrouping(0, table=table), n, seed)
+    for _ in range(2):  # second batch: every key already interned
+        assert _route(kernel, keys) == _select(router, keys)
+    # counted per tuple, not per distinct key
+    assert kernel.table_hits == router.table_hits
+    assert kernel.hash_fallbacks == router.hash_fallbacks
+    assert kernel.table_hits + kernel.hash_fallbacks == 2 * len(keys)
 
 
 @given(
     keys=st.lists(
         st.integers(min_value=-100, max_value=100), min_size=1, max_size=40
     ),
-    seed=st.integers(min_value=0, max_value=2**32),
+    seed=seeds,
     n=st.integers(min_value=2, max_value=9),
-    mapped=st.dictionaries(
-        st.integers(min_value=-100, max_value=100),
-        st.integers(min_value=0, max_value=1),
-        max_size=20,
-    ),
+    mapped=small_tables,
 )
 @settings(max_examples=100, deadline=None)
 def test_table_swap_rebuilds_routes_like_update_table(keys, seed, n, mapped):
-    edge = _edge("table", n, seed, table=None)
-    router = TableFieldsGrouping(0).build_router(_context(n, seed))
-    _route_batch(edge, keys)  # populate vocab + routes under no table
+    kernel, router = _pair(TableFieldsGrouping(0), n, seed)
+    _route(kernel, keys)  # populate vocab + routes under no table
     table = RoutingTable(mapped)
-    edge.rebuild(table, None)
+    kernel.update_table(table)
     router.update_table(table)
-    dst = _route_batch(edge, keys)
-    for i, key in enumerate(keys):
-        assert [int(dst[i])] == router.select((key,))
+    assert _route(kernel, keys) == _select(router, keys)
+    for key in keys:
+        assert kernel.owner_of(key) == router.select((key,))[0]
+
+
+@given(
+    keys=st.lists(
+        st.integers(min_value=-100, max_value=100), min_size=1, max_size=40
+    ),
+    seed=seeds,
+    n=st.integers(min_value=2, max_value=6),
+    new_n=st.integers(min_value=2, max_value=9),
+    mapped=small_tables,
+)
+@settings(max_examples=100, deadline=None)
+def test_resize_swaps_width_and_table_like_the_router(
+    keys, seed, n, new_n, mapped
+):
+    kernel, router = _pair(TableFieldsGrouping(0), n, seed)
+    _route(kernel, keys)
+    table = RoutingTable(mapped)
+    kernel.resize(new_n, table)
+    router.resize(new_n, table)
+    dst = _route(kernel, keys)
+    assert dst == _select(router, keys)
+    assert all(0 <= d < new_n for d in dst)
+    # owners cover every interned key: what state migration reads
+    assert kernel.owners[kernel.vocab.encode(keys)[0]].tolist() == dst
 
 
 @given(
     keys=st.lists(keys_st, min_size=1, max_size=30),
-    seed=st.integers(min_value=0, max_value=2**32),
+    seed=seeds,
     n=st.integers(min_value=2, max_value=9),
     d=st.integers(min_value=2, max_value=4),
 )
 @settings(max_examples=100, deadline=None)
 def test_pkg_edge_candidates_match_and_contain_picks(keys, seed, n, d):
-    edge = _edge("pkg", n, seed, d=d)
-    dst = _route_batch(edge, keys)
+    kernel, router = _pair(PartialKeyGrouping(0, d=d), n, seed)
+    dst = _route(kernel, keys)
     for i, key in enumerate(keys):
         expected = candidate_instances(key, seed, n, d)
-        kid = edge.vocab.memo[(key.__class__, key)]
-        assert tuple(edge.cands[kid]) == expected
-        assert int(dst[i]) in expected
+        kid = kernel.vocab.memo[(key.__class__, key)]
+        assert kernel.cands[kid] == expected
+        assert dst[i] in expected
+    # same tuple sequence, same load counters: the picks are identical
+    assert dst == _select(router, keys)
+    assert kernel.sent == router.sent_counts
 
 
 @given(
     keys=st.lists(
         st.integers(min_value=0, max_value=30), min_size=1, max_size=60
     ),
-    seed=st.integers(min_value=0, max_value=2**32),
+    seed=seeds,
     n=st.integers(min_value=2, max_value=6),
 )
 @settings(max_examples=100, deadline=None)
@@ -173,36 +209,129 @@ def test_hybrid_split_containment_and_tail_exactness(keys, seed, n):
     table = RoutingTable(
         {k: k % n for k in range(5)}, splits={0: (0, 1)}
     )
-    edge = _edge("hybrid", n, seed, table=table)
+    kernel = build_kernel(
+        HybridTableFieldsGrouping(0, table=table), _context(n, seed)
+    )
     tail_router = TableFieldsGrouping(0, table=table).build_router(
         _context(n, seed)
     )
-    dst = _route_batch(edge, keys)
-    for i, key in enumerate(keys):
-        if key == 0:
-            assert int(dst[i]) in (0, 1)
-        else:
-            assert [int(dst[i])] == tail_router.select((key,))
+
+    def check():
+        dst = _route(kernel, keys)
+        for i, key in enumerate(keys):
+            if key == 0:
+                assert dst[i] in (0, 1)
+            else:
+                assert [dst[i]] == tail_router.select((key,))
+
+    check()
+    assert kernel.split_routes == keys.count(0)
+    assert (
+        kernel.table_hits + kernel.hash_fallbacks + kernel.split_routes
+        == len(keys)
+    )
+    assert int(kernel.sent.sum()) == len(keys)
+    # a table swap moves the split set with it and resets the load
+    table = RoutingTable({k: k % n for k in range(5)}, splits={0: (1,)})
+    kernel.update_table(table)
+    tail_router.update_table(table)
+    dst = _route(kernel, keys)
+    assert all(d == 1 for d, key in zip(dst, keys) if key == 0)
+    assert int(kernel.sent.sum()) == len(keys)
+    table = RoutingTable({k: k % n for k in range(5)}, splits={0: (0, 1)})
+    kernel.resize(n + 1, table)
+    tail_router.resize(n + 1, table)
+    check()
 
 
 def test_vocab_is_type_tagged():
-    vocab = _Vocab()
-    ids, _ = vocab.encode([1, 1.0, True, 1, "1"], "prop")
+    vocab = Vocab()
+    ids, loose = vocab.encode([1, 1.0, True, 1, "1"])
     # equal-as-dict-keys values of different types get distinct ids
     assert ids[0] != ids[1] != ids[2]
     assert ids[0] == ids[3]
-    assert len(vocab) == 4
+    assert len(vocab.keys) == 4
+    assert not loose
+    ids, loose = vocab.encode([(1,), 1])
+    assert ids.tolist() == [-1, 0] and loose
+    assert len(vocab.keys) == 4  # containers are never interned
+
+
+@given(
+    keys=st.lists(st.one_of(keys_st, loose_keys_st), min_size=1, max_size=30),
+    seed=seeds,
+    n=st.integers(min_value=2, max_value=9),
+)
+@settings(max_examples=100, deadline=None)
+def test_non_scalar_keys_resolve_directly_like_the_routers(keys, seed, n):
+    table = RoutingTable({(1,): 1, (True, "a"): 0, 5: 1})
+    kernel, router = _pair(TableFieldsGrouping(0, table=table), n, seed)
+    assert _route(kernel, keys) == _select(router, keys)
+    assert kernel.table_hits == router.table_hits
+    assert kernel.hash_fallbacks == router.hash_fallbacks
+    pkg, pkg_router = _pair(PartialKeyGrouping(0), n, seed)
+    assert _route(pkg, keys) == _select(pkg_router, keys)
 
 
 def test_shuffle_edge_round_robins_per_source_instance():
-    edge = _edge("shuffle", 4, seed=0)
-    batch = TupleBatch(
-        [(i,) for i in range(6)],
-        src_instances=np.full(6, 2, dtype=np.int64),
-        sizes=np.full(6, 100, dtype=np.int64),
-    )
-    first = edge(batch).dst_instances
+    kernel = build_kernel(ShuffleGrouping(), _context(4, 0, src_instance=2))
+    values = [(i,) for i in range(6)]
     # starts at its source instance index, like _ShuffleRouter
-    assert list(first) == [2, 3, 0, 1, 2, 3]
-    second = edge(batch).dst_instances
-    assert list(second) == [0, 1, 2, 3, 0, 1]
+    assert kernel.route(values)[0].tolist() == [2, 3, 0, 1, 2, 3]
+    assert kernel.route(values)[0].tolist() == [0, 1, 2, 3, 0, 1]
+
+
+def test_generic_kernel_loops_the_scalar_router():
+    values = [(i,) for i in range(5)]
+    for grouping in (GlobalGrouping(), LocalOrShuffleGrouping()):
+        assert edge_kind(grouping) == "generic"
+        context = _context(4, 0, src_instance=1, num_servers=2)
+        kernel = build_kernel(grouping, context)
+        router = grouping.build_router(context)
+        dst, ids, rows = kernel.route(values)
+        assert ids is None and rows is None
+        assert dst.tolist() == [router.select(v)[0] for v in values]
+
+    # multi-destination selects: rows says whose copy each entry is
+    dst, _, rows = build_kernel(BroadcastGrouping(), _context(3, 0)).route(
+        values[:2]
+    )
+    assert dst.tolist() == [0, 1, 2, 0, 1, 2]
+    assert rows.tolist() == [0, 0, 0, 1, 1, 1]
+
+    # ... and selects that drop a tuple or fan it out unevenly
+    fan = CustomGrouping(lambda v, ctx: list(range(v[0] % 3)))
+    dst, _, rows = build_kernel(fan, _context(3, 0)).route(values)
+    assert dst.tolist() == [0, 0, 1, 0]
+    assert rows.tolist() == [1, 2, 2, 4]
+
+
+def test_route_per_source_groups_a_mixed_batch_by_instance():
+    kernels = {
+        i: build_kernel(ShuffleGrouping(), _context(4, 0, src_instance=i))
+        for i in (1, 3)
+    }
+    values = [(i,) for i in range(6)]
+    src = np.array([3, 1, 1, 3, 1, 3])
+    dst, rows = route_per_source(kernels.__getitem__, values, src)
+    # each instance's tuples in their own order, from its own cursor
+    assert rows.tolist() == [1, 2, 4, 0, 3, 5]
+    assert dst.tolist() == [1, 2, 3, 3, 0, 1]
+    # a single-source batch is routed in place
+    dst, rows = route_per_source(
+        kernels.__getitem__, values[:2], np.array([3, 3])
+    )
+    assert rows is None and dst.tolist() == [2, 3]
+
+
+def test_backends_hold_no_routing_math():
+    """Routing math lives in ``grouping.py`` and ``routing_kernel.py``
+    only; a backend that names these again has re-forked the kernel."""
+    import inspect
+
+    from repro.engine.backends import multiprocess, vectorized
+
+    for module in (vectorized, multiprocess):
+        source = inspect.getsource(module)
+        for name in ("stable_hash", "candidate_instances", ".lookup("):
+            assert name not in source, f"{module.__name__} uses {name}"

@@ -8,7 +8,8 @@ topology on real OS resources and **measures** them (DESIGN.md §16):
 - each worker hosts the operator *instances placed on its server*
   (``instance % num_servers``, the same round-robin placement the DES
   and vectorized backends use) behind worker-local
-  :class:`~repro.engine.physical.PhysicalOperator` shards;
+  :class:`~repro.engine.physical.SpoutSource` /
+  :class:`~repro.engine.physical.HostedBolt` shards;
 - routing goes through the shared **batch kernel**
   (:mod:`repro.engine.routing_kernel`) once per (stream, batch), built
   under the exact ``RouterContext`` the DES ``deploy`` gives its
@@ -54,13 +55,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.operators import Bolt, StatefulBolt
 from repro.engine.physical import (
-    PhysicalOperator,
-    ShimContext,
-    ShimTuple,
+    HostedBolt,
     SpoutSource,
     TupleBatch,
+    keyed_state_summary,
     merge_op_stats,
 )
 from repro.engine.routing_kernel import (
@@ -121,110 +120,6 @@ class _ShardSource(SpoutSource):
             values,
             src_instances=np.full(len(values), instance, dtype=np.int64),
         )
-
-
-class _ShardBolt(PhysicalOperator):
-    """The instances of one logical bolt placed on this server.
-
-    ``add_input`` batches carry per-tuple destination instances; each
-    local instance processes its tuples in batch order and the
-    emissions are buffered as one output batch, grouped by emitting
-    instance, for the worker to route onward.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        input_names,
-        factory,
-        parallelism: int,
-        server: int,
-        num_servers: int,
-        header_bytes: int,
-    ) -> None:
-        super().__init__(name, input_names)
-        self._factory = factory
-        self._server = server
-        self._num_servers = num_servers
-        self._header = header_bytes
-        self.parallelism = parallelism
-        self.operators: Dict[int, Bolt] = {}
-        self.contexts: Dict[int, ShimContext] = {}
-        self.received: Dict[int, int] = {}
-        for instance in range(parallelism):
-            if _placement(instance, num_servers) == server:
-                self._spawn(instance)
-
-    def _spawn(self, instance: int) -> None:
-        operator = self._factory()
-        context = ShimContext(
-            self.name, instance, self.parallelism, self._server
-        )
-        operator.open(context)
-        self.operators[instance] = operator
-        self.contexts[instance] = context
-        self.received.setdefault(instance, 0)
-
-    def resize(self, parallelism: int) -> None:
-        """Grow to ``parallelism``, spawning the new local instances."""
-        self.parallelism = max(self.parallelism, parallelism)
-        for instance in range(parallelism):
-            if (
-                _placement(instance, self._num_servers) == self._server
-                and instance not in self.operators
-            ):
-                self._spawn(instance)
-
-    def _process(self, batch: TupleBatch, input_index: int) -> None:
-        start = time.perf_counter()
-        dst = batch.dst_instances
-        header = self._header
-        out_values: List[tuple] = []
-        out_src: List[np.ndarray] = []
-        # Plain ints: numpy integers as dict keys are several times
-        # slower to hash.
-        instances = np.unique(dst).tolist()
-        for instance in instances:
-            operator = self.operators.get(instance)
-            if operator is None:
-                raise DeploymentError(
-                    f"worker {self._server} got a tuple for "
-                    f"{self.name}[{instance}], which is not placed here"
-                )
-            mine = (
-                batch.values
-                if len(instances) == 1
-                else list(compress(batch.values, (dst == instance).tolist()))
-            )
-            context = self.contexts[instance]
-            process = operator.process
-            for values in mine:
-                process(ShimTuple(values, header), context)
-            self.received[instance] += len(mine)
-            emitted = context._drain()
-            if emitted:
-                out_values.extend(emitted)
-                out_src.append(
-                    np.full(len(emitted), instance, dtype=np.int64)
-                )
-        if out_values:
-            self._emit(
-                TupleBatch(out_values, src_instances=np.concatenate(out_src))
-            )
-        self.stats.busy_s += time.perf_counter() - start
-
-    # -- state access (migration + result extraction) -------------------
-
-    def stateful_instances(self):
-        for instance, operator in sorted(self.operators.items()):
-            if isinstance(operator, StatefulBolt):
-                yield instance, operator
-
-    def state_snapshot(self) -> Dict[int, Dict[Any, Any]]:
-        return {
-            instance: dict(operator.state)
-            for instance, operator in self.stateful_instances()
-        }
 
 
 class _StreamRoutes:
@@ -347,7 +242,7 @@ class _Worker:
             op.name: op.parallelism for op in topo.operators.values()
         }
         self.sources: Dict[str, _ShardSource] = {}
-        self.bolts: Dict[str, _ShardBolt] = {}
+        self.bolts: Dict[str, HostedBolt] = {}
         self.streams: Dict[str, _StreamRoutes] = {}
         for name in topo.topological_order():
             spec = topo.operator(name)
@@ -366,14 +261,14 @@ class _Worker:
                     options.max_tuples_per_instance,
                 )
             else:
-                self.bolts[name] = _ShardBolt(
+                self.bolts[name] = HostedBolt(
                     name,
                     [s.name for s in topo.inputs_of(name)],
                     spec.factory,
                     spec.parallelism,
-                    self.server,
                     self.num_servers,
                     options.costs.tuple_header_bytes,
+                    server=self.server,
                 )
         for stream in topo.streams:
             self.streams[stream.name] = _StreamRoutes(
@@ -588,25 +483,13 @@ class _Worker:
             # The new local instances' own output kernels are built on
             # first use, like every other.
             shard.resize(new_width)
-        # Migrate keyed state to each key's new owner.
-        owner_of = kernel.owner_of
+        # Migrate keyed state to each key's new owner; what leaves
+        # this server goes as one message per destination server.
         outgoing: Dict[int, Dict[int, Dict[Any, Any]]] = {}
-        local_installs: List[Tuple[int, Dict[Any, Any]]] = []
-        for instance, operator in shard.stateful_instances():
-            for key in list(operator.state):
-                owner = owner_of(key)
-                if owner == instance:
-                    continue
-                entries = operator.extract_state([key])
-                owner_server = _placement(owner, self.num_servers)
-                if owner_server == self.server:
-                    local_installs.append((owner, entries))
-                else:
-                    outgoing.setdefault(owner_server, {}).setdefault(
-                        owner, {}
-                    ).update(entries)
-        for owner, entries in local_installs:
-            shard.operators[owner].install_state(entries)
+        for owner, entries in shard.migrate(kernel.owner_of).items():
+            outgoing.setdefault(_placement(owner, self.num_servers), {})[
+                owner
+            ] = entries
         for server, per_instance in sorted(outgoing.items()):
             self._send_blob(server, ("MIGRATE", dst_op, per_instance))
 
@@ -1014,21 +897,14 @@ def _assemble(
         received[op.name] = counts
         mean = sum(counts) / len(counts) if counts else 0.0
         load_balance[op.name] = max(counts) / mean if mean else 1.0
-        totals: Dict[Any, int] = {}
-        holders: Dict[Any, List[int]] = {}
-        stateful = False
-        for worker in workers:
-            for instance, state in worker["state"][op.name].items():
-                stateful = True
-                for key, value in state.items():
-                    totals[key] = totals.get(key, 0) + value
-                    holders.setdefault(key, []).append(instance)
-        if stateful and totals:
+        totals, holders = keyed_state_summary(
+            item
+            for worker in workers
+            for item in worker["state"][op.name].items()
+        )
+        if totals:
             per_key_totals[op.name] = totals
-            key_instances[op.name] = {
-                key: tuple(sorted(instances))
-                for key, instances in holders.items()
-            }
+            key_instances[op.name] = holders
 
     op_stats = merge_op_stats(worker["op_stats"] for worker in workers)
     per_server = {

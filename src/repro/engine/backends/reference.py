@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Tuple
 from repro.engine.cluster import Cluster
 from repro.engine.grouping import TableRouter
 from repro.engine.operators import StatefulBolt
+from repro.engine.physical import keyed_state_summary
 from repro.engine.runner import deploy
 from repro.engine.simulator import Simulator
 from repro.engine.topology import Topology
@@ -81,17 +82,12 @@ def run_reference(topology: Topology, options) -> "BackendResult":
             op.name, parallelism
         )
         if isinstance(group[0].operator, StatefulBolt):
-            totals: Dict[Any, int] = {}
-            holders: Dict[Any, list] = {}
-            for executor in group:
-                for key, value in executor.operator.state.items():
-                    totals[key] = totals.get(key, 0) + value
-                    holders.setdefault(key, []).append(executor.instance)
-            per_key_totals[op.name] = totals
-            key_instances[op.name] = {
-                key: tuple(sorted(instances))
-                for key, instances in holders.items()
-            }
+            per_key_totals[op.name], key_instances[op.name] = (
+                keyed_state_summary(
+                    (executor.instance, executor.operator.state)
+                    for executor in group
+                )
+            )
 
     route_counts: Dict[str, Dict[str, int]] = {}
     for executor in deployment.all_executors():

@@ -32,26 +32,27 @@ Exactness contract (enforced by :mod:`repro.testing.equivalence`):
 
 Operators without a vectorized kernel (anything that is not a
 :class:`~repro.engine.operators.CountBolt` counting its input stream's
-routing key) fall back to a scalar per-tuple loop over real operator
-instances — correct for any bolt, just not O(batch).
+routing key) run as real operator instances behind the shared
+:class:`~repro.engine.physical.HostedBolt` — correct for any bolt, one
+``process_batch`` call per (instance, batch).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.operators import Bolt, CountBolt, StatefulBolt
+from repro.engine.operators import CountBolt
 from repro.engine.physical import (
+    HostedBolt,
     PhysicalEdge,
     PhysicalOperator,
     PhysicalPlan,
-    ShimContext,
-    ShimTuple,
     SpoutSource,
     TupleBatch,
+    keyed_state_summary,
 )
 from repro.engine.routing_kernel import (
     DETERMINISTIC_KINDS,
@@ -92,6 +93,15 @@ class _Meter:
                 float(self.nic_rx_s.max()),
             )
         return busiest
+
+
+def _modeled_sizes(values: Sequence[tuple], header: int) -> np.ndarray:
+    """Modeled wire bytes of each value tuple, header included."""
+    return np.fromiter(
+        (payload_size(v) + header for v in values),
+        dtype=np.int64,
+        count=len(values),
+    )
 
 
 class _VectorEdge:
@@ -169,6 +179,12 @@ class _VectorEdge:
     # -- the batch transform -------------------------------------------
 
     def __call__(self, batch: TupleBatch) -> TupleBatch:
+        if batch.sizes is None:
+            # A hosted bolt's emissions: sized by the first edge they
+            # cross, kept on the batch for the others.
+            batch.sizes = _modeled_sizes(
+                batch.values, self.meter.costs.tuple_header_bytes
+            )
         if self.kernel is not None:
             dst, ids, _ = self.kernel.route(batch.values)
         else:
@@ -271,19 +287,15 @@ class _VectorSpoutSource(SpoutSource):
 
     def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:
         n_tuples = len(values)
-        header = self.meter.costs.tuple_header_bytes
-        sizes = np.fromiter(
-            (payload_size(v) + header for v in values),
-            dtype=np.int64,
-            count=n_tuples,
-        )
         self.meter.cpu_s[self.placement[instance]] += (
             n_tuples * self.meter.costs.spout_service_s
         )
         return TupleBatch(
             values,
             src_instances=np.full(n_tuples, instance, dtype=np.int64),
-            sizes=sizes,
+            sizes=_modeled_sizes(
+                values, self.meter.costs.tuple_header_bytes
+            ),
         )
 
 
@@ -365,134 +377,18 @@ class _VectorCountOp(PhysicalOperator):
 
     # -- result extraction ---------------------------------------------
 
-    def per_key_totals(self) -> Dict[Any, int]:
+    def state_snapshot(self) -> Dict[int, Dict[Any, int]]:
+        """``{instance: {key: count}}``, as a hosted ``CountBolt``'s."""
         keys = self.in_edge.kernel.vocab.keys
-        totals: Dict[Any, int] = {}
-        for counts in self._counts:
-            for kid in np.nonzero(counts)[0]:
-                key = keys[kid]
-                totals[key] = totals.get(key, 0) + int(counts[kid])
-        return totals
-
-    def key_instances(self) -> Dict[Any, Tuple[int, ...]]:
-        keys = self.in_edge.kernel.vocab.keys
-        holders: Dict[Any, list] = {}
+        snapshot: Dict[int, Dict[Any, int]] = {}
         for instance, counts in enumerate(self._counts):
+            state = snapshot[instance] = {}
             for kid in np.nonzero(counts)[0]:
-                holders.setdefault(keys[kid], []).append(instance)
-        return {
-            key: tuple(sorted(instances))
-            for key, instances in holders.items()
-        }
-
-
-class _ScalarBoltOp(PhysicalOperator):
-    """Correctness fallback: run real operator instances per tuple.
-
-    Used for any bolt without a vectorized kernel (SumBolt,
-    PartialCountBolt, pass-through/function bolts, or a CountBolt whose
-    key differs from its input stream's routing key). Still batch-
-    structured — emissions are collected into output batches — but the
-    inner loop is per tuple."""
-
-    def __init__(
-        self,
-        name: str,
-        input_names,
-        factory: Callable[[], object],
-        parallelism: int,
-        placement: np.ndarray,
-        header_bytes: int,
-    ) -> None:
-        super().__init__(name, input_names)
-        self.parallelism = parallelism
-        self._header = header_bytes
-        self.operators: List[Bolt] = []
-        self.contexts: List[ShimContext] = []
-        for instance in range(parallelism):
-            operator = factory()
-            context = ShimContext(
-                name, instance, parallelism, int(placement[instance])
-            )
-            operator.open(context)
-            self.operators.append(operator)
-            self.contexts.append(context)
-        self._factory = factory
-        self._placement = placement
-
-    def _process(self, batch: TupleBatch, input_index: int) -> None:
-        header = self._header
-        out_values: List[tuple] = []
-        out_src: List[int] = []
-        for instance, values in zip(
-            batch.dst_instances.tolist(), batch.values
-        ):
-            operator = self.operators[instance]
-            context = self.contexts[instance]
-            operator.process(ShimTuple(values, header), context)
-            emitted = context._drain()
-            if emitted:
-                out_values.extend(emitted)
-                out_src.extend([instance] * len(emitted))
-        if out_values:
-            self._emit(
-                TupleBatch(
-                    out_values,
-                    src_instances=np.array(out_src, dtype=np.int64),
-                    sizes=np.fromiter(
-                        (payload_size(v) + header for v in out_values),
-                        dtype=np.int64,
-                        count=len(out_values),
-                    ),
-                )
-            )
-
-    def resize(self, parallelism: int) -> None:
-        while len(self.operators) < parallelism:
-            instance = len(self.operators)
-            operator = self._factory()
-            server = int(self._placement[instance % len(self._placement)])
-            context = ShimContext(self.name, instance, parallelism, server)
-            operator.open(context)
-            self.operators.append(operator)
-            self.contexts.append(context)
-        self.parallelism = max(self.parallelism, parallelism)
-
-    def migrate(self, owner_for_key: Callable[[Any], int]) -> None:
-        for instance, operator in enumerate(self.operators):
-            if not isinstance(operator, StatefulBolt):
-                return
-            moving = [
-                key
-                for key in operator.state
-                if owner_for_key(key) != instance
-            ]
-            for key in moving:
-                owner = owner_for_key(key)
-                self.operators[owner].install_state(
-                    operator.extract_state([key])
-                )
-
-    def per_key_totals(self) -> Dict[Any, int]:
-        totals: Dict[Any, int] = {}
-        for operator in self.operators:
-            if not isinstance(operator, StatefulBolt):
-                return {}
-            for key, value in operator.state.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def key_instances(self) -> Dict[Any, Tuple[int, ...]]:
-        holders: Dict[Any, list] = {}
-        for instance, operator in enumerate(self.operators):
-            if not isinstance(operator, StatefulBolt):
-                return {}
-            for key in operator.state:
-                holders.setdefault(key, []).append(instance)
-        return {
-            key: tuple(sorted(instances))
-            for key, instances in holders.items()
-        }
+                # ids are type-tagged, dict keys are not: 1 and 1.0
+                # are one entry of a bolt's state
+                key = keys[kid]
+                state[key] = state.get(key, 0) + int(counts[kid])
+        return snapshot
 
 
 # ----------------------------------------------------------------------
@@ -567,12 +463,12 @@ class _VectorizedRun:
                     in_edge=None,
                 )
             else:
-                self.ops[name] = _ScalarBoltOp(
+                self.ops[name] = HostedBolt(
                     name,
                     input_names,
                     spec.factory,
                     spec.parallelism,
-                    self.placements[name],
+                    self.num_servers,
                     options.costs.tuple_header_bytes,
                 )
 
@@ -628,16 +524,16 @@ class _VectorizedRun:
             )
         dst = edge.stream.dst
         new_width = action.parallelism
+        consumer = self.ops[dst]
         if new_width is not None:
             self.widths[dst] = new_width
-            consumer = self.ops[dst]
             consumer.resize(new_width)
         edge.reconfigure(action.table, new_width)
-        consumer = self.ops[dst]
-        if isinstance(consumer, _VectorCountOp):
-            consumer.migrate(edge.kernel.owners)
-        elif isinstance(consumer, _ScalarBoltOp):
-            consumer.migrate(edge.kernel.owner_of)
+        consumer.migrate(
+            edge.kernel.owners
+            if isinstance(consumer, _VectorCountOp)
+            else edge.kernel.owner_of
+        )
 
     # -- execution ------------------------------------------------------
 
@@ -687,11 +583,10 @@ def run_vectorized(topology: Topology, options) -> "BackendResult":
         load_balance[op.name] = (
             float(counts.max() / mean) if mean else 1.0
         )
-        if hasattr(phys, "per_key_totals"):
-            totals = phys.per_key_totals()
-            if totals:
-                per_key_totals[op.name] = totals
-                key_instances[op.name] = phys.key_instances()
+        totals, holders = keyed_state_summary(phys.state_snapshot().items())
+        if totals:
+            per_key_totals[op.name] = totals
+            key_instances[op.name] = holders
 
     emitted = run._emitted()
     total_processed = sum(processed.values())

@@ -37,6 +37,7 @@ surface it later as a bare ``ZeroDivisionError`` mid-run).
 from __future__ import annotations
 
 import zlib
+import operator
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError
@@ -48,14 +49,13 @@ def normalize_key_fn(key: KeySpec) -> Callable[[tuple], Any]:
     """Turn a field index or callable into a key extraction function."""
     if callable(key):
         return key
-    if isinstance(key, int):
-        index = key
-
-        def extract(values: tuple) -> Any:
-            return values[index]
-
-        return extract
-    raise RoutingError(f"key must be a field index or callable, got {key!r}")
+    try:
+        # any integer type: a numpy int64 indexes a tuple like an int
+        return operator.itemgetter(operator.index(key))
+    except TypeError:
+        raise RoutingError(
+            f"key must be a field index or callable, got {key!r}"
+        ) from None
 
 
 _MASK64 = (1 << 64) - 1

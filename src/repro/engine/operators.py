@@ -8,7 +8,21 @@ migration protocol uses. One operator *object* is created per instance
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+)
+
+from repro.engine.grouping import normalize_key_fn
+from repro.engine.tuples import payload_size
 
 
 class OperatorContext:
@@ -24,6 +38,7 @@ class OperatorContext:
         "instance_index",
         "num_instances",
         "server_index",
+        "header_bytes",
         "_now_fn",
         "_emissions",
     )
@@ -35,11 +50,15 @@ class OperatorContext:
         num_instances: int,
         server_index: int,
         now_fn: Callable[[], float],
+        header_bytes: int = 0,
     ) -> None:
         self.operator_name = operator_name
         self.instance_index = instance_index
         self.num_instances = num_instances
         self.server_index = server_index
+        #: modeled per-tuple header, added to the payload walk by
+        #: :attr:`ShimTuple.size`
+        self.header_bytes = header_bytes
         self._now_fn = now_fn
         self._emissions: List[tuple] = []
 
@@ -51,6 +70,12 @@ class OperatorContext:
     def emit(self, values: Iterable[Any]) -> None:
         """Emit a tuple downstream (on every output stream)."""
         self._emissions.append(tuple(values))
+
+    def emit_many(self, tuples: Iterable[tuple]) -> None:
+        """Emit every element of ``tuples``, in order. Unlike
+        :meth:`emit` this does not convert: the elements must already
+        be value *tuples* (a batch's own values are)."""
+        self._emissions.extend(tuples)
 
     def _drain(self) -> List[tuple]:
         emissions = self._emissions
@@ -86,11 +111,60 @@ class Spout(Operator):
         raise NotImplementedError
 
 
+class ShimTuple:
+    """Value carrier handed to ``Bolt.process`` by a batch host.
+
+    ``size`` is the *modeled* wire size (header included), computed
+    only if an operator reads it — the payload walk is as expensive as
+    a routing decision and most operators never look."""
+
+    __slots__ = ("values", "root_id", "_header")
+
+    def __init__(self, values: tuple, header_bytes: int) -> None:
+        self.values = values
+        self.root_id = None
+        self._header = header_bytes
+
+    @property
+    def size(self) -> int:
+        return payload_size(self.values) + self._header
+
+
+def _definer(cls: type, name: str) -> type:
+    return next(klass for klass in cls.__mro__ if name in klass.__dict__)
+
+
 class Bolt(Operator):
     """A processing operator."""
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A batch override stands in for the ``process`` it was written
+        # against. A class whose ``process`` comes from further down
+        # the MRO than its ``process_batch`` (a subclass of a built-in
+        # that redefines ``process`` alone) gets the default loop back.
+        if not issubclass(
+            _definer(cls, "process_batch"), _definer(cls, "process")
+        ):
+            cls.process_batch = Bolt.process_batch
+
     def process(self, tup, context: OperatorContext) -> None:
         raise NotImplementedError
+
+    def process_batch(
+        self, batch_values: Sequence[tuple], context: OperatorContext
+    ) -> None:
+        """Process the value tuples of one batch, in order — what a
+        batch host (:class:`~repro.engine.physical.HostedBolt`) calls
+        in place of one :meth:`process` per tuple.
+
+        Must leave the operator and ``context`` exactly as looping
+        :meth:`process` would; this default does loop it. Override it
+        together with ``process`` or not at all."""
+        process = self.process
+        header = context.header_bytes
+        for values in batch_values:
+            process(ShimTuple(values, header), context)
 
 
 class StatefulBolt(Bolt):
@@ -159,11 +233,7 @@ class CountBolt(StatefulBolt):
 
     def __init__(self, key: int = 0, forward: bool = True) -> None:
         super().__init__()
-        if callable(key):
-            self._key_fn = key
-        else:
-            index = key
-            self._key_fn = lambda values: values[index]
+        self._key_fn = normalize_key_fn(key)
         #: the raw key spec (index or callable) — batch backends use
         #: index equality to match the count key to a routing key
         self.key_spec = key
@@ -185,6 +255,15 @@ class CountBolt(StatefulBolt):
         self.processed += 1
         if self._forward:
             context.emit(tup.values)
+
+    def process_batch(self, batch_values, context: OperatorContext) -> None:
+        state = self.state
+        get = state.get
+        for key in map(self._key_fn, batch_values):
+            state[key] = get(key, 0) + 1
+        self.processed += len(batch_values)
+        if self._forward:
+            context.emit_many(batch_values)
 
     def merge_state_entry(self, key, mine, theirs):
         return mine + theirs
@@ -216,11 +295,7 @@ class PartialCountBolt(StatefulBolt):
         super().__init__()
         if emit_every < 1:
             raise ValueError(f"emit_every must be >= 1, got {emit_every}")
-        if callable(key):
-            self._key_fn = key
-        else:
-            index = key
-            self._key_fn = lambda values: values[index]
+        self._key_fn = normalize_key_fn(key)
         self._emit_every = emit_every
         self._pending: Dict[Hashable, int] = {}
         self.processed = 0
@@ -258,18 +333,25 @@ class SumBolt(StatefulBolt):
         self, key: int = 0, value: int = 1, forward: bool = False
     ) -> None:
         super().__init__()
-        self._key_index = key
-        self._value_index = value
+        self._key_and_delta = itemgetter(key, value)
         self._forward = forward
         self.processed = 0
 
     def process(self, tup, context: OperatorContext) -> None:
-        key = tup.values[self._key_index]
-        delta = tup.values[self._value_index]
+        key, delta = self._key_and_delta(tup.values)
         self.state[key] = self.state.get(key, 0) + delta
         self.processed += 1
         if self._forward:
             context.emit(tup.values)
+
+    def process_batch(self, batch_values, context: OperatorContext) -> None:
+        state = self.state
+        get = state.get
+        for key, delta in map(self._key_and_delta, batch_values):
+            state[key] = get(key, 0) + delta
+        self.processed += len(batch_values)
+        if self._forward:
+            context.emit_many(batch_values)
 
     def merge_state_entry(self, key, mine, theirs):
         return mine + theirs
@@ -290,6 +372,11 @@ class PassThroughBolt(Bolt):
             values = self._transform(values)
         context.emit(values)
 
+    def process_batch(self, batch_values, context: OperatorContext) -> None:
+        if self._transform is not None:
+            batch_values = map(tuple, map(self._transform, batch_values))
+        context.emit_many(batch_values)
+
 
 class FunctionBolt(Bolt):
     """Stateless bolt applying ``fn(values) -> iterable of value-tuples``.
@@ -304,6 +391,11 @@ class FunctionBolt(Bolt):
     def process(self, tup, context: OperatorContext) -> None:
         for values in self._fn(tup.values):
             context.emit(values)
+
+    def process_batch(self, batch_values, context: OperatorContext) -> None:
+        context.emit_many(
+            map(tuple, chain.from_iterable(map(self._fn, batch_values)))
+        )
 
 
 class IteratorSpout(Spout):

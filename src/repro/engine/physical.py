@@ -22,9 +22,13 @@ Two backends ship against this seam (see :mod:`repro.engine.backends`):
   routing per *batch* instead of per tuple (DESIGN.md §15).
 
 What the batch backends share beyond the protocol lives here too: the
-:class:`ShimTuple` / :class:`ShimContext` pair that lets them host real
-operator objects, and :class:`SpoutSource`, the batch source over real
-spout instances.
+two operators that host real operator objects — :class:`SpoutSource`
+over spout instances and :class:`HostedBolt` over bolt instances, which
+it drives through ``Bolt.process_batch`` — and their
+:class:`ShimContext`. The module still loads without numpy
+(``repro.engine`` re-exports the seam, and the DES needs no
+dependency): only :class:`HostedBolt` uses it, from the moment it is
+handed a batch.
 
 Data moves between physical operators as :class:`TupleBatch` — a
 columnar micro-batch: the Python value tuples ride along (operators
@@ -35,12 +39,28 @@ routing, counting and cost accounting are O(batch) array ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+import time
+from dataclasses import dataclass
+from itertools import compress, islice
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.engine.operators import IteratorSpout, OperatorContext, Spout
-from repro.engine.tuples import payload_size
+from repro.engine.operators import (
+    Bolt,
+    IteratorSpout,
+    OperatorContext,
+    Spout,
+    StatefulBolt,
+)
 from repro.errors import DeploymentError
 
 
@@ -62,8 +82,9 @@ class OpStats:
     batches_out: int = 0
     tuples_in: int = 0
     tuples_out: int = 0
-    #: wall-clock seconds spent inside the operator (backends that
-    #: model time instead record modeled seconds here)
+    #: wall-clock seconds inside the operator's ``_process`` (a
+    #: source's ``_poll``): operator work, not the routing or
+    #: transport of what it emits
     busy_s: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
@@ -214,9 +235,12 @@ class PhysicalOperator:
                 f"operator {self.name!r} got a batch on input "
                 f"{input_index} after input_done"
             )
-        self.stats.batches_in += 1
-        self.stats.tuples_in += len(batch)
+        stats = self.stats
+        stats.batches_in += 1
+        stats.tuples_in += len(batch)
+        start = time.perf_counter()
         self._process(batch, input_index)
+        stats.busy_s += time.perf_counter() - start
 
     def input_done(self, input_index: int = 0) -> None:
         """Upstream ``input_index`` will push no more batches."""
@@ -272,7 +296,9 @@ class SourceOperator(PhysicalOperator):
         """Produce the next batch, or None once the source is dry."""
         if self._exhausted:
             return None
+        start = time.perf_counter()
         batch = self._poll()
+        self.stats.busy_s += time.perf_counter() - start
         if batch is None:
             self._exhausted = True
             if not self._flushed:
@@ -299,28 +325,16 @@ class ShimContext(OperatorContext):
     (no simulated clock: ``now`` reads 0)."""
 
     def __init__(
-        self, op_name: str, instance: int, parallelism: int, server: int
+        self,
+        op_name: str,
+        instance: int,
+        parallelism: int,
+        server: int,
+        header_bytes: int = 0,
     ) -> None:
-        super().__init__(op_name, instance, parallelism, server, lambda: 0.0)
-
-
-class ShimTuple:
-    """Value carrier handed to backend-hosted ``Bolt.process``.
-
-    ``size`` is the *modeled* wire size (header included), computed
-    only if an operator reads it — the payload walk is as expensive as
-    a routing decision and most operators never look."""
-
-    __slots__ = ("values", "root_id", "_header")
-
-    def __init__(self, values: tuple, header_bytes: int) -> None:
-        self.values = values
-        self.root_id = None
-        self._header = header_bytes
-
-    @property
-    def size(self) -> int:
-        return payload_size(self.values) + self._header
+        super().__init__(
+            op_name, instance, parallelism, server, lambda: 0.0, header_bytes
+        )
 
 
 class SpoutSource(SourceOperator):
@@ -391,7 +405,10 @@ class SpoutSource(SourceOperator):
             return []
         iterator = self._iters[instance]
         if iterator is not None:
-            values = list(islice(iterator, limit))
+            # tuple(): what ``emit`` does to every row on the DES, so
+            # a spout yielding lists hands tuples downstream here too
+            # (``emit_many`` forwards rows unconverted).
+            values = list(map(tuple, islice(iterator, limit)))
         else:
             values = []
             spout = self._spouts[instance]
@@ -406,6 +423,158 @@ class SpoutSource(SourceOperator):
 
     def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:
         raise NotImplementedError
+
+
+class HostedBolt(PhysicalOperator):
+    """Some (or all) instances of one logical bolt behind one physical
+    operator — the only place a batch backend runs real bolt objects.
+
+    Placement is the round-robin of every backend (instance ``i`` on
+    server ``i % num_servers``). With ``server`` given, only that
+    server's instances are hosted (a multiprocess worker's shard);
+    without, all of them (the vectorized backend). Input batches carry
+    per-tuple ``dst_instances``: each hosted instance takes its tuples,
+    in batch order, through one ``Bolt.process_batch`` call, and the
+    emissions leave as one output batch grouped by emitting instance.
+    Operator state stays the real bolts' ``dict``.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        input_names: Sequence[str],
+        factory: Callable[[], object],
+        parallelism: int,
+        num_servers: int,
+        header_bytes: int,
+        server: Optional[int] = None,
+    ) -> None:
+        super().__init__(name, input_names)
+        self._factory = factory
+        self._num_servers = num_servers
+        self._header = header_bytes
+        self._server = server
+        self.parallelism = 0
+        self.operators: Dict[int, Bolt] = {}
+        self.contexts: Dict[int, ShimContext] = {}
+        #: tuples taken so far, per hosted instance
+        self.received: Dict[int, int] = {}
+        self.resize(parallelism)
+
+    def resize(self, parallelism: int) -> None:
+        """Grow to ``parallelism``, spawning the hosted instances that
+        are new."""
+        self.parallelism = max(self.parallelism, parallelism)
+        for instance in range(parallelism):
+            server = instance % self._num_servers
+            hosted_here = self._server is None or self._server == server
+            if instance in self.operators or not hosted_here:
+                continue
+            operator = self._factory()
+            if not isinstance(operator, Bolt):
+                raise DeploymentError(
+                    f"factory of bolt {self.name!r} returned "
+                    f"{type(operator).__name__}, not a Bolt"
+                )
+            context = ShimContext(
+                self.name, instance, self.parallelism, server, self._header
+            )
+            operator.open(context)
+            self.operators[instance] = operator
+            self.contexts[instance] = context
+            self.received[instance] = 0
+
+    def _process(self, batch: TupleBatch, input_index: int) -> None:
+        # Imported here, not at module top: ``repro.engine`` imports
+        # this module and must load without numpy (only the batch
+        # backends, which hand in numpy ``dst_instances``, need it).
+        import numpy as np
+
+        dst = batch.dst_instances
+        out_values: List[tuple] = []
+        out_src = []
+        # bincount, not unique: instances are small non-negative ints,
+        # and no sort is needed to find which of them occur. Plain
+        # ints: numpy integers as dict keys are several times slower
+        # to hash.
+        instances = np.flatnonzero(np.bincount(dst)).tolist()
+        for instance in instances:
+            operator = self.operators.get(instance)
+            if operator is None:
+                raise DeploymentError(
+                    f"{self.name}[{instance}] got a tuple but is not "
+                    f"hosted here (server {self._server})"
+                )
+            mine = (
+                batch.values
+                if len(instances) == 1
+                else list(compress(batch.values, (dst == instance).tolist()))
+            )
+            context = self.contexts[instance]
+            operator.process_batch(mine, context)
+            self.received[instance] += len(mine)
+            emitted = context._drain()
+            if emitted:
+                out_values.extend(emitted)
+                out_src.append(
+                    np.full(len(emitted), instance, dtype=np.int64)
+                )
+        if out_values:
+            self._emit(
+                TupleBatch(out_values, src_instances=np.concatenate(out_src))
+            )
+
+    # -- keyed state (migration + result extraction) --------------------
+
+    def stateful_instances(self) -> Iterator[Tuple[int, StatefulBolt]]:
+        for instance, operator in sorted(self.operators.items()):
+            if isinstance(operator, StatefulBolt):
+                yield instance, operator
+
+    def migrate(
+        self, owner_of: Callable[[Any], int]
+    ) -> Dict[int, Dict[Any, Any]]:
+        """Move every key's state to the instance ``owner_of`` names.
+
+        Between hosted instances the move happens here; what belongs
+        to an instance hosted elsewhere is extracted and returned,
+        ``{owner: entries}``, for the caller to ship."""
+        outgoing: Dict[int, Dict[Any, Any]] = {}
+        for instance, operator in self.stateful_instances():
+            for key in list(operator.state):
+                owner = owner_of(key)
+                if owner == instance:
+                    continue
+                entries = operator.extract_state([key])
+                target = self.operators.get(owner)
+                if target is None:
+                    outgoing.setdefault(owner, {}).update(entries)
+                else:
+                    target.install_state(entries)
+        return outgoing
+
+    def state_snapshot(self) -> Dict[int, Dict[Any, Any]]:
+        return {
+            instance: dict(operator.state)
+            for instance, operator in self.stateful_instances()
+        }
+
+
+def keyed_state_summary(
+    states: Iterable[Tuple[int, Dict[Any, Any]]],
+) -> Tuple[Dict[Any, Any], Dict[Any, Tuple[int, ...]]]:
+    """What a ``BackendResult`` reports of one logical operator's keyed
+    state, from its ``(instance, state)`` pairs: the per-key totals
+    over all instances and, per key, the instances holding it."""
+    totals: Dict[Any, Any] = {}
+    holders: Dict[Any, List[int]] = {}
+    for instance, state in states:
+        for key, value in state.items():
+            totals[key] = totals.get(key, 0) + value
+            holders.setdefault(key, []).append(instance)
+    return totals, {
+        key: tuple(sorted(held)) for key, held in holders.items()
+    }
 
 
 @dataclass

@@ -32,7 +32,6 @@ source instance).
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,48 +61,68 @@ DETERMINISTIC_KINDS = ("table", "hash")
 TABLE_KINDS = ("table", "hybrid")
 
 
+class _Memo(dict):
+    """Key → id for the keys of one scalar type; a missing key is
+    interned on lookup, at the end of the vocabulary's ``keys``."""
+
+    __slots__ = ("_interned",)
+
+    def __init__(self, interned: List[Any]) -> None:
+        self._interned = interned
+
+    def __missing__(self, key) -> int:
+        kid = self[key] = len(self._interned)
+        self._interned.append(key)
+        return kid
+
+
 class Vocab:
     """Key interning for one kernel: key → dense id, id → key.
 
-    Memo keys are type-tagged exactly like the scalar routers' LRU
-    caches (``1`` / ``1.0`` / ``True`` must not alias). Non-scalar keys
-    are never interned — their elements can alias the same way without
-    the outer type telling them apart — and encode as id ``-1``.
+    Keys are type-tagged exactly like the scalar routers' LRU caches
+    (``1`` / ``1.0`` / ``True`` must not alias): one memo per scalar
+    type, all numbering into the same ``keys``. Non-scalar keys are
+    never interned — their elements can alias the same way without the
+    outer type telling them apart — and encode as id ``-1``.
     """
 
-    __slots__ = ("memo", "keys")
+    __slots__ = ("_memos", "keys")
 
     def __init__(self) -> None:
-        self.memo: dict = {}
         self.keys: List[Any] = []
+        self._memos: Dict[type, _Memo] = {
+            cls: _Memo(self.keys) for cls in _SCALAR_KEY_TYPES
+        }
+
+    def id_of(self, key) -> Optional[int]:
+        """The id ``key`` was interned under, None if it never was."""
+        memo = self._memos.get(key.__class__)
+        return None if memo is None else memo.get(key)
 
     def encode(self, raw_keys) -> Tuple[np.ndarray, bool]:
         """(ids of ``raw_keys``, whether any was non-scalar)."""
-        memo = self.memo
-        get = memo.get
-        keys = self.keys
+        memos = self._memos
+        classes = set(map(type, raw_keys))
+        if len(classes) == 1:
+            memo = memos.get(classes.pop())
+            if memo is not None:  # one scalar type: no per-key dispatch
+                ids = np.fromiter(
+                    map(memo.__getitem__, raw_keys),
+                    dtype=np.int64,
+                    count=len(raw_keys),
+                )
+                return ids, False
         loose = False
         ids: List[int] = []
         append = ids.append
         for key in raw_keys:
-            cls = key.__class__
-            if cls in _SCALAR_KEY_TYPES:
-                memo_key = (cls, key)
-                kid = get(memo_key)
-                if kid is None:
-                    kid = len(keys)
-                    memo[memo_key] = kid
-                    keys.append(key)
-                append(kid)
-            else:
+            memo = memos.get(key.__class__)
+            if memo is None:
                 loose = True
                 append(-1)
+            else:
+                append(memo[key])
         return np.array(ids, dtype=np.int64), loose
-
-
-def _key_extractor(grouping) -> Callable[[tuple], Any]:
-    spec = grouping.key_spec
-    return itemgetter(spec) if isinstance(spec, int) else grouping.key_fn
 
 
 class RouteKernel:
@@ -143,7 +162,7 @@ class _TableKernel(RouteKernel):
 
     def _setup(self, grouping: Grouping, context: RouterContext) -> None:
         self.table = getattr(grouping, "initial_table", None)
-        self._key_of = _key_extractor(grouping)
+        self._key_of = grouping.key_fn
         self.vocab = Vocab()
         #: id → destination instance
         self.owners = np.empty(0, dtype=np.int64)
@@ -304,7 +323,7 @@ class _PkgKernel(RouteKernel):
 
     def _setup(self, grouping: Grouping, context: RouterContext) -> None:
         self.d = grouping.d
-        self._key_of = _key_extractor(grouping)
+        self._key_of = grouping.key_fn
         self.vocab = Vocab()
         #: id → d candidate instances
         self.cands: List[Tuple[int, ...]] = []

@@ -48,9 +48,18 @@ def test_normalize_key_fn_from_callable():
     assert fn(("x",)) == "X"
 
 
+def test_normalize_key_fn_from_any_integer_type():
+    # e.g. a column index computed with numpy
+    np = pytest.importorskip("numpy")
+    fn = normalize_key_fn(np.int64(1))
+    assert fn(("a", "b", "c")) == "b"
+
+
 def test_normalize_key_fn_rejects_other():
     with pytest.raises(RoutingError):
         normalize_key_fn("field")
+    with pytest.raises(RoutingError):
+        normalize_key_fn(1.0)
 
 
 def test_stable_hash_deterministic_and_seeded():

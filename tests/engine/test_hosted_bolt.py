@@ -1,0 +1,462 @@
+"""The batch hook and the one operator that hosts bolts for a backend.
+
+- ``Bolt.process_batch`` is *the same function* as looping ``process``
+  for every built-in bolt: state, ``processed``, emission order —
+  including keys that are equal as dict keys across types
+  (``1`` / ``1.0`` / ``True``);
+- a subclass that redefines ``process`` alone falls back to the default
+  loop instead of inheriting a batch override that no longer matches;
+- :class:`~repro.engine.physical.HostedBolt` behind both fast backends
+  on topologies the bincount operators never see: ``PartialCountBolt →
+  SumBolt`` under PKG, a ``FunctionBolt`` fan-out, and a scripted 2→4
+  rescale over ``SumBolt`` stages.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Manager, ManagerConfig
+from repro.engine import TableFieldsGrouping, TopologyBuilder
+from repro.engine.backends import (
+    BackendOptions,
+    ReconfigureAction,
+    run_topology,
+)
+from repro.engine.grouping import (
+    FieldsGrouping,
+    PartialKeyGrouping,
+    ShuffleGrouping,
+    candidate_instances,
+    stable_hash,
+)
+from repro.engine.operators import (
+    Bolt,
+    CountBolt,
+    FunctionBolt,
+    IteratorSpout,
+    PartialCountBolt,
+    PassThroughBolt,
+    ShimTuple,
+    StatefulBolt,
+    SumBolt,
+)
+from repro.engine.physical import (
+    HostedBolt,
+    ShimContext,
+    TupleBatch,
+    keyed_state_summary,
+)
+from repro.errors import DeploymentError
+from repro.testing.equivalence import compare_backends
+
+pytestmark = pytest.mark.timeout(120)
+
+# ----------------------------------------------------------------------
+# process_batch == looping process
+# ----------------------------------------------------------------------
+
+# 1 / 1.0 / True (and 0 / 0.0 / False) are one dict key
+aliasing_keys = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.booleans(),
+    st.sampled_from(["a", "b", ""]),
+    st.none(),
+)
+batches = st.lists(
+    st.tuples(aliasing_keys, st.integers(min_value=-3, max_value=3)),
+    max_size=40,
+)
+
+
+def _fan(values):
+    """0, 1 or 2 emissions per tuple (one of them a list: ``emit``
+    converts, so must the batch form)."""
+    return [[values[0], i] for i in range(values[1] % 3)]
+
+
+BUILT_INS = {
+    "count-forward": lambda: CountBolt(0, forward=True),
+    "count-sink": lambda: CountBolt(0, forward=False),
+    "count-callable-key": lambda: CountBolt(lambda v: (v[0], v[1] % 2)),
+    "partial-count": lambda: PartialCountBolt(0, emit_every=2),
+    "sum-forward": lambda: SumBolt(0, 1, forward=True),
+    "sum-sink": lambda: SumBolt(0, 1),
+    "pass-through": PassThroughBolt,
+    "pass-through-transform": lambda: PassThroughBolt(
+        lambda v: [v[1], v[0]]
+    ),
+    "function-fan-out": lambda: FunctionBolt(_fan),
+}
+
+
+def _observe(bolt, emitted):
+    state = getattr(bolt, "state", None)
+    return (
+        # items in insertion order, with the first-seen key object's
+        # type: what a dict that aliased differently would change
+        None if state is None else [(k, type(k), v) for k, v in state.items()],
+        getattr(bolt, "processed", None),
+        [(values, type(values)) for values in emitted],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_INS))
+@given(first=batches, second=batches)
+@settings(max_examples=60, deadline=None)
+def test_process_batch_equals_looping_process(name, first, second):
+    looped, batched = BUILT_INS[name](), BUILT_INS[name]()
+    loop_context = ShimContext("op", 0, 1, 0, header_bytes=8)
+    batch_context = ShimContext("op", 0, 1, 0, header_bytes=8)
+    for batch in (first, second):  # the second meets existing state
+        for values in batch:
+            looped.process(ShimTuple(values, 8), loop_context)
+        batched.process_batch(batch, batch_context)
+        assert _observe(batched, batch_context._drain()) == _observe(
+            looped, loop_context._drain()
+        )
+
+
+# ----------------------------------------------------------------------
+# Subclass safety
+# ----------------------------------------------------------------------
+
+
+class _DoubleCount(CountBolt):
+    """Overrides ``process`` only."""
+
+    def process(self, tup, context):
+        super().process(tup, context)
+        super().process(tup, context)
+
+
+class _Mixin:
+    def process(self, tup, context):
+        self.seen = getattr(self, "seen", 0) + 1
+
+
+class _MixedIn(_Mixin, SumBolt):
+    """``process`` comes from a class that is no Bolt at all."""
+
+
+class _FastCount(CountBolt):
+    """Overrides the batch hook only: it is kept."""
+
+    def process_batch(self, batch_values, context):
+        self.batches = getattr(self, "batches", 0) + 1
+        super().process_batch(batch_values, context)
+
+
+def test_overriding_process_alone_restores_the_default_loop():
+    assert _DoubleCount.process_batch is Bolt.process_batch
+    assert _MixedIn.process_batch is Bolt.process_batch
+    assert _FastCount.process_batch is not Bolt.process_batch
+    # the order-sensitive pending logic stays on the per-tuple loop
+    assert PartialCountBolt.process_batch is Bolt.process_batch
+    for cls in (CountBolt, SumBolt, PassThroughBolt, FunctionBolt):
+        assert cls.process_batch is not Bolt.process_batch
+
+    class Grandchild(_DoubleCount):
+        pass
+
+    assert Grandchild.process_batch is Bolt.process_batch
+
+
+def test_hosted_bolt_runs_a_process_only_subclass_per_tuple():
+    hosted = HostedBolt("A", ["S->A"], _DoubleCount, 2, 1, header_bytes=0)
+    values = [(k,) for k in (1, 2, 1, 3)]
+    hosted.add_input(
+        TupleBatch(values, dst_instances=np.array([0, 1, 0, 1]))
+    )
+    assert hosted.state_snapshot() == {0: {1: 4}, 1: {2: 2, 3: 2}}
+    assert hosted.received == {0: 2, 1: 2}
+    out = hosted.get_next()
+    # grouped by emitting instance, each instance's in its own order
+    assert out.values == [(1,), (1,), (1,), (1,), (2,), (2,), (3,), (3,)]
+    assert out.src_instances.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+
+    fast = HostedBolt("A", ["S->A"], _FastCount, 1, 1, header_bytes=0)
+    fast.add_input(TupleBatch(values, dst_instances=np.zeros(4, dtype=int)))
+    assert fast.operators[0].batches == 1
+    assert fast.state_snapshot() == {0: {1: 2, 2: 1, 3: 1}}
+
+
+def test_hosted_bolt_hosts_one_servers_shard_and_ships_the_rest():
+    shard = HostedBolt(
+        "A", ["S->A"], lambda: CountBolt(0), 4, 2, header_bytes=0, server=1
+    )
+    assert sorted(shard.operators) == [1, 3]
+    shard.add_input(
+        TupleBatch(
+            [(k,) for k in range(6)],
+            dst_instances=np.array([1, 3, 1, 3, 1, 3]),
+        )
+    )
+    # keys 0..5: owner k % 4 — 1 and 3 stay, 5 moves 3 -> 1 in place,
+    # 0 / 2 / 4 belong to instances of the other server
+    outgoing = shard.migrate(lambda key: key % 4)
+    assert outgoing == {0: {0: 1, 4: 1}, 2: {2: 1}}
+    assert shard.state_snapshot() == {1: {1: 1, 5: 1}, 3: {3: 1}}
+    with pytest.raises(DeploymentError, match="not hosted here"):
+        shard.add_input(TupleBatch([(0,)], dst_instances=np.array([0])))
+
+    class NotABolt:
+        pass
+
+    with pytest.raises(DeploymentError, match="not a Bolt"):
+        HostedBolt("A", ["S->A"], NotABolt, 1, 1, header_bytes=0)
+
+
+def test_keyed_state_summary_totals_and_holders():
+    # one helper behind every backend's per_key_totals / key_instances;
+    # 1 and 1.0 are one key, as in a bolt's state dict
+    totals, holders = keyed_state_summary(
+        [(2, {"a": 1, 1: 2}), (0, {"a": 3}), (1, {1.0: 4})]
+    )
+    assert totals == {"a": 4, 1: 6}
+    assert holders == {"a": (0, 2), 1: (1, 2)}
+    assert keyed_state_summary([]) == ({}, {})
+
+
+def test_stateless_hosted_bolts_report_no_state():
+    hosted = HostedBolt("F", ["S->F"], PassThroughBolt, 2, 2, header_bytes=0)
+    assert not isinstance(hosted.operators[0], StatefulBolt)
+    assert hosted.state_snapshot() == {}
+    assert hosted.migrate(lambda key: 0) == {}
+
+
+# ----------------------------------------------------------------------
+# Both fast backends, on topologies the bincount operators never see
+# ----------------------------------------------------------------------
+
+FAST = ["vectorized", "multiprocess"]
+SERVERS = 2
+
+
+def _options(**kw):
+    return BackendOptions(
+        num_servers=SERVERS, batch_size=64, mp_timeout_s=60, **kw
+    )
+
+
+def _pkg_merge_topology():
+    """S(2) -> F(2, fan-out) -> P(4, partial counts under PKG) -> M(4)."""
+
+    def source(ctx):
+        rng = random.Random(ctx.instance_index)
+        for _ in range(400):
+            # Zipf-ish: key 0 is hot enough for PKG to split it
+            yield (min(rng.randrange(12), rng.randrange(12)), rng.randrange(9))
+
+    builder = TopologyBuilder()
+    builder.spout("S", lambda: IteratorSpout(source), parallelism=2)
+    builder.bolt(
+        "F",
+        lambda: FunctionBolt(_fan),
+        parallelism=2,
+        inputs={"S": ShuffleGrouping()},
+    )
+    builder.bolt(
+        "P",
+        lambda: PartialCountBolt(0),
+        parallelism=4,
+        inputs={"F": PartialKeyGrouping(0, d=2)},
+    )
+    builder.bolt(
+        "M",
+        lambda: SumBolt(0, 1),
+        parallelism=4,
+        inputs={"P": FieldsGrouping(0)},
+    )
+    return builder.build()
+
+
+@pytest.mark.parametrize("candidate", FAST)
+def test_partial_count_merge_under_pkg_on_every_backend(candidate):
+    ref = run_topology(_pkg_merge_topology(), "reference", _options())
+    cand = run_topology(_pkg_merge_topology(), candidate, _options())
+    report = compare_backends(
+        ref,
+        cand,
+        exact_placements=False,  # the d-choices pick is load-dependent
+        exact_received=False,
+        locality_tol=1.0,
+        balance_tol=1.0,
+    )
+    assert report.ok, report.summary()
+    assert cand.processed == ref.processed
+    assert ref.processed["F"] > ref.processed["P"] > 0  # fan-out drops some
+    # the merge stage is exact in every respect: totals, placements,
+    # per-instance load
+    assert cand.per_key_totals["M"] == ref.per_key_totals["M"]
+    assert cand.key_instances["M"] == ref.key_instances["M"]
+    assert cand.received["M"] == ref.received["M"]
+    assert cand.per_key_totals["P"] == cand.per_key_totals["M"]
+    seed = stable_hash("F->P")
+    split = 0
+    for key, holders in cand.key_instances["P"].items():
+        assert set(holders) <= set(candidate_instances(key, seed, 4, 2))
+        split += len(holders) > 1
+    assert split, "no key was split: the merge stage went untested"
+
+
+def _fan_out_topology():
+    """S(2) -> F(4, fan-out) -> A(4, sums) -> B(4, sums), deterministic
+    routing end to end: strict on every tier."""
+
+    def source(ctx):
+        rng = random.Random(100 + ctx.instance_index)
+        for _ in range(400):
+            yield (rng.randrange(23), rng.randrange(9))
+
+    builder = TopologyBuilder()
+    builder.spout("S", lambda: IteratorSpout(source), parallelism=2)
+    builder.bolt(
+        "F",
+        lambda: FunctionBolt(_fan),
+        parallelism=4,
+        inputs={"S": FieldsGrouping(1)},
+    )
+    builder.bolt(
+        "A",
+        lambda: SumBolt(0, 1, forward=True),
+        parallelism=4,
+        inputs={"F": TableFieldsGrouping(0)},
+    )
+    builder.bolt(
+        "B",
+        lambda: SumBolt(1, 0),
+        parallelism=4,
+        inputs={"A": FieldsGrouping(1)},
+    )
+    return builder.build()
+
+
+@pytest.mark.parametrize("candidate", FAST)
+def test_function_bolt_fan_out_is_strictly_equivalent(candidate):
+    ref = run_topology(_fan_out_topology(), "reference", _options())
+    cand = run_topology(_fan_out_topology(), candidate, _options())
+    report = compare_backends(
+        ref, cand, locality_tol=1e-9, balance_tol=1e-9
+    )
+    assert report.ok, report.summary()
+    assert ref.processed["A"] == ref.processed["B"] > 0
+    # operator time is recorded by the base class on every backend
+    for op in ("S", "F", "A", "B"):
+        assert cand.op_stats[op]["busy_s"] > 0
+
+
+def _list_rows_topology():
+    """S(2, yields *lists*) -> P(2, identity) -> T(2, tags the row type
+    it was handed) -> C(2, counts the tags)."""
+
+    def source(ctx):
+        for i in range(100):
+            yield [i % 7, ctx.instance_index]
+
+    builder = TopologyBuilder()
+    builder.spout("S", lambda: IteratorSpout(source), parallelism=2)
+    builder.bolt(
+        "P",
+        PassThroughBolt,
+        parallelism=2,
+        inputs={"S": FieldsGrouping(0)},
+    )
+    builder.bolt(
+        "T",
+        lambda: FunctionBolt(lambda row: [(type(row).__name__,)]),
+        parallelism=2,
+        inputs={"P": FieldsGrouping(0)},
+    )
+    builder.bolt(
+        "C",
+        # an index that is an integer, though not an ``int``
+        lambda: CountBolt(np.int64(0), forward=False),
+        parallelism=2,
+        inputs={"T": FieldsGrouping(0)},
+    )
+    return builder.build()
+
+
+@pytest.mark.parametrize("backend", ["reference"] + FAST)
+def test_rows_are_tuples_downstream_of_a_spout_yielding_lists(backend):
+    """``emit`` makes every row a tuple on the DES; the batch path
+    (``emit_many`` does not convert) owes the same at the source."""
+    result = run_topology(_list_rows_topology(), backend, _options())
+    assert result.per_key_totals["C"] == {"tuple": 200}
+
+
+def _sum_rescale_topology(width=2, tuples_per_instance=800):
+    def source(ctx):
+        rng = random.Random(7 + ctx.instance_index)
+        for _ in range(tuples_per_instance):
+            a = rng.randrange(12)
+            yield (a, a + 100, rng.randrange(1, 4))
+
+    builder = TopologyBuilder()
+    builder.spout("S", lambda: IteratorSpout(source), parallelism=3)
+    builder.bolt(
+        "A",
+        lambda: SumBolt(0, 2, forward=True),
+        parallelism=width,
+        inputs={"S": TableFieldsGrouping(0)},
+    )
+    builder.bolt(
+        "B",
+        lambda: SumBolt(1, 2),
+        parallelism=width,
+        inputs={"A": TableFieldsGrouping(1)},
+    )
+    return builder.build()
+
+
+@pytest.mark.parametrize("candidate", FAST)
+def test_scripted_rescale_2_to_4_through_hosted_bolts(candidate):
+    """The DES manager's 2→4 rescale, its final decision replayed as
+    scripted actions: resize spawns the new instances, migrate moves
+    every key's sum to its owner (across workers on multiprocess)."""
+    after, per_instance = 4, 800
+
+    def attach_manager(deployment):
+        sim = deployment.sim
+        manager = Manager(deployment, ManagerConfig(period_s=None))
+
+        def kick():
+            if not manager.rescale(after, on_complete=lambda r: None):
+                sim.schedule(0.01, kick)
+
+        sim.schedule(0.02, kick)
+
+    ref = run_topology(
+        _sum_rescale_topology(),
+        "reference",
+        BackendOptions(num_servers=after, on_deployed=attach_manager),
+    )
+    executors = ref.handle.executors
+    actions = [
+        ReconfigureAction(
+            per_instance,
+            stream,
+            executors[stream[0]][0].table_router(stream).table,
+            after,
+        )
+        for stream in ("S->A", "A->B")
+    ]
+    cand = run_topology(
+        _sum_rescale_topology(),
+        candidate,
+        BackendOptions(num_servers=after, actions=actions, mp_timeout_s=60),
+    )
+    report = compare_backends(
+        ref, cand, exact_received=False, locality_tol=1.0, balance_tol=1.0
+    )
+    assert report.ok, report.summary()
+    assert cand.per_key_totals == ref.per_key_totals
+    assert cand.key_instances == ref.key_instances
+    assert len(cand.received["A"]) == len(cand.received["B"]) == after
+    placed = {i for held in cand.key_instances["A"].values() for i in held}
+    assert placed - {0, 1}, "no key moved to a new instance"

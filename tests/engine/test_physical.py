@@ -69,6 +69,38 @@ class TestOperatorLifecycle:
         assert op.stats.batches_out == 1
         assert op.stats.tuples_out == 3
 
+    def test_busy_seconds_cover_process_and_poll_only(self):
+        """``busy_s`` is kept by the base class, around ``_process`` /
+        ``_poll``: no operator times itself, and what happens to a
+        batch after it left the operator is not operator time."""
+        import time
+
+        class Slow(Passthrough):
+            def _process(self, batch, input_index):
+                time.sleep(0.02)
+                super()._process(batch, input_index)
+
+        class SlowSource(ListSource):
+            def _poll(self):
+                time.sleep(0.02)
+                return super()._poll()
+
+        op = Slow("p", ["in"])
+        op.add_input(_batch(1))
+        op.add_input(_batch(2))
+        busy = op.stats.busy_s
+        assert busy >= 0.04
+        op.get_next()
+        op.input_done(0)
+        assert op.stats.busy_s == busy
+        src = SlowSource("s", [_batch(1)])
+        src.poll()
+        src.poll()  # the poll that finds it dry counts too
+        busy = src.stats.busy_s
+        assert busy >= 0.04
+        src.poll()  # exhausted: not polled again
+        assert src.stats.busy_s == busy
+
     def test_completed_requires_done_and_drained(self):
         op = Passthrough("p", ["in"])
         op.add_input(_batch(1))
@@ -238,3 +270,47 @@ class TestMergeOpStats:
         # exactly that worker's stats, not zeros
         merged = merge_op_stats([{}, {"A": self._stats(tuples_in=3)}])
         assert merged["A"].tuples_in == 3
+
+
+def test_engine_imports_and_runs_the_des_without_numpy():
+    """numpy is a dependency of the batch backends only (pyproject
+    declares none): ``repro.engine`` — this seam included — must import
+    and run a DES topology with numpy unimportable."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import repro
+
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["numpy"] = None  # any 'import numpy' now raises
+        from repro.engine import (
+            Cluster, CountBolt, Simulator, TopologyBuilder, deploy,
+        )
+        from repro.engine.grouping import FieldsGrouping
+        from repro.engine.operators import IteratorSpout
+
+        builder = TopologyBuilder()
+        builder.spout("S", lambda: IteratorSpout(lambda ctx: [(1,), (2,), (1,)]), 1)
+        builder.bolt("A", lambda: CountBolt(0, forward=False), 2,
+                     inputs={"S": FieldsGrouping(0)})
+        sim = Simulator()
+        deployment = deploy(sim, Cluster(sim, 2), builder.build())
+        deployment.start()
+        sim.run()
+        assert deployment.metrics.processed_total("A") == 3
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

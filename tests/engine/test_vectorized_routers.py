@@ -188,7 +188,7 @@ def test_pkg_edge_candidates_match_and_contain_picks(keys, seed, n, d):
     dst = _route(kernel, keys)
     for i, key in enumerate(keys):
         expected = candidate_instances(key, seed, n, d)
-        kid = kernel.vocab.memo[(key.__class__, key)]
+        kid = kernel.vocab.id_of(key)
         assert kernel.cands[kid] == expected
         assert dst[i] in expected
     # same tuple sequence, same load counters: the picks are identical
@@ -255,6 +255,27 @@ def test_vocab_is_type_tagged():
     ids, loose = vocab.encode([(1,), 1])
     assert ids.tolist() == [-1, 0] and loose
     assert len(vocab.keys) == 4  # containers are never interned
+    assert [vocab.id_of(k) for k in (1, 1.0, True, "1")] == [0, 1, 2, 3]
+    assert vocab.id_of((1,)) is None and vocab.id_of(2) is None
+
+
+@given(batches=st.lists(st.lists(keys_st, max_size=12), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_vocab_single_type_batches_share_the_id_space(batches):
+    """A batch of one scalar type takes the per-type memo in one map;
+    a mixed batch dispatches per key. Both number into one id space:
+    whichever path saw a key first, every later one finds it."""
+    vocab, one_by_one = Vocab(), Vocab()
+    for batch in batches:
+        ids, loose = vocab.encode(batch)
+        assert not loose
+        expected = [int(one_by_one.encode([key])[0][0]) for key in batch]
+        assert ids.tolist() == expected
+        assert ids.tolist() == [vocab.id_of(key) for key in batch]
+    assert vocab.keys == one_by_one.keys
+    assert [type(k) for k in vocab.keys] == [
+        type(k) for k in one_by_one.keys
+    ]
 
 
 @given(
@@ -326,12 +347,21 @@ def test_route_per_source_groups_a_mixed_batch_by_instance():
 
 def test_backends_hold_no_routing_math():
     """Routing math lives in ``grouping.py`` and ``routing_kernel.py``
-    only; a backend that names these again has re-forked the kernel."""
+    only; a backend that names these again has re-forked the kernel.
+    Likewise the backend files define no operator-hosting loop: bolts
+    run behind ``physical.HostedBolt``, through ``process_batch``."""
     import inspect
 
     from repro.engine.backends import multiprocess, vectorized
 
     for module in (vectorized, multiprocess):
         source = inspect.getsource(module)
-        for name in ("stable_hash", "candidate_instances", ".lookup("):
+        for name in (
+            "stable_hash",
+            "candidate_instances",
+            ".lookup(",
+            "ShimTuple(",
+            ".process(",
+            ".process_batch(",
+        ):
             assert name not in source, f"{module.__name__} uses {name}"

@@ -9,9 +9,10 @@ never be cut again at coarser levels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.partitioning.graph import Graph
+from repro.partitioning.graph import FlatGraph, Graph
+from repro.partitioning.matching import heavy_edge_matching
 
 
 @dataclass
@@ -28,8 +29,8 @@ class CoarseningLevel:
         ``fine_to_coarse[v]`` is the coarse vertex containing fine ``v``.
     """
 
-    fine: Graph
-    coarse: Graph
+    fine: FlatGraph
+    coarse: FlatGraph
     fine_to_coarse: List[int]
 
     def project(self, coarse_parts: List[int]) -> List[int]:
@@ -37,65 +38,56 @@ class CoarseningLevel:
         return [coarse_parts[c] for c in self.fine_to_coarse]
 
 
-def coarsen(graph: Graph, match: List[int]) -> CoarseningLevel:
+def coarsen(graph: Graph | FlatGraph, match: List[int]) -> CoarseningLevel:
     """Collapse a matching into a coarse graph."""
-    n = graph.num_vertices
-    fine_to_coarse = [-1] * n
+    fine = graph.flat()
+    vwgt = fine.vwgt
+    fine_to_coarse = [-1] * fine.num_vertices
     coarse_weights: List[float] = []
-    for v in range(n):
+    for v, partner in enumerate(match):
         if fine_to_coarse[v] != -1:
             continue
-        partner = match[v]
-        coarse_id = len(coarse_weights)
-        fine_to_coarse[v] = coarse_id
-        weight = graph.vertex_weight(v)
+        fine_to_coarse[v] = len(coarse_weights)
+        weight = vwgt[v]
         if partner != v:
-            fine_to_coarse[partner] = coarse_id
-            weight += graph.vertex_weight(partner)
+            fine_to_coarse[partner] = len(coarse_weights)
+            weight += vwgt[partner]
         coarse_weights.append(weight)
 
-    coarse = Graph(len(coarse_weights), coarse_weights)
-    for u, v, weight in graph.edges():
+    # The coarse level is written directly: cu != cv is checked, ids
+    # come from fine_to_coarse and weights are sums of positive weights,
+    # so there is nothing for a validating add_edge to reject. Both
+    # directions accumulate the same fine edges in the same order, which
+    # keeps the level exactly symmetric for non-integer weights too.
+    rows: List[Dict[int, float]] = [{} for _ in coarse_weights]
+    for u, row in enumerate(fine.adj):
         cu = fine_to_coarse[u]
-        cv = fine_to_coarse[v]
-        if cu != cv:
-            coarse.add_edge(cu, cv, weight)
-    return CoarseningLevel(fine=graph, coarse=coarse, fine_to_coarse=fine_to_coarse)
+        coarse_row = rows[cu]
+        for v, weight in row:
+            if u < v:
+                cv = fine_to_coarse[v]
+                if cu != cv:
+                    coarse_row[cv] = coarse_row.get(cv, 0.0) + weight
+                    rows[cv][cu] = rows[cv].get(cu, 0.0) + weight
+    coarse = FlatGraph([list(r.items()) for r in rows], coarse_weights)
+    return CoarseningLevel(fine, coarse, fine_to_coarse)
 
 
 def coarsen_until(
-    graph: Graph,
+    graph: Graph | FlatGraph,
     rng,
     min_vertices: int,
-    min_reduction: float = 0.95,
-    max_levels: int = 64,
-) -> Tuple[Graph, List[CoarseningLevel]]:
-    """Repeatedly coarsen until the graph is small or progress stalls.
-
-    Parameters
-    ----------
-    min_vertices:
-        Stop once the coarse graph has at most this many vertices.
-    min_reduction:
-        Stop when a level shrinks the vertex count by less than
-        ``1 - min_reduction`` (i.e. ``coarse_n > min_reduction * fine_n``),
-        which happens on star-like graphs where matching saturates.
-
-    Returns
-    -------
-    (coarsest_graph, levels)
-        ``levels`` is ordered from finest to coarsest.
+) -> Tuple[FlatGraph, List[CoarseningLevel]]:
+    """Repeatedly coarsen until the graph has at most ``min_vertices``
+    vertices or a level shrinks it by less than 5 %, which happens on
+    star-like graphs where matching saturates. Returns the coarsest
+    graph and the levels, ordered from finest to coarsest.
     """
-    from repro.partitioning.matching import heavy_edge_matching
-
     levels: List[CoarseningLevel] = []
-    current = graph
-    for _ in range(max_levels):
-        if current.num_vertices <= min_vertices:
-            break
-        match = heavy_edge_matching(current, rng)
-        level = coarsen(current, match)
-        if level.coarse.num_vertices > min_reduction * current.num_vertices:
+    current = graph.flat()
+    while current.num_vertices > min_vertices:
+        level = coarsen(current, heavy_edge_matching(current, rng))
+        if level.coarse.num_vertices > 0.95 * current.num_vertices:
             break
         levels.append(level)
         current = level.coarse

@@ -14,6 +14,44 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import PartitioningError
 
 
+class FlatGraph:
+    """Frozen flat form of one level of the multilevel hierarchy, which
+    the partitioner gets once per call from :meth:`Graph.flat`.
+
+    ``adj[v]`` is a plain list of ``(neighbor, edge_weight)`` pairs and
+    ``vwgt[v]`` the weight of vertex ``v``; the vertex count, the total
+    vertex weight and the heaviest vertex are computed once, here. The
+    partitioner's inner loops read the two lists directly. Nothing is
+    validated: an instance comes either from a validated :class:`Graph`
+    or from code whose output is symmetric, loop-free, in range and
+    positively weighted by construction (``coarsen``, ``subgraph``).
+    """
+
+    def __init__(
+        self, adj: List[List[Tuple[int, float]]], vwgt: List[float]
+    ) -> None:
+        self.adj = adj
+        self.vwgt = vwgt
+        self.num_vertices = len(adj)
+        self.total_vertex_weight = sum(vwgt)
+        self.max_vertex_weight = max(vwgt, default=0.0)
+
+    def flat(self) -> "FlatGraph":
+        return self
+
+    def subgraph(self, vertices: Sequence[int]) -> "FlatGraph":
+        """Induced subgraph over distinct ``vertices``: subgraph vertex
+        ``i`` is ``vertices[i]``."""
+        index = [-1] * self.num_vertices
+        for i, v in enumerate(vertices):
+            index[v] = i
+        rows = [
+            [(index[u], w) for u, w in self.adj[v] if index[u] >= 0]
+            for v in vertices
+        ]
+        return FlatGraph(rows, [self.vwgt[v] for v in vertices])
+
+
 class Graph:
     """Adjacency-map weighted undirected graph.
 
@@ -149,6 +187,11 @@ class Graph:
     # Derived graphs
     # ------------------------------------------------------------------
 
+    def flat(self) -> FlatGraph:
+        """A frozen :class:`FlatGraph` copy of the current state."""
+        rows = [list(row.items()) for row in self._adj]
+        return FlatGraph(rows, list(self._vertex_weights))
+
     def subgraph(self, vertices: Sequence[int]) -> Tuple["Graph", List[int]]:
         """Induced subgraph over ``vertices``.
 
@@ -158,19 +201,16 @@ class Graph:
             ``selected[i]`` is the original id of subgraph vertex ``i``.
         """
         selected = list(vertices)
-        index = {v: i for i, v in enumerate(selected)}
-        if len(index) != len(selected):
+        if len(set(selected)) != len(selected):
             raise PartitioningError("duplicate vertices in subgraph selection")
-        sub = Graph(
-            len(selected),
-            [self._vertex_weights[v] for v in selected],
+        induced = self.flat().subgraph(selected)
+        edges = (
+            (i, j, weight)
+            for i, row in enumerate(induced.adj)
+            for j, weight in row
+            if i < j
         )
-        for i, v in enumerate(selected):
-            for neighbor, weight in self._adj[v].items():
-                j = index.get(neighbor)
-                if j is not None and i < j:
-                    sub.add_edge(i, j, weight)
-        return sub, selected
+        return Graph.from_edges(len(selected), edges, induced.vwgt), selected
 
     # ------------------------------------------------------------------
     # Internals

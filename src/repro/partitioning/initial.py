@@ -13,71 +13,58 @@ import heapq
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.partitioning.graph import Graph
+from repro.partitioning.graph import FlatGraph, Graph
 from repro.partitioning.quality import edge_cut
 
 
-def _grow_once(graph: Graph, target0: float, rng: random.Random) -> List[int]:
+def _grow_once(
+    flat: FlatGraph, target0: float, rng: random.Random
+) -> List[int]:
     """One GGGP growth: returns a 0/1 partition vector."""
-    n = graph.num_vertices
+    adj, vwgt = flat.adj, flat.vwgt
+    n = flat.num_vertices
     parts = [1] * n
-    if n == 0:
-        return parts
+    # Growth (re)starts walk one shuffled order with a cursor, so a graph
+    # of many components costs O(n) in restarts, not O(n) per restart.
+    order = list(range(n))
+    rng.shuffle(order)
+    cursor = 0
     weight0 = 0.0
-    remaining = set(range(n))
-    # gain[v] = cut decrease when moving v into part 0
-    gains = {}
+    grown = 0
+    # gains[v] = cut decrease when moving frontier vertex v into part 0
+    gains: List[Optional[float]] = [None] * n
     heap: List[Tuple[float, int, int]] = []
     counter = 0
-
-    def push(v: int) -> None:
-        nonlocal counter
-        heapq.heappush(heap, (-gains[v], counter, v))
-        counter += 1
-
-    def seed() -> None:
-        v = rng.choice(tuple(remaining))
-        gains[v] = 0.0
-        push(v)
-
-    seed()
-    while weight0 < target0 and remaining:
+    while weight0 < target0 and grown < n:
+        v = -1
         while heap:
-            negative_gain, _, v = heapq.heappop(heap)
-            if v in remaining and gains.get(v) == -negative_gain:
+            negative_gain, _, candidate = heapq.heappop(heap)
+            if parts[candidate] == 1 and gains[candidate] == -negative_gain:
+                v = candidate
                 break
-        else:
-            # Frontier exhausted (disconnected graph): restart elsewhere.
-            seed()
-            continue
+        if v == -1:
+            # Frontier exhausted (start, or a disconnected graph).
+            while parts[order[cursor]] == 0:
+                cursor += 1
+            v = order[cursor]
         parts[v] = 0
-        remaining.discard(v)
-        gains.pop(v, None)
-        weight0 += graph.vertex_weight(v)
-        for neighbor, weight in graph.neighbors(v).items():
-            if neighbor not in remaining:
+        grown += 1
+        weight0 += vwgt[v]
+        for neighbor, weight in adj[v]:
+            if parts[neighbor] == 0:
                 continue
+            gain = gains[neighbor]
+            if gain is None:
+                gain = -sum(w for _, w in adj[neighbor])
             # Moving `neighbor` into part 0 now saves edge {v, neighbor}.
-            gains[neighbor] = gains.get(
-                neighbor, -graph.adjacency_weight(neighbor)
-            ) + 2.0 * weight
-            push(neighbor)
+            gains[neighbor] = gain = gain + 2.0 * weight
+            heapq.heappush(heap, (-gain, counter, neighbor))
+            counter += 1
     return parts
 
 
-def _violation(
-    graph: Graph, parts: Sequence[int], max_weights: Sequence[float]
-) -> float:
-    weights = [0.0, 0.0]
-    for v, part in enumerate(parts):
-        weights[part] += graph.vertex_weight(v)
-    return max(0.0, weights[0] - max_weights[0]) + max(
-        0.0, weights[1] - max_weights[1]
-    )
-
-
 def greedy_bisection(
-    graph: Graph,
+    graph: Graph | FlatGraph,
     target0: float,
     max_weights: Sequence[float],
     rng: random.Random,
@@ -93,17 +80,20 @@ def greedy_bisection(
         Hard caps ``(max_weight_part0, max_weight_part1)`` used to rank
         candidate bisections (violation is minimized first).
     """
-    n = graph.num_vertices
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
-    best: Optional[List[int]] = None
-    best_key: Optional[Tuple[float, float]] = None
-    for _ in range(max(1, attempts)):
-        parts = _grow_once(graph, target0, rng)
-        key = (_violation(graph, parts, max_weights), edge_cut(graph, parts))
-        if best_key is None or key < best_key:
-            best, best_key = parts, key
-    assert best is not None
-    return best
+    flat = graph.flat()
+    if flat.num_vertices < 2:
+        return [0] * flat.num_vertices
+
+    def rank(parts: List[int]) -> Tuple[float, float]:
+        weights = [0.0, 0.0]
+        for weight, part in zip(flat.vwgt, parts):
+            weights[part] += weight
+        violation = max(0.0, weights[0] - max_weights[0]) + max(
+            0.0, weights[1] - max_weights[1]
+        )
+        return violation, edge_cut(flat, parts)
+
+    return min(
+        (_grow_once(flat, target0, rng) for _ in range(max(1, attempts))),
+        key=rank,
+    )

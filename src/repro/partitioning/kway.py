@@ -10,15 +10,23 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import PartitioningError
-from repro.partitioning.bisect import multilevel_bisection
-from repro.partitioning.graph import Graph
+from repro.partitioning.coarsen import coarsen_until
+from repro.partitioning.graph import FlatGraph, Graph
+from repro.partitioning.initial import greedy_bisection
+from repro.partitioning.kway_refine import refine_kway
+from repro.partitioning.quality import part_weights
+from repro.partitioning.refine import fm_refine
 
 #: Default imbalance bound, matching the Metis default the paper uses
 #: (Section 4.3: "α ... is indeed used and set to 1.03").
 DEFAULT_IMBALANCE = 1.03
+
+#: Stop coarsening below this many vertices; the coarsest graph is
+#: partitioned directly by greedy growing.
+COARSE_THRESHOLD = 60
 
 
 def partition(
@@ -57,37 +65,20 @@ def partition(
         raise PartitioningError(
             f"imbalance must be >= 1.0, got {imbalance}"
         )
-    n = graph.num_vertices
-    if n == 0:
-        return []
-    if nparts == 1:
-        return [0] * n
-
     if rng is None:
         rng = random.Random(seed)
 
-    working = graph
-    if graph.total_vertex_weight <= 0:
+    working = graph.flat()
+    if working.total_vertex_weight <= 0:
         # All-zero weights make balance meaningless; fall back to
         # unit weights so the recursion still splits by vertex count.
-        working = Graph.from_edges(n, graph.edges())
+        working = FlatGraph(working.adj, [1.0] * working.num_vertices)
 
     depth = max(1, math.ceil(math.log2(nparts)))
     level_imbalance = imbalance ** (1.0 / depth)
 
-    parts = [0] * n
-    _recurse(
-        working,
-        list(range(n)),
-        nparts,
-        0,
-        level_imbalance,
-        rng,
-        parts,
-    )
-    if kway_refinement and nparts >= 2:
-        from repro.partitioning.kway_refine import refine_kway
-
+    parts = _recurse(working, nparts, level_imbalance, rng)
+    if kway_refinement:
         refine_kway(working, parts, nparts, imbalance=imbalance)
     return parts
 
@@ -100,75 +91,57 @@ def balance_of(graph: Graph, parts: List[int], nparts: int) -> float:
     Zero-weight graphs balance trivially (returns 0.0)."""
     if nparts < 1:
         raise PartitioningError(f"nparts must be >= 1, got {nparts}")
-    weights = [0.0] * nparts
-    for vertex, part in enumerate(parts):
-        if not 0 <= part < nparts:
-            raise PartitioningError(
-                f"vertex {vertex} assigned to part {part}; "
-                f"expected 0..{nparts - 1}"
-            )
-        weights[part] += graph.vertex_weight(vertex)
+    weights = part_weights(graph, parts, nparts)
     total = sum(weights)
-    if total <= 0:
-        return 0.0
-    return max(weights) / (total / nparts)
+    return max(weights) / (total / nparts) if total > 0 else 0.0
+
+
+def multilevel_bisection(
+    graph: FlatGraph,
+    target0: float,
+    max_weights: Sequence[float],
+    soft_weights: Sequence[float],
+    rng: random.Random,
+) -> List[int]:
+    """Bisect ``graph`` into a 0/1 vector targeting weight ``target0``
+    for part 0: coarsen, bisect the coarsest level by greedy growing,
+    then project back level by level with FM refinement at each."""
+    if graph.num_vertices < 2:
+        return [0] * graph.num_vertices
+    coarsest, levels = coarsen_until(graph, rng, min_vertices=COARSE_THRESHOLD)
+    parts = greedy_bisection(coarsest, target0, max_weights, rng)
+    fm_refine(coarsest, parts, max_weights, soft_weights=soft_weights)
+    for level in reversed(levels):
+        parts = level.project(parts)
+        fm_refine(level.fine, parts, max_weights, soft_weights=soft_weights)
+    return parts
 
 
 def _recurse(
-    graph: Graph,
-    global_ids: List[int],
-    nparts: int,
-    part_offset: int,
-    level_imbalance: float,
-    rng: random.Random,
-    out: List[int],
-) -> None:
-    """Assign parts ``part_offset .. part_offset + nparts - 1`` to the
-    vertices of ``graph`` (whose original ids are ``global_ids``)."""
-    if graph.num_vertices == 0:
-        return
-    if nparts == 1:
-        for original in global_ids:
-            out[original] = part_offset
-        return
+    graph: FlatGraph, nparts: int, level_imbalance: float, rng: random.Random
+) -> List[int]:
+    """Partition ``graph`` into parts ``0 .. nparts - 1`` by recursive
+    bisection."""
+    if nparts == 1 or graph.num_vertices == 0:
+        return [0] * graph.num_vertices
 
     left = (nparts + 1) // 2
-    right = nparts - left
     total = graph.total_vertex_weight
     target0 = total * left / nparts
-    target1 = total - target0
+    targets = (target0, total - target0)
+    soft = [level_imbalance * max(target, 1e-12) for target in targets]
     # Balance is bounded by vertex granularity: like Metis, accept at
     # least one extra heaviest-vertex of slack per side, otherwise tiny
-    # graphs (few heavy keys) would be shattered just to meet α.
-    max_vertex = max(
-        (graph.vertex_weight(v) for v in range(graph.num_vertices)),
-        default=0.0,
-    )
-    max_weights = (
-        max(level_imbalance * max(target0, 1e-12), target0 + max_vertex),
-        max(level_imbalance * max(target1, 1e-12), target1 + max_vertex),
-    )
-    halves = multilevel_bisection(graph, target0, max_weights, rng)
+    # graphs (few heavy keys) would be shattered just to meet α. That
+    # slack is there to be kept, not spent: see ``fm_refine``.
+    slack = graph.max_vertex_weight
+    hard = [max(cap, t + slack) for cap, t in zip(soft, targets)]
+    halves = multilevel_bisection(graph, target0, hard, soft, rng)
 
-    side0 = [v for v in range(graph.num_vertices) if halves[v] == 0]
-    side1 = [v for v in range(graph.num_vertices) if halves[v] == 1]
-    sub0, picked0 = graph.subgraph(side0)
-    sub1, picked1 = graph.subgraph(side1)
-    _recurse(
-        sub0,
-        [global_ids[v] for v in picked0],
-        left,
-        part_offset,
-        level_imbalance,
-        rng,
-        out,
-    )
-    _recurse(
-        sub1,
-        [global_ids[v] for v in picked1],
-        right,
-        part_offset + left,
-        level_imbalance,
-        rng,
-        out,
-    )
+    parts = [0] * graph.num_vertices
+    for side, count, offset in ((0, left, 0), (1, nparts - left, left)):
+        members = [v for v, half in enumerate(halves) if half == side]
+        sub = _recurse(graph.subgraph(members), count, level_imbalance, rng)
+        for v, part in zip(members, sub):
+            parts[v] = offset + part
+    return parts

@@ -10,16 +10,16 @@ until no move helps.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import PartitioningError
-from repro.partitioning.graph import Graph
+from repro.partitioning.graph import FlatGraph, Graph
 
 _EPSILON = 1e-9
 
 
 def refine_kway(
-    graph: Graph,
+    graph: Graph | FlatGraph,
     parts: List[int],
     nparts: int,
     imbalance: float = 1.03,
@@ -31,7 +31,8 @@ def refine_kway(
     the same granularity rule as the partitioner: a part may hold up
     to ``max(imbalance * ideal, ideal + heaviest_vertex)`` weight.
     """
-    n = graph.num_vertices
+    flat = graph.flat()
+    n = flat.num_vertices
     if len(parts) != n:
         raise PartitioningError(
             f"partition vector has {len(parts)} entries for {n} vertices"
@@ -39,37 +40,41 @@ def refine_kway(
     if nparts < 2 or n == 0:
         return 0
 
+    vwgt = flat.vwgt
     weights = [0.0] * nparts
     for v, part in enumerate(parts):
         if not 0 <= part < nparts:
             raise PartitioningError(
                 f"vertex {v} in part {part}, outside [0, {nparts})"
             )
-        weights[part] += graph.vertex_weight(v)
-    total = sum(weights)
-    ideal = total / nparts
-    max_vertex = max(
-        (graph.vertex_weight(v) for v in range(n)), default=0.0
-    )
-    cap = max(imbalance * ideal, ideal + max_vertex)
+        weights[part] += vwgt[v]
+    ideal = sum(weights) / nparts
+    cap = max(imbalance * ideal, ideal + flat.max_vertex_weight)
 
     moved_total = 0
     for _ in range(max_passes):
         moved = 0
-        for v in range(n):
+        for v, row in enumerate(flat.adj):
             src = parts[v]
-            connection: Dict[int, float] = {}
-            for neighbor, weight in graph.neighbors(v).items():
+            internal = 0.0
+            # Weight towards each *other* part; stays None for a vertex
+            # with no neighbor across a boundary, which has no move.
+            connection: Optional[Dict[int, float]] = None
+            for neighbor, weight in row:
                 part = parts[neighbor]
-                connection[part] = connection.get(part, 0.0) + weight
-            internal = connection.get(src, 0.0)
-            vertex_weight = graph.vertex_weight(v)
+                if part == src:
+                    internal += weight
+                elif connection is None:
+                    connection = {part: weight}
+                else:
+                    connection[part] = connection.get(part, 0.0) + weight
+            if connection is None:
+                continue
+            vertex_weight = vwgt[v]
 
             best_part = src
             best_gain = 0.0
             for part, weight in connection.items():
-                if part == src:
-                    continue
                 gain = weight - internal
                 if gain <= best_gain + _EPSILON:
                     continue

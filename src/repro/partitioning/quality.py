@@ -2,23 +2,29 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import PartitioningError
-from repro.partitioning.graph import Graph
+from repro.partitioning.graph import FlatGraph, Graph
 
 
-def edge_cut(graph: Graph, parts: Sequence[int]) -> float:
-    """Total weight of edges whose endpoints are in different parts."""
+def _check_length(graph: Graph | FlatGraph, parts: Sequence[int]) -> None:
     if len(parts) != graph.num_vertices:
         raise PartitioningError(
             f"partition vector has {len(parts)} entries for "
             f"{graph.num_vertices} vertices"
         )
+
+
+def edge_cut(graph: Graph | FlatGraph, parts: Sequence[int]) -> float:
+    """Total weight of edges whose endpoints are in different parts."""
+    _check_length(graph, parts)
     cut = 0.0
-    for u, v, weight in graph.edges():
-        if parts[u] != parts[v]:
-            cut += weight
+    for u, row in enumerate(graph.flat().adj):
+        part = parts[u]
+        for v, weight in row:
+            if u < v and parts[v] != part:
+                cut += weight
     return cut
 
 
@@ -26,44 +32,25 @@ def part_weights(
     graph: Graph, parts: Sequence[int], nparts: int
 ) -> List[float]:
     """Total vertex weight per part."""
-    if len(parts) != graph.num_vertices:
-        raise PartitioningError(
-            f"partition vector has {len(parts)} entries for "
-            f"{graph.num_vertices} vertices"
-        )
+    _check_length(graph, parts)
     weights = [0.0] * nparts
-    for v, part in enumerate(parts):
+    for v, (part, weight) in enumerate(zip(parts, graph.vertex_weights())):
         if not 0 <= part < nparts:
             raise PartitioningError(
                 f"vertex {v} assigned to part {part}, outside [0, {nparts})"
             )
-        weights[part] += graph.vertex_weight(v)
+        weights[part] += weight
     return weights
 
 
-def balance(
-    graph: Graph,
-    parts: Sequence[int],
-    nparts: int,
-    targets: Optional[Sequence[float]] = None,
-) -> float:
-    """Max over parts of (actual weight / target weight).
+def balance(graph: Graph, parts: Sequence[int], nparts: int) -> float:
+    """Heaviest part's weight over the ideal ``total / nparts``.
 
     A perfectly balanced partition scores 1.0; the paper's constraint is
     that this value stays below the imbalance bound α (1.03 by default).
-    Equal targets (total/nparts) are assumed unless given explicitly.
     """
     weights = part_weights(graph, parts, nparts)
     total = graph.total_vertex_weight
     if total <= 0:
         return 1.0
-    if targets is None:
-        targets = [total / nparts] * nparts
-    worst = 0.0
-    for weight, target in zip(weights, targets):
-        if target <= 0:
-            if weight > 0:
-                return float("inf")
-            continue
-        worst = max(worst, weight / target)
-    return worst
+    return max(weights) / (total / nparts)

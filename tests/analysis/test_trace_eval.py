@@ -107,11 +107,16 @@ def test_weekly_series_rejects_unknown_mode():
 
 def test_online_beats_offline_on_shifting_data():
     def week_pairs(week):
-        # Correlations rotate every week: only online keeps up.
+        # Correlations shift after week 0 and then hold: online follows,
+        # the week-0 tables never see the new pairing. (A rotation by
+        # one *every* week leaves both policies one step off a 4-cycle,
+        # and which of the two looks better is the partitioner's
+        # tie-break among zero-cut groupings.)
         return [
-            (f"k{(i + week) % 4}", f"v{i % 4}") for i in range(400)
+            (f"k{(i + min(week, 1)) % 4}", f"v{i % 4}") for i in range(400)
         ]
 
     online = weekly_series(week_pairs, 4, 2, "online")
     offline = weekly_series(week_pairs, 4, 2, "offline")
-    assert online[3].locality > offline[3].locality
+    assert online[3].locality == 1.0
+    assert offline[3].locality <= 0.5

@@ -15,13 +15,6 @@ def save_table(name: str, text: str) -> None:
         handle.write(text + "\n")
 
 
-def telemetry_path(name: str) -> str:
-    """Where a benchmark exports its telemetry JSONL (render with
-    ``python -m repro.analysis.report <path>``)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return os.path.join(RESULTS_DIR, f"{name}.jsonl")
-
-
 def pivot(rows, row_key, col_key, value_key):
     """rows -> {row: {col: value}} for series-style assertions."""
     table = {}

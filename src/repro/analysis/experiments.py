@@ -1,9 +1,11 @@
 """One driver per figure of the paper's evaluation (Section 4).
 
 Each ``figNN`` function regenerates the corresponding figure's data
-and returns it as a list of dict rows; the benchmarks in
-``benchmarks/`` call these and assert the paper's qualitative claims.
-Run standalone with::
+and returns it as a list of dict rows. The paper's qualitative claims
+are asserted by the one caller that sweeps each figure's grid: the
+campaign runners (``repro.campaign.runners``) for Figures 10-13 and
+the skew experiment, the pytest files under ``benchmarks/`` for
+Figures 7-9, 14 and the ablations. Run standalone with::
 
     python -m repro.analysis.experiments fig7 [--quick]
 
@@ -18,12 +20,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.trace_eval import TwoHopEvaluator, weekly_series
+from repro.analysis.trace_eval import MODES, TwoHopEvaluator, weekly_series
 from repro.core import Manager, ManagerConfig
+from repro.core.compact_table import (
+    CompactRoutingTable,
+    plain_table_memory_bytes,
+)
+from repro.core.table_delta import TableDelta, snapshot_wire_bytes
 from repro.engine import Cluster, RunConfig, Simulator, deploy
 from repro.engine.metrics import ThroughputSampler
 from repro.engine.runner import run
 from repro.workloads import (
+    BigKeysConfig,
+    BigKeysWorkload,
     FlickrConfig,
     FlickrWorkload,
     SkewConfig,
@@ -265,17 +274,18 @@ def fig10(weeks: int = 8, quick: bool = False) -> List[Dict]:
 
 
 def fig11(
-    weeks: int = 25,
+    weeks: Optional[int] = None,
     num_servers: int = 6,
     sketch_capacity: Optional[int] = 100_000,
+    modes: Sequence[str] = MODES,
     quick: bool = False,
 ) -> List[Dict]:
     """Locality and load balance over time: online vs offline vs hash."""
-    if quick:
-        weeks = 8
+    if weeks is None:
+        weeks = 8 if quick else 25
     workload = _twitter(quick)
     rows = []
-    for mode in ("online", "offline", "hash-based"):
+    for mode in modes:
         results = weekly_series(
             workload.week_pairs,
             weeks,
@@ -294,24 +304,6 @@ def fig11(
                 }
             )
     return rows
-
-
-def fig11_predicted_locality(quick: bool = False) -> Dict:
-    """The Section 4.3 side claim: the partitioner predicts a higher
-    locality on the data it saw than what next week achieves."""
-    workload = _twitter(quick)
-    evaluator = TwoHopEvaluator(6)
-    week0 = list(workload.week_pairs(0))
-    tables, predicted = evaluator.plan_tables(week0)
-    achieved_same = evaluator.evaluate(week0, tables).locality
-    achieved_next = evaluator.evaluate(
-        list(workload.week_pairs(1)), tables
-    ).locality
-    return {
-        "predicted": predicted,
-        "achieved_on_training_week": achieved_same,
-        "achieved_on_next_week": achieved_next,
-    }
 
 
 def fig12(
@@ -363,7 +355,6 @@ def _flickr_run(
     duration_s: float = 1.5,
     period_s: float = 0.5,
     sample_interval_s: float = 0.05,
-    quick: bool = False,
     telemetry_path: Optional[str] = None,
 ) -> Dict:
     """One Fig. 13-style run: the Flickr application with or without
@@ -378,8 +369,6 @@ def _flickr_run(
     """
     from repro.observability import attach_telemetry
 
-    # The workload itself is cheap to generate; ``quick`` only trims
-    # the experiment grids, never the data realism.
     workload = FlickrWorkload(FlickrConfig())
     sim = Simulator()
     cluster = Cluster(sim, parallelism, bandwidth_gbps=bandwidth_gbps)
@@ -459,7 +448,6 @@ def fig13(
                         padding,
                         bandwidth,
                         reconfigure,
-                        quick=quick,
                         telemetry_path=(
                             telemetry_path if trace_here else None
                         ),
@@ -488,7 +476,6 @@ def fig14(
             result = _flickr_run(
                 parallelism, padding, bandwidth_gbps, reconfigure,
                 duration_s=2.0,
-                quick=quick,
             )
             rows.append(
                 {
@@ -497,6 +484,64 @@ def fig14(
                     "throughput": result["mean_after_first_reconf"],
                 }
             )
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Scale sweep (beyond the paper; DESIGN.md §13): table memory and
+# control-plane bytes as the key population grows
+# ----------------------------------------------------------------------
+
+
+def scale(
+    key_counts: Optional[Sequence[int]] = None, quick: bool = False
+) -> List[Dict]:
+    """Routing-table bytes/key (plain vs compact), PROPAGATE bytes per
+    round (full snapshot vs delta) and the measured false-route rate of
+    the compact table, per key population.
+
+    Every column comes from the DESIGN.md §13 byte model or from exact
+    lookups, so the rows are the same on any machine. The delta column
+    is flat because a round moves a fixed number of keys
+    (``BigKeysConfig.churn_keys``) whatever the table size, while a
+    snapshot grows with it.
+    """
+    if key_counts is None:
+        key_counts = (
+            (10_000, 100_000) if quick else (10_000, 100_000, 1_000_000)
+        )
+    rows = []
+    for num_keys in key_counts:
+        workload = BigKeysWorkload(BigKeysConfig(num_keys=num_keys))
+        old = workload.make_table(0)
+        new = workload.make_table(1)
+        size = len(old)
+        compact = CompactRoutingTable.from_table(old)
+        delta_bytes = TableDelta.diff(old, new).wire_bytes()
+        snapshot_bytes = snapshot_wire_bytes(old)
+        # Keys outside the table must fall back to hashing; a lookup
+        # that answers for one is a false route.
+        absent = [
+            workload.key(index)
+            for index in range(size, min(num_keys, size + 50_000))
+        ]
+        false_routes = sum(
+            1 for key in absent if compact.lookup(key) is not None
+        )
+        rows.append(
+            {
+                "keys": num_keys,
+                "table_keys": size,
+                "plain_bytes_per_key": plain_table_memory_bytes(old) / size,
+                "compact_bytes_per_key": compact.memory_bytes() / size,
+                "snapshot_bytes_per_round": snapshot_bytes,
+                "delta_bytes_per_round": delta_bytes,
+                "saved_frac": 1.0 - delta_bytes / snapshot_bytes,
+                "false_route_rate": (
+                    false_routes / len(absent) if absent else 0.0
+                ),
+            }
+        )
     return rows
 
 
@@ -514,6 +559,7 @@ FIGURES = {
     "fig13": fig13,
     "fig14": fig14,
     "skew": skew,
+    "scale": scale,
 }
 
 

@@ -8,10 +8,9 @@ expands the matrix into *cells*, executes every cell in a parallel pool
 of worker subprocesses (per-cell timeout, crash capture, seeded
 ``PYTHONHASHSEED``), attaches the ``repro.testing`` invariant suite to
 episode cells, and aggregates everything into a per-campaign JSONL +
-markdown report that diffs against a committed baseline with the same
-axis semantics ``tools/bench_record.py`` uses for the engine
-trajectory (``*_per_s`` higher-is-better, ``*_bytes_per_key``
-lower-is-better, >20% moves gated).
+markdown report that diffs against a committed baseline
+(``*_per_s`` higher-is-better, ``*_bytes_per_key`` lower-is-better,
+>20% moves gated; event fingerprints compared exactly).
 
 Module map:
 
@@ -21,8 +20,9 @@ Module map:
   :class:`CellSpec` with stable, human-readable cell ids;
 - :mod:`repro.campaign.runners` — what one cell *does*: the
   ``episode`` runner (fuzz-grade invariants + simulator fingerprint),
-  and the ``fig13`` / ``skew`` runners that port the corresponding
-  ``benchmarks/bench_fig*.py`` sweeps;
+  the ``fig10``-``fig13`` and ``skew`` runners that sweep the figure
+  drivers and assert the paper's per-cell claims, and the ``backend``
+  equivalence runner;
 - :mod:`repro.campaign.worker` — the subprocess entry point
   (``python -m repro.campaign.worker``) that runs exactly one cell;
 - :mod:`repro.campaign.executor` — the parallel pool: spawns one
@@ -30,14 +30,14 @@ Module map:
   and turns crashes into failed *cells* instead of failed campaigns;
 - :mod:`repro.campaign.collector` — JSONL report writing/loading;
 - :mod:`repro.campaign.baseline` — metric axis semantics + committed
-  baseline diffing (shared with ``tools/bench_record.py``);
+  baseline diffing;
 - :mod:`repro.campaign.report` — the markdown report.
 
 Quick start::
 
     PYTHONPATH=src python -m repro.campaign run campaigns/matrix-quick.yaml
     PYTHONPATH=src python -m repro.campaign list campaigns/matrix-quick.yaml
-    # re-run one cell and verify it reproduces the report's fingerprint
+    # re-run one cell and verify it reproduces the recorded fingerprint
     PYTHONPATH=src python -m repro.campaign run campaigns/matrix-quick.yaml \\
         --cell "compact_tables=on,delta_propagation=on,faults=on,hybrid=on,rescale=on,seed=7"
 """

@@ -5,16 +5,20 @@ Commands::
     run <campaign.yaml>            # run the full matrix, write reports,
                                    # diff against the committed baseline
     run <campaign.yaml> --cell ID  # re-run one cell; verified against
-                                   # the recorded report when one exists
+                                   # the recorded report, else against
+                                   # the committed baseline
     list <campaign.yaml>           # print the planned cells and exit
 
 ``run`` writes ``report.jsonl`` + ``report.md`` under the output
 directory (default ``results/campaigns/<name>``) and exits 0 only when
-every cell is ok **and** no directed metric regressed beyond tolerance
-against the committed baseline (``--no-gate`` reports without
-failing; ``--record-baseline`` re-records the baseline from this run).
-``run --cell`` exits 2 when the cell's fingerprint diverges from the
-recorded campaign report — that is the reproducibility check CI runs.
+every cell is ok **and**, against the committed baseline, no directed
+metric regressed beyond tolerance and no cell's fingerprint differs
+(``--no-gate`` reports without failing; ``--record-baseline``
+re-records the baseline from this run). ``run --cell`` exits 2 when
+the cell's fingerprint diverges from the one recorded for it — in
+``<out>/report.jsonl`` when a campaign run left one there, else in the
+committed baseline, which is what a fresh checkout has — that is the
+reproducibility check CI runs.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cell",
         metavar="ID",
         default=None,
-        help="run only this cell id; verified against the recorded "
-        "report's fingerprint when report.jsonl exists",
+        help="run only this cell id; its fingerprint is verified against "
+        "report.jsonl when that exists, else against the baseline",
     )
     run.add_argument(
         "--out",
@@ -142,14 +146,10 @@ def _run_campaign(args, config, cells, out_dir, timeout_s, workers) -> int:
     diff = None
     baseline_path = config.baseline_path()
     cell_metrics = metrics_by_cell(results)
+    fingerprints = {r.id: r.fingerprint for r in results if r.fingerprint}
     if args.record_baseline and baseline_path:
         write_baseline(
-            baseline_path,
-            config.name,
-            cell_metrics,
-            fingerprints={
-                r.id: r.fingerprint for r in results if r.fingerprint
-            },
+            baseline_path, config.name, cell_metrics, fingerprints
         )
         print(f"baseline recorded: {baseline_path}")
     if baseline_path and os.path.exists(baseline_path):
@@ -158,6 +158,7 @@ def _run_campaign(args, config, cells, out_dir, timeout_s, workers) -> int:
             cell_metrics,
             tolerance=config.tolerance,
             extra_axes=config.axes,
+            cell_fingerprints=fingerprints,
         )
 
     markdown = render_markdown(
@@ -201,33 +202,37 @@ def _run_single(args, config, cells, out_dir, timeout_s) -> int:
             print(result.error, file=sys.stderr)
         return 1
 
-    jsonl_path = os.path.join(out_dir, "report.jsonl")
-    if not os.path.exists(jsonl_path):
+    expected = _recorded_fingerprints(config, out_dir).get(result.id)
+    if expected is None:
         print(
-            f"(no recorded report at {jsonl_path}; nothing to verify "
-            f"against)"
+            f"(no fingerprint on record for cell {result.id}, in "
+            f"{out_dir}/report.jsonl or in the baseline; nothing to "
+            f"verify against)"
         )
         return 0
-    _, recorded = load_jsonl(jsonl_path)
-    match = next((r for r in recorded if r.id == result.id), None)
-    if match is None:
+    if expected != result.fingerprint:
         print(
-            f"(cell {result.id} is not in the recorded report; "
-            f"nothing to verify against)"
-        )
-        return 0
-    if match.fingerprint != result.fingerprint:
-        print(
-            f"REPRODUCTION FAILED: recorded fingerprint "
-            f"{match.fingerprint} != re-run {result.fingerprint}",
+            f"REPRODUCTION FAILED: recorded fingerprint {expected} "
+            f"!= re-run {result.fingerprint}",
             file=sys.stderr,
         )
         return 2
-    if match.fingerprint is None:
-        print("recorded cell has no fingerprint (non-episode runner); ok")
-        return 0
-    print(f"reproduced: fingerprint {result.fingerprint} matches the report")
+    print(f"reproduced: fingerprint {expected} matches the one on record")
     return 0
+
+
+def _recorded_fingerprints(config, out_dir) -> dict:
+    """cell id → fingerprint on record: the committed baseline's, under
+    those of the report a campaign run left in ``out_dir``, if any."""
+    recorded = {}
+    baseline_path = config.baseline_path()
+    if baseline_path and os.path.exists(baseline_path):
+        recorded.update(load_baseline(baseline_path).get("fingerprints", {}))
+    jsonl_path = os.path.join(out_dir, "report.jsonl")
+    if os.path.exists(jsonl_path):
+        _, cells = load_jsonl(jsonl_path)
+        recorded.update({c.id: c.fingerprint for c in cells if c.fingerprint})
+    return recorded
 
 
 if __name__ == "__main__":

@@ -1,8 +1,6 @@
 """Metric axis semantics and committed-baseline diffing.
 
-This is the one home of the repo's metric-direction convention —
-``tools/bench_record.py`` (the engine perf trajectory) delegates here,
-and campaign reports use the same rules:
+This is the one home of the repo's metric-direction convention:
 
 - ``*_per_s``   — higher is better (throughput rates);
 - ``*_bytes_per_key`` — lower is better (memory-model numbers);
@@ -18,8 +16,11 @@ the current run are new axes: informational, never gated — a PR that
 adds measurements must not fail its own gate.
 
 Campaign baselines are committed JSON documents mapping cell id →
-metrics (see :func:`write_baseline`); :func:`diff_campaign` compares a
-fresh run against one, cell by cell.
+metrics and, for episode campaigns, cell id → event fingerprint (see
+:func:`write_baseline`); :func:`diff_campaign` compares a fresh run
+against one, cell by cell. Fingerprints are compared exactly: the same
+cell id must replay the identical event sequence, so a differing
+fingerprint fails the gate like a regression does.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Dict, List, Optional
 
 BASELINE_SCHEMA = "repro.campaign/baseline-v1"
 
-#: suffix conventions shared with tools/bench_record.py
 HIGHER_SUFFIXES = ("_per_s",)
 LOWER_SUFFIXES = ("_bytes_per_key",)
 
@@ -115,7 +115,7 @@ def write_baseline(
     label: str = "",
 ) -> dict:
     """Write a campaign baseline: cell id → metrics (and, for episode
-    campaigns, cell id → fingerprint, informational)."""
+    campaigns, cell id → fingerprint)."""
     doc = {
         "schema": BASELINE_SCHEMA,
         "campaign": campaign,
@@ -143,13 +143,16 @@ def diff_campaign(
     cell_metrics: Dict[str, Dict[str, float]],
     tolerance: float = 0.20,
     extra_axes: Optional[Dict[str, str]] = None,
+    cell_fingerprints: Optional[Dict[str, str]] = None,
 ) -> dict:
     """Compare a fresh run against a committed baseline.
 
     Returns ``{"regressions": {cell_id: [msg, ...]}, "missing_cells":
-    [...], "new_cells": [...]}``. A baseline cell absent from the run
-    fails the gate (the sweep shrank); a run cell absent from the
-    baseline is informational (the sweep grew).
+    [...], "new_cells": [...], "fingerprint_drift": {cell_id:
+    [baseline, run]}}``. A baseline cell absent from the run fails the
+    gate (the sweep shrank); a run cell absent from the baseline is
+    informational (the sweep grew); a cell of ``cell_fingerprints``
+    whose fingerprint differs from the baseline's fails the gate.
     """
     base_cells: Dict[str, Dict[str, float]] = baseline_doc.get("cells", {})
     regressions: Dict[str, List[str]] = {}
@@ -161,8 +164,17 @@ def diff_campaign(
         )
         if messages:
             regressions[cell] = messages
+    run_fingerprints = cell_fingerprints or {}
+    drift = {
+        cell: [recorded, run_fingerprints[cell]]
+        for cell, recorded in sorted(
+            baseline_doc.get("fingerprints", {}).items()
+        )
+        if cell in run_fingerprints and run_fingerprints[cell] != recorded
+    }
     return {
         "regressions": regressions,
         "missing_cells": sorted(set(base_cells) - set(cell_metrics)),
         "new_cells": sorted(set(cell_metrics) - set(base_cells)),
+        "fingerprint_drift": drift,
     }

@@ -4,9 +4,10 @@ The JSONL is the machine-readable artifact of a campaign run (the
 markdown report is rendered from it). Line 1 is the campaign header —
 schema, campaign name, config source, cell/seed counts, status tally —
 and every following line is one executed cell
-(:meth:`~repro.campaign.executor.CellResult.to_dict`). The file is the
-source of truth for single-cell reproduction: ``campaign run --cell
-<id>`` loads it to compare fingerprints against the recorded run.
+(:meth:`~repro.campaign.executor.CellResult.to_dict`). It is run
+output, not committed: ``campaign run --cell <id>`` compares its
+fingerprint against the file when a campaign run left one in the
+output directory, and against the committed baseline otherwise.
 """
 
 from __future__ import annotations

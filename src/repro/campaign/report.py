@@ -4,7 +4,7 @@ Rendered from the same data as the JSONL (header + cell results +
 baseline diff), written as ``report.md`` next to it. Sections: run
 summary, failed cells (violations / timeouts / crashes, with bundle
 and log pointers), the full per-cell metric table, and the baseline
-comparison (regressions, missing cells, new cells).
+comparison (regressions, fingerprint drift, missing cells, new cells).
 """
 
 from __future__ import annotations
@@ -127,6 +127,16 @@ def render_markdown(
                     lines.append(f"  - {message}")
         else:
             lines.append("No regressions beyond tolerance.")
+        if diff.get("fingerprint_drift"):
+            lines.append("")
+            lines.append("### Fingerprint drift (gate fails)")
+            lines.append("")
+            for cell, (recorded, now) in sorted(
+                diff["fingerprint_drift"].items()
+            ):
+                lines.append(
+                    f"- `{cell}`: baseline `{recorded}`, run `{now}`"
+                )
         if diff.get("missing_cells"):
             lines.append("")
             lines.append(
@@ -149,8 +159,8 @@ def gate_failures(
     results: List[CellResult], diff: Optional[dict]
 ) -> List[str]:
     """Everything that should fail the campaign gate: one message per
-    failed cell, regressed cell, or baseline cell missing from the
-    run."""
+    failed cell, regressed cell, cell whose fingerprint left the
+    baseline's, or baseline cell missing from the run."""
     messages = [
         f"cell {result.id}: {result.status}"
         for result in results
@@ -160,6 +170,12 @@ def gate_failures(
         for cell, problems in sorted(diff.get("regressions", {}).items()):
             for problem in problems:
                 messages.append(f"regression in {cell}: {problem}")
+        for cell, (recorded, now) in sorted(
+            diff.get("fingerprint_drift", {}).items()
+        ):
+            messages.append(
+                f"fingerprint of {cell}: baseline {recorded}, run {now}"
+            )
         for cell in diff.get("missing_cells", []):
             messages.append(f"baseline cell missing from run: {cell}")
     return messages

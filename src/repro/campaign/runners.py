@@ -1,6 +1,6 @@
 """What one campaign cell runs.
 
-Four runners are registered:
+The registered runners:
 
 ``episode``
     A fuzz-grade deployment episode (``repro.testing``): PairsWorkload
@@ -16,12 +16,12 @@ Four runners are registered:
 
 ``fig13``
     One (bandwidth, padding) point of the Figure 13 locality sweep,
-    with and without reconfiguration, ported from
-    ``benchmarks/bench_fig13.py``.
+    with and without reconfiguration; a sustained throughput dip after
+    a reconfiguration is a cell violation.
 
 ``skew``
-    One (exponent, flash_share, policy) point of the PR 6 skew
-    experiment, ported from the ``skew`` figure.
+    One (exponent, flash_share, policy) point of the skew experiment
+    (``repro.analysis.experiments.skew``).
 
 ``backend``
     Cross-backend equivalence (DESIGN.md §15/§16): run one scenario
@@ -37,16 +37,20 @@ Four runners are registered:
     timing axes).
 
 ``fig10`` / ``fig11`` / ``fig12``
-    The trace-sweep grids ported from ``benchmarks/bench_fig1*.py``:
-    the flash-hashtag location/day spread (fig10), one routing mode of
-    the 25-week locality/balance sweep (fig11), and one
-    (budget, parallelism) point of locality-vs-collected-edges
-    (fig12). The paper claims the bench files assert become cell
-    violations; the figure metrics are baseline-tracked.
+    The trace-sweep grids: the flash-hashtag location/day spread
+    (fig10), one routing mode of the weekly locality/balance sweep
+    (fig11), and one (budget, parallelism) point of
+    locality-vs-collected-edges (fig12).
+
+The figure runners are where the paper's per-cell claims are asserted:
+a broken claim is a cell violation (:func:`_claim`), the figure
+metrics are baseline-tracked. Claims that compare cells with each
+other are checked on the campaign report by
+``tools/check_fig_shapes.py``.
 
 Every runner returns a :class:`CellOutcome` whose ``metrics`` follow
-the ``tools/bench_record.py`` axis convention (``*_per_s`` higher is
-better; unsuffixed metrics get their direction from the campaign's
+the :mod:`repro.campaign.baseline` axis convention (``*_per_s`` higher
+is better; unsuffixed metrics get their direction from the campaign's
 ``axes:`` mapping).
 """
 
@@ -192,31 +196,45 @@ def run_episode_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
 def run_fig13_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
     from repro.analysis.experiments import fig13
 
-    _unknown(
-        params,
-        {"bandwidth_gbps", "padding", "parallelism", "quick"},
-        "fig13",
-    )
+    _unknown(params, {"bandwidth_gbps", "padding", "parallelism"}, "fig13")
     rows = fig13(
         bandwidths=[float(params["bandwidth_gbps"])],
         paddings=[int(params["padding"])],
         parallelism=int(params.get("parallelism", 6)),
-        quick=bool(params.get("quick", True)),
     )
     with_reconf = next(r for r in rows if r["reconfigure"])
     without = next(r for r in rows if not r["reconfigure"])
+    before_with = with_reconf["mean_before_first_reconf"]
     after_with = with_reconf["mean_after_first_reconf"]
     after_without = without["mean_after_first_reconf"]
+    # Deploying tables and migrating state must not dent throughput.
+    # The sampler sees the few-ms migration transient the paper's
+    # minutes-scale plot cannot, so the claim is "no sustained dip":
+    # past the first reconfiguration (0.5 s, ``_flickr_run``'s period)
+    # no sample at or below half the level before it, and no two
+    # consecutive samples below 90 % of it.
+    rates = [
+        s["throughput"] for s in with_reconf["samples"] if s["time"] > 0.5
+    ]
+    low = [rate < 0.9 * before_with for rate in rates]
+    violations: List[dict] = []
+    if min(rates) <= 0.5 * before_with or any(map(all, zip(low, low[1:]))):
+        _claim(
+            violations,
+            "fig13_no_sustained_dip",
+            f"throughput fell to {min(rates):,.0f} tuples/s or stayed "
+            f"low for two samples; {before_with:,.0f} before the "
+            f"reconfiguration",
+        )
     return CellOutcome(
         metrics={
             "after_with_reconf_per_s": after_with,
             "after_without_reconf_per_s": after_without,
-            "before_with_reconf_per_s": with_reconf[
-                "mean_before_first_reconf"
-            ],
+            "before_with_reconf_per_s": before_with,
             "reconf_gain": after_with / after_without if after_without else 0.0,
             "rounds_completed": float(with_reconf["rounds"]),
-        }
+        },
+        violations=violations,
     )
 
 
@@ -252,9 +270,10 @@ def _claim(violations: List[dict], invariant: str, detail: str) -> None:
 
 
 def run_fig10_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
-    """The flash-hashtag spread (bench_fig10): the same tag must peak
-    in multiple locations on multiple days — the reason
-    reconfiguration has to be online."""
+    """The flash-hashtag spread: the same tag must peak in multiple
+    locations on multiple days — the reason reconfiguration has to be
+    online — and each location's activity is a burst of a couple of
+    days, not spread evenly over the trace."""
     from repro.analysis.experiments import fig10
 
     _unknown(params, {"weeks", "quick"}, "fig10")
@@ -286,6 +305,16 @@ def run_fig10_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
             f"flash tag peaked on {len(peak_days)} day(s); "
             f"the paper's premise needs >= 2",
         )
+    for location, series in sorted(by_location.items()):
+        frequencies = [frequency for _, frequency in series]
+        mean = sum(frequencies) / len(frequencies)
+        if len(frequencies) > 3 and max(frequencies) < 2 * mean:
+            _claim(
+                violations,
+                "fig10_bursty_spikes",
+                f"{location}: peak {max(frequencies)} is under twice "
+                f"the daily mean {mean:.1f}",
+            )
     return CellOutcome(
         metrics={
             "locations": float(len(by_location)),
@@ -299,9 +328,11 @@ def run_fig10_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
 
 
 def run_fig11_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
-    """One routing mode of the weekly locality/balance sweep
-    (bench_fig11). Cross-mode claims (online beats hash, offline
-    decays) live in the baseline-tracked per-mode metrics."""
+    """One routing mode of the weekly locality/balance sweep, with the
+    claims that concern that mode alone: hash-based locality sits at
+    1/n and its balance is steady, offline tables decay, and freshly
+    planned tables start out balanced near the α bound. (The claims
+    that compare modes are ``tools/check_fig_shapes.py``'s.)"""
     from repro.analysis.experiments import fig11
 
     _unknown(
@@ -310,29 +341,69 @@ def run_fig11_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
         "fig11",
     )
     mode = str(params["mode"])
+    num_servers = int(params.get("num_servers", 6))
     kwargs: Dict[str, Any] = {"quick": bool(params.get("quick", True))}
-    for name in ("weeks", "num_servers", "sketch_capacity"):
+    for name in ("weeks", "sketch_capacity"):
         if name in params:
             kwargs[name] = int(params[name])
-    rows = [r for r in fig11(**kwargs) if r["mode"] == mode]
-    if not rows:
-        raise ValueError(f"fig11 runner: unknown mode {mode!r}")
+    rows = fig11(num_servers=num_servers, modes=[mode], **kwargs)
+    if len(rows) < 3:
+        raise ValueError(
+            f"fig11 runner: the claims compare week 1 with the last "
+            f"weeks and need weeks >= 3, got {len(rows)}"
+        )
     locality = [r["locality"] for r in rows]
     balance = [r["load_balance"] for r in rows]
+    mean_locality = sum(locality) / len(locality)
+    late_locality = sum(locality[-3:]) / len(locality[-3:])
+    mean_balance = sum(balance) / len(balance)
+    violations: List[dict] = []
+    if mode == "hash-based":
+        if abs(mean_locality - 1.0 / num_servers) > 0.05:
+            _claim(
+                violations,
+                "fig11_hash_locality_is_one_over_n",
+                f"mean locality {mean_locality:.3f} is not within 0.05 "
+                f"of 1/{num_servers}",
+            )
+        if mean_balance >= 1.45 or max(balance) - min(balance) >= 0.5:
+            _claim(
+                violations,
+                "fig11_hash_balance_steady",
+                f"load balance mean {mean_balance:.3f} (claim < 1.45), "
+                f"range {max(balance) - min(balance):.3f} (claim < 0.5)",
+            )
+    else:
+        # weeks 1-2 are the first ones routed by planned tables
+        if min(balance[1:3]) >= 1.35:
+            _claim(
+                violations,
+                "fig11_tables_start_balanced",
+                f"best load balance of weeks 1-2 is "
+                f"{min(balance[1:3]):.3f} (claim < 1.35)",
+            )
+    if mode == "offline" and late_locality >= locality[1] - 0.05:
+        _claim(
+            violations,
+            "fig11_offline_decays",
+            f"late locality {late_locality:.3f} has not dropped 0.05 "
+            f"below week 1's {locality[1]:.3f}",
+        )
     return CellOutcome(
         metrics={
-            "mean_locality": sum(locality) / len(locality),
-            "late_locality": sum(locality[-3:]) / len(locality[-3:]),
-            "mean_balance": sum(balance) / len(balance),
+            "mean_locality": mean_locality,
+            "late_locality": late_locality,
+            "mean_balance": mean_balance,
             "weeks": float(len(rows)),
-        }
+        },
+        violations=violations,
     )
 
 
 def run_fig12_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
     """One (edge budget, parallelism) point of locality-vs-collected-
-    edges (bench_fig12). ``budget: 0`` means unlimited (YAML axis
-    values must be scalars, so None is spelled 0)."""
+    edges. ``budget: 0`` means unlimited (YAML axis values must be
+    scalars, so None is spelled 0)."""
     from repro.analysis.experiments import fig12
 
     _unknown(params, {"budget", "parallelism", "quick"}, "fig12")
@@ -345,7 +416,7 @@ def run_fig12_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
     )
     violations: List[dict] = []
     if budget > 0 and budget <= 10:
-        # bench_fig12: a tiny budget cannot beat hash by much
+        # a tiny budget cannot beat hash by much
         ceiling = 1.0 / parallelism + 0.15
         if row["locality"] >= ceiling:
             _claim(
@@ -354,6 +425,15 @@ def run_fig12_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
                 f"budget {budget} reached locality "
                 f"{row['locality']:.3f} >= {ceiling:.3f}",
             )
+    if budget <= 0 and row["predicted"] <= row["locality"] + 0.05:
+        # Section 4.3: the partitioner scores its tables on the week it
+        # saw; the next week brings new keys, so it achieves less
+        _claim(
+            violations,
+            "fig12_predicted_exceeds_achieved",
+            f"predicted locality {row['predicted']:.3f} is not 0.05 "
+            f"above the {row['locality']:.3f} achieved next week",
+        )
     return CellOutcome(
         metrics={
             "locality": float(row["locality"]),

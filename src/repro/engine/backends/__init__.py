@@ -113,8 +113,7 @@ class BackendResult:
     tuples_emitted: int
     #: per-operator processed-tuple counts
     processed: Dict[str, int]
-    #: total processed across operators / wall seconds (the
-    #: bench_engine convention for engine throughput)
+    #: total processed across operators / wall seconds
     tuples_per_s: float
     locality: float
     stream_locality: Dict[str, float]

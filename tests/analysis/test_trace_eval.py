@@ -84,6 +84,19 @@ def test_plan_tables_max_edges_truncates():
     assert len(tables["S->A"]) == 10
 
 
+def test_tables_score_higher_on_the_week_they_were_planned_from():
+    from repro.workloads import TwitterConfig, TwitterWorkload
+
+    workload = TwitterWorkload(TwitterConfig(tweets_per_week=5000))
+    evaluator = TwoHopEvaluator(6)
+    week0 = list(workload.week_pairs(0))
+    tables, _ = evaluator.plan_tables(week0)
+    same_week = evaluator.evaluate(week0, tables).locality
+    next_week = evaluator.evaluate(list(workload.week_pairs(1)), tables)
+    assert same_week > next_week.locality  # new hashtags arrive each week
+    assert next_week.unseen_fraction > 0.0
+
+
 def test_weekly_series_modes():
     def week_pairs(week):
         # Stable, perfectly separable correlation.

@@ -93,8 +93,20 @@ def test_baseline_round_trip_and_diff(tmp_path):
     assert "locality" in diff["regressions"]["hybrid=off,seed=7"][0]
     assert diff["missing_cells"] == ["hybrid=on,seed=7"]
     assert diff["new_cells"] == ["hybrid=maybe,seed=7"]
+    assert diff["fingerprint_drift"] == {}  # no fingerprints passed in
     # without the axes map, the unsuffixed metric is informational
     assert diff_campaign(doc, current)["regressions"] == {}
+    # fingerprints are compared exactly, for cells the baseline records
+    same = {"hybrid=off,seed=7": "0x00c0ffee", "hybrid=maybe,seed=7": "0x1"}
+    assert diff_campaign(doc, current, cell_fingerprints=same)[
+        "fingerprint_drift"
+    ] == {}
+    drifted = diff_campaign(
+        doc, current, cell_fingerprints={"hybrid=off,seed=7": "0x0badf00d"}
+    )
+    assert drifted["fingerprint_drift"] == {
+        "hybrid=off,seed=7": ["0x00c0ffee", "0x0badf00d"]
+    }
 
 
 def test_load_baseline_rejects_wrong_schema(tmp_path):
@@ -120,6 +132,7 @@ def test_markdown_report_lists_cells_failures_and_diff():
         "regressions": {"hybrid=off,seed=7": ["x_per_s: 1 is 0.01x ..."]},
         "missing_cells": ["gone,seed=7"],
         "new_cells": ["fresh,seed=7"],
+        "fingerprint_drift": {"hybrid=off,seed=7": ["0xaa", "0xbb"]},
     }
     text = render_markdown(
         header, results, diff=diff, baseline_path="baselines/demo.json"
@@ -132,6 +145,7 @@ def test_markdown_report_lists_cells_failures_and_diff():
     assert "`0x00c0ffee`" in text
     assert "### Regressions" in text
     assert "gone,seed=7" in text and "fresh,seed=7" in text
+    assert "baseline `0xaa`, run `0xbb`" in text
 
 
 def test_markdown_without_baseline_points_at_record_flag():
@@ -149,11 +163,13 @@ def test_gate_failures_cover_cells_regressions_and_missing():
         "regressions": {"a,seed=7": ["x_per_s: down"]},
         "missing_cells": ["c,seed=7"],
         "new_cells": ["d,seed=7"],  # informational: must NOT gate
+        "fingerprint_drift": {"a,seed=7": ["0xaa", "0xbb"]},
     }
     messages = gate_failures(results, diff)
-    assert len(messages) == 3
+    assert len(messages) == 4
     assert any("b,seed=7: crash" in m for m in messages)
     assert any("regression in a,seed=7" in m for m in messages)
     assert any("baseline cell missing" in m for m in messages)
+    assert any("fingerprint of a,seed=7" in m for m in messages)
     assert not any("d,seed=7" in m for m in messages)
     assert gate_failures([_result("a,seed=7")], None) == []

@@ -6,7 +6,7 @@ from repro.engine import Cluster, CountBolt, Simulator, TopologyBuilder, deploy
 from repro.engine.executor import ControlMessage
 from repro.engine.grouping import TableFieldsGrouping
 from repro.engine.operators import IteratorSpout, PassThroughBolt
-from repro.engine.tuples import make_tuple
+from repro.engine.tuples import Padding, make_tuple
 from repro.errors import SimulationError
 
 
@@ -128,6 +128,28 @@ def test_release_unheld_key_is_noop():
     bolt = deployment.executor("A", 0)
     bolt.release_key("ghost")
     assert bolt.held_keys == set()
+
+
+def test_plan_emissions_computes_payload_size_once(monkeypatch):
+    """One emitted ``values`` costs exactly one ``payload_size`` walk,
+    however many destination copies the routers produce (hoisted in
+    ``BaseExecutor._plan_emissions``)."""
+    import repro.engine.executor as executor_mod
+
+    calls = []
+    real = executor_mod.payload_size
+
+    def counting(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(executor_mod, "payload_size", counting)
+    _, deployment = _deployment()
+    plan = deployment.executor("A", 0)._plan_emissions(
+        [(1, 1, Padding(64))], root_id=None
+    )
+    assert len(plan) == 1  # table-routed: one destination copy
+    assert len(calls) == 1
 
 
 def test_close_is_idempotent():

@@ -49,11 +49,8 @@ def test_series_of_filters_and_sorts():
     assert helpers.series_of(ROWS, {"policy": "nope"}, "exponent", "throughput") == []
 
 
-def test_save_table_and_telemetry_path(tmp_path, monkeypatch):
+def test_save_table(tmp_path, monkeypatch):
     monkeypatch.setattr(helpers, "RESULTS_DIR", str(tmp_path / "results"))
     helpers.save_table("smoke", "| a | b |")
     saved = tmp_path / "results" / "smoke.txt"
     assert saved.read_text() == "| a | b |\n"
-    path = helpers.telemetry_path("smoke")
-    assert path == str(tmp_path / "results" / "smoke.jsonl")
-    assert os.path.isdir(os.path.dirname(path))

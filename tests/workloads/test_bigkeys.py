@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.core import CompactRoutingTable, TableDelta
+from repro.core.table_delta import snapshot_wire_bytes
 from repro.engine import Cluster, Simulator, deploy
 from repro.errors import WorkloadError
 from repro.workloads import BigKeysConfig, BigKeysWorkload
@@ -50,6 +51,13 @@ def test_epochs_churn_a_fixed_key_count():
         delta = TableDelta.diff(old, new)
         assert not delta.is_snapshot
         assert delta.num_changes == workload.config.churn_keys
+    # ... on the wire too: ten times the keys cost a delta about the
+    # same bytes per round, and a full snapshot several times more
+    big = _small(num_keys=50_000)
+    big_old = big.make_table(0)
+    big_delta = TableDelta.diff(big_old, big.make_table(1))
+    assert big_delta.wire_bytes() < 2 * delta.wire_bytes()
+    assert snapshot_wire_bytes(big_old) > 5 * snapshot_wire_bytes(old)
 
 
 def test_keys_are_stable_and_fixed_width():

@@ -7,11 +7,14 @@ references and fails when any points at nothing:
 1. Markdown links ``[text](target)`` whose target is a relative path
    (external ``http(s)://`` links are not checked — CI is offline);
 2. backtick-quoted repo paths like ``src/repro/engine/metrics.py``,
-   ``examples/quickstart.py`` or ``benchmarks/bench_fig13.py``
-   (``results/*.txt`` are checked only when ``--require-results`` is
-   given, since results are regenerated artifacts);
+   ``examples/quickstart.py`` or ``perf/run.py`` (``results/...`` is
+   run output, never committed, and is not checked);
 3. section cross-references of the form ``DESIGN.md §N`` — the target
    file must contain a ``## N.`` heading.
+
+``CHANGES.md`` is history: each entry names files as they were at that
+PR, so it is checked for links and section references but not for
+path existence.
 
 Module references like ``repro.observability`` (optionally dotted
 down to a class or attribute, e.g. ``repro.core.TableDelta``) are
@@ -21,12 +24,11 @@ renamed class fails the gate, not just one naming a deleted file.
 Exit status 0 = clean, 1 = dead links (each printed as
 ``file:line: message``).
 
-Run:  python tools/check_doc_links.py  [--require-results]
+Run:  python tools/check_doc_links.py
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
 import re
@@ -43,10 +45,13 @@ DOC_FILES = [
     "docs/PROTOCOL.md",
 ]
 
+#: name files as of each entry's PR: paths are not checked for existence
+HISTORY_FILES = {"CHANGES.md"}
+
 MD_LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)[^)]*\)")
 #: backtick path: at least one slash, a known top dir, a file-ish tail
 CODE_PATH = re.compile(
-    r"`((?:src|examples|benchmarks|tests|tools|results|campaigns)/[\w./\-*]+)`"
+    r"`((?:src|examples|benchmarks|tests|tools|campaigns|perf)/[\w./\-*]+)`"
 )
 SECTION_REF = re.compile(r"(\w+\.md) §(\d+)")
 MODULE_REF = re.compile(r"`(repro(?:\.\w+)+)`")
@@ -92,11 +97,12 @@ def _section_exists(md_file: str, number: str) -> bool:
         )
 
 
-def check_file(rel: str, require_results: bool) -> list:
+def check_file(rel: str) -> list:
     problems = []
     # Markdown links are relative to the doc's own directory; backtick
     # repo paths and module refs are repo-root anchored everywhere.
     doc_dir = os.path.dirname(rel)
+    check_paths = rel not in HISTORY_FILES
     with open(os.path.join(REPO, rel)) as handle:
         for lineno, line in enumerate(handle, 1):
             for match in MD_LINK.finditer(line):
@@ -107,10 +113,8 @@ def check_file(rel: str, require_results: bool) -> list:
                     problems.append(
                         f"{rel}:{lineno}: dead link target {target!r}"
                     )
-            for match in CODE_PATH.finditer(line):
+            for match in CODE_PATH.finditer(line) if check_paths else ():
                 target = match.group(1)
-                if target.startswith("results/") and not require_results:
-                    continue
                 if "*" in target or "NN" in target:
                     # glob mention or figNN-style placeholder
                     continue
@@ -136,19 +140,11 @@ def check_file(rel: str, require_results: bool) -> list:
     return problems
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--require-results",
-        action="store_true",
-        help="also require referenced results/*.txt files to exist",
-    )
-    args = parser.parse_args(argv)
-
+def main() -> int:
     problems = []
     for rel in DOC_FILES:
         if _exists(rel):
-            problems.extend(check_file(rel, args.require_results))
+            problems.extend(check_file(rel))
     for problem in problems:
         print(problem)
     if problems:

@@ -5,15 +5,20 @@ Runs the Flickr-like application (count tags, then countries; 4 kB
 tuples on a 1 Gb/s network) twice — with periodic reconfiguration and
 without — and prints the two throughput time series side by side. The
 jump right after the first reconfiguration, with no dip during state
-migration, is the paper's Section 4.4 result.
+migration, is the paper's Section 4.4 result. Both runs are one cell
+of `campaigns/fig13-locality.yaml`, through the same point function.
+
+The reconfiguring run also exports its telemetry (reconfiguration
+spans, periodic snapshots, metric dump); render it with
+
+    python -m repro.analysis.report results/telemetry.jsonl
 
 Run:  python examples/flickr_tags.py
 """
 
-from repro.core import Manager, ManagerConfig
-from repro.engine import Cluster, Simulator, deploy
-from repro.engine.metrics import ThroughputSampler
-from repro.workloads import FlickrConfig, FlickrWorkload
+import os
+
+from repro.analysis.experiments import flickr_run
 
 SERVERS = 6
 PADDING = 4000
@@ -21,54 +26,51 @@ BANDWIDTH_GBPS = 1.0
 DURATION_S = 1.8
 PERIOD_S = 0.6  # time-compressed: the paper uses 30 min / 10 min
 SAMPLE_S = 0.1
+TELEMETRY = os.path.join("results", "telemetry.jsonl")
 
 
 def one_run(reconfigure: bool):
-    workload = FlickrWorkload(FlickrConfig(seed=3))
-    sim = Simulator()
-    cluster = Cluster(sim, SERVERS, bandwidth_gbps=BANDWIDTH_GBPS)
-    deployment = deploy(
-        sim, cluster, workload.topology(SERVERS, padding=PADDING)
+    return flickr_run(
+        SERVERS,
+        PADDING,
+        BANDWIDTH_GBPS,
+        reconfigure,
+        duration_s=DURATION_S,
+        period_s=PERIOD_S,
+        sample_interval_s=SAMPLE_S,
+        telemetry_path=TELEMETRY if reconfigure else None,
     )
-    manager = None
-    if reconfigure:
-        manager = Manager(
-            deployment,
-            ManagerConfig(period_s=PERIOD_S, sketch_capacity=50000),
-        )
-        manager.start()
-    sampler = ThroughputSampler(sim, deployment.metrics, "B", SAMPLE_S)
-    sampler.start()
-    deployment.start()
-    sim.run(until=DURATION_S)
-    rounds = len(manager.completed_rounds) if manager else 0
-    return sampler.samples, rounds
 
 
 def main():
-    with_reconf, rounds = one_run(reconfigure=True)
-    without_reconf, _ = one_run(reconfigure=False)
+    os.makedirs(os.path.dirname(TELEMETRY), exist_ok=True)
+    with_reconf = one_run(reconfigure=True)
+    without_reconf = one_run(reconfigure=False)
 
     print(
         f"{SERVERS} servers, {PADDING} B tuples, {BANDWIDTH_GBPS} Gb/s, "
-        f"reconfiguration every {PERIOD_S}s ({rounds} rounds)\n"
+        f"reconfiguration every {PERIOD_S}s "
+        f"({with_reconf['rounds']} rounds)\n"
     )
     print(f"{'time':>6}  {'w/ reconf':>12}  {'w/o reconf':>12}")
-    for (t, with_rate), (_, without_rate) in zip(
-        with_reconf, without_reconf
+    for with_sample, without_sample in zip(
+        with_reconf["samples"], without_reconf["samples"]
     ):
+        t = with_sample["time"]
         marker = "  <- reconfiguration" if abs(
             t % PERIOD_S
         ) < SAMPLE_S and t > SAMPLE_S else ""
         print(
-            f"{t:5.1f}s  {with_rate / 1e3:9.1f} K/s  "
-            f"{without_rate / 1e3:9.1f} K/s{marker}"
+            f"{t:5.1f}s  {with_sample['throughput'] / 1e3:9.1f} K/s  "
+            f"{without_sample['throughput'] / 1e3:9.1f} K/s{marker}"
         )
 
-    after = [r for t, r in with_reconf if t > PERIOD_S + 0.1]
-    base = [r for t, r in without_reconf if t > PERIOD_S + 0.1]
-    gain = sum(after) / len(after) / (sum(base) / len(base))
+    gain = (
+        with_reconf["mean_after_first_reconf"]
+        / without_reconf["mean_after_first_reconf"]
+    )
     print(f"\nsteady-state throughput gain: x{gain:.2f}")
+    print(f"telemetry of the reconfiguring run: {TELEMETRY}")
 
 
 if __name__ == "__main__":

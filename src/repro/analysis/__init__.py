@@ -1,10 +1,11 @@
-"""Experiment drivers and evaluation harnesses.
+"""Experiment point functions and evaluation harnesses.
 
 - :mod:`~repro.analysis.trace_eval` — trace-driven evaluation of
   routing policies (locality / load balance without the engine), used
   by the Fig. 10–12 experiments.
-- :mod:`~repro.analysis.experiments` — one driver per paper figure;
-  also runnable as ``python -m repro.analysis.experiments <figure>``.
+- :mod:`~repro.analysis.experiments` — one point function per
+  experiment: what one cell of its campaign grid computes
+  (``python -m repro.campaign run campaigns/<name>.yaml`` runs it).
 - :mod:`~repro.analysis.telemetry` — loader for the JSONL telemetry
   the observability layer exports (spans, snapshots, metric dumps).
 - :mod:`~repro.analysis.report` — plain-text table formatting, plus

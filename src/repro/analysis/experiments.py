@@ -1,13 +1,14 @@
-"""One driver per figure of the paper's evaluation (Section 4).
+"""What one cell of each evaluation experiment computes (Section 4).
 
-Each ``figNN`` function regenerates the corresponding figure's data
-and returns it as a list of dict rows. The paper's qualitative claims
-are asserted by the one caller that sweeps each figure's grid: the
-campaign runners (``repro.campaign.runners``) for Figures 10-13 and
-the skew experiment, the pytest files under ``benchmarks/`` for
-Figures 7-9, 14 and the ablations. Run standalone with::
-
-    python -m repro.analysis.experiments fig7 [--quick]
+An experiment is three things: a campaign file (``campaigns/*.yaml``)
+holding its grid at the paper's size, one *point function* here that
+computes one cell of it, and its claims — about one cell in
+``repro.campaign.runners``, comparing cells in
+``tools/check_fig_shapes.py``. Nothing here loops over a grid or picks
+a size: the trace experiments take the workload object, so a runner
+hands in the paper-size trace and a test a small one. Run a figure
+with ``python -m repro.campaign run campaigns/<figure>.yaml`` and one
+cell of it with ``--cell ID``.
 
 Time axis note: the engine simulates tuple-level behaviour, so the
 Fig. 13/14 experiments compress the paper's 30-minute runs with
@@ -18,17 +19,36 @@ comparable; only the wall-clock axis is compressed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import random
+import statistics
+from typing import Dict, List, Optional
 
-from repro.analysis.trace_eval import MODES, TwoHopEvaluator, weekly_series
+from repro.analysis.trace_eval import TwoHopEvaluator
 from repro.core import Manager, ManagerConfig
+from repro.core.assignment import compute_assignment, plan_reconfiguration
 from repro.core.compact_table import (
     CompactRoutingTable,
     plain_table_memory_bytes,
 )
+from repro.core.estimator import EstimatorConfig, ReconfigurationEstimator
+from repro.core.hierarchical import (
+    assignment_quality,
+    compute_hierarchical_assignment,
+)
+from repro.core.offline import keygraph_from_pairs
 from repro.core.table_delta import TableDelta, snapshot_wire_bytes
-from repro.engine import Cluster, RunConfig, Simulator, deploy
+from repro.engine import (
+    Cluster,
+    CountBolt,
+    FieldsGrouping,
+    PartialKeyGrouping,
+    RunConfig,
+    Simulator,
+    TopologyBuilder,
+    deploy,
+)
 from repro.engine.metrics import ThroughputSampler
+from repro.engine.operators import IteratorSpout
 from repro.engine.runner import run
 from repro.workloads import (
     BigKeysConfig,
@@ -39,11 +59,9 @@ from repro.workloads import (
     SkewWorkload,
     SyntheticConfig,
     SyntheticWorkload,
-    TwitterConfig,
     TwitterWorkload,
+    ZipfSampler,
 )
-from repro.workloads.skew import SKEW_POLICIES
-from repro.workloads.synthetic import POLICIES
 
 #: Short simulated measurement window: transients settle within a few
 #: thousand tuples (max_pending bounded), so this is plenty.
@@ -52,11 +70,11 @@ DEFAULT_WARMUP_S = 0.10
 
 
 # ----------------------------------------------------------------------
-# Synthetic-workload throughput experiments (Figures 7, 8, 9)
+# Synthetic-workload throughput (Figures 7, 8, 9)
 # ----------------------------------------------------------------------
 
 
-def _synthetic_run(
+def synthetic_run(
     parallelism: int,
     locality: float,
     padding: int,
@@ -84,82 +102,9 @@ def _synthetic_run(
         ),
     )
     return {
-        "policy": policy,
-        "parallelism": parallelism,
-        "locality": locality,
-        "padding": padding,
         "throughput": result.throughput,
         "measured_locality": result.locality,
     }
-
-
-def fig7(
-    parallelisms: Optional[Sequence[int]] = None,
-    localities: Sequence[float] = (0.6, 1.0),
-    paddings: Optional[Sequence[int]] = None,
-    policies: Sequence[str] = POLICIES,
-    quick: bool = False,
-) -> List[Dict]:
-    """Throughput vs parallelism for each (locality, padding) panel."""
-    if parallelisms is None:
-        parallelisms = (1, 2, 4, 6) if quick else (1, 2, 3, 4, 5, 6)
-    if paddings is None:
-        paddings = (0, 20000) if quick else (0, 8000, 20000)
-    rows = []
-    for locality in localities:
-        for padding in paddings:
-            for policy in policies:
-                for parallelism in parallelisms:
-                    rows.append(
-                        _synthetic_run(parallelism, locality, padding, policy)
-                    )
-    return rows
-
-
-def fig8(
-    localities: Optional[Sequence[float]] = None,
-    parallelisms: Optional[Sequence[int]] = None,
-    padding: int = 12000,
-    policies: Sequence[str] = POLICIES,
-    quick: bool = False,
-) -> List[Dict]:
-    """Throughput vs locality at 12 kB padding."""
-    if localities is None:
-        localities = (0.6, 0.8, 1.0) if quick else (0.6, 0.7, 0.8, 0.9, 1.0)
-    if parallelisms is None:
-        parallelisms = (2, 6) if quick else (2, 4, 6)
-    rows = []
-    for parallelism in parallelisms:
-        for policy in policies:
-            for locality in localities:
-                rows.append(
-                    _synthetic_run(parallelism, locality, padding, policy)
-                )
-    return rows
-
-
-def fig9(
-    paddings: Optional[Sequence[int]] = None,
-    parallelisms: Optional[Sequence[int]] = None,
-    locality: float = 0.8,
-    policies: Sequence[str] = POLICIES,
-    quick: bool = False,
-) -> List[Dict]:
-    """Throughput vs tuple size at 80% locality."""
-    if paddings is None:
-        paddings = (0, 2000, 5000) if quick else (
-            0, 1000, 2000, 3000, 4000, 5000,
-        )
-    if parallelisms is None:
-        parallelisms = (2, 6) if quick else (2, 4, 6)
-    rows = []
-    for parallelism in parallelisms:
-        for policy in policies:
-            for padding in paddings:
-                rows.append(
-                    _synthetic_run(parallelism, locality, padding, policy)
-                )
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +113,7 @@ def fig9(
 # ----------------------------------------------------------------------
 
 
-def _skew_run(
+def skew_run(
     parallelism: int,
     exponent: float,
     flash_share: float,
@@ -196,62 +141,20 @@ def _skew_run(
         ),
     )
     return {
-        "policy": policy,
-        "parallelism": parallelism,
-        "exponent": exponent,
-        "flash_share": flash_share,
         "throughput": result.throughput,
         "locality": result.locality,
         "load_balance": result.load_balance["A"],
     }
 
 
-def skew(
-    exponents: Optional[Sequence[float]] = None,
-    flash_shares: Optional[Sequence[float]] = None,
-    parallelism: int = 4,
-    policies: Sequence[str] = SKEW_POLICIES,
-    quick: bool = False,
-) -> List[Dict]:
-    """Locality, load balance (max/mean) and throughput for the three
-    routing policies under increasing Zipf skew and a flash-crowd hot
-    key. The acceptance row is exponent 1.5 with a flash share: hybrid
-    must beat pure tables on load balance and pure hash on locality."""
-    if exponents is None:
-        exponents = (1.0, 1.5) if quick else (0.8, 1.0, 1.2, 1.5)
-    if flash_shares is None:
-        flash_shares = (0.3,) if quick else (0.0, 0.15, 0.3)
-    rows = []
-    for flash_share in flash_shares:
-        for exponent in exponents:
-            for policy in policies:
-                rows.append(
-                    _skew_run(parallelism, exponent, flash_share, policy)
-                )
-    return rows
-
-
 # ----------------------------------------------------------------------
-# Twitter trace experiments (Figures 10, 11, 12)
+# Twitter trace (Figures 10 and 12; Figure 11's point function is one
+# mode of ``repro.analysis.trace_eval.weekly_series``)
 # ----------------------------------------------------------------------
 
 
-def _twitter(quick: bool) -> TwitterWorkload:
-    if quick:
-        return TwitterWorkload(
-            TwitterConfig(
-                tweets_per_week=10000,
-                num_locations=200,
-                base_hashtags=1500,
-                new_hashtags_per_week=150,
-            )
-        )
-    return TwitterWorkload(TwitterConfig(tweets_per_week=30000))
-
-
-def fig10(weeks: int = 8, quick: bool = False) -> List[Dict]:
+def flash_tag_series(workload: TwitterWorkload, weeks: int) -> List[Dict]:
     """Daily frequency of the recurring flash hashtag per location."""
-    workload = _twitter(quick)
     tag = workload.config.flash_tag
     series = workload.daily_frequency(tag, weeks)
     # The three locations where the tag peaks the most, like the
@@ -259,95 +162,36 @@ def fig10(weeks: int = 8, quick: bool = False) -> List[Dict]:
     top = sorted(
         series.items(), key=lambda kv: max(kv[1].values()), reverse=True
     )[:3]
-    rows = []
-    for location, days in top:
-        for day in sorted(days):
-            rows.append(
-                {
-                    "tag": tag,
-                    "location": location,
-                    "day": day,
-                    "frequency": days[day],
-                }
-            )
-    return rows
+    return [
+        {"tag": tag, "location": location, "day": day, "frequency": days[day]}
+        for location, days in top
+        for day in sorted(days)
+    ]
 
 
-def fig11(
-    weeks: Optional[int] = None,
-    num_servers: int = 6,
-    sketch_capacity: Optional[int] = 100_000,
-    modes: Sequence[str] = MODES,
-    quick: bool = False,
-) -> List[Dict]:
-    """Locality and load balance over time: online vs offline vs hash."""
-    if weeks is None:
-        weeks = 8 if quick else 25
-    workload = _twitter(quick)
-    rows = []
-    for mode in modes:
-        results = weekly_series(
-            workload.week_pairs,
-            weeks,
-            num_servers,
-            mode,
-            sketch_capacity=sketch_capacity,
-        )
-        for week, result in enumerate(results):
-            rows.append(
-                {
-                    "mode": mode,
-                    "week": week,
-                    "locality": result.locality,
-                    "load_balance": result.load_balance,
-                    "unseen_fraction": result.unseen_fraction,
-                }
-            )
-    return rows
-
-
-def fig12(
-    edge_budgets: Optional[Sequence[Optional[int]]] = None,
-    parallelisms: Optional[Sequence[int]] = None,
-    quick: bool = False,
-) -> List[Dict]:
-    """Locality achieved vs number of collected edges (pairs)."""
-    if edge_budgets is None:
-        edge_budgets = (10, 1000, None) if quick else (
-            10, 100, 1000, 10_000, 100_000, None,
-        )
-    if parallelisms is None:
-        parallelisms = (2, 6) if quick else (2, 3, 4, 5, 6)
-    workload = _twitter(quick)
+def edge_budget_point(
+    workload: TwitterWorkload, budget: Optional[int], parallelism: int
+) -> Dict:
+    """Locality achieved on week 1 by tables planned from the
+    ``budget`` heaviest week-0 pairs (None: all of them)."""
     train = list(workload.week_pairs(0))
-    test = list(workload.week_pairs(1))
     total_edges = len(set(train))
-    rows = []
-    for parallelism in parallelisms:
-        evaluator = TwoHopEvaluator(parallelism)
-        for budget in edge_budgets:
-            tables, predicted = evaluator.plan_tables(
-                train, max_edges=budget
-            )
-            result = evaluator.evaluate(test, tables)
-            rows.append(
-                {
-                    "parallelism": parallelism,
-                    "edges": budget if budget is not None else total_edges,
-                    "budget": "all" if budget is None else budget,
-                    "locality": result.locality,
-                    "predicted": predicted,
-                }
-            )
-    return rows
+    evaluator = TwoHopEvaluator(parallelism)
+    tables, predicted = evaluator.plan_tables(train, max_edges=budget)
+    result = evaluator.evaluate(workload.week_pairs(1), tables)
+    return {
+        "edges": total_edges if budget is None else min(budget, total_edges),
+        "locality": result.locality,
+        "predicted": predicted,
+    }
 
 
 # ----------------------------------------------------------------------
-# Flickr reconfiguration experiments (Figures 13, 14)
+# Flickr reconfiguration (Figures 13, 14)
 # ----------------------------------------------------------------------
 
 
-def _flickr_run(
+def flickr_run(
     parallelism: int,
     padding: int,
     bandwidth_gbps: float,
@@ -408,83 +252,12 @@ def _flickr_run(
     settle = period_s + 0.15
     after = [s["throughput"] for s in samples if s["time"] > settle]
     return {
-        "parallelism": parallelism,
-        "padding": padding,
-        "bandwidth_gbps": bandwidth_gbps,
-        "reconfigure": reconfigure,
+        "period_s": period_s,
         "samples": samples,
         "mean_before_first_reconf": sum(before) / max(len(before), 1),
         "mean_after_first_reconf": sum(after) / max(len(after), 1),
         "rounds": len(manager.completed_rounds) if manager else 0,
     }
-
-
-def fig13(
-    bandwidths: Optional[Sequence[float]] = None,
-    paddings: Optional[Sequence[int]] = None,
-    parallelism: int = 6,
-    quick: bool = False,
-    telemetry_path: Optional[str] = None,
-) -> List[Dict]:
-    """Throughput over time, with vs without reconfiguration.
-
-    ``telemetry_path`` exports the full telemetry of the *first*
-    reconfiguring run (spans, snapshots, metrics) as JSONL for
-    ``python -m repro.analysis.report``.
-    """
-    if bandwidths is None:
-        bandwidths = (1.0,) if quick else (10.0, 1.0)
-    if paddings is None:
-        paddings = (4000,) if quick else (4000, 8000, 12000)
-    rows = []
-    traced = False
-    for bandwidth in bandwidths:
-        for padding in paddings:
-            for reconfigure in (True, False):
-                trace_here = reconfigure and not traced
-                rows.append(
-                    _flickr_run(
-                        parallelism,
-                        padding,
-                        bandwidth,
-                        reconfigure,
-                        telemetry_path=(
-                            telemetry_path if trace_here else None
-                        ),
-                    )
-                )
-                traced = traced or trace_here
-    return rows
-
-
-def fig14(
-    parallelisms: Optional[Sequence[int]] = None,
-    padding: int = 4000,
-    bandwidth_gbps: float = 1.0,
-    quick: bool = False,
-) -> List[Dict]:
-    """Average throughput vs parallelism, 4 kB tuples on 1 Gb/s.
-
-    With reconfiguration, the average is measured after the first
-    reconfiguration, as in the paper.
-    """
-    if parallelisms is None:
-        parallelisms = (2, 6) if quick else (2, 3, 4, 5, 6)
-    rows = []
-    for parallelism in parallelisms:
-        for reconfigure in (True, False):
-            result = _flickr_run(
-                parallelism, padding, bandwidth_gbps, reconfigure,
-                duration_s=2.0,
-            )
-            rows.append(
-                {
-                    "parallelism": parallelism,
-                    "reconfigure": reconfigure,
-                    "throughput": result["mean_after_first_reconf"],
-                }
-            )
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -493,116 +266,173 @@ def fig14(
 # ----------------------------------------------------------------------
 
 
-def scale(
-    key_counts: Optional[Sequence[int]] = None, quick: bool = False
-) -> List[Dict]:
+def scale_point(num_keys: int) -> Dict:
     """Routing-table bytes/key (plain vs compact), PROPAGATE bytes per
     round (full snapshot vs delta) and the measured false-route rate of
-    the compact table, per key population.
+    the compact table, for one key population.
 
     Every column comes from the DESIGN.md §13 byte model or from exact
-    lookups, so the rows are the same on any machine. The delta column
-    is flat because a round moves a fixed number of keys
-    (``BigKeysConfig.churn_keys``) whatever the table size, while a
-    snapshot grows with it.
+    lookups, so the row is the same on any machine. Across key counts
+    the delta column is flat because a round moves a fixed number of
+    keys (``BigKeysConfig.churn_keys``) whatever the table size, while
+    a snapshot grows with it.
     """
-    if key_counts is None:
-        key_counts = (
-            (10_000, 100_000) if quick else (10_000, 100_000, 1_000_000)
-        )
-    rows = []
-    for num_keys in key_counts:
-        workload = BigKeysWorkload(BigKeysConfig(num_keys=num_keys))
-        old = workload.make_table(0)
-        new = workload.make_table(1)
-        size = len(old)
-        compact = CompactRoutingTable.from_table(old)
-        delta_bytes = TableDelta.diff(old, new).wire_bytes()
-        snapshot_bytes = snapshot_wire_bytes(old)
-        # Keys outside the table must fall back to hashing; a lookup
-        # that answers for one is a false route.
-        absent = [
-            workload.key(index)
-            for index in range(size, min(num_keys, size + 50_000))
-        ]
-        false_routes = sum(
-            1 for key in absent if compact.lookup(key) is not None
-        )
-        rows.append(
-            {
-                "keys": num_keys,
-                "table_keys": size,
-                "plain_bytes_per_key": plain_table_memory_bytes(old) / size,
-                "compact_bytes_per_key": compact.memory_bytes() / size,
-                "snapshot_bytes_per_round": snapshot_bytes,
-                "delta_bytes_per_round": delta_bytes,
-                "saved_frac": 1.0 - delta_bytes / snapshot_bytes,
-                "false_route_rate": (
-                    false_routes / len(absent) if absent else 0.0
-                ),
-            }
-        )
-    return rows
+    workload = BigKeysWorkload(BigKeysConfig(num_keys=num_keys))
+    old = workload.make_table(0)
+    new = workload.make_table(1)
+    size = len(old)
+    compact = CompactRoutingTable.from_table(old)
+    delta_bytes = TableDelta.diff(old, new).wire_bytes()
+    snapshot_bytes = snapshot_wire_bytes(old)
+    # Keys outside the table must fall back to hashing; a lookup that
+    # answers for one is a false route.
+    absent = [
+        workload.key(index)
+        for index in range(size, min(num_keys, size + 50_000))
+    ]
+    false_routes = sum(
+        1 for key in absent if compact.lookup(key) is not None
+    )
+    return {
+        "table_keys": size,
+        "plain_bytes_per_key": plain_table_memory_bytes(old) / size,
+        "compact_bytes_per_key": compact.memory_bytes() / size,
+        "snapshot_bytes_per_round": snapshot_bytes,
+        "delta_bytes_per_round": delta_bytes,
+        "saved_frac": 1.0 - delta_bytes / snapshot_bytes,
+        "false_route_rate": false_routes / len(absent) if absent else 0.0,
+    }
 
 
 # ----------------------------------------------------------------------
-# CLI
+# Ablations beyond the paper's figures: each study is one cell that
+# returns the numbers of the variants it compares
 # ----------------------------------------------------------------------
 
-FIGURES = {
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig12": fig12,
-    "fig13": fig13,
-    "fig14": fig14,
-    "skew": skew,
-    "scale": scale,
+ABLATION_SERVERS = 4
+
+
+def ablation_collector(workload: TwitterWorkload) -> Dict[str, float]:
+    """Statistics collector: next-week locality of tables planned from
+    SpaceSaving sketches of three budgets vs exact counting."""
+    evaluator = TwoHopEvaluator(ABLATION_SERVERS)
+    train = list(workload.week_pairs(0))
+    test = list(workload.week_pairs(1))
+    metrics = {}
+    for capacity in (64, 512, 4096, None):
+        tables, _ = evaluator.plan_tables(train, sketch_capacity=capacity)
+        name = "exact" if capacity is None else f"spacesaving_{capacity}"
+        metrics[f"locality_{name}"] = evaluator.evaluate(test, tables).locality
+    return metrics
+
+
+def ablation_period(
+    workload: TwitterWorkload, weeks: int = 10
+) -> Dict[str, float]:
+    """Reconfiguration period: how locality decays when reconfiguring
+    less often (the trade-off Section 4.3 discusses)."""
+    evaluator = TwoHopEvaluator(ABLATION_SERVERS)
+    trace = [list(workload.week_pairs(week)) for week in range(weeks)]
+    metrics = {}
+    for period in (1, 2, 4):
+        tables = None
+        series = []
+        for week, pairs in enumerate(trace):
+            series.append(evaluator.evaluate(pairs, tables).locality)
+            if week % period == 0:
+                tables, _ = evaluator.plan_tables(pairs)
+        metrics[f"mean_locality_period_{period}"] = statistics.mean(series[1:])
+    return metrics
+
+
+def ablation_estimator(
+    workload: TwitterWorkload, weeks: int = 6
+) -> Dict[str, float]:
+    """Benefit estimator (future work): with a short amortization
+    horizon most weekly replans are not worth their migration cost;
+    with a long one they all are."""
+    evaluator = TwoHopEvaluator(ABLATION_SERVERS)
+    streams = [evaluator.first_hop, evaluator.second_hop]
+    graphs = [
+        keygraph_from_pairs(list(workload.week_pairs(week)), "S->A", "A->B")
+        for week in range(weeks)
+    ]
+    metrics = {"rounds": float(weeks)}
+    for horizon in (50_000_000, 100):
+        estimator = ReconfigurationEstimator(
+            EstimatorConfig(horizon_tuples=horizon)
+        )
+        tables: Dict = {}
+        deployed = 0
+        for week, graph in enumerate(graphs):
+            plan = plan_reconfiguration(
+                graph, streams, ABLATION_SERVERS, tables, seed=week
+            )
+            if estimator.should_deploy(graph, plan, tables, streams):
+                tables = {**tables, **plan.tables}
+                deployed += 1
+        metrics[f"deployed_rounds_horizon_{horizon}"] = float(deployed)
+    return metrics
+
+
+def ablation_pkg() -> Dict[str, float]:
+    """Partial key grouping baseline (Nasir et al.): balances a skewed
+    stream better than hash fields grouping — at the price of splitting
+    keys, so no locality tables are possible."""
+
+    def source(ctx):
+        sampler = ZipfSampler(100, exponent=1.2, seed=9)
+        rng = random.Random(ctx.instance_index)
+        while True:
+            yield (f"k{sampler.sample(rng)}",)
+
+    config = RunConfig(duration_s=0.15, warmup_s=0.05, num_servers=4)
+    metrics = {}
+    for name, grouping in (
+        ("hash_fields", FieldsGrouping(0)),
+        ("partial_key", PartialKeyGrouping(0)),
+    ):
+        builder = TopologyBuilder()
+        builder.spout("S", lambda: IteratorSpout(source), parallelism=4)
+        builder.bolt(
+            "B",
+            lambda: CountBolt(0, forward=False),
+            parallelism=4,
+            inputs={"S": grouping},
+        )
+        result = run(builder.build(), config)
+        metrics[f"load_balance_{name}"] = result.load_balance["B"]
+    return metrics
+
+
+def ablation_hierarchical(workload: TwitterWorkload) -> Dict[str, float]:
+    """Rack-aware hierarchical partitioning (future work): on a 2-rack
+    cluster, two-level partitioning pays no more weighted network cost
+    than flat partitioning once rack crossings are priced higher than
+    in-rack hops."""
+    graph = keygraph_from_pairs(list(workload.week_pairs(0)), "S->A", "A->B")
+    racks = [[0, 1], [2, 3]]
+    metrics = {}
+    for scheme, assignment in (
+        ("flat", compute_assignment(graph, ABLATION_SERVERS, seed=2)),
+        (
+            "hierarchical",
+            compute_hierarchical_assignment(graph, racks, seed=2),
+        ),
+    ):
+        quality = assignment_quality(graph, assignment, racks)
+        metrics[f"{scheme}_same_server"] = quality.same_server
+        metrics[f"{scheme}_same_rack"] = quality.same_rack
+        metrics[f"{scheme}_cross_rack"] = quality.cross_rack
+        metrics[f"{scheme}_weighted_cost"] = quality.weighted_cost()
+    return metrics
+
+
+#: ablation study -> its point function (``pkg`` alone takes no trace)
+ABLATIONS = {
+    "collector": ablation_collector,
+    "period": ablation_period,
+    "estimator": ablation_estimator,
+    "pkg": ablation_pkg,
+    "hierarchical": ablation_hierarchical,
 }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-    import os
-
-    from repro.analysis.report import format_table
-
-    parser = argparse.ArgumentParser(
-        description="Regenerate one of the paper's figures."
-    )
-    parser.add_argument("figure", choices=sorted(FIGURES) + ["all"])
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--out-dir", default="results")
-    parser.add_argument(
-        "--telemetry",
-        metavar="PATH",
-        default=None,
-        help="(fig13 only) export the first reconfiguring run's "
-        "telemetry as JSONL; render it with "
-        "'python -m repro.analysis.report PATH'",
-    )
-    args = parser.parse_args(argv)
-
-    figures = sorted(FIGURES) if args.figure == "all" else [args.figure]
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name in figures:
-        kwargs = {"quick": args.quick}
-        if name == "fig13" and args.telemetry:
-            kwargs["telemetry_path"] = args.telemetry
-        rows = FIGURES[name](**kwargs)
-        if name == "fig13":
-            for row in rows:
-                row.pop("samples", None)
-        table = format_table(rows, title=f"{name} ({'quick' if args.quick else 'full'})")
-        print(table)
-        print()
-        path = os.path.join(args.out_dir, f"{name}.txt")
-        with open(path, "w") as handle:
-            handle.write(table + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,9 +20,10 @@ Module map:
   :class:`CellSpec` with stable, human-readable cell ids;
 - :mod:`repro.campaign.runners` — what one cell *does*: the
   ``episode`` runner (fuzz-grade invariants + simulator fingerprint),
-  the ``fig10``-``fig13`` and ``skew`` runners that sweep the figure
-  drivers and assert the paper's per-cell claims, and the ``backend``
-  equivalence runner;
+  the experiment runners (``synthetic``, ``fig10``-``fig13``,
+  ``skew``, ``scale``, ``ablation``) that compute one cell of an
+  experiment's grid and assert the claims about it, and the
+  ``backend`` equivalence runner;
 - :mod:`repro.campaign.worker` — the subprocess entry point
   (``python -m repro.campaign.worker``) that runs exactly one cell;
 - :mod:`repro.campaign.executor` — the parallel pool: spawns one

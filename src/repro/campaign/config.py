@@ -40,11 +40,14 @@ from typing import Any, Dict, List, Optional
 #: runner names accepted by ``runner:`` (see repro.campaign.runners)
 RUNNER_NAMES = (
     "episode",
+    "synthetic",
     "fig10",
     "fig11",
     "fig12",
     "fig13",
     "skew",
+    "scale",
+    "ablation",
     "backend",
 )
 

@@ -14,14 +14,27 @@ The registered runners:
     so the same cell id always runs the identical episode and must
     reproduce the identical fingerprint.
 
-``fig13``
-    One (bandwidth, padding) point of the Figure 13 locality sweep,
-    with and without reconfiguration; a sustained throughput dip after
-    a reconfiguration is a cell violation.
+``synthetic``
+    One (parallelism, locality, padding) point of the synthetic
+    workload under all three routing policies — a cell of Figure 7, 8
+    or 9, whichever grid the campaign file spans.
 
-``skew``
-    One (exponent, flash_share, policy) point of the skew experiment
-    (``repro.analysis.experiments.skew``).
+``fig10`` / ``fig11`` / ``fig12``
+    The Twitter-trace figures: the flash-hashtag location/day spread
+    (fig10), one routing mode of the weekly locality/balance sweep
+    (fig11), and one (budget, parallelism) point of
+    locality-vs-collected-edges (fig12).
+
+``fig13``
+    One (bandwidth, padding, parallelism) point of the Flickr
+    experiment, with and without reconfiguration — a cell of Figure 13
+    or 14; a sustained throughput dip after a reconfiguration is a
+    cell violation.
+
+``skew`` / ``scale`` / ``ablation``
+    Beyond the paper: one (exponent, flash_share, policy) point of the
+    skew experiment, one key count of the table-size sweep, one
+    ablation study (every variant it compares, in one cell).
 
 ``backend``
     Cross-backend equivalence (DESIGN.md §15/§16): run one scenario
@@ -36,15 +49,11 @@ The registered runners:
     reference`` / ``backend: vectorized`` run one side only (for
     timing axes).
 
-``fig10`` / ``fig11`` / ``fig12``
-    The trace-sweep grids: the flash-hashtag location/day spread
-    (fig10), one routing mode of the weekly locality/balance sweep
-    (fig11), and one (budget, parallelism) point of
-    locality-vs-collected-edges (fig12).
-
-The figure runners are where the paper's per-cell claims are asserted:
-a broken claim is a cell violation (:func:`_claim`), the figure
-metrics are baseline-tracked. Claims that compare cells with each
+An experiment runner calls one point function of
+``repro.analysis.experiments`` on the cell's axis values (the grid is
+the campaign file's and nobody else's) and asserts the claims about
+that one cell: a broken claim is a cell violation (:func:`_claim`),
+the metrics are baseline-tracked. Claims that compare cells with each
 other are checked on the campaign report by
 ``tools/check_fig_shapes.py``.
 
@@ -193,28 +202,75 @@ def run_episode_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
     )
 
 
-def run_fig13_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
-    from repro.analysis.experiments import fig13
+def run_synthetic_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
+    """Figures 7-9: from two servers up, locality-aware routing is at
+    least as fast as hash-based and faster than worst-case."""
+    from repro.analysis.experiments import synthetic_run
+    from repro.workloads.synthetic import POLICIES
 
-    _unknown(params, {"bandwidth_gbps", "padding", "parallelism"}, "fig13")
-    rows = fig13(
-        bandwidths=[float(params["bandwidth_gbps"])],
-        paddings=[int(params["padding"])],
-        parallelism=int(params.get("parallelism", 6)),
+    _unknown(params, {"parallelism", "locality", "padding"}, "synthetic")
+    parallelism = int(params["parallelism"])
+    rate = {
+        policy: synthetic_run(
+            parallelism,
+            float(params["locality"]),
+            int(params["padding"]),
+            policy,
+        )["throughput"]
+        for policy in POLICIES
+    }
+    aware = rate["locality-aware"]
+    violations: List[dict] = []
+    for claim, other, holds in (
+        ("at_least_hash_based", "hash-based", aware >= rate["hash-based"]),
+        ("beats_worst_case", "worst-case", aware > rate["worst-case"]),
+    ):
+        if parallelism >= 2 and not holds:
+            _claim(
+                violations,
+                f"synthetic_locality_aware_{claim}",
+                f"locality-aware {aware:,.0f} tuples/s, "
+                f"{other} {rate[other]:,.0f}",
+            )
+    return CellOutcome(
+        metrics={
+            f"{policy.replace('-', '_')}_per_s": value
+            for policy, value in rate.items()
+        },
+        violations=violations,
     )
-    with_reconf = next(r for r in rows if r["reconfigure"])
-    without = next(r for r in rows if not r["reconfigure"])
+
+
+def run_fig13_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
+    from repro.analysis.experiments import flickr_run
+
+    _unknown(
+        params,
+        {"bandwidth_gbps", "padding", "parallelism", "duration_s"},
+        "fig13",
+    )
+    with_reconf, without = (
+        flickr_run(
+            int(params["parallelism"]),
+            int(params["padding"]),
+            float(params["bandwidth_gbps"]),
+            reconfigure,
+            duration_s=float(params["duration_s"]),
+        )
+        for reconfigure in (True, False)
+    )
     before_with = with_reconf["mean_before_first_reconf"]
     after_with = with_reconf["mean_after_first_reconf"]
     after_without = without["mean_after_first_reconf"]
     # Deploying tables and migrating state must not dent throughput.
     # The sampler sees the few-ms migration transient the paper's
     # minutes-scale plot cannot, so the claim is "no sustained dip":
-    # past the first reconfiguration (0.5 s, ``_flickr_run``'s period)
-    # no sample at or below half the level before it, and no two
-    # consecutive samples below 90 % of it.
+    # past the first reconfiguration no sample at or below half the
+    # level before it, and no two consecutive samples below 90 % of it.
     rates = [
-        s["throughput"] for s in with_reconf["samples"] if s["time"] > 0.5
+        s["throughput"]
+        for s in with_reconf["samples"]
+        if s["time"] > with_reconf["period_s"]
     ]
     low = [rate < 0.9 * before_with for rate in rates]
     violations: List[dict] = []
@@ -239,20 +295,19 @@ def run_fig13_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
 
 
 def run_skew_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
-    from repro.analysis.experiments import skew
+    from repro.analysis.experiments import skew_run
 
     _unknown(
         params,
         {"exponent", "flash_share", "policy", "parallelism"},
         "skew",
     )
-    rows = skew(
-        exponents=[float(params["exponent"])],
-        flash_shares=[float(params["flash_share"])],
-        policies=[str(params["policy"])],
-        parallelism=int(params.get("parallelism", 4)),
+    row = skew_run(
+        int(params["parallelism"]),
+        float(params["exponent"]),
+        float(params["flash_share"]),
+        str(params["policy"]),
     )
-    (row,) = rows
     return CellOutcome(
         metrics={
             "tuples_per_s": row["throughput"],
@@ -262,6 +317,14 @@ def run_skew_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
     )
 
 
+def run_scale_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
+    from repro.analysis.experiments import scale_point
+
+    _unknown(params, {"keys"}, "scale")
+    row = scale_point(int(params["keys"]))
+    return CellOutcome(metrics={k: float(v) for k, v in row.items()})
+
+
 def _claim(violations: List[dict], invariant: str, detail: str) -> None:
     """Record one broken paper claim as a cell violation dict."""
     violations.append(
@@ -269,18 +332,33 @@ def _claim(violations: List[dict], invariant: str, detail: str) -> None:
     )
 
 
+#: the Twitter-like trace Figures 10-12 run on
+PAPER_TRACE = {"tweets_per_week": 30000}
+#: the ablations' trace: fewer tweets over a smaller key space
+ABLATION_TRACE = {
+    "tweets_per_week": 20000,
+    "num_locations": 150,
+    "base_hashtags": 1500,
+    "new_hashtags_per_week": 150,
+    "seed": 3,
+}
+
+
+def _twitter(config: Dict[str, int]):
+    from repro.workloads import TwitterConfig, TwitterWorkload
+
+    return TwitterWorkload(TwitterConfig(**config))
+
+
 def run_fig10_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
     """The flash-hashtag spread: the same tag must peak in multiple
     locations on multiple days — the reason reconfiguration has to be
     online — and each location's activity is a burst of a couple of
     days, not spread evenly over the trace."""
-    from repro.analysis.experiments import fig10
+    from repro.analysis.experiments import flash_tag_series
 
-    _unknown(params, {"weeks", "quick"}, "fig10")
-    rows = fig10(
-        weeks=int(params.get("weeks", 8)),
-        quick=bool(params.get("quick", True)),
-    )
+    _unknown(params, {"weeks"}, "fig10")
+    rows = flash_tag_series(_twitter(PAPER_TRACE), int(params["weeks"]))
     by_location: Dict[str, List[tuple]] = {}
     for row in rows:
         by_location.setdefault(row["location"], []).append(
@@ -333,27 +411,27 @@ def run_fig11_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
     1/n and its balance is steady, offline tables decay, and freshly
     planned tables start out balanced near the α bound. (The claims
     that compare modes are ``tools/check_fig_shapes.py``'s.)"""
-    from repro.analysis.experiments import fig11
+    from repro.analysis.trace_eval import weekly_series
 
     _unknown(
-        params,
-        {"mode", "weeks", "num_servers", "sketch_capacity", "quick"},
-        "fig11",
+        params, {"mode", "weeks", "num_servers", "sketch_capacity"}, "fig11"
     )
     mode = str(params["mode"])
-    num_servers = int(params.get("num_servers", 6))
-    kwargs: Dict[str, Any] = {"quick": bool(params.get("quick", True))}
-    for name in ("weeks", "sketch_capacity"):
-        if name in params:
-            kwargs[name] = int(params[name])
-    rows = fig11(num_servers=num_servers, modes=[mode], **kwargs)
-    if len(rows) < 3:
+    num_servers = int(params["num_servers"])
+    results = weekly_series(
+        _twitter(PAPER_TRACE).week_pairs,
+        int(params["weeks"]),
+        num_servers,
+        mode,
+        sketch_capacity=int(params["sketch_capacity"]),
+    )
+    if len(results) < 3:
         raise ValueError(
             f"fig11 runner: the claims compare week 1 with the last "
-            f"weeks and need weeks >= 3, got {len(rows)}"
+            f"weeks and need weeks >= 3, got {len(results)}"
         )
-    locality = [r["locality"] for r in rows]
-    balance = [r["load_balance"] for r in rows]
+    locality = [result.locality for result in results]
+    balance = [result.load_balance for result in results]
     mean_locality = sum(locality) / len(locality)
     late_locality = sum(locality[-3:]) / len(locality[-3:])
     mean_balance = sum(balance) / len(balance)
@@ -394,7 +472,7 @@ def run_fig11_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
             "mean_locality": mean_locality,
             "late_locality": late_locality,
             "mean_balance": mean_balance,
-            "weeks": float(len(rows)),
+            "weeks": float(len(results)),
         },
         violations=violations,
     )
@@ -404,15 +482,13 @@ def run_fig12_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
     """One (edge budget, parallelism) point of locality-vs-collected-
     edges. ``budget: 0`` means unlimited (YAML axis values must be
     scalars, so None is spelled 0)."""
-    from repro.analysis.experiments import fig12
+    from repro.analysis.experiments import edge_budget_point
 
-    _unknown(params, {"budget", "parallelism", "quick"}, "fig12")
+    _unknown(params, {"budget", "parallelism"}, "fig12")
     budget = int(params["budget"])
-    parallelism = int(params.get("parallelism", 6))
-    (row,) = fig12(
-        edge_budgets=[budget if budget > 0 else None],
-        parallelisms=[parallelism],
-        quick=bool(params.get("quick", True)),
+    parallelism = int(params["parallelism"])
+    row = edge_budget_point(
+        _twitter(PAPER_TRACE), budget if budget > 0 else None, parallelism
     )
     violations: List[dict] = []
     if budget > 0 and budget <= 10:
@@ -425,6 +501,14 @@ def run_fig12_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
                 f"budget {budget} reached locality "
                 f"{row['locality']:.3f} >= {ceiling:.3f}",
             )
+    # bounded memory is enough: under a tenth of the edges already
+    # doubles the 1/n locality of hashing on six servers
+    if (budget, parallelism) == (1000, 6) and row["locality"] <= 2.0 / 6:
+        _claim(
+            violations,
+            "fig12_bounded_memory_doubles_hash",
+            f"budget {budget} reached locality {row['locality']:.3f} <= 2/6",
+        )
     if budget <= 0 and row["predicted"] <= row["locality"] + 0.05:
         # Section 4.3: the partitioner scores its tables on the week it
         # saw; the next week brings new keys, so it achieves less
@@ -442,6 +526,92 @@ def run_fig12_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
         },
         violations=violations,
     )
+
+
+#: ablation study -> [(claim, what it says, whether it holds)]; the
+#: metric names are those of ``repro.analysis.experiments.ablation_*``
+ABLATION_CLAIMS = {
+    "collector": [
+        (
+            "ablation_moderate_sketch_near_exact",
+            "a 4096-entry sketch gets within 0.08 of exact counting",
+            lambda m: m["locality_spacesaving_4096"]
+            > m["locality_exact"] - 0.08,
+        ),
+        (
+            "ablation_tiny_sketch_below_exact",
+            "a 64-entry sketch is worse than exact counting",
+            lambda m: m["locality_spacesaving_64"] < m["locality_exact"],
+        ),
+    ],
+    "period": [
+        (
+            "ablation_rare_reconfiguration_no_better",
+            "reconfiguring every week is at least as local as every 4",
+            lambda m: m["mean_locality_period_1"]
+            >= m["mean_locality_period_4"],
+        ),
+    ],
+    "estimator": [
+        (
+            "ablation_long_horizon_deploys_every_round",
+            "over a 5e7-tuple horizon every replan is worth deploying",
+            lambda m: m["deployed_rounds_horizon_50000000"] == m["rounds"],
+        ),
+        (
+            "ablation_short_horizon_vetoes",
+            "over a 100-tuple horizon some replans are vetoed",
+            lambda m: m["deployed_rounds_horizon_100"]
+            < m["deployed_rounds_horizon_50000000"],
+        ),
+    ],
+    "pkg": [
+        (
+            "ablation_pkg_balances_better_than_hash",
+            "partial key grouping balances a skewed stream better than "
+            "hash fields grouping",
+            lambda m: m["load_balance_partial_key"]
+            < m["load_balance_hash_fields"],
+        ),
+    ],
+    "hierarchical": [
+        (
+            "ablation_hierarchical_cost_no_worse",
+            "two-level partitioning costs at most 1.05 x flat",
+            lambda m: m["hierarchical_weighted_cost"]
+            <= 1.05 * m["flat_weighted_cost"],
+        ),
+        (
+            "ablation_hierarchical_keeps_server_locality",
+            "same-server traffic stays within 0.1 of flat",
+            lambda m: m["hierarchical_same_server"]
+            > m["flat_same_server"] - 0.1,
+        ),
+    ],
+}
+
+
+def run_ablation_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
+    """One ablation study: every variant it compares, and the
+    comparison itself as the cell's claims."""
+    from repro.analysis.experiments import ABLATIONS
+
+    _unknown(params, {"study"}, "ablation")
+    study = str(params["study"])
+    if study not in ABLATION_CLAIMS:
+        raise ValueError(
+            f"ablation runner got unknown study {study!r}; "
+            f"one of {sorted(ABLATION_CLAIMS)}"
+        )
+    if study == "pkg":
+        metrics = ABLATIONS[study]()
+    else:
+        metrics = ABLATIONS[study](_twitter(ABLATION_TRACE))
+    violations: List[dict] = []
+    for invariant, statement, holds in ABLATION_CLAIMS[study]:
+        if not holds(metrics):
+            _claim(violations, invariant, f"not so: {statement} ({metrics})")
+    return CellOutcome(metrics=metrics, violations=violations)
 
 
 #: scenarios the ``backend`` runner can replay on both backends
@@ -680,11 +850,14 @@ def run_backend_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
 
 RUNNERS: Dict[str, Callable[[Dict[str, Any], int], CellOutcome]] = {
     "episode": run_episode_cell,
+    "synthetic": run_synthetic_cell,
     "fig10": run_fig10_cell,
     "fig11": run_fig11_cell,
     "fig12": run_fig12_cell,
     "fig13": run_fig13_cell,
     "skew": run_skew_cell,
+    "scale": run_scale_cell,
+    "ablation": run_ablation_cell,
     "backend": run_backend_cell,
 }
 

@@ -24,8 +24,8 @@ metrics/tracing stack a production stream processor carries:
 
 Overhead is opt-in by construction: hot paths either increment plain
 integers that were already being counted, or check a single
-``sink.enabled`` flag. ``benchmarks/bench_observability.py`` verifies
-the default-off overhead stays under the 3 % budget.
+``sink.enabled`` flag. ``tools/measure_overhead.py`` measures the
+default-off overhead against its 3 % budget.
 
 Typical use::
 

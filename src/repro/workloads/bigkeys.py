@@ -8,8 +8,8 @@ configurable fraction of them, and *epochs*: successive tables where a
 fixed number of keys (``churn_keys``) change owner per epoch, the way a
 manager round moves a bounded set of keys regardless of table size.
 Fixed-count churn is what makes delta-encoded PROPAGATE sub-linear in
-the key count — ``repro.analysis.experiments.scale`` measures exactly
-that (EXPERIMENTS.md "Scaling to millions of keys").
+the key count — ``repro.analysis.experiments.scale_point`` measures
+exactly that (EXPERIMENTS.md "Scaling to millions of keys").
 
 Uncovered keys (``1 - table_coverage`` of the population) exercise the
 compact table's front filter: they must short-circuit to hash fallback

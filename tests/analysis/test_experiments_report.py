@@ -1,9 +1,10 @@
-"""Smoke tests for the figure drivers and the report formatter."""
-
-import pytest
+"""Smoke tests for the experiment point functions and the report formatter."""
 
 from repro.analysis import experiments
 from repro.analysis.report import format_table, ktuples
+from repro.analysis.trace_eval import MODES, weekly_series
+from repro.campaign.runners import ABLATION_CLAIMS, run_cell
+from repro.workloads import TwitterConfig, TwitterWorkload
 
 
 class TestReport:
@@ -36,85 +37,110 @@ class TestReport:
         assert ktuples(123456) == 123.5
 
 
+SMALL_TRACE = TwitterWorkload(
+    TwitterConfig(
+        tweets_per_week=2000,
+        num_locations=100,
+        base_hashtags=500,
+        new_hashtags_per_week=50,
+    )
+)
+
+
 class TestDriversSmoke:
-    """Tiny-grid runs of every figure driver (the full grids are the
-    campaigns' for Figures 10-13, benchmarks/ for the rest)."""
+    """One small cell through every point function, with a small trace
+    handed in where the experiment runs on one (the paper-size grids,
+    and the claims, are the campaigns')."""
 
     def test_fig7_single_cell(self):
-        rows = experiments.fig7(
-            parallelisms=(2,), localities=(1.0,), paddings=(0,),
-            policies=("locality-aware",),
-        )
-        assert len(rows) == 1
-        assert rows[0]["throughput"] > 0
-        assert rows[0]["measured_locality"] == 1.0
+        row = experiments.synthetic_run(2, 1.0, 0, "locality-aware")
+        assert row["throughput"] > 0
+        assert row["measured_locality"] == 1.0
 
     def test_fig8_shape(self):
-        rows = experiments.fig8(
-            localities=(0.6,), parallelisms=(2,),
-            policies=("hash-based",),
-        )
-        assert rows[0]["padding"] == 12000
+        row = experiments.synthetic_run(2, 0.6, 12000, "hash-based")
+        assert row["throughput"] > 0
+        assert row["measured_locality"] < 0.6
 
     def test_fig9_shape(self):
-        rows = experiments.fig9(
-            paddings=(0,), parallelisms=(2,), policies=("worst-case",),
-        )
-        assert rows[0]["locality"] == 0.8
+        row = experiments.synthetic_run(2, 0.8, 0, "worst-case")
+        assert row["throughput"] > 0
+        assert row["measured_locality"] < 0.8
+
+    def test_skew_run(self):
+        row = experiments.skew_run(2, 1.0, 0.3, "hybrid")
+        assert row["throughput"] > 0
+        assert 0.0 <= row["locality"] <= 1.0
+        assert row["load_balance"] >= 1.0
 
     def test_fig10_rows(self):
-        rows = experiments.fig10(weeks=2, quick=True)
+        rows = experiments.flash_tag_series(SMALL_TRACE, weeks=2)
         assert rows
         assert {"tag", "location", "day", "frequency"} <= set(rows[0])
 
     def test_fig11_rows(self):
-        rows = experiments.fig11(weeks=2, quick=True)
-        # an explicit ``weeks`` wins over the quick default of 8
-        assert [(r["mode"], r["week"]) for r in rows] == [
-            (mode, week)
-            for mode in ("online", "offline", "hash-based")
-            for week in (0, 1)
-        ]
-        assert all(0.0 <= r["locality"] <= 1.0 for r in rows)
-        only = experiments.fig11(weeks=2, modes=("offline",), quick=True)
-        assert only == [r for r in rows if r["mode"] == "offline"]
+        for mode in MODES:
+            results = weekly_series(SMALL_TRACE.week_pairs, 2, 6, mode)
+            assert len(results) == 2
+            assert all(0.0 <= r.locality <= 1.0 for r in results)
 
     def test_fig12_rows(self):
-        rows = experiments.fig12(
-            edge_budgets=(10,), parallelisms=(2,), quick=True
-        )
-        assert rows[0]["edges"] == 10
-        # Bounded memory is enough: on the full-size trace about 1 % of
-        # the edges already doubles the 1/n locality of hashing. (No
-        # campaign cell covers this; they run the quick-size trace.)
-        (row,) = experiments.fig12(
-            edge_budgets=(1000,), parallelisms=(6,), quick=False
-        )
-        assert row["locality"] > 2 / 6
+        row = experiments.edge_budget_point(SMALL_TRACE, 10, 2)
+        assert row["edges"] == 10
+        assert 0.0 <= row["locality"] <= 1.0
+        # a budget beyond the trace reports the edges that exist
+        distinct = len(set(SMALL_TRACE.week_pairs(0)))
+        capped = experiments.edge_budget_point(SMALL_TRACE, 10**9, 2)
+        unlimited = experiments.edge_budget_point(SMALL_TRACE, None, 2)
+        assert capped["edges"] == unlimited["edges"] == distinct
+        assert capped["locality"] == unlimited["locality"]
 
     def test_scale_rows(self):
-        (row,) = experiments.scale(key_counts=(10_000,))
+        row = experiments.scale_point(10_000)
         assert row["table_keys"] == 5000
         assert row["compact_bytes_per_key"] < row["plain_bytes_per_key"]
         assert row["delta_bytes_per_round"] < row["snapshot_bytes_per_round"]
         assert row["false_route_rate"] == 0.0
 
     def test_fig13_quick(self):
-        rows = experiments.fig13(quick=True)
-        assert any(r["reconfigure"] for r in rows)
-        assert any(not r["reconfigure"] for r in rows)
+        rows = [
+            experiments.flickr_run(
+                2, 4000, 1.0, reconfigure, duration_s=0.6, period_s=0.2
+            )
+            for reconfigure in (True, False)
+        ]
+        assert [row["rounds"] > 0 for row in rows] == [True, False]
         for row in rows:
-            assert row["samples"]
+            assert row["samples"] and row["period_s"] == 0.2
 
     def test_fig14_quick_grid_shape(self):
-        rows = experiments.fig14(parallelisms=(2,), quick=True)
-        assert len(rows) == 2
-
-    def test_cli_writes_results(self, tmp_path, capsys):
-        code = experiments.main(
-            ["fig10", "--quick", "--out-dir", str(tmp_path)]
+        # Figure 14 is the fig13 cell over parallelism at its own
+        # duration: the runner hands ``duration_s`` through
+        outcome = run_cell(
+            "fig13",
+            {
+                "parallelism": 2,
+                "padding": 4000,
+                "bandwidth_gbps": 1.0,
+                "duration_s": 0.8,
+            },
+            seed=0,
         )
-        assert code == 0
-        assert (tmp_path / "fig10.txt").exists()
-        captured = capsys.readouterr()
-        assert "fig10" in captured.out
+        assert outcome.ok and outcome.metrics["rounds_completed"] == 1.0
+        assert outcome.metrics["after_with_reconf_per_s"] > 0
+
+    def test_ablations(self):
+        assert set(experiments.ABLATIONS) == set(ABLATION_CLAIMS)
+        studies = {
+            "collector": experiments.ablation_collector(SMALL_TRACE),
+            "period": experiments.ablation_period(SMALL_TRACE, weeks=3),
+            "estimator": experiments.ablation_estimator(SMALL_TRACE, weeks=2),
+            "pkg": experiments.ablation_pkg(),
+            "hierarchical": experiments.ablation_hierarchical(SMALL_TRACE),
+        }
+        assert studies["estimator"]["rounds"] == 2.0
+        assert studies["hierarchical"]["flat_weighted_cost"] > 0
+        # every metric a claim reads is one its study reports
+        for study, metrics in studies.items():
+            for _, _, holds in ABLATION_CLAIMS[study]:
+                assert holds(metrics) in (True, False)

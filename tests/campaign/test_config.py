@@ -116,4 +116,5 @@ def test_committed_campaigns_validate():
     pytest.importorskip("yaml")
     for path in paths:
         config = load_campaign(path)
-        assert config.cells_per_seed >= 2, path
+        # Figure 10 is a single plot: its campaign is one cell
+        assert config.cells_per_seed >= 1, path

@@ -6,7 +6,7 @@ paths only increment plain integers that were already being counted or
 check a single ``sink.enabled`` flag. The elasticity seams (spawn and
 retire observers, resizable routers, queue-depth probes) make the same
 promise for a controller that is constructed but never started. This
-benchmark verifies both: the same reconfiguring run is timed bare,
+hand-run script verifies both: the same reconfiguring run is timed bare,
 with telemetry attached on the null sink, with an idle
 ``ElasticityController``, and (informationally) with a live memory
 sink; the null-sink and idle-controller overheads must each stay under
@@ -21,14 +21,18 @@ ratio see the same machine state, and the median discards the odd repeat
 that caught a frequency change or a page-cache miss. (A quotient of
 two independent best-of-N minima, the previous scheme, flapped once
 the engine fast path shrank the run enough for jitter to reach
-several percent of it.) The table lands in
-``results/observability_overhead.txt``.
+several percent of it.) The ratios still read within +-3 % from run to
+run, as wide as the budget itself, so this gates nothing in CI until it
+is rehomed on the ``perf/`` protocol (ROADMAP item 5). Exit 1 = over
+budget, or a mode changed the computation::
+
+    PYTHONPATH=src python tools/measure_overhead.py
 """
 
 import random
+import sys
 import time
 
-from helpers import save_table
 from repro.analysis.report import format_table
 from repro.core import ElasticityController, Manager, ManagerConfig
 from repro.engine import (
@@ -148,14 +152,8 @@ def measure_overhead():
     return overheads, times, counts
 
 
-def test_off_by_default_overheads_within_budget():
+def main() -> int:
     overheads, times, counts = measure_overhead()
-
-    for mode in overheads:
-        assert counts[mode] == counts["bare"], (
-            f"{mode} changed the computation"
-        )
-
     rows = [
         {
             "mode": label,
@@ -167,21 +165,31 @@ def test_off_by_default_overheads_within_budget():
         }
         for mode, label in MODES.items()
     ]
-    table = format_table(
-        rows,
-        columns=["mode", "median_cpu_s", "tuples", "overhead"],
-        title=(
-            f"Off-by-default overhead (median of {REPEATS} paired "
-            f"rounds, budget {BUDGET:.0%} for the null sink and the "
-            f"idle controller)"
-        ),
-    )
-    print()
-    print(table)
-    save_table("observability_overhead", table)
-
-    for mode in ("null-sink", "idle-elasticity"):
-        assert overheads[mode] < BUDGET, (
-            f"{mode} overhead {overheads[mode]:.1%} exceeds "
-            f"the {BUDGET:.0%} budget"
+    print(
+        format_table(
+            rows,
+            columns=["mode", "median_cpu_s", "tuples", "overhead"],
+            title=(
+                f"Off-by-default overhead (median of {REPEATS} paired "
+                f"rounds, budget {BUDGET:.0%} for the null sink and the "
+                f"idle controller)"
+            ),
         )
+    )
+    problems = [
+        f"{mode} changed the computation"
+        for mode in overheads
+        if counts[mode] != counts["bare"]
+    ] + [
+        f"{mode} overhead {overheads[mode]:.1%} exceeds the "
+        f"{BUDGET:.0%} budget"
+        for mode in ("null-sink", "idle-elasticity")
+        if overheads[mode] >= BUDGET
+    ]
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -16,6 +16,8 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 from repro.core.assignment import RoutedStream, compute_assignment, expected_locality
 from repro.core.keygraph import KeyGraph
 from repro.core.routing_table import RoutingTable
+from repro.engine.grouping import key_owner
+from repro.engine.metrics import load_balance
 from repro.errors import WorkloadError
 from repro.spacesaving import SpaceSaving
 
@@ -73,49 +75,33 @@ class TwoHopEvaluator:
         """Route every pair; ``tables=None`` evaluates pure hashing."""
         table1 = (tables or {}).get(self.first_hop.name)
         table2 = (tables or {}).get(self.second_hop.name)
-        loads1 = Counter()
-        loads2 = Counter()
+        n = self.num_servers
+        seed1 = self.first_hop.hash_seed
+        seed2 = self.second_hop.hash_seed
+        loads1 = [0] * n
+        loads2 = [0] * n
         local = 0
         unseen = 0
         total = 0
         for first_key, second_key in pairs:
-            owner1 = table1.lookup(first_key) if table1 else None
-            if owner1 is None:
-                owner1 = self.first_hop.fallback_instance(first_key)
-                missing1 = True
-            else:
-                missing1 = False
-            owner2 = table2.lookup(second_key) if table2 else None
-            if owner2 is None:
-                owner2 = self.second_hop.fallback_instance(second_key)
-                missing2 = True
-            else:
-                missing2 = False
+            owner1, known1 = key_owner(first_key, table1, seed1, n)
+            owner2, known2 = key_owner(second_key, table2, seed2, n)
             loads1[owner1] += 1
             loads2[owner2] += 1
             if owner1 == owner2:
                 local += 1
-            if tables and (missing1 or missing2):
+            if tables and not (known1 and known2):
                 unseen += 1
             total += 1
 
-        n = self.num_servers
         return EvalResult(
             locality=(local / total) if total else 1.0,
-            load_balance=max(
-                self._balance(loads1, total), self._balance(loads2, total)
-            ),
-            loads_first=[loads1.get(i, 0) for i in range(n)],
-            loads_second=[loads2.get(i, 0) for i in range(n)],
+            load_balance=max(load_balance(loads1), load_balance(loads2)),
+            loads_first=loads1,
+            loads_second=loads2,
             unseen_fraction=(unseen / total) if total else 0.0,
             pairs=total,
         )
-
-    def _balance(self, loads: Counter, total: int) -> float:
-        if total == 0:
-            return 1.0
-        mean = total / self.num_servers
-        return max(loads.values()) / mean
 
     # ------------------------------------------------------------------
     # Planning (the manager's analysis, trace-side)

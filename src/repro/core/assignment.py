@@ -14,7 +14,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.keygraph import KeyGraph, KeyVertex
 from repro.core.routing_table import RoutingTable
-from repro.engine.grouping import stable_hash
+from repro.engine.grouping import hash_owner, key_owner, stream_seed
 from repro.errors import ReconfigurationError
 from repro.partitioning import partition
 
@@ -127,13 +127,21 @@ class RoutedStream:
 
     @property
     def hash_seed(self) -> int:
-        # Must match repro.engine.runner.deploy, which seeds each
-        # stream's router with stable_hash(stream name).
-        return stable_hash(self.name)
+        """The seed ``deploy`` gives this stream's routers."""
+        return stream_seed(self.name)
 
     def fallback_instance(self, key: Hashable) -> int:
-        """The hash-fallback owner of ``key`` (engine-identical)."""
-        return stable_hash(key, self.hash_seed) % len(self.dst_placements)
+        """The hash-fallback owner of ``key``."""
+        return hash_owner(key, self.hash_seed, len(self.dst_placements))
+
+    def owner(
+        self, key: Hashable, table, strict: bool = True
+    ) -> Tuple[int, bool]:
+        """:func:`~repro.engine.grouping.key_owner` of ``key`` on this
+        stream under ``table``: ``(instance, came_from_table)``."""
+        return key_owner(
+            key, table, self.hash_seed, len(self.dst_placements), strict
+        )
 
     def server_to_instance(self) -> Dict[int, int]:
         mapping: Dict[int, int] = {}

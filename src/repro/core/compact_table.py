@@ -177,6 +177,10 @@ class CompactRoutingTable:
     hitters), and hybrid routing needs the exact member tuples.
     """
 
+    #: a lookup is two hashes, a filter probe and a slot scan (≈3 µs):
+    #: a ``TableRouter`` holding this table memoizes in front of it
+    lookup_is_expensive = True
+
     __slots__ = (
         "_config",
         "_mask",

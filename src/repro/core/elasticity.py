@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.routing_table import RoutingTable
-from repro.engine.grouping import stable_hash
+from repro.engine.grouping import key_owner
 from repro.errors import ReconfigurationError
 
 
@@ -255,7 +255,7 @@ class ElasticityController:
 
 
 # ----------------------------------------------------------------------
-# Pure owner math (shared with the property-based tests)
+# Pure planning helpers (shared with the property-based tests)
 # ----------------------------------------------------------------------
 
 
@@ -265,13 +265,9 @@ def owner_of(
     num_instances: int,
     seed: int,
 ) -> int:
-    """Owner of ``key`` at width ``num_instances``: a valid table entry
-    wins, otherwise the engine-identical hash fallback."""
-    if table is not None:
-        owner = table.lookup(key)
-        if owner is not None and 0 <= owner < num_instances:
-            return owner
-    return stable_hash(key, seed) % num_instances
+    """Owner of ``key`` at width ``num_instances`` under a possibly
+    stale table: :func:`~repro.engine.grouping.key_owner`, tolerant."""
+    return key_owner(key, table, seed, num_instances, strict=False)[0]
 
 
 def rescale_moves(

@@ -84,31 +84,21 @@ class ReconfigurationEstimator:
         tables: Mapping[str, RoutingTable],
         streams: Sequence[RoutedStream],
     ) -> float:
-        """Locality the statistics would see under ``tables``.
-
-        Each observed pair is routed exactly as the engine would:
-        table lookup, hash fallback otherwise.
-        """
-        owners = {stream.name: stream for stream in streams}
+        """Locality the statistics would see under ``tables``: each
+        observed pair is routed exactly as the engine would
+        (:meth:`RoutedStream.owner`)."""
+        by_name = {stream.name: stream for stream in streams}
         total = 0.0
         colocated = 0.0
         for (stream_u, key_u), (stream_v, key_v), weight in keygraph.edges():
-            owner_u = self._owner(tables, owners, stream_u, key_u)
-            owner_v = self._owner(tables, owners, stream_v, key_v)
+            owner_u, _ = by_name[stream_u].owner(key_u, tables.get(stream_u))
+            owner_v, _ = by_name[stream_v].owner(key_v, tables.get(stream_v))
             total += weight
             if owner_u == owner_v:
                 colocated += weight
         if total == 0.0:
             return 1.0
         return colocated / total
-
-    def _owner(self, tables, streams, stream_name: str, key) -> int:
-        table = tables.get(stream_name)
-        if table is not None:
-            owner = table.lookup(key)
-            if owner is not None:
-                return owner
-        return streams[stream_name].fallback_instance(key)
 
     # ------------------------------------------------------------------
     # Benefit / cost

@@ -17,7 +17,7 @@ in-band steps (PROPAGATE/MIGRATE) go through the data channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.assignment import (
@@ -48,13 +48,18 @@ from repro.engine.executor import ControlMessage, SpoutExecutor
 from repro.engine.grouping import (
     TableFieldsGrouping,
     TableRouter,
-    stable_hash,
+    key_owner,
 )
 from repro.engine.operators import StatefulBolt
 from repro.errors import ReconfigurationError
 from repro.observability.sink import NULL_SINK
 from repro.observability.trace import Tracer
 from repro.spacesaving import SpaceSaving
+
+#: Poll interval of the scale-out rollback drain watcher: after an
+#: aborted scale-out, doomed instances are evacuated only once their
+#: queues stay quiet for two consecutive polls.
+_RESCALE_DRAIN_POLL_S = 2.0e-3
 
 
 @dataclass
@@ -108,10 +113,6 @@ class ManagerConfig:
     #: reconfiguration is only deployed if its projected benefit covers
     #: the migration cost (the paper's future-work extension).
     estimator: Optional[object] = None
-    #: Poll interval of the scale-out rollback drain watcher: after an
-    #: aborted scale-out, doomed instances are evacuated only once
-    #: their queues stay quiet for two consecutive polls.
-    rescale_drain_poll_s: float = 2.0e-3
     #: Hybrid (hot-key splitting) routing; None keeps the paper's pure
     #: table routing and leaves planning byte-identical to it.
     hybrid: Optional[HybridConfig] = None
@@ -317,30 +318,34 @@ class Manager:
 
         # Instrument operators observing key pairs: keyed input and a
         # table-routed output.
-        routed_names = {s.name for s in routed}
         for op in topology.operators.values():
             has_keyed_input = any(
                 getattr(s.grouping, "key_fn", None) is not None
                 for s in topology.inputs_of(op.name)
             )
             has_routed_output = any(
-                s.name in routed_names for s in topology.outputs_of(op.name)
+                s.name in self._streams_by_name
+                for s in topology.outputs_of(op.name)
             )
             if has_keyed_input and has_routed_output:
                 self._instrumented_ops.add(op.name)
                 for executor in self.deployment.instances(op.name):
-                    executor.instrumentation = PairTracker(
-                        op.name,
-                        capacity=self.config.sketch_capacity,
-                        sketch_factory=self.config.sketch_factory,
-                    )
-                    self._instrumented.append(executor)
+                    self._instrument(executor)
         if not self._instrumented:
             raise ReconfigurationError(
                 "no operator observes key pairs (needs a keyed input "
                 "and a table-routed output)"
             )
         self._agents = install_agents(self.deployment, self)
+
+    def _instrument(self, executor) -> None:
+        """Attach a pair-statistics tracker to ``executor``."""
+        executor.instrumentation = PairTracker(
+            executor.op_name,
+            capacity=self.config.sketch_capacity,
+            sketch_factory=self.config.sketch_factory,
+        )
+        self._instrumented.append(executor)
 
     # ------------------------------------------------------------------
     # Public API
@@ -358,7 +363,9 @@ class Manager:
         """Arm periodic reconfiguration (config.period_s).
 
         Idempotent: calling start() on a running manager re-arms the
-        single periodic timer instead of stacking a second one.
+        single periodic timer instead of stacking a second one. The
+        timer is a *daemon* event: it fires while the application has
+        work left and never keeps a drain run alive on its own.
         """
         if self.config.period_s is None:
             raise ReconfigurationError(
@@ -368,7 +375,7 @@ class Manager:
         if self._timer is not None:
             self._timer.cancel()
         self._timer = self.sim.schedule(
-            self.config.period_s, self._periodic_tick
+            self.config.period_s, self._periodic_tick, daemon=True
         )
 
     def stop(self) -> None:
@@ -428,7 +435,7 @@ class Manager:
             # instance of the rescaled tier which keys it holds, so the
             # plan can derive hold lists (table diffs cannot — the
             # fallback modulus changes with k).
-            record.rescale_from = self._tier_parallelism()
+            record.rescale_from = self.tier_parallelism
             record.rescale_to = self._rescale_request
             targets = [
                 executor
@@ -458,7 +465,7 @@ class Manager:
             )
         if self._round_active or self._rollback_pending:
             return False
-        if new_parallelism == self._tier_parallelism():
+        if new_parallelism == self.tier_parallelism:
             return False
         self._rescale_request = new_parallelism
         started = self.reconfigure(on_complete)
@@ -478,10 +485,6 @@ class Manager:
 
     @property
     def tier_parallelism(self) -> int:
-        """Current instance count of the rescaled (routed) tier."""
-        return self._tier_parallelism()
-
-    def _tier_parallelism(self) -> int:
         """Current instance count of the rescaled tier. All stateful
         routed destinations rescale together (one-instance-per-server
         placement couples their parallelism to the server count)."""
@@ -542,7 +545,7 @@ class Manager:
             return
         self.reconfigure()
         self._timer = self.sim.schedule(
-            self.config.period_s, self._periodic_tick
+            self.config.period_s, self._periodic_tick, daemon=True
         )
 
     def _is_current(self, round_id: int) -> bool:
@@ -621,39 +624,8 @@ class Manager:
             self._complete_round(record)
             return
 
-        num_servers = self._partition_size()
-        partition_span = self._tracer.begin(
-            "PARTITION",
-            parent=self._round_spans.get("round"),
-            edges=keygraph.num_edges,
-            servers=num_servers,
-        )
-        self._round_spans["PARTITION"] = partition_span
-        plan = plan_reconfiguration(
-            keygraph,
-            self._routed_streams,
-            num_servers,
-            self.current_tables,
-            imbalance=self.config.imbalance,
-            seed=self.config.seed + self._round_id,
-            max_edges=self.config.max_edges,
-        )
-        record.plan = plan
-        if self.config.hybrid is not None:
-            self._apply_hybrid_splits(record, keygraph, plan)
-        cut_weight = (
-            1.0 - plan.predicted_locality
-        ) * keygraph.total_pair_weight
-        registry = self.deployment.metrics.registry
-        registry.gauge("reconf_last_cut_weight").set(cut_weight)
-        registry.gauge("reconf_last_predicted_locality").set(
-            plan.predicted_locality
-        )
-        partition_span.end(
-            predicted_locality=plan.predicted_locality,
-            cut_weight=cut_weight,
-            moved_keys=plan.total_moved_keys(),
-            tables=len(plan.tables),
+        plan = self._partition(
+            record, keygraph, self._routed_streams, self._partition_size()
         )
 
         if self.config.estimator is not None:
@@ -670,6 +642,56 @@ class Manager:
 
         self.current_tables.update(plan.tables)
         self._send_reconfigurations(plan)
+
+    def _partition(
+        self, record: RoundRecord, keygraph, streams, num_servers: int
+    ) -> ReconfigurationPlan:
+        """The PARTITION phase of a round: plan ``streams`` over
+        ``num_servers`` under its span and publish the two
+        ``reconf_last_*`` gauges."""
+        partition_span = self._tracer.begin(
+            "PARTITION",
+            parent=self._round_spans.get("round"),
+            edges=keygraph.num_edges,
+            servers=num_servers,
+        )
+        self._round_spans["PARTITION"] = partition_span
+        plan = plan_reconfiguration(
+            keygraph,
+            streams,
+            num_servers,
+            self.current_tables,
+            imbalance=self.config.imbalance,
+            seed=self.config.seed + self._round_id,
+            max_edges=self.config.max_edges,
+        )
+        record.plan = plan
+        moved = {}
+        if record.is_rescale:
+            # The plan's table-diff migrations compare owners across
+            # two different fallback moduli — meaningless for a
+            # rescale. State movement is scan-based instead (see
+            # RescaleSpec).
+            plan.migrations = {}
+        else:
+            if self.config.hybrid is not None:
+                self._apply_hybrid_splits(record, keygraph, plan)
+            moved["moved_keys"] = plan.total_moved_keys()
+        cut_weight = (
+            1.0 - plan.predicted_locality
+        ) * keygraph.total_pair_weight
+        registry = self.deployment.metrics.registry
+        registry.gauge("reconf_last_cut_weight").set(cut_weight)
+        registry.gauge("reconf_last_predicted_locality").set(
+            plan.predicted_locality
+        )
+        partition_span.end(
+            predicted_locality=plan.predicted_locality,
+            cut_weight=cut_weight,
+            **moved,
+            tables=len(plan.tables),
+        )
+        return plan
 
     def _partition_size(self) -> int:
         servers = set()
@@ -744,9 +766,7 @@ class Manager:
             return {}
         splits: Dict = {}
         for key in hot:
-            owner = table.lookup(key)
-            if owner is None or not 0 <= owner < n:
-                owner = stream.fallback_instance(key)
+            owner, _ = stream.owner(key, table, strict=False)
             splits[key] = tuple(
                 sorted((owner + j) % n for j in range(width))
             )
@@ -763,7 +783,7 @@ class Manager:
         """
         new_k = self._rescale_request
         self._rescale_request = None
-        old_k = self._tier_parallelism()
+        old_k = self.tier_parallelism
         union_k = max(old_k, new_k)
         ops = self._rescale_ops()
         deployment = self.deployment
@@ -798,63 +818,21 @@ class Manager:
         self._repatch_agents()
         for executor in spawned:
             if executor.op_name in self._instrumented_ops:
-                executor.instrumentation = PairTracker(
-                    executor.op_name,
-                    capacity=self.config.sketch_capacity,
-                    sketch_factory=self.config.sketch_factory,
-                )
-                self._instrumented.append(executor)
+                self._instrument(executor)
             deployment.notify_spawned(executor)
         provision_span.end(spawned=len(spawned), retiring=len(retiring))
 
         new_streams = [
-            RoutedStream(
-                name=s.name,
-                src_op=s.src_op,
-                dst_op=s.dst_op,
+            replace(
+                s,
                 dst_placements=[
                     e.server.index
                     for e in deployment.executors[s.dst_op][:new_k]
                 ],
-                stateful_dst=s.stateful_dst,
             )
             for s in self._routed_streams
         ]
-        partition_span = self._tracer.begin(
-            "PARTITION",
-            parent=self._round_spans.get("round"),
-            edges=keygraph.num_edges,
-            servers=new_k,
-        )
-        self._round_spans["PARTITION"] = partition_span
-        plan = plan_reconfiguration(
-            keygraph,
-            new_streams,
-            new_k,
-            self.current_tables,
-            imbalance=self.config.imbalance,
-            seed=self.config.seed + self._round_id,
-            max_edges=self.config.max_edges,
-        )
-        # The plan's table-diff migrations compare owners across two
-        # different fallback moduli — meaningless for a rescale. State
-        # movement is scan-based instead (see RescaleSpec).
-        plan.migrations = {}
-        record.plan = plan
-        cut_weight = (
-            1.0 - plan.predicted_locality
-        ) * keygraph.total_pair_weight
-        registry = deployment.metrics.registry
-        registry.gauge("reconf_last_cut_weight").set(cut_weight)
-        registry.gauge("reconf_last_predicted_locality").set(
-            plan.predicted_locality
-        )
-        partition_span.end(
-            predicted_locality=plan.predicted_locality,
-            cut_weight=cut_weight,
-            tables=len(plan.tables),
-        )
-
+        plan = self._partition(record, keygraph, new_streams, new_k)
         self._rescale_ctx = _RescaleContext(
             ops=ops,
             old_k=old_k,
@@ -914,18 +892,22 @@ class Manager:
                     latency, executor.deliver_control, message
                 )
 
+    def _empty_payloads(self) -> Dict[Tuple[str, int], PoiReconfiguration]:
+        """One PoiReconfiguration per executor: every POI participates
+        in propagation, even with empty router/migration entries."""
+        return {
+            (executor.op_name, executor.instance): PoiReconfiguration(
+                round_id=self._round_id
+            )
+            for executor in self.deployment.all_executors()
+        }
+
     def _build_payloads(
         self, plan: ReconfigurationPlan
     ) -> Dict[Tuple[str, int], PoiReconfiguration]:
-        """One PoiReconfiguration per executor (every POI participates
-        in propagation, even with empty router/migration entries)."""
-        topology = self.deployment.topology
-        payloads: Dict[Tuple[str, int], PoiReconfiguration] = {}
-        for op in topology.operators.values():
-            for executor in self.deployment.instances(op.name):
-                payloads[(op.name, executor.instance)] = PoiReconfiguration(
-                    round_id=self._round_id
-                )
+        """The payloads of a plain round: tables to the sources,
+        migration lists to the stateful destinations."""
+        payloads = self._empty_payloads()
 
         # Routing table updates go to the *source* executors of each
         # routed stream, resolved through the deployment metadata (a
@@ -1041,13 +1023,7 @@ class Manager:
         """
         ctx = self._rescale_ctx
         deployment = self.deployment
-        topology = deployment.topology
-        payloads: Dict[Tuple[str, int], PoiReconfiguration] = {}
-        for op in topology.operators.values():
-            for executor in deployment.instances(op.name):
-                payloads[(op.name, executor.instance)] = PoiReconfiguration(
-                    round_id=self._round_id
-                )
+        payloads = self._empty_payloads()
 
         stateful_ops = set(self._rescale_stateful_ops())
         participants = list(range(ctx.union_k))
@@ -1066,12 +1042,6 @@ class Manager:
 
             if stream.dst_op not in stateful_ops:
                 continue
-            owner_spec = RescaleSpec(
-                table=wire_table,
-                hash_seed=stream.hash_seed,
-                num_instances=ctx.new_k,
-                participants=list(participants),
-            )
             for executor in deployment.instances(stream.dst_op):
                 payload = payloads[(stream.dst_op, executor.instance)]
                 payload.rescale = RescaleSpec(
@@ -1085,25 +1055,32 @@ class Manager:
             for key, holder in self._inventory.get(
                 stream.dst_op, {}
             ).items():
-                owner = owner_spec.owner_of(key)
+                # the owner every RescaleSpec above will scan towards
+                owner, _ = stream.owner(key, wire_table)
                 if owner != holder:
                     payloads[(stream.dst_op, owner)].receive_keys.append(key)
 
-        # Non-table-routed streams into a rescaled op (shuffle, plain
-        # hash, PKG side inputs) change fan-out too: without an edge
-        # update their sources keep the old destination list — stale
-        # references to retired executors — and the old router modulus.
-        routed_names = {s.name for s in ctx.new_streams}
+        # Without an edge update the side inputs' sources keep the old
+        # destination list — stale references to retired executors —
+        # and the old router modulus.
+        for executor, name, destinations in self._side_inputs(ctx, ctx.new_k):
+            payloads[(executor.op_name, executor.instance)].edge_updates[
+                name
+            ] = EdgeUpdate(destinations, None)
+        return payloads
+
+    def _side_inputs(self, ctx: _RescaleContext, width: int):
+        """``(source executor, stream name, destinations)`` of every
+        non-table-routed stream into a rescaled op (shuffle, plain
+        hash, PKG side inputs) at ``width``: they change fan-out too."""
+        deployment = self.deployment
         for op_name in ctx.ops:
-            destinations = deployment.executors[op_name][: ctx.new_k]
-            for stream in topology.inputs_of(op_name):
-                if stream.name in routed_names:
+            destinations = deployment.executors[op_name][:width]
+            for stream in deployment.topology.inputs_of(op_name):
+                if stream.name in self._streams_by_name:
                     continue
                 for executor in deployment.instances(stream.src):
-                    payloads[(stream.src, executor.instance)].edge_updates[
-                        stream.name
-                    ] = EdgeUpdate(list(destinations), None)
-        return payloads
+                    yield executor, stream.name, list(destinations)
 
     def _repatch_agents(self) -> None:
         """Re-derive every agent's predecessor count, peer list and
@@ -1300,23 +1277,16 @@ class Manager:
                 executor.table_router(stream.name).resize(
                     ctx.old_k, table
                 )
-        # Non-routed streams into rescaled ops roll back the same way
-        # (a source that already applied the new edge would keep
-        # routing to doomed instances).
-        routed_names = {s.name for s in self._routed_streams}
-        for op_name in ctx.ops:
-            destinations = deployment.executors[op_name][: ctx.old_k]
-            for stream in deployment.topology.inputs_of(op_name):
-                if stream.name in routed_names:
-                    continue
-                for executor in deployment.instances(stream.src):
-                    edge = executor.out_edge(stream.name)
-                    edge.destinations = list(destinations)
-                    router = edge.router
-                    if hasattr(router, "resize") and not isinstance(
-                        router, TableRouter
-                    ):
-                        router.resize(ctx.old_k)
+        # Side inputs roll back the same way (a source that already
+        # applied the new edge would keep routing to doomed instances).
+        for executor, name, destinations in self._side_inputs(ctx, ctx.old_k):
+            edge = executor.out_edge(name)
+            edge.destinations = destinations
+            router = edge.router
+            if hasattr(router, "resize") and not isinstance(
+                router, TableRouter
+            ):
+                router.resize(ctx.old_k)
 
     def _begin_rescale_rollback(
         self, ctx: _RescaleContext, record: RoundRecord
@@ -1330,7 +1300,7 @@ class Manager:
         self._rollback_pending = True
         watch = {executor: [-1, 0] for executor in ctx.spawned}
         self.sim.schedule(
-            self.config.rescale_drain_poll_s,
+            _RESCALE_DRAIN_POLL_S,
             self._poll_rescale_rollback,
             ctx,
             record,
@@ -1353,7 +1323,7 @@ class Manager:
                 all_quiet = False
         if not all_quiet:
             self.sim.schedule(
-                self.config.rescale_drain_poll_s,
+                _RESCALE_DRAIN_POLL_S,
                 self._poll_rescale_rollback,
                 ctx,
                 record,
@@ -1386,16 +1356,6 @@ class Manager:
         record.rescale_rolled_back = True
         self._rollback_pending = False
 
-    def _owner_under_current(self, stream, key, n: int) -> int:
-        """Owner of ``key`` at width ``n`` under the live tables: valid
-        table entry, else engine-identical hash fallback."""
-        table = self.current_tables.get(stream.name)
-        if table is not None:
-            owner = table.lookup(key)
-            if owner is not None and 0 <= owner < n:
-                return owner
-        return stable_hash(key, stream.hash_seed) % n
-
     def _evacuate_state(self, executor, stream, old_k: int) -> None:
         """Move every state entry off a doomed instance onto its
         pre-round owner (merge install keeps per-key totals exact)."""
@@ -1403,9 +1363,12 @@ class Manager:
         if not isinstance(operator, StatefulBolt) or not operator.state:
             return
         entries = executor.extract_state(list(operator.state))
+        table = self.current_tables.get(stream.name)
         groups: Dict[int, Dict] = {}
         for key, value in entries.items():
-            owner = self._owner_under_current(stream, key, old_k)
+            owner, _ = key_owner(
+                key, table, stream.hash_seed, old_k, strict=False
+            )
             groups.setdefault(owner, {})[key] = value
         for owner, sub in groups.items():
             self.deployment.executor(executor.op_name, owner).install_state(
@@ -1421,9 +1384,12 @@ class Manager:
         op_name = executor.op_name
 
         def forward_install(entries: Dict) -> None:
+            table = self.current_tables.get(stream.name)
+            n = len(self.deployment.executors[op_name])
             for key, value in entries.items():
-                n = len(self.deployment.executors[op_name])
-                owner = self._owner_under_current(stream, key, n)
+                owner, _ = key_owner(
+                    key, table, stream.hash_seed, n, strict=False
+                )
                 self.deployment.executor(op_name, owner).install_state(
                     {key: value}
                 )

@@ -41,7 +41,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from repro.core.routing_table import RoutingTable
 from repro.core.table_delta import TableDelta
 from repro.engine.executor import BaseExecutor, ControlMessage, SpoutExecutor
-from repro.engine.grouping import TableRouter, stable_hash
+from repro.engine.grouping import TableRouter, key_owner
 from repro.engine.operators import StatefulBolt
 from repro.errors import ReconfigurationError
 
@@ -83,7 +83,7 @@ class RescaleSpec:
 
     #: the new routing table of the operator's table-routed input
     table: Optional[RoutingTable]
-    #: hash seed of that input stream (engine-identical fallback)
+    #: hash seed of that input stream (``RoutedStream.hash_seed``)
     hash_seed: int
     #: destination instance count *after* the rescale
     num_instances: int
@@ -93,12 +93,11 @@ class RescaleSpec:
     retiring: bool = False
 
     def owner_of(self, key: Hashable) -> int:
-        """Post-rescale owner of ``key``: table entry, else fallback."""
-        if self.table is not None:
-            owner = self.table.lookup(key)
-            if owner is not None:
-                return owner
-        return stable_hash(key, self.hash_seed) % self.num_instances
+        """Post-rescale owner of ``key``, as the data plane will route
+        it once the edge updates apply."""
+        return key_owner(
+            key, self.table, self.hash_seed, self.num_instances
+        )[0]
 
 
 @dataclass

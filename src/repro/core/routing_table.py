@@ -19,7 +19,7 @@ split set for free.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Hashable, Iterator, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, Mapping, Optional, Tuple
 
 from repro.engine.grouping import stable_hash
 
@@ -179,7 +179,10 @@ class RoutingTable:
         ``fallback(key) -> int`` resolves the owner of keys absent from
         a table (the hash policy); it is invoked lazily, at most once
         per key, and never for a key both tables contain. Returns
-        ``{key: (old, new)}`` over the union of both tables' keys.
+        ``{key: (old, new)}`` over the union of both tables' keys, in
+        insertion order (``self``'s keys, then ``new``'s): migration
+        lists, hence hold/release order and downstream timing, must not
+        follow string hashing, which differs from process to process.
 
         Keys split in *either* table are excluded: a key split in
         ``new`` must not migrate (its partial state stays put and new
@@ -187,9 +190,8 @@ class RoutingTable:
         ``self`` consolidates from several holders at once — see
         :meth:`split_consolidations`.
         """
-        union: Set[Hashable] = set(self._mapping) | set(new._mapping)
         moved: Dict[Hashable, Tuple[int, int]] = {}
-        for key in union:
+        for key in {**self._mapping, **new._mapping}:  # ordered union
             if key in self._splits or key in new._splits:
                 continue
             old_owner = self._mapping.get(key)

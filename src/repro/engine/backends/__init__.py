@@ -35,9 +35,12 @@ input set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.engine.costs import DEFAULT_COSTS, CostModel
+from repro.engine.metrics import load_balance
+from repro.engine.physical import keyed_state_summary
+from repro.engine.routing_kernel import DETERMINISTIC_KINDS
 from repro.engine.topology import Topology
 from repro.errors import DeploymentError
 
@@ -50,14 +53,32 @@ class ReconfigureAction:
     spout-emitted tuples reaches ``at_tuples``: the named stream's
     routing table is swapped (and, when ``parallelism`` is set, the
     destination tier is rescaled to that width), then keyed state
-    migrates to each key's new owner — the same owner math the DES
-    rescale protocol settles on (``repro.core.elasticity.owner_of``).
+    migrates to each key's new owner — the owner the DES rescale
+    protocol settles on (:func:`repro.engine.grouping.key_owner`).
     """
 
     at_tuples: int
     stream: str
     table: Any = None
     parallelism: Optional[int] = None
+
+    def target_in(self, streams: Mapping[str, Any]):
+        """The entry of ``streams`` (stream name → a backend's routing
+        object, carrying the stream's kernel ``kind``) this action
+        reconfigures, validated to be one it can be applied to."""
+        try:
+            target = streams[self.stream]
+        except KeyError:
+            raise DeploymentError(
+                f"reconfigure action names unknown stream "
+                f"{self.stream!r}; one of {sorted(streams)}"
+            ) from None
+        if target.kind not in DETERMINISTIC_KINDS:
+            raise DeploymentError(
+                f"scripted reconfiguration requires a deterministic "
+                f"keyed stream; {self.stream!r} is {target.kind!r}"
+            )
+        return target
 
 
 @dataclass
@@ -78,9 +99,6 @@ class BackendOptions:
     on_deployed: Optional[Callable] = None
     #: vectorized/multiprocess: tuples per micro-batch
     batch_size: int = 2048
-    #: vectorized/multiprocess: cap on tuples pulled per spout instance
-    #: (bounds infinite sources; finite sources may end earlier)
-    max_tuples_per_instance: Optional[int] = None
     #: vectorized/multiprocess: scripted mid-run reconfigurations
     actions: List[ReconfigureAction] = field(default_factory=list)
     #: multiprocess only: wall-clock budget for the whole run; on
@@ -138,27 +156,55 @@ class BackendResult:
     measured: Dict[str, Any] = field(default_factory=dict)
 
 
-_BACKENDS: Dict[str, Callable[[Topology, BackendOptions], BackendResult]] = {}
+def summarize_counts(
+    wall_s: float,
+    processed: Dict[str, int],
+    stream_counts: Mapping[str, Tuple[int, int]],
+    bolt_counts: Mapping[
+        str, Tuple[List[int], Iterable[Tuple[int, Dict[Any, Any]]]]
+    ],
+) -> Dict[str, Any]:
+    """The :class:`BackendResult` fields every backend derives the same
+    way from its raw counts, as constructor keywords.
 
-
-def register_backend(
-    name: str, runner: Callable[[Topology, BackendOptions], BackendResult]
-) -> None:
-    """Register ``runner`` under ``name`` (later wins, like RUNNERS)."""
-    _BACKENDS[name] = runner
+    ``stream_counts``: per stream ``(local, total)`` tuples;
+    ``bolt_counts``: per bolt the tuples each instance received and its
+    ``(instance, state)`` pairs. An operator appears in
+    ``per_key_totals`` / ``key_instances`` iff it holds keyed state.
+    """
+    stream_locality: Dict[str, float] = {}
+    local_sum = 0
+    total_sum = 0
+    for name, (local, total) in stream_counts.items():
+        stream_locality[name] = local / total if total else 1.0
+        local_sum += local
+        total_sum += total
+    received: Dict[str, List[int]] = {}
+    balance: Dict[str, float] = {}
+    per_key_totals: Dict[str, Dict[Any, int]] = {}
+    key_instances: Dict[str, Dict[Any, Tuple[int, ...]]] = {}
+    for op, (counts, states) in bolt_counts.items():
+        received[op] = counts
+        balance[op] = load_balance(counts)
+        totals, holders = keyed_state_summary(states)
+        if totals:
+            per_key_totals[op] = totals
+            key_instances[op] = holders
+    return dict(
+        wall_s=wall_s,
+        processed=processed,
+        tuples_per_s=sum(processed.values()) / wall_s if wall_s > 0 else 0.0,
+        locality=local_sum / total_sum if total_sum else 1.0,
+        stream_locality=stream_locality,
+        load_balance=balance,
+        received=received,
+        per_key_totals=per_key_totals,
+        key_instances=key_instances,
+    )
 
 
 def available_backends() -> List[str]:
     return sorted(_BACKENDS)
-
-
-def get_backend(name: str):
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise DeploymentError(
-            f"unknown backend {name!r}; one of {available_backends()}"
-        ) from None
 
 
 def run_topology(
@@ -167,7 +213,13 @@ def run_topology(
     options: Optional[BackendOptions] = None,
 ) -> BackendResult:
     """Run ``topology`` to quiescence on the named backend."""
-    return get_backend(backend)(topology, options or BackendOptions())
+    try:
+        runner = _BACKENDS[backend]
+    except KeyError:
+        raise DeploymentError(
+            f"unknown backend {backend!r}; one of {available_backends()}"
+        ) from None
+    return runner(topology, options or BackendOptions())
 
 
 def _default_servers(topology: Topology, options: BackendOptions) -> int:
@@ -183,9 +235,11 @@ from repro.engine.backends.multiprocess import (  # noqa: E402
     run_multiprocess,
 )
 
-register_backend("reference", run_reference)
-register_backend("vectorized", run_vectorized)
-register_backend("multiprocess", run_multiprocess)
+_BACKENDS: Dict[str, Callable[[Topology, BackendOptions], BackendResult]] = {
+    "reference": run_reference,
+    "vectorized": run_vectorized,
+    "multiprocess": run_multiprocess,
+}
 
 __all__ = [
     "BackendOptions",
@@ -193,8 +247,6 @@ __all__ = [
     "MultiprocessBackendError",
     "ReconfigureAction",
     "available_backends",
-    "get_backend",
-    "register_backend",
     "run_topology",
     "run_reference",
     "run_vectorized",

@@ -59,7 +59,6 @@ from repro.engine.physical import (
     HostedBolt,
     SpoutSource,
     TupleBatch,
-    keyed_state_summary,
     merge_op_stats,
 )
 from repro.engine.routing_kernel import (
@@ -127,14 +126,13 @@ class _StreamRoutes:
     use, under the stream's current width) and locality counters."""
 
     def __init__(
-        self, stream, width: int, server: int, num_servers: int, cache_size
+        self, stream, width: int, server: int, num_servers: int
     ) -> None:
         self.stream = stream
         self.kind = edge_kind(stream.grouping)
         self.n = width
         self._server = server
         self._num_servers = num_servers
-        self._cache_size = cache_size
         self._kernels: Dict[int, RouteKernel] = {}
         self.local_tuples = 0
         self.total_tuples = 0
@@ -152,7 +150,6 @@ class _StreamRoutes:
                 src_instance,
                 self._server,
                 [_placement(i, self._num_servers) for i in range(self.n)],
-                self._cache_size,
             )
         return kernel
 
@@ -258,7 +255,6 @@ class _Worker:
                         == self.server
                     },
                     options.batch_size,
-                    options.max_tuples_per_instance,
                 )
             else:
                 self.bolts[name] = HostedBolt(
@@ -276,7 +272,6 @@ class _Worker:
                 self.widths[stream.dst],
                 self.server,
                 self.num_servers,
-                options.costs.router_cache_size,
             )
             self.done_from[stream.name] = set()
 
@@ -458,18 +453,7 @@ class _Worker:
         self.events.put(("RECONFIGURED", epoch, self.server))
 
     def _apply_action(self, epoch: int, action) -> None:
-        try:
-            routes = self.streams[action.stream]
-        except KeyError:
-            raise DeploymentError(
-                f"reconfigure action names unknown stream "
-                f"{action.stream!r}; one of {sorted(self.streams)}"
-            ) from None
-        if routes.kind not in DETERMINISTIC_KINDS:
-            raise DeploymentError(
-                f"scripted reconfiguration requires a deterministic "
-                f"keyed stream; {action.stream!r} is {routes.kind!r}"
-            )
+        routes = action.target_in(self.streams)
         kernel = routes.kernel_of(0)
         dst_op = routes.stream.dst
         shard = self.bolts[dst_op]
@@ -841,13 +825,13 @@ def run_multiprocess(topology: Topology, options) -> "BackendResult":
     finally:
         _teardown(procs, inboxes, events)
 
-    return _assemble(topology, options, results, wall, "multiprocess")
+    return _assemble(topology, results, wall)
 
 
 def _assemble(
-    topology, options, results: Dict[int, dict], wall: float, name: str
+    topology, results: Dict[int, dict], wall: float
 ) -> "BackendResult":
-    from repro.engine.backends import BackendResult
+    from repro.engine.backends import BackendResult, summarize_counts
 
     workers = [results[s] for s in sorted(results)]
 
@@ -856,12 +840,8 @@ def _assemble(
         for op, width in worker["widths"].items():
             widths[op] = max(widths.get(op, 0), width)
 
-    emitted = sum(sum(worker["emitted"].values()) for worker in workers)
-
-    stream_locality: Dict[str, float] = {}
+    stream_counts: Dict[str, Tuple[int, int]] = {}
     route_counts: Dict[str, Dict[str, int]] = {}
-    local_sum = 0
-    total_sum = 0
     for stream in topology.streams:
         if stream.name in workers[0]["route_counts"]:
             route_counts[stream.name] = {
@@ -871,40 +851,25 @@ def _assemble(
                 )
                 for counter in ("table_hits", "hash_fallbacks")
             }
-        local = sum(
-            worker["stream_counts"][stream.name][0] for worker in workers
+        stream_counts[stream.name] = tuple(
+            sum(worker["stream_counts"][stream.name][i] for worker in workers)
+            for i in (0, 1)
         )
-        total = sum(
-            worker["stream_counts"][stream.name][1] for worker in workers
-        )
-        stream_locality[stream.name] = local / total if total else 1.0
-        local_sum += local
-        total_sum += total
 
-    processed: Dict[str, int] = {}
-    received: Dict[str, List[int]] = {}
-    load_balance: Dict[str, float] = {}
-    per_key_totals: Dict[str, Dict[Any, int]] = {}
-    key_instances: Dict[str, Dict[Any, Tuple[int, ...]]] = {}
+    bolt_counts = {}
     for op in topology.bolts:
-        processed[op.name] = sum(
-            worker["processed"].get(op.name, 0) for worker in workers
-        )
         counts = [0] * widths[op.name]
         for worker in workers:
             for instance, count in worker["received"][op.name].items():
                 counts[instance] += count
-        received[op.name] = counts
-        mean = sum(counts) / len(counts) if counts else 0.0
-        load_balance[op.name] = max(counts) / mean if mean else 1.0
-        totals, holders = keyed_state_summary(
-            item
-            for worker in workers
-            for item in worker["state"][op.name].items()
+        bolt_counts[op.name] = (
+            counts,
+            [
+                item
+                for worker in workers
+                for item in worker["state"][op.name].items()
+            ],
         )
-        if totals:
-            per_key_totals[op.name] = totals
-            key_instances[op.name] = holders
 
     op_stats = merge_op_stats(worker["op_stats"] for worker in workers)
     per_server = {
@@ -917,32 +882,32 @@ def _assemble(
         }
         for worker in workers
     }
-    cpu_ns_max = max((w["cpu_ns"] for w in workers), default=0)
-    total_processed = sum(processed.values())
     return BackendResult(
-        backend=name,
-        wall_s=wall,
-        sim_s=cpu_ns_max / 1e9,
-        tuples_emitted=emitted,
-        processed=processed,
-        tuples_per_s=total_processed / wall if wall > 0 else 0.0,
-        locality=(local_sum / total_sum) if total_sum else 1.0,
-        stream_locality=stream_locality,
-        load_balance=load_balance,
-        received=received,
-        per_key_totals=per_key_totals,
-        key_instances=key_instances,
+        backend="multiprocess",
+        sim_s=max((w["cpu_ns"] for w in workers), default=0) / 1e9,
+        tuples_emitted=sum(
+            sum(worker["emitted"].values()) for worker in workers
+        ),
         route_counts=route_counts,
         op_stats={
             op_name: stats.as_dict()
             for op_name, stats in op_stats.items()
         },
-        fingerprint=None,
-        handle=None,
         measured={
             "per_server": per_server,
             "cpu_ns_total": sum(w["cpu_ns"] for w in workers),
             "ipc_bytes_total": sum(w["ipc_tx_bytes"] for w in workers),
             "ipc_msgs_total": sum(w["ipc_tx_msgs"] for w in workers),
         },
+        **summarize_counts(
+            wall,
+            {
+                op.name: sum(
+                    worker["processed"].get(op.name, 0) for worker in workers
+                )
+                for op in topology.bolts
+            },
+            stream_counts,
+            bolt_counts,
+        ),
     )

@@ -40,7 +40,7 @@ routing key) run as real operator instances behind the shared
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,10 +52,8 @@ from repro.engine.physical import (
     PhysicalPlan,
     SpoutSource,
     TupleBatch,
-    keyed_state_summary,
 )
 from repro.engine.routing_kernel import (
-    DETERMINISTIC_KINDS,
     TABLE_KINDS,
     RouteKernel,
     edge_kind,
@@ -64,7 +62,7 @@ from repro.engine.routing_kernel import (
 )
 from repro.engine.topology import Topology
 from repro.engine.tuples import payload_size
-from repro.errors import DeploymentError, RoutingError
+from repro.errors import RoutingError
 
 
 class _Meter:
@@ -152,7 +150,6 @@ class _VectorEdge:
             src_instance,
             int(self.src_placement[src_instance]),
             self.dst_placement[: self.n].tolist(),
-            self.meter.costs.router_cache_size,
         )
 
     def _shuffle_kernel(self, src_instance: int) -> RouteKernel:
@@ -258,11 +255,6 @@ class _VectorEdge:
                 meter.nic_tx_s += tx_bytes / meter.bytes_per_s
                 meter.nic_rx_s += rx_bytes / meter.bytes_per_s
 
-    def locality(self) -> float:
-        if not self.total_tuples:
-            return 1.0
-        return self.local_tuples / self.total_tuples
-
 
 # ----------------------------------------------------------------------
 # Physical operators
@@ -280,7 +272,6 @@ class _VectorSpoutSource(SpoutSource):
             spec.parallelism,
             {i: int(placement[i]) for i in range(spec.parallelism)},
             options.batch_size,
-            options.max_tuples_per_instance,
         )
         self.placement = placement
         self.meter = meter
@@ -509,19 +500,7 @@ class _VectorizedRun:
             self._apply(self._pending.pop(0))
 
     def _apply(self, action) -> None:
-        try:
-            edge = self.edges_by_stream[action.stream]
-        except KeyError:
-            raise DeploymentError(
-                f"reconfigure action names unknown stream "
-                f"{action.stream!r}; one of "
-                f"{sorted(self.edges_by_stream)}"
-            ) from None
-        if edge.kind not in DETERMINISTIC_KINDS:
-            raise DeploymentError(
-                f"scripted reconfiguration requires a deterministic "
-                f"keyed stream; {action.stream!r} is {edge.kind!r}"
-            )
+        edge = action.target_in(self.edges_by_stream)
         dst = edge.stream.dst
         new_width = action.parallelism
         consumer = self.ops[dst]
@@ -546,67 +525,48 @@ class _VectorizedRun:
 
 
 def run_vectorized(topology: Topology, options) -> "BackendResult":
-    from repro.engine.backends import BackendResult
+    from repro.engine.backends import BackendResult, summarize_counts
 
     run = _VectorizedRun(topology, options)
     wall = run.execute()
 
-    stream_locality: Dict[str, float] = {}
-    route_counts: Dict[str, Dict[str, int]] = {}
-    local_sum = 0
-    total_sum = 0
-    for name, edge in run.edges_by_stream.items():
-        stream_locality[name] = edge.locality()
-        local_sum += edge.local_tuples
-        total_sum += edge.total_tuples
-        if edge.kind in TABLE_KINDS:
-            route_counts[name] = {
-                "table_hits": edge.kernel.table_hits,
-                "hash_fallbacks": edge.kernel.hash_fallbacks,
-            }
-
-    processed: Dict[str, int] = {}
-    received: Dict[str, List[int]] = {}
-    load_balance: Dict[str, float] = {}
-    per_key_totals: Dict[str, Dict[Any, int]] = {}
-    key_instances: Dict[str, Dict[Any, Tuple[int, ...]]] = {}
+    edges = run.edges_by_stream
+    bolt_counts = {}
     for op in run.topology.bolts:
-        phys = run.ops[op.name]
-        processed[op.name] = phys.stats.tuples_in
         width = run.widths[op.name]
         counts = np.zeros(width, dtype=np.int64)
         for stream in run.topology.inputs_of(op.name):
-            edge = run.edges_by_stream[stream.name]
-            counts[: len(edge.received)] += edge.received[:width]
-        received[op.name] = [int(c) for c in counts]
-        mean = counts.mean() if width else 0.0
-        load_balance[op.name] = (
-            float(counts.max() / mean) if mean else 1.0
+            received = edges[stream.name].received
+            counts[: len(received)] += received[:width]
+        bolt_counts[op.name] = (
+            counts.tolist(),
+            run.ops[op.name].state_snapshot().items(),
         )
-        totals, holders = keyed_state_summary(phys.state_snapshot().items())
-        if totals:
-            per_key_totals[op.name] = totals
-            key_instances[op.name] = holders
 
-    emitted = run._emitted()
-    total_processed = sum(processed.values())
     return BackendResult(
         backend="vectorized",
-        wall_s=wall,
         sim_s=run.meter.sim_s(),
-        tuples_emitted=emitted,
-        processed=processed,
-        tuples_per_s=total_processed / wall if wall > 0 else 0.0,
-        locality=(local_sum / total_sum) if total_sum else 1.0,
-        stream_locality=stream_locality,
-        load_balance=load_balance,
-        received=received,
-        per_key_totals=per_key_totals,
-        key_instances=key_instances,
-        route_counts=route_counts,
-        op_stats={
-            name: op.stats.as_dict() for name, op in run.ops.items()
+        tuples_emitted=run._emitted(),
+        route_counts={
+            name: {
+                "table_hits": edge.kernel.table_hits,
+                "hash_fallbacks": edge.kernel.hash_fallbacks,
+            }
+            for name, edge in edges.items()
+            if edge.kind in TABLE_KINDS
         },
-        fingerprint=None,
+        op_stats={name: op.stats.as_dict() for name, op in run.ops.items()},
         handle=run,
+        **summarize_counts(
+            wall,
+            {
+                op.name: run.ops[op.name].stats.tuples_in
+                for op in run.topology.bolts
+            },
+            {
+                name: (edge.local_tuples, edge.total_tuples)
+                for name, edge in edges.items()
+            },
+            bolt_counts,
+        ),
     )

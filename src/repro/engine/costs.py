@@ -50,15 +50,6 @@ class CostModel:
     control_service_s: float = 5.0e-6
     #: Per-key payload when migrating operator state (a counter entry).
     state_bytes_per_key: int = 64
-    #: Capacity of each router's key→route LRU cache (0 disables
-    #: caching). Sized per router instance; see DESIGN.md §10.
-    router_cache_size: int = 4096
-    #: Max source polls a spout drains per scheduled service event (1
-    #: restores the seed one-event-per-poll behaviour).
-    spout_batch: int = 8
-    #: Max queued data tuples a bolt drains per scheduled service event
-    #: (the batch never crosses a control message: barriers intact).
-    bolt_batch: int = 8
 
     def ser_cost(self, nbytes: int) -> float:
         """CPU seconds to serialize a remote tuple of ``nbytes``."""

@@ -36,6 +36,12 @@ from repro.engine.operators import (
 from repro.engine.tuples import Tuple, payload_size
 from repro.errors import SimulationError
 
+#: Max source polls a spout drains per scheduled service event.
+SPOUT_BATCH = 8
+#: Max queued data tuples a bolt drains per scheduled service event
+#: (the batch never crosses a control message: barriers intact).
+BOLT_BATCH = 8
+
 
 class ControlMessage:
     """A control-plane message (reconfiguration protocol, migration)."""
@@ -436,14 +442,13 @@ class BoltExecutor(BaseExecutor):
             self._process_next()
 
     def _process_next(self) -> None:
-        """Drain the queue: up to ``costs.bolt_batch`` consecutive data
+        """Drain the queue: up to :data:`BOLT_BATCH` consecutive data
         items are processed per scheduled service event (one heap push
         instead of N), with their modeled service times summed. A batch
         never crosses a control message, so control barriers see
         exactly the FIFO order they saw with per-tuple events."""
         queue = self._queue
         costs = self.costs
-        batch_limit = costs.bolt_batch if costs.bolt_batch > 0 else 1
         bolt_service_s = costs.bolt_service_s
         get_key_fn = self.in_key_fns.get
         held_keys = self._held_keys
@@ -460,7 +465,7 @@ class BoltExecutor(BaseExecutor):
 
             batch: List[tuple] = []
             service = 0.0
-            while queue and queue[0][0] == "data" and len(batch) < batch_limit:
+            while queue and queue[0][0] == "data" and len(batch) < BOLT_BATCH:
                 item = queue.popleft()
                 _, tup, remote, src_op = item
                 in_key_fn = get_key_fn(src_op)
@@ -564,7 +569,7 @@ class SpoutExecutor(BaseExecutor):
     # -- polling loop ------------------------------------------------------
 
     def _poll(self) -> None:
-        """One scheduled poll drains up to ``costs.spout_batch`` source
+        """One scheduled poll drains up to :data:`SPOUT_BATCH` source
         polls (replays first), so N emitted tuples cost one service
         event instead of N. The credit check caps the batch at the
         remaining ``max_pending`` budget; service time stays
@@ -576,11 +581,10 @@ class SpoutExecutor(BaseExecutor):
             self._waiting_for_ack = True
             return
         costs = self.costs
-        batch_limit = costs.spout_batch if costs.spout_batch > 0 else 1
         emissions: List[tuple] = []
         produced = False
         while (
-            len(emissions) < batch_limit
+            len(emissions) < SPOUT_BATCH
             and self.pending + len(emissions) < self.max_pending
         ):
             if self._replay:
@@ -656,12 +660,9 @@ class SpoutExecutor(BaseExecutor):
             # immediately (a timed-out tuple must not wait for credit
             # that may never come) and so do finished spouts (the poll
             # is what notices pending == 0 and stops the loop).
-            batch_limit = self.costs.spout_batch
-            wake_credit = min(
-                batch_limit if batch_limit > 0 else 1, self.max_pending
-            )
             if (
-                self.max_pending - self.pending >= wake_credit
+                self.max_pending - self.pending
+                >= min(SPOUT_BATCH, self.max_pending)
                 or self._replay
                 or self.operator.finished
             ):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import zlib
 import operator
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError
@@ -117,13 +118,52 @@ def clear_stable_hash_memo() -> None:
     _HASH_MEMO.clear()
 
 
-#: Default capacity of the per-router key→route caches; deployments
-#: size them via ``CostModel.router_cache_size``.
-DEFAULT_ROUTER_CACHE_SIZE = 4096
+def hash_owner(key: Any, seed: int, num_destinations: int) -> int:
+    """The hash fallback of Section 3.3 — where a key goes when no
+    table names it. The only place the fallback is spelled."""
+    return stable_hash(key, seed) % num_destinations
+
+
+def key_owner(
+    key: Any, table, seed: int, num_destinations: int, strict: bool = True
+) -> Tuple[int, bool]:
+    """The owner rule of Section 3.3: ``(instance, came_from_table)``.
+
+    A key in ``table`` (any object with ``lookup(key) -> Optional[int]``,
+    or None) goes where the table says, any other key where the hash
+    says. Routers, kernels, the migration planner, the rescale scan and
+    the rollback all call this, so they cannot disagree on an owner.
+
+    A table entry outside ``range(num_destinations)`` raises
+    :class:`~repro.errors.RoutingError` — on the data plane it means a
+    table and a width were swapped separately. ``strict=False`` is the
+    control plane's reading of a *stale* table (rollback and evacuation
+    resolve owners at a width the table was not planned for): the entry
+    is ignored and the key falls back to the hash.
+    """
+    if table is not None:
+        instance = table.lookup(key)
+        if instance is not None:
+            if 0 <= instance < num_destinations:
+                return instance, True
+            if strict:
+                raise RoutingError(
+                    f"routing table maps {key!r} to instance {instance}, "
+                    f"but stream has {num_destinations} destinations"
+                )
+    return hash_owner(key, seed, num_destinations), False
+
+
+#: Capacity of each per-router memo (:class:`_RouteCache`).
+ROUTE_CACHE_CAPACITY = 4096
 
 
 class _RouteCache:
-    """Bounded LRU for key→route memoization.
+    """Bounded LRU memo of a router's per-key work, kept only where a
+    miss is real work (DESIGN.md §10.1): in front of a table whose
+    ``lookup`` is expensive and in front of the d-choices candidate
+    hashes. In front of a ``dict.get`` or the interned
+    :func:`stable_hash` it costs more than it saves.
 
     Values are treated as immutable by callers (routers hand the cached
     route list straight to the emission planner, which only iterates).
@@ -133,8 +173,8 @@ class _RouteCache:
 
     __slots__ = ("_data", "_capacity")
 
-    def __init__(self, capacity: int) -> None:
-        self._capacity = capacity
+    def __init__(self) -> None:
+        self._capacity = ROUTE_CACHE_CAPACITY
         self._data: dict = {}
 
     def get(self, key):
@@ -146,47 +186,51 @@ class _RouteCache:
         return value
 
     def put(self, key, value) -> None:
+        # only ever called after a ``get`` miss: ``key`` is new
         data = self._data
-        if key in data:
-            del data[key]
-        elif len(data) >= self._capacity:
+        if len(data) >= self._capacity:
             del data[next(iter(data))]
         data[key] = value
-
-    def clear(self) -> None:
-        self._data.clear()
 
     def __len__(self) -> int:
         return len(self._data)
 
 
+@dataclass
 class RouterContext:
-    """Everything a router may need about its edge at deployment time."""
+    """Everything a router may need about its edge at deployment time.
+    Build one with :func:`stream_context`, which derives ``seed``."""
 
-    __slots__ = (
-        "stream_name",
-        "src_instance",
-        "src_server",
-        "dst_placements",
-        "seed",
-        "cache_size",
+    stream_name: str
+    src_instance: int
+    src_server: int
+    #: server hosting each destination instance
+    dst_placements: Sequence[int]
+    seed: int
+
+
+def stream_seed(stream_name: str) -> int:
+    """The hash seed of a stream's routers — the one place it is
+    derived; the control plane reads it through
+    ``RoutedStream.hash_seed``."""
+    return stable_hash(stream_name)
+
+
+def stream_context(
+    stream,
+    src_instance: int,
+    src_server: int,
+    dst_placements: Sequence[int],
+) -> RouterContext:
+    """The context every router and kernel of ``stream`` (anything with
+    a ``name``) is built under for one source instance."""
+    return RouterContext(
+        stream.name,
+        src_instance,
+        src_server,
+        dst_placements,
+        stream_seed(stream.name),
     )
-
-    def __init__(
-        self,
-        stream_name: str,
-        src_instance: int,
-        src_server: int,
-        dst_placements: Sequence[int],
-        seed: int,
-        cache_size: int = DEFAULT_ROUTER_CACHE_SIZE,
-    ) -> None:
-        self.stream_name = stream_name
-        self.src_instance = src_instance
-        self.src_server = src_server
-        self.dst_placements = list(dst_placements)
-        self.seed = seed
-        self.cache_size = cache_size
 
 
 class Router:
@@ -215,6 +259,15 @@ def _require_destinations(context: RouterContext) -> int:
     return n
 
 
+def _checked_width(num_destinations: int) -> int:
+    """A destination count a router may ``resize`` to (rescale seam)."""
+    if num_destinations < 1:
+        raise RoutingError(
+            f"num_destinations must be >= 1, got {num_destinations}"
+        )
+    return num_destinations
+
+
 # ----------------------------------------------------------------------
 # Shuffle
 # ----------------------------------------------------------------------
@@ -232,11 +285,7 @@ class _ShuffleRouter(Router):
 
     def resize(self, num_destinations: int) -> None:
         """Adopt a new destination count (rescale seam)."""
-        if num_destinations < 1:
-            raise RoutingError(
-                f"num_destinations must be >= 1, got {num_destinations}"
-            )
-        self._n = num_destinations
+        self._n = _checked_width(num_destinations)
         self._next %= num_destinations
 
 
@@ -289,45 +338,19 @@ class LocalOrShuffleGrouping(Grouping):
 
 
 class _HashFieldsRouter(Router):
-    """Hash fields router with a bounded key→route LRU: the hash/mod
-    and the route-list allocation run once per distinct hot key. Pure
-    function of the key, so the cache never needs invalidation."""
+    """Hash fields router: a pure function of the key."""
 
-    def __init__(
-        self,
-        key_fn,
-        num_destinations: int,
-        seed: int,
-        cache_size: int = DEFAULT_ROUTER_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, key_fn, num_destinations: int, seed: int) -> None:
         self._key_fn = key_fn
         self._n = num_destinations
         self._seed = seed
-        self._cache = _RouteCache(cache_size) if cache_size > 0 else None
 
     def select(self, values: tuple) -> List[int]:
-        key = self._key_fn(values)
-        cache = self._cache
-        if cache is not None and key.__class__ in _SCALAR_KEY_TYPES:
-            memo_key = (key.__class__, key)
-            route = cache.get(memo_key)
-            if route is None:
-                route = [stable_hash(key, self._seed) % self._n]
-                cache.put(memo_key, route)
-            return route
-        return [stable_hash(key, self._seed) % self._n]
+        return [hash_owner(self._key_fn(values), self._seed, self._n)]
 
     def resize(self, num_destinations: int) -> None:
-        """Adopt a new destination count and drop the route cache — a
-        cached route under the old modulus would silently keep the
-        pre-rescale key placement (rescale seam)."""
-        if num_destinations < 1:
-            raise RoutingError(
-                f"num_destinations must be >= 1, got {num_destinations}"
-            )
-        self._n = num_destinations
-        if self._cache is not None:
-            self._cache.clear()
+        """Adopt a new destination count (rescale seam)."""
+        self._n = _checked_width(num_destinations)
 
 
 class FieldsGrouping(Grouping):
@@ -348,10 +371,7 @@ class FieldsGrouping(Grouping):
 
     def build_router(self, context: RouterContext) -> Router:
         return _HashFieldsRouter(
-            self.key_fn,
-            _require_destinations(context),
-            context.seed,
-            cache_size=context.cache_size,
+            self.key_fn, _require_destinations(context), context.seed
         )
 
 
@@ -363,43 +383,47 @@ class FieldsGrouping(Grouping):
 class TableRouter(Router):
     """Fields router with a swappable key→instance table.
 
-    The table is any object with ``lookup(key) -> Optional[int]``;
+    Every select is :func:`key_owner` under the current (table, width):
     unknown keys fall back to hash routing, as in Section 3.3 of the
     paper. ``table_hits`` / ``hash_fallbacks`` count the two outcomes —
     the explicit-vs-fallback split the telemetry layer exports (a high
     fallback share after a reconfiguration means the routed key set no
     longer covers the traffic, the Fig. 12 unseen-keys effect).
+
+    A table that declares ``lookup_is_expensive`` (the compact tables)
+    gets a :class:`_RouteCache` in front of it; a plain table is a
+    dictionary and needs none.
     """
 
     def __init__(
-        self,
-        key_fn,
-        num_destinations: int,
-        seed: int,
-        table,
-        cache_size: int = DEFAULT_ROUTER_CACHE_SIZE,
+        self, key_fn, num_destinations: int, seed: int, table
     ) -> None:
         self._key_fn = key_fn
         self._n = num_destinations
         self._seed = seed
-        self._table = table
         self.table_hits = 0
         self.hash_fallbacks = 0
-        #: key→(route, table_hit) LRU; MUST be dropped whenever the
-        #: table changes — a stale cached destination would silently
-        #: undo a reconfiguration (see DESIGN.md §10 invalidation rules)
-        self._cache = _RouteCache(cache_size) if cache_size > 0 else None
+        self._set_table(table)
+
+    def _set_table(self, table) -> None:
+        self._table = table
+        #: key→(route, table_hit) memo; MUST be dropped whenever the
+        #: table or the width changes — a stale cached destination
+        #: would silently undo a reconfiguration (DESIGN.md §10.1)
+        self._cache = (
+            _RouteCache()
+            if getattr(table, "lookup_is_expensive", False)
+            else None
+        )
 
     @property
     def table(self):
         return self._table
 
     def update_table(self, table) -> None:
-        """Hot-swap the routing table (reconfiguration step 5). Drops
-        the route cache: every key re-resolves against the new table."""
-        self._table = table
-        if self._cache is not None:
-            self._cache.clear()
+        """Hot-swap the routing table (reconfiguration step 5): every
+        key re-resolves against the new table."""
+        self._set_table(table)
 
     @property
     def num_destinations(self) -> int:
@@ -409,48 +433,32 @@ class TableRouter(Router):
         """Atomically swap the destination count *and* the table (a
         rescale round changes both; swapping them separately would let
         a tuple route through a (new table, old n) hybrid and hit the
-        range check in :meth:`_route`)."""
-        if num_destinations < 1:
-            raise RoutingError(
-                f"num_destinations must be >= 1, got {num_destinations}"
-            )
-        self._n = num_destinations
-        self._table = table
-        if self._cache is not None:
-            self._cache.clear()
-
-    def _route(self, key) -> tuple:
-        """Uncached decision: (route list, came-from-table flag)."""
-        if self._table is not None:
-            instance = self._table.lookup(key)
-            if instance is not None:
-                if not 0 <= instance < self._n:
-                    raise RoutingError(
-                        f"routing table maps {key!r} to instance {instance}, "
-                        f"but stream has {self._n} destinations"
-                    )
-                return ([instance], True)
-        return ([stable_hash(key, self._seed) % self._n], False)
+        range check of :func:`key_owner`)."""
+        self._n = _checked_width(num_destinations)
+        self._set_table(table)
 
     def select(self, values: tuple) -> List[int]:
         return self._select_for_key(self._key_fn(values))
 
     def _select_for_key(self, key) -> List[int]:
         cache = self._cache
-        if cache is not None and key.__class__ in _SCALAR_KEY_TYPES:
+        if cache is None or key.__class__ not in _SCALAR_KEY_TYPES:
+            instance, table_hit = key_owner(
+                key, self._table, self._seed, self._n
+            )
+            route = [instance]
+        else:
             memo_key = (key.__class__, key)
             entry = cache.get(memo_key)
             if entry is None:
-                entry = self._route(key)
+                instance, table_hit = key_owner(
+                    key, self._table, self._seed, self._n
+                )
+                entry = ([instance], table_hit)
                 cache.put(memo_key, entry)
-            # Count per select, not per cache fill: the hit/fallback
-            # split the telemetry layer exports stays per-tuple exact.
-            if entry[1]:
-                self.table_hits += 1
-            else:
-                self.hash_fallbacks += 1
-            return entry[0]
-        route, table_hit = self._route(key)
+            route, table_hit = entry
+        # Count per select, not per cache fill: the hit/fallback split
+        # the telemetry layer exports stays per-tuple exact.
         if table_hit:
             self.table_hits += 1
         else:
@@ -466,13 +474,15 @@ class TableFieldsGrouping(Grouping):
         self.key_spec = key
         self.initial_table = table
 
+    #: the router built per source instance
+    router_class = TableRouter
+
     def build_router(self, context: RouterContext) -> TableRouter:
-        return TableRouter(
+        return self.router_class(
             self.key_fn,
             _require_destinations(context),
             context.seed,
             self.initial_table,
-            cache_size=context.cache_size,
         )
 
 
@@ -481,55 +491,55 @@ class TableFieldsGrouping(Grouping):
 # ----------------------------------------------------------------------
 
 
+def split_members(
+    key: Any, members: Sequence[int], num_destinations: int
+) -> Tuple[int, ...]:
+    """The members of ``key``'s split set a stream of
+    ``num_destinations`` can address (a stale set may name retired
+    instances); at least one, or the set is unusable."""
+    valid = tuple(m for m in members if 0 <= m < num_destinations)
+    if not valid:
+        raise RoutingError(
+            f"split set maps {key!r} to {members}, all outside the "
+            f"stream's {num_destinations} destinations"
+        )
+    return valid
+
+
 class HybridTableRouter(TableRouter):
     """Table router that splits heavy hitters across a small POI set.
 
-    Tail keys route exactly like :class:`TableRouter` (explicit table
-    entry, hash fallback) and stay LRU-cached. Keys named in the
-    table's *split set* (see
+    Tail keys route exactly like :class:`TableRouter`
+    (:func:`key_owner`). Keys named in the table's *split set* (see
     :meth:`repro.core.routing_table.RoutingTable.split`) are instead
     sent to the least-loaded member of their split tuple — a
     load-dependent decision that is never cached. Per-destination load
     is tracked over *all* selects, so a split key's choice accounts
     for the tail traffic each member already carries.
 
-    The split set arrives inside the table payload, so the cache
-    invalidation rules of ``update_table``/``resize`` cover it: any
-    table swap drops the route cache and resets the load counters.
+    The split set arrives inside the table payload, so the rules of
+    ``update_table``/``resize`` cover it: any table swap drops the
+    route cache and resets the load counters.
     """
 
     def __init__(
-        self,
-        key_fn,
-        num_destinations: int,
-        seed: int,
-        table,
-        cache_size: int = DEFAULT_ROUTER_CACHE_SIZE,
+        self, key_fn, num_destinations: int, seed: int, table
     ) -> None:
-        super().__init__(
-            key_fn, num_destinations, seed, table, cache_size=cache_size
-        )
-        self._sent = [0] * num_destinations
+        super().__init__(key_fn, num_destinations, seed, table)
+        #: selects resolved through the split set (telemetry)
+        self.split_routes = 0
+
+    def _set_table(self, table) -> None:
+        super()._set_table(table)
         #: bound ``table.split`` when the table carries one (plain
         #: lookup-only table objects degrade to pure table routing)
         self._split_fn = getattr(table, "split", None)
-        #: selects resolved through the split set (telemetry)
-        self.split_routes = 0
+        self._sent = [0] * self._n
 
     @property
     def sent_counts(self) -> List[int]:
         """Per-destination send counts (copy, for tests/telemetry)."""
         return list(self._sent)
-
-    def update_table(self, table) -> None:
-        super().update_table(table)
-        self._split_fn = getattr(table, "split", None)
-        self._sent = [0] * self._n
-
-    def resize(self, num_destinations: int, table) -> None:
-        super().resize(num_destinations, table)
-        self._split_fn = getattr(table, "split", None)
-        self._sent = [0] * self._n
 
     def select(self, values: tuple) -> List[int]:
         key = self._key_fn(values)
@@ -539,15 +549,9 @@ class HybridTableRouter(TableRouter):
             if members:
                 sent = self._sent
                 dst = min(
-                    (m for m in members if 0 <= m < self._n),
+                    split_members(key, members, self._n),
                     key=sent.__getitem__,
-                    default=None,
                 )
-                if dst is None:
-                    raise RoutingError(
-                        f"split set maps {key!r} to {members}, all "
-                        f"outside the stream's {self._n} destinations"
-                    )
                 sent[dst] += 1
                 self.split_routes += 1
                 return [dst]
@@ -561,14 +565,7 @@ class HybridTableFieldsGrouping(TableFieldsGrouping):
     set: locality-aware routing for the tail, d-choices splitting for
     the heavy hitters the manager marks each round."""
 
-    def build_router(self, context: RouterContext) -> HybridTableRouter:
-        return HybridTableRouter(
-            self.key_fn,
-            _require_destinations(context),
-            context.seed,
-            self.initial_table,
-            cache_size=context.cache_size,
-        )
+    router_class = HybridTableRouter
 
 
 # ----------------------------------------------------------------------
@@ -614,8 +611,7 @@ def candidate_instances(
     hash function). Candidates may collide on small clusters — the
     split is then narrower than ``d``, never wrong."""
     return tuple(
-        stable_hash(key, seed + i * _CANDIDATE_SEED_STRIDE)
-        % num_destinations
+        hash_owner(key, seed + i * _CANDIDATE_SEED_STRIDE, num_destinations)
         for i in range(d)
     )
 
@@ -626,19 +622,14 @@ class _DChoicesRouter(Router):
     it is always recomputed against the cheapest candidate."""
 
     def __init__(
-        self,
-        key_fn,
-        num_destinations: int,
-        seed: int,
-        d: int = 2,
-        cache_size: int = DEFAULT_ROUTER_CACHE_SIZE,
+        self, key_fn, num_destinations: int, seed: int, d: int = 2
     ) -> None:
         self._key_fn = key_fn
         self._n = num_destinations
         self._seed = seed
         self._d = d
         self._sent = [0] * num_destinations
-        self._cache = _RouteCache(cache_size) if cache_size > 0 else None
+        self._cache = _RouteCache()
 
     @property
     def sent_counts(self) -> List[int]:
@@ -650,13 +641,12 @@ class _DChoicesRouter(Router):
 
     def select(self, values: tuple) -> List[int]:
         key = self._key_fn(values)
-        cache = self._cache
-        if cache is not None and key.__class__ in _SCALAR_KEY_TYPES:
+        if key.__class__ in _SCALAR_KEY_TYPES:
             memo_key = (key.__class__, key)
-            candidates = cache.get(memo_key)
+            candidates = self._cache.get(memo_key)
             if candidates is None:
                 candidates = self._candidates(key)
-                cache.put(memo_key, candidates)
+                self._cache.put(memo_key, candidates)
         else:
             candidates = self._candidates(key)
         sent = self._sent
@@ -675,14 +665,9 @@ class _DChoicesRouter(Router):
         """Adopt a new destination count: drop the candidate cache
         (candidates are taken modulo the old width) and re-dimension
         the send counters (rescale seam)."""
-        if num_destinations < 1:
-            raise RoutingError(
-                f"num_destinations must be >= 1, got {num_destinations}"
-            )
-        self._n = num_destinations
+        self._n = _checked_width(num_destinations)
         self.reset_sent()
-        if self._cache is not None:
-            self._cache.clear()
+        self._cache = _RouteCache()
 
 
 class PartialKeyGrouping(Grouping):
@@ -711,7 +696,6 @@ class PartialKeyGrouping(Grouping):
             _require_destinations(context),
             context.seed,
             d=self.d,
-            cache_size=context.cache_size,
         )
 
 

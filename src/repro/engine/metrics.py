@@ -19,9 +19,18 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.registry import MetricRegistry
+
+
+def load_balance(loads: Sequence[int]) -> float:
+    """max load / mean load over one operator's instances (>= 1.0;
+    1.0 when nothing was received)."""
+    total = sum(loads)
+    if total == 0:
+        return 1.0
+    return max(loads) / (total / len(loads))
 
 
 class LatencyStats:
@@ -263,13 +272,8 @@ class MetricsHub:
         return local / total
 
     def load_balance(self, op: str, parallelism: int) -> float:
-        """max load / mean load over the instances of ``op`` (>= 1.0)."""
-        loads = self.received_per_instance(op, parallelism)
-        total = sum(loads)
-        if total == 0:
-            return 1.0
-        mean = total / parallelism
-        return max(loads) / mean
+        """:func:`load_balance` over the instances of ``op``."""
+        return load_balance(self.received_per_instance(op, parallelism))
 
     def snapshot(self) -> "MetricsSnapshot":
         return MetricsSnapshot(self)

@@ -352,14 +352,12 @@ class SpoutSource(SourceOperator):
         parallelism: int,
         placement: Dict[int, int],
         batch_size: int,
-        max_tuples_per_instance: Optional[int],
     ) -> None:
         super().__init__(name)
         self.batch_size = batch_size
         self._spouts: Dict[int, Spout] = {}
         self._iters: Dict[int, Any] = {}
         self._contexts: Dict[int, ShimContext] = {}
-        self._budget: Dict[int, Optional[int]] = {}
         self._live: List[int] = []
         self._cursor = 0
         for instance, server in sorted(placement.items()):
@@ -380,7 +378,6 @@ class SpoutSource(SourceOperator):
                 if isinstance(operator, IteratorSpout)
                 else None
             )
-            self._budget[instance] = max_tuples_per_instance
             self._live.append(instance)
 
     def _poll(self) -> Optional[TupleBatch]:
@@ -397,28 +394,20 @@ class SpoutSource(SourceOperator):
         return None
 
     def _pull(self, instance: int) -> List[tuple]:
-        budget = self._budget[instance]
-        limit = self.batch_size if budget is None else min(
-            self.batch_size, budget
-        )
-        if limit <= 0:
-            return []
+        limit = self.batch_size
         iterator = self._iters[instance]
         if iterator is not None:
             # tuple(): what ``emit`` does to every row on the DES, so
             # a spout yielding lists hands tuples downstream here too
             # (``emit_many`` forwards rows unconverted).
-            values = list(map(tuple, islice(iterator, limit)))
-        else:
-            values = []
-            spout = self._spouts[instance]
-            context = self._contexts[instance]
-            while len(values) < limit:
-                if spout.finished or not spout.next_tuple(context):
-                    break
-                values.extend(context._drain())
-        if budget is not None:
-            self._budget[instance] = budget - len(values)
+            return list(map(tuple, islice(iterator, limit)))
+        values: List[tuple] = []
+        spout = self._spouts[instance]
+        context = self._contexts[instance]
+        while len(values) < limit:
+            if spout.finished or not spout.next_tuple(context):
+                break
+            values.extend(context._drain())
         return values
 
     def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:

@@ -15,8 +15,9 @@ answers per *batch*:
   the batch mirror of ``TableRouter.update_table`` / ``resize``.
 
 Keyed kernels intern each distinct key once (:class:`Vocab`) and keep
-an id → destination array resolved with the scalar routers' math, so a
-batch routes as one numpy gather. Groupings without a batch form
+an id → destination array resolved with
+:func:`~repro.engine.grouping.key_owner`, the scalar routers' rule, so
+a batch routes as one numpy gather. Groupings without a batch form
 (broadcast, global, local-or-shuffle, custom) go through
 :class:`RouteKernel` itself, which loops the scalar router. The scalar
 routers in :mod:`repro.engine.grouping` stay the oracle the kernels
@@ -38,6 +39,7 @@ import numpy as np
 
 from repro.engine.grouping import (
     _SCALAR_KEY_TYPES,
+    _checked_width,
     FieldsGrouping,
     Grouping,
     HybridTableFieldsGrouping,
@@ -47,9 +49,10 @@ from repro.engine.grouping import (
     TableFieldsGrouping,
     _require_destinations,
     candidate_instances,
-    stable_hash,
+    key_owner,
+    split_members,
+    stream_context,
 )
-from repro.errors import RoutingError
 
 #: kinds routing by a pure function of (key, table, width): one kernel
 #: serves every source instance, keys have an owner to migrate state
@@ -79,7 +82,7 @@ class _Memo(dict):
 class Vocab:
     """Key interning for one kernel: key → dense id, id → key.
 
-    Keys are type-tagged exactly like the scalar routers' LRU caches
+    Keys are type-tagged exactly like the scalar routers' memos
     (``1`` / ``1.0`` / ``True`` must not alias): one memo per scalar
     type, all numbering into the same ``keys``. Non-scalar keys are
     never interned — their elements can alias the same way without the
@@ -173,24 +176,10 @@ class _TableKernel(RouteKernel):
         self.table_hits = 0
         self.hash_fallbacks = 0
 
-    def _decide(self, key) -> Tuple[int, bool]:
-        """``TableRouter._route`` for one key: (instance, from table)."""
-        table = self.table
-        if table is not None:
-            instance = table.lookup(key)
-            if instance is not None:
-                if not 0 <= instance < self.n:
-                    raise RoutingError(
-                        f"routing table maps {key!r} to instance "
-                        f"{instance}, but stream has {self.n} destinations"
-                    )
-                return instance, True
-        return stable_hash(key, self.seed) % self.n, False
-
     def owner_of(self, key) -> int:
         """The key's destination under the current table and width
         (state migration asks this; nothing is counted or interned)."""
-        return self._decide(key)[0]
+        return key_owner(key, self.table, self.seed, self.n)[0]
 
     def _extend(self) -> None:
         """Resolve the vocabulary ids that have no owner yet."""
@@ -198,7 +187,8 @@ class _TableKernel(RouteKernel):
         known = len(self.owners)
         if len(keys) == known:
             return
-        decided = [self._decide(key) for key in keys[known:]]
+        table, seed, n = self.table, self.seed, self.n
+        decided = [key_owner(key, table, seed, n) for key in keys[known:]]
         self.owners = np.concatenate(
             [self.owners, np.array([d[0] for d in decided], dtype=np.int64)]
         )
@@ -216,11 +206,7 @@ class _TableKernel(RouteKernel):
 
     def resize(self, num_destinations: int, table) -> None:
         """Swap the width *and* the table atomically."""
-        if num_destinations < 1:
-            raise RoutingError(
-                f"num_destinations must be >= 1, got {num_destinations}"
-            )
-        self.n = num_destinations
+        self.n = _checked_width(num_destinations)
         self.update_table(table)
 
     def route(self, values: Sequence[tuple]):
@@ -229,13 +215,14 @@ class _TableKernel(RouteKernel):
         self._extend()
         if not loose:
             return self._route_ids(ids), ids, None
-        # Non-scalar keys resolve directly, as the scalar routers
-        # bypass their cache for them.
+        # Non-scalar keys are never interned: each resolves directly.
         interned = ids >= 0
         dst = np.empty(len(ids), dtype=np.int64)
         dst[interned] = self._route_ids(ids[interned])
         for index in np.nonzero(~interned)[0].tolist():
-            dst[index], from_table = self._decide(keys[index])
+            dst[index], from_table = key_owner(
+                keys[index], self.table, self.seed, self.n
+            )
             if from_table:
                 self.table_hits += 1
             else:
@@ -278,13 +265,7 @@ class _HybridKernel(_TableKernel):
         for kid in range(known, len(keys)):
             members = split_fn(keys[kid])
             if members:
-                valid = tuple(m for m in members if 0 <= m < self.n)
-                if not valid:
-                    raise RoutingError(
-                        f"split set maps {keys[kid]!r} to {members}, all "
-                        f"outside the stream's {self.n} destinations"
-                    )
-                self.splits[kid] = valid
+                self.splits[kid] = split_members(keys[kid], members, self.n)
                 self._split_ids = None
 
     def update_table(self, table) -> None:
@@ -397,19 +378,13 @@ def stream_kernel(
     src_instance: int,
     src_server: int,
     dst_placements: Sequence[int],
-    cache_size: int,
 ) -> RouteKernel:
     """The kernel of ``stream`` for one source instance, under the
     context ``deploy`` gives the DES router of the same pair."""
-    context = RouterContext(
-        stream.name,
-        src_instance,
-        src_server,
-        dst_placements,
-        seed=stable_hash(stream.name),
-        cache_size=cache_size,
+    return build_kernel(
+        stream.grouping,
+        stream_context(stream, src_instance, src_server, dst_placements),
     )
-    return build_kernel(stream.grouping, context)
 
 
 def route_per_source(

@@ -13,8 +13,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.engine.acker import Acker
 from repro.engine.cluster import Cluster
 from repro.engine.costs import DEFAULT_COSTS, CostModel
-from repro.engine.executor import BaseExecutor, BoltExecutor, SpoutExecutor
-from repro.engine.grouping import RouterContext, stable_hash
+from repro.engine.executor import (
+    BaseExecutor,
+    BoltExecutor,
+    OutEdge,
+    SpoutExecutor,
+)
+from repro.engine.grouping import stream_context
 from repro.engine.metrics import MetricsHub, ThroughputSampler
 from repro.engine.operators import Spout
 from repro.engine.simulator import Simulator
@@ -33,6 +38,27 @@ def round_robin_placement(num_servers: int) -> PlacementFn:
         return instance % num_servers
 
     return place
+
+
+def _wire_out_edge(
+    src_executor: BaseExecutor, stream, destinations: List[BaseExecutor]
+) -> None:
+    """Give ``src_executor`` its router and out-edge for ``stream``:
+    one router per (stream, source instance)."""
+    context = stream_context(
+        stream,
+        src_executor.instance,
+        src_executor.server.index,
+        [e.server.index for e in destinations],
+    )
+    src_executor.add_out_edge(
+        OutEdge(
+            stream.name,
+            stream.grouping.build_router(context),
+            list(destinations),
+            getattr(stream.grouping, "key_fn", None),
+        )
+    )
 
 
 class Deployment:
@@ -102,15 +128,13 @@ class Deployment:
         """Create, wire and open one new instance of bolt ``op_name``
         on ``server``, with the next instance index.
 
-        Wiring replicates :func:`deploy`: one router per output stream
+        Wired as :func:`deploy` wires: one router per output stream
         (built against the *current* destination lists — a rescale
         round swaps them atomically via the protocol's edge updates)
         and the input key extractors. ``notify=False`` defers the spawn
         observers so the caller can finish installing control handlers
         first (see :meth:`notify_spawned`).
         """
-        from repro.engine.executor import OutEdge
-
         op = self.topology.operator(op_name)
         if op.is_spout:
             raise DeploymentError(
@@ -120,7 +144,6 @@ class Deployment:
         group = self.executors[op_name]
         template = group[0]
         instance = len(group)
-        costs = template.costs
         operator = op.factory()
         executor = BoltExecutor(
             sim=self.sim,
@@ -130,30 +153,13 @@ class Deployment:
             parallelism=template.parallelism,
             server=server,
             operator=operator,
-            costs=costs,
+            costs=template.costs,
             metrics=self.metrics,
             acker=self.acker,
         )
         group.append(executor)
         for stream in self.topology.outputs_of(op_name):
-            destinations = self.executors[stream.dst]
-            context = RouterContext(
-                stream_name=stream.name,
-                src_instance=instance,
-                src_server=server.index,
-                dst_placements=[e.server.index for e in destinations],
-                seed=stable_hash(stream.name),
-                cache_size=costs.router_cache_size,
-            )
-            router = stream.grouping.build_router(context)
-            executor.add_out_edge(
-                OutEdge(
-                    stream.name,
-                    router,
-                    list(destinations),
-                    getattr(stream.grouping, "key_fn", None),
-                )
-            )
+            _wire_out_edge(executor, stream, self.executors[stream.dst])
         for stream in self.topology.inputs_of(op_name):
             key_fn = getattr(stream.grouping, "key_fn", None)
             if key_fn is not None:
@@ -253,27 +259,11 @@ def deploy(
             group.append(executor)
         executors[op.name] = group
 
-    # Wire streams: one router per (stream, source instance).
-    from repro.engine.executor import OutEdge
-
     for stream in topology.streams:
         destinations = executors[stream.dst]
-        dst_placements = [e.server.index for e in destinations]
-        key_fn = getattr(stream.grouping, "key_fn", None)
-        seed = stable_hash(stream.name)
         for src_executor in executors[stream.src]:
-            context = RouterContext(
-                stream_name=stream.name,
-                src_instance=src_executor.instance,
-                src_server=src_executor.server.index,
-                dst_placements=dst_placements,
-                seed=seed,
-                cache_size=costs.router_cache_size,
-            )
-            router = stream.grouping.build_router(context)
-            src_executor.add_out_edge(
-                OutEdge(stream.name, router, list(destinations), key_fn)
-            )
+            _wire_out_edge(src_executor, stream, destinations)
+        key_fn = getattr(stream.grouping, "key_fn", None)
         if key_fn is not None:
             for dst_executor in destinations:
                 dst_executor.in_key_fns[stream.src] = key_fn

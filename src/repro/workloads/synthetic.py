@@ -40,7 +40,7 @@ from repro.engine import (
     Topology,
     TopologyBuilder,
 )
-from repro.engine.grouping import stable_hash
+from repro.engine.grouping import hash_owner
 from repro.engine.operators import IteratorSpout
 from repro.errors import WorkloadError
 from repro.workloads.zipf import derived_rng
@@ -207,7 +207,7 @@ class SyntheticWorkload:
             pi1 = _one_fixed_point_permutation(n)
             if values[0] == values[1]:
                 return (pi1[values[1]] + 1) % n
-            return stable_hash(values[1], context.seed) % n
+            return hash_owner(values[1], context.seed, n)
 
         return CustomGrouping(worst_case_ab)
 

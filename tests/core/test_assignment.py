@@ -154,18 +154,3 @@ def test_routed_stream_rejects_two_instances_per_server():
     with pytest.raises(ReconfigurationError):
         stream.server_to_instance()
 
-
-def test_fallback_matches_engine_seed():
-    """The planner's hash fallback must agree with the engine router."""
-    from repro.engine.grouping import (
-        RouterContext,
-        TableFieldsGrouping,
-        stable_hash,
-    )
-
-    stream = RoutedStream("A->B", "A", "B", [0, 1, 2])
-    router = TableFieldsGrouping(0).build_router(
-        RouterContext("A->B", 0, 0, [0, 1, 2], stable_hash("A->B"))
-    )
-    for key in ["asia", "#java", 42, ("t", 1)]:
-        assert router.select((key,)) == [stream.fallback_instance(key)]

@@ -207,6 +207,33 @@ class TestEndToEnd:
                 assert executor.held_keys == set()
 
 
+    def test_started_periodic_manager_lets_a_drain_finish(self):
+        """The periodic timer is a daemon event: with finite spouts a
+        drain run returns once the input is exhausted and the round in
+        flight has committed — it does not tick forever."""
+        from repro.engine.backends import BackendOptions, run_topology
+
+        managers = []
+
+        def attach(deployment):
+            managers.append(Manager(deployment, ManagerConfig(period_s=0.05)))
+            managers[0].start()
+
+        result = run_topology(
+            _build(),
+            "reference",
+            BackendOptions(num_servers=N, on_deployed=attach),
+        )
+        manager = managers[0]
+        assert len(manager.completed_rounds) >= 1
+        assert not manager.round_active
+        truth_a, truth_b = _ground_truth()
+        assert result.tuples_emitted == N * PER_SPOUT
+        assert result.processed == {"A": N * PER_SPOUT, "B": N * PER_SPOUT}
+        assert result.per_key_totals == {"A": truth_a, "B": truth_b}
+        assert result.handle.acker.in_flight == 0
+
+
 class TestManagerValidation:
     def test_requires_table_groupings(self):
         builder = TopologyBuilder()

@@ -3,9 +3,8 @@
 ``repro.engine.routing_kernel`` is the one batch implementation of
 routing (the vectorized edges and the multiprocess workers both call
 it): a route resolved *once per distinct key* into a numpy array and
-gathered per batch. The scalar routers resolve per tuple through LRU
-caches and stay the oracle. These properties pin that the two are the
-same function:
+gathered per batch. The scalar routers resolve per tuple and stay the
+oracle. These properties pin that the two are the same function:
 
 - table/hash kernels route every key exactly where ``TableRouter`` /
   ``_HashFieldsRouter`` would, for arbitrary keys, seeds, widths and
@@ -18,8 +17,7 @@ same function:
 - key interning is type-tagged: ``1``, ``1.0`` and ``True`` are equal
   as dict keys but are distinct routing keys (distinct reprs, hence
   potentially distinct hashes) — the vocabulary must never alias them;
-- non-scalar keys are never interned and resolve directly, as the
-  scalar routers bypass their cache for them;
+- non-scalar keys are never interned and resolve directly;
 - groupings with no batch form (broadcast, global, local-or-shuffle,
   custom) go through the generic kernel, multi-destination selects
   included.
@@ -346,12 +344,23 @@ def test_route_per_source_groups_a_mixed_batch_by_instance():
 
 
 def test_backends_hold_no_routing_math():
-    """Routing math lives in ``grouping.py`` and ``routing_kernel.py``
-    only; a backend that names these again has re-forked the kernel.
-    Likewise the backend files define no operator-hosting loop: bolts
-    run behind ``physical.HostedBolt``, through ``process_batch``."""
-    import inspect
+    """Said once. Routing math lives in ``grouping.py`` and
+    ``routing_kernel.py`` only; a backend that names these again has
+    re-forked the kernel. Likewise the backend files define no
+    operator-hosting loop: bolts run behind ``physical.HostedBolt``,
+    through ``process_batch``.
 
+    And within ``src/repro`` the owner rule of Section 3.3 — table
+    entry, else ``stable_hash(key, seed) % n`` — and a stream's hash
+    seed are written in ``engine/grouping.py`` and nowhere else:
+    everything that needs an owner calls ``key_owner`` /
+    ``hash_owner`` (or ``RoutedStream.owner``), so routers, planner,
+    rescale scan and rollback cannot disagree on one."""
+    import inspect
+    import pathlib
+    import re
+
+    import repro
     from repro.engine.backends import multiprocess, vectorized
 
     for module in (vectorized, multiprocess):
@@ -365,3 +374,33 @@ def test_backends_hold_no_routing_math():
             ".process_batch(",
         ):
             assert name not in source, f"{module.__name__} uses {name}"
+
+    hash_fallback = re.compile(r"stable_hash\([^)]*\)\s*%")
+    stream_seed = re.compile(r"stable_hash\(\s*\w*\.?(stream_)?name\s*\)")
+    #: modules that may call a table's ``lookup``: the rule itself, the
+    #: compact table's own diffing, and ``scale_point``'s count of
+    #: compact false positives (no fallback is paired with it)
+    may_lookup = {
+        "engine/grouping.py",
+        "core/compact_table.py",
+        "analysis/experiments.py",
+    }
+    root = pathlib.Path(repro.__file__).parent
+    seeds_derived_in = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        source = path.read_text()
+        seeds_derived_in += [name] * len(stream_seed.findall(source))
+        if name == "engine/grouping.py":
+            continue
+        assert not hash_fallback.search(source), (
+            f"{name} spells the hash fallback; call hash_owner"
+        )
+        if name not in may_lookup:
+            assert ".lookup(" not in source, (
+                f"{name} reads a routing table; call key_owner"
+            )
+    assert seeds_derived_in == ["engine/grouping.py"]
+    grouping_source = (root / "engine/grouping.py").read_text()
+    assert grouping_source.count(".lookup(") == 1
+    assert len(hash_fallback.findall(grouping_source)) == 1

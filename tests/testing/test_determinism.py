@@ -42,15 +42,9 @@ def test_different_seeds_diverge():
     assert first.fingerprint != second.fingerprint
 
 
-def test_fingerprint_stable_across_hash_randomization():
-    """Replaying in a fresh interpreter with a different hash seed must
-    not change the event sequence (the property bare ``hash()`` or
-    set-iteration order anywhere in the hot path would break)."""
-    script = (
-        "from repro.testing import RngTree, generate_config, run_episode;"
-        f"r = run_episode(generate_config(RngTree(0), {SEED}));"
-        "print(r.fingerprint, r.telemetry_records)"
-    )
+def _subprocess_outputs(script: str) -> set:
+    """What ``script`` prints in fresh interpreters under two different
+    ``PYTHONHASHSEED`` values."""
     import repro
 
     src_dir = os.path.dirname(os.path.dirname(repro.__file__))
@@ -68,7 +62,58 @@ def test_fingerprint_stable_across_hash_randomization():
             check=True,
         )
         outputs.add(proc.stdout.strip())
+    return outputs
+
+
+def test_fingerprint_stable_across_hash_randomization():
+    """Replaying in a fresh interpreter with a different hash seed must
+    not change the event sequence (the property bare ``hash()`` or
+    set-iteration order anywhere in the hot path would break)."""
+    script = (
+        "from repro.testing import RngTree, generate_config, run_episode;"
+        f"r = run_episode(generate_config(RngTree(0), {SEED}));"
+        "print(r.fingerprint, r.telemetry_records)"
+    )
+    outputs = _subprocess_outputs(script)
     assert len(outputs) == 1, outputs
     in_process = run_episode(generate_config(RngTree(0), SEED))
     expected = f"{in_process.fingerprint} {in_process.telemetry_records}"
     assert outputs == {expected}
+
+
+#: The paper's own workload: *string* keys (``workloads/pairs.py``
+#: episodes use integers, which hash identically in every process), two
+#: committed rounds, the second diffing one table against another.
+_FLICKR_SCRIPT = """
+from repro.core import Manager, ManagerConfig
+from repro.engine.backends import BackendOptions, run_topology
+from repro.workloads.flickr import FlickrConfig, FlickrWorkload
+
+topology = FlickrWorkload(FlickrConfig(num_tags=300, seed=5)).topology(
+    parallelism=3, tuples_per_instance=2500
+)
+managers = []
+
+def attach(deployment):
+    managers.append(Manager(deployment, ManagerConfig()))
+    for at in (0.004, 0.02):
+        deployment.sim.schedule(at, managers[0].reconfigure)
+
+result = run_topology(
+    topology,
+    "reference",
+    BackendOptions(fingerprint=True, on_deployed=attach),
+)
+moved = [r.plan.total_moved_keys() for r in managers[0].completed_rounds]
+print(result.fingerprint, result.sim_s, result.locality, moved)
+"""
+
+
+def test_fingerprint_stable_across_hash_randomization_with_string_keys():
+    """The same check on string keys and a round that migrates: the
+    order of every migration list (hence hold/release order and
+    downstream timing) must not follow string hashing."""
+    outputs = _subprocess_outputs(_FLICKR_SCRIPT)
+    assert len(outputs) == 1, outputs
+    moved = json.loads(outputs.pop().split(" ", 3)[3])
+    assert len(moved) == 2 and all(count > 0 for count in moved)

@@ -6,12 +6,14 @@ This is the one home of the repo's metric-direction convention:
 - ``*_bytes_per_key`` — lower is better (memory-model numbers);
 - anything else — informational, unless the campaign's ``axes:``
   mapping assigns it an explicit ``higher`` / ``lower`` direction
-  (e.g. ``locality: higher``, ``load_balance: lower``).
+  (e.g. ``locality: higher``, ``load_balance: lower``) or ``exact``
+  (a counted number that repeats per seed, e.g. measured IPC bytes).
 
 A *regression* is a gated metric moving in its bad direction by more
-than the tolerance (default 20%), or a baseline metric missing from
-the current run. Movement of exactly the tolerance is **not** a
-regression (the gate is strict-beyond). Metrics that exist only in
+than the tolerance (default 20%), an ``exact`` metric differing from
+its baseline at all, or a baseline metric missing from the current
+run. Movement of exactly the tolerance is **not** a regression (the
+gate is strict-beyond). Metrics that exist only in
 the current run are new axes: informational, never gated — a PR that
 adds measurements must not fail its own gate.
 
@@ -39,8 +41,8 @@ LOWER_SUFFIXES = ("_bytes_per_key",)
 def axis_of(
     key: str, extra_axes: Optional[Dict[str, str]] = None
 ) -> Optional[str]:
-    """The direction of one metric: "higher", "lower", or None
-    (informational). Explicit ``extra_axes`` win over suffixes."""
+    """The direction of one metric: "higher", "lower", "exact", or
+    None (informational). Explicit ``extra_axes`` win over suffixes."""
     if extra_axes and key in extra_axes:
         return extra_axes[key]
     if key.endswith(HIGHER_SUFFIXES):
@@ -57,7 +59,8 @@ def compare_metrics(
     extra_axes: Optional[Dict[str, str]] = None,
 ) -> List[str]:
     """Regression messages for every directed metric that moved the
-    wrong way by more than ``tolerance``. Empty list = no regression.
+    wrong way by more than ``tolerance`` (an ``exact`` one: at all).
+    Empty list = no regression.
 
     Baseline metrics with no direction are ignored; directed baseline
     metrics missing from ``metrics`` are reported; metrics only in
@@ -71,6 +74,13 @@ def compare_metrics(
         now = metrics.get(key)
         if now is None:
             regressions.append(f"{key}: missing from current run")
+            continue
+        if axis == "exact":
+            if now != base:
+                regressions.append(
+                    f"{key}: {now!r} differs from baseline {base!r} "
+                    f"(exact axis)"
+                )
             continue
         if base <= 0:
             continue

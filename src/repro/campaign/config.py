@@ -22,6 +22,7 @@ also valid YAML) with this shape::
     axes:                           # directions for unsuffixed metrics
       locality: higher
       load_balance: lower
+      measured_ipc_bytes: exact     # counted: any difference fails
 
 Validation is strict: unknown top-level keys, empty axes, non-scalar
 axis values, or an unregistered runner all raise
@@ -89,7 +90,7 @@ class CampaignConfig:
     #: committed baseline path, resolved relative to the campaign file
     baseline: Optional[str] = None
     tolerance: float = 0.20
-    #: extra metric directions: name -> "higher" | "lower"
+    #: extra metric directions: name -> "higher" | "lower" | "exact"
     axes: Dict[str, str] = field(default_factory=dict)
     #: absolute path of the campaign file this config came from
     source: str = ""
@@ -228,10 +229,10 @@ def validate(data: Any, path: str = "<campaign>") -> CampaignConfig:
     if not isinstance(axes, dict):
         raise CampaignError(f"{path}: 'axes' must be a mapping")
     for metric, direction in axes.items():
-        if direction not in ("higher", "lower"):
+        if direction not in ("higher", "lower", "exact"):
             raise CampaignError(
-                f"{path}: axes[{metric!r}] must be 'higher' or 'lower', "
-                f"got {direction!r}"
+                f"{path}: axes[{metric!r}] must be 'higher' or 'lower' "
+                f"(gated at the tolerance) or 'exact', got {direction!r}"
             )
 
     description = data.get("description", "") or ""

@@ -422,6 +422,11 @@ class CompactRoutingTable:
             return None
         return self._owners[slot]
 
+    def lookup_many(self, keys) -> list:
+        """:meth:`lookup` of every key of ``keys``, in order (each one
+        counted, as a scalar lookup is)."""
+        return list(map(self.lookup, keys))
+
     def split(self, key: Hashable) -> Optional[Tuple[int, ...]]:
         return self._splits.get(key)
 

@@ -93,6 +93,10 @@ class RoutingTable:
         """
         return self._mapping.get(key)
 
+    def lookup_many(self, keys) -> list:
+        """:meth:`lookup` of every key of ``keys``, in order."""
+        return list(map(self._mapping.get, keys))
+
     def split(self, key: Hashable) -> Optional[Tuple[int, ...]]:
         """The split members of ``key``, or None when it is not split."""
         return self._splits.get(key)

@@ -6,36 +6,36 @@ topology on real OS resources and **measures** them (DESIGN.md §16):
 - one worker process per simulated server, forked from the parent so
   topology factories (closures included) carry over;
 - each worker hosts the operator *instances placed on its server*
-  (``instance % num_servers``, the same round-robin placement the DES
-  and vectorized backends use) behind worker-local
+  (``instance % num_servers``, every backend's round-robin) behind
   :class:`~repro.engine.physical.SpoutSource` /
   :class:`~repro.engine.physical.HostedBolt` shards;
 - routing goes through the shared **batch kernel**
-  (:mod:`repro.engine.routing_kernel`) once per (stream, batch), built
-  under the exact ``RouterContext`` the DES ``deploy`` gives its
-  routers: table/hash streams share one kernel per worker and place
-  every tuple where the DES does; load-dependent and stateful policies
-  (hybrid, PKG, shuffle, and anything routed through the kernel's
-  scalar-router fallback) keep one kernel per (stream, source
-  instance), as the DES keeps one router, each seeing its instance's
-  tuples in the order the instance produced them;
+  (:mod:`repro.engine.routing_kernel`) once per (stream, batch), under
+  the ``RouterContext`` the DES ``deploy`` gives its routers:
+  table/hash streams share one kernel per worker and place every tuple
+  where the DES does; load-dependent and stateful policies (hybrid,
+  PKG, shuffle, the scalar-router fallback) keep one kernel per
+  (stream, source instance), as the DES keeps one router, each seeing
+  its instance's tuples in the order the instance produced them;
 - intra-server edges stay in-process (zero serialized bytes); tuples
   crossing servers are pickled onto the destination worker's bounded
-  inbound queue, and the serialized length is recorded — locality shows
-  up as a *measured* byte win, not a modeled one;
-- per-server CPU is measured with ``time.process_time_ns()`` in each
-  worker; ``BackendResult.sim_s`` is the busiest worker's CPU seconds
-  and ``BackendResult.measured`` carries the per-server breakdown.
+  inbound queue and the serialized length is recorded — locality is a
+  *measured* byte win, not a modeled one;
+- per-server CPU is ``time.process_time_ns()`` in each worker;
+  ``BackendResult.sim_s`` is the busiest worker's CPU seconds and
+  ``BackendResult.measured`` carries the per-server breakdown, each
+  worker's run timeline and the coordinator's.
 
 **Termination** rides on per-producer FIFO: every worker broadcasts a
 ``DONE(stream)`` marker after the last tuple it will ever send on that
-stream, so a consumer that has collected all producers' markers has
-provably received all data. **Backpressure** is deadlock-free: a
-sender blocked on a full peer queue drains its own inbound queue while
-retrying. **Scripted reconfigurations** replay through a control
-channel with barrier semantics: the coordinator broadcasts the action,
-workers pause their sources and exchange ``FENCE`` markers (flushing
-all in-flight pre-epoch tuples), swap tables / resize / migrate keyed
+stream, so a consumer holding all producers' markers has provably
+received all data; it reports FINISHED and, once every scripted action
+has been replayed, its RESULT — nobody tells it to stop.
+**Backpressure** is deadlock-free: a sender blocked on a full peer
+queue drains its own inbound queue while retrying. **Scripted
+reconfigurations** replay behind a barrier: the coordinator broadcasts
+the action, workers pause their sources and exchange ``FENCE`` markers
+(flushing all pre-epoch tuples), swap tables / resize / migrate keyed
 state to each key's new owner worker, exchange ``MIG_DONE`` markers
 and resume. **Failure handling** is structured: a crashed or hung
 worker (or an expired ``mp_timeout_s``) tears every process down —
@@ -48,6 +48,7 @@ from __future__ import annotations
 import os
 import pickle
 import queue as _queue
+import sys
 import time
 import traceback
 from itertools import compress
@@ -207,6 +208,7 @@ class _Worker:
         self.paused = False
         self.stopped = False
         self.finished_sent = False
+        self.resumed_epochs = 0
         #: spout tuples pulled here so far / last total sent as PROGRESS
         self.emitted = 0
         self.emitted_reported = 0
@@ -221,6 +223,8 @@ class _Worker:
         #: MIGRATE payloads that arrived before our own resize created
         #: the target instances (a peer can finish its barrier first)
         self._pending_migrates: List[Tuple[str, dict]] = []
+        #: run timeline: mark name -> ``perf_counter()`` when first hit
+        self.marks: Dict[str, float] = {}
 
         fault = options.mp_fault
         self._fault = None
@@ -229,6 +233,10 @@ class _Worker:
                 str(fault.get("kind", "crash")),
                 int(fault.get("after_tuples", 0)),
             )
+
+    def _mark(self, name: str) -> None:
+        if name not in self.marks:
+            self.marks[name] = time.perf_counter()
 
     # -- setup ----------------------------------------------------------
 
@@ -309,14 +317,17 @@ class _Worker:
             routes = self.streams[stream.name]
             values, dst = routes.route(batch)
             servers = _placement(dst, self.num_servers)
-            here = servers == self.server
-            n_local = int(np.count_nonzero(here))
+            # bincount, not unique: no sort, and no ``numpy.ma`` import
+            # (17 ms on first use, i.e. in every forked worker)
+            per_server = np.bincount(servers, minlength=self.num_servers)
+            n_local = int(per_server[self.server])
             routes.local_tuples += n_local
             routes.total_tuples += len(dst)
             if n_local < len(dst):
                 # pickled small-int lists are 2 B/entry, int64 arrays 8
                 wire = np.min_scalar_type(routes.n - 1)
-                for server in np.unique(servers[~here]).tolist():
+                per_server[self.server] = 0
+                for server in np.flatnonzero(per_server).tolist():
                     mask = servers == server
                     self._send_blob(
                         server,
@@ -327,6 +338,7 @@ class _Worker:
                             dst[mask].astype(wire),
                         ),
                     )
+                here = servers == self.server
                 values = list(compress(values, here.tolist()))
                 dst = dst[here]
             if n_local:
@@ -388,6 +400,7 @@ class _Worker:
             if source.exhausted:
                 continue
             batch = source.poll()
+            self._mark("first_batch")
             if batch is not None:
                 progressed = True
                 self.emitted += len(batch)
@@ -395,6 +408,8 @@ class _Worker:
                 self._maybe_fault()
             else:
                 self._declare_local_done(name)
+        if not progressed:  # every local source is dry
+            self._mark("sources_done")
         if self.emitted != self.emitted_reported:
             self.emitted_reported = self.emitted
             self.events.put(("PROGRESS", self.server, self.emitted))
@@ -449,6 +464,7 @@ class _Worker:
         ):
             return
         state["resumed"] = True
+        self.resumed_epochs += 1
         self.paused = False
         self.events.put(("RECONFIGURED", epoch, self.server))
 
@@ -529,8 +545,6 @@ class _Worker:
             _, epoch, producer = message
             self._epoch(epoch)["mig_done"].add(producer)
             self._try_resume(epoch)
-        elif tag == "STOP":
-            self.stopped = True
         else:  # pragma: no cover - protocol invariant
             raise DeploymentError(f"unknown control message {tag!r}")
 
@@ -547,21 +561,23 @@ class _Worker:
                 return handled
             handled = True
             self._handle(message)
-            if self.stopped:
-                return handled
 
     def _check_finished(self) -> None:
-        if self.finished_sent:
-            return
-        if any(not s.exhausted for s in self.sources.values()):
-            return
-        if any(
-            len(done) < self.num_servers
-            for done in self.done_from.values()
-        ):
-            return
-        self.finished_sent = True
-        self.events.put(("FINISHED", self.server))
+        """FINISHED once the sources are dry and every stream is done;
+        stopped once every scripted action was replayed here as well
+        (the rest fire when all have FINISHED): nothing can arrive."""
+        if not self.finished_sent:
+            if any(not s.exhausted for s in self.sources.values()):
+                return
+            if any(
+                len(done) < self.num_servers
+                for done in self.done_from.values()
+            ):
+                return
+            self.finished_sent = True
+            self._mark("finished")
+            self.events.put(("FINISHED", self.server))
+        self.stopped = self.resumed_epochs == len(self.options.actions)
 
     # -- result ---------------------------------------------------------
 
@@ -604,12 +620,16 @@ class _Worker:
             },
             "widths": dict(self.widths),
             "op_stats": op_stats,
+            "timeline": self.marks,
         }
 
     def run(self) -> None:
         cpu_start = time.process_time_ns()
+        self._mark("start")
+        modules_at_start = set(sys.modules)
         try:
             self.setup()
+            self._mark("setup")
             # Streams whose producer has no local instances and no
             # pending inputs will never produce here; the DONE protocol
             # discovers that through _check_finished's cascade, but
@@ -621,22 +641,18 @@ class _Worker:
                     progressed = self._poll_sources_once()
                 self._drain_inbox(block=not progressed)
                 self._check_finished()
+            self._mark("stopped")
             cpu_ns = time.process_time_ns() - cpu_start
-            self.events.put(
-                ("RESULT", self.server, self.result_payload(cpu_ns))
-            )
+            payload = self.result_payload(cpu_ns)
+            # an import in here is paid by every worker of every run
+            late = set(sys.modules) - modules_at_start
+            payload["late_imports"] = sorted(late)
+            self._mark("result_put")
+            self.events.put(("RESULT", self.server, payload))
         except BaseException:
             self.events.put(
                 ("ERROR", self.server, traceback.format_exc())
             )
-
-
-def _worker_entry(
-    server: int, num_servers: int, topology, options, inboxes, events
-) -> None:
-    _Worker(
-        server, num_servers, topology, options, inboxes, events
-    ).run()
 
 
 # ----------------------------------------------------------------------
@@ -662,6 +678,24 @@ def _teardown(procs, queues, events) -> None:
     events.cancel_join_thread()
 
 
+#: Pipe capacity asked for under every queue: a remote DATA message is
+#: ≈640 tuples × 290 B, and against the default 64 KiB the feeder's
+#: write and the reader's recv each sleep three times per message.
+_PIPE_BYTES = 1 << 20
+
+
+def _widen_pipe(box) -> None:
+    """Raise the pipe under a ``multiprocessing.Queue`` where the
+    platform can (Linux ``F_SETPIPE_SZ``); the default capacity is
+    only slower, so no ``fcntl`` or a refusal is not an error."""
+    try:
+        import fcntl
+
+        fcntl.fcntl(box._writer.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass
+
+
 def run_multiprocess(topology: Topology, options) -> "BackendResult":
     import multiprocessing
 
@@ -681,21 +715,23 @@ def run_multiprocess(topology: Topology, options) -> "BackendResult":
         for _ in range(num_servers)
     ]
     events = ctx.Queue()
+    for box in (*inboxes, events):
+        _widen_pipe(box)
     procs = [
-        ctx.Process(
-            target=_worker_entry,
-            args=(s, num_servers, topology, options, inboxes, events),
+        ctx.Process(  # forked: the worker object itself carries over
+            target=_Worker(
+                s, num_servers, topology, options, inboxes, events
+            ).run,
             daemon=True,
             name=f"repro-mp-worker-{s}",
         )
         for s in range(num_servers)
     ]
 
-    actions = sorted(
+    pending = sorted(
         range(len(options.actions)),
         key=lambda i: options.actions[i].at_tuples,
     )
-    pending = list(actions)
     emitted_by: Dict[int, int] = {}
     finished: set = set()
     reconfigured: set = set()
@@ -705,6 +741,10 @@ def run_multiprocess(topology: Topology, options) -> "BackendResult":
 
     wall_start = time.perf_counter()
     deadline = time.monotonic() + options.mp_timeout_s
+    marks: Dict[str, float] = {}
+
+    def mark(name: str) -> None:  # the coordinator's run timeline
+        marks[name] = time.perf_counter() - wall_start
 
     def partial() -> dict:
         return {
@@ -743,9 +783,7 @@ def run_multiprocess(topology: Topology, options) -> "BackendResult":
             return
         next_action = options.actions[pending[0]]
         total = sum(emitted_by.values())
-        if total >= next_action.at_tuples or finished == set(
-            range(num_servers)
-        ):
+        if total >= next_action.at_tuples or len(finished) == num_servers:
             index = pending.pop(0)
             epoch += 1
             in_flight = epoch
@@ -753,18 +791,10 @@ def run_multiprocess(topology: Topology, options) -> "BackendResult":
             for server in range(num_servers):
                 coordinator_put(server, ("RECONFIG", epoch, index))
 
-    def maybe_stop() -> None:
-        if (
-            in_flight is None
-            and not pending
-            and finished == set(range(num_servers))
-        ):
-            for server in range(num_servers):
-                coordinator_put(server, ("STOP",))
-
     try:
         for proc in procs:
             proc.start()
+        mark("forked")
         while len(results) < num_servers:
             if time.monotonic() > deadline:
                 raise MultiprocessBackendError(
@@ -801,15 +831,15 @@ def run_multiprocess(topology: Topology, options) -> "BackendResult":
                 maybe_reconfigure()
             elif tag == "FINISHED":
                 finished.add(event[1])
+                if len(finished) == num_servers:
+                    mark("all_finished")
                 maybe_reconfigure()
-                maybe_stop()
             elif tag == "RECONFIGURED":
                 if event[1] == in_flight:
                     reconfigured.add(event[2])
-                    if reconfigured == set(range(num_servers)):
+                    if len(reconfigured) == num_servers:
                         in_flight = None
                         maybe_reconfigure()
-                        maybe_stop()
             elif tag == "RESULT":
                 results[event[1]] = event[2]
             elif tag == "ERROR":
@@ -819,17 +849,20 @@ def run_multiprocess(topology: Topology, options) -> "BackendResult":
                     server=event[1],
                     partial=partial(),
                 )
-        wall = time.perf_counter() - wall_start
+        mark("results_in")
+        # the summary is the coordinator's only serial work: do it
+        # while the workers exit
+        result = _assemble(topology, results, wall_start, marks)
         for proc in procs:
             proc.join(timeout=10)
     finally:
         _teardown(procs, inboxes, events)
-
-    return _assemble(topology, results, wall)
+    mark("joined")  # ``marks`` is ``result.measured["timeline"]``
+    return result
 
 
 def _assemble(
-    topology, results: Dict[int, dict], wall: float
+    topology, results: Dict[int, dict], wall_start: float, marks: dict
 ) -> "BackendResult":
     from repro.engine.backends import BackendResult, summarize_counts
 
@@ -879,9 +912,26 @@ def _assemble(
             "ipc_rx_bytes": worker["ipc_rx_bytes"],
             "ipc_tx_msgs": worker["ipc_tx_msgs"],
             "ipc_rx_msgs": worker["ipc_rx_msgs"],
+            "late_imports": worker["late_imports"],
+            "timeline": {
+                name: at - wall_start
+                for name, at in worker["timeline"].items()
+            },
         }
         for worker in workers
     }
+    summary = summarize_counts(
+        marks["results_in"],
+        {
+            op.name: sum(
+                worker["processed"].get(op.name, 0) for worker in workers
+            )
+            for op in topology.bolts
+        },
+        stream_counts,
+        bolt_counts,
+    )
+    marks["assembled"] = time.perf_counter() - wall_start
     return BackendResult(
         backend="multiprocess",
         sim_s=max((w["cpu_ns"] for w in workers), default=0) / 1e9,
@@ -898,16 +948,7 @@ def _assemble(
             "cpu_ns_total": sum(w["cpu_ns"] for w in workers),
             "ipc_bytes_total": sum(w["ipc_tx_bytes"] for w in workers),
             "ipc_msgs_total": sum(w["ipc_tx_msgs"] for w in workers),
+            "timeline": marks,
         },
-        **summarize_counts(
-            wall,
-            {
-                op.name: sum(
-                    worker["processed"].get(op.name, 0) for worker in workers
-                )
-                for op in topology.bolts
-            },
-            stream_counts,
-            bolt_counts,
-        ),
+        **summary,
     )

@@ -124,6 +124,13 @@ def hash_owner(key: Any, seed: int, num_destinations: int) -> int:
     return stable_hash(key, seed) % num_destinations
 
 
+def _entry_out_of_range(key, instance, num_destinations) -> RoutingError:
+    return RoutingError(
+        f"routing table maps {key!r} to instance {instance}, "
+        f"but stream has {num_destinations} destinations"
+    )
+
+
 def key_owner(
     key: Any, table, seed: int, num_destinations: int, strict: bool = True
 ) -> Tuple[int, bool]:
@@ -147,11 +154,42 @@ def key_owner(
             if 0 <= instance < num_destinations:
                 return instance, True
             if strict:
-                raise RoutingError(
-                    f"routing table maps {key!r} to instance {instance}, "
-                    f"but stream has {num_destinations} destinations"
-                )
+                raise _entry_out_of_range(key, instance, num_destinations)
     return hash_owner(key, seed, num_destinations), False
+
+
+def key_owners(
+    keys: Sequence[Any],
+    table,
+    seed: int,
+    num_destinations: int,
+    strict: bool = True,
+) -> Tuple[List[int], List[bool]]:
+    """:func:`key_owner` of every key of a batch, as two parallel lists
+    ``(owners, from_table)`` — one ``lookup_many`` call on a table that
+    has it instead of a ``lookup`` per key (what a kernel resolving a
+    batch of new vocabulary ids wants)."""
+    count = len(keys)
+    if table is None:
+        found: Sequence[Optional[int]] = (None,) * count
+    else:
+        lookup_many = getattr(table, "lookup_many", None)
+        found = (
+            list(map(table.lookup, keys))
+            if lookup_many is None
+            else lookup_many(keys)
+        )
+    owners: List[int] = []
+    from_table: List[bool] = []
+    for key, instance in zip(keys, found):
+        hit = instance is not None and 0 <= instance < num_destinations
+        if not hit:
+            if strict and instance is not None:
+                raise _entry_out_of_range(key, instance, num_destinations)
+            instance = hash_owner(key, seed, num_destinations)
+        owners.append(instance)
+        from_table.append(hit)
+    return owners, from_table
 
 
 #: Capacity of each per-router memo (:class:`_RouteCache`).

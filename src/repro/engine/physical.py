@@ -554,16 +554,23 @@ def keyed_state_summary(
 ) -> Tuple[Dict[Any, Any], Dict[Any, Tuple[int, ...]]]:
     """What a ``BackendResult`` reports of one logical operator's keyed
     state, from its ``(instance, state)`` pairs: the per-key totals
-    over all instances and, per key, the instances holding it."""
+    over all instances and, per key, the (sorted) instances holding it.
+
+    Deterministic routing gives every key one holder, so an instance's
+    state merges with two ``dict.update`` calls; only the keys a second
+    instance also holds (PKG / split partials) are visited one by one."""
     totals: Dict[Any, Any] = {}
-    holders: Dict[Any, List[int]] = {}
+    holders: Dict[Any, Tuple[int, ...]] = {}
     for instance, state in states:
-        for key, value in state.items():
-            totals[key] = totals.get(key, 0) + value
-            holders.setdefault(key, []).append(instance)
-    return totals, {
-        key: tuple(sorted(held)) for key, held in holders.items()
-    }
+        shared = totals.keys() & state.keys()
+        for key in shared:
+            totals[key] += state[key]
+            holders[key] = tuple(sorted(holders[key] + (instance,)))
+        if shared:
+            state = {k: v for k, v in state.items() if k not in shared}
+        totals.update(state)
+        holders.update(dict.fromkeys(state, (instance,)))
+    return totals, holders
 
 
 @dataclass

@@ -50,6 +50,7 @@ from repro.engine.grouping import (
     _require_destinations,
     candidate_instances,
     key_owner,
+    key_owners,
     split_members,
     stream_context,
 )
@@ -187,13 +188,14 @@ class _TableKernel(RouteKernel):
         known = len(self.owners)
         if len(keys) == known:
             return
-        table, seed, n = self.table, self.seed, self.n
-        decided = [key_owner(key, table, seed, n) for key in keys[known:]]
+        owners, from_table = key_owners(
+            keys[known:], self.table, self.seed, self.n
+        )
         self.owners = np.concatenate(
-            [self.owners, np.array([d[0] for d in decided], dtype=np.int64)]
+            [self.owners, np.array(owners, dtype=np.int64)]
         )
         self._from_table = np.concatenate(
-            [self._from_table, np.array([d[1] for d in decided], dtype=bool)]
+            [self._from_table, np.array(from_table, dtype=bool)]
         )
 
     def update_table(self, table) -> None:
@@ -399,7 +401,7 @@ def route_per_source(
     grouped by instance, each group keeping its order — what every
     per-source kernel sees is its instance's tuples in sequence.
     """
-    instances = np.unique(src).tolist()
+    instances = np.flatnonzero(np.bincount(src)).tolist()
     if len(instances) == 1:
         dst, _, rows = kernel_of(instances[0]).route(values)
         return dst, rows

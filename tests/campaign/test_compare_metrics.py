@@ -51,6 +51,25 @@ def test_extra_axes_direct_unsuffixed_metrics():
     assert len(messages) == 2
 
 
+def test_exact_axis_fails_on_any_difference_in_either_direction():
+    """A counted number (measured IPC bytes) is not gated at a
+    tolerance: it repeats per seed or something changed."""
+    axes = {"measured_ipc_bytes": "exact"}
+    base = {"measured_ipc_bytes": 51482.0, "idle_bytes": 0.0}
+    assert compare_metrics(base, dict(base), 0.5, axes) == []
+    for now in (51481.0, 51483.0, 0.0):
+        messages = compare_metrics(
+            base, {"measured_ipc_bytes": now}, 0.5, axes
+        )
+        assert len(messages) == 1 and "exact" in messages[0]
+    # a zero baseline is compared too (directed axes skip it)
+    zero = {"idle_bytes": "exact"}
+    assert compare_metrics(base, {"idle_bytes": 0.0}, 0.5, zero) == []
+    assert len(compare_metrics(base, {"idle_bytes": 8.0}, 0.5, zero)) == 1
+    assert compare_metrics(base, {}, 0.5, axes) == [
+        "measured_ipc_bytes: missing from current run"
+    ]
+
 # ----------------------------------------------------------------------
 # threshold edge cases
 # ----------------------------------------------------------------------

@@ -41,6 +41,8 @@ def test_good_campaign_validates():
     assert config.seeds == [7, 8]
     assert config.tolerance == 0.20
     assert config.axes == {"locality": "higher"}
+    counted = {"locality": "higher", "measured_ipc_bytes": "exact"}
+    assert validate(_bad(axes=counted), "demo.yaml").axes == counted
 
 
 @pytest.mark.parametrize(

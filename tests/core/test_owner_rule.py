@@ -23,6 +23,7 @@ from repro.engine.grouping import (
     TableFieldsGrouping,
     hash_owner,
     key_owner,
+    key_owners,
     stream_context,
     stream_seed,
 )
@@ -121,3 +122,63 @@ def test_out_of_range_entry_is_decided_once():
     with pytest.raises(RoutingError):
         RescaleSpec(stale, 1, 3, [0, 1, 2]).owner_of("k")
     assert owner_of("k", stale, 3, 1) == hash_owner("k", 1, 3)
+
+
+class _LookupOnly:
+    """The table protocol at its smallest: ``lookup`` and nothing else."""
+
+    def __init__(self, mapping):
+        self._mapping = mapping
+
+    def lookup(self, key):
+        return self._mapping.get(key)
+
+
+mixed_keys_st = st.one_of(
+    keys_st, st.booleans(), st.floats(allow_nan=False), st.binary(max_size=3)
+)
+
+
+@given(
+    keys=st.lists(mixed_keys_st, max_size=40),
+    n=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32),
+    kind=st.sampled_from(["none", "plain", "compact", "lookup-only"]),
+    strict=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_owner_rule_is_the_scalar_rule(keys, n, seed, kind, strict, data):
+    """``key_owners`` is ``key_owner`` per key — duplicates, scalar types
+    that alias as dict keys (``1`` / ``1.0`` / ``True``), every table
+    representation, and entries outside ``range(n)``: refused under
+    ``strict`` with the scalar rule's error, hashed otherwise."""
+    mapping = {
+        key: data.draw(st.integers(0, n + 1))  # n, n + 1: out of range
+        for key in data.draw(
+            st.lists(st.sampled_from(keys), unique_by=repr) if keys
+            else st.just([])
+        )
+    }
+    table = {
+        "none": lambda: None,
+        "plain": lambda: RoutingTable(mapping),
+        "compact": lambda: CompactRoutingTable(mapping),
+        "lookup-only": lambda: _LookupOnly(mapping),
+    }[kind]
+    scalar_table = table()
+    try:
+        expected = [
+            key_owner(key, scalar_table, seed, n, strict) for key in keys
+        ]
+    except RoutingError as error:
+        with pytest.raises(RoutingError) as info:
+            key_owners(keys, table(), seed, n, strict)
+        assert str(info.value) == str(error)
+        return
+    batch_table = table()
+    owners, from_table = key_owners(keys, batch_table, seed, n, strict)
+    assert list(zip(owners, from_table)) == expected
+    if kind == "compact":  # a batch lookup counts like the scalar ones
+        assert batch_table.lookups == scalar_table.lookups == len(keys)
+        assert batch_table.filter_rejects == scalar_table.filter_rejects

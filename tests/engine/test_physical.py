@@ -7,6 +7,8 @@ the plan driver's quiescent ``on_round`` hook.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.physical import (
     OpStats,
@@ -15,6 +17,7 @@ from repro.engine.physical import (
     PhysicalPlan,
     SourceOperator,
     TupleBatch,
+    keyed_state_summary,
     merge_op_stats,
 )
 from repro.errors import DeploymentError
@@ -314,3 +317,62 @@ def test_engine_imports_and_runs_the_des_without_numpy():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+# ----------------------------------------------------------------------
+# keyed_state_summary: the disjoint-keys fast path is the plain loop
+# ----------------------------------------------------------------------
+
+
+def _summary_by_the_plain_loop(states):
+    totals, holders = {}, {}
+    for instance, state in states:
+        for key, value in state.items():
+            totals[key] = totals.get(key, 0) + value
+            holders.setdefault(key, []).append(instance)
+    return totals, {k: tuple(sorted(held)) for k, held in holders.items()}
+
+
+#: a small pool, so instances overlap (PKG partials) as often as not,
+#: with keys that alias as dict keys: 1 == 1.0 == True, 0 == False
+_state_keys = st.sampled_from(
+    [0, 1, 2, 3, 1.0, True, False, 2.5, "a", "b", "1", None, (1, "a")]
+)
+
+
+@given(
+    states=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.dictionaries(_state_keys, st.integers(1, 50), max_size=8),
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_keyed_state_summary_matches_the_plain_loop(states):
+    """Instances arrive in any order (a multiprocess run lists them
+    server by server) and may repeat; holders come out sorted, totals
+    summed, both keyed by the first spelling of an aliasing key and in
+    first-seen order."""
+    given_states = [(i, dict(state)) for i, state in states]
+    totals, holders = keyed_state_summary(states)
+    want_totals, want_holders = _summary_by_the_plain_loop(states)
+    assert totals == want_totals and holders == want_holders
+    assert list(map(repr, totals)) == list(map(repr, want_totals))
+    assert list(map(repr, holders)) == list(map(repr, want_holders))
+    assert states == given_states  # read, not consumed
+
+
+def test_keyed_state_summary_disjoint_and_overlapping():
+    disjoint = [(1, {"a": 2, "b": 1}), (0, {"c": 5})]
+    assert keyed_state_summary(disjoint) == (
+        {"a": 2, "b": 1, "c": 5},
+        {"a": (1,), "b": (1,), "c": (0,)},
+    )
+    partials = [(2, {"hot": 3, "x": 1}), (0, {"hot": 4}), (1, {"hot": 1})]
+    assert keyed_state_summary(partials) == (
+        {"hot": 8, "x": 1},
+        {"hot": (0, 1, 2), "x": (2,)},
+    )
+    assert keyed_state_summary([]) == ({}, {})

@@ -404,3 +404,22 @@ def test_backends_hold_no_routing_math():
     grouping_source = (root / "engine/grouping.py").read_text()
     assert grouping_source.count(".lookup(") == 1
     assert len(hash_fallback.findall(grouping_source)) == 1
+
+
+def test_the_batch_data_plane_never_calls_np_unique():
+    """``np.unique`` imports ``numpy.ma`` on first use (10 ms; 17 ms
+    right after a fork), and every multiprocess worker is a fresh fork:
+    that was a tenth of a worker's run. Which small non-negative ints
+    occur is ``flatnonzero(bincount(...))`` — no sort, no import."""
+    import pathlib
+    import re
+
+    import repro
+
+    engine = pathlib.Path(repro.__file__).parent / "engine"
+    call = re.compile(r"\b(np|numpy)\.unique\b")
+    for path in [*sorted((engine / "backends").glob("*.py")),
+                 engine / "routing_kernel.py"]:
+        assert not call.search(path.read_text()), (
+            f"{path.relative_to(engine)} calls np.unique"
+        )

@@ -51,7 +51,7 @@ import queue as _queue
 import sys
 import time
 import traceback
-from itertools import compress
+from itertools import compress, islice
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -588,11 +588,15 @@ class _Worker:
         }
         return {
             "server": self.server,
-            "cpu_ns": cpu_ns,
-            "ipc_tx_bytes": self.ipc_tx_bytes,
-            "ipc_rx_bytes": self.ipc_rx_bytes,
-            "ipc_tx_msgs": self.ipc_tx_msgs,
-            "ipc_rx_msgs": self.ipc_rx_msgs,
+            # this server's entry of ``BackendResult.measured``
+            "measured": {
+                "cpu_ns": cpu_ns,
+                "ipc_tx_bytes": self.ipc_tx_bytes,
+                "ipc_rx_bytes": self.ipc_rx_bytes,
+                "ipc_tx_msgs": self.ipc_tx_msgs,
+                "ipc_rx_msgs": self.ipc_rx_msgs,
+                "timeline": self.marks,
+            },
             "emitted": {
                 name: source.stats.tuples_out
                 for name, source in self.sources.items()
@@ -620,13 +624,12 @@ class _Worker:
             },
             "widths": dict(self.widths),
             "op_stats": op_stats,
-            "timeline": self.marks,
         }
 
     def run(self) -> None:
         cpu_start = time.process_time_ns()
         self._mark("start")
-        modules_at_start = set(sys.modules)
+        modules_at_start = len(sys.modules)
         try:
             self.setup()
             self._mark("setup")
@@ -644,9 +647,13 @@ class _Worker:
             self._mark("stopped")
             cpu_ns = time.process_time_ns() - cpu_start
             payload = self.result_payload(cpu_ns)
-            # an import in here is paid by every worker of every run
-            late = set(sys.modules) - modules_at_start
-            payload["late_imports"] = sorted(late)
+            # An import in here is paid by every worker of every run.
+            # ``sys.modules`` keeps import order: walk only what is new
+            # (touching all 600 forked names is as many page faults).
+            grown = max(0, len(sys.modules) - modules_at_start)
+            payload["measured"]["late_imports"] = sorted(
+                islice(reversed(sys.modules), grown)
+            )
             self._mark("result_put")
             self.events.put(("RESULT", self.server, payload))
         except BaseException:
@@ -905,21 +912,13 @@ def _assemble(
         )
 
     op_stats = merge_op_stats(worker["op_stats"] for worker in workers)
-    per_server = {
-        worker["server"]: {
-            "cpu_ns": worker["cpu_ns"],
-            "ipc_tx_bytes": worker["ipc_tx_bytes"],
-            "ipc_rx_bytes": worker["ipc_rx_bytes"],
-            "ipc_tx_msgs": worker["ipc_tx_msgs"],
-            "ipc_rx_msgs": worker["ipc_rx_msgs"],
-            "late_imports": worker["late_imports"],
-            "timeline": {
-                name: at - wall_start
-                for name, at in worker["timeline"].items()
-            },
+    per_server = {worker["server"]: worker["measured"] for worker in workers}
+    for measured in per_server.values():  # onto the coordinator's clock
+        measured["timeline"] = {
+            name: at - wall_start
+            for name, at in measured["timeline"].items()
         }
-        for worker in workers
-    }
+    cpu_ns = [measured["cpu_ns"] for measured in per_server.values()]
     summary = summarize_counts(
         marks["results_in"],
         {
@@ -934,7 +933,7 @@ def _assemble(
     marks["assembled"] = time.perf_counter() - wall_start
     return BackendResult(
         backend="multiprocess",
-        sim_s=max((w["cpu_ns"] for w in workers), default=0) / 1e9,
+        sim_s=max(cpu_ns, default=0) / 1e9,
         tuples_emitted=sum(
             sum(worker["emitted"].values()) for worker in workers
         ),
@@ -945,9 +944,13 @@ def _assemble(
         },
         measured={
             "per_server": per_server,
-            "cpu_ns_total": sum(w["cpu_ns"] for w in workers),
-            "ipc_bytes_total": sum(w["ipc_tx_bytes"] for w in workers),
-            "ipc_msgs_total": sum(w["ipc_tx_msgs"] for w in workers),
+            "cpu_ns_total": sum(cpu_ns),
+            "ipc_bytes_total": sum(
+                m["ipc_tx_bytes"] for m in per_server.values()
+            ),
+            "ipc_msgs_total": sum(
+                m["ipc_tx_msgs"] for m in per_server.values()
+            ),
             "timeline": marks,
         },
         **summary,

@@ -40,6 +40,7 @@ routing key) run as real operator instances behind the shared
 from __future__ import annotations
 
 import time
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -61,7 +62,7 @@ from repro.engine.routing_kernel import (
     stream_kernel,
 )
 from repro.engine.topology import Topology
-from repro.engine.tuples import payload_size
+from repro.engine.tuples import Padding, field_size, payload_size
 from repro.errors import RoutingError
 
 
@@ -94,12 +95,36 @@ class _Meter:
 
 
 def _modeled_sizes(values: Sequence[tuple], header: int) -> np.ndarray:
-    """Modeled wire bytes of each value tuple, header included."""
-    return np.fromiter(
-        (payload_size(v) + header for v in values),
-        dtype=np.int64,
-        count=len(values),
-    )
+    """Modeled wire bytes of each value tuple, header included:
+    ``payload_size(v) + header``, computed field by field. A column of
+    one exact class takes one C-level pass, any other ``field_size`` per
+    value, a ragged or empty batch ``payload_size`` per tuple."""
+    n_tuples = len(values)
+    widths = set(map(len, values))
+    if len(widths) != 1:
+        return np.fromiter(
+            (payload_size(v) + header for v in values),
+            dtype=np.int64,
+            count=n_tuples,
+        )
+    sizes = np.full(n_tuples, header, dtype=np.int64)
+    for field in range(widths.pop()):
+        column = list(map(itemgetter(field), values))
+        classes = set(map(type, column))
+        measure = field_size
+        if len(classes) == 1:
+            cls = classes.pop()
+            if cls is int or cls is float:
+                sizes += 8
+                continue
+            if cls is bytes or (cls is str and "".join(column).isascii()):
+                measure = len
+            elif cls is Padding:
+                measure = attrgetter("nbytes")
+        sizes += np.fromiter(
+            map(measure, column), dtype=np.int64, count=n_tuples
+        )
+    return sizes
 
 
 class _VectorEdge:
@@ -142,6 +167,7 @@ class _VectorEdge:
         )
         self.local_tuples = 0
         self.total_tuples = 0
+        self.remote_bytes = 0
         self.received = np.zeros(num_destinations, dtype=np.int64)
 
     def _build_kernel(self, src_instance: int) -> RouteKernel:
@@ -229,6 +255,7 @@ class _VectorEdge:
             remote_src = src_servers[remote]
             remote_dst = dst_servers[remote]
             remote_bytes = sizes[remote]
+            self.remote_bytes += int(remote_bytes.sum())
             tx_counts = np.bincount(
                 remote_src, minlength=meter.num_servers
             )
@@ -328,11 +355,10 @@ class _VectorCountOp(PhysicalOperator):
                 f"is not"
             )
         vocab_size = len(self.in_edge.kernel.vocab.keys)
-        for instance in range(self.parallelism):
-            mask = dst == instance
-            if not mask.any():
-                continue
-            tallies = np.bincount(ids[mask], minlength=vocab_size)
+        instances = np.flatnonzero(np.bincount(dst)).tolist()
+        for instance in instances:
+            mine = ids if len(instances) == 1 else ids[dst == instance]
+            tallies = np.bincount(mine, minlength=vocab_size)
             self._ensure(instance, len(tallies))
             self._counts[instance][: len(tallies)] += tallies
         if self.forward:
@@ -374,11 +400,12 @@ class _VectorCountOp(PhysicalOperator):
         snapshot: Dict[int, Dict[Any, int]] = {}
         for instance, counts in enumerate(self._counts):
             state = snapshot[instance] = {}
-            for kid in np.nonzero(counts)[0]:
+            held = np.flatnonzero(counts)
+            for kid, count in zip(held.tolist(), counts[held].tolist()):
                 # ids are type-tagged, dict keys are not: 1 and 1.0
                 # are one entry of a bolt's state
                 key = keys[kid]
-                state[key] = state.get(key, 0) + int(counts[kid])
+                state[key] = state.get(key, 0) + count
         return snapshot
 
 

@@ -37,7 +37,8 @@ def field_size(value: Any) -> int:
     if isinstance(value, Padding):
         return value.nbytes
     if isinstance(value, str):
-        return len(value.encode("utf-8"))
+        # an ASCII string is its own UTF-8 encoding: no bytes allocated
+        return len(value) if value.isascii() else len(value.encode("utf-8"))
     if isinstance(value, bytes):
         return len(value)
     if isinstance(value, bool):
@@ -57,9 +58,10 @@ def field_size(value: Any) -> int:
 def payload_size(values: Iterable[Any]) -> int:
     """Modeled wire size of a tuple's field values (without header).
 
-    The exact-type checks inline the two field kinds that dominate the
-    benchmark workloads (strings and padding markers); everything else
-    falls back to the general :func:`field_size` dispatch.
+    The exact-type checks inline the field kinds that dominate the
+    benchmark workloads (strings, padding markers, byte strings);
+    everything else falls back to the general :func:`field_size`
+    dispatch.
     """
     total = 0
     for value in values:
@@ -67,7 +69,11 @@ def payload_size(values: Iterable[Any]) -> int:
         if cls is Padding:
             total += value.nbytes
         elif cls is str:
-            total += len(value.encode("utf-8"))
+            total += (
+                len(value) if value.isascii() else len(value.encode("utf-8"))
+            )
+        elif cls is bytes:
+            total += len(value)
         else:
             total += field_size(value)
     return total

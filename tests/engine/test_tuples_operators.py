@@ -40,9 +40,49 @@ def test_field_sizes():
 def test_payload_and_tuple_size():
     values = ("asia", 42, Padding(500))
     assert payload_size(values) == 4 + 8 + 500
+    assert payload_size(()) == 0
     tup = make_tuple(values, header_bytes=84)
     assert tup.size == 84 + 512
     assert tup.values == values
+
+
+class _Str(str):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "",
+        "tag",
+        "héllo",
+        "日本語",
+        "a\x7f",
+        "a\x80",
+        "\U0001f600",
+        _Str(""),
+        _Str("tag"),
+        _Str("naïve"),
+        b"",
+        b"\xff\x00",
+        _Bytes(b"1234"),
+    ],
+    ids=repr,
+)
+def test_text_fields_size_as_their_utf8_bytes(value):
+    """The ASCII / exact-class fast paths of ``field_size`` and
+    ``payload_size`` read what the encoding would: empty, 7-bit edge,
+    multi-byte and subclass values alike."""
+    expected = len(
+        value if isinstance(value, bytes) else str(value).encode("utf-8")
+    )
+    assert field_size(value) == expected
+    assert payload_size((value,)) == expected
+    assert payload_size((value, 3, value)) == 2 * expected + 8
 
 
 def test_tuple_ids_unique_and_root_defaults_to_self():

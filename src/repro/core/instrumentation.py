@@ -51,6 +51,9 @@ class PairTracker:
         self.capacity = capacity
         self._sketch_factory = sketch_factory
         self._sketches: Dict[EdgePair, object] = {}
+        #: the same sketches as the executor names them, source
+        #: operator → out stream, so the hot path formats no stream name
+        self._by_source: Dict[str, Dict[str, object]] = {}
         self.observed = 0
 
     # ------------------------------------------------------------------
@@ -64,14 +67,18 @@ class PairTracker:
         out_stream: str,
         out_key: Hashable,
     ) -> None:
-        in_stream = f"{in_op}->{self.op_name}"
-        edge_pair = (in_stream, out_stream)
-        sketch = self._sketches.get(edge_pair)
-        if sketch is None:
-            sketch = self._sketch_factory(self.capacity)
-            self._sketches[edge_pair] = sketch
+        try:
+            sketch = self._by_source[in_op][out_stream]
+        except KeyError:
+            sketch = self._sketch_for(in_op, out_stream)
         sketch.offer((in_key, out_key))
         self.observed += 1
+
+    def _sketch_for(self, in_op: str, out_stream: str):
+        sketch = self._sketch_factory(self.capacity)
+        self._sketches[(f"{in_op}->{self.op_name}", out_stream)] = sketch
+        self._by_source.setdefault(in_op, {})[out_stream] = sketch
+        return sketch
 
     # ------------------------------------------------------------------
     # Collection (the manager's GET_METRICS)

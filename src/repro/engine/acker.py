@@ -95,17 +95,17 @@ class Acker:
             self.completed += 1
             if tree[4] is not None:
                 tree[4].cancel()
-            if self.latency_stats is not None:
-                self.latency_stats.record(self._sim.now - tree[2])
-            # The ack message travels back to the spout.
             now = self._sim.now
+            if self.latency_stats is not None:
+                self.latency_stats.record(now - tree[2])
+            # The ack message travels back to the spout.
             if self._ack_batch and self._ack_batch_time == now:
                 self._ack_batch.append(tree[1])
             else:
                 batch = [tree[1]]
                 self._ack_batch = batch
                 self._ack_batch_time = now
-                self._sim.schedule(self._ack_delay, self._deliver_acks, batch)
+                self._sim.post(self._ack_delay, self._deliver_acks, batch)
 
     def _deliver_acks(self, batch: List[Callable[[], None]]) -> None:
         for on_complete in batch:

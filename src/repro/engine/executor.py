@@ -238,7 +238,7 @@ class BaseExecutor:
 
     def _dispatch(self, plan: "EmissionPlan") -> None:
         streams = self.metrics.streams
-        transfer = self.cluster.transfer
+        transfer = self.cluster.network.transfer
         server = self.server
         op_name = self.op_name
         for edge, dst, tup, remote in plan.entries:
@@ -329,6 +329,10 @@ class EmissionPlan:
         return len(self.entries)
 
 
+#: what a tuple that emitted nothing dispatches (shared, never mutated)
+_EMPTY_PLAN = EmissionPlan([], 0.0)
+
+
 class BoltExecutor(BaseExecutor):
     """Executor for bolts: input queue + service-time processing."""
 
@@ -366,7 +370,7 @@ class BoltExecutor(BaseExecutor):
         self._busy = False
         if isinstance(self.operator, StatefulBolt):
             self.operator.state.clear()
-        self.sim.schedule(down_s, self._restart)
+        self.sim.post(down_s, self._restart)
 
     def _restart(self) -> None:
         self._crashed = False
@@ -450,16 +454,20 @@ class BoltExecutor(BaseExecutor):
         queue = self._queue
         costs = self.costs
         bolt_service_s = costs.bolt_service_s
-        get_key_fn = self.in_key_fns.get
         held_keys = self._held_keys
+        instrumentation = self.instrumentation
         process = self.operator.process
+        plan_emissions = self._plan_emissions
         context = self._context()
         drain = context._drain
         while queue:
             if queue[0][0] == "ctrl":
                 msg = queue.popleft()[1]
-                self.sim.schedule(
-                    costs.control_service_s, self._finish_control, msg
+                self.sim.post(
+                    costs.control_service_s,
+                    self._finish_control,
+                    msg,
+                    self.crash_count,
                 )
                 return
 
@@ -468,16 +476,18 @@ class BoltExecutor(BaseExecutor):
             while queue and queue[0][0] == "data" and len(batch) < BOLT_BATCH:
                 item = queue.popleft()
                 _, tup, remote, src_op = item
-                in_key_fn = get_key_fn(src_op)
-                in_key = (
-                    in_key_fn(tup.values) if in_key_fn is not None else None
-                )
-
-                if in_key is not None and in_key in held_keys:
-                    # State not here yet: buffer without processing.
-                    self._held_tuples.setdefault(in_key, []).append(item)
-                    self.buffered_count += 1
-                    continue
+                in_key = None
+                # The routing key is read by key holding and by the
+                # instrumentation only: extract it for them alone.
+                if held_keys or instrumentation is not None:
+                    in_key_fn = self.in_key_fns.get(src_op)
+                    if in_key_fn is not None:
+                        in_key = in_key_fn(tup.values)
+                    if in_key is not None and in_key in held_keys:
+                        # State not here yet: buffer without processing.
+                        self._held_tuples.setdefault(in_key, []).append(item)
+                        self.buffered_count += 1
+                        continue
 
                 service += bolt_service_s
                 if remote:
@@ -485,14 +495,17 @@ class BoltExecutor(BaseExecutor):
 
                 process(tup, context)
                 emissions = drain()
-                plan = self._plan_emissions(emissions, tup.root_id)
+                if not emissions:
+                    batch.append((tup, _EMPTY_PLAN))
+                    continue
+                plan = plan_emissions(emissions, tup.root_id)
                 service += plan.ser_cost
 
-                if self.instrumentation is not None and in_key is not None:
+                if instrumentation is not None and in_key is not None:
                     for values in emissions:
                         for edge in self.out_edges:
                             if edge.key_fn is not None:
-                                self.instrumentation.observe(
+                                instrumentation.observe(
                                     src_op,
                                     in_key,
                                     edge.stream_name,
@@ -501,31 +514,42 @@ class BoltExecutor(BaseExecutor):
                 batch.append((tup, plan))
 
             if batch:
-                self.sim.schedule(service, self._finish_data, batch)
+                self.sim.post(
+                    service, self._finish_data, batch, self.crash_count
+                )
                 return
             # Everything dequeued was buffered for held keys: keep
             # draining (a control message may be next).
         self._busy = False
 
-    def _finish_data(self, batch: List[tuple]) -> None:
-        if self._crashed:
-            # Crashed mid-service: the batch and its emissions are lost
-            # (never acked, so the trees will time out and replay).
+    def _finish_data(self, batch: List[tuple], epoch: int) -> None:
+        if epoch != self.crash_count:
+            # Crashed mid-service (restarted since or not): the batch
+            # and its emissions are lost — never acked, so the trees
+            # time out and replay — and so is its service chain.
             return
         on_processed = self.acker.on_processed
         processed = self.metrics.processed
         id_key = self._id_key
         for tup, plan in batch:
-            self._dispatch(plan)
+            entries = plan.entries
+            if entries:
+                self._dispatch(plan)
             processed[id_key] += 1
-            on_processed(tup.root_id, len(plan.entries))
-        self._process_next()
+            on_processed(tup.root_id, len(entries))
+        if self._queue:
+            self._process_next()
+        else:
+            self._busy = False
 
-    def _finish_control(self, msg: ControlMessage) -> None:
-        if self._crashed:
+    def _finish_control(self, msg: ControlMessage, epoch: int) -> None:
+        if epoch != self.crash_count:
             return
         self.handle_control(msg)
-        self._process_next()
+        if self._queue:
+            self._process_next()
+        else:
+            self._busy = False
 
 
 class SpoutExecutor(BaseExecutor):
@@ -552,7 +576,7 @@ class SpoutExecutor(BaseExecutor):
         self.replayed = 0
 
     def start(self) -> None:
-        self.sim.schedule(0.0, self._poll)
+        self.sim.post(0.0, self._poll)
 
     def deliver(self, tup: Tuple, remote: bool, src_op: str) -> None:
         raise SimulationError(f"spout {self.name} cannot receive data tuples")
@@ -607,14 +631,16 @@ class SpoutExecutor(BaseExecutor):
                 return
             if produced:
                 # Did work but emitted nothing: poll again immediately.
-                self.sim.schedule(costs.spout_service_s, self._poll)
+                self.sim.post(costs.spout_service_s, self._poll)
             else:
-                self.sim.schedule(costs.spout_idle_retry_s, self._poll)
+                self.sim.post(costs.spout_idle_retry_s, self._poll)
             return
 
         service = costs.spout_service_s * len(emissions)
         plans: List[EmissionPlan] = []
         register = self.acker.register
+        # on_fail is the timeout's callback: no timeout, no closure
+        replayable = self.acker.timeout_s is not None
         for values in emissions:
             plan = self._plan_emissions([values], root_id=None)
             if not plan.entries:
@@ -623,13 +649,13 @@ class SpoutExecutor(BaseExecutor):
             register(
                 root_id,
                 self._on_ack,
-                on_fail=lambda v=values: self._on_fail(v),
+                (lambda v=values: self._on_fail(v)) if replayable else None,
             )
             self.pending += 1
             service += plan.ser_cost
             plans.append(plan)
         self._in_flight = True
-        self.sim.schedule(service, self._finish_poll, plans)
+        self.sim.post(service, self._finish_poll, plans)
 
     def _finish_poll(self, plans: List[EmissionPlan]) -> None:
         on_processed = self.acker.on_processed

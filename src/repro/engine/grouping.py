@@ -476,7 +476,17 @@ class TableRouter(Router):
         self._set_table(table)
 
     def select(self, values: tuple) -> List[int]:
-        return self._select_for_key(self._key_fn(values))
+        if self._cache is not None:
+            return self._select_for_key(self._key_fn(values))
+        # no memo: the owner rule in this frame, counted as below
+        instance, table_hit = key_owner(
+            self._key_fn(values), self._table, self._seed, self._n
+        )
+        if table_hit:
+            self.table_hits += 1
+        else:
+            self.hash_fallbacks += 1
+        return [instance]
 
     def _select_for_key(self, key) -> List[int]:
         cache = self._cache

@@ -73,7 +73,7 @@ class FifoChannel:
         Returns the completion time.
         """
         done = self.reserve(nbytes)
-        self._sim.schedule_at(done, fn, *args)
+        self._sim.post_at(done, fn, *args)
         return done
 
     def utilization(self, elapsed: float) -> float:
@@ -188,4 +188,4 @@ class Network:
         egress_done = self._nics[src.index].egress.reserve(nbytes)
         arrival = egress_done + latency
         ingress_done = self._nics[dst.index].ingress.reserve(nbytes, arrival)
-        self._sim.schedule_at(ingress_done, fn, *args)
+        self._sim.post_at(ingress_done, fn, *args)

@@ -1,28 +1,32 @@
 """Discrete-event simulation core.
 
-A minimal, fast event loop: events are ``(time, sequence, Event)``
-entries in a binary heap. Ties in time are broken by insertion order,
-which gives deterministic FIFO semantics for same-instant events — the
-reconfiguration protocol relies on this for its channel ordering.
+A minimal, fast event loop: the heap entry *is* the event —
+``(time, sequence, fn, args, handle)`` in a binary heap. Ties in time
+are broken by insertion order, which gives deterministic FIFO semantics
+for same-instant events — the reconfiguration protocol relies on this
+for its channel ordering.
 
 Heap entries are plain tuples so ordering is decided by C-level
 ``(float, int)`` comparison; with millions of sift comparisons per run,
 a Python-level ``__lt__`` on the event object would dominate the loop
-(it did, before this was changed — see DESIGN.md §10).
+(it did, before this was changed — see DESIGN.md §10). ``handle`` is the
+:class:`Event` of a cancellable or daemon event and ``None`` for one
+pushed by :meth:`Simulator.post`: the data plane cancels none of its
+events and builds no object to cancel them with (DESIGN.md §10.3).
 """
 
 from __future__ import annotations
 
 import heapq
 import zlib
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
 
 class Event:
-    """A scheduled callback. Returned by :meth:`Simulator.schedule` so
-    callers can cancel it."""
+    """The cancel handle of a scheduled callback, returned by
+    :meth:`Simulator.schedule`; also what an interceptor is shown."""
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "daemon", "_sim")
 
@@ -57,11 +61,6 @@ class Event:
             if not self.daemon:
                 sim._live -= 1
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time:.6f}, fn={self.fn.__name__}{state})"
@@ -71,8 +70,8 @@ class Simulator:
     """Event loop with a simulated clock (seconds as float)."""
 
     def __init__(self) -> None:
-        #: heap of (time, seq, Event) — tuple-ordered, see module doc
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: heap of (time, seq, fn, args, handle) — see module doc
+        self._heap: List[tuple] = []
         self._now = 0.0
         self._seq = 0
         self._executed = 0
@@ -84,7 +83,8 @@ class Simulator:
         #: optional hook ``fn(event) -> bool`` consulted before each
         #: event runs; returning False consumes the event (it neither
         #: executes nor counts). Used by repro.faults to drop or defer
-        #: deliveries; the hook may reschedule the event's callback.
+        #: deliveries; the hook may reschedule the event's callback. A
+        #: posted event is shown as an :class:`Event` built on the spot.
         self.interceptor: Optional[Callable[[Event], bool]] = None
         self.intercepted = 0
         #: opt-in event-sequence fingerprint (see :meth:`enable_fingerprint`)
@@ -113,13 +113,11 @@ class Simulator:
         """Running CRC of the executed event sequence (0 until enabled)."""
         return self._fp
 
-    def _fp_update(self, event: Event) -> None:
-        fn = event.fn
+    def _fp_update(self, time: float, fn: Callable) -> None:
         name = getattr(fn, "__qualname__", None) or getattr(
             fn, "__name__", "<callable>"
         )
-        data = f"{event.time!r}:{name}".encode()
-        self._fp = zlib.crc32(data, self._fp)
+        self._fp = zlib.crc32(f"{time!r}:{name}".encode(), self._fp)
 
     @property
     def now(self) -> float:
@@ -151,10 +149,33 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
+    def post(self, delay: float, fn: Callable, *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule`: nothing can cancel it, so
+        no :class:`Event` is built. Same sequence number, same place in
+        the order as ``schedule`` would give it."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past: {delay}")
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        heapq.heappush(self._heap, (self._now + delay, seq, fn, args, None))
+
+    def post_at(self, time: float, fn: Callable, *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule_at`."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} before now={self._now}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        heapq.heappush(self._heap, (time, seq, fn, args, None))
+
     def schedule(
         self, delay: float, fn: Callable, *args: Any, daemon: bool = False
     ) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
+        """Schedule ``fn(*args)`` to run ``delay`` seconds from now;
+        the returned :class:`Event` cancels it.
 
         ``daemon`` events never keep the loop alive: a drain-style
         :meth:`run` (no ``until``) stops once only daemon events remain.
@@ -164,15 +185,15 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        # Inlined schedule_at (this is the hottest scheduling entry
-        # point; now + non-negative delay can never land in the past).
+        # schedule_at inlined (a timer per tuple under a message
+        # timeout); now + a non-negative delay is never in the past
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, fn, args, daemon=daemon, sim=self)
+        event = Event(time, seq, fn, args, daemon, self)
         if not daemon:
             self._live += 1
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, fn, args, event))
         return event
 
     def schedule_at(
@@ -185,34 +206,46 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, fn, args, daemon=daemon, sim=self)
+        event = Event(time, seq, fn, args, daemon, self)
         if not daemon:
             self._live += 1
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, fn, args, event))
         return event
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
+    def _intercepted(self, entry: tuple) -> bool:
+        """Show the popped entry to the interceptor; True = consumed."""
+        event = entry[4] or Event(*entry[:4])
+        if self.interceptor(event):
+            return False
+        self.intercepted += 1
+        return True
+
     def step(self) -> bool:
         """Run the next event. Returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            event._sim = None  # popped: a late cancel() is a no-op
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            if not event.daemon:
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            time, _, fn, args, handle = entry
+            if handle is None:
                 self._live -= 1
-            self._now = event.time
-            if self.interceptor is not None and not self.interceptor(event):
-                self.intercepted += 1
+            else:
+                handle._sim = None  # popped: a late cancel() is a no-op
+                if handle.cancelled:
+                    self._cancelled -= 1
+                    continue
+                if not handle.daemon:
+                    self._live -= 1
+            self._now = time
+            if self.interceptor is not None and self._intercepted(entry):
                 continue
             self._executed += 1
             if self._fp_enabled:
-                self._fp_update(event)
-            event.fn(*event.args)
+                self._fp_update(time, fn)
+            fn(*args)
             return True
         return False
 
@@ -238,29 +271,31 @@ class Simulator:
             if until is None and self._live <= 0:
                 break
             entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
+            time, _, fn, args, handle = entry
+            if handle is not None and handle.cancelled:
                 pop(heap)
-                event._sim = None
+                handle._sim = None
                 self._cancelled -= 1
                 continue
-            if until is not None and entry[0] > until:
+            if until is not None and time > until:
                 break
             if max_events is not None and executed >= max_events:
                 break
             pop(heap)
-            event._sim = None  # popped: a late cancel() is a no-op
-            if not event.daemon:
+            if handle is None:
                 self._live -= 1
-            self._now = event.time
-            if self.interceptor is not None and not self.interceptor(event):
-                self.intercepted += 1
+            else:
+                handle._sim = None  # popped: a late cancel() is a no-op
+                if not handle.daemon:
+                    self._live -= 1
+            self._now = time
+            if self.interceptor is not None and self._intercepted(entry):
                 continue
             self._executed += 1
             executed += 1
             if self._fp_enabled:
-                self._fp_update(event)
-            event.fn(*event.args)
+                self._fp_update(time, fn)
+            fn(*args)
         if until is not None and until > self._now:
             self._now = until
         return executed

@@ -26,8 +26,9 @@ independently and never stored.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.workloads.zipf import WeightedSampler, ZipfSampler, derived_rng
@@ -120,6 +121,18 @@ class TwitterWorkload:
             config.new_hashtags_per_week, config.hashtag_exponent
         )
         self._sampler_cache: Dict[Tuple[str, int], WeightedSampler] = {}
+        # The correlation structure and the drift are pure functions of
+        # (seed, key[, era]) drawn from one-shot RNGs, and seeding one
+        # costs ~8 µs (several per tweet, unmemoized). The week RNG is
+        # not involved, so memoizing them leaves the records as they are.
+        #: tag → era phase of a volatile tag, None for a stable one
+        self._tag_phase: Dict[str, Optional[int]] = {}
+        #: era (None: stable tags) → tag → home location
+        self._homes: Dict[Optional[int], Dict[str, str]] = {}
+        #: kind → drift phase by rank
+        self._drift_phase: Dict[str, array] = {}
+        #: (kind, era) → Gaussian draw by rank, NaN where not drawn yet
+        self._drift_draws: Dict[Tuple[str, int], array] = {}
 
     # ------------------------------------------------------------------
     # Popularity drift
@@ -136,16 +149,38 @@ class TwitterWorkload:
         sigma = config.popularity_drift_sigma
         if sigma <= 0.0:
             return 1.0
-        period = config.drift_period_weeks
-        phase = derived_rng(config.seed, "phase", kind, rank).random()
-        t = week / period + phase
+        t = week / config.drift_period_weeks + self._phase_of(kind, rank)
         era = math.floor(t)
         f = t - era
-        z0 = derived_rng(config.seed, "drift", kind, rank, era).gauss(0, 1)
-        z1 = derived_rng(config.seed, "drift", kind, rank, era + 1).gauss(
-            0, 1
-        )
+        z0 = self._drift_draw(kind, rank, era)
+        z1 = self._drift_draw(kind, rank, era + 1)
         return math.exp(sigma * ((1.0 - f) * z0 + f * z1))
+
+    def _base(self, kind: str) -> ZipfSampler:
+        return self._locations if kind == "loc" else self._hashtags
+
+    def _phase_of(self, kind: str, rank: int) -> float:
+        phases = self._drift_phase.get(kind)
+        if phases is None:
+            seed = self.config.seed
+            phases = self._drift_phase[kind] = array("d", (
+                derived_rng(seed, "phase", kind, r).random()
+                for r in range(self._base(kind).n)
+            ))
+        return phases[rank]
+
+    def _drift_draw(self, kind: str, rank: int, era: int) -> float:
+        draws = self._drift_draws.get((kind, era))
+        if draws is None:
+            draws = self._drift_draws[(kind, era)] = (
+                array("d", [math.nan]) * self._base(kind).n
+            )
+        z = draws[rank]
+        if z != z:  # NaN: not drawn yet
+            z = draws[rank] = derived_rng(
+                self.config.seed, "drift", kind, rank, era
+            ).gauss(0, 1)
+        return z
 
     def _weekly_sampler(self, kind: str, week: int) -> WeightedSampler:
         """Zipf × drift sampler for ``kind`` ("loc" or "tag") at
@@ -153,10 +188,7 @@ class TwitterWorkload:
         cached = self._sampler_cache.get((kind, week))
         if cached is not None:
             return cached
-        if kind == "loc":
-            base = self._locations
-        else:
-            base = self._hashtags
+        base = self._base(kind)
         weights = [
             base.pmf(rank) * self._drift_factor(kind, rank, week)
             for rank in range(base.n)
@@ -177,9 +209,23 @@ class TwitterWorkload:
     def tag_name(self, rank: int) -> str:
         return f"#t{rank}"
 
+    def _volatile_phase(self, tag: str) -> Optional[int]:
+        """The era phase of a volatile tag, None for a stable one."""
+        try:
+            return self._tag_phase[tag]
+        except KeyError:
+            config = self.config
+            phase = None
+            rng = derived_rng(config.seed, "volatile", tag)
+            if rng.random() < config.volatile_fraction:
+                phase = derived_rng(config.seed, "phase", tag).randrange(
+                    config.volatility_period_weeks
+                )
+            self._tag_phase[tag] = phase
+            return phase
+
     def _is_volatile(self, tag: str) -> bool:
-        rng = derived_rng(self.config.seed, "volatile", tag)
-        return rng.random() < self.config.volatile_fraction
+        return self._volatile_phase(tag) is not None
 
     def home_location(self, tag: str, week: int) -> str:
         """The location a tag is correlated with during ``week``.
@@ -189,14 +235,22 @@ class TwitterWorkload:
         changes spread over time); others keep it forever.
         """
         config = self.config
-        if self._is_volatile(tag):
-            phase_rng = derived_rng(config.seed, "phase", tag)
-            phase = phase_rng.randrange(config.volatility_period_weeks)
-            era = (week + phase) // config.volatility_period_weeks
-            rng = derived_rng(config.seed, "home", tag, era)
+        phase = self._volatile_phase(tag)
+        if phase is None:
+            era, parts = None, ("home", tag)
         else:
-            rng = derived_rng(config.seed, "home", tag)
-        return self.location_name(self._locations.sample(rng))
+            era = (week + phase) // config.volatility_period_weeks
+            parts = ("home", tag, era)
+        homes = self._homes.get(era)
+        if homes is None:
+            homes = self._homes[era] = {}
+        home = homes.get(tag)
+        if home is None:
+            rng = derived_rng(config.seed, *parts)
+            home = homes[tag] = self.location_name(
+                self._locations.sample(rng)
+            )
+        return home
 
     def flash_events(self, week: int) -> List[FlashEvent]:
         """This week's flash events; the first reuses ``flash_tag`` so

@@ -22,6 +22,7 @@ from repro.engine import (
     deploy,
 )
 from repro.engine.acker import Acker
+from repro.engine.costs import DEFAULT_COSTS
 from repro.engine.operators import IteratorSpout
 
 N = 2
@@ -194,3 +195,78 @@ class TestCrashAndReplay:
         for executor in deployment.instances("sink"):
             seen |= executor.operator.seen
         assert seen == set(range(N * 4000))
+
+
+class ServiceClock(Bolt):
+    """Remembers when each tuple's service started."""
+
+    def __init__(self):
+        self.starts = []
+
+    def process(self, tup, context):
+        self.starts.append(context.now)
+
+
+def _single_chain(count, bolt_factory, **deploy_kwargs):
+    """1 spout → 1 bolt on one server, ``count`` tuples."""
+
+    def source(ctx):
+        for i in range(count):
+            yield (i % 3, i)
+
+    builder = TopologyBuilder()
+    builder.spout("S", lambda: IteratorSpout(source), parallelism=1)
+    builder.bolt(
+        "A", bolt_factory, parallelism=1, inputs={"S": FieldsGrouping(0)}
+    )
+    sim = Simulator()
+    deployment = deploy(sim, Cluster(sim, 1), builder.build(), **deploy_kwargs)
+    deployment.start()
+    bolt = deployment.executor("A", 0)
+    while bolt.idle:
+        assert sim.step()
+    return sim, deployment, bolt  # a batch is in service right now
+
+
+class TestCrashEpoch:
+    """A service event scheduled before a crash is stale after it,
+    whether or not the instance is back up when it fires."""
+
+    def test_batch_in_service_at_crash_is_lost_and_replayed(self):
+        sim, deployment, bolt = _single_chain(
+            4, lambda: CountBolt(0, forward=False), message_timeout_s=0.05
+        )
+        acker = deployment.acker
+        bolt.crash(0.0)  # back up at once, long before the service end
+        sim.run(until=0.01)
+        assert not bolt.crashed
+        # the state is gone, so nothing may claim to have produced it
+        assert deployment.metrics.processed_total("A") == 0
+        assert acker.completed == 0
+        assert bolt.operator.state == {}
+        sim.run()
+        assert acker.failed == 4
+        assert deployment.executor("S", 0).replayed == 4
+        assert deployment.metrics.processed_total("A") == 4
+        assert sum(bolt.operator.state.values()) == 4
+        assert acker.in_flight == 0
+
+    def test_one_service_chain_survives_a_zero_downtime_crash(self):
+        service_s = 1e-3
+        sim, deployment, bolt = _single_chain(
+            64, ServiceClock,
+            costs=DEFAULT_COSTS.with_overrides(bolt_service_s=service_s),
+        )
+        crashed_at = sim.now
+        bolt.crash(0.0)
+        sim.run()
+        batches = {}  # service start -> tuples served from it
+        for start in bolt.operator.starts:
+            if start > crashed_at:
+                batches[start] = batches.get(start, 0) + 1
+        assert sum(batches.values()) == 64 - 8  # the first poll was lost
+        # single-threaded: a batch starts when the one before is done
+        starts = sorted(batches)
+        for start, following in zip(starts, starts[1:]):
+            assert following >= start + batches[start] * service_s - 1e-12
+        assert bolt.idle

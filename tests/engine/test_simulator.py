@@ -189,5 +189,197 @@ def test_pending_events_matches_heap_during_mixed_run():
         if live and rng.random() < 0.5:
             live.pop(rng.randrange(len(live))).cancel()
         sim.step()
-        brute = sum(1 for _, _, e in sim._heap if not e.cancelled)
+        brute = sum(1 for *_, e in sim._heap if not (e and e.cancelled))
         assert sim.pending_events == brute
+
+
+# ----------------------------------------------------------------------
+# The two scheduling entry points: post() is schedule() minus the handle
+# ----------------------------------------------------------------------
+
+_KINDS = ("handle", "post", "daemon")
+_child = st.tuples(st.floats(min_value=0.0, max_value=2.0), st.sampled_from(_KINDS))
+_ops = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.floats(min_value=0.0, max_value=5.0),
+        st.sampled_from(_KINDS),
+        st.booleans(),  # absolute time (schedule_at / post_at)?
+        st.lists(_child, max_size=2),
+    ),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=60)),
+    st.tuples(st.just("run")),
+    st.tuples(st.just("until"), st.floats(min_value=0.0, max_value=3.0)),
+    st.tuples(st.just("max"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("step")),
+)
+
+
+class _Player:
+    """Plays a script on one simulator. ``posts=False`` is the twin
+    that uses ``schedule`` / ``schedule_at`` for everything."""
+
+    def __init__(self, posts):
+        self.sim = Simulator()
+        self.sim.enable_fingerprint()
+        self.posts = posts
+        self.handles = []
+        self.log = []
+
+    def add(self, delay, kind, absolute, children, label):
+        sim = self.sim
+        when = sim.now + delay if absolute else delay
+        if kind == "post" and self.posts:
+            post = sim.post_at if absolute else sim.post
+            assert post(when, self.fire, label, children) is None
+            return
+        schedule = sim.schedule_at if absolute else sim.schedule
+        handle = schedule(
+            when, self.fire, label, children, daemon=kind == "daemon"
+        )
+        if kind != "post":  # the twin never cancels what was posted
+            self.handles.append(handle)
+
+    def fire(self, label, children):
+        self.log.append((self.sim.now, label))
+        for index, (delay, kind) in enumerate(children):
+            self.add(delay, kind, False, (), f"{label}.{index}")
+
+    def play(self, number, op):
+        sim = self.sim
+        result = None
+        if op[0] == "add":
+            self.add(*op[1:], label=str(number))
+        elif op[0] == "cancel":
+            if self.handles:  # fired or not, cancelled already or not
+                self.handles[op[1] % len(self.handles)].cancel()
+        elif op[0] == "run":
+            result = sim.run()
+        elif op[0] == "until":
+            result = sim.run(until=sim.now + op[1])
+        elif op[0] == "max":
+            result = sim.run(max_events=op[1])
+        else:
+            result = sim.step()
+        return (
+            result,
+            list(self.log),
+            sim.now,
+            sim.events_executed,
+            sim.pending_events,
+            sim.fingerprint,
+        )
+
+
+@given(script=st.lists(_ops, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_posted_events_are_scheduled_events_without_a_handle(script):
+    """Same order, clock, counters and fingerprint at every stop as a
+    twin that builds a cancellable Event for every entry."""
+    real, twin = _Player(posts=True), _Player(posts=False)
+    for number, op in enumerate(script):
+        assert real.play(number, op) == twin.play(number, op)
+    assert real.play(-1, ("until", 10.0)) == twin.play(-1, ("until", 10.0))
+    assert real.sim.pending_events == 0
+
+
+def test_post_rejects_the_past():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.post(-0.1, lambda: None)
+    sim.post(5.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.post_at(4.0, lambda: None)
+
+
+def test_interceptor_sees_both_kinds_of_event():
+    sim = Simulator()
+    seen, ran = [], []
+
+    def hook(event):
+        seen.append((event.time, event.fn, event.args, sim.now))
+        return True
+
+    sim.interceptor = hook
+    sim.schedule(1.0, ran.append, "handle")
+    sim.post(2.0, ran.append, "post")
+    sim.post_at(3.0, ran.append, "post_at")
+    sim.run()
+    assert ran == ["handle", "post", "post_at"]
+    assert seen == [
+        (1.0, ran.append, ("handle",), 1.0),
+        (2.0, ran.append, ("post",), 2.0),
+        (3.0, ran.append, ("post_at",), 3.0),
+    ]
+    assert sim.intercepted == 0
+
+
+def test_interceptor_consumes_and_reschedules_posted_events():
+    sim = Simulator()
+    ran = []
+    deferred = []
+
+    def hook(event):
+        if event.args == ("drop",):
+            return False
+        if event.args == ("defer",) and not deferred:
+            deferred.append(event.time)
+            sim.schedule(1.0, event.fn, *event.args)
+            return False
+        return True
+
+    sim.interceptor = hook
+    sim.post(1.0, ran.append, "drop")
+    sim.post(2.0, ran.append, "defer")
+    sim.post(2.5, ran.append, "keep")
+    assert sim.run() == 2
+    assert ran == ["keep", "defer"]
+    assert deferred == [2.0] and sim.now == 3.0
+    assert sim.intercepted == 2
+    assert sim.events_executed == 2
+    assert sim.pending_events == 0
+
+
+def test_data_plane_builds_no_event_and_plans_no_empty_emission(monkeypatch):
+    """A Fig. 13-style run with no message timeout and no interceptor:
+    every data-plane entry is posted (the loop built two ``Event``s per
+    tuple before), and the sink, which emits nothing, never enters
+    ``_plan_emissions``."""
+    import repro.engine.simulator as simulator_mod
+    from repro.engine import Cluster, deploy
+    from repro.engine.executor import BaseExecutor
+    from repro.workloads import FlickrConfig, FlickrWorkload
+
+    built = []
+
+    class CountedEvent(simulator_mod.Event):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(args[2])
+            super().__init__(*args, **kwargs)
+
+    planned = []
+    real_plan = BaseExecutor._plan_emissions
+
+    def counting_plan(self, emissions, root_id):
+        planned.append(self.op_name)
+        return real_plan(self, emissions, root_id)
+
+    monkeypatch.setattr(simulator_mod, "Event", CountedEvent)
+    monkeypatch.setattr(BaseExecutor, "_plan_emissions", counting_plan)
+    workload = FlickrWorkload(FlickrConfig(seed=1, num_tags=200))
+    sim = Simulator()
+    deployment = deploy(
+        sim,
+        Cluster(sim, 3, bandwidth_gbps=1.0),
+        workload.topology(3, padding=4000, tuples_per_instance=200),
+    )
+    deployment.start()
+    sim.run()
+    assert deployment.metrics.processed_total("B") == 600
+    assert sim.events_executed > 1200
+    assert built == []
+    assert planned.count("S") == planned.count("A") == 600
+    assert "B" not in planned

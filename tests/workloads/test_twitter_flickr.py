@@ -1,5 +1,6 @@
 """Tests for the Twitter-like and Flickr-like generators."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -130,6 +131,36 @@ def test_twitter_flash_tag_moves_between_locations():
         location: max(days, key=days.get) for location, days in series.items()
     }
     assert len(set(peak_days.values())) >= 2  # peaks on different days
+
+
+#: SHA-256 over ``repr(record)`` of weeks 0-5 of ``TwitterConfig(seed=0,
+#: tweets_per_week=size)``, computed on the commit before the generator
+#: memoized its per-key draws (1864dfe).
+WEEKS_0_TO_5_DIGESTS = {
+    5_000: "86f5903632c03e4fe348327561fc3b1af73c127a56b831d709771079455f8559",
+    30_000: "37872f31f226e13ecf69a59ca419ff97c2863209f87c665efe3b162173d29de1",
+}
+
+
+@pytest.mark.parametrize("size", sorted(WEEKS_0_TO_5_DIGESTS))
+def test_twitter_records_are_what_they_were_before_the_memo(size):
+    workload = TwitterWorkload(TwitterConfig(seed=0, tweets_per_week=size))
+    digest = hashlib.sha256()
+    for week in range(6):
+        for record in workload.week_records(week):
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == WEEKS_0_TO_5_DIGESTS[size]
+
+
+def test_twitter_warm_caches_do_not_change_records():
+    """A week reads the same off a workload that has already generated
+    others (in any order) as off a fresh one."""
+    warm = TwitterWorkload(SMALL)
+    for week in (4, 0, 7, 2):
+        list(warm.week_records(week))
+    for week in (2, 7, 0, 4, 5):
+        fresh = TwitterWorkload(SMALL)
+        assert list(warm.week_records(week)) == list(fresh.week_records(week))
 
 
 def test_flickr_config_validation():

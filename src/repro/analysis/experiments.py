@@ -39,16 +39,14 @@ from repro.core.offline import keygraph_from_pairs
 from repro.core.table_delta import TableDelta, snapshot_wire_bytes
 from repro.engine import (
     Cluster,
-    CountBolt,
     FieldsGrouping,
     PartialKeyGrouping,
     RunConfig,
     Simulator,
-    TopologyBuilder,
+    count_chain,
     deploy,
 )
 from repro.engine.metrics import ThroughputSampler
-from repro.engine.operators import IteratorSpout
 from repro.engine.runner import run
 from repro.workloads import (
     BigKeysConfig,
@@ -392,15 +390,7 @@ def ablation_pkg() -> Dict[str, float]:
         ("hash_fields", FieldsGrouping(0)),
         ("partial_key", PartialKeyGrouping(0)),
     ):
-        builder = TopologyBuilder()
-        builder.spout("S", lambda: IteratorSpout(source), parallelism=4)
-        builder.bolt(
-            "B",
-            lambda: CountBolt(0, forward=False),
-            parallelism=4,
-            inputs={"S": grouping},
-        )
-        result = run(builder.build(), config)
+        result = run(count_chain(source, 4, [grouping], names="B"), config)
         metrics[f"load_balance_{name}"] = result.load_balance["B"]
     return metrics
 

@@ -672,17 +672,12 @@ def _run_backend_rescale(
     import random
 
     from repro.core import Manager, ManagerConfig
-    from repro.engine import (
-        CountBolt,
-        TableFieldsGrouping,
-        TopologyBuilder,
-    )
+    from repro.engine import TableFieldsGrouping, count_chain
     from repro.engine.backends import (
         BackendOptions,
         ReconfigureAction,
         run_topology,
     )
-    from repro.engine.operators import IteratorSpout
     from repro.testing.equivalence import compare_backends
 
     spouts = int(params.get("parallelism", 3))
@@ -696,23 +691,12 @@ def _run_backend_rescale(
                 a = rng.randrange(12)
                 yield (a, a + 100)
 
-        builder = TopologyBuilder()
-        builder.spout(
-            "S", lambda: IteratorSpout(source), parallelism=spouts
+        return count_chain(
+            source,
+            before,
+            [TableFieldsGrouping(0), TableFieldsGrouping(1)],
+            spouts=spouts,
         )
-        builder.bolt(
-            "A",
-            lambda: CountBolt(0, forward=True),
-            parallelism=before,
-            inputs={"S": TableFieldsGrouping(0)},
-        )
-        builder.bolt(
-            "B",
-            lambda: CountBolt(1, forward=False),
-            parallelism=before,
-            inputs={"A": TableFieldsGrouping(1)},
-        )
-        return builder.build()
 
     def attach_manager(deployment):
         sim = deployment.sim

@@ -10,7 +10,16 @@ its reconfiguration messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.keygraph import KeyGraph, KeyVertex
 from repro.core.routing_table import RoutingTable
@@ -214,11 +223,16 @@ def plan_reconfiguration(
     imbalance: float = DEFAULT_IMBALANCE,
     seed: int = 0,
     max_edges: Optional[int] = None,
+    splits_for: Optional[Callable] = None,
 ) -> ReconfigurationPlan:
     """Compute new tables and migration lists for the routed streams.
 
     ``old_tables`` may omit streams that never had a table (hash-only
     routing so far); migration then compares against hash owners.
+    ``splits_for(stream, table)`` names the split set each new table
+    carries (hybrid routing). It is applied *before* the tables are
+    diffed: against an unsplit new table every key that stays split
+    would read as a consolidation.
     """
     assignment = compute_assignment(
         keygraph, num_servers, imbalance=imbalance, seed=seed,
@@ -232,6 +246,8 @@ def plan_reconfiguration(
         new_table = assignment.table_for(
             stream.name, stream.server_to_instance()
         )
+        if splits_for is not None:
+            new_table = new_table.with_splits(splits_for(stream, new_table))
         tables[stream.name] = new_table
         if not stream.stateful_dst:
             continue

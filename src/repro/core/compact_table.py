@@ -165,13 +165,14 @@ class CompactRoutingTable:
 
     Duck-type compatible with :class:`RoutingTable` for every consumer
     on the data plane and the reconfiguration protocol: ``lookup``,
-    ``split``, ``splits``, ``max_instance``, ``moved_keys``,
-    ``split_consolidations``, ``__len__``, ``__contains__``,
-    ``fingerprint`` and ``__eq__``. It deliberately does **not**
-    enumerate keys (``keys``/``items``/``as_dict`` raise): raw keys are
-    gone after construction — that is the point. Manager-side planning
-    therefore always runs on plain tables; compact tables exist from
-    the wire boundary outward (see module docstring).
+    ``split``, ``splits``, ``max_instance``, ``__len__``,
+    ``__contains__``, ``fingerprint`` and ``__eq__``. It deliberately
+    does **not** enumerate keys, nor diff against another table
+    (``keys``/``items``/``as_dict``/``moved_keys``/
+    ``split_consolidations`` raise): raw keys are gone after
+    construction — that is the point. Manager-side planning therefore
+    always runs on plain tables; compact tables exist from the wire
+    boundary outward (see module docstring).
 
     Split keys stay raw: the split set is by design tiny (heavy
     hitters), and hybrid routing needs the exact member tuples.
@@ -480,60 +481,17 @@ class CompactRoutingTable:
     def fingerprint(self) -> int:
         return self._fingerprint
 
-    # Enumeration is impossible by design; fail loudly if anything
-    # tries (planning must stay on plain tables).
-    def keys(self):
+    # Enumeration — and with it diffing — is impossible by design;
+    # fail loudly if anything tries (planning stays on plain tables).
+    def _plan_on_plain_tables(self, *args, **kwargs):
         raise TypeError(
             "CompactRoutingTable stores fingerprints, not keys; "
             "plan with plain RoutingTable and compact at the wire "
             "boundary (DESIGN.md §13)"
         )
 
-    items = keys
-    as_dict = keys
-
-    # ------------------------------------------------------------------
-    # Diffing — supported only against an enumerable counterpart
-    # ------------------------------------------------------------------
-
-    def moved_keys(self, new, fallback) -> Dict[Hashable, Tuple[int, int]]:
-        """Keys whose owner changes between ``self`` and enumerable
-        ``new``.
-
-        Contract difference vs the plain table: only keys present in
-        ``new`` can be reported (this table cannot enumerate keys that
-        were dropped); entry retirements must travel as
-        :class:`~repro.core.table_delta.TableDelta` removals instead of
-        diffs. The manager honors this by planning on plain tables.
-        """
-        if isinstance(new, CompactRoutingTable):
-            raise ReconfigurationError(
-                "cannot diff two compact tables: neither side can "
-                "enumerate keys"
-            )
-        moved: Dict[Hashable, Tuple[int, int]] = {}
-        for key, new_owner in new.items():
-            if key in self._splits or new.split(key) is not None:
-                continue
-            old_owner = self.lookup(key)
-            if old_owner is None:
-                old_owner = fallback(key)
-            if old_owner != new_owner:
-                moved[key] = (old_owner, new_owner)
-        return moved
-
-    def split_consolidations(
-        self, new, fallback
-    ) -> Dict[Hashable, Tuple[Tuple[int, ...], int]]:
-        consolidations: Dict[Hashable, Tuple[Tuple[int, ...], int]] = {}
-        for key, members in self._splits.items():
-            if new.split(key) is not None:
-                continue
-            new_owner = new.lookup(key)
-            if new_owner is None:
-                new_owner = fallback(key)
-            consolidations[key] = (members, new_owner)
-        return consolidations
+    keys = items = as_dict = _plan_on_plain_tables
+    moved_keys = split_consolidations = _plan_on_plain_tables
 
     # ------------------------------------------------------------------
     # Memory / accuracy model (DESIGN.md §13)

@@ -26,10 +26,8 @@ controller never keeps a drain run alive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.routing_table import RoutingTable
-from repro.engine.grouping import key_owner
 from repro.errors import ReconfigurationError
 
 
@@ -252,40 +250,3 @@ class ElasticityController:
             self._last_action_at = now
             self._low_streak = 0
         return decision
-
-
-# ----------------------------------------------------------------------
-# Pure planning helpers (shared with the property-based tests)
-# ----------------------------------------------------------------------
-
-
-def owner_of(
-    key: Hashable,
-    table: Optional[RoutingTable],
-    num_instances: int,
-    seed: int,
-) -> int:
-    """Owner of ``key`` at width ``num_instances`` under a possibly
-    stale table: :func:`~repro.engine.grouping.key_owner`, tolerant."""
-    return key_owner(key, table, seed, num_instances, strict=False)[0]
-
-
-def rescale_moves(
-    keys,
-    old_table: Optional[RoutingTable],
-    old_n: int,
-    new_table: Optional[RoutingTable],
-    new_n: int,
-    seed: int,
-) -> Dict[Hashable, Tuple[int, int]]:
-    """The exact key movements a k→k' rescale induces: each key whose
-    owner changes, mapped to ``(old_owner, new_owner)``. Keys whose
-    owner is unchanged never appear — the migration plan must not move
-    them."""
-    moves: Dict[Hashable, Tuple[int, int]] = {}
-    for key in keys:
-        old = owner_of(key, old_table, old_n, seed)
-        new = owner_of(key, new_table, new_n, seed)
-        if old != new:
-            moves[key] = (old, new)
-    return moves

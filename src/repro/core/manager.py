@@ -18,13 +18,13 @@ in-band steps (PROPAGATE/MIGRATE) go through the data channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.assignment import (
     DEFAULT_IMBALANCE,
     ReconfigurationPlan,
     RoutedStream,
-    plan_migrations,
     plan_reconfiguration,
 )
 from repro.core.instrumentation import PairTracker
@@ -35,7 +35,6 @@ from repro.core.reconfiguration import (
     PoiReconfiguration,
     ReconfigurationAgent,
     RescaleSpec,
-    install_agents,
 )
 from repro.core.compact_table import (
     CompactRoutingTable,
@@ -45,11 +44,7 @@ from repro.core.compact_table import (
 from repro.core.routing_table import RoutingTable
 from repro.core.table_delta import TableDelta, snapshot_wire_bytes
 from repro.engine.executor import ControlMessage, SpoutExecutor
-from repro.engine.grouping import (
-    TableFieldsGrouping,
-    TableRouter,
-    key_owner,
-)
+from repro.engine.grouping import TableFieldsGrouping, key_owner
 from repro.engine.operators import StatefulBolt
 from repro.errors import ReconfigurationError
 from repro.observability.sink import NULL_SINK
@@ -60,6 +55,17 @@ from repro.spacesaving import SpaceSaving
 #: aborted scale-out, doomed instances are evacuated only once their
 #: queues stay quiet for two consecutive polls.
 _RESCALE_DRAIN_POLL_S = 2.0e-3
+
+#: The phases of a round, in the order their spans open under the
+#: round's span (``RESCALE_PROVISION`` on rescale rounds only). The
+#: lifecycle block of docs/PROTOCOL.md is checked against this tuple.
+PHASES = (
+    "STATS_COLLECT",
+    "RESCALE_PROVISION",
+    "PARTITION",
+    "PROPAGATE",
+    "MIGRATE",
+)
 
 
 @dataclass
@@ -336,7 +342,7 @@ class Manager:
                 "no operator observes key pairs (needs a keyed input "
                 "and a table-routed output)"
             )
-        self._agents = install_agents(self.deployment, self)
+        self._repatch_agents()
 
     def _instrument(self, executor) -> None:
         """Attach a pair-statistics tracker to ``executor``."""
@@ -353,10 +359,9 @@ class Manager:
 
     def set_telemetry(self, telemetry) -> None:
         """Adopt a :class:`~repro.observability.Telemetry`: rounds emit
-        their span tree (STATS_COLLECT → PARTITION → PROPAGATE →
-        MIGRATE, closed by a COMMIT/ABORT/SKIP/VETO event) into its
-        sink. Usually called through
-        :func:`repro.observability.attach_telemetry`."""
+        their span tree (one span per phase of :data:`PHASES`, closed
+        by a COMMIT/ABORT/SKIP/VETO event) into its sink. Usually
+        called through :func:`repro.observability.attach_telemetry`."""
         self._tracer = telemetry.tracer
 
     def start(self) -> None:
@@ -400,17 +405,12 @@ class Manager:
         self._on_round_complete = on_complete
         record = RoundRecord(round_id, started_at=self.sim.now)
         self.rounds.append(record)
-        round_span = self._tracer.begin(
-            "reconfiguration_round", round=round_id
-        )
         self._round_spans = {
-            "round": round_span,
-            "STATS_COLLECT": self._tracer.begin(
-                "STATS_COLLECT",
-                parent=round_span,
-                pois=len(self._instrumented),
-            ),
+            "round": self._tracer.begin(
+                "reconfiguration_round", round=round_id
+            )
         }
+        self._begin_phase("STATS_COLLECT", pois=len(self._instrumented))
         self._stats = {}
         self._tables_before_round = dict(self.current_tables)
         for stream in self._routed_streams:
@@ -548,6 +548,14 @@ class Manager:
             self.config.period_s, self._periodic_tick, daemon=True
         )
 
+    def _begin_phase(self, name: str, **attrs):
+        """Open the span of phase ``name`` (one of :data:`PHASES`)
+        under the round's span."""
+        span = self._round_spans[name] = self._tracer.begin(
+            name, parent=self._round_spans.get("round"), **attrs
+        )
+        return span
+
     def _is_current(self, round_id: int) -> bool:
         """Is ``round_id`` the round currently in flight? Late
         callbacks from aborted rounds fail this and are dropped."""
@@ -609,9 +617,7 @@ class Manager:
         keygraph = KeyGraph.from_stats(self._stats)
         record.collected_pairs = keygraph.num_edges
         record.keygraph = keygraph
-        collect_span = self._round_spans.get("STATS_COLLECT")
-        if collect_span is not None:
-            collect_span.end(pairs=keygraph.num_edges)
+        self._round_spans["STATS_COLLECT"].end(pairs=keygraph.num_edges)
         if self._rescale_request is not None:
             # A rescale never skips: even with an empty key graph the
             # instance set must change (tables then come out empty and
@@ -648,14 +654,19 @@ class Manager:
     ) -> ReconfigurationPlan:
         """The PARTITION phase of a round: plan ``streams`` over
         ``num_servers`` under its span and publish the two
-        ``reconf_last_*`` gauges."""
-        partition_span = self._tracer.begin(
-            "PARTITION",
-            parent=self._round_spans.get("round"),
-            edges=keygraph.num_edges,
-            servers=num_servers,
+        ``reconf_last_*`` gauges.
+
+        Hybrid mode re-derives each stream's split set from scratch
+        every plain round, so a key that cooled below the threshold
+        consolidates (its partials gather on the table owner via
+        :func:`~repro.core.assignment.plan_migrations`) and a newly hot
+        key starts splitting without migrating anything."""
+        partition_span = self._begin_phase(
+            "PARTITION", edges=keygraph.num_edges, servers=num_servers
         )
-        self._round_spans["PARTITION"] = partition_span
+        splits_for = None
+        if self.config.hybrid is not None and not record.is_rescale:
+            splits_for = partial(self._select_splits, record, keygraph)
         plan = plan_reconfiguration(
             keygraph,
             streams,
@@ -664,6 +675,7 @@ class Manager:
             imbalance=self.config.imbalance,
             seed=self.config.seed + self._round_id,
             max_edges=self.config.max_edges,
+            splits_for=splits_for,
         )
         record.plan = plan
         moved = {}
@@ -674,8 +686,6 @@ class Manager:
             # RescaleSpec).
             plan.migrations = {}
         else:
-            if self.config.hybrid is not None:
-                self._apply_hybrid_splits(record, keygraph, plan)
             moved["moved_keys"] = plan.total_moved_keys()
         cut_weight = (
             1.0 - plan.predicted_locality
@@ -705,50 +715,15 @@ class Manager:
             )
         return len(servers)
 
-    def _apply_hybrid_splits(
-        self, record: RoundRecord, keygraph, plan: ReconfigurationPlan
-    ) -> None:
-        """Hybrid mode: re-derive each routed stream's split set from
-        the merged sketches and rebuild the migration lists.
-
-        The split set is recomputed from scratch every round, so a key
-        that cooled below the threshold consolidates (its partials
-        gather on the table owner via :func:`plan_migrations`) and a
-        newly hot key starts splitting without migrating anything.
-        Migration lists must be rebuilt — :func:`plan_reconfiguration`
-        diffed against the *unsplit* new tables, so it would plan a
-        spurious consolidation for every key that stays split.
-        """
-        cfg = self.config.hybrid
-        migrations: Dict[str, Dict[Tuple[int, int], List]] = {}
-        for stream in self._routed_streams:
-            table = plan.tables.get(stream.name)
-            if table is None:
-                continue
-            splits = self._select_splits(keygraph, stream, table, cfg)
-            new_table = table.with_splits(splits)
-            plan.tables[stream.name] = new_table
-            if splits:
-                record.split_sets[stream.dst_op] = dict(splits)
-            if not stream.stateful_dst:
-                continue
-            old_table = self.current_tables.get(
-                stream.name, RoutingTable.empty()
-            )
-            per_pair = plan_migrations(old_table, new_table, stream)
-            if per_pair:
-                # At most one table-routed input per operator
-                # (validated at install), so no merge needed here.
-                migrations[stream.dst_op] = per_pair
-        plan.migrations = migrations
-
     def _select_splits(
-        self, keygraph, stream: RoutedStream, table: RoutingTable, cfg
+        self, record: RoundRecord, keygraph, stream: RoutedStream, table
     ) -> Dict:
-        """Deterministic split set for one stream: keys whose observed
-        weight exceeds ``hot_fraction`` of the per-instance fair share,
-        heaviest first (repr ties), split over ``split_width``
-        consecutive instances anchored at the table owner."""
+        """Deterministic split set for one stream, noted on the round's
+        record: keys whose observed weight exceeds ``hot_fraction`` of
+        the per-instance fair share, heaviest first (repr ties), split
+        over ``split_width`` consecutive instances anchored at the
+        table owner."""
+        cfg = self.config.hybrid
         n = len(stream.dst_placements)
         if n < 2:
             return {}
@@ -770,6 +745,8 @@ class Manager:
             splits[key] = tuple(
                 sorted((owner + j) % n for j in range(width))
             )
+        if splits:
+            record.split_sets[stream.dst_op] = dict(splits)
         return splits
 
     def _plan_and_send_rescale(self, record: RoundRecord, keygraph) -> None:
@@ -788,14 +765,12 @@ class Manager:
         ops = self._rescale_ops()
         deployment = self.deployment
 
-        provision_span = self._tracer.begin(
+        provision_span = self._begin_phase(
             "RESCALE_PROVISION",
-            parent=self._round_spans.get("round"),
             old_parallelism=old_k,
             new_parallelism=new_k,
             ops=len(ops),
         )
-        self._round_spans["RESCALE_PROVISION"] = provision_span
         spawned: List = []
         if new_k > old_k:
             cluster = deployment.cluster
@@ -848,18 +823,11 @@ class Manager:
     def _send_reconfigurations(self, plan: ReconfigurationPlan) -> None:
         record = self.rounds[-1]
         record.tables_sent_at = self.sim.now
-        if self._rescale_ctx is not None:
-            payloads = self._build_rescale_payloads(plan)
-        else:
-            payloads = self._build_payloads(plan)
+        payloads = self._build_payloads(plan)
         self._ack_outstanding = len(payloads)
         self._complete_outstanding = len(payloads)
         self._propagated_outstanding = len(payloads)
-        self._round_spans["PROPAGATE"] = self._tracer.begin(
-            "PROPAGATE",
-            parent=self._round_spans.get("round"),
-            pois=len(payloads),
-        )
+        self._begin_phase("PROPAGATE", pois=len(payloads))
         latency = self.config.rpc_latency_s
         for (op, instance), payload in payloads.items():  # step 3
             agent = self._agents[(op, instance)]
@@ -892,44 +860,75 @@ class Manager:
                     latency, executor.deliver_control, message
                 )
 
-    def _empty_payloads(self) -> Dict[Tuple[str, int], PoiReconfiguration]:
-        """One PoiReconfiguration per executor: every POI participates
-        in propagation, even with empty router/migration entries."""
-        return {
-            (executor.op_name, executor.instance): PoiReconfiguration(
-                round_id=self._round_id
-            )
-            for executor in self.deployment.all_executors()
-        }
-
     def _build_payloads(
         self, plan: ReconfigurationPlan
     ) -> Dict[Tuple[str, int], PoiReconfiguration]:
-        """The payloads of a plain round: tables to the sources,
-        migration lists to the stateful destinations."""
-        payloads = self._empty_payloads()
+        """One :class:`PoiReconfiguration` per executor — every POI
+        participates in propagation, even with nothing to swap or move.
 
-        # Routing table updates go to the *source* executors of each
-        # routed stream, resolved through the deployment metadata (a
-        # stream's name is a label, not an address).
+        An :class:`EdgeUpdate` goes to the *source* executors of each
+        routed stream, resolved through the deployment metadata (a
+        stream's name is a label, not an address). On a plain round it
+        carries the encoded table and migration lists go to the
+        stateful destinations. On a rescale round (union view) it also
+        names the new destination list, swapped atomically with the
+        table at PROPAGATE application (``update_table`` alone cannot
+        change fan-out), the side inputs of the tier get a table-less
+        one, and state moves by scan (:meth:`_plan_scan_migration`).
+        """
+        deployment = self.deployment
+        ctx = self._rescale_ctx
+        payloads = {
+            (executor.op_name, executor.instance): PoiReconfiguration(
+                round_id=self._round_id
+            )
+            for executor in deployment.all_executors()
+        }
+        streams = (
+            self._streams_by_name
+            if ctx is None
+            else {s.name: s for s in ctx.new_streams}
+        )
         for stream_name, table in plan.tables.items():
-            stream = self._streams_by_name.get(stream_name)
+            stream = streams.get(stream_name)
             if stream is None:
                 raise ReconfigurationError(
                     f"plan contains table for unmanaged stream "
                     f"{stream_name!r}"
                 )
-            src = stream.src_op
-            instances = self.deployment.instances(src)
-            update = self._encode_table_update(
-                stream_name, table, copies=len(instances)
-            )
-            for executor in instances:
-                payloads[(src, executor.instance)].router_updates[
+            sources = deployment.instances(stream.src_op)
+            if ctx is None:
+                update = EdgeUpdate(
+                    self._encode_table_update(
+                        stream_name, table, copies=len(sources)
+                    )
+                )
+            else:
+                # one wire representation per stream, shared by the edge
+                # update and every RescaleSpec, so scan-migration owner
+                # decisions agree exactly with data-plane routing even
+                # within the compact false-route budget
+                wire_table = self._wire_table(table)
+                destinations = deployment.executors[stream.dst_op]
+                update = EdgeUpdate(wire_table, destinations[: ctx.new_k])
+                if stream.stateful_dst:
+                    self._plan_scan_migration(payloads, stream, wire_table)
+            for executor in sources:
+                payloads[(stream.src_op, executor.instance)].edge_updates[
                     stream_name
                 ] = update
 
-        # Migration lists go to the stateful destination executors.
+        if ctx is not None:
+            # Without an edge update the side inputs' sources keep the
+            # old destination list — stale references to retired
+            # executors — and the old router modulus.
+            for executor, name, destinations in self._side_inputs(ctx.new_k):
+                payloads[(executor.op_name, executor.instance)].edge_updates[
+                    name
+                ] = EdgeUpdate(None, destinations)
+
+        # Migration lists go to the stateful destination executors
+        # (none on a rescale round: its state moves by scan).
         for op_name, per_pair in plan.migrations.items():
             for (old_instance, new_instance), keys in per_pair.items():
                 sender = payloads[(op_name, old_instance)]
@@ -938,6 +937,47 @@ class Manager:
                 receiver.receive_keys.extend(keys)
                 receiver.expected_migrations += 1
         return payloads
+
+    def _plan_scan_migration(self, payloads, stream, wire_table) -> None:
+        """Every instance of a stateful rescaled tier gets a
+        :class:`RescaleSpec`: at apply time it scans its own state and
+        ships each key whose owner changed. Because sketch-fed tables
+        are lossy and the hash-fallback modulus changes with ``k``, a
+        table diff cannot enumerate moving keys — each participant
+        instead sends exactly one MIGRATE (possibly empty) to every
+        other participant, making ``expected_migrations`` static.
+        Hold lists come from the inventory gathered before planning.
+        """
+        ctx = self._rescale_ctx
+        participants = list(range(ctx.union_k))
+        for executor in self.deployment.instances(stream.dst_op):
+            payload = payloads[(stream.dst_op, executor.instance)]
+            payload.rescale = RescaleSpec(
+                table=wire_table,
+                hash_seed=stream.hash_seed,
+                num_instances=ctx.new_k,
+                participants=list(participants),
+                retiring=executor.instance >= ctx.new_k,
+            )
+            payload.expected_migrations = len(participants) - 1
+        for key, holder in self._inventory.get(stream.dst_op, {}).items():
+            # the owner every RescaleSpec above will scan towards
+            owner, _ = stream.owner(key, wire_table)
+            if owner != holder:
+                payloads[(stream.dst_op, owner)].receive_keys.append(key)
+
+    def _side_inputs(self, width: int):
+        """``(source executor, stream name, destinations)`` of every
+        non-table-routed stream into a rescaled op (shuffle, plain
+        hash, PKG side inputs) at ``width``: they change fan-out too."""
+        deployment = self.deployment
+        for op_name in self._rescale_ops():
+            destinations = deployment.executors[op_name][:width]
+            for stream in deployment.topology.inputs_of(op_name):
+                if stream.name in self._streams_by_name:
+                    continue
+                for executor in deployment.instances(stream.src):
+                    yield executor, stream.name, list(destinations)
 
     def _compact_router_tables(self):
         """Live compact tables held by source routers (metrics)."""
@@ -965,12 +1005,13 @@ class Manager:
     def _encode_table_update(
         self, stream_name: str, table: RoutingTable, copies: int = 1
     ):
-        """The router_updates payload for one routed stream: a
-        :class:`TableDelta` against the base the receivers hold
-        (``_tables_before_round``), or a full table when deltas are off
-        or no shared base exists. Feeds the ``propagate_bytes_*``
-        counters and the per-stream memory gauges; ``copies`` is the
-        number of receivers the payload fans out to."""
+        """The table an :class:`EdgeUpdate` ships for one routed
+        stream: a :class:`TableDelta` against the base the receivers
+        hold (``_tables_before_round``), or a full table when deltas
+        are off or no shared base exists. Feeds the
+        ``propagate_bytes_*`` counters and the per-stream memory
+        gauges; ``copies`` is the number of receivers the payload fans
+        out to."""
         wire_table = self._wire_table(table)
         full_bytes = snapshot_wire_bytes(wire_table)
         base = self._tables_before_round.get(stream_name)
@@ -1004,91 +1045,14 @@ class Manager:
         )
         return update
 
-    def _build_rescale_payloads(
-        self, plan: ReconfigurationPlan
-    ) -> Dict[Tuple[str, int], PoiReconfiguration]:
-        """Payloads for a rescale round (union view).
-
-        Sources of routed streams get an :class:`EdgeUpdate` — the new
-        destination list and table swapped atomically at PROPAGATE
-        application (``update_table`` alone cannot change fan-out).
-        Every instance of a stateful rescaled tier gets a
-        :class:`RescaleSpec`: at apply time it scans its own state and
-        ships each key whose owner changed. Because sketch-fed tables
-        are lossy and the hash-fallback modulus changes with ``k``, a
-        table diff cannot enumerate moving keys — each participant
-        instead sends exactly one MIGRATE (possibly empty) to every
-        other participant, making ``expected_migrations`` static.
-        Hold lists come from the inventory gathered before planning.
-        """
-        ctx = self._rescale_ctx
-        deployment = self.deployment
-        payloads = self._empty_payloads()
-
-        stateful_ops = set(self._rescale_stateful_ops())
-        participants = list(range(ctx.union_k))
-        for stream in ctx.new_streams:
-            table = plan.tables.get(stream.name)
-            # one wire representation per stream, shared by the edge
-            # update and every RescaleSpec, so scan-migration owner
-            # decisions agree exactly with data-plane routing even
-            # within the compact false-route budget
-            wire_table = self._wire_table(table)
-            destinations = deployment.executors[stream.dst_op][: ctx.new_k]
-            for executor in deployment.instances(stream.src_op):
-                payloads[(stream.src_op, executor.instance)].edge_updates[
-                    stream.name
-                ] = EdgeUpdate(list(destinations), wire_table)
-
-            if stream.dst_op not in stateful_ops:
-                continue
-            for executor in deployment.instances(stream.dst_op):
-                payload = payloads[(stream.dst_op, executor.instance)]
-                payload.rescale = RescaleSpec(
-                    table=wire_table,
-                    hash_seed=stream.hash_seed,
-                    num_instances=ctx.new_k,
-                    participants=list(participants),
-                    retiring=executor.instance >= ctx.new_k,
-                )
-                payload.expected_migrations = len(participants) - 1
-            for key, holder in self._inventory.get(
-                stream.dst_op, {}
-            ).items():
-                # the owner every RescaleSpec above will scan towards
-                owner, _ = stream.owner(key, wire_table)
-                if owner != holder:
-                    payloads[(stream.dst_op, owner)].receive_keys.append(key)
-
-        # Without an edge update the side inputs' sources keep the old
-        # destination list — stale references to retired executors —
-        # and the old router modulus.
-        for executor, name, destinations in self._side_inputs(ctx, ctx.new_k):
-            payloads[(executor.op_name, executor.instance)].edge_updates[
-                name
-            ] = EdgeUpdate(destinations, None)
-        return payloads
-
-    def _side_inputs(self, ctx: _RescaleContext, width: int):
-        """``(source executor, stream name, destinations)`` of every
-        non-table-routed stream into a rescaled op (shuffle, plain
-        hash, PKG side inputs) at ``width``: they change fan-out too."""
-        deployment = self.deployment
-        for op_name in ctx.ops:
-            destinations = deployment.executors[op_name][:width]
-            for stream in deployment.topology.inputs_of(op_name):
-                if stream.name in self._streams_by_name:
-                    continue
-                for executor in deployment.instances(stream.src):
-                    yield executor, stream.name, list(destinations)
-
     def _repatch_agents(self) -> None:
-        """Re-derive every agent's predecessor count, peer list and
-        successor list from the *live* deployment — the union view
-        while a rescale round runs, the final view after commit or
-        rollback. Existing agents keep their protocol state; executors
-        without an agent (just spawned) get one, which also installs
-        their control handler."""
+        """Derive every agent's predecessor count, peer list and
+        successor list from the *live* deployment — the topology's at
+        install, the union view while a rescale round runs, the final
+        view after commit or rollback. Existing agents keep their
+        protocol state; executors without an agent (all at install,
+        later the just spawned) get one, which also installs their
+        control handler."""
         deployment = self.deployment
         topology = deployment.topology
         for op in topology.operators.values():
@@ -1135,28 +1099,41 @@ class Manager:
         instance ``>= new_k`` — so popping them destroys nothing."""
         ctx, self._rescale_ctx = self._rescale_ctx, None
         deployment = self.deployment
-        retired = 0
-        for op_name in ctx.ops:
-            while len(deployment.executors[op_name]) > ctx.new_k:
-                executor = deployment.retire_instance(op_name)
-                self._agents.pop((op_name, executor.instance), None)
-                if executor in self._instrumented:
-                    self._instrumented.remove(executor)
-                retired += 1
+        record.rescale_spawned = len(ctx.spawned)
+        record.rescale_retired = self._shrink_tier(ctx.ops, ctx.new_k)
         for op_name in ctx.ops:
             deployment.topology.operator(op_name).parallelism = ctx.new_k
             for executor in deployment.executors[op_name]:
                 executor.set_parallelism(ctx.new_k)
         self._routed_streams = ctx.new_streams
         self._streams_by_name = {s.name: s for s in self._routed_streams}
+
+    def _shrink_tier(
+        self, ops: List[str], width: int, evacuate: Optional[Callable] = None
+    ) -> int:
+        """Retire every instance of ``ops`` past ``width``, last first:
+        forget its agent and tracker, re-wire the agents that stay and
+        publish ``elasticity_parallelism``. ``evacuate(executor)`` runs
+        before an instance is retired — a commit needs none (see
+        :meth:`_commit_rescale`), a rollback must empty the instance
+        first. Returns how many instances were retired."""
+        deployment = self.deployment
+        retired = 0
+        for op_name in ops:
+            while len(deployment.executors[op_name]) > width:
+                executor = deployment.executors[op_name][-1]
+                if evacuate is not None:
+                    evacuate(executor)
+                deployment.retire_instance(op_name)
+                self._agents.pop((op_name, executor.instance), None)
+                if executor in self._instrumented:
+                    self._instrumented.remove(executor)
+                retired += 1
         self._repatch_agents()
-        record.rescale_spawned = len(ctx.spawned)
-        record.rescale_retired = retired
         registry = deployment.metrics.registry
-        for op_name in ctx.ops:
-            registry.gauge("elasticity_parallelism", op=op_name).set(
-                ctx.new_k
-            )
+        for op_name in ops:
+            registry.gauge("elasticity_parallelism", op=op_name).set(width)
+        return retired
 
     def _finish_round(self, record: RoundRecord) -> None:
         self._end_round_trace(record)
@@ -1185,13 +1162,7 @@ class Manager:
             status, event = "skipped", "SKIP"
         else:
             status, event = "committed", "COMMIT"
-        for phase in (
-            "STATS_COLLECT",
-            "RESCALE_PROVISION",
-            "PARTITION",
-            "PROPAGATE",
-            "MIGRATE",
-        ):
+        for phase in PHASES:
             span = spans.get(phase)
             if span is not None:
                 span.end(status=status)
@@ -1228,10 +1199,7 @@ class Manager:
         self.current_tables = dict(self._tables_before_round)
         ctx, self._rescale_ctx = self._rescale_ctx, None
         self._rescale_request = None
-        if ctx is None:
-            self._push_tables(self.current_tables)
-        else:
-            self._push_rescale_rollback(ctx)
+        self._push_tables(None if ctx is None else ctx.old_k)
         for agent in self._agents.values():
             agent.on_abort(record.round_id)
         self.deployment.metrics.on_round_aborted()
@@ -1246,47 +1214,43 @@ class Manager:
                 self._repatch_agents()
         self._finish_round(record)
 
-    def _push_tables(self, tables: Dict[str, RoutingTable]) -> None:
-        """Force-update every source router out-of-band (abort path:
-        the in-band protocol is presumed wedged). Always a full table —
-        never a delta — so it doubles as the base resync for
-        delta-encoded propagation (docs/PROTOCOL.md)."""
-        for stream in self._routed_streams:
-            table = self._wire_table(tables.get(stream.name))
-            for executor in self.deployment.instances(stream.src_op):
-                executor.table_router(stream.name).update_table(table)
+    def _push_tables(self, width: Optional[int] = None) -> None:
+        """Force every source router onto ``current_tables``
+        out-of-band (abort path: the in-band protocol is presumed
+        wedged). Always a full table — never a delta — so it doubles as
+        the base resync for delta-encoded propagation
+        (docs/PROTOCOL.md).
+
+        Given the pre-round ``width`` (an aborted rescale), every
+        out-edge into the tier, side inputs included, also goes back to
+        it, table and width in one atomic step: a source that already
+        applied the new edge would otherwise keep routing to doomed
+        instances. Spawned sources are included — they may still hold
+        in-flight tuples to process during the drain and must route
+        like everyone else."""
+        deployment = self.deployment
+        for stream in self._routed_streams:  # pre-rescale view
+            table = self._wire_table(self.current_tables.get(stream.name))
+            for executor in deployment.instances(stream.src_op):
+                router = executor.table_router(stream.name)
+                if width is None:
+                    router.update_table(table)
+                    continue
+                executor.out_edge(stream.name).destinations = list(
+                    deployment.executors[stream.dst_op][:width]
+                )
+                router.resize(width, table)
+        if width is None:
+            return
+        for executor, name, destinations in self._side_inputs(width):
+            edge = executor.out_edge(name)
+            edge.destinations = destinations
+            if hasattr(edge.router, "resize"):
+                edge.router.resize(width)
 
     # ------------------------------------------------------------------
     # Rescale abort: rollback of the provisioned instance set
     # ------------------------------------------------------------------
-
-    def _push_rescale_rollback(self, ctx: _RescaleContext) -> None:
-        """Abort path of a rescale: force every source's out-edge back
-        to the pre-round width and table in one atomic step (sources
-        that already applied the new edge would otherwise keep routing
-        to doomed instances). Spawned sources are included — they may
-        still hold in-flight tuples to process during the drain and
-        must route like everyone else."""
-        deployment = self.deployment
-        for stream in self._routed_streams:  # pre-rescale view
-            table = self._wire_table(self.current_tables.get(stream.name))
-            destinations = deployment.executors[stream.dst_op][: ctx.old_k]
-            for executor in deployment.instances(stream.src_op):
-                edge = executor.out_edge(stream.name)
-                edge.destinations = list(destinations)
-                executor.table_router(stream.name).resize(
-                    ctx.old_k, table
-                )
-        # Side inputs roll back the same way (a source that already
-        # applied the new edge would keep routing to doomed instances).
-        for executor, name, destinations in self._side_inputs(ctx, ctx.old_k):
-            edge = executor.out_edge(name)
-            edge.destinations = destinations
-            router = edge.router
-            if hasattr(router, "resize") and not isinstance(
-                router, TableRouter
-            ):
-                router.resize(ctx.old_k)
 
     def _begin_rescale_rollback(
         self, ctx: _RescaleContext, record: RoundRecord
@@ -1330,71 +1294,41 @@ class Manager:
                 watch,
             )
             return
-        self._finish_rescale_rollback(ctx, record)
-
-    def _finish_rescale_rollback(
-        self, ctx: _RescaleContext, record: RoundRecord
-    ) -> None:
-        deployment = self.deployment
-        streams_by_dst = {s.dst_op: s for s in self._routed_streams}
-        for op_name in ctx.ops:
-            stream = streams_by_dst.get(op_name)
-            while len(deployment.executors[op_name]) > ctx.old_k:
-                executor = deployment.executors[op_name][-1]
-                self._evacuate_state(executor, stream, ctx.old_k)
-                deployment.retire_instance(op_name)
-                self._agents.pop((op_name, executor.instance), None)
-                if executor in self._instrumented:
-                    self._instrumented.remove(executor)
-                self._redirect_installs(executor, stream)
-        self._repatch_agents()
-        registry = deployment.metrics.registry
-        for op_name in ctx.ops:
-            registry.gauge("elasticity_parallelism", op=op_name).set(
-                ctx.old_k
-            )
+        self._shrink_tier(
+            ctx.ops, ctx.old_k, partial(self._evacuate, old_k=ctx.old_k)
+        )
         record.rescale_rolled_back = True
         self._rollback_pending = False
 
-    def _evacuate_state(self, executor, stream, old_k: int) -> None:
-        """Move every state entry off a doomed instance onto its
-        pre-round owner (merge install keeps per-key totals exact)."""
+    def _evacuate(self, executor, old_k: int) -> None:
+        """Empty a doomed instance before it is retired: move every
+        state entry onto its pre-round owner, and forward what a
+        fault-delayed MIGRATE still lands on the removed executor after
+        rollback to a live owner, so no count is ever destroyed."""
+        op_name = executor.op_name
+        stream = next(s for s in self._routed_streams if s.dst_op == op_name)
         operator = executor.operator
-        if not isinstance(operator, StatefulBolt) or not operator.state:
-            return
-        entries = executor.extract_state(list(operator.state))
+        if isinstance(operator, StatefulBolt) and operator.state:
+            self._install_on_owners(
+                stream, executor.extract_state(list(operator.state)), old_k
+            )
+        executor.install_state = lambda entries: self._install_on_owners(
+            stream, entries, len(self.deployment.executors[op_name])
+        )
+
+    def _install_on_owners(self, stream, entries: Dict, width: int) -> None:
+        """Install each entry on the instance owning its key under
+        ``current_tables`` at ``width`` (merge install keeps per-key
+        totals exact)."""
         table = self.current_tables.get(stream.name)
         groups: Dict[int, Dict] = {}
         for key, value in entries.items():
             owner, _ = key_owner(
-                key, table, stream.hash_seed, old_k, strict=False
+                key, table, stream.hash_seed, width, strict=False
             )
             groups.setdefault(owner, {})[key] = value
         for owner, sub in groups.items():
-            self.deployment.executor(executor.op_name, owner).install_state(
-                sub
-            )
-
-    def _redirect_installs(self, executor, stream) -> None:
-        """A fault-delayed MIGRATE may still land on the removed
-        executor after rollback; forward its entries to a live owner so
-        no count is ever destroyed."""
-        if stream is None:
-            return
-        op_name = executor.op_name
-
-        def forward_install(entries: Dict) -> None:
-            table = self.current_tables.get(stream.name)
-            n = len(self.deployment.executors[op_name])
-            for key, value in entries.items():
-                owner, _ = key_owner(
-                    key, table, stream.hash_seed, n, strict=False
-                )
-                self.deployment.executor(op_name, owner).install_state(
-                    {key: value}
-                )
-
-        executor.install_state = forward_install
+            self.deployment.executor(stream.dst_op, owner).install_state(sub)
 
     # ------------------------------------------------------------------
     # Agent notifications
@@ -1408,13 +1342,9 @@ class Manager:
             return
         self._propagated_outstanding -= 1
         if self._propagated_outstanding == 0:
-            propagate_span = self._round_spans.get("PROPAGATE")
-            if propagate_span is not None:
-                propagate_span.end(status="propagated")
-            self._round_spans["MIGRATE"] = self._tracer.begin(
-                "MIGRATE",
-                parent=self._round_spans.get("round"),
-                pending_pois=self._complete_outstanding,
+            self._round_spans["PROPAGATE"].end(status="propagated")
+            self._begin_phase(
+                "MIGRATE", pending_pois=self._complete_outstanding
             )
 
     def notify_complete(self, agent, round_id: int) -> None:

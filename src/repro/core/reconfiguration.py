@@ -40,7 +40,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.routing_table import RoutingTable
 from repro.core.table_delta import TableDelta
-from repro.engine.executor import BaseExecutor, ControlMessage, SpoutExecutor
+from repro.engine.executor import BaseExecutor, ControlMessage
 from repro.engine.grouping import TableRouter, key_owner
 from repro.engine.operators import StatefulBolt
 from repro.errors import ReconfigurationError
@@ -55,16 +55,20 @@ MIGRATE = "MIGRATE"
 
 @dataclass
 class EdgeUpdate:
-    """Atomic (destinations, table) swap for one out-edge.
+    """What one out-edge adopts at PROPAGATE application.
 
-    A rescale round changes a stream's fan-out width; the new table
-    addresses the new width, so destinations, table and the router's
-    destination count must swap in one step at PROPAGATE application —
-    a (new table, old width) hybrid would route out of range.
+    ``table`` is the new routing table (plain or compact), a
+    :class:`~repro.core.table_delta.TableDelta` against the table the
+    router currently holds, or None for an edge that carries no table
+    (a side input of a rescaled tier). ``destinations`` is named only
+    when the round changes the stream's fan-out width (a rescale): the
+    new table addresses the new width, so destinations, table and the
+    router's destination count must swap in one step — a (new table,
+    old width) hybrid would route out of range.
     """
 
-    destinations: List[BaseExecutor]
-    table: Optional[RoutingTable]
+    table: object = None
+    destinations: Optional[List[BaseExecutor]] = None
 
 
 @dataclass
@@ -106,18 +110,14 @@ class PoiReconfiguration:
     listed in Section 3.4: router, send, receive)."""
 
     round_id: int
-    #: out-stream name → new routing table (plain or compact) or a
-    #: :class:`~repro.core.table_delta.TableDelta` against the table
-    #: the router currently holds
-    router_updates: Dict[str, object] = field(default_factory=dict)
+    #: out-stream name → what that edge adopts (the "router" entry)
+    edge_updates: Dict[str, EdgeUpdate] = field(default_factory=dict)
     #: peer instance → keys of local state to ship there
     send: Dict[int, List[Hashable]] = field(default_factory=dict)
     #: keys whose state will arrive from peers (buffer their tuples)
     receive_keys: List[Hashable] = field(default_factory=list)
     #: how many MIGRATE messages to expect
     expected_migrations: int = 0
-    #: out-stream name → atomic destinations+table swap (rescale rounds)
-    edge_updates: Dict[str, EdgeUpdate] = field(default_factory=dict)
     #: scan-based migration directive (rescale rounds only)
     rescale: Optional[RescaleSpec] = None
 
@@ -259,28 +259,28 @@ class ReconfigurationAgent:
         payload = self._pending
         executor = self.executor
 
-        for stream_name, update in payload.router_updates.items():
-            router = executor.table_router(stream_name)
-            if isinstance(update, TableDelta):
+        for stream_name, update in payload.edge_updates.items():
+            edge = executor.out_edge(stream_name)
+            router = edge.router
+            table = update.table
+            if isinstance(table, TableDelta):
                 # Delta-encoded propagation (docs/PROTOCOL.md): resolve
                 # against the table this router currently holds. A base
                 # mismatch means the receiver is desynced — count it
                 # and keep the old table; the manager's abort/resync
-                # paths push full snapshots.
+                # path pushes full snapshots.
                 try:
-                    update = update.apply(router.table)
+                    table = table.apply(router.table)
                 except ReconfigurationError:
                     self.anomalies["delta_base_mismatch"] += 1
                     continue
-            router.update_table(update)
-
-        for stream_name, update in payload.edge_updates.items():
-            edge = executor.out_edge(stream_name)
+            if update.destinations is None:
+                router.update_table(table)
+                continue
             edge.destinations = list(update.destinations)
-            router = edge.router
             new_width = len(update.destinations)
             if isinstance(router, TableRouter):
-                router.resize(new_width, update.table)
+                router.resize(new_width, table)
             elif hasattr(router, "resize"):
                 # Hash/PKG/shuffle routers: adopt the new modulus and
                 # drop caches/counters sized for the old width.
@@ -401,30 +401,3 @@ class ReconfigurationAgent:
     @property
     def busy(self) -> bool:
         return self._pending is not None
-
-
-def install_agents(deployment, manager) -> Dict[Tuple[str, int], "ReconfigurationAgent"]:
-    """Create one agent per executor, wired with its predecessor counts,
-    peers, and successor instances."""
-    topology = deployment.topology
-    agents: Dict[Tuple[str, int], ReconfigurationAgent] = {}
-    for op in topology.operators.values():
-        predecessors_needed = sum(
-            topology.operator(stream.src).parallelism
-            for stream in topology.inputs_of(op.name)
-        )
-        peers = deployment.instances(op.name)
-        successors: List[BaseExecutor] = []
-        for stream in topology.outputs_of(op.name):
-            successors.extend(deployment.instances(stream.dst))
-        for executor in peers:
-            agents[(op.name, executor.instance)] = ReconfigurationAgent(
-                executor,
-                manager,
-                predecessors_needed
-                if not isinstance(executor, SpoutExecutor)
-                else 1,
-                peers,
-                successors,
-            )
-    return agents

@@ -58,7 +58,7 @@ from repro.engine.physical import (
 )
 from repro.engine.runner import Deployment, RunConfig, RunResult, deploy, run
 from repro.engine.simulator import Simulator
-from repro.engine.topology import Topology, TopologyBuilder
+from repro.engine.topology import Topology, TopologyBuilder, count_chain
 from repro.engine.tuples import Padding, Tuple
 from repro.engine.windowing import TopKBolt, TumblingWindowCountBolt
 
@@ -70,6 +70,7 @@ __all__ = [
     "DEFAULT_COSTS",
     "Topology",
     "TopologyBuilder",
+    "count_chain",
     "Spout",
     "Bolt",
     "StatefulBolt",

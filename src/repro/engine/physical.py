@@ -452,8 +452,11 @@ class HostedBolt(PhysicalOperator):
 
     def resize(self, parallelism: int) -> None:
         """Grow to ``parallelism``, spawning the hosted instances that
-        are new."""
+        are new; the ones already hosted learn the new width (the DES's
+        ``set_parallelism``: ``num_instances`` stays truthful)."""
         self.parallelism = max(self.parallelism, parallelism)
+        for context in self.contexts.values():
+            context.num_instances = self.parallelism
         for instance in range(parallelism):
             server = instance % self._num_servers
             hosted_here = self._server is None or self._server == server

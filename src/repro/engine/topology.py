@@ -9,9 +9,10 @@ acyclicity, spouts without inputs, bolts with at least one input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.engine.grouping import Grouping
+from repro.engine.operators import CountBolt, IteratorSpout
 from repro.errors import TopologyError
 
 SPOUT = "spout"
@@ -235,3 +236,33 @@ class TopologyBuilder:
                 f"parallelism of {name!r} must be >= 1, got {parallelism}"
             )
         self._operators[name] = OperatorSpec(name, kind, factory, parallelism)
+
+
+def count_chain(
+    source: Callable,
+    parallelism: int,
+    groupings: Sequence[Grouping],
+    spouts: Optional[int] = None,
+    names: Sequence[str] = "ABCDEFGH",
+) -> Topology:
+    """The paper's evaluation application (Section 4.1): spout ``S``
+    over ``source`` (an :class:`IteratorSpout` argument) feeding a
+    chain of counting bolts, one per entry of ``groupings``. Hop *i* is
+    named ``names[i]``, takes its input under ``groupings[i]``, counts
+    field *i*, and forwards its tuples unless it is the last. ``S``
+    has ``spouts`` instances (default ``parallelism``, like the bolts).
+    """
+    builder = TopologyBuilder()
+    builder.spout(
+        "S", lambda: IteratorSpout(source), parallelism=spouts or parallelism
+    )
+    upstream, last = "S", len(groupings) - 1
+    for hop, (name, grouping) in enumerate(zip(names, groupings)):
+        builder.bolt(
+            name,
+            lambda hop=hop: CountBolt(hop, forward=hop < last),
+            parallelism=parallelism,
+            inputs={upstream: grouping},
+        )
+        upstream = name
+    return builder.build()

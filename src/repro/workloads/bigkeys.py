@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.routing_table import RoutingTable
-from repro.engine import TableFieldsGrouping, Topology, TopologyBuilder
-from repro.engine.operators import CountBolt, IteratorSpout
+from repro.engine import TableFieldsGrouping, Topology, count_chain
 from repro.errors import WorkloadError
 from repro.workloads.zipf import derived_rng
 
@@ -144,21 +143,11 @@ class BigKeysWorkload:
 
     def topology(self) -> Topology:
         """``S -> A`` counting on field 0 with the epoch-0 table."""
-        builder = TopologyBuilder()
-        builder.spout(
-            "S",
-            lambda: IteratorSpout(
-                lambda ctx: self.tuples_for_instance(ctx.instance_index)
-            ),
-            parallelism=self.config.parallelism,
+        return count_chain(
+            lambda ctx: self.tuples_for_instance(ctx.instance_index),
+            self.config.parallelism,
+            [TableFieldsGrouping(0, table=self.make_table(0))],
         )
-        builder.bolt(
-            "A",
-            lambda: CountBolt(0, forward=False),
-            parallelism=self.config.parallelism,
-            inputs={"S": TableFieldsGrouping(0, table=self.make_table(0))},
-        )
-        return builder.build()
 
     def expected_counts(self) -> Dict:
         """Exact per-key counts at quiescence (conservation oracle)."""

@@ -15,14 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from repro.engine import (
-    CountBolt,
-    Padding,
-    TableFieldsGrouping,
-    Topology,
-    TopologyBuilder,
-)
-from repro.engine.operators import IteratorSpout
+from repro.engine import Padding, TableFieldsGrouping, Topology, count_chain
 from repro.errors import WorkloadError
 from repro.workloads.zipf import ZipfSampler, derived_rng
 
@@ -118,20 +111,8 @@ class FlickrWorkload:
                 yield (tag, country, pad)
                 emitted += 1
 
-        builder = TopologyBuilder()
-        builder.spout(
-            "S", lambda: IteratorSpout(make_iterator), parallelism=parallelism
+        return count_chain(
+            make_iterator,
+            parallelism,
+            [TableFieldsGrouping(0), TableFieldsGrouping(1)],
         )
-        builder.bolt(
-            "A",
-            lambda: CountBolt(0, forward=True),
-            parallelism=parallelism,
-            inputs={"S": TableFieldsGrouping(0)},
-        )
-        builder.bolt(
-            "B",
-            lambda: CountBolt(1, forward=False),
-            parallelism=parallelism,
-            inputs={"A": TableFieldsGrouping(1)},
-        )
-        return builder.build()

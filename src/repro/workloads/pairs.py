@@ -23,9 +23,8 @@ from repro.engine import (
     HybridTableFieldsGrouping,
     TableFieldsGrouping,
     Topology,
-    TopologyBuilder,
+    count_chain,
 )
-from repro.engine.operators import CountBolt, IteratorSpout
 from repro.errors import WorkloadError
 from repro.workloads.zipf import ZipfSampler, derived_rng
 
@@ -89,29 +88,12 @@ class PairsWorkload:
         ``hybrid`` the streams use ``HybridTableFieldsGrouping`` so a
         manager configured with a ``HybridConfig`` can split heavy
         hitters (identical routing until a split set ships)."""
-        n = self.config.parallelism
         grouping = HybridTableFieldsGrouping if hybrid else TableFieldsGrouping
-        builder = TopologyBuilder()
-        builder.spout(
-            "S",
-            lambda: IteratorSpout(
-                lambda ctx: self.tuples_for_instance(ctx.instance_index)
-            ),
-            parallelism=n,
+        return count_chain(
+            lambda ctx: self.tuples_for_instance(ctx.instance_index),
+            self.config.parallelism,
+            [grouping(0), grouping(1)],
         )
-        builder.bolt(
-            "A",
-            lambda: CountBolt(0, forward=True),
-            parallelism=n,
-            inputs={"S": grouping(0)},
-        )
-        builder.bolt(
-            "B",
-            lambda: CountBolt(1, forward=False),
-            parallelism=n,
-            inputs={"A": grouping(1)},
-        )
-        return builder.build()
 
     # ------------------------------------------------------------------
     # Ground truth (the conservation invariant's oracle)

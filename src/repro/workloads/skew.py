@@ -29,9 +29,8 @@ from repro.engine import (
     HybridTableFieldsGrouping,
     TableFieldsGrouping,
     Topology,
-    TopologyBuilder,
+    count_chain,
 )
-from repro.engine.operators import CountBolt, IteratorSpout
 from repro.errors import WorkloadError
 from repro.workloads.zipf import ZipfSampler, derived_rng
 
@@ -134,7 +133,6 @@ class SkewWorkload:
             raise WorkloadError(
                 f"unknown policy {policy!r}; expected one of {SKEW_POLICIES}"
             )
-        P = self.config.parallelism
         if policy == "hash":
             grouping = FieldsGrouping(0)
         elif policy == "table":
@@ -146,21 +144,11 @@ class SkewWorkload:
                 0,
                 table=RoutingTable(self.home_table(), self.split_set()),
             )
-        builder = TopologyBuilder()
-        builder.spout(
-            "S",
-            lambda: IteratorSpout(
-                lambda ctx: self.tuples_for_instance(ctx.instance_index)
-            ),
-            parallelism=P,
+        return count_chain(
+            lambda ctx: self.tuples_for_instance(ctx.instance_index),
+            self.config.parallelism,
+            [grouping],
         )
-        builder.bolt(
-            "A",
-            lambda: CountBolt(0, forward=False),
-            parallelism=P,
-            inputs={"S": grouping},
-        )
-        return builder.build()
 
     # ------------------------------------------------------------------
     # Ground truth

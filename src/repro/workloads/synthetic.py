@@ -32,16 +32,14 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from repro.engine import (
-    CountBolt,
     CustomGrouping,
     FieldsGrouping,
     Padding,
     TableFieldsGrouping,
     Topology,
-    TopologyBuilder,
+    count_chain,
 )
 from repro.engine.grouping import hash_owner
-from repro.engine.operators import IteratorSpout
 from repro.errors import WorkloadError
 from repro.workloads.zipf import derived_rng
 
@@ -119,54 +117,20 @@ class SyntheticWorkload:
             raise WorkloadError(
                 f"unknown policy {policy!r}; expected one of {POLICIES}"
             )
-        n = self.config.parallelism
-        builder = TopologyBuilder()
-        builder.spout(
-            "S",
-            lambda: IteratorSpout(
-                lambda ctx: self.tuples_for_instance(ctx.instance_index)
-            ),
-            parallelism=n,
+        return count_chain(
+            lambda ctx: self.tuples_for_instance(ctx.instance_index),
+            self.config.parallelism,
+            [self._grouping_sa(policy), self._grouping_ab(policy)],
         )
-        builder.bolt(
-            "A",
-            lambda: CountBolt(0, forward=True),
-            parallelism=n,
-            inputs={"S": self._grouping_sa(policy)},
-        )
-        builder.bolt(
-            "B",
-            lambda: CountBolt(1, forward=False),
-            parallelism=n,
-            inputs={"A": self._grouping_ab(policy)},
-        )
-        return builder.build()
 
     def online_topology(self) -> Topology:
         """Same application with swappable (initially empty) routing
         tables, for manager-driven runs."""
-        n = self.config.parallelism
-        builder = TopologyBuilder()
-        builder.spout(
-            "S",
-            lambda: IteratorSpout(
-                lambda ctx: self.tuples_for_instance(ctx.instance_index)
-            ),
-            parallelism=n,
+        return count_chain(
+            lambda ctx: self.tuples_for_instance(ctx.instance_index),
+            self.config.parallelism,
+            [TableFieldsGrouping(0), TableFieldsGrouping(1)],
         )
-        builder.bolt(
-            "A",
-            lambda: CountBolt(0, forward=True),
-            parallelism=n,
-            inputs={"S": TableFieldsGrouping(0)},
-        )
-        builder.bolt(
-            "B",
-            lambda: CountBolt(1, forward=False),
-            parallelism=n,
-            inputs={"A": TableFieldsGrouping(1)},
-        )
-        return builder.build()
 
     # ------------------------------------------------------------------
     # Grouping variants

@@ -209,5 +209,5 @@ class TestCompactTables:
             until=1.0, compact_tables=CompactTableConfig()
         )
         manager._tables_before_round = dict(manager.current_tables)
-        manager._push_tables(manager.current_tables)
+        manager._push_tables()
         _assert_correct(deployment, manager)

@@ -105,24 +105,19 @@ def test_cross_representation_equality_both_directions():
 
 
 def test_enumeration_raises_loudly():
-    compact = CompactRoutingTable({"a": 1})
-    for method in (compact.keys, compact.items, compact.as_dict):
-        with pytest.raises(TypeError):
-            method()
-    with pytest.raises(ReconfigurationError):
-        compact.moved_keys(CompactRoutingTable({"a": 2}), lambda k: 0)
-
-
-def test_moved_keys_against_enumerable_counterpart():
-    old_map = {"a": 0, "b": 1, "c": 2}
-    compact = CompactRoutingTable(old_map, {"s": (0, 1)})
-    new = RoutingTable({"a": 1, "b": 1, "d": 0}, {"t": (1, 2)})
-    moved = compact.moved_keys(new, lambda key: 99)
-    # a changed owner, b kept it, d is new (fallback old owner), and
-    # split keys (s in old, t in new) are excluded
-    assert moved == {"a": (0, 1), "d": (99, 0)}
-    consolidations = compact.split_consolidations(new, lambda key: 7)
-    assert consolidations == {"s": ((0, 1), 7)}
+    """Planning runs on plain tables (DESIGN §13): a compact table can
+    neither list its keys nor be diffed, and says so in one voice."""
+    compact = CompactRoutingTable({"a": 1}, {"s": (0, 1)})
+    new = RoutingTable({"a": 2})
+    for call in (
+        compact.keys,
+        compact.items,
+        compact.as_dict,
+        lambda: compact.moved_keys(new, lambda key: 0),
+        lambda: compact.split_consolidations(new, lambda key: 0),
+    ):
+        with pytest.raises(TypeError, match="plan with plain RoutingTable"):
+            call()
 
 
 def test_config_validation():

@@ -6,11 +6,12 @@ Two facts must hold for *any* key graph and any ``k -> k'``:
   (up to the partitioner's documented vertex-granularity slack) — the
   rescale round reuses the same partitioner, so a width change must
   not silently void the balance guarantee;
-- the migration plan is exactly the owner-diff: every key whose owner
-  changes appears in ``rescale_moves`` (completeness) and no key whose
-  owner is unchanged does (minimality). Keys outside the routing
+- the scan migration is exactly the owner-diff: every key whose owner
+  changes is shipped, to that owner (completeness), and no key whose
+  owner is unchanged moves (minimality). Keys outside the routing
   tables fall back to hashing, and the properties must hold across
-  that boundary too.
+  that boundary too. Checked on the code a rescale round runs:
+  ``ReconfigurationAgent._rescale_migrate`` under a ``RescaleSpec``.
 """
 
 import math
@@ -18,8 +19,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.elasticity import owner_of, rescale_moves
+from repro.core.reconfiguration import (
+    MIGRATE,
+    ReconfigurationAgent,
+    RescaleSpec,
+)
 from repro.core.routing_table import RoutingTable
+from repro.engine.costs import DEFAULT_COSTS
+from repro.engine.grouping import key_owner
+from repro.engine.operators import CountBolt
 from repro.partitioning.graph import Graph
 from repro.partitioning.kway import balance_of, partition
 from repro.testing.invariants import balance_bound
@@ -115,7 +123,72 @@ def test_balance_of_matches_manual_accumulation(graph, nparts):
 
 
 # ---------------------------------------------------------------------
-# migration plan = exact owner diff
+# scan migration = exact owner diff
+
+
+class _Metrics:
+    def on_keys_migrated(self, count):
+        pass
+
+
+class _ScanningExecutor:
+    """What ``_rescale_migrate`` touches of an executor: the operator
+    whose state it scans, and the MIGRATEs it hands to ``send_control``
+    (kept as ``{peer: [keys]}``)."""
+
+    costs = DEFAULT_COSTS
+    metrics = _Metrics()
+
+    def __init__(self, instance, keys):
+        self.instance = instance
+        self.name = f"A[{instance}]"
+        self.operator = CountBolt(0)
+        self.operator.state.update(dict.fromkeys(keys, 1))
+        self.migrates = {}
+
+    def extract_state(self, keys):
+        return self.operator.extract_state(keys)
+
+    def send_control(self, peer, message, size):
+        assert message.kind == MIGRATE
+        assert peer not in self.migrates, "two MIGRATEs to one peer"
+        assert set(message.payload.entries) == set(message.payload.keys)
+        self.migrates[peer] = list(message.payload.keys)
+
+
+def _owner(key, table, n, seed):
+    """The tolerant reading of the owner rule (a stale entry past the
+    width falls back to the hash), as the rollback uses it."""
+    return key_owner(key, table, seed, n, strict=False)[0]
+
+
+def _scan_moves(keys, old_table, old_n, new_table, new_n, seed):
+    """Place ``keys`` on their pre-rescale owners, run every
+    participant's scan, and return ``{key: (old, new)}`` of what was
+    shipped."""
+    participants = list(range(max(old_n, new_n)))
+    moves = {}
+    for instance in participants:
+        held = [
+            key
+            for key in keys
+            if _owner(key, old_table, old_n, seed) == instance
+        ]
+        executor = _ScanningExecutor(instance, held)
+        agent = ReconfigurationAgent(executor, None, 1, participants, [])
+        spec = RescaleSpec(new_table, seed, new_n, participants)
+        agent._rescale_migrate(spec, round_id=1)
+        # one MIGRATE to every other participant, empty or not
+        assert sorted(executor.migrates) == [
+            peer for peer in participants if peer != instance
+        ]
+        for peer, shipped in executor.migrates.items():
+            for key in shipped:
+                assert key not in moves, f"{key!r} shipped twice"
+                assert spec.owner_of(key) == peer
+                moves[key] = (instance, peer)
+        assert set(executor.operator.state) == set(held) - set(moves)
+    return moves
 
 
 @settings(max_examples=80, deadline=None)
@@ -149,18 +222,19 @@ def test_rescale_moves_is_exactly_the_owner_diff(data):
     old_table = draw_table(old_n)
     new_table = draw_table(new_n)
 
-    moves = rescale_moves(keys, old_table, old_n, new_table, new_n, seed)
+    moves = _scan_moves(keys, old_table, old_n, new_table, new_n, seed)
 
     for key in keys:
-        old_owner = owner_of(key, old_table, old_n, seed)
-        new_owner = owner_of(key, new_table, new_n, seed)
+        old_owner = _owner(key, old_table, old_n, seed)
+        new_owner = _owner(key, new_table, new_n, seed)
+        assert 0 <= old_owner < old_n and 0 <= new_owner < new_n
         if old_owner != new_owner:
-            # completeness: every owner change is in the plan
+            # completeness: every owner change is shipped
             assert moves[key] == (old_owner, new_owner)
         else:
             # minimality: unchanged keys never move
             assert key not in moves
-    # the plan never mentions keys it was not asked about
+    # the scan never ships keys it does not hold
     assert set(moves) <= set(keys)
 
 
@@ -176,10 +250,10 @@ def test_rescale_moves_is_exactly_the_owner_diff(data):
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_identity_rescale_moves_nothing(keys, n, seed):
-    """Same width, same table: the migration plan must be empty."""
+    """Same width, same table: every MIGRATE of the scan is empty."""
     table = RoutingTable({key: key % n for key in keys[: len(keys) // 2]})
-    assert rescale_moves(keys, table, n, table, n, seed) == {}
-    assert rescale_moves(keys, None, n, None, n, seed) == {}
+    assert _scan_moves(keys, table, n, table, n, seed) == {}
+    assert _scan_moves(keys, None, n, None, n, seed) == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,9 +274,5 @@ def test_owners_always_within_width(keys, old_n, new_n, seed):
     entries pointing past the new width (they fall back to hashing)."""
     stale = RoutingTable({key: key % (new_n + 3) for key in keys})
     for key in keys:
-        assert 0 <= owner_of(key, stale, new_n, seed) < new_n
-        assert 0 <= owner_of(key, None, old_n, seed) < old_n
-    moves = rescale_moves(keys, stale, old_n, stale, new_n, seed)
-    for key, (old_owner, new_owner) in moves.items():
-        assert 0 <= old_owner < old_n
-        assert 0 <= new_owner < new_n
+        assert 0 <= _owner(key, stale, new_n, seed) < new_n
+        assert 0 <= _owner(key, None, old_n, seed) < old_n

@@ -9,7 +9,8 @@
 - :class:`~repro.engine.physical.HostedBolt` behind both fast backends
   on topologies the bincount operators never see: ``PartialCountBolt →
   SumBolt`` under PKG, a ``FunctionBolt`` fan-out, and a scripted 2→4
-  rescale over ``SumBolt`` stages.
+  rescale over ``SumBolt`` stages — after which every hosted instance,
+  old or new, reports the new ``context.num_instances``.
 """
 
 import random
@@ -220,6 +221,13 @@ def test_keyed_state_summary_totals_and_holders():
     assert totals == {"a": 4, 1: 6}
     assert holders == {"a": (0, 2), 1: (1, 2)}
     assert keyed_state_summary([]) == ({}, {})
+
+
+def test_resize_tells_the_instances_already_hosted_the_new_width():
+    hosted = HostedBolt("A", ["S->A"], lambda: CountBolt(0), 2, 2, 0)
+    hosted.resize(4)
+    widths = {i: c.num_instances for i, c in hosted.contexts.items()}
+    assert widths == {0: 4, 1: 4, 2: 4, 3: 4}
 
 
 def test_stateless_hosted_bolts_report_no_state():
@@ -460,3 +468,61 @@ def test_scripted_rescale_2_to_4_through_hosted_bolts(candidate):
     assert len(cand.received["A"]) == len(cand.received["B"]) == after
     placed = {i for held in cand.key_instances["A"].values() for i in held}
     assert placed - {0, 1}, "no key moved to a new instance"
+
+
+class _WidthProbe(Bolt):
+    """Emits ``10 * instance + context.num_instances`` for every tuple."""
+
+    def process(self, tup, context):
+        context.emit([10 * context.instance_index + context.num_instances])
+
+
+@pytest.mark.parametrize("backend", ["reference"] + FAST)
+def test_num_instances_is_truthful_after_a_rescale(backend):
+    """2 → 4 mid-stream: the instances that were there before the
+    rescale see ``num_instances == 4`` afterwards, like the spawned
+    ones (the DES drops its cached context in ``set_parallelism``;
+    ``HostedBolt.resize`` updates the contexts it keeps)."""
+    per_instance, spouts, at_tuples, batch_size = 6000, 3, 600, 64
+
+    def source(ctx):
+        rng = random.Random(7 + ctx.instance_index)
+        for _ in range(per_instance):
+            yield (rng.randrange(12),)
+
+    builder = TopologyBuilder()
+    builder.spout("S", lambda: IteratorSpout(source), parallelism=spouts)
+    builder.bolt(
+        "A", _WidthProbe, parallelism=2, inputs={"S": TableFieldsGrouping(0)}
+    )
+    builder.bolt(
+        "B",
+        lambda: CountBolt(0),
+        parallelism=2,
+        inputs={"A": TableFieldsGrouping(0)},
+    )
+
+    def attach_manager(deployment):
+        manager = Manager(deployment, ManagerConfig(period_s=None))
+        deployment.sim.schedule(0.02, manager.rescale, 4)
+
+    if backend == "reference":
+        options = BackendOptions(num_servers=4, on_deployed=attach_manager)
+    else:
+        options = BackendOptions(
+            num_servers=4,
+            batch_size=batch_size,
+            mp_timeout_s=60,
+            actions=[
+                ReconfigureAction(at_tuples, stream, None, 4)
+                for stream in ("S->A", "A->B")
+            ],
+        )
+    seen = run_topology(builder.build(), backend, options).per_key_totals["B"]
+    assert sum(seen.values()) == spouts * per_instance
+    assert {4, 14} <= set(seen), "instances 0 / 1 never saw the new width"
+    if backend == "reference":
+        return  # spawned instances read the old width until the commit
+    assert set(seen) <= {2, 12, 4, 14, 24, 34}
+    if backend == "vectorized":  # applied at a known batch boundary
+        assert seen[2] + seen[12] <= at_tuples + spouts * batch_size

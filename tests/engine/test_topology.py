@@ -8,6 +8,7 @@ from repro.engine import (
     ShuffleGrouping,
     Spout,
     TopologyBuilder,
+    count_chain,
 )
 from repro.errors import TopologyError
 
@@ -132,3 +133,24 @@ def test_diamond_topology_order():
     assert set(order[1:3]) == {"L", "R"}
     assert topology.sinks() == ["J"]
     assert len(topology.inputs_of("J")) == 2
+
+
+def test_count_chain_is_the_papers_application():
+    """``S -> A (count f0, forward) -> B (count f1)``: hop *i* counts
+    field *i* and every hop but the last forwards."""
+    groupings = [FieldsGrouping(0), FieldsGrouping(1)]
+    topology = count_chain(lambda ctx: iter(()), 3, groupings)
+    assert list(topology.operators) == ["S", "A", "B"]
+    assert [s.name for s in topology.streams] == ["S->A", "A->B"]
+    assert [s.grouping for s in topology.streams] == groupings
+    assert {op.parallelism for op in topology.operators.values()} == {3}
+    bolts = [topology.operator(name).factory() for name in "AB"]
+    assert [(b.key_spec, b.forwards) for b in bolts] == [(0, True), (1, False)]
+
+    one_hop = count_chain(
+        lambda ctx: iter(()), 2, groupings[:1], spouts=5, names=["Z"]
+    )
+    assert [s.name for s in one_hop.streams] == ["S->Z"]
+    assert one_hop.operator("S").parallelism == 5
+    assert one_hop.operator("Z").parallelism == 2
+    assert not one_hop.operator("Z").factory().forwards

@@ -1,0 +1,74 @@
+"""tools/check_doc_links.py: ``ClassName.attr`` references resolve
+against the dataclasses of ``repro.core`` and ``repro.engine.backends``
+— a doc naming a config field that was renamed fails the docs gate."""
+
+import os
+import sys
+
+_TOOLS = os.path.join(
+    os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ),
+    "tools",
+)
+if _TOOLS not in sys.path:
+    sys.path.insert(0, _TOOLS)
+
+import check_doc_links as links  # noqa: E402
+
+CLASSES = links._dataclasses()
+
+
+def _check(monkeypatch, tmp_path, name, text):
+    (tmp_path / name).write_text(text)
+    monkeypatch.setattr(links, "REPO", str(tmp_path))
+    return links.check_file(name, CLASSES)
+
+
+def test_config_dataclasses_are_known():
+    assert {
+        "ManagerConfig",
+        "HybridConfig",
+        "CompactTableConfig",
+        "ElasticityConfig",
+        "BackendOptions",
+        "CostModel",
+        "PoiReconfiguration",
+        "EdgeUpdate",
+    } <= set(CLASSES)
+
+
+def test_a_renamed_field_is_a_dead_link(monkeypatch, tmp_path):
+    problems = _check(
+        monkeypatch,
+        tmp_path,
+        "PROTOCOL.md",
+        "the watchdog (`ManagerConfig.round_timeout_s`) aborts\n"
+        "the watchdog (`ManagerConfig.round_deadline_s`) aborts\n"
+        "`BackendOptions.mp_fault` and `BackendOptions.mp_fualt`\n",
+    )
+    assert problems == [
+        "PROTOCOL.md:2: ManagerConfig has no attribute 'round_deadline_s'",
+        "PROTOCOL.md:3: BackendOptions has no attribute 'mp_fualt'",
+    ]
+
+
+def test_fields_members_and_other_classes_resolve(monkeypatch, tmp_path):
+    assert not _check(
+        monkeypatch,
+        tmp_path,
+        "DESIGN.md",
+        # a default_factory field (no class attribute), a property, a
+        # method, and classes the checker does not know
+        "`PoiReconfiguration.edge_updates` `RoundRecord.is_rescale` "
+        "`RescaleSpec.owner_of` `Manager.rounds` `Vocab.encode`\n",
+    )
+
+
+def test_history_names_fields_as_they_were(monkeypatch, tmp_path):
+    assert not _check(
+        monkeypatch,
+        tmp_path,
+        "CHANGES.md",
+        "- PR 4: `CostModel.router_cache_size` sizes the LRU\n",
+    )

@@ -21,6 +21,11 @@ down to a class or attribute, e.g. ``repro.core.TableDelta``) are
 verified by *importing* them: the module must import cleanly from
 ``src/`` and the trailing attribute must exist — a doc naming a
 renamed class fails the gate, not just one naming a deleted file.
+``ClassName.attr`` references to the dataclasses of ``repro.core`` and
+``repro.engine.backends`` (``ManagerConfig.round_timeout_s``,
+``BackendOptions.mp_fault``, …) are resolved the same way: the attribute
+must be a field or member of the class, so a doc naming a renamed
+config field fails too. ``CHANGES.md`` is exempt (fields as they were).
 Exit status 0 = clean, 1 = dead links (each printed as
 ``file:line: message``).
 
@@ -29,6 +34,7 @@ Run:  python tools/check_doc_links.py
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import os
 import re
@@ -55,10 +61,19 @@ CODE_PATH = re.compile(
 )
 SECTION_REF = re.compile(r"(\w+\.md) §(\d+)")
 MODULE_REF = re.compile(r"`(repro(?:\.\w+)+)`")
+CLASS_ATTR_REF = re.compile(r"`([A-Z]\w+)\.([a-z_]\w*)`")
+#: packages whose (transitively imported) dataclasses are resolvable
+DATACLASS_PACKAGES = ("repro.core", "repro.engine.backends")
 
 
 def _exists(rel: str, base: str = "") -> bool:
     return os.path.exists(os.path.join(REPO, base, rel))
+
+
+def _src_on_path() -> None:
+    src = os.path.join(REPO, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
 
 
 def _module_exists(dotted: str) -> bool:
@@ -66,9 +81,7 @@ def _module_exists(dotted: str) -> bool:
     capitalized attribute parts (e.g. the class in
     ``repro.analysis.telemetry.TelemetryLog``), import the module
     part, then require each attribute part to resolve."""
-    src = os.path.join(REPO, "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
+    _src_on_path()
     parts = dotted.split(".")
     # Longest importable prefix, remainder resolved as attributes —
     # handles classes (repro.core.TableDelta) and functions
@@ -87,6 +100,32 @@ def _module_exists(dotted: str) -> bool:
     return False
 
 
+def _dataclasses() -> dict:
+    """``{class name: class}`` of every dataclass a module of
+    :data:`DATACLASS_PACKAGES` defines or imports."""
+    _src_on_path()
+    for package in DATACLASS_PACKAGES:
+        importlib.import_module(package)
+    return {
+        name: obj
+        for module_name, module in sorted(sys.modules.items())
+        if module_name.startswith(DATACLASS_PACKAGES)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+    }
+
+
+def _class_attr_exists(classes: dict, class_name: str, attr: str) -> bool:
+    """A ``ClassName.attr`` reference resolves unless ``ClassName`` is
+    one of ``classes`` and has neither a field nor a member ``attr``."""
+    cls = classes.get(class_name)
+    return (
+        cls is None
+        or attr in cls.__dataclass_fields__
+        or hasattr(cls, attr)
+    )
+
+
 def _section_exists(md_file: str, number: str) -> bool:
     path = os.path.join(REPO, md_file)
     if not os.path.isfile(path):
@@ -97,7 +136,7 @@ def _section_exists(md_file: str, number: str) -> bool:
         )
 
 
-def check_file(rel: str) -> list:
+def check_file(rel: str, classes: dict) -> list:
     problems = []
     # Markdown links are relative to the doc's own directory; backtick
     # repo paths and module refs are repo-root anchored everywhere.
@@ -137,14 +176,21 @@ def check_file(rel: str) -> list:
                     problems.append(
                         f"{rel}:{lineno}: unknown module {dotted!r}"
                     )
+            for match in CLASS_ATTR_REF.finditer(line) if check_paths else ():
+                if not _class_attr_exists(classes, *match.groups()):
+                    problems.append(
+                        f"{rel}:{lineno}: {match.group(1)} has no "
+                        f"attribute {match.group(2)!r}"
+                    )
     return problems
 
 
 def main() -> int:
     problems = []
+    classes = _dataclasses()
     for rel in DOC_FILES:
         if _exists(rel):
-            problems.extend(check_file(rel))
+            problems.extend(check_file(rel, classes))
     for problem in problems:
         print(problem)
     if problems:

@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.engine.costs import DEFAULT_COSTS, CostModel
 from repro.engine.metrics import load_balance
 from repro.engine.physical import keyed_state_summary
-from repro.engine.routing_kernel import DETERMINISTIC_KINDS
+from repro.engine.grouping import TableRouter
 from repro.engine.topology import Topology
 from repro.errors import DeploymentError
 
@@ -52,9 +52,10 @@ class ReconfigureAction:
     Applied at the first batch boundary where the total number of
     spout-emitted tuples reaches ``at_tuples``: the named stream's
     routing table is swapped (and, when ``parallelism`` is set, the
-    destination tier is rescaled to that width), then keyed state
-    migrates to each key's new owner — the owner the DES rescale
-    protocol settles on (:func:`repro.engine.grouping.key_owner`).
+    destination tier is rescaled to that width, every other input
+    stream of it included, as the DES round resizes side inputs), then
+    keyed state migrates to each key's new owner — the owner the DES
+    rescale protocol settles on (:func:`repro.engine.grouping.key_owner`).
     """
 
     at_tuples: int
@@ -64,7 +65,7 @@ class ReconfigureAction:
 
     def target_in(self, streams: Mapping[str, Any]):
         """The entry of ``streams`` (stream name → a backend's routing
-        object, carrying the stream's kernel ``kind``) this action
+        object, ``router`` its source instance 0's) this action
         reconfigures, validated to be one it can be applied to."""
         try:
             target = streams[self.stream]
@@ -73,12 +74,30 @@ class ReconfigureAction:
                 f"reconfigure action names unknown stream "
                 f"{self.stream!r}; one of {sorted(streams)}"
             ) from None
-        if target.kind not in DETERMINISTIC_KINDS:
+        if not target.router.deterministic:
             raise DeploymentError(
                 f"scripted reconfiguration requires a deterministic "
-                f"keyed stream; {self.stream!r} is {target.kind!r}"
+                f"keyed stream; {self.stream!r} is routed by "
+                f"{type(target.router).__name__}"
             )
         return target
+
+    def apply(self, router, stream_name: str) -> None:
+        """Reconfigure one router of ``stream_name``, the target or a
+        side input of the rescaled operator: a table router takes the
+        action's table (a side input keeps its own) and width, any
+        other follows the width alone."""
+        width = self.parallelism
+        if isinstance(router, TableRouter):
+            table = self.table if stream_name == self.stream else router.table
+            router.resize(width or router.num_destinations, table)
+        elif width is not None:  # a hash stream has no table to swap
+            if not hasattr(router, "resize"):
+                raise DeploymentError(
+                    f"stream {stream_name!r} into a rescaled operator is "
+                    f"routed by {type(router).__name__}, which cannot resize"
+                )
+            router.resize(width)
 
 
 @dataclass

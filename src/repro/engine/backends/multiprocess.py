@@ -9,14 +9,14 @@ topology on real OS resources and **measures** them (DESIGN.md §16):
   (``instance % num_servers``, every backend's round-robin) behind
   :class:`~repro.engine.physical.SpoutSource` /
   :class:`~repro.engine.physical.HostedBolt` shards;
-- routing goes through the shared **batch kernel**
-  (:mod:`repro.engine.routing_kernel`) once per (stream, batch), under
-  the ``RouterContext`` the DES ``deploy`` gives its routers:
-  table/hash streams share one kernel per worker and place every tuple
+- routing goes through ``Router.route`` (:mod:`repro.engine.grouping`)
+  once per (stream, batch), under the ``RouterContext`` the DES
+  ``deploy`` gives its routers: a deterministic router (table, hash)
+  serves every source instance at a worker and places every tuple
   where the DES does; load-dependent and stateful policies (hybrid,
-  PKG, shuffle, the scalar-router fallback) keep one kernel per
-  (stream, source instance), as the DES keeps one router, each seeing
-  its instance's tuples in the order the instance produced them;
+  PKG, shuffle, the ``select`` loop of the rest) keep one router per
+  (stream, source instance), as the DES does, each seeing its
+  instance's tuples in the order the instance produced them;
 - intra-server edges stay in-process (zero serialized bytes); tuples
   crossing servers are pickled onto the destination worker's bounded
   inbound queue and the serialized length is recorded — locality is a
@@ -62,14 +62,7 @@ from repro.engine.physical import (
     TupleBatch,
     merge_op_stats,
 )
-from repro.engine.routing_kernel import (
-    DETERMINISTIC_KINDS,
-    TABLE_KINDS,
-    RouteKernel,
-    edge_kind,
-    route_per_source,
-    stream_kernel,
-)
+from repro.engine.grouping import Router, route_per_source, stream_context
 from repro.engine.topology import Topology
 from repro.errors import DeploymentError
 
@@ -123,56 +116,69 @@ class _ShardSource(SpoutSource):
 
 
 class _StreamRoutes:
-    """One stream's routing at a worker: its kernels (built on first
-    use, under the stream's current width) and locality counters."""
+    """One stream's routing at a worker: its routers and locality
+    counters. A deterministic router serves every source instance; any
+    other policy gets one router per source instance, built on first
+    use under the stream's current width."""
 
     def __init__(
         self, stream, width: int, server: int, num_servers: int
     ) -> None:
         self.stream = stream
-        self.kind = edge_kind(stream.grouping)
         self.n = width
         self._server = server
         self._num_servers = num_servers
-        self._kernels: Dict[int, RouteKernel] = {}
+        #: source instance 0's router, the only one if deterministic
+        self.router = self._build(0)
+        self._routers: Dict[int, Router] = {0: self.router}
         self.local_tuples = 0
         self.total_tuples = 0
 
-    def kernel_of(self, src_instance: int) -> RouteKernel:
-        """The kernel routing ``src_instance``'s tuples: one shared by
-        all source instances when the decision is a pure function of
-        the key, the instance's own otherwise."""
-        if self.kind in DETERMINISTIC_KINDS:
-            src_instance = 0
-        kernel = self._kernels.get(src_instance)
-        if kernel is None:
-            kernel = self._kernels[src_instance] = stream_kernel(
+    def _build(self, src_instance: int) -> Router:
+        return self.stream.grouping.build_router(
+            stream_context(
                 self.stream,
                 src_instance,
                 self._server,
                 [_placement(i, self._num_servers) for i in range(self.n)],
             )
-        return kernel
+        )
+
+    def router_of(self, src_instance: int) -> Router:
+        """The router of ``src_instance``'s tuples."""
+        if self.router.deterministic:
+            return self.router
+        router = self._routers.get(src_instance)
+        if router is None:
+            router = self._routers[src_instance] = self._build(src_instance)
+        return router
 
     def route(self, batch: TupleBatch) -> Tuple[Sequence[tuple], np.ndarray]:
         """(values, destination instance of each) — ``values`` is the
         batch's own list unless per-source grouping or a multi-
         destination select reordered or replicated tuples."""
         values = batch.values
-        if self.kind in DETERMINISTIC_KINDS:
-            return values, self.kernel_of(0).route(values)[0]
+        if self.router.deterministic:
+            return values, self.router.route(values)[0]
         dst, rows = route_per_source(
-            self.kernel_of, values, batch.src_instances
+            self.router_of, values, batch.src_instances
         )
         if rows is not None:
             values = [values[row] for row in rows.tolist()]
         return values, dst
 
+    def reconfigure(self, action) -> None:
+        """Apply a scripted action to every router built so far (target
+        or side input); later ones are built at the new width."""
+        for router in self._routers.values():
+            action.apply(router, self.stream.name)
+        if action.parallelism is not None:
+            self.n = action.parallelism
+
     def route_counts(self) -> Dict[str, int]:
-        kernels = self._kernels.values()
         return {
-            "table_hits": sum(k.table_hits for k in kernels),
-            "hash_fallbacks": sum(k.hash_fallbacks for k in kernels),
+            name: sum(getattr(r, name) for r in self._routers.values())
+            for name in ("table_hits", "hash_fallbacks")
         }
 
 
@@ -310,7 +316,7 @@ class _Worker:
 
     def _route_batch(self, op_name: str, batch: TupleBatch) -> None:
         """Send one locally produced batch across all of ``op_name``'s
-        output streams: one kernel call per stream, then the batch is
+        output streams: one ``route`` call per stream, then the batch is
         split by destination server — remote parts leave as one pickled
         message per (server, stream), the local part stays in-process."""
         for stream in self.topology.outputs_of(op_name):
@@ -470,23 +476,22 @@ class _Worker:
 
     def _apply_action(self, epoch: int, action) -> None:
         routes = action.target_in(self.streams)
-        kernel = routes.kernel_of(0)
         dst_op = routes.stream.dst
         shard = self.bolts[dst_op]
+        targets = [routes.stream]
         new_width = action.parallelism
-        if new_width is None:
-            kernel.update_table(action.table)
-        else:
-            routes.n = new_width
-            kernel.resize(new_width, action.table)
+        if new_width is not None:
             self.widths[dst_op] = max(self.widths[dst_op], new_width)
-            # The new local instances' own output kernels are built on
+            # The new local instances' own output routers are built on
             # first use, like every other.
             shard.resize(new_width)
+            targets = self.topology.inputs_of(dst_op)
+        for stream in targets:
+            self.streams[stream.name].reconfigure(action)
         # Migrate keyed state to each key's new owner; what leaves
         # this server goes as one message per destination server.
         outgoing: Dict[int, Dict[int, Dict[Any, Any]]] = {}
-        for owner, entries in shard.migrate(kernel.owner_of).items():
+        for owner, entries in shard.migrate(routes.router.owner_of).items():
             outgoing.setdefault(_placement(owner, self.num_servers), {})[
                 owner
             ] = entries
@@ -620,7 +625,7 @@ class _Worker:
             "route_counts": {
                 name: routes.route_counts()
                 for name, routes in self.streams.items()
-                if routes.kind in TABLE_KINDS
+                if routes.router.counts_table_hits
             },
             "widths": dict(self.widths),
             "op_stats": op_stats,

@@ -15,7 +15,6 @@ import time
 from typing import Dict
 
 from repro.engine.cluster import Cluster
-from repro.engine.grouping import TableRouter
 from repro.engine.operators import StatefulBolt
 from repro.engine.runner import deploy
 from repro.engine.simulator import Simulator
@@ -74,7 +73,7 @@ def run_reference(topology: Topology, options) -> "BackendResult":
     route_counts: Dict[str, Dict[str, int]] = {}
     for executor in deployment.all_executors():
         for edge in executor.out_edges:
-            if isinstance(edge.router, TableRouter):
+            if edge.router.counts_table_hits:
                 counts = route_counts.setdefault(
                     edge.stream_name, {"table_hits": 0, "hash_fallbacks": 0}
                 )

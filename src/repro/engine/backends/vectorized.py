@@ -4,11 +4,11 @@ The DES executes one simulator event per tuple hop; this backend packs
 tuples into :class:`~repro.engine.physical.TupleBatch` micro-batches
 and resolves everything per *batch*:
 
-- each stream routes through the shared batch kernel
-  (:mod:`repro.engine.routing_kernel`): a **key vocabulary** (key →
-  dense int id, interned once per distinct key) and an id → destination
-  array resolved with the scalar routers' math, so a batch routes as
-  one numpy gather instead of len(batch) Python calls;
+- each stream routes through its routers' ``route``
+  (:mod:`repro.engine.grouping`): a **key vocabulary** (key → dense
+  int id, interned once per distinct key) and an id → destination
+  array resolved with the owner rule of ``select``, so a batch routes
+  as one numpy gather instead of len(batch) Python calls;
 - counting bolts accumulate per-instance ``np.bincount`` over key ids;
 - payload bytes, locality and the coarse time model (per-server CPU
   busy seconds, NIC transfer seconds) are numpy reductions.
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import time
 from operator import attrgetter, itemgetter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -54,13 +54,7 @@ from repro.engine.physical import (
     SpoutSource,
     TupleBatch,
 )
-from repro.engine.routing_kernel import (
-    TABLE_KINDS,
-    RouteKernel,
-    edge_kind,
-    route_per_source,
-    stream_kernel,
-)
+from repro.engine.grouping import Router, route_per_source, stream_context
 from repro.engine.topology import Topology
 from repro.engine.tuples import Padding, field_size, payload_size
 from repro.errors import RoutingError
@@ -128,17 +122,17 @@ def _modeled_sizes(values: Sequence[tuple], header: int) -> np.ndarray:
 
 
 class _VectorEdge:
-    """One stream's routing kernel + cost/locality accounting.
+    """One stream's routers + cost/locality accounting.
 
     The transform applied to every batch crossing the edge: resolve
-    destinations through the kernel, account bytes/locality/served
-    time, and hand the consumer a routed batch (``dst_instances`` and —
-    for keyed streams — ``key_ids`` filled in).
+    destinations through ``Router.route``, account bytes/locality/
+    served time, and hand the consumer a routed batch
+    (``dst_instances`` and — for keyed streams — ``key_ids`` filled in).
 
-    Keyed streams own *one* kernel, hence one key vocabulary (the
+    Keyed streams own *one* router, hence one key vocabulary (the
     bincount operators index their counts by its ids) and, for hybrid
     and PKG, per-edge load counters where the DES has per-source-router
-    ones. Shuffle keeps one round-robin kernel per source instance.
+    ones. Shuffle keeps one round-robin router per source instance.
     """
 
     def __init__(
@@ -150,50 +144,53 @@ class _VectorEdge:
         meter: _Meter,
     ) -> None:
         self.stream = stream
-        self.kind = edge_kind(stream.grouping)
-        if self.kind == "generic":
-            raise RoutingError(
-                f"vectorized backend does not support "
-                f"{type(stream.grouping).__name__} (reference backend "
-                f"required)"
-            )
         self.n = num_destinations
         self.src_placement = src_placement
         self.dst_placement = dst_placement
         self.meter = meter
-        self._shuffle: Dict[int, RouteKernel] = {}
-        self.kernel = (
-            None if self.kind == "shuffle" else self._build_kernel(0)
-        )
+        #: source instance 0's router: the edge's only one if keyed
+        self.router = self._build_router(0)
+        if type(self.router).route is Router.route:
+            raise RoutingError(
+                f"vectorized backend does not support "
+                f"{type(stream.grouping).__name__}, which has no batch "
+                f"form (reference or multiprocess backend required)"
+            )
+        keyed = hasattr(stream.grouping, "key_fn")
+        self._per_source = None if keyed else {0: self.router}
+        # the batch state that the count operators and migration read
+        # exists from the start, as if a batch had been routed
+        self.router.route([])
         self.local_tuples = 0
         self.total_tuples = 0
         self.remote_bytes = 0
         self.received = np.zeros(num_destinations, dtype=np.int64)
 
-    def _build_kernel(self, src_instance: int) -> RouteKernel:
-        return stream_kernel(
-            self.stream,
-            src_instance,
-            int(self.src_placement[src_instance]),
-            self.dst_placement[: self.n].tolist(),
+    def _build_router(self, src_instance: int) -> Router:
+        return self.stream.grouping.build_router(
+            stream_context(
+                self.stream,
+                src_instance,
+                int(self.src_placement[src_instance]),
+                self.dst_placement[: self.n].tolist(),
+            )
         )
 
-    def _shuffle_kernel(self, src_instance: int) -> RouteKernel:
-        kernel = self._shuffle.get(src_instance)
-        if kernel is None:
-            kernel = self._shuffle[src_instance] = self._build_kernel(
-                src_instance
-            )
-        return kernel
+    def _router_of(self, src_instance: int) -> Router:
+        router = self._per_source.get(src_instance)
+        if router is None:
+            router = self._build_router(src_instance)
+            self._per_source[src_instance] = router
+        return router
 
-    def reconfigure(self, table, num_destinations: Optional[int]) -> None:
-        """Swap the routing table (and optionally the width); the
-        kernel re-resolves every known key."""
-        if num_destinations is None:
-            self.kernel.update_table(table)
+    def reconfigure(self, action) -> None:
+        """Apply a scripted action to every router of the edge (the
+        action's target, or a side input of the rescaled operator)."""
+        for router in (self._per_source or {0: self.router}).values():
+            action.apply(router, self.stream.name)
+        if action.parallelism is None:
             return
-        self.kernel.resize(num_destinations, table)
-        self.n = num_destinations
+        self.n = action.parallelism
         old_received = self.received
         self.received = np.zeros(self.n, dtype=np.int64)
         limit = min(len(old_received), self.n)
@@ -208,12 +205,12 @@ class _VectorEdge:
             batch.sizes = _modeled_sizes(
                 batch.values, self.meter.costs.tuple_header_bytes
             )
-        if self.kernel is not None:
-            dst, ids, _ = self.kernel.route(batch.values)
+        if self._per_source is None:
+            dst, ids, _ = self.router.route(batch.values)
         else:
             ids = None
             dst, rows = route_per_source(
-                self._shuffle_kernel, batch.values, batch.src_instances
+                self._router_of, batch.values, batch.src_instances
             )
             if rows is not None:  # grouped by source: back to batch order
                 in_order = np.empty_like(dst)
@@ -354,7 +351,7 @@ class _VectorCountOp(PhysicalOperator):
                 f"keys; stream {self.in_edge.stream.name!r} saw one that "
                 f"is not"
             )
-        vocab_size = len(self.in_edge.kernel.vocab.keys)
+        vocab_size = len(self.in_edge.router.vocab.keys)
         instances = np.flatnonzero(np.bincount(dst)).tolist()
         for instance in instances:
             mine = ids if len(instances) == 1 else ids[dst == instance]
@@ -396,7 +393,7 @@ class _VectorCountOp(PhysicalOperator):
 
     def state_snapshot(self) -> Dict[int, Dict[Any, int]]:
         """``{instance: {key: count}}``, as a hosted ``CountBolt``'s."""
-        keys = self.in_edge.kernel.vocab.keys
+        keys = self.in_edge.router.vocab.keys
         snapshot: Dict[int, Dict[Any, int]] = {}
         for instance, counts in enumerate(self._counts):
             state = snapshot[instance] = {}
@@ -529,16 +526,18 @@ class _VectorizedRun:
     def _apply(self, action) -> None:
         edge = action.target_in(self.edges_by_stream)
         dst = edge.stream.dst
-        new_width = action.parallelism
         consumer = self.ops[dst]
-        if new_width is not None:
-            self.widths[dst] = new_width
-            consumer.resize(new_width)
-        edge.reconfigure(action.table, new_width)
+        streams = [edge.stream]
+        if action.parallelism is not None:
+            self.widths[dst] = action.parallelism
+            consumer.resize(action.parallelism)
+            streams = self.topology.inputs_of(dst)
+        for stream in streams:
+            self.edges_by_stream[stream.name].reconfigure(action)
         consumer.migrate(
-            edge.kernel.owners
+            edge.router.owners
             if isinstance(consumer, _VectorCountOp)
-            else edge.kernel.owner_of
+            else edge.router.owner_of
         )
 
     # -- execution ------------------------------------------------------
@@ -576,11 +575,11 @@ def run_vectorized(topology: Topology, options) -> "BackendResult":
         tuples_emitted=run._emitted(),
         route_counts={
             name: {
-                "table_hits": edge.kernel.table_hits,
-                "hash_fallbacks": edge.kernel.hash_fallbacks,
+                "table_hits": edge.router.table_hits,
+                "hash_fallbacks": edge.router.hash_fallbacks,
             }
             for name, edge in edges.items()
-            if edge.kind in TABLE_KINDS
+            if edge.router.counts_table_hits
         },
         op_stats={name: op.stats.as_dict() for name, op in run.ops.items()},
         handle=run,

@@ -32,6 +32,11 @@ Every ``build_router`` validates that the stream has at least one
 destination instance and raises :class:`~repro.errors.RoutingError`
 naming the stream otherwise (the routers' modular arithmetic would
 surface it later as a bare ``ZeroDivisionError`` mid-run).
+
+One router class per policy answers per tuple, ``select`` (the DES),
+and per batch, ``route`` (the fast backends; DESIGN.md §15.2). Batch
+state is created by the first ``route`` and numpy imported only where
+a batch is routed, so the DES runs without it.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 import zlib
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError
 
@@ -138,8 +143,8 @@ def key_owner(
 
     A key in ``table`` (any object with ``lookup(key) -> Optional[int]``,
     or None) goes where the table says, any other key where the hash
-    says. Routers, kernels, the migration planner, the rescale scan and
-    the rollback all call this, so they cannot disagree on an owner.
+    says. Routers, the migration planner, the rescale scan and the
+    rollback all call this, so they cannot disagree on an owner.
 
     A table entry outside ``range(num_destinations)`` raises
     :class:`~repro.errors.RoutingError` — on the data plane it means a
@@ -167,8 +172,8 @@ def key_owners(
 ) -> Tuple[List[int], List[bool]]:
     """:func:`key_owner` of every key of a batch, as two parallel lists
     ``(owners, from_table)`` — one ``lookup_many`` call on a table that
-    has it instead of a ``lookup`` per key (what a kernel resolving a
-    batch of new vocabulary ids wants)."""
+    has it instead of a ``lookup`` per key (what a router's ``route``
+    resolving a batch of new vocabulary ids wants)."""
     count = len(keys)
     if table is None:
         found: Sequence[Optional[int]] = (None,) * count
@@ -260,8 +265,9 @@ def stream_context(
     src_server: int,
     dst_placements: Sequence[int],
 ) -> RouterContext:
-    """The context every router and kernel of ``stream`` (anything with
-    a ``name``) is built under for one source instance."""
+    """The context every router of ``stream`` (anything with a
+    ``name``) is built under for one source instance, on every
+    backend."""
     return RouterContext(
         stream.name,
         src_instance,
@@ -271,12 +277,128 @@ def stream_context(
     )
 
 
+class _Memo(dict):
+    """Key → id for the keys of one scalar type; a missing key is
+    interned on lookup, at the end of the vocabulary's ``keys``."""
+
+    __slots__ = ("_interned",)
+
+    def __init__(self, interned: List[Any]) -> None:
+        self._interned = interned
+
+    def __missing__(self, key) -> int:
+        kid = self[key] = len(self._interned)
+        self._interned.append(key)
+        return kid
+
+
+class Vocab:
+    """Key interning for a keyed router's batches: key → dense id,
+    id → key.
+
+    Keys are type-tagged exactly like the routers' memos (``1`` /
+    ``1.0`` / ``True`` must not alias): one memo per scalar type, all
+    numbering into the same ``keys``. Non-scalar keys are never
+    interned — their elements can alias the same way without the outer
+    type telling them apart — and encode as id ``-1``.
+    """
+
+    __slots__ = ("_memos", "keys")
+
+    def __init__(self) -> None:
+        self.keys: List[Any] = []
+        self._memos = {cls: _Memo(self.keys) for cls in _SCALAR_KEY_TYPES}
+
+    def id_of(self, key) -> Optional[int]:
+        """The id ``key`` was interned under, None if it never was."""
+        memo = self._memos.get(key.__class__)
+        return None if memo is None else memo.get(key)
+
+    def encode(self, raw_keys):
+        """(``int64`` ids of ``raw_keys``, whether any is non-scalar)."""
+        import numpy as np
+
+        memos = self._memos
+        classes = set(map(type, raw_keys))
+        if len(classes) == 1:
+            memo = memos.get(classes.pop())
+            if memo is not None:  # one scalar type: no per-key dispatch
+                ids = np.fromiter(
+                    map(memo.__getitem__, raw_keys),
+                    dtype=np.int64,
+                    count=len(raw_keys),
+                )
+                return ids, False
+        ids = [
+            -1 if (memo := memos.get(key.__class__)) is None else memo[key]
+            for key in raw_keys
+        ]
+        return np.array(ids, dtype=np.int64), -1 in ids
+
+
 class Router:
-    """Runtime routing decision for one (source instance, stream)."""
+    """Runtime routing decision for one (source instance, stream) —
+    or, when ``deterministic``, for every source instance of it."""
+
+    #: each key goes to one owner, a pure function of (key, table,
+    #: width): one router serves every source instance of the stream,
+    #: keyed state has an owner to migrate to (``owner_of``), and a
+    #: scripted reconfiguration may swap the table
+    deterministic = False
+    #: counts ``table_hits`` / ``hash_fallbacks`` per tuple — the
+    #: streams of ``BackendResult.route_counts``
+    counts_table_hits = False
 
     def select(self, values: tuple) -> List[int]:
         """Destination instance indices for an emission."""
         raise NotImplementedError
+
+    def route(self, values: Sequence[tuple]):
+        """Route a batch: ``(dst, key_ids, rows)``.
+
+        ``dst``: ``int64`` destination instances; ``key_ids``: the
+        dense key ids of a keyed router, else None; ``rows``: None when
+        ``dst[i]`` belongs to ``values[i]``, else (selects that
+        returned zero or several destinations) the index into
+        ``values`` of every entry of ``dst``. This default loops
+        ``select``; the policies with a batch form override it.
+        """
+        import numpy as np
+
+        selected = list(map(self.select, values))
+        dst = np.array([d for pick in selected for d in pick], dtype=np.int64)
+        if all(len(pick) == 1 for pick in selected):
+            return dst, None, None
+        counts = np.fromiter(map(len, selected), dtype=np.int64)
+        return dst, None, np.repeat(np.arange(len(selected)), counts)
+
+
+def route_per_source(
+    router_of: Callable[[int], Router], values: Sequence[tuple], src
+):
+    """Route a batch through its source instances' own routers.
+
+    Returns ``(dst, rows)`` as :meth:`Router.route` does. A batch that
+    mixes source instances (a bolt shard hosting several) is grouped
+    by instance, each group keeping its order — what every per-source
+    router sees is its instance's tuples in sequence.
+    """
+    import numpy as np
+
+    instances = np.flatnonzero(np.bincount(src)).tolist()
+    if len(instances) == 1:
+        dst, _, rows = router_of(instances[0]).route(values)
+        return dst, rows
+    dst_parts = []
+    row_parts = []
+    for instance in instances:
+        index = np.nonzero(src == instance)[0]
+        dst, _, rows = router_of(instance).route(
+            [values[i] for i in index.tolist()]
+        )
+        dst_parts.append(dst)
+        row_parts.append(index if rows is None else index[rows])
+    return np.concatenate(dst_parts), np.concatenate(row_parts)
 
 
 class Grouping:
@@ -320,6 +442,14 @@ class _ShuffleRouter(Router):
         dst = self._next
         self._next = (dst + 1) % self._n
         return [dst]
+
+    def route(self, values: Sequence[tuple]):
+        import numpy as np
+
+        count = len(values)
+        dst = (self._next + np.arange(count, dtype=np.int64)) % self._n
+        self._next = (self._next + count) % self._n
+        return dst, None, None
 
     def resize(self, num_destinations: int) -> None:
         """Adopt a new destination count (rescale seam)."""
@@ -376,7 +506,19 @@ class LocalOrShuffleGrouping(Grouping):
 
 
 class _HashFieldsRouter(Router):
-    """Hash fields router: a pure function of the key."""
+    """Hash fields router: a pure function of the key.
+
+    Its batch form, which the table routers inherit, interns each
+    distinct key once and keeps ``owners``, an id → destination array
+    resolved with :func:`key_owners`: a batch routes as one numpy
+    gather, and any width or table swap re-resolves every known key.
+    """
+
+    deterministic = True
+    #: the table consulted before the hash: none for plain fields
+    _table = None
+    #: the batch state's :class:`Vocab`, created by the first ``route``
+    vocab: Optional[Vocab] = None
 
     def __init__(self, key_fn, num_destinations: int, seed: int) -> None:
         self._key_fn = key_fn
@@ -389,6 +531,65 @@ class _HashFieldsRouter(Router):
     def resize(self, num_destinations: int) -> None:
         """Adopt a new destination count (rescale seam)."""
         self._n = _checked_width(num_destinations)
+        self._reresolve()
+
+    def owner_of(self, key) -> int:
+        """The key's destination under the current table and width
+        (state migration asks this; nothing is counted or interned)."""
+        return key_owner(key, self._table, self._seed, self._n)[0]
+
+    def route(self, values: Sequence[tuple]):
+        import numpy as np
+
+        if self.vocab is None:
+            self.vocab = Vocab()
+            self._reresolve()
+        ids, loose = self.vocab.encode(list(map(self._key_fn, values)))
+        self._extend()
+        if not loose:
+            return self._route_ids(ids), ids, None
+        # Non-scalar keys are never interned: ``select`` routes each.
+        interned = ids >= 0
+        dst = np.empty(len(ids), dtype=np.int64)
+        dst[interned] = self._route_ids(ids[interned])
+        select = self.select
+        for row in np.flatnonzero(~interned).tolist():
+            dst[row] = select(values[row])[0]
+        return dst, ids, None
+
+    def _route_ids(self, ids):
+        return self.owners[ids]
+
+    def _extend(self) -> None:
+        """Resolve the vocabulary ids that have no owner yet."""
+        import numpy as np
+
+        keys = self.vocab.keys
+        known = len(self.owners)
+        if len(keys) == known:
+            return
+        owners, from_table = key_owners(
+            keys[known:], self._table, self._seed, self._n
+        )
+        self.owners = np.concatenate(
+            [self.owners, np.array(owners, dtype=np.int64)]
+        )
+        self._from_table = np.concatenate(
+            [self._from_table, np.array(from_table, dtype=bool)]
+        )
+
+    def _reresolve(self) -> None:
+        """Resolve every interned key afresh: on the first ``route``
+        and after a width or table swap (the batch mirror of dropping
+        the route cache)."""
+        if self.vocab is None:
+            return  # no batch routed: nothing to resolve, no numpy
+        import numpy as np
+
+        #: id → destination instance / whether it came from the table
+        self.owners = np.empty(0, dtype=np.int64)
+        self._from_table = np.empty(0, dtype=bool)
+        self._extend()
 
 
 class FieldsGrouping(Grouping):
@@ -418,27 +619,28 @@ class FieldsGrouping(Grouping):
 # ----------------------------------------------------------------------
 
 
-class TableRouter(Router):
+class TableRouter(_HashFieldsRouter):
     """Fields router with a swappable key→instance table.
 
     Every select is :func:`key_owner` under the current (table, width):
     unknown keys fall back to hash routing, as in Section 3.3 of the
-    paper. ``table_hits`` / ``hash_fallbacks`` count the two outcomes —
-    the explicit-vs-fallback split the telemetry layer exports (a high
-    fallback share after a reconfiguration means the routed key set no
-    longer covers the traffic, the Fig. 12 unseen-keys effect).
+    paper. ``table_hits`` / ``hash_fallbacks`` count the two outcomes
+    per tuple, on either path — the explicit-vs-fallback split the
+    telemetry layer exports (a high fallback share after a
+    reconfiguration means the routed key set no longer covers the
+    traffic, the Fig. 12 unseen-keys effect).
 
     A table that declares ``lookup_is_expensive`` (the compact tables)
     gets a :class:`_RouteCache` in front of it; a plain table is a
     dictionary and needs none.
     """
 
+    counts_table_hits = True
+
     def __init__(
         self, key_fn, num_destinations: int, seed: int, table
     ) -> None:
-        self._key_fn = key_fn
-        self._n = num_destinations
-        self._seed = seed
+        super().__init__(key_fn, num_destinations, seed)
         self.table_hits = 0
         self.hash_fallbacks = 0
         self._set_table(table)
@@ -453,6 +655,7 @@ class TableRouter(Router):
             if getattr(table, "lookup_is_expensive", False)
             else None
         )
+        self._reresolve()
 
     @property
     def table(self):
@@ -513,6 +716,14 @@ class TableRouter(Router):
             self.hash_fallbacks += 1
         return route
 
+    def _route_ids(self, ids):
+        import numpy as np
+
+        hits = int(np.count_nonzero(self._from_table[ids]))
+        self.table_hits += hits
+        self.hash_fallbacks += len(ids) - hits
+        return self.owners[ids]
+
 
 class TableFieldsGrouping(Grouping):
     """Fields grouping with an explicit (optional, swappable) table."""
@@ -568,21 +779,27 @@ class HybridTableRouter(TableRouter):
     The split set arrives inside the table payload, so the rules of
     ``update_table``/``resize`` cover it: any table swap drops the
     route cache and resets the load counters.
+
+    ``route`` credits a batch's tail traffic to the load counters at
+    once where ``select`` credits it tuple by tuple: split keys stay
+    inside their member set either way, the member sequence may differ.
     """
+
+    deterministic = False
 
     def __init__(
         self, key_fn, num_destinations: int, seed: int, table
     ) -> None:
         super().__init__(key_fn, num_destinations, seed, table)
-        #: selects resolved through the split set (telemetry)
+        #: tuples routed through the split set (telemetry)
         self.split_routes = 0
 
     def _set_table(self, table) -> None:
-        super()._set_table(table)
         #: bound ``table.split`` when the table carries one (plain
         #: lookup-only table objects degrade to pure table routing)
         self._split_fn = getattr(table, "split", None)
         self._sent = [0] * self._n
+        super()._set_table(table)
 
     @property
     def sent_counts(self) -> List[int]:
@@ -606,6 +823,50 @@ class HybridTableRouter(TableRouter):
         route = self._select_for_key(key)
         self._sent[route[0]] += 1
         return route
+
+    def _reresolve(self) -> None:
+        #: id → valid split members
+        self._splits: Dict[int, Tuple[int, ...]] = {}
+        super()._reresolve()
+
+    def _extend(self) -> None:
+        known = len(self.owners)
+        super()._extend()
+        split_fn = self._split_fn
+        if split_fn is None:
+            return
+        keys = self.vocab.keys
+        for kid in range(known, len(keys)):
+            members = split_fn(keys[kid])
+            if members:
+                self._splits[kid] = split_members(keys[kid], members, self._n)
+
+    def _route_ids(self, ids):
+        import numpy as np
+
+        splits = self._splits
+        if not splits:
+            dst = super()._route_ids(ids)
+            self._credit(dst)
+            return dst
+        split_mask = np.isin(ids, list(splits))
+        dst = self.owners[ids]
+        self._credit(super()._route_ids(ids[~split_mask]))
+        sent = self._sent
+        positions = np.flatnonzero(split_mask).tolist()
+        for index, kid in zip(positions, ids[split_mask].tolist()):
+            choice = min(splits[kid], key=sent.__getitem__)
+            dst[index] = choice
+            sent[choice] += 1
+        self.split_routes += len(positions)
+        return dst
+
+    def _credit(self, dst) -> None:
+        """Credit a batch of tail routes to the load counters."""
+        import numpy as np
+
+        tail = np.bincount(dst, minlength=self._n).tolist()
+        self._sent = list(map(operator.add, self._sent, tail))
 
 
 class HybridTableFieldsGrouping(TableFieldsGrouping):
@@ -667,7 +928,15 @@ def candidate_instances(
 class _DChoicesRouter(Router):
     """d-choices router caching each key's *candidate tuple* only —
     the final pick depends on the live per-destination send counts, so
-    it is always recomputed against the cheapest candidate."""
+    it is always recomputed against the cheapest candidate.
+
+    ``route`` keeps the candidates per interned key id instead and
+    picks per tuple (inherently sequential: each pick feeds the
+    counters the next one reads), identical to ``select`` on the same
+    tuple sequence."""
+
+    #: the batch state's :class:`Vocab`, created by the first ``route``
+    vocab: Optional[Vocab] = None
 
     def __init__(
         self, key_fn, num_destinations: int, seed: int, d: int = 2
@@ -702,6 +971,27 @@ class _DChoicesRouter(Router):
         sent[dst] += 1
         return [dst]
 
+    def route(self, values: Sequence[tuple]):
+        import numpy as np
+
+        keys = list(map(self._key_fn, values))
+        if self.vocab is None:
+            self.vocab, self._cands = Vocab(), []
+        ids, _ = self.vocab.encode(keys)
+        candidates = self._candidates
+        cands = self._cands  # id → candidate tuple
+        cands.extend(map(candidates, self.vocab.keys[len(cands):]))
+        sent = self._sent
+        dst: List[int] = []
+        for key, kid in zip(keys, ids.tolist()):
+            choice = min(
+                cands[kid] if kid >= 0 else candidates(key),
+                key=sent.__getitem__,
+            )
+            dst.append(choice)
+            sent[choice] += 1
+        return np.array(dst, dtype=np.int64), ids, None
+
     def reset_sent(self) -> None:
         """Zero the per-destination send counts. Called on
         reconfiguration so stale pre-round load does not bias the
@@ -710,12 +1000,13 @@ class _DChoicesRouter(Router):
         self._sent = [0] * self._n
 
     def resize(self, num_destinations: int) -> None:
-        """Adopt a new destination count: drop the candidate cache
+        """Adopt a new destination count: drop the candidate caches
         (candidates are taken modulo the old width) and re-dimension
         the send counters (rescale seam)."""
         self._n = _checked_width(num_destinations)
         self.reset_sent()
         self._cache = _RouteCache()
+        self._cands = []
 
 
 class PartialKeyGrouping(Grouping):

@@ -4,7 +4,7 @@ Section 3.3 — a key in the routing table goes where the table says, any
 other key where the hash says — is written in
 :func:`repro.engine.grouping.key_owner` (and the fallback in
 :func:`~repro.engine.grouping.hash_owner`). Algorithm 1 moves state
-correctly only if the routers, the batch kernels, the migration
+correctly only if the routers (per tuple and per batch), the migration
 planner, the rescale scan and the rollback all compute that owner
 identically; this property checks each of them against the one
 function instead of against each other, pair by pair.
@@ -26,7 +26,6 @@ from repro.engine.grouping import (
     stream_context,
     stream_seed,
 )
-from repro.engine.routing_kernel import build_kernel
 from repro.errors import RoutingError
 
 keys_st = st.one_of(
@@ -60,22 +59,22 @@ def test_every_site_answers_the_owner_function(keys, stream_name, n, data):
             table.lookup(key) if from_table else hash_owner(key, seed, n)
         )
 
-    # the data plane: scalar routers (plain table: no memo; compact
-    # table: memoized, second pass served from it) and the batch kernel
+    # the data plane: ``select`` (plain table: no memo; compact table:
+    # memoized, second pass served from it) and ``route`` of a twin
     context = stream_context(stream, 0, 0, stream.dst_placements)
     assert context.seed == seed
     values = [(key,) for key in keys]
     for held in (table, CompactRoutingTable.from_table(table)):
         grouping = TableFieldsGrouping(0, table=held)
         router = grouping.build_router(context)
-        kernel = build_kernel(grouping, context)
+        batch = grouping.build_router(context)
         for _ in range(2):
             assert [router.select(v) for v in values] == [[o] for o in owners]
-            assert kernel.route(values)[0].tolist() == owners
-        assert [kernel.owner_of(key) for key in keys] == owners
+            assert batch.route(values)[0].tolist() == owners
+        assert [batch.owner_of(key) for key in keys] == owners
         hits = 2 * sum(from_table for _, from_table in expected)
-        assert router.table_hits == kernel.table_hits == hits
-        assert router.hash_fallbacks == kernel.hash_fallbacks == (
+        assert router.table_hits == batch.table_hits == hits
+        assert router.hash_fallbacks == batch.hash_fallbacks == (
             2 * len(keys) - hits
         )
 

@@ -10,9 +10,11 @@
   on topologies the bincount operators never see: ``PartialCountBolt →
   SumBolt`` under PKG, a ``FunctionBolt`` fan-out, and a scripted 2→4
   rescale over ``SumBolt`` stages — after which every hosted instance,
-  old or new, reports the new ``context.num_instances``.
+  old or new, reports the new ``context.num_instances`` and the
+  rescaled operator's side inputs route at the new width.
 """
 
+import multiprocessing
 import random
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.engine.backends import (
 )
 from repro.engine.grouping import (
     FieldsGrouping,
+    LocalOrShuffleGrouping,
     PartialKeyGrouping,
     ShuffleGrouping,
     candidate_instances,
@@ -526,3 +529,79 @@ def test_num_instances_is_truthful_after_a_rescale(backend):
     assert set(seen) <= {2, 12, 4, 14, 24, 34}
     if backend == "vectorized":  # applied at a known batch boundary
         assert seen[2] + seen[12] <= at_tuples + spouts * batch_size
+
+
+class _WhoGotIt(Bolt):
+    """Emits ``"instance/tag"`` for every tuple: who processed what."""
+
+    def process(self, tup, context):
+        context.emit([f"{context.instance_index}/{tup.values[1]}"])
+
+
+def _side_input_topology(side, per_spout):
+    """``S1 -table-> B`` and ``S2 -side-> B``; C counts who got what."""
+
+    def source(tag):
+        def values(ctx):
+            rng = random.Random(f"{tag}{ctx.instance_index}")
+            for _ in range(per_spout):
+                yield (f"{tag}-{rng.randrange(40)}", tag)
+
+        return lambda: IteratorSpout(values)
+
+    builder = TopologyBuilder()
+    builder.spout("S1", source("s1"), parallelism=2)
+    builder.spout("S2", source("s2"), parallelism=2)
+    builder.bolt(
+        "B",
+        _WhoGotIt,
+        parallelism=2,
+        inputs={"S1": TableFieldsGrouping(0), "S2": side},
+    )
+    builder.bolt(
+        "C", lambda: CountBolt(0), parallelism=2,
+        inputs={"B": FieldsGrouping(0)},
+    )
+    return builder.build()
+
+
+@pytest.mark.parametrize("candidate", FAST)
+def test_a_scripted_rescale_widens_the_side_inputs_too(candidate):
+    """B rescales 2 → 4 through an action on ``S1->B``: ``S2->B`` must
+    follow the new width, as the DES round resizes side inputs, so the
+    new instances get S2 traffic too and no tuple is lost."""
+    per_spout = 800
+    result = run_topology(
+        _side_input_topology(FieldsGrouping(0), per_spout),
+        candidate,
+        BackendOptions(
+            num_servers=4,
+            batch_size=64,
+            mp_timeout_s=60,
+            actions=[ReconfigureAction(400, "S1->B", None, 4)],
+        ),
+    )
+    seen = result.per_key_totals["C"]
+    assert sum(seen.values()) == 4 * per_spout
+    assert seen.get("2/s2", 0) + seen.get("3/s2", 0) > 0, seen
+    assert seen.get("2/s1", 0) + seen.get("3/s1", 0) > 0, seen
+
+
+def test_a_side_input_that_cannot_be_resized_is_refused():
+    """Local-or-shuffle has no resize seam: rescaling its destination
+    is refused, naming the stream."""
+    with pytest.raises(DeploymentError, match="S2->B"):
+        run_topology(
+            _side_input_topology(LocalOrShuffleGrouping(), 200),
+            "multiprocess",
+            BackendOptions(
+                num_servers=2,
+                batch_size=64,
+                mp_timeout_s=60,
+                actions=[ReconfigureAction(100, "S1->B", None, 4)],
+            ),
+        )
+    assert not [
+        p for p in multiprocessing.active_children()
+        if p.name.startswith("repro-mp-worker")
+    ]

@@ -9,10 +9,10 @@ Four layers of lockdown for `repro.engine.backends.multiprocess`:
    *measured* values.
 2. **Properties** (mirror of ``test_vectorized_routers``): for random
    mixed-type key streams run through the *real* backend, table/hash
-   placements equal the scalar routers' per-tuple decisions; hybrid
+   placements equal the routers' per-tuple ``select``; hybrid
    and PKG keep per-key totals exact with placements contained in the
    member/candidate sets.
-3. **The kernel's other paths** — fallback groupings with multi-
+3. **Routing's other paths** — fallback groupings with multi-
    destination selects, mixed-source-instance batches under hybrid and
    PKG (``parallelism > num_servers``), and the per-tuple
    ``table_hits`` / ``hash_fallbacks`` identity across all three
@@ -412,7 +412,7 @@ def test_mp_pkg_totals_exact_and_contained(keys, n, d):
 
 
 # ----------------------------------------------------------------------
-# The kernel's other paths: scalar-router fallback, per-source kernels,
+# Routing's other paths: the default route, per-source routers,
 # per-tuple counters
 # ----------------------------------------------------------------------
 
@@ -459,10 +459,10 @@ def _fan_out(values, context):
     ids=["broadcast", "global", "local-or-shuffle", "custom-fan-out"],
 )
 def test_fallback_groupings_match_the_reference(grouping):
-    """Policies with no batch kernel go through the kernel's scalar-
-    router loop — multi-destination and empty selects included — and
-    stay per-tuple identical to the DES (the downstream table stream
-    then sees replicated tuples from mixed source instances)."""
+    """Policies with no batch form go through the default ``route``, a
+    loop of ``select`` — multi-destination and empty selects included —
+    and stay per-tuple identical to the DES (the downstream table
+    stream then sees replicated tuples from mixed source instances)."""
     report, ref, cand = run_equivalence(
         lambda: _two_stage(grouping, FieldsGrouping(1)),
         reference_options=BackendOptions(num_servers=2),
@@ -479,7 +479,7 @@ def test_fallback_groupings_match_the_reference(grouping):
 def test_mixed_source_batches_keep_load_dependent_streams_exact(policy):
     """parallelism=4 on two servers: A's shards emit batches mixing two
     source instances into a load-dependent stream, which routes each
-    instance's tuples through that instance's own kernel. Totals stay
+    instance's tuples through that instance's own router. Totals stay
     exact and every holder inside the split / candidate set."""
     splits = {0: (0, 1), 3: (2, 3)}
     if policy == "hybrid":

@@ -6,7 +6,7 @@ worker does once is done ``servers × runs`` times:
 1. **No late imports** — a module first imported inside ``run()`` is
    imported again by every worker of every run. Each worker reports the
    ``sys.modules`` names that appeared during its run; the list is
-   empty for every kernel kind (checked from a fresh interpreter, as a
+   empty for every routing policy (checked from a fresh interpreter, as a
    parent that already holds the module would hide the import).
 2. **The run timeline** — seven marks a worker, five for the
    coordinator, on one clock.
@@ -89,7 +89,6 @@ _LATE_IMPORTS_SCRIPT = textwrap.dedent(
         PartialKeyGrouping, ShuffleGrouping, TableFieldsGrouping,
     )
     from repro.engine.operators import IteratorSpout
-    from repro.engine.routing_kernel import edge_kind
 
     def source(ctx):
         for i in range(150):
@@ -122,7 +121,7 @@ _LATE_IMPORTS_SCRIPT = textwrap.dedent(
             BackendOptions(num_servers=2, batch_size=64, mp_timeout_s=60),
         )
         assert result.processed["B"] >= 300
-        late[edge_kind(grouping)] = {
+        late[type(grouping).__name__] = {
             server: stats["late_imports"]
             for server, stats in result.measured["per_server"].items()
         }
@@ -143,10 +142,11 @@ def test_no_worker_imports_anything_during_its_run():
     assert done.returncode == 0, done.stderr
     late = json.loads(done.stdout.splitlines()[-1])
     assert sorted(late) == [
-        "generic", "hash", "hybrid", "pkg", "shuffle", "table"
+        "BroadcastGrouping", "FieldsGrouping", "HybridTableFieldsGrouping",
+        "PartialKeyGrouping", "ShuffleGrouping", "TableFieldsGrouping",
     ]
-    for kind, per_server in late.items():
-        assert per_server == {"0": [], "1": []}, (kind, per_server)
+    for grouping, per_server in late.items():
+        assert per_server == {"0": [], "1": []}, (grouping, per_server)
 
 
 # ----------------------------------------------------------------------

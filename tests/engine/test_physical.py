@@ -278,7 +278,8 @@ class TestMergeOpStats:
 def test_engine_imports_and_runs_the_des_without_numpy():
     """numpy is a dependency of the batch backends only (pyproject
     declares none): ``repro.engine`` — this seam included — must import
-    and run a DES topology with numpy unimportable."""
+    and run a DES topology with numpy unimportable, and its routers
+    must swap tables and widths without the batch state of ``route``."""
     import os
     import subprocess
     import sys
@@ -293,18 +294,30 @@ def test_engine_imports_and_runs_the_des_without_numpy():
         from repro.engine import (
             Cluster, CountBolt, Simulator, TopologyBuilder, deploy,
         )
-        from repro.engine.grouping import FieldsGrouping
+        from repro.engine.grouping import (
+            FieldsGrouping, HybridTableFieldsGrouping, PartialKeyGrouping,
+        )
         from repro.engine.operators import IteratorSpout
 
         builder = TopologyBuilder()
         builder.spout("S", lambda: IteratorSpout(lambda ctx: [(1,), (2,), (1,)]), 1)
-        builder.bolt("A", lambda: CountBolt(0, forward=False), 2,
-                     inputs={"S": FieldsGrouping(0)})
+        groupings = {"A": FieldsGrouping(0), "B": PartialKeyGrouping(0),
+                     "C": HybridTableFieldsGrouping(0)}
+        for name, grouping in groupings.items():
+            builder.bolt(name, lambda: CountBolt(0, forward=False), 2,
+                         inputs={"S": grouping})
         sim = Simulator()
         deployment = deploy(sim, Cluster(sim, 2), builder.build())
         deployment.start()
         sim.run()
-        assert deployment.metrics.processed_total("A") == 3
+        for name in groupings:
+            assert deployment.metrics.processed_total(name) == 3
+        for edge in deployment.executors["S"][0].out_edges:
+            if hasattr(edge.router, "update_table"):
+                edge.router.update_table(None)
+                edge.router.resize(3, None)
+            else:
+                edge.router.resize(3)
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

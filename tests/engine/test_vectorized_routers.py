@@ -1,25 +1,27 @@
-"""Property tests: the batch routing kernel == the scalar routers.
+"""Property tests: a router's ``route`` == looping its ``select``.
 
-``repro.engine.routing_kernel`` is the one batch implementation of
-routing (the vectorized edges and the multiprocess workers both call
-it): a route resolved *once per distinct key* into a numpy array and
-gathered per batch. The scalar routers resolve per tuple and stay the
-oracle. These properties pin that the two are the same function:
+Every routing policy is one router class with two entry points:
+``select`` per tuple (the DES) and ``route`` per batch (the vectorized
+edges and the multiprocess workers), which resolves a key *once per
+distinct key* into a numpy array and gathers per batch. These
+properties pin that the two are the same function, by routing a batch
+through one router and the same tuples one by one through a twin
+built from the same grouping and context:
 
-- table/hash kernels route every key exactly where ``TableRouter`` /
-  ``_HashFieldsRouter`` would, for arbitrary keys, seeds, widths and
-  (partial) tables — including after ``update_table`` and ``resize`` —
-  and count ``table_hits`` / ``hash_fallbacks`` per *tuple* as they do;
-- PKG kernels: candidate tuples equal ``candidate_instances`` and the
-  picks equal ``_DChoicesRouter``'s on the same tuple sequence;
-- hybrid kernels: split keys land inside their member set, tail keys
-  route exactly like the table router;
+- table/hash routers route every key exactly where ``select`` does,
+  for arbitrary keys, seeds, widths and (partial) tables — including
+  after ``update_table`` and ``resize`` — and count ``table_hits`` /
+  ``hash_fallbacks`` per *tuple* on both paths;
+- PKG: candidate tuples equal ``candidate_instances`` and the picks
+  equal ``select``'s on the same tuple sequence;
+- hybrid: split keys land inside their member set, scalar or not,
+  and tail keys route exactly like ``select``;
 - key interning is type-tagged: ``1``, ``1.0`` and ``True`` are equal
   as dict keys but are distinct routing keys (distinct reprs, hence
   potentially distinct hashes) — the vocabulary must never alias them;
-- non-scalar keys are never interned and resolve directly;
-- groupings with no batch form (broadcast, global, local-or-shuffle,
-  custom) go through the generic kernel, multi-destination selects
+- non-scalar keys are never interned and route through ``select``;
+- policies with no batch form (broadcast, global, local-or-shuffle,
+  custom) go through the default ``route``, multi-destination selects
   included.
 """
 
@@ -36,15 +38,12 @@ from repro.engine.grouping import (
     HybridTableFieldsGrouping,
     LocalOrShuffleGrouping,
     PartialKeyGrouping,
+    Router,
     RouterContext,
     ShuffleGrouping,
     TableFieldsGrouping,
-    candidate_instances,
-)
-from repro.engine.routing_kernel import (
     Vocab,
-    build_kernel,
-    edge_kind,
+    candidate_instances,
     route_per_source,
 )
 
@@ -79,15 +78,15 @@ def _context(n, seed, src_instance=0, num_servers=1):
 
 
 def _pair(grouping, n, seed):
-    """(kernel, scalar router) built from one grouping + context."""
+    """(router, twin): two routers of one grouping + context."""
     return (
-        build_kernel(grouping, _context(n, seed)),
+        grouping.build_router(_context(n, seed)),
         grouping.build_router(_context(n, seed)),
     )
 
 
-def _route(kernel, keys):
-    dst, _, rows = kernel.route([(k,) for k in keys])
+def _route(router, keys):
+    dst, _, rows = router.route([(k,) for k in keys])
     assert rows is None and len(dst) == len(keys)
     return dst.tolist()
 
@@ -103,10 +102,9 @@ def _select(router, keys):
 )
 @settings(max_examples=150, deadline=None)
 def test_hash_edge_matches_scalar_fields_router(keys, seed, n):
-    kernel, router = _pair(FieldsGrouping(0), n, seed)
-    assert _route(kernel, keys) == _select(router, keys)
-    assert kernel.table_hits == 0
-    assert kernel.hash_fallbacks == len(keys)
+    router, twin = _pair(FieldsGrouping(0), n, seed)
+    assert _route(router, keys) == _select(twin, keys)
+    assert router.deterministic and not router.counts_table_hits
 
 
 @given(
@@ -120,13 +118,13 @@ def test_table_edge_matches_scalar_table_router(keys, seed, n, mapped):
     # table covers some int keys (instances 0/1, valid for any n >= 2);
     # everything else exercises the hash fallback path
     table = RoutingTable(mapped)
-    kernel, router = _pair(TableFieldsGrouping(0, table=table), n, seed)
+    router, twin = _pair(TableFieldsGrouping(0, table=table), n, seed)
     for _ in range(2):  # second batch: every key already interned
-        assert _route(kernel, keys) == _select(router, keys)
+        assert _route(router, keys) == _select(twin, keys)
     # counted per tuple, not per distinct key
-    assert kernel.table_hits == router.table_hits
-    assert kernel.hash_fallbacks == router.hash_fallbacks
-    assert kernel.table_hits + kernel.hash_fallbacks == 2 * len(keys)
+    assert router.table_hits == twin.table_hits
+    assert router.hash_fallbacks == twin.hash_fallbacks
+    assert router.table_hits + router.hash_fallbacks == 2 * len(keys)
 
 
 @given(
@@ -139,14 +137,14 @@ def test_table_edge_matches_scalar_table_router(keys, seed, n, mapped):
 )
 @settings(max_examples=100, deadline=None)
 def test_table_swap_rebuilds_routes_like_update_table(keys, seed, n, mapped):
-    kernel, router = _pair(TableFieldsGrouping(0), n, seed)
-    _route(kernel, keys)  # populate vocab + routes under no table
+    router, twin = _pair(TableFieldsGrouping(0), n, seed)
+    _route(router, keys)  # populate vocab + routes under no table
     table = RoutingTable(mapped)
-    kernel.update_table(table)
     router.update_table(table)
-    assert _route(kernel, keys) == _select(router, keys)
+    twin.update_table(table)
+    assert _route(router, keys) == _select(twin, keys)
     for key in keys:
-        assert kernel.owner_of(key) == router.select((key,))[0]
+        assert router.owner_of(key) == twin.select((key,))[0]
 
 
 @given(
@@ -162,16 +160,21 @@ def test_table_swap_rebuilds_routes_like_update_table(keys, seed, n, mapped):
 def test_resize_swaps_width_and_table_like_the_router(
     keys, seed, n, new_n, mapped
 ):
-    kernel, router = _pair(TableFieldsGrouping(0), n, seed)
-    _route(kernel, keys)
+    router, twin = _pair(TableFieldsGrouping(0), n, seed)
+    _route(router, keys)
     table = RoutingTable(mapped)
-    kernel.resize(new_n, table)
     router.resize(new_n, table)
-    dst = _route(kernel, keys)
-    assert dst == _select(router, keys)
+    twin.resize(new_n, table)
+    dst = _route(router, keys)
+    assert dst == _select(twin, keys)
     assert all(0 <= d < new_n for d in dst)
     # owners cover every interned key: what state migration reads
-    assert kernel.owners[kernel.vocab.encode(keys)[0]].tolist() == dst
+    assert router.owners[router.vocab.encode(keys)[0]].tolist() == dst
+    hashed, hashed_twin = _pair(FieldsGrouping(0), n, seed)
+    _route(hashed, keys)
+    hashed.resize(new_n)
+    hashed_twin.resize(new_n)
+    assert _route(hashed, keys) == _select(hashed_twin, keys)
 
 
 @given(
@@ -182,64 +185,87 @@ def test_resize_swaps_width_and_table_like_the_router(
 )
 @settings(max_examples=100, deadline=None)
 def test_pkg_edge_candidates_match_and_contain_picks(keys, seed, n, d):
-    kernel, router = _pair(PartialKeyGrouping(0, d=d), n, seed)
-    dst = _route(kernel, keys)
+    router, twin = _pair(PartialKeyGrouping(0, d=d), n, seed)
+    dst = _route(router, keys)
     for i, key in enumerate(keys):
         expected = candidate_instances(key, seed, n, d)
-        kid = kernel.vocab.id_of(key)
-        assert kernel.cands[kid] == expected
+        assert router._cands[router.vocab.id_of(key)] == expected
         assert dst[i] in expected
     # same tuple sequence, same load counters: the picks are identical
-    assert dst == _select(router, keys)
-    assert kernel.sent == router.sent_counts
+    assert dst == _select(twin, keys)
+    assert router.sent_counts == twin.sent_counts
+    # a resize drops the candidates of the old width on both paths
+    router.resize(n + 1)
+    twin.resize(n + 1)
+    assert _route(router, keys) == _select(twin, keys)
+
+
+#: key 0 and the non-scalar key ("a", 1) are split; the table sends
+#: ("a", 1) to instance 0, outside its member set {1}
+SPLIT_KEYS = (0, ("a", 1))
 
 
 @given(
     keys=st.lists(
-        st.integers(min_value=0, max_value=30), min_size=1, max_size=60
+        st.one_of(
+            st.integers(min_value=0, max_value=30),
+            st.sampled_from([("a", 1), ("b", 2)]),
+        ),
+        min_size=1,
+        max_size=60,
     ),
     seed=seeds,
     n=st.integers(min_value=2, max_value=6),
 )
 @settings(max_examples=100, deadline=None)
 def test_hybrid_split_containment_and_tail_exactness(keys, seed, n):
-    # key 0 is split over instances {0, 1}; the tail is table/hash
-    table = RoutingTable(
-        {k: k % n for k in range(5)}, splits={0: (0, 1)}
-    )
-    kernel = build_kernel(
-        HybridTableFieldsGrouping(0, table=table), _context(n, seed)
-    )
-    tail_router = TableFieldsGrouping(0, table=table).build_router(
-        _context(n, seed)
-    )
+    def table(splits):
+        mapped = {k: k % n for k in range(5)}
+        mapped[("a", 1)] = mapped[("b", 2)] = 0
+        return RoutingTable(mapped, splits=splits)
+
+    members = {0: (0, 1), ("a", 1): (1,)}
+    grouping = HybridTableFieldsGrouping(0, table=table(members))
+    router, twin = _pair(grouping, n, seed)
 
     def check():
-        dst = _route(kernel, keys)
+        dst = _route(router, keys)
         for i, key in enumerate(keys):
-            if key == 0:
-                assert dst[i] in (0, 1)
+            if key in members:
+                assert dst[i] in members[key]
             else:
-                assert [dst[i]] == tail_router.select((key,))
+                assert [dst[i]] == twin.select((key,))
 
+    split = sum(keys.count(key) for key in SPLIT_KEYS)
     check()
-    assert kernel.split_routes == keys.count(0)
+    assert router.split_routes == split
     assert (
-        kernel.table_hits + kernel.hash_fallbacks + kernel.split_routes
+        router.table_hits + router.hash_fallbacks + router.split_routes
         == len(keys)
     )
-    assert int(kernel.sent.sum()) == len(keys)
+    assert sum(router.sent_counts) == len(keys)
     # a table swap moves the split set with it and resets the load
-    table = RoutingTable({k: k % n for k in range(5)}, splits={0: (1,)})
-    kernel.update_table(table)
-    tail_router.update_table(table)
-    dst = _route(kernel, keys)
-    assert all(d == 1 for d, key in zip(dst, keys) if key == 0)
-    assert int(kernel.sent.sum()) == len(keys)
-    table = RoutingTable({k: k % n for k in range(5)}, splits={0: (0, 1)})
-    kernel.resize(n + 1, table)
-    tail_router.resize(n + 1, table)
+    members = {0: (1,), ("a", 1): (1,)}
+    router.update_table(table(members))
+    twin.update_table(table(members))
+    dst = _route(router, keys)
+    assert all(d == 1 for d, key in zip(dst, keys) if key in members)
+    assert sum(router.sent_counts) == len(keys)
+    members = {0: (0, 1), ("a", 1): (n,)}
+    router.resize(n + 1, table(members))
+    twin.resize(n + 1, table(members))
     check()
+
+
+def test_hybrid_routes_a_split_non_scalar_key_like_select():
+    """The member sequence of a batch of one split key is ``select``'s:
+    a non-scalar key is never interned, so ``select`` routes it."""
+    table = RoutingTable({("a", 1): 0}, splits={("a", 1): (2, 3)})
+    router, twin = _pair(HybridTableFieldsGrouping(0, table=table), 4, 0)
+    assert _route(router, [("a", 1)] * 6) == [2, 3, 2, 3, 2, 3]
+    assert _select(twin, [("a", 1)] * 6) == [2, 3, 2, 3, 2, 3]
+    assert router.split_routes == twin.split_routes == 6
+    assert router.sent_counts == twin.sent_counts == [0, 0, 3, 3]
 
 
 def test_vocab_is_type_tagged():
@@ -284,71 +310,71 @@ def test_vocab_single_type_batches_share_the_id_space(batches):
 @settings(max_examples=100, deadline=None)
 def test_non_scalar_keys_resolve_directly_like_the_routers(keys, seed, n):
     table = RoutingTable({(1,): 1, (True, "a"): 0, 5: 1})
-    kernel, router = _pair(TableFieldsGrouping(0, table=table), n, seed)
-    assert _route(kernel, keys) == _select(router, keys)
-    assert kernel.table_hits == router.table_hits
-    assert kernel.hash_fallbacks == router.hash_fallbacks
-    pkg, pkg_router = _pair(PartialKeyGrouping(0), n, seed)
-    assert _route(pkg, keys) == _select(pkg_router, keys)
+    router, twin = _pair(TableFieldsGrouping(0, table=table), n, seed)
+    assert _route(router, keys) == _select(twin, keys)
+    assert router.table_hits == twin.table_hits
+    assert router.hash_fallbacks == twin.hash_fallbacks
+    pkg, pkg_twin = _pair(PartialKeyGrouping(0), n, seed)
+    assert _route(pkg, keys) == _select(pkg_twin, keys)
 
 
 def test_shuffle_edge_round_robins_per_source_instance():
-    kernel = build_kernel(ShuffleGrouping(), _context(4, 0, src_instance=2))
+    router = ShuffleGrouping().build_router(_context(4, 0, src_instance=2))
     values = [(i,) for i in range(6)]
-    # starts at its source instance index, like _ShuffleRouter
-    assert kernel.route(values)[0].tolist() == [2, 3, 0, 1, 2, 3]
-    assert kernel.route(values)[0].tolist() == [0, 1, 2, 3, 0, 1]
+    # starts at its source instance index, as select does
+    assert router.route(values)[0].tolist() == [2, 3, 0, 1, 2, 3]
+    assert router.route(values)[0].tolist() == [0, 1, 2, 3, 0, 1]
+    assert router.select(values[0]) == [2]
 
 
-def test_generic_kernel_loops_the_scalar_router():
+def test_default_route_loops_select():
     values = [(i,) for i in range(5)]
     for grouping in (GlobalGrouping(), LocalOrShuffleGrouping()):
-        assert edge_kind(grouping) == "generic"
         context = _context(4, 0, src_instance=1, num_servers=2)
-        kernel = build_kernel(grouping, context)
         router = grouping.build_router(context)
-        dst, ids, rows = kernel.route(values)
+        twin = grouping.build_router(context)
+        assert type(router).route is Router.route
+        dst, ids, rows = router.route(values)
         assert ids is None and rows is None
-        assert dst.tolist() == [router.select(v)[0] for v in values]
+        assert dst.tolist() == [twin.select(v)[0] for v in values]
 
     # multi-destination selects: rows says whose copy each entry is
-    dst, _, rows = build_kernel(BroadcastGrouping(), _context(3, 0)).route(
-        values[:2]
-    )
+    router = BroadcastGrouping().build_router(_context(3, 0))
+    dst, _, rows = router.route(values[:2])
     assert dst.tolist() == [0, 1, 2, 0, 1, 2]
     assert rows.tolist() == [0, 0, 0, 1, 1, 1]
 
     # ... and selects that drop a tuple or fan it out unevenly
     fan = CustomGrouping(lambda v, ctx: list(range(v[0] % 3)))
-    dst, _, rows = build_kernel(fan, _context(3, 0)).route(values)
+    dst, _, rows = fan.build_router(_context(3, 0)).route(values)
     assert dst.tolist() == [0, 0, 1, 0]
     assert rows.tolist() == [1, 2, 2, 4]
 
 
 def test_route_per_source_groups_a_mixed_batch_by_instance():
-    kernels = {
-        i: build_kernel(ShuffleGrouping(), _context(4, 0, src_instance=i))
+    routers = {
+        i: ShuffleGrouping().build_router(_context(4, 0, src_instance=i))
         for i in (1, 3)
     }
     values = [(i,) for i in range(6)]
     src = np.array([3, 1, 1, 3, 1, 3])
-    dst, rows = route_per_source(kernels.__getitem__, values, src)
+    dst, rows = route_per_source(routers.__getitem__, values, src)
     # each instance's tuples in their own order, from its own cursor
     assert rows.tolist() == [1, 2, 4, 0, 3, 5]
     assert dst.tolist() == [1, 2, 3, 3, 0, 1]
     # a single-source batch is routed in place
     dst, rows = route_per_source(
-        kernels.__getitem__, values[:2], np.array([3, 3])
+        routers.__getitem__, values[:2], np.array([3, 3])
     )
     assert rows is None and dst.tolist() == [2, 3]
 
 
 def test_backends_hold_no_routing_math():
-    """Said once. Routing math lives in ``grouping.py`` and
-    ``routing_kernel.py`` only; a backend that names these again has
-    re-forked the kernel. Likewise the backend files define no
-    operator-hosting loop: bolts run behind ``physical.HostedBolt``,
-    through ``process_batch``.
+    """Said once. Routing math lives in ``engine/grouping.py`` only,
+    one router class per policy: a backend that names these again, or
+    a module that subclasses ``Router`` elsewhere, has re-forked it.
+    Likewise the backend files define no operator-hosting loop: bolts
+    run behind ``physical.HostedBolt``, through ``process_batch``.
 
     And within ``src/repro`` the owner rule of Section 3.3 — table
     entry, else ``stable_hash(key, seed) % n`` — and a stream's hash
@@ -375,6 +401,7 @@ def test_backends_hold_no_routing_math():
         ):
             assert name not in source, f"{module.__name__} uses {name}"
 
+    router_class = re.compile(r"^\s*class\s+\w+\([^)]*Router\b", re.M)
     hash_fallback = re.compile(r"stable_hash\([^)]*\)\s*%")
     stream_seed = re.compile(r"stable_hash\(\s*\w*\.?(stream_)?name\s*\)")
     #: modules that may call a table's ``lookup``: the rule itself, the
@@ -393,6 +420,9 @@ def test_backends_hold_no_routing_math():
         seeds_derived_in += [name] * len(stream_seed.findall(source))
         if name == "engine/grouping.py":
             continue
+        assert not router_class.search(source), (
+            f"{name} defines a router; policies live in engine/grouping.py"
+        )
         assert not hash_fallback.search(source), (
             f"{name} spells the hash fallback; call hash_owner"
         )
@@ -419,7 +449,7 @@ def test_the_batch_data_plane_never_calls_np_unique():
     engine = pathlib.Path(repro.__file__).parent / "engine"
     call = re.compile(r"\b(np|numpy)\.unique\b")
     for path in [*sorted((engine / "backends").glob("*.py")),
-                 engine / "routing_kernel.py"]:
+                 engine / "grouping.py"]:
         assert not call.search(path.read_text()), (
             f"{path.relative_to(engine)} calls np.unique"
         )

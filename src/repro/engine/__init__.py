@@ -47,7 +47,6 @@ from repro.engine.operators import (
     StatefulBolt,
     SumBolt,
 )
-from repro.engine.flow import FlowPrediction, FlowStage, predict_throughput
 from repro.engine.physical import (
     OpStats,
     PhysicalEdge,
@@ -60,7 +59,6 @@ from repro.engine.runner import Deployment, RunConfig, RunResult, deploy, run
 from repro.engine.simulator import Simulator
 from repro.engine.topology import Topology, TopologyBuilder, count_chain
 from repro.engine.tuples import Padding, Tuple
-from repro.engine.windowing import TopKBolt, TumblingWindowCountBolt
 
 __all__ = [
     "Simulator",
@@ -95,11 +93,6 @@ __all__ = [
     "Deployment",
     "deploy",
     "run",
-    "TumblingWindowCountBolt",
-    "TopKBolt",
-    "FlowStage",
-    "FlowPrediction",
-    "predict_throughput",
     "PhysicalOperator",
     "SourceOperator",
     "PhysicalEdge",

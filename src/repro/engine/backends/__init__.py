@@ -144,7 +144,9 @@ class BackendResult:
 
     backend: str
     wall_s: float
-    #: modeled seconds: DES clock, or the busiest server's busy time
+    #: modeled seconds: the DES clock (reference), the busiest executor
+    #: CPU or server NIC (vectorized), the busiest worker process's CPU
+    #: (multiprocess)
     sim_s: float
     #: spout-emitted tuples
     tuples_emitted: int

@@ -10,8 +10,10 @@ and resolves everything per *batch*:
   array resolved with the owner rule of ``select``, so a batch routes
   as one numpy gather instead of len(batch) Python calls;
 - counting bolts accumulate per-instance ``np.bincount`` over key ids;
-- payload bytes, locality and the coarse time model (per-server CPU
-  busy seconds, NIC transfer seconds) are numpy reductions.
+- payload bytes, locality and the time model are numpy reductions.
+  The model is the DES's cost model in closed form: CPU busy seconds
+  per executor, NIC transfer seconds per server, and ``sim_s`` the
+  busiest executor CPU or server NIC.
 
 Python-level work is O(batch) plus O(distinct new keys) per batch (the
 vocabulary and route arrays extend once per unique key); the per-tuple
@@ -61,24 +63,31 @@ from repro.errors import RoutingError
 
 
 class _Meter:
-    """Per-server modeled busy time (CPU + NIC) and byte counters."""
+    """Modeled busy seconds, charged as the DES charges them: CPU per
+    executor — each (operator, instance) is its own thread, as in Storm
+    — and NIC tx / rx per server."""
 
-    def __init__(self, num_servers: int, costs, bandwidth_gbps) -> None:
+    def __init__(
+        self,
+        placements: Dict[str, np.ndarray],
+        num_servers: int,
+        costs,
+        bandwidth_gbps,
+    ) -> None:
         self.costs = costs
-        self.cpu_s = np.zeros(num_servers)
+        #: operator → CPU seconds per instance, sized to the operator's
+        #: placement so the instances a scripted rescale adds fit
+        self.cpu_s = {op: np.zeros(len(p)) for op, p in placements.items()}
         self.nic_tx_s = np.zeros(num_servers)
         self.nic_rx_s = np.zeros(num_servers)
         self.bytes_per_s = (
             bandwidth_gbps * 1e9 / 8.0 if bandwidth_gbps else None
         )
 
-    @property
-    def num_servers(self) -> int:
-        return len(self.cpu_s)
-
     def sim_s(self) -> float:
-        """Modeled makespan: the busiest resource bounds throughput."""
-        busiest = float(self.cpu_s.max()) if len(self.cpu_s) else 0.0
+        """Modeled makespan: the busiest executor CPU or server NIC
+        bounds throughput."""
+        busiest = max(float(cpu.max()) for cpu in self.cpu_s.values())
         if self.bytes_per_s:
             busiest = max(
                 busiest,
@@ -86,6 +95,16 @@ class _Meter:
                 float(self.nic_rx_s.max()),
             )
         return busiest
+
+
+def _charge_crossing(cpu, instances, nbytes, fixed_s, per_byte_s):
+    """Charge the (de)serialization of server-crossing tuples to the
+    instances that handled them; return their bytes per instance."""
+    size = len(cpu)
+    bytes_of = np.bincount(instances, weights=nbytes, minlength=size)
+    cpu += np.bincount(instances, minlength=size) * fixed_s
+    cpu += bytes_of * per_byte_s
+    return bytes_of
 
 
 def _modeled_sizes(values: Sequence[tuple], header: int) -> np.ndarray:
@@ -148,6 +167,8 @@ class _VectorEdge:
         self.src_placement = src_placement
         self.dst_placement = dst_placement
         self.meter = meter
+        self.src_cpu = meter.cpu_s[stream.src]
+        self.dst_cpu = meter.cpu_s[stream.dst]
         #: source instance 0's router: the edge's only one if keyed
         self.router = self._build_router(0)
         if type(self.router).route is Router.route:
@@ -230,54 +251,45 @@ class _VectorEdge:
         costs = meter.costs
         n_tuples = len(dst)
         self.total_tuples += n_tuples
-        self.received += np.bincount(dst, minlength=self.n)
+        received = np.bincount(dst, minlength=self.n)
+        self.received += received
+        # The destination instance's CPU: the bolt's service time.
+        self.dst_cpu[: self.n] += received * costs.bolt_service_s
 
-        src_servers = (
-            self.src_placement[batch.src_instances]
-            if batch.src_instances is not None
-            else np.zeros(n_tuples, dtype=np.int64)
-        )
-        dst_servers = self.dst_placement[dst]
-        remote = src_servers != dst_servers
+        src = batch.src_instances
+        if src is None:
+            src = np.zeros(n_tuples, dtype=np.int64)
+        remote = self.src_placement[src] != self.dst_placement[dst]
         n_remote = int(remote.sum())
         self.local_tuples += n_tuples - n_remote
-
-        # Destination CPU: the bolt's per-tuple service time.
-        meter.cpu_s += (
-            np.bincount(dst_servers, minlength=meter.num_servers)
-            * costs.bolt_service_s
+        if not n_remote:
+            return
+        # Server-crossing tuples: ser at the source instance, deser at
+        # the destination, their bytes on both servers' NICs.
+        remote_bytes = batch.sizes[remote]
+        self.remote_bytes += int(remote_bytes.sum())
+        tx_bytes = _charge_crossing(
+            self.src_cpu,
+            src[remote],
+            remote_bytes,
+            costs.ser_fixed_s,
+            costs.ser_per_byte_s,
         )
-        if n_remote and batch.sizes is not None:
-            sizes = batch.sizes
-            remote_src = src_servers[remote]
-            remote_dst = dst_servers[remote]
-            remote_bytes = sizes[remote]
-            self.remote_bytes += int(remote_bytes.sum())
-            tx_counts = np.bincount(
-                remote_src, minlength=meter.num_servers
-            )
-            rx_counts = np.bincount(
-                remote_dst, minlength=meter.num_servers
-            )
-            tx_bytes = np.bincount(
-                remote_src,
-                weights=remote_bytes,
-                minlength=meter.num_servers,
-            )
-            rx_bytes = np.bincount(
-                remote_dst,
-                weights=remote_bytes,
-                minlength=meter.num_servers,
-            )
-            meter.cpu_s += (
-                tx_counts * costs.ser_fixed_s
-                + tx_bytes * costs.ser_per_byte_s
-                + rx_counts * costs.deser_fixed_s
-                + rx_bytes * costs.deser_per_byte_s
-            )
-            if meter.bytes_per_s:
-                meter.nic_tx_s += tx_bytes / meter.bytes_per_s
-                meter.nic_rx_s += rx_bytes / meter.bytes_per_s
+        rx_bytes = _charge_crossing(
+            self.dst_cpu,
+            dst[remote],
+            remote_bytes,
+            costs.deser_fixed_s,
+            costs.deser_per_byte_s,
+        )
+        if meter.bytes_per_s:
+            num_servers = len(meter.nic_tx_s)
+            meter.nic_tx_s += np.bincount(
+                self.src_placement, weights=tx_bytes, minlength=num_servers
+            ) / meter.bytes_per_s
+            meter.nic_rx_s += np.bincount(
+                self.dst_placement, weights=rx_bytes, minlength=num_servers
+            ) / meter.bytes_per_s
 
 
 # ----------------------------------------------------------------------
@@ -286,8 +298,8 @@ class _VectorEdge:
 
 
 class _VectorSpoutSource(SpoutSource):
-    """All instances of one spout; batches carry modeled sizes and the
-    spout's service time goes on the meter."""
+    """All instances of one spout; batches carry modeled sizes and each
+    instance's service time goes on its executor's meter."""
 
     def __init__(self, spec, placement: np.ndarray, meter, options) -> None:
         super().__init__(
@@ -297,14 +309,12 @@ class _VectorSpoutSource(SpoutSource):
             {i: int(placement[i]) for i in range(spec.parallelism)},
             options.batch_size,
         )
-        self.placement = placement
         self.meter = meter
+        self.cpu_s = meter.cpu_s[spec.name]
 
     def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:
         n_tuples = len(values)
-        self.meter.cpu_s[self.placement[instance]] += (
-            n_tuples * self.meter.costs.spout_service_s
-        )
+        self.cpu_s[instance] += n_tuples * self.meter.costs.spout_service_s
         return TupleBatch(
             values,
             src_instances=np.full(n_tuples, instance, dtype=np.int64),
@@ -437,9 +447,6 @@ class _VectorizedRun:
         self.topology = topology
         self.options = options
         self.num_servers = _default_servers(topology, options)
-        self.meter = _Meter(
-            self.num_servers, options.costs, options.bandwidth_gbps
-        )
         # Widths a scripted rescale may grow to must be placeable.
         widest = max(
             [op.parallelism for op in topology.operators.values()]
@@ -453,6 +460,12 @@ class _VectorizedRun:
                 np.arange(max(op.parallelism, widest), dtype=np.int64)
                 % self.num_servers
             )
+        self.meter = _Meter(
+            self.placements,
+            self.num_servers,
+            options.costs,
+            options.bandwidth_gbps,
+        )
 
         self.ops: Dict[str, PhysicalOperator] = {}
         self.edges_by_stream: Dict[str, _VectorEdge] = {}

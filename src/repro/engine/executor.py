@@ -174,14 +174,8 @@ class BaseExecutor:
         self._out_edge_index[edge.stream_name] = edge
 
     def out_edge(self, stream_name: str) -> OutEdge:
-        index = self._out_edge_index
-        if len(index) != len(self.out_edges):
-            # Edges appended to the list directly (tests do): re-index.
-            index.clear()
-            for edge in self.out_edges:
-                index[edge.stream_name] = edge
         try:
-            return index[stream_name]
+            return self._out_edge_index[stream_name]
         except KeyError:
             raise SimulationError(
                 f"{self.name} has no output stream {stream_name!r}"

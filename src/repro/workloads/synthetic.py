@@ -24,6 +24,10 @@ The three fields-grouping variants of the paper:
 - **worst-case** — matched tuples ``(i, i, p)`` are *always* routed
   through the network (to ``B_{(i+1) mod n}``); unmatched tuples fall
   back to hashing. A lower bound with negative synergy with locality.
+
+Every hop but worst-case's A→B is a :class:`TableFieldsGrouping` over
+a table naming all n keys, so any backend with batch routing runs it;
+worst-case's A→B reads both fields and stays a custom grouping.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+from repro.core.routing_table import RoutingTable
 from repro.engine import (
     CustomGrouping,
-    FieldsGrouping,
     Padding,
     TableFieldsGrouping,
     Topology,
@@ -137,43 +141,42 @@ class SyntheticWorkload:
     # ------------------------------------------------------------------
 
     def _grouping_sa(self, policy: str):
+        n = self.config.parallelism
         if policy == "locality-aware":
-            return CustomGrouping(lambda values, context: values[0])
-
-        def hashed_sa(values, context):
-            # Both hash-based and worst-case misalign the S->A hop:
-            # key i reaches its home server with probability 1/n.
-            pi1 = _one_fixed_point_permutation(len(context.dst_placements))
-            return pi1[values[0]]
-
-        return CustomGrouping(hashed_sa)
+            return _full_table(0, range(n))
+        # Both hash-based and worst-case misalign the S->A hop: key i
+        # reaches its home server with probability 1/n.
+        return _full_table(0, _one_fixed_point_permutation(n))
 
     def _grouping_ab(self, policy: str):
+        n = self.config.parallelism
         if policy == "locality-aware":
-            return CustomGrouping(lambda values, context: values[1])
+            return _full_table(1, range(n))
         if policy == "hash-based":
+            # pi2 agrees with pi1 at exactly one key, so the A->B hop is
+            # local with probability exactly 1/n for both matched and
+            # unmatched tuples — flat in the data's locality, as in
+            # Fig. 8.
+            return _full_table(1, _second_permutation(n))
 
-            def hashed_ab(values, context):
-                # pi2 agrees with pi1 at exactly one key, so the A->B
-                # hop is local with probability exactly 1/n for both
-                # matched and unmatched tuples — flat in the data's
-                # locality, as in Fig. 8.
-                pi2 = _second_permutation(len(context.dst_placements))
-                return pi2[values[1]]
-
-            return CustomGrouping(hashed_ab)
+        # Worst-case reads both fields, so no table can express it.
+        # Matched tuples (i, i, p) are always routed through the
+        # network: the tuple sits at A_{pi1[i]}, so aim one server past
+        # it. Unmatched tuples hash.
+        pi1 = _one_fixed_point_permutation(n)
 
         def worst_case_ab(values, context):
-            # Matched tuples (i, i, p) are always routed through the
-            # network: the tuple sits at A_{pi1[i]}, so aim one server
-            # past it. Unmatched tuples hash.
-            n = len(context.dst_placements)
-            pi1 = _one_fixed_point_permutation(n)
             if values[0] == values[1]:
                 return (pi1[values[1]] + 1) % n
             return hash_owner(values[1], context.seed, n)
 
         return CustomGrouping(worst_case_ab)
+
+
+def _full_table(field: int, owners) -> TableFieldsGrouping:
+    """Fields grouping on ``field`` whose table names every key:
+    key ``i`` goes to instance ``owners[i]``."""
+    return TableFieldsGrouping(field, RoutingTable(dict(enumerate(owners))))
 
 
 def _one_fixed_point_permutation(n: int):

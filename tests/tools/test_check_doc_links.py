@@ -65,6 +65,33 @@ def test_fields_members_and_other_classes_resolve(monkeypatch, tmp_path):
     )
 
 
+def test_roadmap_items_are_cited_by_title(monkeypatch, tmp_path):
+    """A numbered ROADMAP item fails in the docs and under src/ and
+    tools/, across a line break too; a title, and the roadmap and
+    history themselves, do not."""
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "bench.py").write_text(
+        '"""Gated once the\nROADMAP item 7 lands."""\n'
+    )
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "run.py").write_text(
+        "# re-homed by the ROADMAP\n# item 2 of the list\n"
+    )
+    (tmp_path / "DESIGN.md").write_text(
+        "the ROADMAP item *Telemetry on every backend, one catalog*\n"
+    )
+    (tmp_path / "README.md").write_text("See ROADMAP item 3.\n")
+    (tmp_path / "ROADMAP.md").write_text("- **3 · ROADMAP item 3**\n")
+    (tmp_path / "CHANGES.md").write_text("- ROADMAP item 3 closed\n")
+    monkeypatch.setattr(links, "REPO", str(tmp_path))
+    message = "cite the ROADMAP item by its title, not its number"
+    assert links.check_roadmap_citations() == [
+        f"README.md:1: {message}",
+        f"src/repro/run.py:1: {message}",
+        f"tools/bench.py:2: {message}",
+    ]
+
+
 def test_history_names_fields_as_they_were(monkeypatch, tmp_path):
     assert not _check(
         monkeypatch,

@@ -26,6 +26,12 @@ renamed class fails the gate, not just one naming a deleted file.
 ``BackendOptions.mp_fault``, …) are resolved the same way: the attribute
 must be a field or member of the class, so a doc naming a renamed
 config field fails too. ``CHANGES.md`` is exempt (fields as they were).
+
+ROADMAP items are renumbered whenever the roadmap is rewritten, so the
+docs that describe the code (README, DESIGN, EXPERIMENTS) and every
+``.py`` file under ``src/`` and ``tools/`` cite an item by its title:
+``ROADMAP item <n>`` there fails the gate, even across a line break
+of prose or of ``#`` comments.
 Exit status 0 = clean, 1 = dead links (each printed as
 ``file:line: message``).
 
@@ -64,6 +70,10 @@ MODULE_REF = re.compile(r"`(repro(?:\.\w+)+)`")
 CLASS_ATTR_REF = re.compile(r"`([A-Z]\w+)\.([a-z_]\w*)`")
 #: packages whose (transitively imported) dataclasses are resolvable
 DATACLASS_PACKAGES = ("repro.core", "repro.engine.backends")
+#: a numbered citation, also across a line break of prose or comments
+ROADMAP_NUMBER = re.compile(r"ROADMAP[\s#]+item[\s#]+\d")
+#: docs and source trees that must cite ROADMAP items by title
+TITLE_CITING = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "src", "tools"]
 
 
 def _exists(rel: str, base: str = "") -> bool:
@@ -185,12 +195,45 @@ def check_file(rel: str, classes: dict) -> list:
     return problems
 
 
+def _title_citing_files() -> list:
+    """The files of :data:`TITLE_CITING`, directories walked for
+    ``.py`` files, repo-relative."""
+    files = []
+    for rel in TITLE_CITING:
+        path = os.path.join(REPO, rel)
+        if os.path.isfile(path):
+            files.append(rel)
+        for root, _, names in sorted(os.walk(path)):
+            files.extend(
+                os.path.relpath(os.path.join(root, name), REPO)
+                for name in sorted(names)
+                if name.endswith(".py")
+            )
+    return files
+
+
+def check_roadmap_citations() -> list:
+    """Every ``ROADMAP item <n>`` in a :data:`TITLE_CITING` file."""
+    problems = []
+    for rel in _title_citing_files():
+        with open(os.path.join(REPO, rel)) as handle:
+            text = handle.read()
+        for match in ROADMAP_NUMBER.finditer(text):
+            lineno = text.count("\n", 0, match.start()) + 1
+            problems.append(
+                f"{rel}:{lineno}: cite the ROADMAP item by its title, "
+                f"not its number"
+            )
+    return problems
+
+
 def main() -> int:
     problems = []
     classes = _dataclasses()
     for rel in DOC_FILES:
         if _exists(rel):
             problems.extend(check_file(rel, classes))
+    problems.extend(check_roadmap_citations())
     for problem in problems:
         print(problem)
     if problems:

@@ -23,7 +23,8 @@ two independent best-of-N minima, the previous scheme, flapped once
 the engine fast path shrank the run enough for jitter to reach
 several percent of it.) The ratios still read within +-3 % from run to
 run, as wide as the budget itself, so this gates nothing in CI until it
-is rehomed on the ``perf/`` protocol (ROADMAP item 5). Exit 1 = over
+is rehomed on the ``perf/`` protocol (ROADMAP, "Telemetry on every
+backend, one catalog"). Exit 1 = over
 budget, or a mode changed the computation::
 
     PYTHONPATH=src python tools/measure_overhead.py

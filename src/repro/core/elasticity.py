@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.engine.simulator import event_kind
 from repro.errors import ReconfigurationError
 
 
@@ -138,6 +139,7 @@ class ElasticityController:
             self.config.check_period_s, self._tick, daemon=True
         )
 
+    @event_kind("ELASTICITY_TICK")
     def _tick(self) -> None:
         if not self._armed:
             return

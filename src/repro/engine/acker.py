@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from repro.engine.simulator import event_kind
 from repro.errors import SimulationError
 
 
@@ -71,6 +72,7 @@ class Acker:
             1, on_complete, self._sim.now, on_fail, timeout_event,
         ]
 
+    @event_kind("TREE_TIMEOUT")
     def _on_timeout(self, root_id: int) -> None:
         tree = self._trees.pop(root_id, None)
         if tree is None:
@@ -107,6 +109,7 @@ class Acker:
                 self._ack_batch_time = now
                 self._sim.post(self._ack_delay, self._deliver_acks, batch)
 
+    @event_kind("ACKS_ARRIVE")
     def _deliver_acks(self, batch: List[Callable[[], None]]) -> None:
         for on_complete in batch:
             on_complete()

@@ -21,6 +21,7 @@ import random
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.simulator import event_kind
 from repro.observability.registry import MetricRegistry
 
 
@@ -313,6 +314,7 @@ class ThroughputSampler:
         self._last_total = self._metrics.processed_total(self._op)
         self._sim.schedule(self._interval, self._tick, daemon=True)
 
+    @event_kind("THROUGHPUT_SAMPLE")
     def _tick(self) -> None:
         total = self._metrics.processed_total(self._op)
         rate = (total - self._last_total) / self._interval

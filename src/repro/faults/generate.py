@@ -143,7 +143,7 @@ def _random_rpc_fault(rng: random.Random, horizon_s: float) -> RpcFault:
     action = rng.choice((DROP, DELAY))
     return RpcFault(
         action=action,
-        step=rng.choice([None, *sorted(RPC_STEPS)]),
+        step=rng.choice([None, *RPC_STEPS]),
         max_matches=rng.randint(1, 2),
         delay_s=_small_delay(rng, horizon_s) if action == DELAY else 0.0,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.executor import BaseExecutor, BoltExecutor, ControlMessage
+from repro.engine.simulator import event_kind
 from repro.errors import FaultInjectionError
 from repro.faults.plan import (
     CRASH,
@@ -45,7 +46,6 @@ class FaultInjector:
         self._manager = None
         #: executor -> messages held back by reorder rules
         self._held: Dict[BaseExecutor, List[ControlMessage]] = {}
-        self._rpc_methods = set(RPC_STEPS.values())
         # cache bound hooks so detach() can compare identities
         self._transfer_hook = self._on_transfer
         self._event_hook = self._on_event
@@ -111,7 +111,7 @@ class FaultInjector:
                 return True
             if rule.action == DELAY:
                 self._sim.schedule(
-                    rule.delay_s, executor.accept_control, msg
+                    rule.delay_s, self._deliver_late, executor, msg
                 )
                 return True
             if rule.action == DUPLICATE:
@@ -137,6 +137,10 @@ class FaultInjector:
             return True
         return False
 
+    @event_kind("FAULT_DELAYED_CONTROL")
+    def _deliver_late(self, executor, msg: ControlMessage) -> None:
+        executor.accept_control(msg)
+
     def _flush_held(self, executor: BaseExecutor) -> None:
         for held in self._held.pop(executor, []):
             executor.accept_control(held)
@@ -151,16 +155,16 @@ class FaultInjector:
 
     def _on_event(self, event) -> bool:
         fn = event.fn
+        step = getattr(fn, "event_kind", None)
+        if step not in RPC_STEPS:
+            return True
         if getattr(fn, "__self__", None) is not self._manager:
             return True
-        name = fn.__name__
-        if name not in self._rpc_methods:
-            return True
         for rule in self.plan.rpcs:
-            if not rule.matches(name):
+            if not rule.matches(step):
                 continue
             rule.matched += 1
-            self._record(f"rpc_{rule.action}", name, None)
+            self._record(f"rpc_{rule.action}", step, None)
             if rule.action == DROP:
                 return False
             if rule.action == DELAY:
@@ -199,6 +203,7 @@ class FaultInjector:
     # Crashes and bookkeeping
     # ------------------------------------------------------------------
 
+    @event_kind("FAULT_CRASH")
     def _crash(self, executor, down_s: float) -> None:
         self._record("crash", executor.name, None)
         executor.crash(down_s)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.engine.simulator import event_kind
 from repro.observability.sink import NULL_SINK, TelemetrySink
 
 
@@ -88,6 +89,7 @@ class SnapshotProbe:
         }
         self._last_bytes = self._deployment.cluster.network.bytes_sent
 
+    @event_kind("TELEMETRY_SNAPSHOT")
     def _tick(self) -> None:
         metrics = self._metrics
         record = {

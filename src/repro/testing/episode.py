@@ -32,7 +32,7 @@ from repro.core.compact_table import CompactTableConfig
 from repro.core.manager import HybridConfig, Manager, ManagerConfig
 from repro.engine.cluster import Cluster
 from repro.engine.runner import deploy
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import Simulator, event_kind
 from repro.faults import (
     FaultInjector,
     fault_plan_from_dict,
@@ -263,6 +263,7 @@ def run_episode(config: EpisodeConfig) -> EpisodeResult:
     )
 
 
+@event_kind("RESCALE_ATTEMPT")
 def _attempt_rescale(sim, manager, target, deadline_s) -> None:
     """Start a scripted rescale, retrying while the manager is busy.
 

@@ -41,7 +41,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from repro.core.routing_table import RoutingTable
 from repro.core.table_delta import TableDelta
 from repro.engine.executor import BaseExecutor, ControlMessage
-from repro.engine.grouping import TableRouter, key_owner
+from repro.engine.grouping import key_owner
 from repro.engine.operators import StatefulBolt
 from repro.errors import ReconfigurationError
 
@@ -51,6 +51,9 @@ SEND_RECONF = "SEND_RECONF"
 ACK_RECONF = "ACK_RECONF"
 PROPAGATE = "PROPAGATE"
 MIGRATE = "MIGRATE"
+#: the manager↔POI RPC legs (steps 1–4), sorted: the event kinds of the
+#: manager methods running them, and the steps an RPC fault may target
+RPC_STEPS = (ACK_RECONF, GET_METRICS, SEND_METRICS, SEND_RECONF)
 
 
 @dataclass
@@ -261,7 +264,6 @@ class ReconfigurationAgent:
 
         for stream_name, update in payload.edge_updates.items():
             edge = executor.out_edge(stream_name)
-            router = edge.router
             table = update.table
             if isinstance(table, TableDelta):
                 # Delta-encoded propagation (docs/PROTOCOL.md): resolve
@@ -270,27 +272,11 @@ class ReconfigurationAgent:
                 # and keep the old table; the manager's abort/resync
                 # path pushes full snapshots.
                 try:
-                    table = table.apply(router.table)
+                    table = table.apply(edge.router.table)
                 except ReconfigurationError:
                     self.anomalies["delta_base_mismatch"] += 1
                     continue
-            if update.destinations is None:
-                router.update_table(table)
-                continue
-            edge.destinations = list(update.destinations)
-            new_width = len(update.destinations)
-            if isinstance(router, TableRouter):
-                router.resize(new_width, table)
-            elif hasattr(router, "resize"):
-                # Hash/PKG/shuffle routers: adopt the new modulus and
-                # drop caches/counters sized for the old width.
-                router.resize(new_width)
-            else:
-                raise ReconfigurationError(
-                    f"{executor.name}: stream {stream_name!r} router "
-                    f"{type(router).__name__} has no resize seam; it "
-                    f"cannot survive a rescale"
-                )
+            edge.adopt(table, update.destinations)
 
         # d-choices routers balance against accumulated send counts;
         # pre-round counts describe traffic under the old placement, so
@@ -306,14 +292,11 @@ class ReconfigurationAgent:
         if payload.rescale is not None:
             self._rescale_migrate(payload.rescale, payload.round_id)
 
-        forward = lambda dst: executor.send_control(  # noqa: E731
-            dst,
-            ControlMessage(
-                PROPAGATE, payload.round_id, sender=executor.name
-            ),
-        )
         for successor in self.successors:
-            forward(successor)
+            executor.send_control(
+                successor,
+                ControlMessage(PROPAGATE, payload.round_id, executor.name),
+            )
 
         self._applied_round = payload.round_id
         # Propagation is reported before a possible completion so the

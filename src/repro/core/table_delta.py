@@ -133,12 +133,6 @@ class TableDelta:
             return cls(snapshot=fallback)
         return delta
 
-    @classmethod
-    def snapshot_of(cls, table) -> "TableDelta":
-        """A pure snapshot frame (used when the manager does not know
-        the receiver's base: first round, post-abort resync)."""
-        return cls(snapshot=table)
-
     @property
     def is_snapshot(self) -> bool:
         return self.snapshot is not None

@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.engine.costs import DEFAULT_COSTS, CostModel
 from repro.engine.metrics import load_balance
 from repro.engine.physical import keyed_state_summary
-from repro.engine.grouping import TableRouter
 from repro.engine.topology import Topology
 from repro.errors import DeploymentError
 
@@ -83,21 +82,14 @@ class ReconfigureAction:
         return target
 
     def apply(self, router, stream_name: str) -> None:
-        """Reconfigure one router of ``stream_name``, the target or a
-        side input of the rescaled operator: a table router takes the
-        action's table (a side input keeps its own) and width, any
-        other follows the width alone."""
-        width = self.parallelism
-        if isinstance(router, TableRouter):
-            table = self.table if stream_name == self.stream else router.table
-            router.resize(width or router.num_destinations, table)
-        elif width is not None:  # a hash stream has no table to swap
-            if not hasattr(router, "resize"):
-                raise DeploymentError(
-                    f"stream {stream_name!r} into a rescaled operator is "
-                    f"routed by {type(router).__name__}, which cannot resize"
-                )
-            router.resize(width)
+        """Resize one router of ``stream_name``: the target takes the
+        action's table, a side input keeps its own; both take the
+        action's width, if it names one."""
+        if stream_name == self.stream:
+            width = self.parallelism or router.num_destinations
+            router.resize(width, self.table)
+        else:
+            router.resize(self.parallelism, getattr(router, "table", None))
 
 
 @dataclass

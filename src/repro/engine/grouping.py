@@ -349,9 +349,22 @@ class Router:
     #: streams of ``BackendResult.route_counts``
     counts_table_hits = False
 
+    #: named when a resize is refused
+    stream_name = "?"
+
     def select(self, values: tuple) -> List[int]:
         """Destination instance indices for an emission."""
         raise NotImplementedError
+
+    def resize(self, num_destinations: int, table=None) -> None:
+        """Adopt a new destination count and, for a table router, the
+        table addressing it, in one step (the rescale seam). Policies
+        with no width to follow refuse (local-or-shuffle, constant,
+        custom)."""
+        raise RoutingError(
+            f"stream {self.stream_name!r}: {type(self).__name__} has no "
+            f"resize seam, so it cannot follow a rescale"
+        )
 
     def route(self, values: Sequence[tuple]):
         """Route a batch: ``(dst, key_ids, rows)``.
@@ -451,8 +464,7 @@ class _ShuffleRouter(Router):
         self._next = (self._next + count) % self._n
         return dst, None, None
 
-    def resize(self, num_destinations: int) -> None:
-        """Adopt a new destination count (rescale seam)."""
+    def resize(self, num_destinations: int, table=None) -> None:
         self._n = _checked_width(num_destinations)
         self._next %= num_destinations
 
@@ -471,10 +483,11 @@ class ShuffleGrouping(Grouping):
 
 
 class _LocalOrShuffleRouter(Router):
-    def __init__(self, local: List[int], all_dsts: int, start: int) -> None:
+    def __init__(self, local: List[int], n: int, context: RouterContext):
         self._local = local
-        self._n = all_dsts
-        self._next = start
+        self._n = n
+        self._next = context.src_instance
+        self.stream_name = context.stream_name
 
     def select(self, values: tuple) -> List[int]:
         if self._local:
@@ -496,7 +509,7 @@ class LocalOrShuffleGrouping(Grouping):
             if server == context.src_server
         ]
         return _LocalOrShuffleRouter(
-            local, len(context.dst_placements), start=context.src_instance
+            local, len(context.dst_placements), context
         )
 
 
@@ -528,8 +541,11 @@ class _HashFieldsRouter(Router):
     def select(self, values: tuple) -> List[int]:
         return [hash_owner(self._key_fn(values), self._seed, self._n)]
 
-    def resize(self, num_destinations: int) -> None:
-        """Adopt a new destination count (rescale seam)."""
+    @property
+    def num_destinations(self) -> int:
+        return self._n
+
+    def resize(self, num_destinations: int, table=None) -> None:
         self._n = _checked_width(num_destinations)
         self._reresolve()
 
@@ -666,11 +682,7 @@ class TableRouter(_HashFieldsRouter):
         key re-resolves against the new table."""
         self._set_table(table)
 
-    @property
-    def num_destinations(self) -> int:
-        return self._n
-
-    def resize(self, num_destinations: int, table) -> None:
+    def resize(self, num_destinations: int, table=None) -> None:
         """Atomically swap the destination count *and* the table (a
         rescale round changes both; swapping them separately would let
         a tuple route through a (new table, old n) hybrid and hit the
@@ -883,8 +895,9 @@ class HybridTableFieldsGrouping(TableFieldsGrouping):
 
 
 class _ConstantRouter(Router):
-    def __init__(self, targets: List[int]) -> None:
+    def __init__(self, targets: List[int], context: RouterContext) -> None:
         self._targets = targets
+        self.stream_name = context.stream_name
 
     def select(self, values: tuple) -> List[int]:
         return list(self._targets)
@@ -895,14 +908,15 @@ class GlobalGrouping(Grouping):
 
     def build_router(self, context: RouterContext) -> Router:
         _require_destinations(context)
-        return _ConstantRouter([0])
+        return _ConstantRouter([0], context)
 
 
 class BroadcastGrouping(Grouping):
     """Every emission is replicated to every destination instance."""
 
     def build_router(self, context: RouterContext) -> Router:
-        return _ConstantRouter(list(range(_require_destinations(context))))
+        n = _require_destinations(context)
+        return _ConstantRouter(list(range(n)), context)
 
 
 # ----------------------------------------------------------------------
@@ -999,10 +1013,9 @@ class _DChoicesRouter(Router):
         predicts the new placement's load)."""
         self._sent = [0] * self._n
 
-    def resize(self, num_destinations: int) -> None:
-        """Adopt a new destination count: drop the candidate caches
-        (candidates are taken modulo the old width) and re-dimension
-        the send counters (rescale seam)."""
+    def resize(self, num_destinations: int, table=None) -> None:
+        """Drop the candidate caches (candidates are taken modulo the
+        old width) and re-dimension the send counters."""
         self._n = _checked_width(num_destinations)
         self.reset_sent()
         self._cache = _RouteCache()
@@ -1047,6 +1060,7 @@ class _CustomRouter(Router):
     def __init__(self, fn, context: RouterContext) -> None:
         self._fn = fn
         self._context = context
+        self.stream_name = context.stream_name
 
     def select(self, values: tuple) -> List[int]:
         result = self._fn(values, self._context)

@@ -45,11 +45,6 @@ class FifoChannel:
     def rate(self) -> Optional[float]:
         return self._rate
 
-    @property
-    def free_at(self) -> float:
-        """Earliest time a new item could start service."""
-        return max(self._free_at, self._sim.now)
-
     def reserve(self, nbytes: int, earliest: Optional[float] = None) -> float:
         """Reserve FIFO service for ``nbytes`` starting no earlier than
         ``earliest`` (default: now). Returns the completion time.

@@ -245,10 +245,6 @@ class CountBolt(StatefulBolt):
         """Whether processed tuples are re-emitted downstream."""
         return self._forward
 
-    def key_of(self, values: tuple):
-        """The counted key of one value tuple."""
-        return self._key_fn(values)
-
     def process(self, tup, context: OperatorContext) -> None:
         key = self._key_fn(tup.values)
         self.state[key] = self.state.get(key, 0) + 1

@@ -679,6 +679,3 @@ class PhysicalPlan:
     def stats(self) -> Dict[str, OpStats]:
         return {op.name: op.stats for op in self.operators}
 
-    def iter_stats(self) -> Iterator[Any]:
-        for op in self.operators:
-            yield op.name, op.stats

@@ -18,6 +18,7 @@ from repro.engine import (
     Cluster,
     CountBolt,
     CustomGrouping,
+    LocalOrShuffleGrouping,
     PartialKeyGrouping,
     ShuffleGrouping,
     Simulator,
@@ -25,8 +26,10 @@ from repro.engine import (
     TopologyBuilder,
     deploy,
 )
+from repro.engine.backends import ReconfigureAction
+from repro.engine.grouping import stream_context
 from repro.engine.operators import IteratorSpout
-from repro.errors import ReconfigurationError
+from repro.errors import RoutingError
 from repro.testing.invariants import InvariantSuite
 
 SPOUTS = 2
@@ -163,8 +166,8 @@ def test_scale_in_retargets_side_input(side_grouping=ShuffleGrouping()):
 
 def test_custom_grouping_fails_fast_on_rescale():
     """CustomGrouping routers have no resize seam: a rescale must
-    raise a ReconfigurationError naming the executor and stream, not
-    silently keep routing with the stale modulus."""
+    raise a RoutingError naming the stream, not silently keep routing
+    with the stale modulus."""
     grouping = CustomGrouping(
         lambda values, context: values[0] % len(context.dst_placements)
     )
@@ -173,8 +176,48 @@ def test_custom_grouping_fails_fast_on_rescale():
     manager.start()
     deployment.start()
     sim.schedule(0.08, _rescale_with_retry, sim, manager, 4, done)
-    with pytest.raises(ReconfigurationError) as err:
+    with pytest.raises(RoutingError) as err:
         sim.run(until=0.4)
     message = str(err.value)
     assert "T->A" in message
     assert "resize" in message
+
+
+def _refused_on(path):
+    """Re-width a local-or-shuffle side input through one of the
+    three paths that adopt a new width."""
+    if path == "scripted-action":
+        # what the fast backends do with a scripted rescale of A: every
+        # router of every input of A takes the action (local-or-shuffle
+        # has no batch form, so no fast backend gets as far)
+        (side,) = [
+            s for s in _build(2, LocalOrShuffleGrouping()).streams
+            if s.name == "T->A"
+        ]
+        router = side.grouping.build_router(stream_context(side, 0, 0, [0, 1]))
+        ReconfigureAction(1000, "S->A", None, 4).apply(router, side.name)
+        return
+    sim, deployment, manager = _deployed(2, LocalOrShuffleGrouping())
+    if path == "push-tables":
+        manager._push_tables(width=2)  # the forced push of an abort
+        return
+    manager.start()
+    deployment.start()
+    sim.schedule(0.08, _rescale_with_retry, sim, manager, 4, [])
+    sim.run(until=0.4)
+
+
+@pytest.mark.parametrize(
+    "path", ["des-agent", "scripted-action", "push-tables"]
+)
+def test_every_rewidth_path_refuses_a_router_without_a_seam(path):
+    """The DES agent at PROPAGATE, a scripted backend action and the
+    abort's forced push all adopt a width through
+    ``Router.resize``, so a side input that cannot follow one fails
+    the same way on each (the forced push used to skip it)."""
+    with pytest.raises(RoutingError) as err:
+        _refused_on(path)
+    assert str(err.value) == (
+        "stream 'T->A': _LocalOrShuffleRouter has no resize seam, so it "
+        "cannot follow a rescale"
+    )

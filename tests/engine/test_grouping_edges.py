@@ -128,14 +128,28 @@ def test_dchoices_router_resize_redimensions_and_drops_cache():
 
 
 def test_custom_router_has_no_resize_seam():
-    """CustomGrouping routers cannot survive a rescale; the protocol
-    fails fast on them (see core.reconfiguration) instead of routing
-    with a stale modulus. Guard the assumption that seam detection
-    rests on: no silent ``resize`` appearing on the class."""
+    """CustomGrouping routers cannot survive a rescale: ``resize``
+    fails fast, naming the stream and the router, instead of letting
+    it route on with a stale modulus."""
     router = CustomGrouping(lambda values, context: 0).build_router(
         _context([0, 1])
     )
-    assert not hasattr(router, "resize")
+    with pytest.raises(
+        RoutingError, match="'edge-test': _CustomRouter has no resize seam"
+    ):
+        router.resize(2)
+
+
+@pytest.mark.parametrize(
+    "grouping",
+    [LocalOrShuffleGrouping(), GlobalGrouping(), BroadcastGrouping()],
+    ids=["local-or-shuffle", "global", "broadcast"],
+)
+def test_policies_with_no_width_to_follow_refuse_resize(grouping):
+    router = grouping.build_router(_context([0, 1]))
+    name = type(router).__name__
+    with pytest.raises(RoutingError, match=f"{name} has no resize seam"):
+        router.resize(3)
 
 
 # ----------------------------------------------------------------------

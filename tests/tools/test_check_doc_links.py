@@ -92,6 +92,24 @@ def test_roadmap_items_are_cited_by_title(monkeypatch, tmp_path):
     ]
 
 
+def test_design_describes_the_code_not_its_prs(monkeypatch, tmp_path):
+    """``PR <n>`` in DESIGN.md fails, across a line break too; the
+    history and the roadmap may narrate."""
+    (tmp_path / "DESIGN.md").write_text(
+        "A PROPAGATE barrier (PRs welcome).\n"
+        "Until PR 9 there was one backend.\n"
+        "Since the\nPR\n17 partitioner, passes stop.\n"
+    )
+    (tmp_path / "CHANGES.md").write_text("- PR 9: backends\n")
+    (tmp_path / "ROADMAP.md").write_text("PR 24 measured it.\n")
+    monkeypatch.setattr(links, "REPO", str(tmp_path))
+    message = "PR narration belongs in CHANGES.md; describe the code as it is"
+    assert links.check_pr_narration() == [
+        f"DESIGN.md:2: {message}",
+        f"DESIGN.md:4: {message}",
+    ]
+
+
 def test_history_names_fields_as_they_were(monkeypatch, tmp_path):
     assert not _check(
         monkeypatch,

@@ -31,7 +31,8 @@ ROADMAP items are renumbered whenever the roadmap is rewritten, so the
 docs that describe the code (README, DESIGN, EXPERIMENTS) and every
 ``.py`` file under ``src/`` and ``tools/`` cite an item by its title:
 ``ROADMAP item <n>`` there fails the gate, even across a line break
-of prose or of ``#`` comments.
+of prose or of ``#`` comments. DESIGN describes the code as it is, so
+``PR <n>`` there fails too: what changed in which PR is CHANGES.md's.
 Exit status 0 = clean, 1 = dead links (each printed as
 ``file:line: message``).
 
@@ -74,6 +75,10 @@ DATACLASS_PACKAGES = ("repro.core", "repro.engine.backends")
 ROADMAP_NUMBER = re.compile(r"ROADMAP[\s#]+item[\s#]+\d")
 #: docs and source trees that must cite ROADMAP items by title
 TITLE_CITING = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "src", "tools"]
+#: a PR number, also across a line break
+PR_NUMBER = re.compile(r"\bPRs?\s+\d")
+#: docs that describe the code as it is, with no PR narration
+PRESENT_TENSE = ["DESIGN.md"]
 
 
 def _exists(rel: str, base: str = "") -> bool:
@@ -212,19 +217,34 @@ def _title_citing_files() -> list:
     return files
 
 
-def check_roadmap_citations() -> list:
-    """Every ``ROADMAP item <n>`` in a :data:`TITLE_CITING` file."""
+def _matches(files, pattern, message: str) -> list:
+    """``file:line: message`` for every match of ``pattern``."""
     problems = []
-    for rel in _title_citing_files():
+    for rel in files:
         with open(os.path.join(REPO, rel)) as handle:
             text = handle.read()
-        for match in ROADMAP_NUMBER.finditer(text):
+        for match in pattern.finditer(text):
             lineno = text.count("\n", 0, match.start()) + 1
-            problems.append(
-                f"{rel}:{lineno}: cite the ROADMAP item by its title, "
-                f"not its number"
-            )
+            problems.append(f"{rel}:{lineno}: {message}")
     return problems
+
+
+def check_roadmap_citations() -> list:
+    """Every ``ROADMAP item <n>`` in a :data:`TITLE_CITING` file."""
+    return _matches(
+        _title_citing_files(),
+        ROADMAP_NUMBER,
+        "cite the ROADMAP item by its title, not its number",
+    )
+
+
+def check_pr_narration() -> list:
+    """Every ``PR <n>`` in a :data:`PRESENT_TENSE` doc."""
+    return _matches(
+        [rel for rel in PRESENT_TENSE if _exists(rel)],
+        PR_NUMBER,
+        "PR narration belongs in CHANGES.md; describe the code as it is",
+    )
 
 
 def main() -> int:
@@ -234,6 +254,7 @@ def main() -> int:
         if _exists(rel):
             problems.extend(check_file(rel, classes))
     problems.extend(check_roadmap_citations())
+    problems.extend(check_pr_narration())
     for problem in problems:
         print(problem)
     if problems:

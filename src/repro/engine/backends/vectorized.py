@@ -10,7 +10,9 @@ and resolves everything per *batch*:
   array resolved with the owner rule of ``select``, so a batch routes
   as one numpy gather instead of len(batch) Python calls;
 - counting bolts accumulate per-instance ``np.bincount`` over key ids;
-- payload bytes, locality and the time model are numpy reductions.
+- payload bytes are sized once per batch, at the first edge it
+  crosses, the routing key's by a gather on its vocabulary id;
+- locality and the time model are numpy reductions.
   The model is the DES's cost model in closed form: CPU busy seconds
   per executor, NIC transfer seconds per server, and ``sim_s`` the
   busiest executor CPU or server NIC.
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import time
 from operator import attrgetter, itemgetter
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -107,11 +109,35 @@ def _charge_crossing(cpu, instances, nbytes, fixed_s, per_byte_s):
     return bytes_of
 
 
-def _modeled_sizes(values: Sequence[tuple], header: int) -> np.ndarray:
+def _column_sizes(column: List[Any]) -> np.ndarray:
+    """``field_size`` of each value of one column. A column of one
+    exact class takes one C-level pass, any other ``field_size`` per
+    value."""
+    classes = set(map(type, column))
+    measure = field_size
+    if len(classes) == 1:
+        cls = classes.pop()
+        if cls is int or cls is float:
+            return np.full(len(column), 8, dtype=np.int64)
+        if cls is bytes or (cls is str and "".join(column).isascii()):
+            measure = len
+        elif cls is Padding:
+            measure = attrgetter("nbytes")
+    return np.fromiter(map(measure, column), dtype=np.int64, count=len(column))
+
+
+def _modeled_sizes(
+    values: Sequence[tuple],
+    header: int,
+    key_field: Optional[int] = None,
+    key_sizes: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Modeled wire bytes of each value tuple, header included:
-    ``payload_size(v) + header``, computed field by field. A column of
-    one exact class takes one C-level pass, any other ``field_size`` per
-    value, a ragged or empty batch ``payload_size`` per tuple."""
+    ``payload_size(v) + header``, computed column by column
+    (:func:`_column_sizes`); a ragged or empty batch takes
+    ``payload_size`` per tuple. ``key_sizes``, when given, are the
+    bytes of field ``key_field`` already known (a keyed edge gathers
+    them by vocabulary id), so that column is not walked."""
     n_tuples = len(values)
     widths = set(map(len, values))
     if len(widths) != 1:
@@ -122,21 +148,10 @@ def _modeled_sizes(values: Sequence[tuple], header: int) -> np.ndarray:
         )
     sizes = np.full(n_tuples, header, dtype=np.int64)
     for field in range(widths.pop()):
-        column = list(map(itemgetter(field), values))
-        classes = set(map(type, column))
-        measure = field_size
-        if len(classes) == 1:
-            cls = classes.pop()
-            if cls is int or cls is float:
-                sizes += 8
-                continue
-            if cls is bytes or (cls is str and "".join(column).isascii()):
-                measure = len
-            elif cls is Padding:
-                measure = attrgetter("nbytes")
-        sizes += np.fromiter(
-            map(measure, column), dtype=np.int64, count=n_tuples
-        )
+        if field == key_field:
+            sizes += key_sizes
+        else:
+            sizes += _column_sizes(list(map(itemgetter(field), values)))
     return sizes
 
 
@@ -179,6 +194,12 @@ class _VectorEdge:
             )
         keyed = hasattr(stream.grouping, "key_fn")
         self._per_source = None if keyed else {0: self.router}
+        key_spec = getattr(stream.grouping, "key_spec", None)
+        #: the routing key's field when it is one, sized by key id
+        self._key_field = key_spec if isinstance(key_spec, int) else None
+        #: vocabulary id → modeled bytes of that key, grown with the
+        #: router's vocabulary (which no table swap or resize resets)
+        self.sizes_of_id = np.zeros(0, dtype=np.int64)
         # the batch state that the count operators and migration read
         # exists from the start, as if a batch had been routed
         self.router.route([])
@@ -220,12 +241,6 @@ class _VectorEdge:
     # -- the batch transform -------------------------------------------
 
     def __call__(self, batch: TupleBatch) -> TupleBatch:
-        if batch.sizes is None:
-            # A hosted bolt's emissions: sized by the first edge they
-            # cross, kept on the batch for the others.
-            batch.sizes = _modeled_sizes(
-                batch.values, self.meter.costs.tuple_header_bytes
-            )
         if self._per_source is None:
             dst, ids, _ = self.router.route(batch.values)
         else:
@@ -237,6 +252,10 @@ class _VectorEdge:
                 in_order = np.empty_like(dst)
                 in_order[rows] = dst
                 dst = in_order
+        if batch.sizes is None:
+            # Sized by the first edge the batch crosses, kept on it for
+            # the others (a fan-out, a counting bolt's forward).
+            batch.sizes = self._sizes(batch.values, ids)
         self._account(batch, dst)
         return TupleBatch(
             batch.values,
@@ -244,6 +263,26 @@ class _VectorEdge:
             dst_instances=dst,
             sizes=batch.sizes,
             key_ids=ids,
+        )
+
+    def _sizes(self, values: Sequence[tuple], ids) -> np.ndarray:
+        """Modeled bytes of a batch this edge is the first to cross.
+        When the routing key is one field and every key of the batch
+        was interned, that field's bytes are a gather on
+        ``sizes_of_id`` (each new key sized once, by the column rule);
+        every other field, and any batch with a non-interned key, is
+        sized by column."""
+        header = self.meter.costs.tuple_header_bytes
+        if self._key_field is None or (len(ids) and ids.min() < 0):
+            return _modeled_sizes(values, header)
+        keys = self.router.vocab.keys
+        known = len(self.sizes_of_id)
+        if len(keys) > known:
+            self.sizes_of_id = np.concatenate(
+                [self.sizes_of_id, _column_sizes(keys[known:])]
+            )
+        return _modeled_sizes(
+            values, header, self._key_field, self.sizes_of_id[ids]
         )
 
     def _account(self, batch: TupleBatch, dst: np.ndarray) -> None:
@@ -298,8 +337,9 @@ class _VectorEdge:
 
 
 class _VectorSpoutSource(SpoutSource):
-    """All instances of one spout; batches carry modeled sizes and each
-    instance's service time goes on its executor's meter."""
+    """All instances of one spout; each instance's service time goes on
+    its executor's meter. Its batches leave unsized: the first edge
+    they cross sizes them, the routing key by vocabulary id."""
 
     def __init__(self, spec, placement: np.ndarray, meter, options) -> None:
         super().__init__(
@@ -316,11 +356,7 @@ class _VectorSpoutSource(SpoutSource):
         n_tuples = len(values)
         self.cpu_s[instance] += n_tuples * self.meter.costs.spout_service_s
         return TupleBatch(
-            values,
-            src_instances=np.full(n_tuples, instance, dtype=np.int64),
-            sizes=_modeled_sizes(
-                values, self.meter.costs.tuple_header_bytes
-            ),
+            values, src_instances=np.full(n_tuples, instance, dtype=np.int64)
         )
 
 

@@ -163,8 +163,10 @@ class TupleBatch:
         in by the edge router before the batch is handed to the
         consumer (None until routed).
     sizes:
-        Modeled payload bytes per tuple, header included (None unless
-        the backend models bytes — the multiprocess one measures them).
+        Modeled payload bytes per tuple, header included. None until
+        the first edge the batch crosses sizes it (the vectorized
+        backend; the multiprocess one measures bytes instead), then
+        kept for every later edge and forward.
     key_ids:
         Per-tuple key ids under the producing edge's key vocabulary
         (numpy ``int64``), attached by vectorized edge routers so a

@@ -265,7 +265,8 @@ def test_agent_wiring_is_the_topologys_and_repatching_keeps_it():
 
 def test_base_mismatch_on_a_committed_round_heals_at_the_next_push():
     """One source router holds a table the manager does not know of
-    (ROADMAP item 6): the round's delta does not apply there. Today
+    (ROADMAP "Differential fuzzing across backends"): the round's delta
+    does not apply there. Today
     that is counted, the desynced router keeps its table, everyone
     else swaps and the round commits; the next forced push resyncs."""
     sim, deployment, manager = _deployed()

@@ -1,14 +1,20 @@
 """The vectorized backend's batch sizing kernel (DESIGN.md §15.2).
 
 ``_modeled_sizes`` sizes a batch column by column; ``payload_size`` is
-the scalar rule it must equal for every input. Three gates:
+the scalar rule it must equal for every input. A batch is sized by the
+first edge it crosses, and a keyed edge takes the routing key's bytes
+from its ``sizes_of_id`` (one entry per vocabulary key). Three gates:
 
-- a Hypothesis property over every field class, mixed-class columns,
-  ragged, zero-width and empty batches;
-- a call-count guard: uniform benchmark-shaped batches are sized with
-  no ``payload_size`` / ``field_size`` call at all;
+- Hypothesis properties over every field class, mixed-class columns,
+  ragged, zero-width and empty batches, and key columns whose sizes
+  come from elsewhere (``1`` / ``1.0`` / ``True``, text, bytes);
+- call-count guards: uniform benchmark-shaped batches, and a whole
+  vectorized run of the benchmark's chain, are sized with no
+  ``payload_size`` / ``field_size`` call at all, each vocabulary key
+  exactly once;
 - the byte model end to end: what a vectorized edge charges as remote
-  bytes equals what the DES counts on the same stream.
+  bytes equals what the DES counts on the same stream (fan-out,
+  hosted emissions and mixed-type keys included).
 """
 
 import numpy as np
@@ -27,8 +33,8 @@ from repro.engine import (
 from repro.engine.backends import BackendOptions, run_topology
 from repro.engine.backends import vectorized
 from repro.engine.backends.vectorized import _modeled_sizes
-from repro.engine.operators import IteratorSpout
-from repro.engine.tuples import payload_size
+from repro.engine.operators import IteratorSpout, PassThroughBolt
+from repro.engine.tuples import field_size, payload_size
 
 
 class _Str(str):
@@ -69,11 +75,19 @@ _column_kinds = _scalars + [
 ]
 
 
-@st.composite
-def _batches(draw):
-    n_rows = draw(st.integers(0, 10))
-    width = draw(st.integers(0, 4))
-    columns = [
+# routing keys: the scalars a vocabulary interns, type-tagged apart
+_keys = st.one_of(
+    st.sampled_from([1, 1.0, True, 0, 0.0, False]),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True),
+    _ascii,
+    st.text(max_size=6),
+    st.binary(max_size=6),
+)
+
+
+def _columns(draw, n_rows, width):
+    return [
         draw(
             st.lists(
                 draw(st.sampled_from(_column_kinds)),
@@ -83,10 +97,33 @@ def _batches(draw):
         )
         for _ in range(width)
     ]
-    rows = [tuple(column[i] for column in columns) for i in range(n_rows)]
+
+
+def _rows(columns, n_rows):
+    return [tuple(column[i] for column in columns) for i in range(n_rows)]
+
+
+@st.composite
+def _batches(draw):
+    n_rows = draw(st.integers(0, 10))
+    width = draw(st.integers(0, 4))
+    rows = _rows(_columns(draw, n_rows, width), n_rows)
     if draw(st.booleans()):  # ragged: rows cut to their own width
         rows = [row[: draw(st.integers(0, width))] for row in rows]
     return rows
+
+
+@st.composite
+def _keyed_batches(draw):
+    """A batch whose field ``key_field`` holds routing keys."""
+    n_rows = draw(st.integers(0, 10))
+    width = draw(st.integers(1, 4))
+    key_field = draw(st.integers(0, width - 1))
+    columns = _columns(draw, n_rows, width)
+    columns[key_field] = draw(
+        st.lists(_keys, min_size=n_rows, max_size=n_rows)
+    )
+    return _rows(columns, n_rows), key_field
 
 
 @settings(max_examples=300, deadline=None)
@@ -96,6 +133,35 @@ def test_modeled_sizes_equal_the_scalar_rule(values, header):
     assert sizes.dtype == np.int64
     assert sizes.shape == (len(values),)
     assert sizes.tolist() == [payload_size(v) + header for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keyed_batches(), st.integers(0, 200))
+def test_key_sizes_given_by_id_equal_the_scalar_rule(keyed, header):
+    """The key column's bytes handed in (as a keyed edge gathers them
+    from ``sizes_of_id``) and the other columns sized by column add up
+    to ``payload_size`` per tuple."""
+    values, key_field = keyed
+    key_sizes = np.array(
+        [field_size(v[key_field]) for v in values], dtype=np.int64
+    )
+    sizes = _modeled_sizes(values, header, key_field, key_sizes)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [payload_size(v) + header for v in values]
+
+
+def _record_calls(monkeypatch, *names):
+    """Wrap the named functions of the vectorized module; every
+    argument they are called with lands in the returned list."""
+    calls = []
+    for name in names:
+        real = getattr(vectorized, name)
+        monkeypatch.setattr(
+            vectorized,
+            name,
+            lambda value, real=real: calls.append(value) or real(value),
+        )
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -112,20 +178,62 @@ def test_uniform_batches_are_sized_without_a_per_tuple_walk(
     back unnoticed."""
     values = [(f"tag{i}", "country" * (i % 3), payload(i)) for i in range(64)]
     expected = [payload_size(v) + 84 for v in values]
-    calls = []
-    for name in ("payload_size", "field_size"):
-        real = getattr(vectorized, name)
-        monkeypatch.setattr(
-            vectorized,
-            name,
-            lambda value, real=real: calls.append(value) or real(value),
-        )
+    calls = _record_calls(monkeypatch, "payload_size", "field_size")
     assert _modeled_sizes(values, 84).tolist() == expected
     assert calls == []
     # the counters do see the fallbacks: a mixed column, a ragged batch
     assert _modeled_sizes([("a", 1), ("b", "c")], 0).tolist() == [9, 2]
     assert _modeled_sizes([("a",), ("b", 2)], 0).tolist() == [1, 9]
     assert len(calls) == 4
+
+
+def _benchmark_chain():
+    """The benchmark's chain in small: ``(tag, country, bytes)`` tuples
+    through ``S → A`` by tag (a table) and ``A → B`` by country."""
+
+    def stream(instance):
+        for i in range(600):
+            yield (f"tag{(i * 7 + instance) % 97}", f"c{i % 5}", bytes(256))
+
+    builder = _source(stream, width=2)
+    tags = RoutingTable({f"tag{i}": i % 2 for i in range(0, 97, 3)})
+    builder.bolt(
+        "A", lambda: CountBolt(0, forward=True), 2,
+        inputs={"S": TableFieldsGrouping(0, table=tags)},
+    )
+    builder.bolt(
+        "B", lambda: CountBolt(1, forward=False), 2,
+        inputs={"A": TableFieldsGrouping(1)},
+    )
+    return builder.build()
+
+
+def test_a_vectorized_run_sizes_each_vocabulary_key_once(monkeypatch):
+    """A whole run of the benchmark-shaped chain makes no per-value
+    sizing call, and the routing key's column is never walked: each
+    key the first edge interns is sized exactly once, in interning
+    order. The second edge sizes nothing, ``A`` forwards the sizes."""
+    calls = _record_calls(monkeypatch, "payload_size", "field_size")
+    columns = _record_calls(monkeypatch, "_column_sizes")
+    result = run_topology(
+        _benchmark_chain(),
+        "vectorized",
+        BackendOptions(num_servers=2, batch_size=64),
+    )
+    assert calls == []
+    edges = result.handle.edges_by_stream
+    keys = edges["S->A"].router.vocab.keys
+    sized_tags = [
+        value
+        for column in columns
+        for value in column
+        if isinstance(value, str) and value.startswith("tag")
+    ]
+    assert sized_tags == keys
+    assert len(keys) == 97
+    assert len(edges["S->A"].sizes_of_id) == len(keys)
+    assert len(edges["A->B"].sizes_of_id) == 0
+    assert sum(map(len, columns)) == 2 * 1200 + len(keys)
 
 
 def _mixed_stream(instance, count=240):
@@ -143,13 +251,19 @@ def _mixed_stream(instance, count=240):
         )
 
 
-def _topology(grouping_a, grouping_b, width=3):
+def _source(stream, width=3):
+    """A builder holding spout ``S``: ``stream(instance)`` per instance."""
     builder = TopologyBuilder()
     builder.spout(
         "S",
-        lambda: IteratorSpout(lambda ctx: _mixed_stream(ctx.instance_index)),
+        lambda: IteratorSpout(lambda ctx: stream(ctx.instance_index)),
         parallelism=width,
     )
+    return builder
+
+
+def _topology(grouping_a, grouping_b, width=3):
+    builder = _source(_mixed_stream, width)
     builder.bolt(
         "A", lambda: CountBolt(0, forward=True), width, inputs={"S": grouping_a}
     )
@@ -172,11 +286,80 @@ def _hash_topology():
     return _topology(FieldsGrouping(0), FieldsGrouping(1))
 
 
-@pytest.mark.parametrize("make", [_table_topology, _hash_topology])
+def _fan_out_topology(width=3):
+    """S feeds A by tag and C by number: one source batch, two edges."""
+    builder = _source(_mixed_stream, width)
+    tags = RoutingTable({f"tag{i}": i % 3 for i in range(0, 37, 2)})
+    builder.bolt(
+        "A", lambda: CountBolt(0, forward=False), width,
+        inputs={"S": TableFieldsGrouping(0, table=tags)},
+    )
+    builder.bolt(
+        "C", lambda: CountBolt(1, forward=False), width,
+        inputs={"S": FieldsGrouping(1)},
+    )
+    return builder.build()
+
+
+def _hosted_topology(width=3):
+    """A hosted pass-through bolt re-keys the stream: its emissions are
+    new batches, sized by the first edge they cross (``P → B``)."""
+    builder = _source(_mixed_stream, width)
+    builder.bolt(
+        "P",
+        lambda: PassThroughBolt(lambda v: (v[1], v[0] + "!") + v[2:]),
+        width,
+        inputs={"S": FieldsGrouping(1)},
+    )
+    builder.bolt(
+        "B", lambda: CountBolt(1, forward=False), width,
+        inputs={"P": FieldsGrouping(1)},
+    )
+    return builder.build()
+
+
+_MIXED_KEYS = [1, True, 1.0, 2, False, 0.5, 7, "1"]
+
+
+def _mixed_key_stream(instance, count=240):
+    """A routing-key column of ``int``, ``bool``, ``float`` and ``str``
+    keys, with a non-scalar key in some batches (size-64 batches 0, 1
+    and 3 of each instance) and none in the others."""
+    for i in range(count):
+        key = (i, "k") if i % 97 == 0 else _MIXED_KEYS[(i + instance) % 8]
+        yield (key, f"tag{i % 13}", bytes(i % 29))
+
+
+def _mixed_key_topology(width=3):
+    """S → A by the mixed key (``A`` is hosted: a count of another
+    field), A → B by tag."""
+    builder = _source(_mixed_key_stream, width)
+    builder.bolt(
+        "A", lambda: CountBolt(1, forward=True), width,
+        inputs={"S": FieldsGrouping(0)},
+    )
+    builder.bolt(
+        "B", lambda: CountBolt(1, forward=False), width,
+        inputs={"A": FieldsGrouping(1)},
+    )
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _table_topology,
+        _hash_topology,
+        _fan_out_topology,
+        _hosted_topology,
+        _mixed_key_topology,
+    ],
+)
 def test_vectorized_edges_charge_the_bytes_the_des_counts(make):
     """Table and hash streams route per tuple identically on both
     backends (DESIGN §15.3), so the modeled bytes that cross servers
-    must agree exactly, stream by stream."""
+    must agree exactly, stream by stream — and every key an edge has
+    sized by id carries its ``field_size``."""
     options = lambda: BackendOptions(num_servers=3, batch_size=64)
     reference = run_topology(make(), "reference", options())
     vector = run_topology(make(), "vectorized", options())
@@ -185,9 +368,42 @@ def test_vectorized_edges_charge_the_bytes_the_des_counts(make):
         name: counters.remote_bytes
         for name, counters in reference.handle.metrics.streams.items()
     }
-    charged = {
-        name: edge.remote_bytes
-        for name, edge in vector.handle.edges_by_stream.items()
-    }
+    edges = vector.handle.edges_by_stream
+    charged = {name: edge.remote_bytes for name, edge in edges.items()}
     assert charged == counted
     assert all(isinstance(b, int) and b > 0 for b in charged.values())
+    for edge in edges.values():
+        sized = edge.sizes_of_id.tolist()
+        keys = edge.router.vocab.keys[: len(sized)]
+        assert sized == list(map(field_size, keys))
+
+
+def test_a_batch_is_sized_by_the_first_edge_it_crosses():
+    """Fan-out: the first of the source's edges sizes its batches (the
+    key by id), the second reuses the sizes; hosted emissions are sized
+    at their first edge by id; a batch holding a non-scalar key is
+    sized by column, and ``1`` / ``1.0`` / ``True`` keep 8 / 8 / 1."""
+    options = BackendOptions(num_servers=3, batch_size=64)
+    edges = run_topology(
+        _fan_out_topology(), "vectorized", options
+    ).handle.edges_by_stream
+    assert len(edges["S->A"].sizes_of_id) == len(
+        edges["S->A"].router.vocab.keys
+    )
+    assert len(edges["S->C"].sizes_of_id) == 0
+
+    edges = run_topology(
+        _hosted_topology(), "vectorized", options
+    ).handle.edges_by_stream
+    assert len(edges["P->B"].sizes_of_id) == len(
+        edges["P->B"].router.vocab.keys
+    )
+
+    edge = run_topology(
+        _mixed_key_topology(), "vectorized", options
+    ).handle.edges_by_stream["S->A"]
+    vocab = edge.router.vocab
+    assert len(vocab.keys) == len(_MIXED_KEYS)
+    assert len(edge.sizes_of_id) == len(_MIXED_KEYS)
+    ids = [vocab.id_of(key) for key in (1, 1.0, True)]
+    assert edge.sizes_of_id[ids].tolist() == [8, 8, 1]

@@ -65,31 +65,49 @@ def test_fields_members_and_other_classes_resolve(monkeypatch, tmp_path):
     )
 
 
+#: a numbered citation is built, not written, so that the gate, which
+#: walks tests/ too, does not flag this file
+_ITEM = "ROADMAP item"
+
+
 def test_roadmap_items_are_cited_by_title(monkeypatch, tmp_path):
-    """A numbered ROADMAP item fails in the docs and under src/ and
-    tools/, across a line break too; a title, and the roadmap and
+    """A numbered ROADMAP item fails in the docs and under src/, tools/
+    and tests/, across a line break too; a title, and the roadmap and
     history themselves, do not."""
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "bench.py").write_text(
-        '"""Gated once the\nROADMAP item 7 lands."""\n'
+        f'"""Gated once the\n{_ITEM} 7 lands."""\n'
     )
     (tmp_path / "src" / "repro").mkdir(parents=True)
     (tmp_path / "src" / "repro" / "run.py").write_text(
         "# re-homed by the ROADMAP\n# item 2 of the list\n"
     )
-    (tmp_path / "DESIGN.md").write_text(
-        "the ROADMAP item *Telemetry on every backend, one catalog*\n"
+    (tmp_path / "tests" / "core").mkdir(parents=True)
+    (tmp_path / "tests" / "core" / "test_round.py").write_text(
+        f'def test_heal():\n    """Reached only by an abort ({_ITEM} 6)."""\n'
     )
-    (tmp_path / "README.md").write_text("See ROADMAP item 3.\n")
-    (tmp_path / "ROADMAP.md").write_text("- **3 · ROADMAP item 3**\n")
-    (tmp_path / "CHANGES.md").write_text("- ROADMAP item 3 closed\n")
+    (tmp_path / "tests" / "core" / "test_ok.py").write_text(
+        f'"""The {_ITEM} *Differential fuzzing across backends*."""\n'
+    )
+    (tmp_path / "DESIGN.md").write_text(
+        f"the {_ITEM} *Telemetry on every backend, one catalog*\n"
+    )
+    (tmp_path / "README.md").write_text(f"See {_ITEM} 3.\n")
+    (tmp_path / "ROADMAP.md").write_text(f"- **3 · {_ITEM} 3**\n")
+    (tmp_path / "CHANGES.md").write_text(f"- {_ITEM} 3 closed\n")
     monkeypatch.setattr(links, "REPO", str(tmp_path))
     message = "cite the ROADMAP item by its title, not its number"
     assert links.check_roadmap_citations() == [
         f"README.md:1: {message}",
         f"src/repro/run.py:1: {message}",
         f"tools/bench.py:2: {message}",
+        f"tests/core/test_round.py:2: {message}",
     ]
+
+
+def test_the_repo_cites_roadmap_items_by_title():
+    """The gate is clean on the repo itself, this file included."""
+    assert links.check_roadmap_citations() == []
 
 
 def test_design_describes_the_code_not_its_prs(monkeypatch, tmp_path):

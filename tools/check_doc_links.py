@@ -29,7 +29,8 @@ config field fails too. ``CHANGES.md`` is exempt (fields as they were).
 
 ROADMAP items are renumbered whenever the roadmap is rewritten, so the
 docs that describe the code (README, DESIGN, EXPERIMENTS) and every
-``.py`` file under ``src/`` and ``tools/`` cite an item by its title:
+``.py`` file under ``src/``, ``tools/`` and ``tests/`` cite an item by
+its title:
 ``ROADMAP item <n>`` there fails the gate, even across a line break
 of prose or of ``#`` comments. DESIGN describes the code as it is, so
 ``PR <n>`` there fails too: what changed in which PR is CHANGES.md's.
@@ -74,7 +75,9 @@ DATACLASS_PACKAGES = ("repro.core", "repro.engine.backends")
 #: a numbered citation, also across a line break of prose or comments
 ROADMAP_NUMBER = re.compile(r"ROADMAP[\s#]+item[\s#]+\d")
 #: docs and source trees that must cite ROADMAP items by title
-TITLE_CITING = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "src", "tools"]
+TITLE_CITING = [
+    "README.md", "DESIGN.md", "EXPERIMENTS.md", "src", "tools", "tests"
+]
 #: a PR number, also across a line break
 PR_NUMBER = re.compile(r"\bPRs?\s+\d")
 #: docs that describe the code as it is, with no PR narration

@@ -11,7 +11,8 @@ and resolves everything per *batch*:
   as one numpy gather instead of len(batch) Python calls;
 - counting bolts accumulate per-instance ``np.bincount`` over key ids;
 - payload bytes are sized once per batch, at the first edge it
-  crosses, the routing key's by a gather on its vocabulary id;
+  crosses; a field that edge or a later one routes on is interned once
+  and sized by a gather on its vocabulary id;
 - locality and the time model are numpy reductions.
   The model is the DES's cost model in closed form: CPU busy seconds
   per executor, NIC transfer seconds per server, and ``sim_s`` the
@@ -58,7 +59,12 @@ from repro.engine.physical import (
     SpoutSource,
     TupleBatch,
 )
-from repro.engine.grouping import Router, route_per_source, stream_context
+from repro.engine.grouping import (
+    Router,
+    _HashFieldsRouter,
+    route_per_source,
+    stream_context,
+)
 from repro.engine.topology import Topology
 from repro.engine.tuples import Padding, field_size, payload_size
 from repro.errors import RoutingError
@@ -129,15 +135,14 @@ def _column_sizes(column: List[Any]) -> np.ndarray:
 def _modeled_sizes(
     values: Sequence[tuple],
     header: int,
-    key_field: Optional[int] = None,
-    key_sizes: Optional[np.ndarray] = None,
+    by_id: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
     """Modeled wire bytes of each value tuple, header included:
     ``payload_size(v) + header``, computed column by column
     (:func:`_column_sizes`); a ragged or empty batch takes
-    ``payload_size`` per tuple. ``key_sizes``, when given, are the
-    bytes of field ``key_field`` already known (a keyed edge gathers
-    them by vocabulary id), so that column is not walked."""
+    ``payload_size`` per tuple. ``by_id`` maps a field to the bytes of
+    its values already known (an edge that routes on it gathers them by
+    vocabulary id), so that column is not walked."""
     n_tuples = len(values)
     widths = set(map(len, values))
     if len(widths) != 1:
@@ -146,12 +151,13 @@ def _modeled_sizes(
             dtype=np.int64,
             count=n_tuples,
         )
+    by_id = by_id or {}
     sizes = np.full(n_tuples, header, dtype=np.int64)
     for field in range(widths.pop()):
-        if field == key_field:
-            sizes += key_sizes
-        else:
-            sizes += _column_sizes(list(map(itemgetter(field), values)))
+        known = by_id.get(field)
+        if known is None:
+            known = _column_sizes(list(map(itemgetter(field), values)))
+        sizes += known
     return sizes
 
 
@@ -200,6 +206,9 @@ class _VectorEdge:
         #: vocabulary id → modeled bytes of that key, grown with the
         #: router's vocabulary (which no table swap or resize resets)
         self.sizes_of_id = np.zeros(0, dtype=np.int64)
+        #: the keyed edges that route a batch this edge sizes after it,
+        #: on the same values (set by the compiler)
+        self.interns_for: List["_VectorEdge"] = []
         # the batch state that the count operators and migration read
         # exists from the start, as if a batch had been routed
         self.router.route([])
@@ -242,7 +251,11 @@ class _VectorEdge:
 
     def __call__(self, batch: TupleBatch) -> TupleBatch:
         if self._per_source is None:
-            dst, ids, _ = self.router.route(batch.values)
+            ids = batch.interned.get(self.router.vocab)
+            if ids is None:
+                dst, ids, _ = self.router.route(batch.values)
+            else:  # interned by the edge that sized the batch
+                dst, ids, _ = self.router.route(batch.values, ids)
         else:
             ids = None
             dst, rows = route_per_source(
@@ -255,7 +268,7 @@ class _VectorEdge:
         if batch.sizes is None:
             # Sized by the first edge the batch crosses, kept on it for
             # the others (a fan-out, a counting bolt's forward).
-            batch.sizes = self._sizes(batch.values, ids)
+            batch.sizes = self._sizes(batch, ids)
         self._account(batch, dst)
         return TupleBatch(
             batch.values,
@@ -263,27 +276,45 @@ class _VectorEdge:
             dst_instances=dst,
             sizes=batch.sizes,
             key_ids=ids,
+            interned=batch.interned,
         )
 
-    def _sizes(self, values: Sequence[tuple], ids) -> np.ndarray:
+    def _sizes(self, batch: TupleBatch, ids) -> np.ndarray:
         """Modeled bytes of a batch this edge is the first to cross.
-        When the routing key is one field and every key of the batch
-        was interned, that field's bytes are a gather on
-        ``sizes_of_id`` (each new key sized once, by the column rule);
-        every other field, and any batch with a non-interned key, is
-        sized by column."""
-        header = self.meter.costs.tuple_header_bytes
-        if self._key_field is None or (len(ids) and ids.min() < 0):
-            return _modeled_sizes(values, header)
+
+        A field that this edge or a later one (``interns_for``) routes
+        on is sized by a gather on that edge's ``sizes_of_id``. The
+        later edge's field is interned into its vocabulary here, and
+        the ids are left on the batch for it to route by. Every other
+        field, and a field holding a non-scalar key (id −1), is sized
+        by column."""
+        values = batch.values
+        by_id = {}
+        if self._key_field is not None and not (len(ids) and ids.min() < 0):
+            by_id[self._key_field] = self._sizes_of(ids)
+        for later in self.interns_for:
+            field = later._key_field
+            vocab = later.router.vocab
+            later_ids, loose = vocab.encode(
+                list(map(itemgetter(field), values))
+            )
+            batch.interned[vocab] = later_ids
+            if not loose and field not in by_id:
+                by_id[field] = later._sizes_of(later_ids)
+        return _modeled_sizes(
+            values, self.meter.costs.tuple_header_bytes, by_id
+        )
+
+    def _sizes_of(self, ids) -> np.ndarray:
+        """Modeled bytes of the vocabulary keys ``ids``, each new key
+        sized once, by the column rule, in interning order."""
         keys = self.router.vocab.keys
         known = len(self.sizes_of_id)
         if len(keys) > known:
             self.sizes_of_id = np.concatenate(
                 [self.sizes_of_id, _column_sizes(keys[known:])]
             )
-        return _modeled_sizes(
-            values, header, self._key_field, self.sizes_of_id[ids]
-        )
+        return self.sizes_of_id[ids]
 
     def _account(self, batch: TupleBatch, dst: np.ndarray) -> None:
         meter = self.meter
@@ -339,7 +370,7 @@ class _VectorEdge:
 class _VectorSpoutSource(SpoutSource):
     """All instances of one spout; each instance's service time goes on
     its executor's meter. Its batches leave unsized: the first edge
-    they cross sizes them, the routing key by vocabulary id."""
+    they cross sizes them, every routed field by vocabulary id."""
 
     def __init__(self, spec, placement: np.ndarray, meter, options) -> None:
         super().__init__(
@@ -410,6 +441,7 @@ class _VectorCountOp(PhysicalOperator):
                     batch.values,
                     src_instances=dst,
                     sizes=batch.sizes,
+                    interned=batch.interned,
                 )
             )
 
@@ -557,9 +589,32 @@ class _VectorizedRun:
                     transform=edge,
                 )
             )
+        for stream in topology.streams:
+            self.edges_by_stream[stream.name].interns_for = [
+                edge
+                for edge in self._later(stream)
+                if isinstance(edge.router, _HashFieldsRouter)
+                and edge._key_field is not None
+            ]
 
         self.plan = PhysicalPlan(list(self.ops.values()), phys_edges)
         self._pending = sorted(options.actions, key=lambda a: a.at_tuples)
+
+    def _later(self, stream) -> List[_VectorEdge]:
+        """The streams that route a batch after ``stream`` has, on the
+        same values: the producer's out-streams after it (a fan-out
+        pushes one batch object through them in order) and, behind a
+        forwarding counting bolt, its out-streams, transitively."""
+        siblings = self.topology.outputs_of(stream.src)
+        reached = siblings[siblings.index(stream) + 1 :]
+        frontier = [stream, *reached]
+        while frontier:
+            consumer = self.ops[frontier.pop().dst]
+            if isinstance(consumer, _VectorCountOp) and consumer.forward:
+                forwarded = self.topology.outputs_of(consumer.name)
+                reached += forwarded
+                frontier += forwarded
+        return [self.edges_by_stream[later.name] for later in reached]
 
     # -- scripted reconfiguration --------------------------------------
 

@@ -84,6 +84,11 @@ _HASH_MEMO_MAX = 1 << 17
 
 
 def _stable_hash_uncached(key: Any, seed: int) -> int:
+    if key.__class__ is float and key == 0.0:
+        # -0.0 == 0.0, so the memos and a bolt's state merge the two:
+        # they must have one hash, or the merged key's owner would be
+        # whichever zero the process happened to hash first
+        key = 0.0
     data = repr(key).encode("utf-8", errors="backslashreplace")
     x = (zlib.crc32(data) ^ (seed * 0x9E3779B97F4A7C15)) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -103,7 +108,8 @@ def stable_hash(key: Any, seed: int = 0) -> int:
     Results for scalar keys are interned in a bounded module-level
     memo (the repr/encode/CRC/mix pipeline is the single hottest data-
     plane cost); the memo is transparent — cached and uncached calls
-    return identical values.
+    return identical values. Any float zero hashes as ``0.0``: ``-0.0``
+    is equal to it, so one memo entry serves both.
     """
     if key.__class__ in _SCALAR_KEY_TYPES:
         memo_key = (key.__class__, key, seed)
@@ -554,13 +560,19 @@ class _HashFieldsRouter(Router):
         (state migration asks this; nothing is counted or interned)."""
         return key_owner(key, self._table, self._seed, self._n)[0]
 
-    def route(self, values: Sequence[tuple]):
+    def route(self, values: Sequence[tuple], ids=None):
+        """``Router.route``; ``ids``, when given, are the batch's keys
+        already interned into ``vocab`` (a caller that walked the key
+        column for its own reasons), so neither is done again."""
         import numpy as np
 
         if self.vocab is None:
             self.vocab = Vocab()
             self._reresolve()
-        ids, loose = self.vocab.encode(list(map(self._key_fn, values)))
+        if ids is None:
+            ids, loose = self.vocab.encode(list(map(self._key_fn, values)))
+        else:
+            loose = bool(len(ids)) and ids.min() < 0
         self._extend()
         if not loose:
             return self._route_ids(ids), ids, None

@@ -166,11 +166,19 @@ class TupleBatch:
         Modeled payload bytes per tuple, header included. None until
         the first edge the batch crosses sizes it (the vectorized
         backend; the multiprocess one measures bytes instead), then
-        kept for every later edge and forward.
+        kept for every later edge and forward. A field that edge or a
+        later one routes on is sized by a gather on its vocabulary ids.
     key_ids:
         Per-tuple key ids under the producing edge's key vocabulary
         (numpy ``int64``), attached by vectorized edge routers so a
         consumer counting the same key never re-extracts it.
+    interned:
+        ``{vocabulary: ids}``: the key ids of a field that a later edge
+        routes these same values on, interned into that edge's
+        vocabulary by the edge that sized the batch (which walked the
+        field to size it) and forwarded with the values, so the later
+        edge routes by them without walking the field again. Empty
+        until such an edge sizes the batch.
     """
 
     __slots__ = (
@@ -179,6 +187,7 @@ class TupleBatch:
         "dst_instances",
         "sizes",
         "key_ids",
+        "interned",
     )
 
     def __init__(
@@ -188,12 +197,14 @@ class TupleBatch:
         dst_instances=None,
         sizes=None,
         key_ids=None,
+        interned=None,
     ) -> None:
         self.values = values
         self.src_instances = src_instances
         self.dst_instances = dst_instances
         self.sizes = sizes
         self.key_ids = key_ids
+        self.interned = {} if interned is None else interned
 
     def __len__(self) -> int:
         return len(self.values)

@@ -8,7 +8,13 @@ correctly only if the routers (per tuple and per batch), the migration
 planner, the rescale scan and the rollback all compute that owner
 identically; this property checks each of them against the one
 function instead of against each other, pair by pair.
+
+The rule is the DES's, so this file needs no numpy: the ``chaos`` CI
+job runs it without numpy installed, and the batch entry point
+(``route``) and the backends, which do need it, are skipped there.
 """
+
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +26,28 @@ from repro.core.reconfiguration import RescaleSpec
 from repro.core.routing_table import RoutingTable
 from repro.engine.grouping import (
     TableFieldsGrouping,
+    clear_stable_hash_memo,
     hash_owner,
     key_owner,
     key_owners,
+    stable_hash,
     stream_context,
     stream_seed,
 )
 from repro.errors import RoutingError
+
+def _importable(name: str) -> bool:
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+needs_numpy = pytest.mark.skipif(
+    not _importable("numpy"),
+    reason="batch routing and the backends need numpy",
+)
 
 keys_st = st.one_of(
     st.integers(min_value=-1000, max_value=1000),
@@ -36,47 +57,61 @@ keys_st = st.one_of(
 )
 
 
-@given(
-    keys=st.lists(keys_st, min_size=1, max_size=40, unique_by=repr),
-    stream_name=st.text(min_size=1, max_size=8),
-    n=st.integers(min_value=1, max_value=9),
-    data=st.data(),
-)
-@settings(max_examples=150, deadline=None)
-def test_every_site_answers_the_owner_function(keys, stream_name, n, data):
-    in_table = data.draw(st.lists(st.sampled_from(keys), unique_by=repr))
-    table = RoutingTable(
-        {key: data.draw(st.integers(0, n - 1)) for key in in_table}
+@st.composite
+def _owner_cases(draw):
+    """(keys, stream, table): distinct keys, some of them in a table of
+    the stream's width."""
+    keys = draw(st.lists(keys_st, min_size=1, max_size=40, unique_by=repr))
+    n = draw(st.integers(min_value=1, max_value=9))
+    stream = RoutedStream(
+        draw(st.text(min_size=1, max_size=8)), "S", "A", list(range(n))
     )
-    stream = RoutedStream(stream_name, "S", "A", list(range(n)))
-    seed = stream_seed(stream_name)
+    in_table = draw(st.lists(st.sampled_from(keys), unique_by=repr))
+    table = RoutingTable(
+        {key: draw(st.integers(0, n - 1)) for key in in_table}
+    )
+    return keys, stream, table
+
+
+def _expected(keys, stream, table):
+    """``key_owner`` of every key, checked against its definition."""
+    seed = stream_seed(stream.name)
     assert stream.hash_seed == seed
+    n = len(stream.dst_placements)
     expected = [key_owner(key, table, seed, n) for key in keys]
-    owners = [owner for owner, _ in expected]
     for key, (owner, from_table) in zip(keys, expected):
         assert from_table == (key in table)
         assert owner == (
             table.lookup(key) if from_table else hash_owner(key, seed, n)
         )
+    return expected
 
-    # the data plane: ``select`` (plain table: no memo; compact table:
-    # memoized, second pass served from it) and ``route`` of a twin
+
+def _held_tables(table):
+    """A plain table (no memo) and its compact form (memoized)."""
+    return (table, CompactRoutingTable.from_table(table))
+
+
+@given(case=_owner_cases())
+@settings(max_examples=150, deadline=None)
+def test_every_site_answers_the_owner_function(case):
+    keys, stream, table = case
+    expected = _expected(keys, stream, table)
+    owners = [owner for owner, _ in expected]
+    seed, n = stream.hash_seed, len(stream.dst_placements)
+
+    # the data plane, per tuple: ``select`` (plain table: no memo;
+    # compact table: memoized, second pass served from it)
     context = stream_context(stream, 0, 0, stream.dst_placements)
     assert context.seed == seed
     values = [(key,) for key in keys]
-    for held in (table, CompactRoutingTable.from_table(table)):
-        grouping = TableFieldsGrouping(0, table=held)
-        router = grouping.build_router(context)
-        batch = grouping.build_router(context)
+    hits = sum(from_table for _, from_table in expected)
+    for held in _held_tables(table):
+        router = TableFieldsGrouping(0, table=held).build_router(context)
         for _ in range(2):
             assert [router.select(v) for v in values] == [[o] for o in owners]
-            assert batch.route(values)[0].tolist() == owners
-        assert [batch.owner_of(key) for key in keys] == owners
-        hits = 2 * sum(from_table for _, from_table in expected)
-        assert router.table_hits == batch.table_hits == hits
-        assert router.hash_fallbacks == batch.hash_fallbacks == (
-            2 * len(keys) - hits
-        )
+        assert router.table_hits == 2 * hits
+        assert router.hash_fallbacks == 2 * (len(keys) - hits)
 
     # the control plane: planner view, rescale scan, rollback reading
     spec = RescaleSpec(table, stream.hash_seed, n, list(range(n)))
@@ -100,6 +135,27 @@ def test_every_site_answers_the_owner_function(keys, stream_name, n, data):
         for key, owner in table.items()
         if hash_owner(key, seed, n) != owner
     }
+
+
+@needs_numpy
+@given(case=_owner_cases())
+@settings(max_examples=150, deadline=None)
+def test_batch_route_answers_the_owner_function(case):
+    """The data plane per batch: ``route`` and ``owner_of``, counted
+    per tuple like ``select``."""
+    keys, stream, table = case
+    expected = _expected(keys, stream, table)
+    owners = [owner for owner, _ in expected]
+    context = stream_context(stream, 0, 0, stream.dst_placements)
+    values = [(key,) for key in keys]
+    hits = sum(from_table for _, from_table in expected)
+    for held in _held_tables(table):
+        batch = TableFieldsGrouping(0, table=held).build_router(context)
+        for _ in range(2):
+            assert batch.route(values)[0].tolist() == owners
+        assert [batch.owner_of(key) for key in keys] == owners
+        assert batch.table_hits == 2 * hits
+        assert batch.hash_fallbacks == 2 * (len(keys) - hits)
 
 
 def test_out_of_range_entry_is_decided_once():
@@ -179,3 +235,91 @@ def test_batch_owner_rule_is_the_scalar_rule(keys, n, seed, kind, strict, data):
     if kind == "compact":  # a batch lookup counts like the scalar ones
         assert batch_table.lookups == scalar_table.lookups == len(keys)
         assert batch_table.filter_rejects == scalar_table.filter_rejects
+
+
+def test_a_float_zero_hashes_alike_whichever_zero_came_first():
+    """``-0.0 == 0.0`` with equal hashes, so the ``stable_hash`` memo,
+    a vocabulary and a bolt's state each hold the two as one key: the
+    key needs one hash, not the one of whichever zero a process hashed
+    first."""
+    for seed in (0, 1, stream_seed("S->B")):
+        answers = []
+        for first in (0.0, -0.0):
+            clear_stable_hash_memo()
+            stable_hash(first, seed)
+            answers.append((stable_hash(-0.0, seed), stable_hash(0.0, seed)))
+        clear_stable_hash_memo()
+        assert answers[0] == answers[1] == (stable_hash(-0.0, seed),) * 2
+
+
+@needs_numpy
+@pytest.mark.parametrize("backend", ["reference", "vectorized", "multiprocess"])
+def test_a_zero_key_has_one_owner_on_every_backend(backend):
+    """Spout instance 0 emits ``-0.0``, instance 1 ``0.0``, on different
+    servers: a fields grouping is deterministic, so the one key they
+    make lives on one instance — in a fresh process, where each server
+    hashes its own zero first, as well."""
+    from repro.engine import CountBolt, FieldsGrouping, TopologyBuilder
+    from repro.engine.backends import BackendOptions, run_topology
+    from repro.engine.operators import IteratorSpout
+
+    builder = TopologyBuilder()
+    builder.spout(
+        "S",
+        lambda: IteratorSpout(
+            lambda ctx: [(-0.0 if ctx.instance_index == 0 else 0.0,)] * 5
+        ),
+        parallelism=2,
+    )
+    builder.bolt(
+        "B", lambda: CountBolt(0, forward=False), 3,
+        inputs={"S": FieldsGrouping(0)},
+    )
+    clear_stable_hash_memo()
+    result = run_topology(
+        builder.build(), backend, BackendOptions(num_servers=2)
+    )
+    owner = hash_owner(0.0, stream_seed("S->B"), 3)
+    assert result.per_key_totals["B"] == {0.0: 10}
+    assert list(result.key_instances["B"].values()) == [(owner,)]
+
+
+def test_the_owner_rule_is_checked_without_numpy():
+    """What the ``chaos`` CI job runs: with numpy unimportable, this
+    file imports, skips only its numpy tests and passes the rest, the
+    float-zero rule included."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import repro
+
+    # An import hook, not ``sys.modules["numpy"] = None``: Hypothesis
+    # seeds ``numpy.random`` whenever "numpy" is in ``sys.modules``.
+    script = textwrap.dedent(
+        """
+        import sys
+
+        class NoNumpy:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == "numpy":
+                    raise ModuleNotFoundError(name, name=name)
+
+        sys.meta_path.insert(0, NoNumpy())
+        import pytest
+
+        sys.exit(pytest.main([sys.argv[1], "-p", "no:cacheprovider",
+                              "-k", "not without_numpy"]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, os.path.abspath(__file__)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " 4 skipped" in done.stdout, done.stdout

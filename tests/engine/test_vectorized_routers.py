@@ -20,6 +20,8 @@ built from the same grouping and context:
   as dict keys but are distinct routing keys (distinct reprs, hence
   potentially distinct hashes) — the vocabulary must never alias them;
 - non-scalar keys are never interned and route through ``select``;
+- ``route(values, ids)`` with ids a caller interned into the router's
+  vocabulary is ``route(values)``, counters included;
 - policies with no batch form (broadcast, global, local-or-shuffle,
   custom) go through the default ``route``, multi-destination selects
   included.
@@ -254,6 +256,64 @@ def test_hybrid_split_containment_and_tail_exactness(keys, seed, n):
     members = {0: (0, 1), ("a", 1): (n,)}
     router.resize(n + 1, table(members))
     twin.resize(n + 1, table(members))
+    check()
+
+
+def _counters(router):
+    """What a router counts per tuple, whichever of it it has."""
+    return [
+        getattr(router, name, None)
+        for name in ("table_hits", "hash_fallbacks", "split_routes",
+                     "sent_counts")
+    ]
+
+
+@given(
+    keys=st.lists(st.one_of(keys_st, loose_keys_st), max_size=30),
+    seed=seeds,
+    n=st.integers(min_value=2, max_value=6),
+    kind=st.sampled_from(["hash", "table", "hybrid"]),
+    mapped=small_tables,
+)
+@settings(max_examples=150, deadline=None)
+def test_route_by_given_ids_is_route(keys, seed, n, kind, mapped):
+    """``route(values, ids)``, the ids interned by the caller into the
+    router's own vocabulary, is ``route(values)`` on a twin: the same
+    destinations, ids and counters, non-scalar keys (id −1) going
+    through ``select``, before and after a table swap and a resize."""
+
+    def table(width):
+        return RoutingTable(mapped, splits={0: (0, 1), (1,): (width - 1,)})
+
+    grouping = {
+        "hash": FieldsGrouping(0),
+        "table": TableFieldsGrouping(0, table=table(n)),
+        "hybrid": HybridTableFieldsGrouping(0, table=table(n)),
+    }[kind]
+    router, twin = _pair(grouping, n, seed)
+    router.route([])  # the batch state, as a vectorized edge makes it
+    values = [(key,) for key in keys]
+
+    def check():
+        ids, _ = router.vocab.encode(keys)
+        dst, given, rows = router.route(values, ids)
+        expected = twin.route(values)
+        assert given is ids and rows is None
+        assert dst.tolist() == expected[0].tolist()
+        assert ids.tolist() == expected[1].tolist()
+        assert _counters(router) == _counters(twin)
+
+    check()
+    check()
+    if kind != "hash":
+        router.update_table(table(n))
+        twin.update_table(table(n))
+        check()
+        router.resize(n + 1, table(n + 1))
+        twin.resize(n + 1, table(n + 1))
+    else:
+        router.resize(n + 1)
+        twin.resize(n + 1)
     check()
 
 

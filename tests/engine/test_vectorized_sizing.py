@@ -2,19 +2,23 @@
 
 ``_modeled_sizes`` sizes a batch column by column; ``payload_size`` is
 the scalar rule it must equal for every input. A batch is sized by the
-first edge it crosses, and a keyed edge takes the routing key's bytes
-from its ``sizes_of_id`` (one entry per vocabulary key). Three gates:
+first edge it crosses. A field that edge or a later one routes on is
+interned into the routing edge's vocabulary and takes its bytes from
+that edge's ``sizes_of_id`` (one entry per vocabulary key). Three
+gates:
 
 - Hypothesis properties over every field class, mixed-class columns,
-  ragged, zero-width and empty batches, and key columns whose sizes
-  come from elsewhere (``1`` / ``1.0`` / ``True``, text, bytes);
+  ragged, zero-width and empty batches, and key columns (one or
+  several) whose sizes come from elsewhere (``1`` / ``1.0`` / ``True``,
+  text, bytes);
 - call-count guards: uniform benchmark-shaped batches, and a whole
   vectorized run of the benchmark's chain, are sized with no
-  ``payload_size`` / ``field_size`` call at all, each vocabulary key
-  exactly once;
+  ``payload_size`` / ``field_size`` call at all, each key of both
+  vocabularies exactly once, and each routed field of a batch is
+  encoded once;
 - the byte model end to end: what a vectorized edge charges as remote
   bytes equals what the DES counts on the same stream (fan-out,
-  hosted emissions and mixed-type keys included).
+  forwarding chains, hosted emissions and mixed-type keys included).
 """
 
 import numpy as np
@@ -33,6 +37,7 @@ from repro.engine import (
 from repro.engine.backends import BackendOptions, run_topology
 from repro.engine.backends import vectorized
 from repro.engine.backends.vectorized import _modeled_sizes
+from repro.engine.grouping import Vocab
 from repro.engine.operators import IteratorSpout, PassThroughBolt
 from repro.engine.tuples import field_size, payload_size
 
@@ -115,15 +120,16 @@ def _batches(draw):
 
 @st.composite
 def _keyed_batches(draw):
-    """A batch whose field ``key_field`` holds routing keys."""
+    """A batch whose fields ``key_fields`` hold routing keys."""
     n_rows = draw(st.integers(0, 10))
     width = draw(st.integers(1, 4))
-    key_field = draw(st.integers(0, width - 1))
+    key_fields = draw(st.sets(st.integers(0, width - 1), min_size=1))
     columns = _columns(draw, n_rows, width)
-    columns[key_field] = draw(
-        st.lists(_keys, min_size=n_rows, max_size=n_rows)
-    )
-    return _rows(columns, n_rows), key_field
+    for field in key_fields:
+        columns[field] = draw(
+            st.lists(_keys, min_size=n_rows, max_size=n_rows)
+        )
+    return _rows(columns, n_rows), key_fields
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,14 +144,15 @@ def test_modeled_sizes_equal_the_scalar_rule(values, header):
 @settings(max_examples=300, deadline=None)
 @given(_keyed_batches(), st.integers(0, 200))
 def test_key_sizes_given_by_id_equal_the_scalar_rule(keyed, header):
-    """The key column's bytes handed in (as a keyed edge gathers them
-    from ``sizes_of_id``) and the other columns sized by column add up
-    to ``payload_size`` per tuple."""
-    values, key_field = keyed
-    key_sizes = np.array(
-        [field_size(v[key_field]) for v in values], dtype=np.int64
-    )
-    sizes = _modeled_sizes(values, header, key_field, key_sizes)
+    """The key columns' bytes handed in (as the edges routing on them
+    gather them from their ``sizes_of_id``) and the other columns sized
+    by column add up to ``payload_size`` per tuple."""
+    values, key_fields = keyed
+    by_id = {
+        field: np.array([field_size(v[field]) for v in values], dtype=np.int64)
+        for field in key_fields
+    }
+    sizes = _modeled_sizes(values, header, by_id)
     assert sizes.dtype == np.int64
     assert sizes.tolist() == [payload_size(v) + header for v in values]
 
@@ -210,11 +217,21 @@ def _benchmark_chain():
 
 def test_a_vectorized_run_sizes_each_vocabulary_key_once(monkeypatch):
     """A whole run of the benchmark-shaped chain makes no per-value
-    sizing call, and the routing key's column is never walked: each
-    key the first edge interns is sized exactly once, in interning
-    order. The second edge sizes nothing, ``A`` forwards the sizes."""
+    sizing call and walks neither routed column to size it: each key
+    of each vocabulary — the tags of ``S->A`` and the countries of
+    ``A->B``, which ``S->A`` interns for it — is sized exactly once, in
+    interning order, and each routed field of a batch is encoded once.
+    The second edge sizes nothing, ``A`` forwards sizes and ids."""
     calls = _record_calls(monkeypatch, "payload_size", "field_size")
     columns = _record_calls(monkeypatch, "_column_sizes")
+    encoded = []
+    encode = Vocab.encode
+    monkeypatch.setattr(
+        Vocab,
+        "encode",
+        lambda vocab, keys: encoded.append((vocab, len(keys)))
+        or encode(vocab, keys),
+    )
     result = run_topology(
         _benchmark_chain(),
         "vectorized",
@@ -222,18 +239,21 @@ def test_a_vectorized_run_sizes_each_vocabulary_key_once(monkeypatch):
     )
     assert calls == []
     edges = result.handle.edges_by_stream
-    keys = edges["S->A"].router.vocab.keys
-    sized_tags = [
-        value
-        for column in columns
-        for value in column
-        if isinstance(value, str) and value.startswith("tag")
-    ]
-    assert sized_tags == keys
-    assert len(keys) == 97
-    assert len(edges["S->A"].sizes_of_id) == len(keys)
-    assert len(edges["A->B"].sizes_of_id) == 0
-    assert sum(map(len, columns)) == 2 * 1200 + len(keys)
+    tags = edges["S->A"].router.vocab
+    countries = edges["A->B"].router.vocab
+    assert len(tags.keys) == 97 and len(countries.keys) == 5
+    text = [v for column in columns for v in column if isinstance(v, str)]
+    assert [v for v in text if v.startswith("tag")] == tags.keys
+    assert [v for v in text if v.startswith("c")] == countries.keys
+    # and the payload column, 1 200 values, is the only one walked
+    assert sum(map(len, columns)) == 1200 + len(text)
+    for edge, vocab in (("S->A", tags), ("A->B", countries)):
+        assert len(edges[edge].sizes_of_id) == len(vocab.keys)
+    # 20 source batches (600 tuples an instance, 64 a batch), each
+    # encoded once per routed field
+    routed = [vocab for vocab, count in encoded if count]
+    assert routed.count(tags) == routed.count(countries) == 20
+    assert len(routed) == 40 and sum(count for _, count in encoded) == 2400
 
 
 def _mixed_stream(instance, count=240):
@@ -318,6 +338,27 @@ def _hosted_topology(width=3):
     return builder.build()
 
 
+def _three_hop_topology(width=3):
+    """A forwarding chain ``S → A → B → C`` keyed on fields 0, 1 and 2:
+    ``S->A`` sizes every batch and interns fields 1 and 2 for the two
+    edges after it."""
+    builder = _source(_mixed_stream, width)
+    tags = RoutingTable({f"tag{i}": i % 3 for i in range(0, 37, 2)})
+    builder.bolt(
+        "A", lambda: CountBolt(0, forward=True), width,
+        inputs={"S": TableFieldsGrouping(0, table=tags)},
+    )
+    builder.bolt(
+        "B", lambda: CountBolt(1, forward=True), width,
+        inputs={"A": FieldsGrouping(1)},
+    )
+    builder.bolt(
+        "C", lambda: CountBolt(2, forward=False), width,
+        inputs={"B": TableFieldsGrouping(2)},
+    )
+    return builder.build()
+
+
 _MIXED_KEYS = [1, True, 1.0, 2, False, 0.5, 7, "1"]
 
 
@@ -345,6 +386,23 @@ def _mixed_key_topology(width=3):
     return builder.build()
 
 
+def _mixed_later_key_topology(width=3):
+    """S → A by tag (a forwarding count), A → B by the mixed key: the
+    field ``S->A`` interns for ``A->B`` holds ``int``, ``bool``,
+    ``float`` and tuple keys (``B`` is hosted: a count of another
+    field)."""
+    builder = _source(_mixed_key_stream, width)
+    builder.bolt(
+        "A", lambda: CountBolt(1, forward=True), width,
+        inputs={"S": FieldsGrouping(1)},
+    )
+    builder.bolt(
+        "B", lambda: CountBolt(1, forward=False), width,
+        inputs={"A": TableFieldsGrouping(0, table=RoutingTable({1: 2}))},
+    )
+    return builder.build()
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -353,6 +411,8 @@ def _mixed_key_topology(width=3):
         _fan_out_topology,
         _hosted_topology,
         _mixed_key_topology,
+        _three_hop_topology,
+        _mixed_later_key_topology,
     ],
 )
 def test_vectorized_edges_charge_the_bytes_the_des_counts(make):
@@ -378,19 +438,31 @@ def test_vectorized_edges_charge_the_bytes_the_des_counts(make):
         assert sized == list(map(field_size, keys))
 
 
+def _sized_by_id(edge):
+    """Whether every key of the edge's vocabulary has been sized."""
+    return len(edge.sizes_of_id) == len(edge.router.vocab.keys) > 0
+
+
 def test_a_batch_is_sized_by_the_first_edge_it_crosses():
-    """Fan-out: the first of the source's edges sizes its batches (the
-    key by id), the second reuses the sizes; hosted emissions are sized
-    at their first edge by id; a batch holding a non-scalar key is
-    sized by column, and ``1`` / ``1.0`` / ``True`` keep 8 / 8 / 1."""
+    """Fan-out: the first of the source's edges sizes its batches, its
+    key by id and the second edge's by the second edge's ids, which it
+    interns for it; a chain's later edges are sized by id the same way.
+    Hosted emissions are sized at their first edge by id; a batch
+    holding a non-scalar key is sized by column, and ``1`` / ``1.0`` /
+    ``True`` keep 8 / 8 / 1."""
     options = BackendOptions(num_servers=3, batch_size=64)
     edges = run_topology(
         _fan_out_topology(), "vectorized", options
     ).handle.edges_by_stream
-    assert len(edges["S->A"].sizes_of_id) == len(
-        edges["S->A"].router.vocab.keys
-    )
-    assert len(edges["S->C"].sizes_of_id) == 0
+    assert _sized_by_id(edges["S->A"]) and _sized_by_id(edges["S->C"])
+    assert edges["S->A"].interns_for == [edges["S->C"]]
+    assert edges["S->C"].interns_for == []
+
+    edges = run_topology(
+        _three_hop_topology(), "vectorized", options
+    ).handle.edges_by_stream
+    assert all(map(_sized_by_id, edges.values()))
+    assert edges["S->A"].interns_for == [edges["A->B"], edges["B->C"]]
 
     edges = run_topology(
         _hosted_topology(), "vectorized", options

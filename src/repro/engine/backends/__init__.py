@@ -149,6 +149,9 @@ class BackendResult:
     locality: float
     stream_locality: Dict[str, float]
     load_balance: Dict[str, float]
+    #: per bolt, the tuples each instance received, over the bolt's
+    #: final width on every backend: a scale-in drops the retired
+    #: instances (``load_balance`` is computed over the same list)
     received: Dict[str, List[int]]
     per_key_totals: Dict[str, Dict[Any, int]]
     key_instances: Dict[str, Dict[Any, Tuple[int, ...]]]

@@ -6,17 +6,16 @@ topology on real OS resources and **measures** them (DESIGN.md §16):
 - one worker process per simulated server, forked from the parent so
   topology factories (closures included) carry over;
 - each worker hosts the operator *instances placed on its server*
-  (``instance % num_servers``, every backend's round-robin) behind
-  :class:`~repro.engine.physical.SpoutSource` /
+  (:func:`~repro.engine.physical.placement`, every backend's
+  round-robin) behind :class:`~repro.engine.physical.SpoutSource` /
   :class:`~repro.engine.physical.HostedBolt` shards;
-- routing goes through ``Router.route`` (:mod:`repro.engine.grouping`)
-  once per (stream, batch), under the ``RouterContext`` the DES
-  ``deploy`` gives its routers: a deterministic router (table, hash)
-  serves every source instance at a worker and places every tuple
-  where the DES does; load-dependent and stateful policies (hybrid,
-  PKG, shuffle, the ``select`` loop of the rest) keep one router per
-  (stream, source instance), as the DES does, each seeing its
-  instance's tuples in the order the instance produced them;
+- routing goes once per (stream, batch) through the stream's
+  :class:`~repro.engine.physical.StreamRoutes`, as on the vectorized
+  backend: a deterministic router (table, hash) serves every source
+  instance and places every tuple where the DES does; every other
+  policy keeps one router per (stream, source instance), as the DES
+  does, each seeing its instance's tuples in the order the instance
+  produced them;
 - intra-server edges stay in-process (zero serialized bytes); tuples
   crossing servers are pickled onto the destination worker's bounded
   inbound queue and the serialized length is recorded — locality is a
@@ -52,17 +51,18 @@ import sys
 import time
 import traceback
 from itertools import compress, islice
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.physical import (
     HostedBolt,
     SpoutSource,
+    StreamRoutes,
     TupleBatch,
     merge_op_stats,
+    placement,
 )
-from repro.engine.grouping import Router, route_per_source, stream_context
 from repro.engine.topology import Topology
 from repro.errors import DeploymentError
 
@@ -97,89 +97,6 @@ class MultiprocessBackendError(DeploymentError):
         self.server = server
         self.exitcode = exitcode
         self.partial = partial or {}
-
-
-def _placement(instance, num_servers: int):
-    """Round-robin placement, identical to the DES and vectorized
-    (an instance index or an array of them)."""
-    return instance % num_servers
-
-
-class _ShardSource(SpoutSource):
-    """The spout instances of one logical spout placed on this server."""
-
-    def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:
-        return TupleBatch(
-            values,
-            src_instances=np.full(len(values), instance, dtype=np.int64),
-        )
-
-
-class _StreamRoutes:
-    """One stream's routing at a worker: its routers and locality
-    counters. A deterministic router serves every source instance; any
-    other policy gets one router per source instance, built on first
-    use under the stream's current width."""
-
-    def __init__(
-        self, stream, width: int, server: int, num_servers: int
-    ) -> None:
-        self.stream = stream
-        self.n = width
-        self._server = server
-        self._num_servers = num_servers
-        #: source instance 0's router, the only one if deterministic
-        self.router = self._build(0)
-        self._routers: Dict[int, Router] = {0: self.router}
-        self.local_tuples = 0
-        self.total_tuples = 0
-
-    def _build(self, src_instance: int) -> Router:
-        return self.stream.grouping.build_router(
-            stream_context(
-                self.stream,
-                src_instance,
-                self._server,
-                [_placement(i, self._num_servers) for i in range(self.n)],
-            )
-        )
-
-    def router_of(self, src_instance: int) -> Router:
-        """The router of ``src_instance``'s tuples."""
-        if self.router.deterministic:
-            return self.router
-        router = self._routers.get(src_instance)
-        if router is None:
-            router = self._routers[src_instance] = self._build(src_instance)
-        return router
-
-    def route(self, batch: TupleBatch) -> Tuple[Sequence[tuple], np.ndarray]:
-        """(values, destination instance of each) — ``values`` is the
-        batch's own list unless per-source grouping or a multi-
-        destination select reordered or replicated tuples."""
-        values = batch.values
-        if self.router.deterministic:
-            return values, self.router.route(values)[0]
-        dst, rows = route_per_source(
-            self.router_of, values, batch.src_instances
-        )
-        if rows is not None:
-            values = [values[row] for row in rows.tolist()]
-        return values, dst
-
-    def reconfigure(self, action) -> None:
-        """Apply a scripted action to every router built so far (target
-        or side input); later ones are built at the new width."""
-        for router in self._routers.values():
-            action.apply(router, self.stream.name)
-        if action.parallelism is not None:
-            self.n = action.parallelism
-
-    def route_counts(self) -> Dict[str, int]:
-        return {
-            name: sum(getattr(r, name) for r in self._routers.values())
-            for name in ("table_hits", "hash_fallbacks")
-        }
 
 
 # ----------------------------------------------------------------------
@@ -252,20 +169,20 @@ class _Worker:
         self.widths = {
             op.name: op.parallelism for op in topo.operators.values()
         }
-        self.sources: Dict[str, _ShardSource] = {}
+        self.sources: Dict[str, SpoutSource] = {}
         self.bolts: Dict[str, HostedBolt] = {}
-        self.streams: Dict[str, _StreamRoutes] = {}
+        self.streams: Dict[str, StreamRoutes] = {}
         for name in topo.topological_order():
             spec = topo.operator(name)
             if spec.is_spout:
-                self.sources[name] = _ShardSource(
+                self.sources[name] = SpoutSource(
                     name,
                     spec.factory,
                     spec.parallelism,
                     {
                         instance: self.server
                         for instance in range(spec.parallelism)
-                        if _placement(instance, self.num_servers)
+                        if placement(instance, self.num_servers)
                         == self.server
                     },
                     options.batch_size,
@@ -281,11 +198,8 @@ class _Worker:
                     server=self.server,
                 )
         for stream in topo.streams:
-            self.streams[stream.name] = _StreamRoutes(
-                stream,
-                self.widths[stream.dst],
-                self.server,
-                self.num_servers,
+            self.streams[stream.name] = StreamRoutes(
+                stream, self.widths[stream.dst], self.num_servers
             )
             self.done_from[stream.name] = set()
 
@@ -321,8 +235,11 @@ class _Worker:
         message per (server, stream), the local part stays in-process."""
         for stream in self.topology.outputs_of(op_name):
             routes = self.streams[stream.name]
-            values, dst = routes.route(batch)
-            servers = _placement(dst, self.num_servers)
+            values = batch.values
+            dst, _, rows = routes.route(values, batch.src_instances)
+            if rows is not None:  # grouped by source, or replicated
+                values = [values[row] for row in rows.tolist()]
+            servers = placement(dst, self.num_servers)
             # bincount, not unique: no sort, and no ``numpy.ma`` import
             # (17 ms on first use, i.e. in every forked worker)
             per_server = np.bincount(servers, minlength=self.num_servers)
@@ -481,7 +398,7 @@ class _Worker:
         targets = [routes.stream]
         new_width = action.parallelism
         if new_width is not None:
-            self.widths[dst_op] = max(self.widths[dst_op], new_width)
+            self.widths[dst_op] = new_width
             # The new local instances' own output routers are built on
             # first use, like every other.
             shard.resize(new_width)
@@ -492,7 +409,7 @@ class _Worker:
         # this server goes as one message per destination server.
         outgoing: Dict[int, Dict[int, Dict[Any, Any]]] = {}
         for owner, entries in shard.migrate(routes.router.owner_of).items():
-            outgoing.setdefault(_placement(owner, self.num_servers), {})[
+            outgoing.setdefault(placement(owner, self.num_servers), {})[
                 owner
             ] = entries
         for server, per_instance in sorted(outgoing.items()):
@@ -880,10 +797,8 @@ def _assemble(
 
     workers = [results[s] for s in sorted(results)]
 
-    widths: Dict[str, int] = {}
-    for worker in workers:
-        for op, width in worker["widths"].items():
-            widths[op] = max(widths.get(op, 0), width)
+    # every worker applied every action: one final width per operator
+    widths = workers[0]["widths"]
 
     stream_counts: Dict[str, Tuple[int, int]] = {}
     route_counts: Dict[str, Dict[str, int]] = {}
@@ -903,10 +818,13 @@ def _assemble(
 
     bolt_counts = {}
     for op in topology.bolts:
+        # a scale-in retires instances: report the final width, as the
+        # DES and vectorized do
         counts = [0] * widths[op.name]
         for worker in workers:
             for instance, count in worker["received"][op.name].items():
-                counts[instance] += count
+                if instance < len(counts):
+                    counts[instance] += count
         bolt_counts[op.name] = (
             counts,
             [

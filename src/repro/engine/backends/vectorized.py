@@ -4,15 +4,19 @@ The DES executes one simulator event per tuple hop; this backend packs
 tuples into :class:`~repro.engine.physical.TupleBatch` micro-batches
 and resolves everything per *batch*:
 
-- each stream routes through its routers' ``route``
-  (:mod:`repro.engine.grouping`): a **key vocabulary** (key → dense
-  int id, interned once per distinct key) and an id → destination
-  array resolved with the owner rule of ``select``, so a batch routes
-  as one numpy gather instead of len(batch) Python calls;
-- counting bolts accumulate per-instance ``np.bincount`` over key ids;
+- each stream routes through its
+  :class:`~repro.engine.physical.StreamRoutes`, the multiprocess
+  workers' too: a deterministic router's ``route`` keeps a **key
+  vocabulary** (key → dense int id, interned once per distinct key)
+  and an id → destination array resolved with the owner rule of
+  ``select``, so a batch routes as one numpy gather instead of
+  len(batch) Python calls;
+- counting bolts on such a stream accumulate per-instance
+  ``np.bincount`` over its key ids;
 - payload bytes are sized once per batch, at the first edge it
-  crosses; a field that edge or a later one routes on is interned once
-  and sized by a gather on its vocabulary id;
+  crosses; a field that edge or a later one routes on through a
+  deterministic router is interned once and sized by a gather on its
+  vocabulary id;
 - locality and the time model are numpy reductions.
   The model is the DES's cost model in closed form: CPU busy seconds
   per executor, NIC transfer seconds per server, and ``sim_s`` the
@@ -26,20 +30,25 @@ Exactness contract (enforced by :mod:`repro.testing.equivalence`):
 
 - **table / hash** streams: per-tuple routing decisions identical to
   the DES routers (pure functions of the key);
-- **hybrid** streams: tail keys identical; split keys always land
-  inside the member set, but the least-loaded pick is load-dependent,
-  so only per-key totals and member-set containment are guaranteed;
-- **PKG** streams: candidate sets identical; the d-choices pick is
-  load-dependent (per-edge counters here vs per-source-router counters
-  in the DES), so the same containment-and-totals guarantee applies;
-- **shuffle** streams: round-robin per source instance, matched to the
-  DES only in aggregate (per-destination counts within one tuple).
+- **hybrid** streams: one router per source instance, as on the DES
+  and the multiprocess workers. Tail keys identical; split keys land
+  inside the member set, picked by the least-loaded counter of their
+  source's router, which credits tail traffic per batch where the DES
+  credits it per tuple: per-key totals and member-set containment are
+  guaranteed against the DES, every decision against multiprocess;
+- **PKG** streams: one router per source instance, so the d-choices
+  pick is the DES's whenever each source instance's tuples reach its
+  router in the DES's order (a spout-fed edge); elsewhere candidate
+  sets and totals are;
+- **shuffle** streams: one round-robin per source instance, started at
+  its index: identical to the DES on a spout-fed edge, in aggregate
+  elsewhere.
 
 Operators without a vectorized kernel (anything that is not a
-:class:`~repro.engine.operators.CountBolt` counting its input stream's
-routing key) run as real operator instances behind the shared
-:class:`~repro.engine.physical.HostedBolt` — correct for any bolt, one
-``process_batch`` call per (instance, batch).
+:class:`~repro.engine.operators.CountBolt` counting its table or hash
+input stream's routing key) run as real operator instances behind the
+shared :class:`~repro.engine.physical.HostedBolt` — correct for any
+bolt, one ``process_batch`` call per (instance, batch).
 """
 
 from __future__ import annotations
@@ -57,14 +66,11 @@ from repro.engine.physical import (
     PhysicalOperator,
     PhysicalPlan,
     SpoutSource,
+    StreamRoutes,
     TupleBatch,
+    placement,
 )
-from repro.engine.grouping import (
-    Router,
-    _HashFieldsRouter,
-    route_per_source,
-    stream_context,
-)
+from repro.engine.grouping import Router
 from repro.engine.topology import Topology
 from repro.engine.tuples import Padding, field_size, payload_size
 from repro.errors import RoutingError
@@ -162,47 +168,53 @@ def _modeled_sizes(
 
 
 class _VectorEdge:
-    """One stream's routers + cost/locality accounting.
+    """One stream's routing, sizing and cost/locality accounting.
 
-    The transform applied to every batch crossing the edge: resolve
-    destinations through ``Router.route``, account bytes/locality/
-    served time, and hand the consumer a routed batch
-    (``dst_instances`` and — for keyed streams — ``key_ids`` filled in).
+    The transform applied to every batch crossing the edge: route it
+    through the stream's :class:`~repro.engine.physical.StreamRoutes`
+    (a mixed-source batch put back in batch order), size it if no edge
+    has, account bytes/locality/served time, and hand the consumer a
+    routed batch (``dst_instances`` and — for a deterministic stream —
+    ``key_ids`` filled in).
 
-    Keyed streams own *one* router, hence one key vocabulary (the
-    bincount operators index their counts by its ids) and, for hybrid
-    and PKG, per-edge load counters where the DES has per-source-router
-    ones. Shuffle keeps one round-robin router per source instance.
+    Only a deterministic stream has one router, hence one key
+    vocabulary: the bincount operators index their counts by its ids,
+    and its routing key is sized by id. Hybrid, PKG and shuffle streams
+    route per source instance and are sized by column.
     """
 
     def __init__(
         self,
         stream,
         num_destinations: int,
+        num_servers: int,
         src_placement: np.ndarray,
         dst_placement: np.ndarray,
         meter: _Meter,
     ) -> None:
         self.stream = stream
-        self.n = num_destinations
         self.src_placement = src_placement
         self.dst_placement = dst_placement
         self.meter = meter
         self.src_cpu = meter.cpu_s[stream.src]
         self.dst_cpu = meter.cpu_s[stream.dst]
-        #: source instance 0's router: the edge's only one if keyed
-        self.router = self._build_router(0)
+        self.routes = StreamRoutes(stream, num_destinations, num_servers)
+        #: source instance 0's router: the edge's only one if deterministic
+        self.router = self.routes.router
         if type(self.router).route is Router.route:
             raise RoutingError(
                 f"vectorized backend does not support "
                 f"{type(stream.grouping).__name__}, which has no batch "
                 f"form (reference or multiprocess backend required)"
             )
-        keyed = hasattr(stream.grouping, "key_fn")
-        self._per_source = None if keyed else {0: self.router}
         key_spec = getattr(stream.grouping, "key_spec", None)
-        #: the routing key's field when it is one, sized by key id
-        self._key_field = key_spec if isinstance(key_spec, int) else None
+        #: the routing key's field when it is one and the edge's one
+        #: vocabulary interns it, sized by key id
+        self._key_field = (
+            key_spec
+            if isinstance(key_spec, int) and self.router.deterministic
+            else None
+        )
         #: vocabulary id → modeled bytes of that key, grown with the
         #: router's vocabulary (which no table swap or resize resets)
         self.sizes_of_id = np.zeros(0, dtype=np.int64)
@@ -212,59 +224,33 @@ class _VectorEdge:
         # the batch state that the count operators and migration read
         # exists from the start, as if a batch had been routed
         self.router.route([])
-        self.local_tuples = 0
-        self.total_tuples = 0
         self.remote_bytes = 0
         self.received = np.zeros(num_destinations, dtype=np.int64)
 
-    def _build_router(self, src_instance: int) -> Router:
-        return self.stream.grouping.build_router(
-            stream_context(
-                self.stream,
-                src_instance,
-                int(self.src_placement[src_instance]),
-                self.dst_placement[: self.n].tolist(),
-            )
-        )
-
-    def _router_of(self, src_instance: int) -> Router:
-        router = self._per_source.get(src_instance)
-        if router is None:
-            router = self._build_router(src_instance)
-            self._per_source[src_instance] = router
-        return router
-
     def reconfigure(self, action) -> None:
-        """Apply a scripted action to every router of the edge (the
+        """Apply a scripted action to the stream's routers (the
         action's target, or a side input of the rescaled operator)."""
-        for router in (self._per_source or {0: self.router}).values():
-            action.apply(router, self.stream.name)
+        self.routes.reconfigure(action)
         if action.parallelism is None:
             return
-        self.n = action.parallelism
         old_received = self.received
-        self.received = np.zeros(self.n, dtype=np.int64)
-        limit = min(len(old_received), self.n)
+        self.received = np.zeros(action.parallelism, dtype=np.int64)
+        limit = min(len(old_received), action.parallelism)
         self.received[:limit] = old_received[:limit]
 
     # -- the batch transform -------------------------------------------
 
     def __call__(self, batch: TupleBatch) -> TupleBatch:
-        if self._per_source is None:
+        ids = None
+        if self._key_field is not None:  # interned by the sizing edge?
             ids = batch.interned.get(self.router.vocab)
-            if ids is None:
-                dst, ids, _ = self.router.route(batch.values)
-            else:  # interned by the edge that sized the batch
-                dst, ids, _ = self.router.route(batch.values, ids)
-        else:
-            ids = None
-            dst, rows = route_per_source(
-                self._router_of, batch.values, batch.src_instances
-            )
-            if rows is not None:  # grouped by source: back to batch order
-                in_order = np.empty_like(dst)
-                in_order[rows] = dst
-                dst = in_order
+        dst, ids, rows = self.routes.route(
+            batch.values, batch.src_instances, ids
+        )
+        if rows is not None:  # grouped by source: back to batch order
+            in_order = np.empty_like(dst)
+            in_order[rows] = dst
+            dst = in_order
         if batch.sizes is None:
             # Sized by the first edge the batch crosses, kept on it for
             # the others (a fan-out, a counting bolt's forward).
@@ -319,19 +305,19 @@ class _VectorEdge:
     def _account(self, batch: TupleBatch, dst: np.ndarray) -> None:
         meter = self.meter
         costs = meter.costs
+        routes = self.routes
         n_tuples = len(dst)
-        self.total_tuples += n_tuples
-        received = np.bincount(dst, minlength=self.n)
+        routes.total_tuples += n_tuples
+        width = len(self.received)
+        received = np.bincount(dst, minlength=width)
         self.received += received
         # The destination instance's CPU: the bolt's service time.
-        self.dst_cpu[: self.n] += received * costs.bolt_service_s
+        self.dst_cpu[:width] += received * costs.bolt_service_s
 
         src = batch.src_instances
-        if src is None:
-            src = np.zeros(n_tuples, dtype=np.int64)
         remote = self.src_placement[src] != self.dst_placement[dst]
         n_remote = int(remote.sum())
-        self.local_tuples += n_tuples - n_remote
+        routes.local_tuples += n_tuples - n_remote
         if not n_remote:
             return
         # Server-crossing tuples: ser at the source instance, deser at
@@ -384,17 +370,15 @@ class _VectorSpoutSource(SpoutSource):
         self.cpu_s = meter.cpu_s[spec.name]
 
     def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:
-        n_tuples = len(values)
-        self.cpu_s[instance] += n_tuples * self.meter.costs.spout_service_s
-        return TupleBatch(
-            values, src_instances=np.full(n_tuples, instance, dtype=np.int64)
-        )
+        self.cpu_s[instance] += len(values) * self.meter.costs.spout_service_s
+        return super()._make_batch(instance, values)
 
 
 class _VectorCountOp(PhysicalOperator):
     """Vectorized CountBolt: per-instance bincount over the input
     edge's key ids (valid because the counted key *is* the routing
-    key, proven at compile time via ``key_spec``)."""
+    key, proven at compile time via ``key_spec``, and the edge has one
+    vocabulary)."""
 
     def __init__(
         self,
@@ -489,19 +473,17 @@ class _VectorCountOp(PhysicalOperator):
 # ----------------------------------------------------------------------
 
 
-def _count_fast_path(operator, in_streams) -> bool:
+def _count_fast_path(operator, in_edges) -> bool:
     """Whether the bolt is a CountBolt counting its (single) input
-    stream's routing key — the condition for the bincount kernel."""
-    if not isinstance(operator, CountBolt):
+    edge's routing key, interned in the edge's one vocabulary (a
+    deterministic router) — the condition for the bincount kernel."""
+    if not isinstance(operator, CountBolt) or len(in_edges) != 1:
         return False
-    if len(in_streams) != 1:
-        return False
-    grouping = in_streams[0].grouping
-    key_spec = getattr(grouping, "key_spec", None)
+    key_field = in_edges[0]._key_field
     return (
-        isinstance(key_spec, int)
+        key_field is not None
         and isinstance(operator.key_spec, int)
-        and key_spec == operator.key_spec
+        and key_field == operator.key_spec
     )
 
 
@@ -524,9 +506,9 @@ class _VectorizedRun:
         self.widths: Dict[str, int] = {}
         for op in topology.operators.values():
             self.widths[op.name] = op.parallelism
-            self.placements[op.name] = (
-                np.arange(max(op.parallelism, widest), dtype=np.int64)
-                % self.num_servers
+            self.placements[op.name] = placement(
+                np.arange(max(op.parallelism, widest), dtype=np.int64),
+                self.num_servers,
             )
         self.meter = _Meter(
             self.placements,
@@ -535,28 +517,36 @@ class _VectorizedRun:
             options.bandwidth_gbps,
         )
 
+        self.edges_by_stream: Dict[str, _VectorEdge] = {
+            stream.name: _VectorEdge(
+                stream,
+                topology.operator(stream.dst).parallelism,
+                self.num_servers,
+                self.placements[stream.src],
+                self.placements[stream.dst],
+                self.meter,
+            )
+            for stream in topology.streams
+        }
         self.ops: Dict[str, PhysicalOperator] = {}
-        self.edges_by_stream: Dict[str, _VectorEdge] = {}
-        phys_edges: List[PhysicalEdge] = []
-
         for name in topology.topological_order():
             spec = topology.operator(name)
-            in_streams = topology.inputs_of(name)
             if spec.is_spout:
                 self.ops[name] = _VectorSpoutSource(
                     spec, self.placements[name], self.meter, options
                 )
                 continue
             probe = spec.factory()
+            in_streams = topology.inputs_of(name)
             input_names = [s.name for s in in_streams]
-            if _count_fast_path(probe, in_streams):
-                # in_edge is attached after edges are built below.
+            in_edges = [self.edges_by_stream[s.name] for s in in_streams]
+            if _count_fast_path(probe, in_edges):
                 self.ops[name] = _VectorCountOp(
                     name,
                     input_names,
                     spec.parallelism,
                     probe.forwards,
-                    in_edge=None,
+                    in_edges[0],
                 )
             else:
                 self.ops[name] = HostedBolt(
@@ -568,18 +558,10 @@ class _VectorizedRun:
                     options.costs.tuple_header_bytes,
                 )
 
+        phys_edges: List[PhysicalEdge] = []
         for stream in topology.streams:
-            edge = _VectorEdge(
-                stream,
-                topology.operator(stream.dst).parallelism,
-                self.placements[stream.src],
-                self.placements[stream.dst],
-                self.meter,
-            )
-            self.edges_by_stream[stream.name] = edge
+            edge = self.edges_by_stream[stream.name]
             dst_op = self.ops[stream.dst]
-            if isinstance(dst_op, _VectorCountOp):
-                dst_op.in_edge = edge
             phys_edges.append(
                 PhysicalEdge(
                     stream.name,
@@ -589,12 +571,10 @@ class _VectorizedRun:
                     transform=edge,
                 )
             )
-        for stream in topology.streams:
-            self.edges_by_stream[stream.name].interns_for = [
-                edge
-                for edge in self._later(stream)
-                if isinstance(edge.router, _HashFieldsRouter)
-                and edge._key_field is not None
+            edge.interns_for = [
+                later
+                for later in self._later(stream)
+                if later._key_field is not None
             ]
 
         self.plan = PhysicalPlan(list(self.ops.values()), phys_edges)
@@ -678,10 +658,7 @@ def run_vectorized(topology: Topology, options) -> "BackendResult":
         sim_s=run.meter.sim_s(),
         tuples_emitted=run._emitted(),
         route_counts={
-            name: {
-                "table_hits": edge.router.table_hits,
-                "hash_fallbacks": edge.router.hash_fallbacks,
-            }
+            name: edge.routes.route_counts()
             for name, edge in edges.items()
             if edge.router.counts_table_hits
         },
@@ -694,7 +671,7 @@ def run_vectorized(topology: Topology, options) -> "BackendResult":
                 for op in run.topology.bolts
             },
             {
-                name: (edge.local_tuples, edge.total_tuples)
+                name: (edge.routes.local_tuples, edge.routes.total_tuples)
                 for name, edge in edges.items()
             },
             bolt_counts,

@@ -22,13 +22,14 @@ Two backends ship against this seam (see :mod:`repro.engine.backends`):
   routing per *batch* instead of per tuple (DESIGN.md §15).
 
 What the batch backends share beyond the protocol lives here too: the
-two operators that host real operator objects — :class:`SpoutSource`
-over spout instances and :class:`HostedBolt` over bolt instances, which
-it drives through ``Bolt.process_batch`` — and their
-:class:`ShimContext`. The module still loads without numpy
-(``repro.engine`` re-exports the seam, and the DES needs no
-dependency): only :class:`HostedBolt` uses it, from the moment it is
-handed a batch.
+round-robin :func:`placement` of every backend, the two operators that
+host real operator objects — :class:`SpoutSource` over spout instances
+and :class:`HostedBolt` over bolt instances, which it drives through
+``Bolt.process_batch`` — their :class:`ShimContext`, and
+:class:`StreamRoutes`, which holds a stream's routers. The module still
+loads without numpy (``repro.engine`` re-exports the seam, and the DES
+needs no dependency): only the batch methods use it, from the moment
+they are handed a batch.
 
 Data moves between physical operators as :class:`TupleBatch` — a
 columnar micro-batch: the Python value tuples ride along (operators
@@ -54,6 +55,7 @@ from typing import (
     Tuple,
 )
 
+from repro.engine.grouping import Router, route_per_source, stream_context
 from repro.engine.operators import (
     Bolt,
     IteratorSpout,
@@ -62,6 +64,13 @@ from repro.engine.operators import (
     StatefulBolt,
 )
 from repro.errors import DeploymentError
+
+
+def placement(instance, num_servers: int):
+    """The server of operator instance ``instance`` (an index or an
+    array of them) on every backend: round-robin, ``i % num_servers``,
+    the paper's static placement."""
+    return instance % num_servers
 
 
 @dataclass
@@ -170,8 +179,9 @@ class TupleBatch:
         later one routes on is sized by a gather on its vocabulary ids.
     key_ids:
         Per-tuple key ids under the producing edge's key vocabulary
-        (numpy ``int64``), attached by vectorized edge routers so a
-        consumer counting the same key never re-extracts it.
+        (numpy ``int64``), attached by a vectorized edge whose router
+        is deterministic (one vocabulary for the stream) so a consumer
+        counting the same key never re-extracts it.
     interned:
         ``{vocabulary: ids}``: the key ids of a field that a later edge
         routes these same values on, interned into that edge's
@@ -354,8 +364,8 @@ class SpoutSource(SourceOperator):
     """Some (or all) instances of one logical spout behind one physical
     source: cycles them, producing one single-instance batch per poll.
 
-    ``placement`` maps each hosted instance to its server. Subclasses
-    implement :meth:`_make_batch` — the column layout is the backend's.
+    ``placement`` maps each hosted instance to its server. A batch
+    names its instance in ``src_instances``.
     """
 
     def __init__(
@@ -424,15 +434,20 @@ class SpoutSource(SourceOperator):
         return values
 
     def _make_batch(self, instance: int, values: List[tuple]) -> TupleBatch:
-        raise NotImplementedError
+        import numpy as np
+
+        return TupleBatch(
+            values,
+            src_instances=np.full(len(values), instance, dtype=np.int64),
+        )
 
 
 class HostedBolt(PhysicalOperator):
     """Some (or all) instances of one logical bolt behind one physical
     operator — the only place a batch backend runs real bolt objects.
 
-    Placement is the round-robin of every backend (instance ``i`` on
-    server ``i % num_servers``). With ``server`` given, only that
+    Placement is the round-robin of every backend (:func:`placement`).
+    With ``server`` given, only that
     server's instances are hosted (a multiprocess worker's shard);
     without, all of them (the vectorized backend). Input batches carry
     per-tuple ``dst_instances``: each hosted instance takes its tuples,
@@ -471,7 +486,7 @@ class HostedBolt(PhysicalOperator):
         for context in self.contexts.values():
             context.num_instances = self.parallelism
         for instance in range(parallelism):
-            server = instance % self._num_servers
+            server = placement(instance, self._num_servers)
             hosted_here = self._server is None or self._server == server
             if instance in self.operators or not hosted_here:
                 continue
@@ -562,6 +577,80 @@ class HostedBolt(PhysicalOperator):
         return {
             instance: dict(operator.state)
             for instance, operator in self.stateful_instances()
+        }
+
+
+class StreamRoutes:
+    """One stream's routers on a batch backend, and its locality
+    counters.
+
+    The one rule for how many routers a stream gets, the DES's: a
+    ``deterministic`` router (table, hash) serves every source
+    instance; any other policy gets one router per source instance,
+    built on first use at the stream's current width, under the
+    ``stream_context`` the DES builds that instance's router with — so
+    a d-choices or hybrid pick reads its own source's load counters,
+    and a shuffle cursor starts at its own source's index.
+    """
+
+    def __init__(self, stream, width: int, num_servers: int) -> None:
+        self.stream = stream
+        #: the destination width routers are built at
+        self.n = width
+        self._num_servers = num_servers
+        #: source instance 0's router, the only one if deterministic
+        self.router = self._build(0)
+        self._routers: Dict[int, Router] = {0: self.router}
+        self.local_tuples = 0
+        self.total_tuples = 0
+
+    def _build(self, src_instance: int) -> Router:
+        servers = self._num_servers
+        return self.stream.grouping.build_router(
+            stream_context(
+                self.stream,
+                src_instance,
+                placement(src_instance, servers),
+                [placement(i, servers) for i in range(self.n)],
+            )
+        )
+
+    def router_of(self, src_instance: int) -> Router:
+        """The router of ``src_instance``'s tuples."""
+        if self.router.deterministic:
+            return self.router
+        router = self._routers.get(src_instance)
+        if router is None:
+            router = self._routers[src_instance] = self._build(src_instance)
+        return router
+
+    def route(self, values: Sequence[tuple], src_instances, ids=None):
+        """``(dst, key_ids, rows)`` of a batch, as ``Router.route``.
+
+        A deterministic router routes it whole, by ``ids`` when given
+        (its keys already interned into the router's ``vocab``);
+        otherwise each source instance's tuples go through that
+        instance's router (``route_per_source``: a mixed-source batch
+        comes back grouped by instance, ``rows`` indexing ``values``,
+        and ``key_ids`` is None — the routers share no vocabulary)."""
+        if self.router.deterministic:
+            return self.router.route(values, ids)
+        dst, rows = route_per_source(self.router_of, values, src_instances)
+        return dst, None, rows
+
+    def reconfigure(self, action) -> None:
+        """Apply a scripted action to every router built so far (the
+        target or a side input); later ones are built at its width."""
+        for router in self._routers.values():
+            action.apply(router, self.stream.name)
+        if action.parallelism is not None:
+            self.n = action.parallelism
+
+    def route_counts(self) -> Dict[str, int]:
+        """``table_hits`` / ``hash_fallbacks`` over every router."""
+        return {
+            name: sum(getattr(r, name) for r in self._routers.values())
+            for name in ("table_hits", "hash_fallbacks")
         }
 
 

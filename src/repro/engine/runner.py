@@ -22,6 +22,7 @@ from repro.engine.executor import (
 from repro.engine.grouping import stream_context
 from repro.engine.metrics import MetricsHub, ThroughputSampler
 from repro.engine.operators import Spout
+from repro.engine.physical import placement
 from repro.engine.simulator import Simulator
 from repro.engine.topology import Topology
 from repro.errors import DeploymentError
@@ -35,7 +36,7 @@ def round_robin_placement(num_servers: int) -> PlacementFn:
     each PO."""
 
     def place(op_name: str, instance: int, parallelism: int) -> int:
-        return instance % num_servers
+        return placement(instance, num_servers)
 
     return place
 

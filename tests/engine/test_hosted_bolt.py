@@ -11,7 +11,12 @@
   SumBolt`` under PKG, a ``FunctionBolt`` fan-out, and a scripted 2→4
   rescale over ``SumBolt`` stages — after which every hosted instance,
   old or new, reports the new ``context.num_instances`` and the
-  rescaled operator's side inputs route at the new width.
+  rescaled operator's side inputs route at the new width;
+- one rule for how many routers a stream gets
+  (:class:`~repro.engine.physical.StreamRoutes`): spout-fed PKG,
+  shuffle and hybrid edges decide every tuple alike on both fast
+  backends, PKG and shuffle also alike with the DES; and a scripted
+  scale-in reports the final width on both.
 """
 
 import multiprocessing
@@ -23,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Manager, ManagerConfig
-from repro.engine import TableFieldsGrouping, TopologyBuilder
+from repro.core.routing_table import RoutingTable
+from repro.engine import TableFieldsGrouping, TopologyBuilder, count_chain
 from repro.engine.backends import (
     BackendOptions,
     ReconfigureAction,
@@ -56,6 +62,7 @@ from repro.engine.physical import (
 )
 from repro.errors import DeploymentError
 from repro.testing.equivalence import compare_backends
+from repro.workloads.skew import SkewConfig, SkewWorkload
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -605,3 +612,107 @@ def test_a_side_input_that_cannot_be_resized_is_refused():
         p for p in multiprocessing.active_children()
         if p.name.startswith("repro-mp-worker")
     ]
+
+
+# ----------------------------------------------------------------------
+# One rule for how many routers a stream gets
+# ----------------------------------------------------------------------
+
+
+def _skewed_star(grouping):
+    """S(3) -> CountBolt(4) under ``grouping``, over a skewed key
+    stream (small keys hot)."""
+
+    def source(ctx):
+        rng = random.Random(10 + ctx.instance_index)
+        for _ in range(1500):
+            yield (min(rng.randrange(40), rng.randrange(40)),)
+
+    def build():
+        builder = TopologyBuilder()
+        builder.spout("S", lambda: IteratorSpout(source), parallelism=3)
+        builder.bolt(
+            "A",
+            lambda: CountBolt(0, forward=False),
+            parallelism=4,
+            inputs={"S": grouping()},
+        )
+        return builder.build()
+
+    return build
+
+
+SPOUT_FED = {
+    "pkg": _skewed_star(lambda: PartialKeyGrouping(0)),
+    "shuffle": _skewed_star(ShuffleGrouping),
+    "hybrid": lambda: SkewWorkload(
+        SkewConfig(parallelism=4, seed=0, tuples_per_instance=500)
+    ).topology("hybrid"),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(SPOUT_FED))
+def test_spout_fed_load_dependent_edges_route_alike_on_every_backend(policy):
+    """A load-dependent or stateful policy gets one router per source
+    instance on every backend, so a spout-fed edge — each source's
+    tuples reach its router in the same order — makes the same
+    decisions on both fast backends, exactly. PKG and shuffle picks are
+    the DES's too; a hybrid router credits tail traffic per batch on
+    the fast backends and per tuple on the DES, so that pair is held
+    to the containment tier only (``exact_placements=False``)."""
+    options = BackendOptions(num_servers=2, batch_size=256, mp_timeout_s=60)
+    results = {
+        backend: run_topology(SPOUT_FED[policy](), backend, options)
+        for backend in ["reference"] + FAST
+    }
+    report = compare_backends(
+        results["multiprocess"],
+        results["vectorized"],
+        locality_tol=0,
+        balance_tol=0,
+    )
+    assert report.ok, report.summary()
+    if policy != "shuffle":
+        holders = results["vectorized"].key_instances["A"].values()
+        assert any(len(h) > 1 for h in holders), "no load-dependent pick"
+    if policy == "hybrid":
+        return
+    for candidate in FAST:
+        report = compare_backends(
+            results["reference"],
+            results[candidate],
+            locality_tol=0,
+            balance_tol=0,
+        )
+        assert report.ok, f"{candidate}: {report.summary()}"
+
+
+def test_a_scripted_scale_in_reports_the_final_width_on_both_backends():
+    """4 → 2 after the last tuple: the retired instances' receipts are
+    dropped, as the DES drops them, on both fast backends alike."""
+
+    def source(ctx):
+        rng = random.Random(ctx.instance_index)
+        for _ in range(1000):
+            yield (rng.randrange(50), rng.randrange(50))
+
+    def chain():
+        return count_chain(
+            source,
+            4,
+            [TableFieldsGrouping(0), TableFieldsGrouping(1)],
+            spouts=2,
+        )
+
+    options = BackendOptions(
+        num_servers=4,
+        batch_size=128,
+        mp_timeout_s=60,
+        actions=[ReconfigureAction(2000, "S->A", RoutingTable({}), 2)],
+    )
+    vector, multi = (
+        run_topology(chain(), backend, options) for backend in FAST
+    )
+    assert len(vector.received["A"]) == len(multi.received["A"]) == 2
+    assert multi.received == vector.received
+    assert multi.load_balance == vector.load_balance

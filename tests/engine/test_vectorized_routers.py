@@ -434,7 +434,9 @@ def test_backends_hold_no_routing_math():
     one router class per policy: a backend that names these again, or
     a module that subclasses ``Router`` elsewhere, has re-forked it.
     Likewise the backend files define no operator-hosting loop: bolts
-    run behind ``physical.HostedBolt``, through ``process_batch``.
+    run behind ``physical.HostedBolt``, through ``process_batch``; and
+    they build no router: how many routers a stream gets is decided
+    once, by ``physical.StreamRoutes``.
 
     And within ``src/repro`` the owner rule of Section 3.3 — table
     entry, else ``stable_hash(key, seed) % n`` — and a stream's hash
@@ -458,6 +460,8 @@ def test_backends_hold_no_routing_math():
             "ShimTuple(",
             ".process(",
             ".process_batch(",
+            "build_router(",
+            "route_per_source(",
         ):
             assert name not in source, f"{module.__name__} uses {name}"
 

@@ -39,14 +39,14 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.engine.costs import DEFAULT_COSTS, CostModel
 from repro.engine.metrics import load_balance
-from repro.engine.physical import keyed_state_summary
+from repro.engine.physical import keyed_state_summary, merge_op_stats
 from repro.engine.topology import Topology
 from repro.errors import DeploymentError
 
 
 @dataclass
 class ReconfigureAction:
-    """One scripted reconfiguration of a vectorized run.
+    """One scripted reconfiguration of a batch run.
 
     Applied at the first batch boundary where the total number of
     spout-emitted tuples reaches ``at_tuples``: the named stream's
@@ -218,6 +218,52 @@ def summarize_counts(
         received=received,
         per_key_totals=per_key_totals,
         key_instances=key_instances,
+    )
+
+
+def summarize_plans(
+    topology: Topology, reports: Iterable[Dict[str, Any]], wall_s: float
+) -> Dict[str, Any]:
+    """The :class:`BackendResult` fields of a batch run, as constructor
+    keywords, from its plans' reports (``PhysicalPlan.report``): one on
+    the vectorized backend, one per worker on the multiprocess one.
+    Every plan applied every scripted action, so all agree on a bolt's
+    width; what retired instances received is dropped, as the DES drops
+    it."""
+    reports = list(reports)
+    op_stats = merge_op_stats(report["op_stats"] for report in reports)
+    route_counts: Dict[str, Dict[str, int]] = {}
+    for report in reports:
+        for name, counts in report["route_counts"].items():
+            merged = route_counts.setdefault(name, dict.fromkeys(counts, 0))
+            for counter, count in counts.items():
+                merged[counter] += count
+    bolt_counts = {}
+    for op in topology.bolts:
+        shards = [report["bolts"][op.name] for report in reports]
+        received = [0] * shards[0]["width"]
+        for shard in shards:
+            for instance, count in shard["received"].items():
+                if instance < len(received):
+                    received[instance] += count
+        states = [item for shard in shards for item in shard["state"].items()]
+        bolt_counts[op.name] = (received, states)
+    return dict(
+        tuples_emitted=sum(report["emitted"] for report in reports),
+        route_counts=route_counts,
+        op_stats={name: stats.as_dict() for name, stats in op_stats.items()},
+        **summarize_counts(
+            wall_s,
+            {op.name: op_stats[op.name].tuples_in for op in topology.bolts},
+            {
+                stream.name: tuple(
+                    sum(plan["streams"][stream.name][i] for plan in reports)
+                    for i in (0, 1)
+                )
+                for stream in topology.streams
+            },
+            bolt_counts,
+        ),
     )
 
 

@@ -5,10 +5,12 @@ topology on real OS resources and **measures** them (DESIGN.md §16):
 
 - one worker process per simulated server, forked from the parent so
   topology factories (closures included) carry over;
-- each worker hosts the operator *instances placed on its server*
+- each worker drives a :class:`~repro.engine.physical.PhysicalPlan`
+  over the operator *instances placed on its server*
   (:func:`~repro.engine.physical.placement`, every backend's
   round-robin) behind :class:`~repro.engine.physical.SpoutSource` /
-  :class:`~repro.engine.physical.HostedBolt` shards;
+  :class:`~repro.engine.physical.HostedBolt` shards — the vectorized
+  backend's walk, with an edge that ships what is remote;
 - routing goes once per (stream, batch) through the stream's
   :class:`~repro.engine.physical.StreamRoutes`, as on the vectorized
   backend: a deterministic router (table, hash) serves every source
@@ -31,7 +33,8 @@ stream, so a consumer holding all producers' markers has provably
 received all data; it reports FINISHED and, once every scripted action
 has been replayed, its RESULT — nobody tells it to stop.
 **Backpressure** is deadlock-free: a sender blocked on a full peer
-queue drains its own inbound queue while retrying. **Scripted
+queue takes in the DATA of its own inbound queue while retrying; any
+other message waits for the loop's next drain. **Scripted
 reconfigurations** replay behind a barrier: the coordinator broadcasts
 the action, workers pause their sources and exchange ``FENCE`` markers
 (flushing all pre-epoch tuples), swap tables / resize / migrate keyed
@@ -57,10 +60,12 @@ import numpy as np
 
 from repro.engine.physical import (
     HostedBolt,
+    PhysicalEdge,
+    PhysicalOperator,
+    PhysicalPlan,
     SpoutSource,
     StreamRoutes,
     TupleBatch,
-    merge_op_stats,
     placement,
 )
 from repro.engine.topology import Topology
@@ -106,9 +111,70 @@ class MultiprocessBackendError(DeploymentError):
 _POLL_S = 0.05
 
 
+class _WorkerEdge(PhysicalEdge):
+    """A stream's edge in one worker's plan. :meth:`deliver` routes a
+    locally produced batch and splits it by destination server: each
+    remote part leaves as one pickled DATA message, the local part is
+    returned. :meth:`producer_done` broadcasts DONE after all data, and
+    is true once every server's producer has declared."""
+
+    def __init__(self, stream, src, dst, routes, worker) -> None:
+        super().__init__(
+            stream.name, src, dst, dst.input_names.index(stream.name), routes
+        )
+        self.worker = worker
+        #: servers whose producer declared DONE on this stream
+        self.declared: set = set()
+
+    def deliver(self, batch: TupleBatch) -> Optional[TupleBatch]:
+        worker = self.worker
+        routes = self.routes
+        values = batch.values
+        dst, _, rows = routes.route(values, batch.src_instances)
+        if rows is not None:  # grouped by source, or replicated
+            values = [values[row] for row in rows.tolist()]
+        servers = placement(dst, worker.num_servers)
+        # bincount, not unique: no sort, and no ``numpy.ma`` import
+        # (17 ms on first use, i.e. in every forked worker)
+        per_server = np.bincount(servers, minlength=worker.num_servers)
+        n_local = int(per_server[worker.server])
+        routes.local_tuples += n_local
+        routes.total_tuples += len(dst)
+        if n_local < len(dst):
+            # pickled small-int lists are 2 B/entry, int64 arrays 8
+            wire = np.min_scalar_type(routes.n - 1)
+            per_server[worker.server] = 0
+            for server in np.flatnonzero(per_server).tolist():
+                mask = servers == server
+                worker._send_blob(
+                    server,
+                    (
+                        "DATA",
+                        self.stream_name,
+                        list(compress(values, mask.tolist())),
+                        dst[mask].astype(wire),
+                    ),
+                )
+            here = servers == worker.server
+            values = list(compress(values, here.tolist()))
+            dst = dst[here]
+        return TupleBatch(values, dst_instances=dst) if n_local else None
+
+    def declare(self, server: int) -> bool:
+        """Record ``server``'s DONE; whether it was the last one."""
+        if server in self.declared:
+            return False
+        self.declared.add(server)
+        return len(self.declared) == self.worker.num_servers
+
+    def producer_done(self) -> bool:
+        self.worker._broadcast(("DONE", self.stream_name, self.worker.server))
+        return self.declare(self.worker.server)
+
+
 class _Worker:
-    """One server's process: hosts its operator shards, routes locally
-    produced tuples, and speaks the DONE / FENCE / MIGRATE protocol."""
+    """One server's process: runs the plan of its operator shards and
+    speaks the DONE / FENCE / MIGRATE protocol."""
 
     def __init__(
         self,
@@ -132,17 +198,16 @@ class _Worker:
         self.stopped = False
         self.finished_sent = False
         self.resumed_epochs = 0
-        #: spout tuples pulled here so far / last total sent as PROGRESS
+        #: spout tuples pulled here, as last sent in a PROGRESS event
         self.emitted = 0
-        self.emitted_reported = 0
         self.ipc_tx_bytes = 0
         self.ipc_rx_bytes = 0
         self.ipc_tx_msgs = 0
         self.ipc_rx_msgs = 0
-        #: stream -> producers (servers) that declared DONE
-        self.done_from: Dict[str, set] = {}
         #: epoch -> barrier state
         self.epochs: Dict[int, dict] = {}
+        #: messages that arrived inside a blocked send, in order
+        self._parked: List[tuple] = []
         #: MIGRATE payloads that arrived before our own resize created
         #: the target instances (a peer can finish its barrier first)
         self._pending_migrates: List[Tuple[str, dict]] = []
@@ -166,55 +231,60 @@ class _Worker:
     def setup(self) -> None:
         topo = self.topology
         options = self.options
-        self.widths = {
-            op.name: op.parallelism for op in topo.operators.values()
-        }
-        self.sources: Dict[str, SpoutSource] = {}
-        self.bolts: Dict[str, HostedBolt] = {}
-        self.streams: Dict[str, StreamRoutes] = {}
+        servers = self.num_servers
+        self.ops: Dict[str, PhysicalOperator] = {}
         for name in topo.topological_order():
             spec = topo.operator(name)
             if spec.is_spout:
-                self.sources[name] = SpoutSource(
+                self.ops[name] = SpoutSource(
                     name,
                     spec.factory,
                     spec.parallelism,
                     {
                         instance: self.server
                         for instance in range(spec.parallelism)
-                        if placement(instance, self.num_servers)
-                        == self.server
+                        if placement(instance, servers) == self.server
                     },
                     options.batch_size,
                 )
             else:
-                self.bolts[name] = HostedBolt(
+                self.ops[name] = HostedBolt(
                     name,
                     [s.name for s in topo.inputs_of(name)],
                     spec.factory,
                     spec.parallelism,
-                    self.num_servers,
+                    servers,
                     options.costs.tuple_header_bytes,
                     server=self.server,
                 )
-        for stream in topo.streams:
-            self.streams[stream.name] = StreamRoutes(
-                stream, self.widths[stream.dst], self.num_servers
-            )
-            self.done_from[stream.name] = set()
+        self.plan = PhysicalPlan(
+            list(self.ops.values()),
+            [
+                _WorkerEdge(
+                    stream,
+                    self.ops[stream.src],
+                    self.ops[stream.dst],
+                    StreamRoutes(
+                        stream, topo.operator(stream.dst).parallelism, servers
+                    ),
+                    self,
+                )
+                for stream in topo.streams
+            ],
+        )
 
     # -- messaging ------------------------------------------------------
 
     def _put(self, server: int, message) -> None:
-        """Put with backpressure: on a full peer queue, drain our own
-        inbound queue (someone may be blocked on *us*) and retry."""
+        """Put with backpressure: on a full peer queue, take in our own
+        DATA (someone may be blocked on *us*) and retry."""
         box = self.inboxes[server]
         while True:
             try:
                 box.put(message, timeout=_POLL_S)
                 return
             except _queue.Full:
-                self._drain_inbox(block=False)
+                self._drain_inbox(block=False, data_only=True)
 
     def _send_blob(self, server: int, payload: tuple) -> None:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -226,83 +296,7 @@ class _Worker:
         for peer in self.peers:
             self._put(peer, message)
 
-    # -- routing --------------------------------------------------------
-
-    def _route_batch(self, op_name: str, batch: TupleBatch) -> None:
-        """Send one locally produced batch across all of ``op_name``'s
-        output streams: one ``route`` call per stream, then the batch is
-        split by destination server — remote parts leave as one pickled
-        message per (server, stream), the local part stays in-process."""
-        for stream in self.topology.outputs_of(op_name):
-            routes = self.streams[stream.name]
-            values = batch.values
-            dst, _, rows = routes.route(values, batch.src_instances)
-            if rows is not None:  # grouped by source, or replicated
-                values = [values[row] for row in rows.tolist()]
-            servers = placement(dst, self.num_servers)
-            # bincount, not unique: no sort, and no ``numpy.ma`` import
-            # (17 ms on first use, i.e. in every forked worker)
-            per_server = np.bincount(servers, minlength=self.num_servers)
-            n_local = int(per_server[self.server])
-            routes.local_tuples += n_local
-            routes.total_tuples += len(dst)
-            if n_local < len(dst):
-                # pickled small-int lists are 2 B/entry, int64 arrays 8
-                wire = np.min_scalar_type(routes.n - 1)
-                per_server[self.server] = 0
-                for server in np.flatnonzero(per_server).tolist():
-                    mask = servers == server
-                    self._send_blob(
-                        server,
-                        (
-                            "DATA",
-                            stream.name,
-                            list(compress(values, mask.tolist())),
-                            dst[mask].astype(wire),
-                        ),
-                    )
-                here = servers == self.server
-                values = list(compress(values, here.tolist()))
-                dst = dst[here]
-            if n_local:
-                self._deliver(
-                    stream.name, TupleBatch(values, dst_instances=dst)
-                )
-
-    def _deliver(self, stream_name: str, batch: TupleBatch) -> None:
-        dst_op = self.streams[stream_name].stream.dst
-        shard = self.bolts[dst_op]
-        shard.add_input(batch, shard.input_names.index(stream_name))
-        while shard.has_next():
-            self._route_batch(dst_op, shard.get_next())
-
-    # -- DONE protocol --------------------------------------------------
-
-    def _mark_stream_done(self, stream_name: str, producer: int) -> None:
-        done = self.done_from[stream_name]
-        if producer in done:
-            return
-        done.add(producer)
-        if len(done) == self.num_servers:
-            self._stream_fully_done(stream_name)
-
-    def _declare_local_done(self, op_name: str) -> None:
-        """This worker will produce no more tuples on ``op_name``'s
-        output streams: broadcast the DONE markers (after all data)."""
-        for stream in self.topology.outputs_of(op_name):
-            self._broadcast(("DONE", stream.name, self.server))
-            self._mark_stream_done(stream.name, self.server)
-
-    def _stream_fully_done(self, stream_name: str) -> None:
-        dst_op = self.streams[stream_name].stream.dst
-        shard = self.bolts[dst_op]
-        shard.input_done(shard.input_names.index(stream_name))
-        while shard.has_next():
-            self._route_batch(dst_op, shard.get_next())
-        if shard.completed:
-            self._declare_local_done(dst_op)
-
-    # -- source polling -------------------------------------------------
+    # -- sources --------------------------------------------------------
 
     def _maybe_fault(self) -> None:
         if self._fault is None:
@@ -317,25 +311,18 @@ class _Worker:
                 time.sleep(60)
         raise DeploymentError(f"unknown mp_fault kind {kind!r}")
 
-    def _poll_sources_once(self) -> bool:
-        progressed = False
-        for name, source in self.sources.items():
-            if source.exhausted:
-                continue
-            batch = source.poll()
-            self._mark("first_batch")
-            if batch is not None:
-                progressed = True
-                self.emitted += len(batch)
-                self._route_batch(name, batch)
-                self._maybe_fault()
-            else:
-                self._declare_local_done(name)
+    def _step(self) -> bool:
+        """One :meth:`PhysicalPlan.step`: every live local source polled
+        once; reports PROGRESS. Whether any produced a batch."""
+        progressed = self.plan.step()
+        self._mark("first_batch")
         if not progressed:  # every local source is dry
             self._mark("sources_done")
-        if self.emitted != self.emitted_reported:
-            self.emitted_reported = self.emitted
-            self.events.put(("PROGRESS", self.server, self.emitted))
+        emitted = self.plan.emitted()
+        if emitted != self.emitted:
+            self.emitted = emitted
+            self.events.put(("PROGRESS", self.server, emitted))
+            self._maybe_fault()
         return progressed
 
     # -- reconfiguration barrier ---------------------------------------
@@ -373,7 +360,16 @@ class _Worker:
         # Quiesced: every peer fenced, so all pre-epoch data arrived
         # (per-producer FIFO) and has been processed.
         state["applied"] = True
-        self._apply_action(epoch, self.options.actions[state["action"]])
+        consumer, leaving = self.plan.apply_action(
+            self.options.actions[state["action"]]
+        )
+        # What leaves this server goes as one message per server.
+        outgoing: Dict[int, Dict[int, Dict[Any, Any]]] = {}
+        for owner, entries in leaving.items():
+            server = placement(owner, self.num_servers)
+            outgoing.setdefault(server, {})[owner] = entries
+        for server, per_instance in sorted(outgoing.items()):
+            self._send_blob(server, ("MIGRATE", consumer.name, per_instance))
         self._flush_pending_migrates()
         self._broadcast(("MIG_DONE", epoch, self.server))
         self._try_resume(epoch)
@@ -391,35 +387,11 @@ class _Worker:
         self.paused = False
         self.events.put(("RECONFIGURED", epoch, self.server))
 
-    def _apply_action(self, epoch: int, action) -> None:
-        routes = action.target_in(self.streams)
-        dst_op = routes.stream.dst
-        shard = self.bolts[dst_op]
-        targets = [routes.stream]
-        new_width = action.parallelism
-        if new_width is not None:
-            self.widths[dst_op] = new_width
-            # The new local instances' own output routers are built on
-            # first use, like every other.
-            shard.resize(new_width)
-            targets = self.topology.inputs_of(dst_op)
-        for stream in targets:
-            self.streams[stream.name].reconfigure(action)
-        # Migrate keyed state to each key's new owner; what leaves
-        # this server goes as one message per destination server.
-        outgoing: Dict[int, Dict[int, Dict[Any, Any]]] = {}
-        for owner, entries in shard.migrate(routes.router.owner_of).items():
-            outgoing.setdefault(placement(owner, self.num_servers), {})[
-                owner
-            ] = entries
-        for server, per_instance in sorted(outgoing.items()):
-            self._send_blob(server, ("MIGRATE", dst_op, per_instance))
-
     def _install_migrate(self, op_name: str, per_instance: dict) -> None:
-        shard = self.bolts[op_name]
+        shard = self.ops[op_name]
         if any(owner not in shard.operators for owner in per_instance):
             # A peer applied the resize before us; park the payload
-            # until our own _apply_action creates the new instances.
+            # until our own apply_action creates the new instances.
             self._pending_migrates.append((op_name, per_instance))
             return
         for owner, entries in per_instance.items():
@@ -433,26 +405,15 @@ class _Worker:
     # -- inbound handling -----------------------------------------------
 
     def _handle(self, message) -> None:
-        if isinstance(message, bytes):
-            self.ipc_rx_bytes += len(message)
-            self.ipc_rx_msgs += 1
-            payload = pickle.loads(message)
-            tag = payload[0]
-            if tag == "DATA":
-                _, stream_name, values, dst = payload
-                self._deliver(
-                    stream_name, TupleBatch(values, dst_instances=dst)
-                )
-            elif tag == "MIGRATE":
-                _, op_name, per_instance = payload
-                self._install_migrate(op_name, per_instance)
-            else:  # pragma: no cover - protocol invariant
-                raise DeploymentError(f"unknown blob tag {tag!r}")
-            return
         tag = message[0]
-        if tag == "DONE":
+        if tag == "MIGRATE":
+            _, op_name, per_instance = message
+            self._install_migrate(op_name, per_instance)
+        elif tag == "DONE":
             _, stream_name, producer = message
-            self._mark_stream_done(stream_name, producer)
+            edge = self.plan.edges_by_stream[stream_name]
+            if edge.declare(producer):
+                self.plan.finish(edge)
         elif tag == "FENCE":
             _, epoch, producer = message
             self._epoch(epoch)["fences"].add(producer)
@@ -468,85 +429,55 @@ class _Worker:
             self._epoch(epoch)["mig_done"].add(producer)
             self._try_resume(epoch)
         else:  # pragma: no cover - protocol invariant
-            raise DeploymentError(f"unknown control message {tag!r}")
+            raise DeploymentError(f"unknown message {tag!r}")
 
-    def _drain_inbox(self, block: bool) -> bool:
+    def _drain_inbox(self, block: bool, data_only: bool = False) -> bool:
+        """Handle what has arrived, in order. Inside a blocked send
+        (``data_only``) a batch may be half pushed: DATA is taken in,
+        and every other message waits for the loop's next drain, a
+        quiescent point — no DONE, FENCE or action overtakes the rest
+        of that batch."""
         handled = False
         while True:
-            try:
-                message = (
-                    self.inbox.get(timeout=_POLL_S)
-                    if block and not handled
-                    else self.inbox.get_nowait()
-                )
-            except _queue.Empty:
-                return handled
+            if self._parked and not data_only:
+                message = self._parked.pop(0)
+            else:
+                try:
+                    message = (
+                        self.inbox.get(timeout=_POLL_S)
+                        if block and not handled
+                        else self.inbox.get_nowait()
+                    )
+                except _queue.Empty:
+                    return handled
+                if isinstance(message, bytes):
+                    self.ipc_rx_bytes += len(message)
+                    self.ipc_rx_msgs += 1
+                    message = pickle.loads(message)
             handled = True
-            self._handle(message)
+            if message[0] == "DATA":
+                _, stream_name, values, dst = message
+                self.plan.feed(
+                    self.plan.edges_by_stream[stream_name],
+                    TupleBatch(values, dst_instances=dst),
+                )
+            elif data_only:
+                self._parked.append(message)
+            else:
+                self._handle(message)
 
     def _check_finished(self) -> None:
-        """FINISHED once the sources are dry and every stream is done;
-        stopped once every scripted action was replayed here as well
-        (the rest fire when all have FINISHED): nothing can arrive."""
+        """FINISHED once the plan completed — sources dry, every stream
+        done; stopped once every scripted action was replayed here as
+        well (the rest fire when all have FINISHED): nothing can
+        arrive."""
         if not self.finished_sent:
-            if any(not s.exhausted for s in self.sources.values()):
-                return
-            if any(
-                len(done) < self.num_servers
-                for done in self.done_from.values()
-            ):
+            if not self.plan.completed:
                 return
             self.finished_sent = True
             self._mark("finished")
             self.events.put(("FINISHED", self.server))
         self.stopped = self.resumed_epochs == len(self.options.actions)
-
-    # -- result ---------------------------------------------------------
-
-    def result_payload(self, cpu_ns: int) -> dict:
-        op_stats = {
-            name: shard.stats.as_dict()
-            for name, shard in {**self.sources, **self.bolts}.items()
-        }
-        return {
-            "server": self.server,
-            # this server's entry of ``BackendResult.measured``
-            "measured": {
-                "cpu_ns": cpu_ns,
-                "ipc_tx_bytes": self.ipc_tx_bytes,
-                "ipc_rx_bytes": self.ipc_rx_bytes,
-                "ipc_tx_msgs": self.ipc_tx_msgs,
-                "ipc_rx_msgs": self.ipc_rx_msgs,
-                "timeline": self.marks,
-            },
-            "emitted": {
-                name: source.stats.tuples_out
-                for name, source in self.sources.items()
-            },
-            "processed": {
-                name: shard.stats.tuples_in
-                for name, shard in self.bolts.items()
-            },
-            "received": {
-                name: dict(shard.received)
-                for name, shard in self.bolts.items()
-            },
-            "state": {
-                name: shard.state_snapshot()
-                for name, shard in self.bolts.items()
-            },
-            "stream_counts": {
-                name: [routes.local_tuples, routes.total_tuples]
-                for name, routes in self.streams.items()
-            },
-            "route_counts": {
-                name: routes.route_counts()
-                for name, routes in self.streams.items()
-                if routes.router.counts_table_hits
-            },
-            "widths": dict(self.widths),
-            "op_stats": op_stats,
-        }
 
     def run(self) -> None:
         cpu_start = time.process_time_ns()
@@ -555,20 +486,26 @@ class _Worker:
         try:
             self.setup()
             self._mark("setup")
-            # Streams whose producer has no local instances and no
-            # pending inputs will never produce here; the DONE protocol
-            # discovers that through _check_finished's cascade, but
-            # sources with zero local instances must still declare.
-            self._poll_sources_once()
             while not self.stopped:
                 progressed = False
                 if not self.paused:
-                    progressed = self._poll_sources_once()
+                    progressed = self._step()
                 self._drain_inbox(block=not progressed)
                 self._check_finished()
             self._mark("stopped")
-            cpu_ns = time.process_time_ns() - cpu_start
-            payload = self.result_payload(cpu_ns)
+            payload = {
+                "server": self.server,
+                # this server's entry of ``BackendResult.measured``
+                "measured": {
+                    "cpu_ns": time.process_time_ns() - cpu_start,
+                    "ipc_tx_bytes": self.ipc_tx_bytes,
+                    "ipc_rx_bytes": self.ipc_rx_bytes,
+                    "ipc_tx_msgs": self.ipc_tx_msgs,
+                    "ipc_rx_msgs": self.ipc_rx_msgs,
+                    "timeline": self.marks,
+                },
+                "plan": self.plan.report(),
+            }
             # An import in here is paid by every worker of every run.
             # ``sys.modules`` keeps import order: walk only what is new
             # (touching all 600 forked names is as many page faults).
@@ -793,48 +730,9 @@ def run_multiprocess(topology: Topology, options) -> "BackendResult":
 def _assemble(
     topology, results: Dict[int, dict], wall_start: float, marks: dict
 ) -> "BackendResult":
-    from repro.engine.backends import BackendResult, summarize_counts
+    from repro.engine.backends import BackendResult, summarize_plans
 
     workers = [results[s] for s in sorted(results)]
-
-    # every worker applied every action: one final width per operator
-    widths = workers[0]["widths"]
-
-    stream_counts: Dict[str, Tuple[int, int]] = {}
-    route_counts: Dict[str, Dict[str, int]] = {}
-    for stream in topology.streams:
-        if stream.name in workers[0]["route_counts"]:
-            route_counts[stream.name] = {
-                counter: sum(
-                    worker["route_counts"][stream.name][counter]
-                    for worker in workers
-                )
-                for counter in ("table_hits", "hash_fallbacks")
-            }
-        stream_counts[stream.name] = tuple(
-            sum(worker["stream_counts"][stream.name][i] for worker in workers)
-            for i in (0, 1)
-        )
-
-    bolt_counts = {}
-    for op in topology.bolts:
-        # a scale-in retires instances: report the final width, as the
-        # DES and vectorized do
-        counts = [0] * widths[op.name]
-        for worker in workers:
-            for instance, count in worker["received"][op.name].items():
-                if instance < len(counts):
-                    counts[instance] += count
-        bolt_counts[op.name] = (
-            counts,
-            [
-                item
-                for worker in workers
-                for item in worker["state"][op.name].items()
-            ],
-        )
-
-    op_stats = merge_op_stats(worker["op_stats"] for worker in workers)
     per_server = {worker["server"]: worker["measured"] for worker in workers}
     for measured in per_server.values():  # onto the coordinator's clock
         measured["timeline"] = {
@@ -842,29 +740,13 @@ def _assemble(
             for name, at in measured["timeline"].items()
         }
     cpu_ns = [measured["cpu_ns"] for measured in per_server.values()]
-    summary = summarize_counts(
-        marks["results_in"],
-        {
-            op.name: sum(
-                worker["processed"].get(op.name, 0) for worker in workers
-            )
-            for op in topology.bolts
-        },
-        stream_counts,
-        bolt_counts,
+    summary = summarize_plans(
+        topology, [worker["plan"] for worker in workers], marks["results_in"]
     )
     marks["assembled"] = time.perf_counter() - wall_start
     return BackendResult(
         backend="multiprocess",
         sim_s=max(cpu_ns, default=0) / 1e9,
-        tuples_emitted=sum(
-            sum(worker["emitted"].values()) for worker in workers
-        ),
-        route_counts=route_counts,
-        op_stats={
-            op_name: stats.as_dict()
-            for op_name, stats in op_stats.items()
-        },
         measured={
             "per_server": per_server,
             "cpu_ns_total": sum(cpu_ns),

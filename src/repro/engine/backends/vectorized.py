@@ -167,13 +167,22 @@ def _modeled_sizes(
     return sizes
 
 
-class _VectorEdge:
+def _key_field(routes: StreamRoutes) -> Optional[int]:
+    """The stream's routing key field when it is one and the stream's
+    one router (deterministic) interns it in its one vocabulary."""
+    key_spec = getattr(routes.stream.grouping, "key_spec", None)
+    if isinstance(key_spec, int) and routes.router.deterministic:
+        return key_spec
+    return None
+
+
+class _VectorEdge(PhysicalEdge):
     """One stream's routing, sizing and cost/locality accounting.
 
-    The transform applied to every batch crossing the edge: route it
-    through the stream's :class:`~repro.engine.physical.StreamRoutes`
-    (a mixed-source batch put back in batch order), size it if no edge
-    has, account bytes/locality/served time, and hand the consumer a
+    :meth:`deliver` routes every batch crossing the edge through the
+    stream's :class:`~repro.engine.physical.StreamRoutes` (a
+    mixed-source batch put back in batch order), sizes it if no edge
+    has, accounts bytes/locality/served time, and hands the consumer a
     routed batch (``dst_instances`` and — for a deterministic stream —
     ``key_ids`` filled in).
 
@@ -186,35 +195,30 @@ class _VectorEdge:
     def __init__(
         self,
         stream,
-        num_destinations: int,
-        num_servers: int,
-        src_placement: np.ndarray,
-        dst_placement: np.ndarray,
+        src: PhysicalOperator,
+        dst: PhysicalOperator,
+        routes: StreamRoutes,
+        placements: Dict[str, np.ndarray],
         meter: _Meter,
     ) -> None:
-        self.stream = stream
-        self.src_placement = src_placement
-        self.dst_placement = dst_placement
+        super().__init__(
+            stream.name, src, dst, dst.input_names.index(stream.name), routes
+        )
+        self.src_placement = placements[stream.src]
+        self.dst_placement = placements[stream.dst]
         self.meter = meter
         self.src_cpu = meter.cpu_s[stream.src]
         self.dst_cpu = meter.cpu_s[stream.dst]
-        self.routes = StreamRoutes(stream, num_destinations, num_servers)
         #: source instance 0's router: the edge's only one if deterministic
-        self.router = self.routes.router
+        self.router = routes.router
         if type(self.router).route is Router.route:
             raise RoutingError(
                 f"vectorized backend does not support "
                 f"{type(stream.grouping).__name__}, which has no batch "
                 f"form (reference or multiprocess backend required)"
             )
-        key_spec = getattr(stream.grouping, "key_spec", None)
-        #: the routing key's field when it is one and the edge's one
-        #: vocabulary interns it, sized by key id
-        self._key_field = (
-            key_spec
-            if isinstance(key_spec, int) and self.router.deterministic
-            else None
-        )
+        #: the routing key's field, sized by key id, or None
+        self._key_field = _key_field(routes)
         #: vocabulary id → modeled bytes of that key, grown with the
         #: router's vocabulary (which no table swap or resize resets)
         self.sizes_of_id = np.zeros(0, dtype=np.int64)
@@ -225,22 +229,8 @@ class _VectorEdge:
         # exists from the start, as if a batch had been routed
         self.router.route([])
         self.remote_bytes = 0
-        self.received = np.zeros(num_destinations, dtype=np.int64)
 
-    def reconfigure(self, action) -> None:
-        """Apply a scripted action to the stream's routers (the
-        action's target, or a side input of the rescaled operator)."""
-        self.routes.reconfigure(action)
-        if action.parallelism is None:
-            return
-        old_received = self.received
-        self.received = np.zeros(action.parallelism, dtype=np.int64)
-        limit = min(len(old_received), action.parallelism)
-        self.received[:limit] = old_received[:limit]
-
-    # -- the batch transform -------------------------------------------
-
-    def __call__(self, batch: TupleBatch) -> TupleBatch:
+    def deliver(self, batch: TupleBatch) -> TupleBatch:
         ids = None
         if self._key_field is not None:  # interned by the sizing edge?
             ids = batch.interned.get(self.router.vocab)
@@ -308,11 +298,11 @@ class _VectorEdge:
         routes = self.routes
         n_tuples = len(dst)
         routes.total_tuples += n_tuples
-        width = len(self.received)
-        received = np.bincount(dst, minlength=width)
-        self.received += received
         # The destination instance's CPU: the bolt's service time.
-        self.dst_cpu[:width] += received * costs.bolt_service_s
+        width = routes.n
+        self.dst_cpu[:width] += (
+            np.bincount(dst, minlength=width) * costs.bolt_service_s
+        )
 
         src = batch.src_instances
         remote = self.src_placement[src] != self.dst_placement[dst]
@@ -376,8 +366,8 @@ class _VectorSpoutSource(SpoutSource):
 
 class _VectorCountOp(PhysicalOperator):
     """Vectorized CountBolt: per-instance bincount over the input
-    edge's key ids (valid because the counted key *is* the routing
-    key, proven at compile time via ``key_spec``, and the edge has one
+    stream's key ids (valid because the counted key *is* the routing
+    key, proven at compile time via ``key_spec``, and the stream has one
     vocabulary)."""
 
     def __init__(
@@ -386,15 +376,15 @@ class _VectorCountOp(PhysicalOperator):
         input_names,
         parallelism: int,
         forward: bool,
-        in_edge: _VectorEdge,
+        routes: StreamRoutes,
     ) -> None:
         super().__init__(name, input_names)
-        self.parallelism = parallelism
         self.forward = forward
-        self.in_edge = in_edge
-        self._counts = [
-            np.zeros(0, dtype=np.int64) for _ in range(parallelism)
-        ]
+        self.routes = routes
+        self._counts: List[np.ndarray] = []
+        #: tuples taken so far, per instance (as ``HostedBolt``'s)
+        self.received: Dict[int, int] = {}
+        self.resize(parallelism)
 
     def _ensure(self, instance: int, size: int) -> None:
         counts = self._counts[instance]
@@ -409,16 +399,17 @@ class _VectorCountOp(PhysicalOperator):
         if len(ids) and ids.min() < 0:
             raise RoutingError(
                 f"the vectorized counting kernel requires scalar routing "
-                f"keys; stream {self.in_edge.stream.name!r} saw one that "
+                f"keys; stream {self.routes.stream.name!r} saw one that "
                 f"is not"
             )
-        vocab_size = len(self.in_edge.router.vocab.keys)
+        vocab_size = len(self.routes.router.vocab.keys)
         instances = np.flatnonzero(np.bincount(dst)).tolist()
         for instance in instances:
             mine = ids if len(instances) == 1 else ids[dst == instance]
             tallies = np.bincount(mine, minlength=vocab_size)
             self._ensure(instance, len(tallies))
             self._counts[instance][: len(tallies)] += tallies
+            self.received[instance] += len(mine)
         if self.forward:
             self._emit(
                 TupleBatch(
@@ -430,16 +421,17 @@ class _VectorCountOp(PhysicalOperator):
             )
 
     def resize(self, parallelism: int) -> None:
-        while len(self._counts) < parallelism:
+        for instance in range(len(self._counts), parallelism):
             self._counts.append(np.zeros(0, dtype=np.int64))
-        self.parallelism = max(self.parallelism, parallelism)
+            self.received[instance] = 0
 
-    def migrate(self, owner_of_id: np.ndarray) -> None:
-        """Move every key's count to its (new) owner instance — the
-        state-migration step of a scripted reconfiguration."""
+    def migrate(self, _owner_of) -> Dict[int, Dict[Any, Any]]:
+        """Move every key's count to the owner instance its stream's
+        router now names — the state-migration step of a scripted
+        reconfiguration, all of it between instances hosted here."""
+        owner_of_id = self.routes.router.owners
         size = len(owner_of_id)
-        for instance in range(self.parallelism):
-            counts = self._counts[instance]
+        for instance, counts in enumerate(self._counts):
             limit = min(len(counts), size)
             if not limit:
                 continue
@@ -450,12 +442,13 @@ class _VectorCountOp(PhysicalOperator):
                 self._ensure(owner, kid + 1)
                 self._counts[owner][kid] += counts[kid]
                 counts[kid] = 0
+        return {}
 
     # -- result extraction ---------------------------------------------
 
     def state_snapshot(self) -> Dict[int, Dict[Any, int]]:
         """``{instance: {key: count}}``, as a hosted ``CountBolt``'s."""
-        keys = self.in_edge.router.vocab.keys
+        keys = self.routes.router.vocab.keys
         snapshot: Dict[int, Dict[Any, int]] = {}
         for instance, counts in enumerate(self._counts):
             state = snapshot[instance] = {}
@@ -473,13 +466,13 @@ class _VectorCountOp(PhysicalOperator):
 # ----------------------------------------------------------------------
 
 
-def _count_fast_path(operator, in_edges) -> bool:
+def _count_fast_path(operator, in_routes) -> bool:
     """Whether the bolt is a CountBolt counting its (single) input
-    edge's routing key, interned in the edge's one vocabulary (a
+    stream's routing key, interned in the stream's one vocabulary (a
     deterministic router) — the condition for the bincount kernel."""
-    if not isinstance(operator, CountBolt) or len(in_edges) != 1:
+    if not isinstance(operator, CountBolt) or len(in_routes) != 1:
         return False
-    key_field = in_edges[0]._key_field
+    key_field = _key_field(in_routes[0])
     return (
         key_field is not None
         and isinstance(operator.key_spec, int)
@@ -488,8 +481,7 @@ def _count_fast_path(operator, in_edges) -> bool:
 
 
 class _VectorizedRun:
-    """Compiled plan plus the mutable routing/placement state the
-    scripted reconfigurations update."""
+    """Compiled plan plus the placement and cost meter of the run."""
 
     def __init__(self, topology: Topology, options) -> None:
         from repro.engine.backends import _default_servers
@@ -502,14 +494,13 @@ class _VectorizedRun:
             [op.parallelism for op in topology.operators.values()]
             + [a.parallelism or 1 for a in options.actions]
         )
-        self.placements: Dict[str, np.ndarray] = {}
-        self.widths: Dict[str, int] = {}
-        for op in topology.operators.values():
-            self.widths[op.name] = op.parallelism
-            self.placements[op.name] = placement(
+        self.placements: Dict[str, np.ndarray] = {
+            op.name: placement(
                 np.arange(max(op.parallelism, widest), dtype=np.int64),
                 self.num_servers,
             )
+            for op in topology.operators.values()
+        }
         self.meter = _Meter(
             self.placements,
             self.num_servers,
@@ -517,14 +508,11 @@ class _VectorizedRun:
             options.bandwidth_gbps,
         )
 
-        self.edges_by_stream: Dict[str, _VectorEdge] = {
-            stream.name: _VectorEdge(
+        routes = {
+            stream.name: StreamRoutes(
                 stream,
                 topology.operator(stream.dst).parallelism,
                 self.num_servers,
-                self.placements[stream.src],
-                self.placements[stream.dst],
-                self.meter,
             )
             for stream in topology.streams
         }
@@ -537,16 +525,15 @@ class _VectorizedRun:
                 )
                 continue
             probe = spec.factory()
-            in_streams = topology.inputs_of(name)
-            input_names = [s.name for s in in_streams]
-            in_edges = [self.edges_by_stream[s.name] for s in in_streams]
-            if _count_fast_path(probe, in_edges):
+            input_names = [s.name for s in topology.inputs_of(name)]
+            in_routes = [routes[stream] for stream in input_names]
+            if _count_fast_path(probe, in_routes):
                 self.ops[name] = _VectorCountOp(
                     name,
                     input_names,
                     spec.parallelism,
                     probe.forwards,
-                    in_edges[0],
+                    in_routes[0],
                 )
             else:
                 self.ops[name] = HostedBolt(
@@ -558,26 +545,26 @@ class _VectorizedRun:
                     options.costs.tuple_header_bytes,
                 )
 
-        phys_edges: List[PhysicalEdge] = []
-        for stream in topology.streams:
-            edge = self.edges_by_stream[stream.name]
-            dst_op = self.ops[stream.dst]
-            phys_edges.append(
-                PhysicalEdge(
-                    stream.name,
-                    self.ops[stream.src],
-                    dst_op,
-                    dst_op.input_names.index(stream.name),
-                    transform=edge,
-                )
+        self.edges_by_stream: Dict[str, _VectorEdge] = {
+            stream.name: _VectorEdge(
+                stream,
+                self.ops[stream.src],
+                self.ops[stream.dst],
+                routes[stream.name],
+                self.placements,
+                self.meter,
             )
-            edge.interns_for = [
+            for stream in topology.streams
+        }
+        for stream in topology.streams:
+            self.edges_by_stream[stream.name].interns_for = [
                 later
                 for later in self._later(stream)
                 if later._key_field is not None
             ]
-
-        self.plan = PhysicalPlan(list(self.ops.values()), phys_edges)
+        self.plan = PhysicalPlan(
+            list(self.ops.values()), list(self.edges_by_stream.values())
+        )
         self._pending = sorted(options.actions, key=lambda a: a.at_tuples)
 
     def _later(self, stream) -> List[_VectorEdge]:
@@ -596,84 +583,26 @@ class _VectorizedRun:
                 frontier += forwarded
         return [self.edges_by_stream[later.name] for later in reached]
 
-    # -- scripted reconfiguration --------------------------------------
-
-    def _emitted(self) -> int:
-        return sum(
-            source.stats.tuples_out for source in self.plan.sources()
-        )
-
-    def _on_round(self, _plan) -> None:
-        while self._pending and self._emitted() >= self._pending[0].at_tuples:
-            self._apply(self._pending.pop(0))
-
-    def _apply(self, action) -> None:
-        edge = action.target_in(self.edges_by_stream)
-        dst = edge.stream.dst
-        consumer = self.ops[dst]
-        streams = [edge.stream]
-        if action.parallelism is not None:
-            self.widths[dst] = action.parallelism
-            consumer.resize(action.parallelism)
-            streams = self.topology.inputs_of(dst)
-        for stream in streams:
-            self.edges_by_stream[stream.name].reconfigure(action)
-        consumer.migrate(
-            edge.router.owners
-            if isinstance(consumer, _VectorCountOp)
-            else edge.router.owner_of
-        )
-
-    # -- execution ------------------------------------------------------
+    def _on_round(self, plan: PhysicalPlan) -> None:
+        while self._pending and plan.emitted() >= self._pending[0].at_tuples:
+            plan.apply_action(self._pending.pop(0))
 
     def execute(self) -> float:
         start = time.perf_counter()
         self.plan.execute(on_round=self._on_round)
         while self._pending:
-            self._apply(self._pending.pop(0))
+            self.plan.apply_action(self._pending.pop(0))
         return time.perf_counter() - start
 
 
 def run_vectorized(topology: Topology, options) -> "BackendResult":
-    from repro.engine.backends import BackendResult, summarize_counts
+    from repro.engine.backends import BackendResult, summarize_plans
 
     run = _VectorizedRun(topology, options)
     wall = run.execute()
-
-    edges = run.edges_by_stream
-    bolt_counts = {}
-    for op in run.topology.bolts:
-        width = run.widths[op.name]
-        counts = np.zeros(width, dtype=np.int64)
-        for stream in run.topology.inputs_of(op.name):
-            received = edges[stream.name].received
-            counts[: len(received)] += received[:width]
-        bolt_counts[op.name] = (
-            counts.tolist(),
-            run.ops[op.name].state_snapshot().items(),
-        )
-
     return BackendResult(
         backend="vectorized",
         sim_s=run.meter.sim_s(),
-        tuples_emitted=run._emitted(),
-        route_counts={
-            name: edge.routes.route_counts()
-            for name, edge in edges.items()
-            if edge.router.counts_table_hits
-        },
-        op_stats={name: op.stats.as_dict() for name, op in run.ops.items()},
         handle=run,
-        **summarize_counts(
-            wall,
-            {
-                op.name: run.ops[op.name].stats.tuples_in
-                for op in run.topology.bolts
-            },
-            {
-                name: (edge.routes.local_tuples, edge.routes.total_tuples)
-                for name, edge in edges.items()
-            },
-            bolt_counts,
-        ),
+        **summarize_plans(topology, [run.plan.report()], wall),
     )

@@ -5,21 +5,26 @@ compute; this module defines the contract for *how* a backend executes
 it. A backend compiles a :class:`~repro.engine.topology.Topology` into
 a DAG of :class:`PhysicalOperator` instances — push input with
 ``add_input``, signal exhaustion with ``input_done``, pull output with
-``has_next``/``get_next`` — driven to quiescence by a
-:class:`PhysicalPlan`. The shape follows the streaming-executor seam
-popularized by Ray Data: operators never block, per-operator
-:class:`OpStats` are maintained by the base class, and completion is an
-explicit protocol (all inputs done *and* all buffered output flushed),
-so the same plan driver works for any backend.
+``has_next``/``get_next`` — joined by :class:`PhysicalEdge` objects
+and driven by a :class:`PhysicalPlan`, the one walk of both batch
+backends. The shape follows the streaming-executor seam popularized by
+Ray Data: operators never block, per-operator :class:`OpStats` are
+maintained by the base class, and completion is an explicit protocol
+(all inputs done *and* all buffered output flushed).
 
-Two backends ship against this seam (see :mod:`repro.engine.backends`):
+Three backends ship (see :mod:`repro.engine.backends`):
 
 - ``reference`` — an adapter over the existing discrete-event
   simulator. It does not route through :class:`PhysicalOperator` at
   all: the DES executors stay byte-identical (same event fingerprints)
   and serve as the correctness oracle.
-- ``vectorized`` — batches tuples into numpy columns and resolves
-  routing per *batch* instead of per tuple (DESIGN.md §15).
+- ``vectorized`` — one plan over the whole topology: tuples batched
+  into numpy columns, routing resolved per *batch* instead of per
+  tuple (DESIGN.md §15), driven in bulk by :meth:`PhysicalPlan.execute`.
+- ``multiprocess`` — one plan per worker process over its server's
+  shard, driven step by step (:meth:`PhysicalPlan.step`, with
+  :meth:`~PhysicalPlan.feed` / :meth:`~PhysicalPlan.finish` for what
+  arrives from peers); its edges ship remote tuples (DESIGN.md §16).
 
 What the batch backends share beyond the protocol lives here too: the
 round-robin :func:`placement` of every backend, the two operators that
@@ -471,7 +476,6 @@ class HostedBolt(PhysicalOperator):
         self._num_servers = num_servers
         self._header = header_bytes
         self._server = server
-        self.parallelism = 0
         self.operators: Dict[int, Bolt] = {}
         self.contexts: Dict[int, ShimContext] = {}
         #: tuples taken so far, per hosted instance
@@ -479,12 +483,12 @@ class HostedBolt(PhysicalOperator):
         self.resize(parallelism)
 
     def resize(self, parallelism: int) -> None:
-        """Grow to ``parallelism``, spawning the hosted instances that
-        are new; the ones already hosted learn the new width (the DES's
-        ``set_parallelism``: ``num_instances`` stays truthful)."""
-        self.parallelism = max(self.parallelism, parallelism)
+        """Adopt width ``parallelism`` (the DES's ``set_parallelism``:
+        ``num_instances`` stays truthful), spawning the hosted instances
+        that are new. Instances a scale-in retires stay hosted, empty
+        once :meth:`migrate` has moved their state to the survivors."""
         for context in self.contexts.values():
-            context.num_instances = self.parallelism
+            context.num_instances = parallelism
         for instance in range(parallelism):
             server = placement(instance, self._num_servers)
             hosted_here = self._server is None or self._server == server
@@ -497,7 +501,7 @@ class HostedBolt(PhysicalOperator):
                     f"{type(operator).__name__}, not a Bolt"
                 )
             context = ShimContext(
-                self.name, instance, self.parallelism, server, self._header
+                self.name, instance, parallelism, server, self._header
             )
             operator.open(context)
             self.operators[instance] = operator
@@ -678,29 +682,58 @@ def keyed_state_summary(
     return totals, holders
 
 
-@dataclass
 class PhysicalEdge:
     """One DAG edge of a physical plan: which operator feeds which
-    input slot of which consumer, under which stream name."""
+    input slot of which consumer, under which stream name, routed by
+    which :class:`StreamRoutes` (None on an edge that routes nothing).
 
-    stream_name: str
-    src: PhysicalOperator
-    dst: PhysicalOperator
-    dst_input_index: int
-    #: hook applied to every batch crossing the edge (routing,
-    #: byte/locality accounting); identity when None
-    transform: Optional[Any] = None
+    A backend's edge overrides the two hooks: what a produced batch
+    becomes on its way to the consumer (:meth:`deliver`), and when the
+    consumer has had the last of it (:meth:`producer_done`)."""
+
+    def __init__(
+        self,
+        stream_name: str,
+        src: PhysicalOperator,
+        dst: PhysicalOperator,
+        dst_input_index: int,
+        routes: Optional[StreamRoutes] = None,
+    ) -> None:
+        self.stream_name = stream_name
+        self.src = src
+        self.dst = dst
+        self.dst_input_index = dst_input_index
+        self.routes = routes
+
+    def deliver(self, batch: TupleBatch) -> Optional[TupleBatch]:
+        """The part of ``batch``, produced by ``src``, the consumer
+        takes here (routed: ``dst_instances`` filled in), or None."""
+        return batch
+
+    def producer_done(self) -> bool:
+        """``src`` is done here: whether ``dst`` may be told
+        ``input_done`` now. If not, the backend calls
+        :meth:`PhysicalPlan.finish` once it may."""
+        return True
 
 
 class PhysicalPlan:
     """A compiled physical DAG plus the driver that runs it.
 
-    The driver is deliberately simple and deterministic: it walks
-    operators in topological order, polls sources, pushes every
-    produced batch through its out-edges (applying the edge transform —
-    typically the vectorized router), and repeats until every source is
-    exhausted and every operator has completed. Determinism matters:
-    cross-backend equivalence tests compare against the DES oracle.
+    The walk is deliberately simple and deterministic: each
+    :meth:`step` polls every live source once and pushes each produced
+    batch depth-first through its out-edges (:meth:`PhysicalEdge.deliver`
+    — where routing lives), cascading ``input_done`` from the sources
+    that ran dry. A backend whose batches also arrive from elsewhere (a
+    multiprocess worker's inbox) hands them in with :meth:`feed` and
+    :meth:`finish`. Determinism matters: cross-backend equivalence
+    tests compare against the DES oracle.
+
+    **Threading contract**: a plan is driven from one thread; operator
+    state and :class:`OpStats` are mutated without locks on that
+    assumption. A distributed backend (the multiprocess one) runs one
+    plan *per worker* and merges their reports (:meth:`report`); it never
+    shares operators between concurrently driven plans.
     """
 
     def __init__(
@@ -710,9 +743,11 @@ class PhysicalPlan:
     ) -> None:
         self.operators = list(operators)
         self.edges = list(edges)
+        self.edges_by_stream = {edge.stream_name: edge for edge in self.edges}
         self._out_edges: Dict[int, List[PhysicalEdge]] = {}
         for edge in self.edges:
             self._out_edges.setdefault(id(edge.src), []).append(edge)
+        self._live = self.sources()
 
     def out_edges(self, op: PhysicalOperator) -> List[PhysicalEdge]:
         return self._out_edges.get(id(op), [])
@@ -722,53 +757,69 @@ class PhysicalPlan:
             op for op in self.operators if isinstance(op, SourceOperator)
         ]
 
+    def emitted(self) -> int:
+        """Tuples the sources produced so far."""
+        return sum(source.stats.tuples_out for source in self.sources())
+
+    @property
+    def completed(self) -> bool:
+        return all(op.completed for op in self.operators)
+
+    # -- the walk -------------------------------------------------------
+
     def _push(self, op: PhysicalOperator, batch: TupleBatch) -> None:
-        """Deliver one produced batch across all of ``op``'s edges,
-        then drain any output it caused, depth-first."""
+        """Deliver one batch ``op`` produced across all its edges."""
         for edge in self.out_edges(op):
-            out = batch
-            if edge.transform is not None:
-                out = edge.transform(out)
-            edge.dst.add_input(out, edge.dst_input_index)
-            while edge.dst.has_next():
-                self._push(edge.dst, edge.dst.get_next())
+            routed = edge.deliver(batch)
+            if routed is not None:
+                self.feed(edge, routed)
+
+    def _drain(self, op: PhysicalOperator) -> None:
+        while op.has_next():
+            self._push(op, op.get_next())
 
     def _cascade_done(self, op: PhysicalOperator) -> None:
         for edge in self.out_edges(op):
-            edge.dst.input_done(edge.dst_input_index)
-            while edge.dst.has_next():
-                self._push(edge.dst, edge.dst.get_next())
-            if edge.dst.completed:
-                self._cascade_done(edge.dst)
+            if edge.producer_done():
+                self.finish(edge)
+
+    def feed(self, edge: PhysicalEdge, batch: TupleBatch) -> None:
+        """Hand ``edge``'s consumer one routed batch, then push what it
+        emits on, depth-first."""
+        edge.dst.add_input(batch, edge.dst_input_index)
+        self._drain(edge.dst)
+
+    def finish(self, edge: PhysicalEdge) -> None:
+        """``edge`` will carry no more batches: tell its consumer, and
+        cascade on if that completed it."""
+        edge.dst.input_done(edge.dst_input_index)
+        self._drain(edge.dst)
+        if edge.dst.completed:
+            self._cascade_done(edge.dst)
+
+    def step(self) -> bool:
+        """Poll each live source once; whether any produced a batch."""
+        live = []
+        for source in self._live:
+            batch = source.poll()
+            if batch is None:
+                self._cascade_done(source)
+            else:
+                self._push(source, batch)
+                live.append(source)
+        self._live = live
+        return bool(live)
 
     def execute(self, on_round=None) -> None:
         """Run every source dry and flush the whole DAG.
 
-        ``on_round(plan)`` fires after each full pass over the live
-        sources, with no batch in flight — the quiescent points where a
-        backend may apply scripted reconfigurations (table swaps,
-        rescales) without splitting a batch across two routing epochs.
-
-        **Threading contract**: ``execute`` drives the whole plan from
-        the calling thread, and ``on_round`` runs on that same thread.
-        Operator state and :class:`OpStats` are mutated without locks
-        on that assumption. A distributed backend (e.g. the
-        multiprocess one) therefore runs one single-threaded plan
-        *per worker* and aggregates with :func:`merge_op_stats`; it
-        must not share operators between concurrently driven plans.
+        ``on_round(plan)`` fires after each :meth:`step`, with no batch
+        in flight — the quiescent points where a backend may apply
+        scripted reconfigurations (:meth:`apply_action`) without
+        splitting a batch across two routing epochs.
         """
-        sources = self.sources()
-        live = list(sources)
-        while live:
-            still = []
-            for source in live:
-                batch = source.poll()
-                if batch is not None:
-                    self._push(source, batch)
-                    still.append(source)
-                else:
-                    self._cascade_done(source)
-            live = still
+        while self._live:
+            self.step()
             if on_round is not None:
                 on_round(self)
         for op in self.operators:
@@ -778,6 +829,53 @@ class PhysicalPlan:
                     f"(buffered output or missing input_done)"
                 )
 
-    def stats(self) -> Dict[str, OpStats]:
-        return {op.name: op.stats for op in self.operators}
+    # -- scripted reconfiguration ---------------------------------------
 
+    def apply_action(self, action) -> Tuple[PhysicalOperator, dict]:
+        """Apply a ``ReconfigureAction`` at a quiescent point: resize
+        the consumer (when the action rescales it), reconfigure the
+        target stream's routers (every input stream's on a rescale),
+        and migrate the consumer's keyed state to each key's new owner.
+        Returns the consumer and the state that belongs to instances
+        hosted elsewhere, ``{owner: entries}``, for the caller to ship."""
+        routes = action.target_in(
+            {name: edge.routes for name, edge in self.edges_by_stream.items()}
+        )
+        consumer = self.edges_by_stream[action.stream].dst
+        targets = [routes]
+        if action.parallelism is not None:
+            consumer.resize(action.parallelism)
+            targets = [e.routes for e in self.edges if e.dst is consumer]
+        for stream_routes in targets:
+            stream_routes.reconfigure(action)
+        return consumer, consumer.migrate(routes.router.owner_of)
+
+    # -- result ---------------------------------------------------------
+
+    def report(self) -> Dict[str, Any]:
+        """What this plan counted, as plain data (it may cross a
+        process boundary); ``backends.summarize_plans`` merges them."""
+        bolts = {}
+        for op in self.operators:
+            if isinstance(op, SourceOperator):
+                continue
+            in_edge = next(e for e in self.edges if e.dst is op)
+            bolts[op.name] = {
+                "width": in_edge.routes.n,
+                "received": dict(op.received),
+                "state": op.state_snapshot(),
+            }
+        return {
+            "emitted": self.emitted(),
+            "op_stats": {op.name: op.stats.as_dict() for op in self.operators},
+            "streams": {
+                name: (edge.routes.local_tuples, edge.routes.total_tuples)
+                for name, edge in self.edges_by_stream.items()
+            },
+            "route_counts": {
+                name: edge.routes.route_counts()
+                for name, edge in self.edges_by_stream.items()
+                if edge.routes.router.counts_table_hits
+            },
+            "bolts": bolts,
+        }

@@ -11,7 +11,8 @@
   SumBolt`` under PKG, a ``FunctionBolt`` fan-out, and a scripted 2→4
   rescale over ``SumBolt`` stages — after which every hosted instance,
   old or new, reports the new ``context.num_instances`` and the
-  rescaled operator's side inputs route at the new width;
+  rescaled operator's side inputs route at the new width — and a
+  scale-in, after which the survivors report it too;
 - one rule for how many routers a stream gets
   (:class:`~repro.engine.physical.StreamRoutes`): spout-fed PKG,
   shuffle and hybrid edges decide every tuple alike on both fast
@@ -238,6 +239,47 @@ def test_resize_tells_the_instances_already_hosted_the_new_width():
     hosted.resize(4)
     widths = {i: c.num_instances for i, c in hosted.contexts.items()}
     assert widths == {0: 4, 1: 4, 2: 4, 3: 4}
+    # a scale-in too, as the DES's ``set_parallelism``: the survivors
+    # read the new width, not the widest one
+    hosted.resize(2)
+    widths = {i: c.num_instances for i, c in hosted.contexts.items()}
+    assert widths == {0: 2, 1: 2, 2: 2, 3: 2}
+
+
+class _WidthCountBolt(StatefulBolt):
+    """Counts its tuples by the width its context reports."""
+
+    def process(self, tup, context):
+        width = context.num_instances
+        self.state[width] = self.state.get(width, 0) + 1
+
+    def merge_state_entry(self, key, mine, theirs):
+        return mine + theirs
+
+
+def test_a_scale_in_is_seen_by_the_bolts_that_survive_it():
+    """S(2) → A(4) → 2 mid-stream: the tuples after the action are
+    counted under the new width (every one under 4 before the fix)."""
+
+    def source(ctx):
+        rng = random.Random(ctx.instance_index)
+        for _ in range(1000):
+            yield (rng.randrange(50),)
+
+    builder = TopologyBuilder()
+    builder.spout("S", lambda: IteratorSpout(source), parallelism=2)
+    builder.bolt(
+        "A", _WidthCountBolt, 4, inputs={"S": TableFieldsGrouping(0)}
+    )
+    options = BackendOptions(
+        num_servers=2,
+        batch_size=128,
+        actions=[ReconfigureAction(1000, "S->A", RoutingTable({}), 2)],
+    )
+    result = run_topology(builder.build(), "vectorized", options)
+    assert len(result.received["A"]) == 2
+    # the action lands at the first step boundary past 1 000 tuples
+    assert result.per_key_totals["A"] == {4: 1024, 2: 976}
 
 
 def test_stateless_hosted_bolts_report_no_state():

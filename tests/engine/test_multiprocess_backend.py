@@ -631,6 +631,30 @@ def test_queue_full_backpressure_still_equivalent():
     assert_no_orphans()
 
 
+def test_a_mid_stream_table_swap_under_single_slot_queues():
+    """A scripted table swap halfway through, at ``mp_queue_maxsize=1``:
+    the barrier, the migration and the plan's ``step`` / ``feed`` /
+    ``finish`` all go through the blocked-send path, and the per-key
+    totals and final placements still equal the vectorized run's. A
+    FENCE or action handled inside a blocked send, before the rest of
+    a half-pushed batch went out, left keys with two holders."""
+    config = SkewConfig(parallelism=4, seed=2, tuples_per_instance=300)
+    options = mp_options(
+        num_servers=2,
+        batch_size=64,
+        mp_queue_maxsize=1,
+        actions=[ReconfigureAction(600, "S->A", RoutingTable({}))],
+    )
+    vector, multi = (
+        run_topology(SkewWorkload(config).topology("table"), backend, options)
+        for backend in ("vectorized", "multiprocess")
+    )
+    assert multi.per_key_totals == vector.per_key_totals
+    assert multi.key_instances == vector.key_instances
+    assert sum(multi.per_key_totals["A"].values()) == 1200
+    assert_no_orphans()
+
+
 def test_unknown_fault_kind_is_a_worker_error():
     with pytest.raises(MultiprocessBackendError) as info:
         run_topology(

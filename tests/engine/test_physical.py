@@ -2,8 +2,10 @@
 
 The seam is what makes backends pluggable, so its lifecycle rules are
 pinned independently of any backend: stats accounting in the base
-class, the completion/flush protocol, input-after-done rejection, and
-the plan driver's quiescent ``on_round`` hook.
+class, the completion/flush protocol, input-after-done rejection, the
+plan's quiescent ``on_round`` hook, and the entry points a
+multiprocess worker drives its plan through (``step`` / ``feed`` /
+``finish``, an edge's ``deliver`` / ``producer_done``).
 """
 
 import pytest
@@ -165,20 +167,59 @@ class TestPlanDriver:
         assert all(op.completed for op in plan.operators)
 
     def test_edge_transform_applies_per_batch(self):
+        """An edge's ``deliver`` turns each batch crossing it into what
+        its consumer takes (a backend routes there)."""
         src = ListSource("s", [_batch(1, 2)])
         sink = HoldAll("sink", ["s"])
         doubled = []
 
-        def transform(batch):
-            doubled.append(len(batch))
-            return TupleBatch([(v[0] * 2,) for v in batch.values])
+        class Doubling(PhysicalEdge):
+            def deliver(self, batch):
+                doubled.append(len(batch))
+                return TupleBatch([(v[0] * 2,) for v in batch.values])
 
-        plan = PhysicalPlan(
-            [src, sink], [PhysicalEdge("e", src, sink, 0, transform)]
-        )
+        plan = PhysicalPlan([src, sink], [Doubling("e", src, sink, 0)])
         plan.execute()
         assert sink.held == [(2,), (4,)]
         assert doubled == [2]
+
+    def test_consumer_flushes_only_once_the_edge_is_finished(self):
+        """Fan-in from elsewhere (a multiprocess worker's peers): the
+        edge is done once a second producer has declared too, so the
+        local source running dry does not flush the consumer —
+        :meth:`PhysicalPlan.finish` does, after the other producer's
+        batches came in through :meth:`PhysicalPlan.feed`."""
+
+        class TwoProducers(PhysicalEdge):
+            declared = 0
+
+            def declare(self):
+                self.declared += 1
+                return self.declared == 2
+
+            def producer_done(self):
+                return self.declare()
+
+        src = ListSource("s", [_batch(1), _batch(2)])
+        sink = HoldAll("sink", ["s"])
+        edge = TwoProducers("e", src, sink, 0)
+        plan = PhysicalPlan([src, sink], [edge])
+        while plan.step():
+            pass
+        assert src.exhausted and edge.declared == 1
+        plan.feed(edge, _batch(3))  # the other producer's last batch
+        assert sink.stats.batches_out == 0 and not plan.completed
+        assert edge.declare()  # ... and its declaration
+        plan.finish(edge)
+        assert sink.held == [(1,), (2,), (3,)]
+        assert sink.stats.batches_out == 1 and plan.completed
+
+    def test_feed_into_a_mid_plan_consumer_pushes_its_output_on(self):
+        plan, sink = self._linear_plan([_batch(1)])
+        plan.feed(plan.edges_by_stream["s->mid"], _batch(7, 8))
+        assert sink.held == [(7,), (8,)]
+        plan.execute()
+        assert sink.held == [(7,), (8,), (1,)]
 
     def test_on_round_fires_at_quiescent_points(self):
         plan, sink = self._linear_plan([_batch(1), _batch(2), _batch(3)])

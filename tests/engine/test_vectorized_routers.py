@@ -434,9 +434,11 @@ def test_backends_hold_no_routing_math():
     one router class per policy: a backend that names these again, or
     a module that subclasses ``Router`` elsewhere, has re-forked it.
     Likewise the backend files define no operator-hosting loop: bolts
-    run behind ``physical.HostedBolt``, through ``process_batch``; and
-    they build no router: how many routers a stream gets is decided
-    once, by ``physical.StreamRoutes``.
+    run behind ``physical.HostedBolt``, through ``process_batch``; they
+    build no router: how many routers a stream gets is decided once, by
+    ``physical.StreamRoutes``; and they walk no plan: pushing batches
+    into operators, draining them and cascading ``input_done`` is
+    ``physical.PhysicalPlan``'s alone, in every worker too.
 
     And within ``src/repro`` the owner rule of Section 3.3 — table
     entry, else ``stable_hash(key, seed) % n`` — and a stream's hash
@@ -462,6 +464,10 @@ def test_backends_hold_no_routing_math():
             ".process_batch(",
             "build_router(",
             "route_per_source(",
+            ".add_input(",
+            ".has_next(",
+            ".get_next(",
+            ".input_done(",
         ):
             assert name not in source, f"{module.__name__} uses {name}"
 

@@ -48,13 +48,16 @@ from repro.errors import DeploymentError
 class ReconfigureAction:
     """One scripted reconfiguration of a batch run.
 
-    Applied at the first batch boundary where the total number of
-    spout-emitted tuples reaches ``at_tuples``: the named stream's
-    routing table is swapped (and, when ``parallelism`` is set, the
-    destination tier is rescaled to that width, every other input
-    stream of it included, as the DES round resizes side inputs), then
-    keyed state migrates to each key's new owner — the owner the DES
-    rescale protocol settles on (:func:`repro.engine.grouping.key_owner`).
+    Applied once the total number of spout-emitted tuples reaches
+    ``at_tuples`` — at the next batch boundary on the vectorized
+    backend, and on the multiprocess one by each worker at its next
+    quiescent point after the coordinator's RECONFIG: the named
+    stream's routing table is swapped (and, when ``parallelism`` is
+    set, the destination tier is rescaled to that width, every other
+    input stream of it included, as the DES round resizes side inputs),
+    then keyed state migrates to each key's new owner — the owner the
+    DES rescale protocol settles on
+    (:func:`repro.engine.grouping.key_owner`).
     """
 
     at_tuples: int

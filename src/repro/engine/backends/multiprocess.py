@@ -33,16 +33,17 @@ stream, so a consumer holding all producers' markers has provably
 received all data; it reports FINISHED and, once every scripted action
 has been replayed, its RESULT — nobody tells it to stop.
 **Backpressure** is deadlock-free: a sender blocked on a full peer
-queue takes in the DATA of its own inbound queue while retrying; any
-other message waits for the loop's next drain. **Scripted
-reconfigurations** replay behind a barrier: the coordinator broadcasts
-the action, workers pause their sources and exchange ``FENCE`` markers
-(flushing all pre-epoch tuples), swap tables / resize / migrate keyed
-state to each key's new owner worker, exchange ``MIG_DONE`` markers
-and resume. **Failure handling** is structured: a crashed or hung
-worker (or an expired ``mp_timeout_s``) tears every process down —
-terminate, join, kill — and raises :class:`MultiprocessBackendError`
-carrying the partial progress, leaving no orphaned children.
+queue takes in its own inbound queue while retrying, parking what
+arrives for the loop's next drain. **Scripted reconfigurations** run
+in-band, no source paused: at RECONFIG (or a peer's PROPAGATE) a worker
+swaps its routers and sends PROPAGATE behind its old-config data; with
+every server's PROPAGATE in it migrates keyed state to each key's new
+owner and sends MIG_DONE; with every MIG_DONE in it releases the tuples
+held for keys whose state had not landed. **Failure handling** is
+structured: a crashed or hung worker (or an expired ``mp_timeout_s``)
+tears every process down — terminate, join, kill — and raises
+:class:`MultiprocessBackendError` carrying the partial progress,
+leaving no orphaned children.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ import queue as _queue
 import sys
 import time
 import traceback
+from collections import deque
 from itertools import compress, islice
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -174,7 +176,7 @@ class _WorkerEdge(PhysicalEdge):
 
 class _Worker:
     """One server's process: runs the plan of its operator shards and
-    speaks the DONE / FENCE / MIGRATE protocol."""
+    speaks the DONE / PROPAGATE / MIGRATE protocol."""
 
     def __init__(
         self,
@@ -194,23 +196,20 @@ class _Worker:
         self.events = events
         self.peers = [s for s in range(num_servers) if s != server]
 
-        self.paused = False
         self.stopped = False
         self.finished_sent = False
-        self.resumed_epochs = 0
+        #: the last reconfiguration epoch opened here, and while it is
+        #: open its state (:meth:`_open`), else None
+        self.opened = 0
+        self._epoch: Optional[dict] = None
         #: spout tuples pulled here, as last sent in a PROGRESS event
         self.emitted = 0
         self.ipc_tx_bytes = 0
         self.ipc_rx_bytes = 0
         self.ipc_tx_msgs = 0
         self.ipc_rx_msgs = 0
-        #: epoch -> barrier state
-        self.epochs: Dict[int, dict] = {}
         #: messages that arrived inside a blocked send, in order
-        self._parked: List[tuple] = []
-        #: MIGRATE payloads that arrived before our own resize created
-        #: the target instances (a peer can finish its barrier first)
-        self._pending_migrates: List[Tuple[str, dict]] = []
+        self._parked: deque = deque()
         #: run timeline: mark name -> ``perf_counter()`` when first hit
         self.marks: Dict[str, float] = {}
 
@@ -276,15 +275,27 @@ class _Worker:
     # -- messaging ------------------------------------------------------
 
     def _put(self, server: int, message) -> None:
-        """Put with backpressure: on a full peer queue, take in our own
-        DATA (someone may be blocked on *us*) and retry."""
+        """Put with backpressure: on a full peer queue, take in what has
+        arrived here (someone may be blocked on *us*) and retry."""
         box = self.inboxes[server]
         while True:
             try:
                 box.put(message, timeout=_POLL_S)
                 return
             except _queue.Full:
-                self._drain_inbox(block=False, data_only=True)
+                self._take_in()
+
+    def _take_in(self) -> None:
+        """Inside a blocked send, park what has arrived, in order, for
+        the loop's next drain: a quiescent point. Handled here, a
+        message could overtake the rest of a half-pushed batch, and
+        what it sends could overtake this send — new-config DATA ahead
+        of the PROPAGATE it is retrying."""
+        while True:
+            try:
+                self._parked.append(self.inbox.get_nowait())
+            except _queue.Empty:
+                return
 
     def _send_blob(self, server: int, payload: tuple) -> None:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -325,82 +336,55 @@ class _Worker:
             self._maybe_fault()
         return progressed
 
-    # -- reconfiguration barrier ---------------------------------------
+    # -- reconfiguration ------------------------------------------------
 
-    def _epoch(self, epoch: int) -> dict:
-        return self.epochs.setdefault(
-            epoch,
-            {
-                "fences": set(),
-                "mig_done": set(),
-                "action": None,
-                "fenced": False,
-                "applied": False,
-                "resumed": False,
-            },
+    def _open(self, epoch: int, index: int) -> None:
+        """Swap this server's routers for action ``index`` at a
+        quiescent point, hold what the new config sends ahead of its
+        state, and end the old config's data on every lane with
+        PROPAGATE. The coordinator's RECONFIG may come after the peers'
+        markers have opened, or even closed, the epoch here."""
+        if epoch <= self.opened:
+            return
+        self._mark("reconfig_open")
+        self.opened = epoch
+        consumer, owner_of, owner_before = self.plan.reconfigure(
+            self.options.actions[index]
         )
+        consumer.hold(owner_before)
+        self._epoch = {
+            "consumer": consumer,
+            "owner_of": owner_of,
+            "PROPAGATE": 0,
+            "MIG_DONE": 0,
+        }
+        self._broadcast(("PROPAGATE", epoch, index, self.server))
+        self._arrived("PROPAGATE")
 
-    def _enter_fence(self, epoch: int) -> None:
-        state = self._epoch(epoch)
-        if state["fenced"]:
+    def _arrived(self, marker: str) -> None:
+        """Count one server's PROPAGATE or MIG_DONE, ours included."""
+        state = self._epoch
+        state[marker] += 1
+        if state[marker] < self.num_servers:
             return
-        state["fenced"] = True
-        self.paused = True
-        self._broadcast(("FENCE", epoch, self.server))
-
-    def _try_apply(self, epoch: int) -> None:
-        state = self._epoch(epoch)
-        if (
-            state["applied"]
-            or state["action"] is None
-            or not state["fenced"]
-            or not state["fences"].issuperset(self.peers)
-        ):
-            return
-        # Quiesced: every peer fenced, so all pre-epoch data arrived
-        # (per-producer FIFO) and has been processed.
-        state["applied"] = True
-        consumer, leaving = self.plan.apply_action(
-            self.options.actions[state["action"]]
-        )
-        # What leaves this server goes as one message per server.
-        outgoing: Dict[int, Dict[int, Dict[Any, Any]]] = {}
-        for owner, entries in leaving.items():
-            server = placement(owner, self.num_servers)
-            outgoing.setdefault(server, {})[owner] = entries
-        for server, per_instance in sorted(outgoing.items()):
-            self._send_blob(server, ("MIGRATE", consumer.name, per_instance))
-        self._flush_pending_migrates()
-        self._broadcast(("MIG_DONE", epoch, self.server))
-        self._try_resume(epoch)
-
-    def _try_resume(self, epoch: int) -> None:
-        state = self._epoch(epoch)
-        if (
-            state["resumed"]
-            or not state["applied"]
-            or not state["mig_done"].issuperset(self.peers)
-        ):
-            return
-        state["resumed"] = True
-        self.resumed_epochs += 1
-        self.paused = False
-        self.events.put(("RECONFIGURED", epoch, self.server))
-
-    def _install_migrate(self, op_name: str, per_instance: dict) -> None:
-        shard = self.ops[op_name]
-        if any(owner not in shard.operators for owner in per_instance):
-            # A peer applied the resize before us; park the payload
-            # until our own apply_action creates the new instances.
-            self._pending_migrates.append((op_name, per_instance))
-            return
-        for owner, entries in per_instance.items():
-            shard.operators[owner].install_state(entries)
-
-    def _flush_pending_migrates(self) -> None:
-        pending, self._pending_migrates = self._pending_migrates, []
-        for op_name, per_instance in pending:
-            self._install_migrate(op_name, per_instance)
+        consumer = state["consumer"]
+        if marker == "PROPAGATE":
+            # Every server's old-config data is in, and processed: ship
+            # what leaves this server, one message per server.
+            leaving = consumer.migrate(state["owner_of"])
+            outgoing: Dict[int, Dict[int, Dict[Any, Any]]] = {}
+            for owner, entries in leaving.items():
+                server = placement(owner, self.num_servers)
+                outgoing.setdefault(server, {})[owner] = entries
+            for server, blob in sorted(outgoing.items()):
+                self._send_blob(server, ("MIGRATE", consumer.name, blob))
+            self._broadcast(("MIG_DONE", self.opened, self.server))
+            self._arrived("MIG_DONE")
+        else:  # every server's leaving state is in: run what waited
+            self._epoch = None
+            self.plan.release(consumer)
+            self._mark("reconfig_closed")
+            self.events.put(("RECONFIGURED", self.opened, self.server))
 
     # -- inbound handling -----------------------------------------------
 
@@ -408,39 +392,29 @@ class _Worker:
         tag = message[0]
         if tag == "MIGRATE":
             _, op_name, per_instance = message
-            self._install_migrate(op_name, per_instance)
+            for owner, entries in per_instance.items():
+                self.ops[op_name].operators[owner].install_state(entries)
         elif tag == "DONE":
             _, stream_name, producer = message
             edge = self.plan.edges_by_stream[stream_name]
             if edge.declare(producer):
                 self.plan.finish(edge)
-        elif tag == "FENCE":
-            _, epoch, producer = message
-            self._epoch(epoch)["fences"].add(producer)
-            self._enter_fence(epoch)
-            self._try_apply(epoch)
         elif tag == "RECONFIG":
-            _, epoch, action_index = message
-            self._epoch(epoch)["action"] = action_index
-            self._enter_fence(epoch)
-            self._try_apply(epoch)
+            self._open(*message[1:])
+        elif tag == "PROPAGATE":
+            self._open(*message[1:3])
+            self._arrived(tag)
         elif tag == "MIG_DONE":
-            _, epoch, producer = message
-            self._epoch(epoch)["mig_done"].add(producer)
-            self._try_resume(epoch)
+            self._arrived(tag)
         else:  # pragma: no cover - protocol invariant
             raise DeploymentError(f"unknown message {tag!r}")
 
-    def _drain_inbox(self, block: bool, data_only: bool = False) -> bool:
-        """Handle what has arrived, in order. Inside a blocked send
-        (``data_only``) a batch may be half pushed: DATA is taken in,
-        and every other message waits for the loop's next drain, a
-        quiescent point — no DONE, FENCE or action overtakes the rest
-        of that batch."""
+    def _drain_inbox(self, block: bool) -> bool:
+        """Handle what has arrived, parked messages first, in order."""
         handled = False
         while True:
-            if self._parked and not data_only:
-                message = self._parked.pop(0)
+            if self._parked:
+                message = self._parked.popleft()
             else:
                 try:
                     message = (
@@ -450,19 +424,17 @@ class _Worker:
                     )
                 except _queue.Empty:
                     return handled
-                if isinstance(message, bytes):
-                    self.ipc_rx_bytes += len(message)
-                    self.ipc_rx_msgs += 1
-                    message = pickle.loads(message)
             handled = True
+            if isinstance(message, bytes):
+                self.ipc_rx_bytes += len(message)
+                self.ipc_rx_msgs += 1
+                message = pickle.loads(message)
             if message[0] == "DATA":
                 _, stream_name, values, dst = message
                 self.plan.feed(
                     self.plan.edges_by_stream[stream_name],
                     TupleBatch(values, dst_instances=dst),
                 )
-            elif data_only:
-                self._parked.append(message)
             else:
                 self._handle(message)
 
@@ -477,7 +449,9 @@ class _Worker:
             self.finished_sent = True
             self._mark("finished")
             self.events.put(("FINISHED", self.server))
-        self.stopped = self.resumed_epochs == len(self.options.actions)
+        self.stopped = (
+            self._epoch is None and self.opened == len(self.options.actions)
+        )
 
     def run(self) -> None:
         cpu_start = time.process_time_ns()
@@ -487,9 +461,7 @@ class _Worker:
             self.setup()
             self._mark("setup")
             while not self.stopped:
-                progressed = False
-                if not self.paused:
-                    progressed = self._step()
+                progressed = self._step()
                 self._drain_inbox(block=not progressed)
                 self._check_finished()
             self._mark("stopped")
@@ -502,6 +474,11 @@ class _Worker:
                     "ipc_rx_bytes": self.ipc_rx_bytes,
                     "ipc_tx_msgs": self.ipc_tx_msgs,
                     "ipc_rx_msgs": self.ipc_rx_msgs,
+                    "held_tuples": sum(
+                        op.held_tuples
+                        for op in self.ops.values()
+                        if isinstance(op, HostedBolt)
+                    ),
                     "timeline": self.marks,
                 },
                 "plan": self.plan.report(),

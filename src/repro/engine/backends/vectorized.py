@@ -585,13 +585,18 @@ class _VectorizedRun:
 
     def _on_round(self, plan: PhysicalPlan) -> None:
         while self._pending and plan.emitted() >= self._pending[0].at_tuples:
-            plan.apply_action(self._pending.pop(0))
+            self._apply(self._pending.pop(0))
+
+    def _apply(self, action) -> None:
+        """Swap, then migrate: at a quiescent point nothing waits."""
+        consumer, owner_of, _ = self.plan.reconfigure(action)
+        consumer.migrate(owner_of)
 
     def execute(self) -> float:
         start = time.perf_counter()
         self.plan.execute(on_round=self._on_round)
         while self._pending:
-            self.plan.apply_action(self._pending.pop(0))
+            self._apply(self._pending.pop(0))
         return time.perf_counter() - start
 
 

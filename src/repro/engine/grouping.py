@@ -372,6 +372,11 @@ class Router:
             f"resize seam, so it cannot follow a rescale"
         )
 
+    def owner_rule(self):
+        """``values -> owners`` under the current config, kept across a
+        later swap; None for a router with no owner rule."""
+        return None
+
     def route(self, values: Sequence[tuple]):
         """Route a batch: ``(dst, key_ids, rows)``.
 
@@ -559,6 +564,18 @@ class _HashFieldsRouter(Router):
         """The key's destination under the current table and width
         (state migration asks this; nothing is counted or interned)."""
         return key_owner(key, self._table, self._seed, self._n)[0]
+
+    def owner_rule(self):
+        """``values -> owners`` (``int64``) under the current table and
+        width, kept across a later swap: where a batch's keys lived
+        before it. Counts nothing, interns nothing."""
+        import numpy as np
+
+        key_fn, table, seed, n = self._key_fn, self._table, self._seed, self._n
+        return lambda values: np.array(
+            key_owners(list(map(key_fn, values)), table, seed, n)[0],
+            dtype=np.int64,
+        )
 
     def route(self, values: Sequence[tuple], ids=None):
         """``Router.route``; ``ids``, when given, are the batch's keys

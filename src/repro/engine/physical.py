@@ -480,6 +480,12 @@ class HostedBolt(PhysicalOperator):
         self.contexts: Dict[int, ShimContext] = {}
         #: tuples taken so far, per hosted instance
         self.received: Dict[int, int] = {}
+        #: per input, the owner rule before an open swap (:meth:`hold`)
+        self._owner_before: Optional[List] = None
+        #: ``(input_index, batch)`` waiting for their state, in order
+        self._held: List[Tuple[int, TupleBatch]] = []
+        #: tuples held so far
+        self.held_tuples = 0
         self.resize(parallelism)
 
     def resize(self, parallelism: int) -> None:
@@ -514,6 +520,8 @@ class HostedBolt(PhysicalOperator):
         # backends, which hand in numpy ``dst_instances``, need it).
         import numpy as np
 
+        if self._owner_before is not None:
+            batch = self._hold_back(batch, input_index)
         dst = batch.dst_instances
         out_values: List[tuple] = []
         out_src = []
@@ -547,6 +555,48 @@ class HostedBolt(PhysicalOperator):
             self._emit(
                 TupleBatch(out_values, src_instances=np.concatenate(out_src))
             )
+
+    # -- the hold: tuples sent ahead of their state ---------------------
+
+    def hold(self, owner_before: List) -> None:
+        """Until :meth:`release`, hold every tuple whose key another
+        instance owned before the swap (``owner_before``, per input: a
+        ``Router.owner_rule`` or None): the new config sent it
+        ahead of its state."""
+        self._owner_before = owner_before
+
+    def _hold_back(self, batch: TupleBatch, input_index: int) -> TupleBatch:
+        """What of ``batch`` may run now; the rest is held."""
+        rule = self._owner_before[input_index]
+        if rule is None:
+            return batch
+        dst = batch.dst_instances
+        moved = rule(batch.values) != dst
+        held, kept = (
+            TupleBatch(
+                list(compress(batch.values, mask.tolist())),
+                dst_instances=dst[mask],
+            )
+            for mask in (moved, ~moved)
+        )
+        if len(held):
+            self._held.append((input_index, held))
+            self.held_tuples += len(held)
+        return kept
+
+    def release(self) -> bool:
+        """Lift the hold: process what it held, in arrival order.
+        Whether there was any."""
+        held, self._held, self._owner_before = self._held, [], None
+        start = time.perf_counter()
+        for input_index, batch in held:
+            self._process(batch, input_index)
+        self.stats.busy_s += time.perf_counter() - start
+        return bool(held)
+
+    @property
+    def completed(self) -> bool:
+        return super().completed and not self._held
 
     # -- keyed state (migration + result extraction) --------------------
 
@@ -815,7 +865,7 @@ class PhysicalPlan:
 
         ``on_round(plan)`` fires after each :meth:`step`, with no batch
         in flight — the quiescent points where a backend may apply
-        scripted reconfigurations (:meth:`apply_action`) without
+        scripted reconfigurations (:meth:`reconfigure`) without
         splitting a batch across two routing epochs.
         """
         while self._live:
@@ -831,24 +881,37 @@ class PhysicalPlan:
 
     # -- scripted reconfiguration ---------------------------------------
 
-    def apply_action(self, action) -> Tuple[PhysicalOperator, dict]:
-        """Apply a ``ReconfigureAction`` at a quiescent point: resize
-        the consumer (when the action rescales it), reconfigure the
-        target stream's routers (every input stream's on a rescale),
-        and migrate the consumer's keyed state to each key's new owner.
-        Returns the consumer and the state that belongs to instances
-        hosted elsewhere, ``{owner: entries}``, for the caller to ship."""
+    def reconfigure(self, action) -> Tuple[PhysicalOperator, Callable, list]:
+        """Swap a ``ReconfigureAction``'s routers at a quiescent point:
+        resize the consumer (when the action rescales it) and
+        reconfigure the target stream's routers (every input stream's on
+        a rescale). Returns the consumer, its keys' new ``owner_of`` for
+        its ``migrate``, and per consumer input the owner rule before
+        the swap (None where nothing changed), for its ``hold``."""
         routes = action.target_in(
             {name: edge.routes for name, edge in self.edges_by_stream.items()}
         )
         consumer = self.edges_by_stream[action.stream].dst
-        targets = [routes]
+        owner_before: list = [None] * len(consumer.input_names)
+        for edge in self.edges:
+            if edge.dst is consumer and (
+                edge.routes is routes or action.parallelism is not None
+            ):
+                owner_before[edge.dst_input_index] = (
+                    edge.routes.router.owner_rule()
+                )
+                edge.routes.reconfigure(action)
         if action.parallelism is not None:
             consumer.resize(action.parallelism)
-            targets = [e.routes for e in self.edges if e.dst is consumer]
-        for stream_routes in targets:
-            stream_routes.reconfigure(action)
-        return consumer, consumer.migrate(routes.router.owner_of)
+        return consumer, routes.router.owner_of, owner_before
+
+    def release(self, op: PhysicalOperator) -> None:
+        """Lift ``op``'s hold: process what it held, push the output on,
+        and cascade if that completed it."""
+        if op.release():
+            self._drain(op)
+            if op.completed:
+                self._cascade_done(op)
 
     # -- result ---------------------------------------------------------
 

@@ -55,7 +55,7 @@ from repro.engine.grouping import (
     candidate_instances,
     stable_hash,
 )
-from repro.engine.operators import IteratorSpout
+from repro.engine.operators import IteratorSpout, StatefulBolt
 from repro.testing.equivalence import compare_backends, run_equivalence
 from repro.workloads.skew import SkewConfig, SkewWorkload
 
@@ -141,7 +141,13 @@ def test_fig13_equivalence():
     assert_no_orphans()
 
 
-def _rescale_topology(seed, spouts=3, tuples_per_instance=800, width=2):
+def _rescale_topology(
+    seed,
+    spouts=3,
+    tuples_per_instance=800,
+    width=2,
+    sink=lambda: CountBolt(1, forward=False),
+):
     import random
 
     def source(ctx):
@@ -159,10 +165,7 @@ def _rescale_topology(seed, spouts=3, tuples_per_instance=800, width=2):
         inputs={"S": TableFieldsGrouping(0)},
     )
     builder.bolt(
-        "B",
-        lambda: CountBolt(1, forward=False),
-        parallelism=width,
-        inputs={"A": TableFieldsGrouping(1)},
+        "B", sink, parallelism=width, inputs={"A": TableFieldsGrouping(1)}
     )
     return builder.build()
 
@@ -633,11 +636,12 @@ def test_queue_full_backpressure_still_equivalent():
 
 def test_a_mid_stream_table_swap_under_single_slot_queues():
     """A scripted table swap halfway through, at ``mp_queue_maxsize=1``:
-    the barrier, the migration and the plan's ``step`` / ``feed`` /
-    ``finish`` all go through the blocked-send path, and the per-key
-    totals and final placements still equal the vectorized run's. A
-    FENCE or action handled inside a blocked send, before the rest of
-    a half-pushed batch went out, left keys with two holders."""
+    the PROPAGATE / MIGRATE / MIG_DONE exchange, the hold and the
+    plan's ``step`` / ``feed`` / ``finish`` all go through the
+    blocked-send path, and the per-key totals and final placements
+    still equal the vectorized run's. A marker handled inside a
+    blocked send, before the rest of a half-pushed batch went out,
+    would leave keys with two holders."""
     config = SkewConfig(parallelism=4, seed=2, tuples_per_instance=300)
     options = mp_options(
         num_servers=2,
@@ -652,6 +656,57 @@ def test_a_mid_stream_table_swap_under_single_slot_queues():
     assert multi.per_key_totals == vector.per_key_totals
     assert multi.key_instances == vector.key_instances
     assert sum(multi.per_key_totals["A"].values()) == 1200
+    assert_no_orphans()
+
+
+class KeepLocalCount(StatefulBolt):
+    """Counts field 1 and keeps ``StatefulBolt``'s default keep-local
+    merge: a tuple counted at a key's new owner before the key's state
+    arrived is lost when the state is installed, where ``CountBolt``'s
+    additive merge would hide it."""
+
+    def process(self, tup, context):
+        key = tup.values[1]
+        self.state[key] = self.state.get(key, 0) + 1
+
+
+@pytest.mark.parametrize(
+    "queue_size, runs", [(64, 10), (1, 3)], ids=["queue64", "queue1"]
+)
+def test_a_bolt_forwarded_swap_holds_tuples_until_their_state_lands(
+    queue_size, runs
+):
+    """``S(3) → A(2) → B(2)``, ``A->B`` swapped mid-stream: every
+    worker swaps at its own quiescent point, so a peer's ``A`` may
+    still forward under the old table while this one routes under the
+    new. ``B`` ships a key's state once every server's PROPAGATE is in
+    and holds the tuples that arrived ahead of it; each run's totals
+    and placements equal the vectorized run's."""
+    options = mp_options(
+        num_servers=2,
+        batch_size=64,
+        mp_queue_maxsize=queue_size,
+        actions=[
+            ReconfigureAction(
+                600,
+                "A->B",
+                RoutingTable({k: k % 2 for k in range(100, 112)}),
+            )
+        ],
+    )
+    vector = run_topology(
+        _rescale_topology(0, sink=KeepLocalCount), "vectorized", options
+    )
+    assert sum(vector.per_key_totals["B"].values()) == 2400
+    for _ in range(runs):
+        multi = run_topology(
+            _rescale_topology(0, sink=KeepLocalCount), "multiprocess", options
+        )
+        assert multi.per_key_totals == vector.per_key_totals
+        assert multi.key_instances == vector.key_instances
+        for stats in multi.measured["per_server"].values():
+            timeline = stats["timeline"]
+            assert timeline["reconfig_open"] <= timeline["reconfig_closed"]
     assert_no_orphans()
 
 

@@ -3,9 +3,10 @@
 The seam is what makes backends pluggable, so its lifecycle rules are
 pinned independently of any backend: stats accounting in the base
 class, the completion/flush protocol, input-after-done rejection, the
-plan's quiescent ``on_round`` hook, and the entry points a
-multiprocess worker drives its plan through (``step`` / ``feed`` /
-``finish``, an edge's ``deliver`` / ``producer_done``).
+plan's quiescent ``on_round`` hook, the entry points a multiprocess
+worker drives its plan through (``step`` / ``feed`` / ``finish``, an
+edge's ``deliver`` / ``producer_done``), and a consumer's hold across
+a reconfiguration (``HostedBolt.hold``, ``PhysicalPlan.release``).
 """
 
 import pytest
@@ -262,6 +263,54 @@ class TestPlanDriver:
         plan.execute()
         assert sorted(sink.held) == [(1,), (2,), (3,)]
         assert sink.stats.batches_in == 3
+
+
+class TestTheHold:
+    """The consumer's half of an in-band reconfiguration: after a swap,
+    a tuple whose key another instance owned before it waits for that
+    key's state, until :meth:`PhysicalPlan.release`."""
+
+    def test_held_tuples_wait_then_run_in_order_and_cascade_once(self):
+        import numpy as np
+
+        from repro.engine.operators import CountBolt
+        from repro.engine.physical import HostedBolt
+
+        class CountsDone(HoldAll):
+            done_calls = 0
+
+            def input_done(self, input_index=0):
+                self.done_calls += 1
+                super().input_done(input_index)
+
+        src = ListSource("s", [])
+        bolt = HostedBolt("b", ["s"], lambda: CountBolt(0), 2, 1, 0)
+        sink = CountsDone("sink", ["b"])
+        into = PhysicalEdge("s->b", src, bolt, 0)
+        plan = PhysicalPlan(
+            [src, bolt, sink], [into, PhysicalEdge("b->sink", bolt, sink, 0)]
+        )
+        # before the swap, key k lived on instance k % 2
+        bolt.hold([lambda values: np.array([v[0] % 2 for v in values])])
+        for keys, dst in (([1, 2, 3], [0, 0, 1]), ([5, 4], [0, 0])):
+            plan.feed(
+                into,
+                TupleBatch([(k,) for k in keys], dst_instances=np.array(dst)),
+            )
+        # unchanged owners went straight through; 1 and 5 moved to 0
+        assert sink.held == [(2,), (3,), (4,)]
+        assert bolt.held_tuples == 2
+        assert bolt.operators[0].state == {2: 1, 4: 1}
+        while plan.step():
+            pass
+        assert not bolt.completed and sink.done_calls == 0
+        plan.release(bolt)
+        assert sink.held == [(2,), (3,), (4,), (1,), (5,)]
+        assert bolt.operators[0].state == {1: 1, 2: 1, 4: 1, 5: 1}
+        assert bolt.completed and plan.completed
+        assert sink.done_calls == 1
+        plan.release(bolt)  # nothing held: no second cascade
+        assert sink.done_calls == 1
 
 
 class TestMergeOpStats:

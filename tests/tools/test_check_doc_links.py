@@ -1,6 +1,7 @@
 """tools/check_doc_links.py: ``ClassName.attr`` references resolve
 against the dataclasses of ``repro.core`` and ``repro.engine.backends``
-— a doc naming a config field that was renamed fails the docs gate."""
+and the seam classes of ``repro.engine.physical`` — a doc naming a
+config field or a seam method that was renamed fails the docs gate."""
 
 import os
 import sys
@@ -16,7 +17,7 @@ if _TOOLS not in sys.path:
 
 import check_doc_links as links  # noqa: E402
 
-CLASSES = links._dataclasses()
+CLASSES = links._known_classes()
 
 
 def _check(monkeypatch, tmp_path, name, text):
@@ -63,6 +64,25 @@ def test_fields_members_and_other_classes_resolve(monkeypatch, tmp_path):
         "`PoiReconfiguration.edge_updates` `RoundRecord.is_rescale` "
         "`RescaleSpec.owner_of` `Manager.rounds` `Vocab.encode`\n",
     )
+
+
+def test_seam_members_and_init_attributes_resolve(monkeypatch, tmp_path):
+    """A seam class's method (named bare or called), a property, and an
+    attribute its ``__init__`` or a base's assigns resolve; a method
+    the seam no longer has does not."""
+    problems = _check(
+        monkeypatch,
+        tmp_path,
+        "DESIGN.md",
+        "`PhysicalPlan.reconfigure` `PhysicalPlan.release(op)` "
+        "`HostedBolt.completed` `StreamRoutes.n` `HostedBolt.stats`\n"
+        "`PhysicalPlan.apply_action(action)` applies it\n"
+        "`StreamRoutes.width`\n",
+    )
+    assert problems == [
+        "DESIGN.md:2: PhysicalPlan has no attribute 'apply_action'",
+        "DESIGN.md:3: StreamRoutes has no attribute 'width'",
+    ]
 
 
 #: a numbered citation is built, not written, so that the gate, which

@@ -23,9 +23,12 @@ verified by *importing* them: the module must import cleanly from
 renamed class fails the gate, not just one naming a deleted file.
 ``ClassName.attr`` references to the dataclasses of ``repro.core`` and
 ``repro.engine.backends`` (``ManagerConfig.round_timeout_s``,
-``BackendOptions.mp_fault``, …) are resolved the same way: the attribute
-must be a field or member of the class, so a doc naming a renamed
-config field fails too. ``CHANGES.md`` is exempt (fields as they were).
+``BackendOptions.mp_fault``, …) and to the seam classes of
+``repro.engine.physical`` (``PhysicalPlan.release``, ``StreamRoutes.n``)
+are resolved the same way: the attribute must be a field or member of
+the class, or one its ``__init__`` (or a base's) assigns, so a doc
+naming a renamed config field or seam method fails too. ``CHANGES.md``
+is exempt (names as they were).
 
 ROADMAP items are renumbered whenever the roadmap is rewritten, so the
 docs that describe the code (README, DESIGN, EXPERIMENTS) and every
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import os
 import re
 import sys
@@ -69,9 +73,13 @@ CODE_PATH = re.compile(
 )
 SECTION_REF = re.compile(r"(\w+\.md) §(\d+)")
 MODULE_REF = re.compile(r"`(repro(?:\.\w+)+)`")
-CLASS_ATTR_REF = re.compile(r"`([A-Z]\w+)\.([a-z_]\w*)`")
+CLASS_ATTR_REF = re.compile(r"`([A-Z]\w+)\.([a-z_]\w*)(?:\([^`]*\))?`")
 #: packages whose (transitively imported) dataclasses are resolvable
 DATACLASS_PACKAGES = ("repro.core", "repro.engine.backends")
+#: the module whose own classes (the backend seam) are resolvable
+SEAM_MODULE = "repro.engine.physical"
+#: ``self.<name> =`` (annotated or not) in an ``__init__``
+INIT_ASSIGN = re.compile(r"\bself\.(\w+)\s*(?::[^=\n]+)?=(?!=)")
 #: a numbered citation, also across a line break of prose or comments
 ROADMAP_NUMBER = re.compile(r"ROADMAP[\s#]+item[\s#]+\d")
 #: docs and source trees that must cite ROADMAP items by title
@@ -118,29 +126,50 @@ def _module_exists(dotted: str) -> bool:
     return False
 
 
-def _dataclasses() -> dict:
+def _known_classes() -> dict:
     """``{class name: class}`` of every dataclass a module of
-    :data:`DATACLASS_PACKAGES` defines or imports."""
+    :data:`DATACLASS_PACKAGES` defines or imports, and of every class
+    :data:`SEAM_MODULE` defines."""
     _src_on_path()
-    for package in DATACLASS_PACKAGES:
+    for package in (*DATACLASS_PACKAGES, SEAM_MODULE):
         importlib.import_module(package)
-    return {
+    classes = {
         name: obj
         for module_name, module in sorted(sys.modules.items())
         if module_name.startswith(DATACLASS_PACKAGES)
         for name, obj in vars(module).items()
         if isinstance(obj, type) and dataclasses.is_dataclass(obj)
     }
+    classes.update(
+        (name, obj)
+        for name, obj in vars(sys.modules[SEAM_MODULE]).items()
+        if isinstance(obj, type) and obj.__module__ == SEAM_MODULE
+    )
+    return classes
+
+
+def _init_attributes(cls: type) -> set:
+    """The names ``__init__`` of ``cls`` or of a base assigns on self."""
+    names = set()
+    for klass in cls.__mro__:
+        try:
+            source = inspect.getsource(vars(klass)["__init__"])
+        except (KeyError, TypeError, OSError):
+            continue  # none, ``object``'s, or a dataclass's generated one
+        names.update(INIT_ASSIGN.findall(source))
+    return names
 
 
 def _class_attr_exists(classes: dict, class_name: str, attr: str) -> bool:
     """A ``ClassName.attr`` reference resolves unless ``ClassName`` is
-    one of ``classes`` and has neither a field nor a member ``attr``."""
+    one of ``classes`` and has no field, member or ``__init__``-assigned
+    attribute ``attr``."""
     cls = classes.get(class_name)
     return (
         cls is None
-        or attr in cls.__dataclass_fields__
+        or attr in getattr(cls, "__dataclass_fields__", ())
         or hasattr(cls, attr)
+        or attr in _init_attributes(cls)
     )
 
 
@@ -252,7 +281,7 @@ def check_pr_narration() -> list:
 
 def main() -> int:
     problems = []
-    classes = _dataclasses()
+    classes = _known_classes()
     for rel in DOC_FILES:
         if _exists(rel):
             problems.extend(check_file(rel, classes))

@@ -40,14 +40,14 @@ The registered runners:
     Cross-backend equivalence (DESIGN.md §15/§16): run one scenario
     (``fig13`` / ``skew`` / ``rescale``) on the reference DES and a
     candidate backend (``candidate: vectorized`` | ``multiprocess``,
-    default vectorized) from identical finite inputs, compare with
-    :func:`repro.testing.equivalence.compare_backends`, and report the
-    speedup. Any broken invariant lands in the cell's ``violations``
+    default vectorized) from identical finite inputs through
+    :func:`repro.testing.equivalence.run_equivalence`, and report the
+    speedup. On ``rescale`` the DES manager decides and the candidate
+    replays every round it committed, at the tuple offset of the DES's
+    swap. Any broken invariant lands in the cell's ``violations``
     exactly like an episode-cell invariant breach, so the campaign
     report gates it. Multiprocess cells additionally report the
-    *measured* per-run CPU ns and inter-process bytes. ``backend:
-    reference`` / ``backend: vectorized`` run one side only (for
-    timing axes).
+    *measured* per-run CPU ns and inter-process bytes.
 
 An experiment runner calls one point function of
 ``repro.analysis.experiments`` on the cell's axis values (the grid is
@@ -65,6 +65,8 @@ is better; unsuffixed metrics get their direction from the campaign's
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -133,7 +135,11 @@ def episode_config(params: Dict[str, Any], seed: int):
     seed-rooted RNG stream so cell id → episode is a pure function.
     """
     from repro.faults import fault_plan_to_dict, generate_fault_plan
-    from repro.testing.episode import EpisodeConfig
+    from repro.testing.episode import (
+        EpisodeConfig,
+        draw_hybrid,
+        draw_rescales,
+    )
     from repro.testing.rng import RngTree
 
     _unknown(
@@ -162,20 +168,11 @@ def episode_config(params: Dict[str, Any], seed: int):
         )
         config.fault_plan = fault_plan_to_dict(plan)
     if params.get("rescale", False):
-        rng = tree.rng("campaign", "rescale")
-        actions = []
-        for _ in range(rng.choice((1, 1, 2))):
-            at_s = rng.uniform(0.05, config.until_s * 0.8)
-            target = rng.choice((1, 2, 3, 4, 5))
-            actions.append([round(at_s, 6), target])
-        config.rescales = sorted(actions)
+        config.rescales = draw_rescales(
+            tree.rng("campaign", "rescale"), config.until_s
+        )
     if params.get("hybrid", False):
-        rng = tree.rng("campaign", "hybrid")
-        config.hybrid = [
-            round(rng.uniform(0.3, 0.8), 6),  # hot_fraction
-            rng.choice((2, 2, 3)),  # split_width
-            rng.choice((2, 4, 8)),  # max_split_keys
-        ]
+        config.hybrid = draw_hybrid(tree.rng("campaign", "hybrid"))
     return config
 
 
@@ -617,16 +614,27 @@ def run_ablation_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
 #: scenarios the ``backend`` runner can replay on both backends
 BACKEND_SCENARIOS = ("fig13", "skew", "rescale")
 
+#: the comparison tier of deterministic routing: everything exact
+#: (:func:`repro.testing.equivalence.compare_backends`)
+EXACT = dict(
+    exact_placements=True,
+    exact_received=True,
+    locality_tol=1e-9,
+    balance_tol=1e-9,
+)
+
 
 def _backend_topology_factory(
     scenario: str, params: Dict[str, Any], seed: int
 ):
     """A zero-arg factory building one *finite* topology per call
-    (each backend run needs fresh operator state), plus the comparison
-    strictness the scenario's routing admits."""
+    (each backend run needs fresh operator state), the options both
+    backends run with, and the comparison tier the scenario's routing
+    admits."""
+    from repro.engine.backends import BackendOptions
+
     parallelism = int(params.get("parallelism", 4))
     tuples_per_instance = int(params.get("tuples_per_instance", 1000))
-    strict = {"exact_placements": True, "exact_received": True}
 
     if scenario == "fig13":
         from repro.workloads.flickr import FlickrConfig, FlickrWorkload
@@ -638,7 +646,7 @@ def _backend_topology_factory(
             padding=padding,
             tuples_per_instance=tuples_per_instance,
         )
-        return factory, strict
+        return factory, BackendOptions(), EXACT
 
     if scenario == "skew":
         from repro.workloads.skew import SkewConfig, SkewWorkload
@@ -653,8 +661,46 @@ def _backend_topology_factory(
         if policy == "hybrid":
             # d-choices picks are load-dependent: totals stay exact,
             # placements only guarantee member-set containment
-            strict = {"exact_placements": False, "exact_received": False}
-        return factory, strict
+            return factory, BackendOptions(), dict(
+                exact_placements=False,
+                exact_received=False,
+                locality_tol=0.05,
+                balance_tol=0.15,
+            )
+        return factory, BackendOptions(), EXACT
+
+    if scenario == "rescale":
+        # a DES Manager.rescale 2 -> 4 that the candidate replays; the
+        # backends swap their spouts at different moments, so what each
+        # instance received, and locality, differ by that much
+        from repro.core import Manager, ManagerConfig
+        from repro.engine import TableFieldsGrouping, count_chain
+        from repro.testing.episode import attempt_rescale
+
+        spouts = int(params.get("parallelism", 3))
+        per_spout = int(params.get("tuples_per_instance", 2000))
+
+        def source(ctx):
+            rng = random.Random(seed * 1000003 + ctx.instance_index)
+            for _ in range(per_spout):
+                a = rng.randrange(12)
+                yield (a, a + 100)
+
+        def attach_manager(deployment):
+            manager = Manager(deployment, ManagerConfig(period_s=None))
+            sim = deployment.sim
+            sim.schedule(0.02, attempt_rescale, sim, manager, 4, math.inf)
+
+        factory = lambda: count_chain(
+            source,
+            2,
+            [TableFieldsGrouping(0), TableFieldsGrouping(1)],
+            spouts=spouts,
+        )
+        options = BackendOptions(num_servers=4, on_deployed=attach_manager)
+        return factory, options, dict(
+            EXACT, exact_received=False, locality_tol=1.0, balance_tol=1.0
+        )
 
     raise ValueError(
         f"backend runner got unknown scenario {scenario!r}; "
@@ -662,86 +708,37 @@ def _backend_topology_factory(
     )
 
 
-def _run_backend_rescale(
-    params: Dict[str, Any], seed: int, candidate: str = "vectorized"
-) -> CellOutcome:
-    """The rescale scenario: a real DES ``Manager.rescale`` episode,
-    then the same *final decision* replayed on the candidate backend
-    as scripted actions — per-key totals and final placements must
-    match exactly (both equal ``owner_of`` under the final table)."""
-    import random
+def run_backend_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
+    from repro.testing.equivalence import run_equivalence
 
-    from repro.core import Manager, ManagerConfig
-    from repro.engine import TableFieldsGrouping, count_chain
-    from repro.engine.backends import (
-        BackendOptions,
-        ReconfigureAction,
-        run_topology,
+    _unknown(
+        params,
+        {
+            "scenario",
+            "candidate",
+            "parallelism",
+            "padding",
+            "policy",
+            "tuples_per_instance",
+        },
+        "backend",
     )
-    from repro.testing.equivalence import compare_backends
-
-    spouts = int(params.get("parallelism", 3))
-    tuples_per_instance = int(params.get("tuples_per_instance", 2000))
-    before, after = 2, 4
-
-    def make_topology():
-        def source(ctx):
-            rng = random.Random(seed * 1000003 + ctx.instance_index)
-            for _ in range(tuples_per_instance):
-                a = rng.randrange(12)
-                yield (a, a + 100)
-
-        return count_chain(
-            source,
-            before,
-            [TableFieldsGrouping(0), TableFieldsGrouping(1)],
-            spouts=spouts,
-        )
-
-    def attach_manager(deployment):
-        sim = deployment.sim
-        manager = Manager(deployment, ManagerConfig(period_s=None))
-
-        def kick():
-            if not manager.rescale(after, on_complete=lambda r: None):
-                sim.schedule(0.01, kick)
-
-        sim.schedule(0.02, kick)
-
-    ref = run_topology(
-        make_topology(),
-        "reference",
-        BackendOptions(num_servers=after, on_deployed=attach_manager),
+    scenario = str(params.get("scenario", "fig13"))
+    # "skew-hybrid" style values let a campaign sweep scenario+policy
+    # on one (scalar-valued) matrix axis without redundant crossings
+    if scenario.startswith("skew-"):
+        params = dict(params, policy=scenario.partition("-")[2])
+        scenario = "skew"
+    factory, options, tier = _backend_topology_factory(
+        scenario, params, seed
     )
-    deployment = ref.handle
-    actions = [
-        ReconfigureAction(
-            tuples_per_instance,
-            "S->A",
-            deployment.executors["S"][0].table_router("S->A").table,
-            after,
-        ),
-        ReconfigureAction(
-            tuples_per_instance,
-            "A->B",
-            deployment.executors["A"][0].table_router("A->B").table,
-            after,
-        ),
-    ]
-    cand = run_topology(
-        make_topology(),
-        candidate,
-        BackendOptions(num_servers=after, actions=actions),
+    report, ref, cand = run_equivalence(
+        factory,
+        reference_options=options,
+        candidate_options=options,
+        candidate=str(params.get("candidate", "vectorized")),
+        **tier,
     )
-    # swap timing differs between the backends, so locality/received
-    # are epoch-weighted differently; totals and placements are exact
-    report = compare_backends(
-        ref, cand, exact_received=False, locality_tol=1.0, balance_tol=1.0
-    )
-    return _backend_outcome(report, ref, cand)
-
-
-def _backend_outcome(report, ref, cand) -> CellOutcome:
     speedup = (
         cand.tuples_per_s / ref.tuples_per_s if ref.tuples_per_s else 0.0
     )
@@ -767,69 +764,6 @@ def _backend_outcome(report, ref, cand) -> CellOutcome:
         metrics=metrics,
         violations=[v.to_dict() for v in report.violations],
     )
-
-
-def run_backend_cell(params: Dict[str, Any], seed: int) -> CellOutcome:
-    from repro.engine.backends import BackendOptions, run_topology
-    from repro.testing.equivalence import run_equivalence
-
-    _unknown(
-        params,
-        {
-            "scenario",
-            "backend",
-            "candidate",
-            "parallelism",
-            "padding",
-            "policy",
-            "tuples_per_instance",
-            "batch_size",
-        },
-        "backend",
-    )
-    scenario = str(params.get("scenario", "fig13"))
-    # "skew-hybrid" style values let a campaign sweep scenario+policy
-    # on one (scalar-valued) matrix axis without redundant crossings
-    if scenario.startswith("skew-"):
-        params = dict(params, policy=scenario.partition("-")[2])
-        scenario = "skew"
-    backend = str(params.get("backend", "both"))
-    candidate = str(params.get("candidate", "vectorized"))
-    batch_size = int(params.get("batch_size", 2048))
-
-    if scenario == "rescale":
-        if backend != "both":
-            raise ValueError(
-                "backend runner: the rescale scenario always runs both "
-                "backends (the DES decides, the candidate replays)"
-            )
-        return _run_backend_rescale(params, seed, candidate)
-
-    factory, strict = _backend_topology_factory(scenario, params, seed)
-
-    if backend != "both":
-        result = run_topology(
-            factory(), backend, BackendOptions(batch_size=batch_size)
-        )
-        return CellOutcome(
-            metrics={
-                "throughput": result.tuples_per_s,
-                "locality": result.locality,
-                "load_balance": max(
-                    result.load_balance.values(), default=1.0
-                ),
-            }
-        )
-
-    report, ref, cand = run_equivalence(
-        factory,
-        candidate=candidate,
-        candidate_options=BackendOptions(batch_size=batch_size),
-        locality_tol=0.05 if not strict["exact_placements"] else 1e-9,
-        balance_tol=0.15 if not strict["exact_placements"] else 1e-9,
-        **strict,
-    )
-    return _backend_outcome(report, ref, cand)
 
 
 RUNNERS: Dict[str, Callable[[Dict[str, Any], int], CellOutcome]] = {

@@ -171,6 +171,9 @@ class RoundRecord:
     presplit_keys: Dict[str, Dict] = field(default_factory=dict, repr=False)
     #: dst op → {key: members} chosen by hybrid planning this round
     split_sets: Dict[str, Dict] = field(default_factory=dict, repr=False)
+    #: tuples the spouts had produced when the round's first PROPAGATE
+    #: was applied (a spout's swap): where a batch backend replays it
+    swapped_at_tuples: Optional[int] = None
 
     @property
     def is_rescale(self) -> bool:
@@ -188,6 +191,7 @@ class Manager:
 
     def __init__(self, deployment, config: Optional[ManagerConfig] = None):
         self.deployment = deployment
+        deployment.manager = self
         self.config = config or ManagerConfig()
         self.sim = deployment.sim
         self.rounds: List[RoundRecord] = []
@@ -787,7 +791,7 @@ class Manager:
             getattr(table, attr) for table in self._compact_router_tables()
         )
 
-    def _wire_table(self, table: Optional[RoutingTable]):
+    def wire_table(self, table: Optional[RoutingTable]):
         """The representation routers should hold: the plain table, or
         its compacted twin when compact tables are configured. Planning
         stays on plain tables either way (DESIGN.md §13)."""
@@ -807,7 +811,7 @@ class Manager:
         ``propagate_bytes_*`` counters and the per-stream memory
         gauges; ``copies`` is the number of receivers the payload fans
         out to."""
-        wire_table = self._wire_table(table)
+        wire_table = self.wire_table(table)
         full_bytes = snapshot_wire_bytes(wire_table)
         base = self._tables_before_round.get(stream_name)
         if self.config.delta_propagation and base is not None:
@@ -976,7 +980,7 @@ class Manager:
         like everyone else."""
         deployment = self.deployment
         for stream in self._routed_streams:  # pre-rescale view
-            table = self._wire_table(self.current_tables.get(stream.name))
+            table = self.wire_table(self.current_tables.get(stream.name))
             destinations = (
                 None
                 if width is None
@@ -993,11 +997,15 @@ class Manager:
     # ------------------------------------------------------------------
 
     def notify_propagated(self, agent, round_id: int) -> None:
-        """A POI swapped tables and forwarded PROPAGATE. When the last
-        one reports, the PROPAGATE span closes and the MIGRATE span
-        opens (zero-length when no state moves)."""
+        """A POI swapped tables and forwarded PROPAGATE. The first one
+        of a round notes the spouts' tuple offset on its record; when
+        the last one reports, the PROPAGATE span closes and the MIGRATE
+        span opens (zero-length when no state moves)."""
         if not self._round_active or round_id != self._round_id:
             return
+        record = self.rounds[-1]
+        if record.swapped_at_tuples is None:  # the spouts apply first
+            record.swapped_at_tuples = self.deployment.tuples_emitted()
         self._propagated_outstanding -= 1
         if self._propagated_outstanding == 0:
             self._round_spans["PROPAGATE"].end(status="propagated")

@@ -181,7 +181,7 @@ class Rescale:
         shared by the edge update and every :class:`RescaleSpec`, so
         scan-migration owner decisions agree exactly with data-plane
         routing even within the compact false-route budget."""
-        wire_table = self.manager._wire_table(table)
+        wire_table = self.manager.wire_table(table)
         if stream.stateful_dst:
             self._plan_scan_migration(payloads, stream, wire_table)
         destinations = self.deployment.executors[stream.dst_op]

@@ -53,11 +53,6 @@ def run_reference(topology: Topology, options) -> "BackendResult":
     wall = time.perf_counter() - start
 
     metrics = deployment.metrics
-    emitted = sum(
-        spout.operator.emitted
-        for spout in deployment.spout_executors()
-        if hasattr(spout.operator, "emitted")
-    )
     bolt_counts = {}
     for op in topology.bolts:
         group = deployment.executors[op.name]
@@ -83,7 +78,7 @@ def run_reference(topology: Topology, options) -> "BackendResult":
     return BackendResult(
         backend="reference",
         sim_s=sim.now,
-        tuples_emitted=emitted,
+        tuples_emitted=deployment.tuples_emitted(),
         route_counts=route_counts,
         fingerprint=sim.fingerprint if options.fingerprint else None,
         handle=deployment,

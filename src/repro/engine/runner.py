@@ -86,6 +86,9 @@ class Deployment:
         #: an instance set that changes at runtime
         self.spawn_observers: List[Callable[[BaseExecutor], None]] = []
         self.retire_observers: List[Callable[[BaseExecutor], None]] = []
+        #: the :class:`~repro.core.manager.Manager` reconfiguring this
+        #: deployment (its constructor sets it); None when none is
+        self.manager = None
 
     def executor(self, op_name: str, instance: int) -> BaseExecutor:
         return self.executors[op_name][instance]
@@ -102,6 +105,15 @@ class Deployment:
             for e in self.all_executors()
             if isinstance(e, SpoutExecutor)
         ]
+
+    def tuples_emitted(self) -> int:
+        """Tuples the spouts have produced so far: what a scripted
+        :class:`~repro.engine.backends.ReconfigureAction` counts."""
+        return sum(
+            spout.operator.emitted
+            for spout in self.spout_executors()
+            if hasattr(spout.operator, "emitted")
+        )
 
     def start(self) -> None:
         """Start every spout's polling loop."""

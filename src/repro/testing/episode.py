@@ -157,22 +157,30 @@ def generate_config(
         )
         config.fault_plan = fault_plan_to_dict(plan)
     if rescale:
-        rescale_rng = tree.rng("rescale", seed)
-        count = rescale_rng.choice((1, 1, 2))
-        actions = []
-        for _ in range(count):
-            at_s = rescale_rng.uniform(0.05, until_s * 0.8)
-            target = rescale_rng.choice((1, 2, 3, 4, 5))
-            actions.append([round(at_s, 6), target])
-        config.rescales = sorted(actions)
+        config.rescales = draw_rescales(tree.rng("rescale", seed), until_s)
     if hybrid:
-        hybrid_rng = tree.rng("hybrid", seed)
-        config.hybrid = [
-            round(hybrid_rng.uniform(0.3, 0.8), 6),  # hot_fraction
-            hybrid_rng.choice((2, 2, 3)),  # split_width
-            hybrid_rng.choice((2, 4, 8)),  # max_split_keys
-        ]
+        config.hybrid = draw_hybrid(tree.rng("hybrid", seed))
     return config
+
+
+def draw_rescales(rng, until_s: float) -> List[List]:
+    """One or two scripted rescales (``EpisodeConfig.rescales``), each
+    at a time in ``[0.05, 0.8 * until_s)`` to a width of 1 to 5."""
+    actions = []
+    for _ in range(rng.choice((1, 1, 2))):
+        at_s = rng.uniform(0.05, until_s * 0.8)
+        target = rng.choice((1, 2, 3, 4, 5))
+        actions.append([round(at_s, 6), target])
+    return sorted(actions)
+
+
+def draw_hybrid(rng) -> List:
+    """Hot-key-splitting settings (``EpisodeConfig.hybrid``)."""
+    return [
+        round(rng.uniform(0.3, 0.8), 6),  # hot_fraction
+        rng.choice((2, 2, 3)),  # split_width
+        rng.choice((2, 4, 8)),  # max_split_keys
+    ]
 
 
 def run_episode(config: EpisodeConfig) -> EpisodeResult:
@@ -236,7 +244,7 @@ def run_episode(config: EpisodeConfig) -> EpisodeResult:
     manager.start()
     for at_s, target in config.rescales:
         sim.schedule(
-            at_s, _attempt_rescale, sim, manager, int(target), config.until_s
+            at_s, attempt_rescale, sim, manager, int(target), config.until_s
         )
     sim.run(until=config.until_s)
     manager.stop()
@@ -264,7 +272,7 @@ def run_episode(config: EpisodeConfig) -> EpisodeResult:
 
 
 @event_kind("RESCALE_ATTEMPT")
-def _attempt_rescale(sim, manager, target, deadline_s) -> None:
+def attempt_rescale(sim, manager, target, deadline_s) -> None:
     """Start a scripted rescale, retrying while the manager is busy.
 
     Mirrors what an operator (or the elasticity controller) does: a
@@ -273,18 +281,10 @@ def _attempt_rescale(sim, manager, target, deadline_s) -> None:
     Retries stop once the tier is already at ``target`` or the episode
     deadline has passed, so the drain phase still terminates.
     """
-    if manager.tier_parallelism == target:
+    if manager.tier_parallelism == target or sim.now >= deadline_s:
         return
-    if sim.now >= deadline_s:
-        return
-    try:
-        started = manager.rescale(target)
-    except Exception:
-        return  # e.g. target < 1 is never drawn, but stay safe
-    if not started:
-        sim.schedule(
-            0.005, _attempt_rescale, sim, manager, target, deadline_s
-        )
+    if not manager.rescale(target):
+        sim.schedule(0.005, attempt_rescale, sim, manager, target, deadline_s)
 
 
 def _arm_injection(name: str, deployment) -> None:

@@ -39,10 +39,14 @@ against a direct ``deploy``/``run`` (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, List, Optional
 
+from repro.errors import DeploymentError
 from repro.testing.invariants import Violation
+
+if TYPE_CHECKING:
+    from repro.engine.backends import ReconfigureAction
 
 
 @dataclass
@@ -181,6 +185,41 @@ def compare_backends(
     return report
 
 
+def script(manager) -> List["ReconfigureAction"]:
+    """What ``manager`` committed, as the actions a batch backend
+    replays (DESIGN.md §15.3): per committed round, one per stream of
+    its plan, carrying the table the data plane routed by
+    (``Manager.wire_table``), at the round's ``swapped_at_tuples``, and
+    with ``parallelism`` on a rescale round. Skipped and vetoed rounds
+    replay as nothing. Raises DeploymentError, naming the round, for an
+    aborted or unfinished round: the state it migrated stays where it
+    landed.
+    """
+    from repro.engine.backends import ReconfigureAction
+
+    actions = []
+    for record in manager.rounds:
+        if record.skipped or record.vetoed:
+            continue
+        if record.completed_at is None:
+            raise DeploymentError(
+                f"round {record.round_id} did not commit "
+                f"({record.abort_reason or 'still in flight'}); the state "
+                f"it migrated stays where it landed, which a batch "
+                f"backend cannot replay"
+            )
+        actions.extend(
+            ReconfigureAction(
+                record.swapped_at_tuples,
+                stream,
+                manager.wire_table(table),
+                record.rescale_to,
+            )
+            for stream, table in record.plan.tables.items()
+        )
+    return actions
+
+
 def run_equivalence(
     topology_factory,
     *,
@@ -196,6 +235,9 @@ def run_equivalence(
     ``candidate``, and compare. ``topology_factory`` is called once per
     backend — each run needs fresh operator state.
 
+    When the reference options attach a manager, the candidate
+    replays :func:`script` of it; its own ``actions`` must be empty.
+
     Returns ``(report, reference_result, candidate_result)``.
     """
     from repro.engine.backends import BackendOptions, run_topology
@@ -205,11 +247,16 @@ def run_equivalence(
         "reference",
         reference_options or BackendOptions(),
     )
-    cand = run_topology(
-        topology_factory(),
-        candidate,
-        candidate_options or BackendOptions(),
-    )
+    candidate_options = candidate_options or BackendOptions()
+    manager = ref.handle.manager
+    if manager is not None:
+        if candidate_options.actions:
+            raise DeploymentError(
+                "the reference run's manager scripts the candidate; "
+                "pass no actions"
+            )
+        candidate_options = replace(candidate_options, actions=script(manager))
+    cand = run_topology(topology_factory(), candidate, candidate_options)
     report = compare_backends(
         ref,
         cand,
@@ -231,8 +278,6 @@ def reference_fingerprint_unchanged(
 
     Returns None when the fingerprints match, a Violation otherwise.
     """
-    from dataclasses import replace
-
     from repro.engine.backends import BackendOptions, run_topology
     from repro.engine.cluster import Cluster
     from repro.engine.runner import deploy

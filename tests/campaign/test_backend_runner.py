@@ -4,8 +4,8 @@ Pinned behaviors: the runner is registered and validates its
 parameters strictly like the other runners; ``both`` cells report the
 speedup axes and zero violations on deterministic scenarios;
 ``skew-<policy>`` scenario values expand to the skew scenario with
-that policy; single-backend cells report plain throughput metrics;
-the rescale scenario replays the DES decision and stays equivalent.
+that policy; the rescale scenario replays every round the DES manager
+committed and stays equivalent.
 """
 
 import pytest
@@ -72,17 +72,6 @@ def test_skew_hybrid_relaxes_placements_but_stays_equivalent():
     assert outcome.ok, outcome.violations
 
 
-def test_single_backend_cell_reports_throughput():
-    outcome = run_backend_cell(
-        {"scenario": "fig13", "backend": "vectorized", "padding": 0, **QUICK},
-        seed=0,
-    )
-    assert outcome.ok
-    assert outcome.metrics["throughput"] > 0
-    assert 0.0 <= outcome.metrics["locality"] <= 1.0
-    assert "vectorized_speedup_x" not in outcome.metrics
-
-
 def test_rescale_scenario_replays_des_decision():
     outcome = run_backend_cell(
         {"scenario": "rescale", "tuples_per_instance": 500}, seed=3
@@ -91,8 +80,15 @@ def test_rescale_scenario_replays_des_decision():
     assert outcome.metrics["equivalent"] == 1.0
 
 
-def test_rescale_rejects_single_backend():
-    with pytest.raises(ValueError, match="both"):
-        run_backend_cell(
-            {"scenario": "rescale", "backend": "vectorized"}, seed=0
-        )
+
+def test_rescale_scenario_replays_on_real_processes():
+    outcome = run_backend_cell(
+        {
+            "scenario": "rescale",
+            "candidate": "multiprocess",
+            "tuples_per_instance": 500,
+        },
+        seed=3,
+    )
+    assert outcome.ok, outcome.violations
+    assert outcome.metrics["measured_ipc_bytes"] > 0

@@ -20,6 +20,7 @@
   scale-in reports the final width on both.
 """
 
+import math
 import multiprocessing
 import random
 
@@ -62,7 +63,8 @@ from repro.engine.physical import (
     keyed_state_summary,
 )
 from repro.errors import DeploymentError
-from repro.testing.equivalence import compare_backends
+from repro.testing.episode import attempt_rescale
+from repro.testing.equivalence import compare_backends, run_equivalence
 from repro.workloads.skew import SkewConfig, SkewWorkload
 
 pytestmark = pytest.mark.timeout(120)
@@ -476,47 +478,27 @@ def _sum_rescale_topology(width=2, tuples_per_instance=800):
 
 @pytest.mark.parametrize("candidate", FAST)
 def test_scripted_rescale_2_to_4_through_hosted_bolts(candidate):
-    """The DES manager's 2→4 rescale, its final decision replayed as
-    scripted actions: resize spawns the new instances, migrate moves
-    every key's sum to its owner (across workers on multiprocess)."""
-    after, per_instance = 4, 800
+    """The DES manager's 2→4 rescale, replayed at the tuple offset of
+    the DES's first spout swap: resize spawns the new instances,
+    migrate moves every key's sum to its owner (across workers on
+    multiprocess), and everything matches the DES exactly."""
+    after = 4
 
     def attach_manager(deployment):
-        sim = deployment.sim
         manager = Manager(deployment, ManagerConfig(period_s=None))
+        sim = deployment.sim
+        sim.schedule(0.02, attempt_rescale, sim, manager, after, math.inf)
 
-        def kick():
-            if not manager.rescale(after, on_complete=lambda r: None):
-                sim.schedule(0.01, kick)
-
-        sim.schedule(0.02, kick)
-
-    ref = run_topology(
-        _sum_rescale_topology(),
-        "reference",
-        BackendOptions(num_servers=after, on_deployed=attach_manager),
+    options = BackendOptions(
+        num_servers=after, on_deployed=attach_manager, mp_timeout_s=60
     )
-    executors = ref.handle.executors
-    actions = [
-        ReconfigureAction(
-            per_instance,
-            stream,
-            executors[stream[0]][0].table_router(stream).table,
-            after,
-        )
-        for stream in ("S->A", "A->B")
-    ]
-    cand = run_topology(
-        _sum_rescale_topology(),
-        candidate,
-        BackendOptions(num_servers=after, actions=actions, mp_timeout_s=60),
-    )
-    report = compare_backends(
-        ref, cand, exact_received=False, locality_tol=1.0, balance_tol=1.0
+    report, ref, cand = run_equivalence(
+        _sum_rescale_topology,
+        reference_options=options,
+        candidate=candidate,
+        candidate_options=options,
     )
     assert report.ok, report.summary()
-    assert cand.per_key_totals == ref.per_key_totals
-    assert cand.key_instances == ref.key_instances
     assert len(cand.received["A"]) == len(cand.received["B"]) == after
     placed = {i for held in cand.key_instances["A"].values() for i in held}
     assert placed - {0, 1}, "no key moved to a new instance"

@@ -24,6 +24,7 @@ Four layers of lockdown for `repro.engine.backends.multiprocess`:
    child process survives.
 """
 
+import math
 import multiprocessing
 
 import pytest
@@ -56,6 +57,7 @@ from repro.engine.grouping import (
     stable_hash,
 )
 from repro.engine.operators import IteratorSpout, StatefulBolt
+from repro.testing.episode import attempt_rescale
 from repro.testing.equivalence import compare_backends, run_equivalence
 from repro.workloads.skew import SkewConfig, SkewWorkload
 
@@ -171,55 +173,29 @@ def _rescale_topology(
 
 
 def test_rescale_replay_2_to_4():
-    """The DES manager's final decision, replayed as scripted actions
-    through the multiprocess control channel: per-key totals and final
-    placements must match the DES exactly (both settle on ``owner_of``
-    under the final table)."""
+    """The DES manager's 2→4 rescale, replayed through the
+    multiprocess control channel at the tuple offset of the DES's
+    first spout swap: per-key totals, placements and what each
+    instance received match the DES exactly."""
     from repro.core import Manager, ManagerConfig
 
-    seed, tuples_per_instance, after = 3, 800, 4
+    seed, after = 3, 4
 
     def attach_manager(deployment):
-        sim = deployment.sim
         manager = Manager(deployment, ManagerConfig(period_s=None))
+        sim = deployment.sim
+        sim.schedule(0.02, attempt_rescale, sim, manager, after, math.inf)
 
-        def kick():
-            if not manager.rescale(after, on_complete=lambda r: None):
-                sim.schedule(0.01, kick)
-
-        sim.schedule(0.02, kick)
-
-    ref = run_topology(
-        _rescale_topology(seed, tuples_per_instance=tuples_per_instance),
-        "reference",
-        BackendOptions(num_servers=after, on_deployed=attach_manager),
-    )
-    deployment = ref.handle
-    actions = [
-        ReconfigureAction(
-            tuples_per_instance,
-            "S->A",
-            deployment.executors["S"][0].table_router("S->A").table,
-            after,
-        ),
-        ReconfigureAction(
-            tuples_per_instance,
-            "A->B",
-            deployment.executors["A"][0].table_router("A->B").table,
-            after,
-        ),
-    ]
-    cand = run_topology(
-        _rescale_topology(seed, tuples_per_instance=tuples_per_instance),
-        "multiprocess",
-        mp_options(num_servers=after, actions=actions),
-    )
-    report = compare_backends(
-        ref, cand, exact_received=False, locality_tol=1.0, balance_tol=1.0
+    options = mp_options(num_servers=after, on_deployed=attach_manager)
+    report, ref, cand = run_equivalence(
+        lambda: _rescale_topology(seed),
+        reference_options=options,
+        candidate="multiprocess",
+        candidate_options=options,
     )
     assert report.ok, report.summary()
-    assert ref.per_key_totals == cand.per_key_totals
-    assert ref.key_instances == cand.key_instances
+    assert ref.handle.manager.tier_parallelism == after
+    assert len(cand.received["B"]) == after
     assert_no_orphans()
 
 

@@ -9,28 +9,24 @@ finite inputs:
 - **skew** (table / hash / hybrid policies): table and hash are exact;
   hybrid relaxes placements to member-set containment (the d-choices
   pick is load-dependent) while totals stay exact;
-- **rescale**: a real DES ``Manager.rescale`` episode vs the same
-  final decision replayed as a scripted ``ReconfigureAction`` — per-key
-  totals exact and every key on its ``owner_of`` placement under the
-  final table.
+- **rescale**: a real DES ``Manager.rescale`` episode, and generated
+  rescale episodes with periodic rounds, each replayed on the fast
+  backends by :func:`~repro.testing.equivalence.script` (every
+  committed round at the tuple offset of the DES's first spout swap):
+  per-key totals and placements exact; ``script`` refuses an aborted
+  round, and a run without a manager replays nothing.
 
 Plus the seam-inertness check: running the DES through the reference
 adapter must not change same-seed event fingerprints.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.core import Manager, ManagerConfig
-from repro.engine import (
-    Cluster,
-    CountBolt,
-    Simulator,
-    TableFieldsGrouping,
-    TopologyBuilder,
-    deploy,
-)
+from repro.engine import CountBolt, TableFieldsGrouping, TopologyBuilder
 from repro.engine.backends import (
     BackendOptions,
     ReconfigureAction,
@@ -38,13 +34,21 @@ from repro.engine.backends import (
     run_topology,
 )
 from repro.engine.operators import IteratorSpout
+from repro.errors import DeploymentError
 from repro.testing import (
+    RngTree,
     compare_backends,
+    generate_config,
     reference_fingerprint_unchanged,
     run_equivalence,
 )
+from repro.testing.episode import attempt_rescale
 from repro.workloads.flickr import FlickrWorkload
+from repro.workloads.pairs import PairsConfig, PairsWorkload
 from repro.workloads.skew import SkewConfig, SkewWorkload
+
+
+STRICT = dict(locality_tol=1e-9, balance_tol=1e-9)
 
 
 def test_both_backends_registered():
@@ -149,71 +153,140 @@ def _rescale_topology(bolts):
     return builder.build()
 
 
+def _attach_rescale(deployment):
+    manager = Manager(deployment, ManagerConfig(period_s=None))
+    sim = deployment.sim
+    sim.schedule(0.02, attempt_rescale, sim, manager, 4, math.inf)
+
+
 class TestRescaleEpisode:
     def test_scripted_rescale_matches_des_episode(self):
-        # DES side: a real mid-run rescale 2 -> 4 driven by the manager
-        sim = Simulator()
-        cluster = Cluster(sim, 4)
-        deployment = deploy(sim, cluster, _rescale_topology(2))
-        manager = Manager(deployment, ManagerConfig(period_s=None))
-        done = []
-
-        def kick():
-            if not manager.rescale(4, on_complete=done.append):
-                sim.schedule(0.01, kick)
-
-        sim.schedule(0.02, kick)
-        deployment.start()
-        sim.run()
-        assert done, "rescale round never completed"
-        assert manager.tier_parallelism == 4
-
-        # replay the DES's *final decision* as scripted actions
-        table_sa = deployment.executors["S"][0].table_router("S->A")
-        table_ab = deployment.executors["A"][0].table_router("A->B")
-        ref = run_topology(
-            _rescale_topology(2),
-            "reference",
-            BackendOptions(num_servers=4, on_deployed=_attach_rescale),
-        )
-        vec = run_topology(
-            _rescale_topology(2),
-            "vectorized",
-            BackendOptions(
-                num_servers=4,
-                actions=[
-                    ReconfigureAction(
-                        PER_SPOUT, "S->A", table_sa.table, 4
-                    ),
-                    ReconfigureAction(
-                        PER_SPOUT, "A->B", table_ab.table, 4
-                    ),
-                ],
-            ),
-        )
-        report = compare_backends(
-            ref,
-            vec,
-            exact_received=False,  # pre/post-swap split differs
-            locality_tol=1.0,  # locality is epoch-weighting dependent
+        # a real mid-run rescale 2 -> 4 driven by the DES manager,
+        # replayed at the tuple offset of its first spout swap
+        options = BackendOptions(num_servers=4, on_deployed=_attach_rescale)
+        report, ref, vec = run_equivalence(
+            lambda: _rescale_topology(2),
+            reference_options=options,
+            candidate_options=options,
+            exact_received=False,  # the spouts swap at other moments
+            locality_tol=1.0,  # so locality is weighted differently
             balance_tol=1.0,
         )
         assert report.ok, report.summary()
-        # given the same final decision: same totals, same placements
-        assert ref.per_key_totals == vec.per_key_totals
-        assert ref.key_instances == vec.key_instances
+        manager = ref.handle.manager
+        assert manager.tier_parallelism == 4
+        assert [r.rescale_to for r in manager.completed_rounds] == [4]
 
 
-def _attach_rescale(deployment):
-    sim = deployment.sim
-    manager = Manager(deployment, ManagerConfig(period_s=None))
-    done = []
+#: generated rescale episodes: seed 14 scales 2 -> 1, seed 0 3 -> 4 -> 5,
+#: seed 1 4 -> 3
+REPLAY_SEEDS = (14, 0, 1)
 
-    def kick():
-        if not manager.rescale(4, on_complete=done.append):
-            sim.schedule(0.01, kick)
 
-    sim.schedule(0.02, kick)
+def _episode_options(seed, **manager_kw):
+    """A generated rescale episode as backend options: fault-free,
+    four times the tuples, rounds every 6 ms and the rescales at 0.15
+    of their drawn times, so several rounds commit while tuples flow."""
+    config = generate_config(RngTree(0), seed, rescale=True)
+    workload = PairsWorkload(
+        PairsConfig(
+            parallelism=config.parallelism,
+            keys=config.keys,
+            exponent=config.exponent,
+            correlation=config.correlation,
+            seed=config.seed,
+            tuples_per_instance=config.tuples_per_instance * 4,
+        )
+    )
+    manager_kw = {
+        "period_s": 0.006,
+        "imbalance": config.imbalance,
+        "rpc_latency_s": config.rpc_latency_s,
+        "round_timeout_s": config.round_timeout_s,
+        "seed": config.seed,
+        **manager_kw,
+    }
+
+    def attach(deployment):
+        manager = Manager(deployment, ManagerConfig(**manager_kw))
+        manager.start()
+        sim = deployment.sim
+        for at_s, target in config.rescales:
+            sim.schedule(
+                at_s * 0.15,
+                attempt_rescale,
+                sim,
+                manager,
+                target,
+                config.until_s,
+            )
+
+    widest = max([config.parallelism] + [t for _, t in config.rescales])
+    options = BackendOptions(
+        num_servers=widest,
+        on_deployed=attach,
+        batch_size=256,
+        mp_timeout_s=60,
+    )
+    return workload.online_topology, options
+
+
+class TestReplay:
+    """:func:`~repro.testing.equivalence.script`: a fast backend runs
+    every round the DES manager committed, at the DES's swap offset."""
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("candidate", ["vectorized", "multiprocess"])
+    @pytest.mark.parametrize("seed", REPLAY_SEEDS)
+    def test_generated_rescale_episode_replays_exactly(self, seed, candidate):
+        factory, options = _episode_options(seed)
+        report, ref, cand = run_equivalence(
+            factory,
+            reference_options=options,
+            candidate=candidate,
+            candidate_options=options,
+            exact_received=False,
+            locality_tol=1.0,
+            balance_tol=1.0,
+        )
+        assert report.ok, report.summary()
+        committed = [
+            r
+            for r in ref.handle.manager.completed_rounds
+            if not (r.skipped or r.vetoed)
+        ]
+        assert any(r.is_rescale for r in committed)
+        assert len(committed) >= 3
+        offsets = [r.swapped_at_tuples for r in committed]
+        assert offsets == sorted(offsets)
+        assert 0 < offsets[0] < ref.tuples_emitted
+
+    def test_script_refuses_an_aborted_round(self):
+        factory, options = _episode_options(14, round_timeout_s=1e-4)
+        with pytest.raises(DeploymentError, match=r"round 1 did not commit"):
+            run_equivalence(
+                factory, reference_options=options, candidate_options=options
+            )
+
+    def test_script_and_actions_are_exclusive(self):
+        options = BackendOptions(num_servers=4, on_deployed=_attach_rescale)
+        with pytest.raises(DeploymentError, match="no actions"):
+            run_equivalence(
+                lambda: _rescale_topology(2),
+                reference_options=options,
+                candidate_options=BackendOptions(
+                    num_servers=4,
+                    actions=[ReconfigureAction(10, "S->A", None, 4)],
+                ),
+            )
+
+    def test_a_run_without_a_manager_replays_nothing(self):
+        report, ref, vec = run_equivalence(
+            lambda: _rescale_topology(2), **STRICT
+        )
+        assert report.ok, report.summary()
+        assert ref.handle.manager is None
+        assert vec.handle.options.actions == []
 
 
 class TestSeamInertness:

@@ -169,8 +169,8 @@ class BackendResult:
     #: *measured* (not modeled) costs, populated by backends that run
     #: on real hardware resources — the multiprocess backend reports
     #: ``{"per_server": {server: {"cpu_ns", "ipc_tx_bytes",
-    #: "ipc_rx_bytes", "ipc_tx_msgs", "ipc_rx_msgs", "late_imports",
-    #: "timeline"}}, "cpu_ns_total", "ipc_bytes_total",
+    #: "ipc_rx_bytes", "ipc_tx_msgs", "ipc_rx_msgs", "ipc_memo_msgs",
+    #: "late_imports", "timeline"}}, "cpu_ns_total", "ipc_bytes_total",
     #: "ipc_msgs_total", "timeline"}`` (timelines: mark name → seconds
     #: since the run's start, DESIGN.md §16.2). Empty for backends
     #: whose costs are modeled (reference DES, vectorized).

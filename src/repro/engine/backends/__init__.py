@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.engine.costs import DEFAULT_COSTS, CostModel
 from repro.engine.metrics import load_balance
-from repro.engine.physical import keyed_state_summary, merge_op_stats
+from repro.engine.physical import keyed_state_summary, merge_counts
 from repro.engine.topology import Topology
 from repro.errors import DeploymentError
 
@@ -234,13 +234,7 @@ def summarize_plans(
     width; what retired instances received is dropped, as the DES drops
     it."""
     reports = list(reports)
-    op_stats = merge_op_stats(report["op_stats"] for report in reports)
-    route_counts: Dict[str, Dict[str, int]] = {}
-    for report in reports:
-        for name, counts in report["route_counts"].items():
-            merged = route_counts.setdefault(name, dict.fromkeys(counts, 0))
-            for counter, count in counts.items():
-                merged[counter] += count
+    op_stats = merge_counts(report["op_stats"] for report in reports)
     bolt_counts = {}
     for op in topology.bolts:
         shards = [report["bolts"][op.name] for report in reports]
@@ -253,11 +247,11 @@ def summarize_plans(
         bolt_counts[op.name] = (received, states)
     return dict(
         tuples_emitted=sum(report["emitted"] for report in reports),
-        route_counts=route_counts,
-        op_stats={name: stats.as_dict() for name, stats in op_stats.items()},
+        route_counts=merge_counts(plan["route_counts"] for plan in reports),
+        op_stats=op_stats,
         **summarize_counts(
             wall_s,
-            {op.name: op_stats[op.name].tuples_in for op in topology.bolts},
+            {op.name: op_stats[op.name]["tuples_in"] for op in topology.bolts},
             {
                 stream.name: tuple(
                     sum(plan["streams"][stream.name][i] for plan in reports)

@@ -12,7 +12,9 @@ and resolves everything per *batch*:
   ``select``, so a batch routes as one numpy gather instead of
   len(batch) Python calls;
 - counting bolts on such a stream accumulate per-instance
-  ``np.bincount`` over its key ids;
+  ``np.bincount`` over its key ids; a forwarding one's ``add_input``
+  returns the batch it took as its output, sizes and interned ids
+  kept;
 - payload bytes are sized once per batch, at the first edge it
   crosses; a field that edge or a later one routes on through a
   deterministic router is interned once and sized by a gather on its
@@ -393,7 +395,9 @@ class _VectorCountOp(PhysicalOperator):
             grown[: len(counts)] = counts
             self._counts[instance] = grown
 
-    def _process(self, batch: TupleBatch, input_index: int) -> None:
+    def _process(
+        self, batch: TupleBatch, input_index: int
+    ) -> Optional[TupleBatch]:
         ids = batch.key_ids
         dst = batch.dst_instances
         if len(ids) and ids.min() < 0:
@@ -410,15 +414,14 @@ class _VectorCountOp(PhysicalOperator):
             self._ensure(instance, len(tallies))
             self._counts[instance][: len(tallies)] += tallies
             self.received[instance] += len(mine)
-        if self.forward:
-            self._emit(
-                TupleBatch(
-                    batch.values,
-                    src_instances=dst,
-                    sizes=batch.sizes,
-                    interned=batch.interned,
-                )
-            )
+        if not self.forward:
+            return None
+        return TupleBatch(
+            batch.values,
+            src_instances=dst,
+            sizes=batch.sizes,
+            interned=batch.interned,
+        )
 
     def resize(self, parallelism: int) -> None:
         for instance in range(len(self._counts), parallelism):

@@ -3,14 +3,15 @@
 The topology layer (:mod:`repro.engine.topology`) describes *what* to
 compute; this module defines the contract for *how* a backend executes
 it. A backend compiles a :class:`~repro.engine.topology.Topology` into
-a DAG of :class:`PhysicalOperator` instances — push input with
-``add_input``, signal exhaustion with ``input_done``, pull output with
-``has_next``/``get_next`` — joined by :class:`PhysicalEdge` objects
-and driven by a :class:`PhysicalPlan`, the one walk of both batch
-backends. The shape follows the streaming-executor seam popularized by
-Ray Data: operators never block, per-operator :class:`OpStats` are
-maintained by the base class, and completion is an explicit protocol
-(all inputs done *and* all buffered output flushed).
+a DAG of :class:`PhysicalOperator` instances — ``add_input`` returns
+what an operator emits for a batch, ``input_done`` records an
+exhausted input — joined by :class:`PhysicalEdge` objects and driven
+by a :class:`PhysicalPlan`, the one walk of both batch backends. The
+shape is Ray Data's streaming-executor seam without its pull side: no
+operator here is asynchronous, so, as a Storm bolt's emissions, its
+output exists when ``add_input`` returns. The base class maintains
+per-operator :class:`OpStats`; an operator completes once every input
+is done.
 
 Three backends ship (see :mod:`repro.engine.backends`):
 
@@ -30,8 +31,9 @@ What the batch backends share beyond the protocol lives here too: the
 round-robin :func:`placement` of every backend, the two operators that
 host real operator objects — :class:`SpoutSource` over spout instances
 and :class:`HostedBolt` over bolt instances, which it drives through
-``Bolt.process_batch`` — their :class:`ShimContext`, and
-:class:`StreamRoutes`, which holds a stream's routers. The module still
+``Bolt.process_batch`` under a plain ``OperatorContext`` whose clock
+reads 0 — :class:`StreamRoutes`, which holds a stream's routers, and
+:func:`merge_counts`, which sums plans' counters. The module still
 loads without numpy (``repro.engine`` re-exports the seam, and the DES
 needs no dependency): only the batch methods use it, from the moment
 they are handed a batch.
@@ -46,7 +48,7 @@ routing, counting and cost accounting are O(batch) array ops.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress, islice
 from typing import (
     Any,
@@ -87,9 +89,9 @@ class OpStats:
     operator. That is safe because a :class:`PhysicalPlan` is driven by
     exactly one thread; a backend that shards an operator across
     threads or processes must give every shard its *own* operator (and
-    hence its own ``OpStats``) and combine them afterwards with
-    :func:`merge_op_stats` — never share one ``OpStats`` across
-    concurrent mutators.
+    hence its own ``OpStats``) and sum their ``dataclasses.asdict``
+    forms afterwards with :func:`merge_counts` — never share one
+    ``OpStats`` across concurrent mutators.
     """
 
     batches_in: int = 0
@@ -101,61 +103,18 @@ class OpStats:
     #: transport of what it emits
     busy_s: float = 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "batches_in": float(self.batches_in),
-            "batches_out": float(self.batches_out),
-            "tuples_in": float(self.tuples_in),
-            "tuples_out": float(self.tuples_out),
-            "busy_s": self.busy_s,
-        }
 
-    def merge(self, other: "OpStats") -> "OpStats":
-        """Fold ``other`` into this one (in place; returns self).
-
-        All counters are additive — including ``busy_s``, which for
-        sharded operators sums the shards' busy time (total work, not
-        makespan; a backend wanting makespan tracks it separately).
-        """
-        self.batches_in += other.batches_in
-        self.batches_out += other.batches_out
-        self.tuples_in += other.tuples_in
-        self.tuples_out += other.tuples_out
-        self.busy_s += other.busy_s
-        return self
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "OpStats":
-        """Rebuild from :meth:`as_dict` output (shards that crossed a
-        process boundary arrive as plain dicts)."""
-        return cls(
-            batches_in=int(data.get("batches_in", 0)),
-            batches_out=int(data.get("batches_out", 0)),
-            tuples_in=int(data.get("tuples_in", 0)),
-            tuples_out=int(data.get("tuples_out", 0)),
-            busy_s=float(data.get("busy_s", 0.0)),
-        )
-
-
-def merge_op_stats(shards) -> Dict[str, OpStats]:
-    """Aggregate per-operator stats across shards of one logical plan.
-
-    ``shards`` is an iterable of ``{op_name: OpStats | as_dict()}``
-    mappings — one per worker thread/process. Each (shard, op) pair is
-    folded in exactly once, so totals are neither double-counted nor
-    lost when a shard ran only part of the plan (early termination
-    leaves an operator missing from some shards; missing simply means
-    "contributed zero").
-    """
-    merged: Dict[str, OpStats] = {}
+def merge_counts(shards) -> Dict[str, Dict[str, float]]:
+    """Sum ``{name: {counter: value}}`` mappings across the shards of
+    one logical plan (one per worker process), into new dicts: nothing
+    is double-counted, and a name missing from a shard contributed
+    zero. ``busy_s`` sums to total work, not makespan."""
+    merged: Dict[str, Dict[str, float]] = {}
     for shard in shards:
-        for name, stats in shard.items():
-            if isinstance(stats, dict):
-                stats = OpStats.from_dict(stats)
-            if name in merged:
-                merged[name].merge(stats)
-            else:
-                merged[name] = OpStats().merge(stats)
+        for name, counts in shard.items():
+            into = merged.setdefault(name, {})
+            for counter, value in counts.items():
+                into[counter] = into.get(counter, 0) + value
     return merged
 
 
@@ -234,16 +193,13 @@ class PhysicalOperator:
     Lifecycle (enforced by :class:`PhysicalPlan`):
 
     1. upstream pushes batches via :meth:`add_input` (``input_index``
-       identifies which input stream, in ``input_names`` order);
+       identifies which input stream, in ``input_names`` order), which
+       returns the operator's output batch for it, or None;
     2. upstream exhaustion arrives via :meth:`input_done`;
-    3. the driver drains :meth:`get_next` while :meth:`has_next`;
-    4. once every input is done and the operator has flushed whatever
-       it buffered, :attr:`completed` flips true.
+    3. once every input is done, :attr:`completed` flips true.
 
     Subclasses implement :meth:`_process` (consume one input batch,
-    buffer zero or more output batches) and optionally :meth:`_flush`
-    (emit whatever is held back once all inputs are done — the
-    completion/flush half of the protocol).
+    return zero or one output batch).
     """
 
     def __init__(self, name: str, input_names: Sequence[str]) -> None:
@@ -251,13 +207,12 @@ class PhysicalOperator:
         self.input_names = list(input_names)
         self.stats = OpStats()
         self._inputs_done = [False] * len(self.input_names)
-        self._out: List[TupleBatch] = []
-        self._flushed = False
 
-    # -- push side ------------------------------------------------------
-
-    def add_input(self, batch: TupleBatch, input_index: int = 0) -> None:
-        """Accept one input batch from upstream ``input_index``."""
+    def add_input(
+        self, batch: TupleBatch, input_index: int = 0
+    ) -> Optional[TupleBatch]:
+        """Accept one input batch from upstream ``input_index``; what
+        the operator emitted for it, or None."""
         if self._inputs_done and self._inputs_done[input_index]:
             raise DeploymentError(
                 f"operator {self.name!r} got a batch on input "
@@ -267,102 +222,66 @@ class PhysicalOperator:
         stats.batches_in += 1
         stats.tuples_in += len(batch)
         start = time.perf_counter()
-        self._process(batch, input_index)
+        out = self._process(batch, input_index)
         stats.busy_s += time.perf_counter() - start
+        if out is not None:
+            stats.batches_out += 1
+            stats.tuples_out += len(out)
+        return out
 
     def input_done(self, input_index: int = 0) -> None:
         """Upstream ``input_index`` will push no more batches."""
         self._inputs_done[input_index] = True
-        if all(self._inputs_done) and not self._flushed:
-            self._flushed = True
-            self._flush()
-
-    # -- pull side ------------------------------------------------------
-
-    def has_next(self) -> bool:
-        """Whether a buffered output batch is ready."""
-        return bool(self._out)
-
-    def get_next(self) -> TupleBatch:
-        """Pop the next buffered output batch."""
-        batch = self._out.pop(0)
-        self.stats.batches_out += 1
-        self.stats.tuples_out += len(batch)
-        return batch
 
     @property
     def completed(self) -> bool:
-        """All inputs done, internal state flushed, output drained."""
-        return self._flushed and not self._out
+        """Every input is done."""
+        return all(self._inputs_done)
 
-    # -- subclass hooks -------------------------------------------------
+    # -- subclass hook --------------------------------------------------
 
-    def _process(self, batch: TupleBatch, input_index: int) -> None:
+    def _process(
+        self, batch: TupleBatch, input_index: int
+    ) -> Optional[TupleBatch]:
         raise NotImplementedError
-
-    def _flush(self) -> None:
-        """Emit anything held back; default operators buffer nothing."""
-
-    def _emit(self, batch: TupleBatch) -> None:
-        """Buffer one output batch for the driver to pull."""
-        self._out.append(batch)
 
 
 class SourceOperator(PhysicalOperator):
     """A physical operator with no inputs that generates batches.
 
     Subclasses implement :meth:`_poll`, returning the next output batch
-    or ``None`` when exhausted. The plan driver polls sources until
-    they report exhaustion, then cascades ``input_done`` downstream.
+    or ``None`` when dry; a source is :attr:`completed` once dry. The
+    plan driver polls sources until then, and cascades ``input_done``
+    downstream.
     """
 
     def __init__(self, name: str) -> None:
         super().__init__(name, input_names=())
-        self._exhausted = False
+        self._dry = False
 
     def poll(self) -> Optional[TupleBatch]:
         """Produce the next batch, or None once the source is dry."""
-        if self._exhausted:
+        if self._dry:
             return None
         start = time.perf_counter()
         batch = self._poll()
         self.stats.busy_s += time.perf_counter() - start
         if batch is None:
-            self._exhausted = True
-            if not self._flushed:
-                self._flushed = True
-                self._flush()
+            self._dry = True
             return None
         self.stats.batches_out += 1
         self.stats.tuples_out += len(batch)
         return batch
 
     @property
-    def exhausted(self) -> bool:
-        return self._exhausted
+    def completed(self) -> bool:
+        return self._dry
 
     def _poll(self) -> Optional[TupleBatch]:
         raise NotImplementedError
 
     def _process(self, batch: TupleBatch, input_index: int) -> None:
         raise DeploymentError(f"source {self.name!r} takes no input")
-
-
-class ShimContext(OperatorContext):
-    """Minimal operator context for backend-hosted operator objects
-    (no simulated clock: ``now`` reads 0)."""
-
-    def __init__(
-        self,
-        op_name: str,
-        instance: int,
-        parallelism: int,
-        server: int,
-        header_bytes: int = 0,
-    ) -> None:
-        super().__init__(
-            op_name, instance, parallelism, server, lambda: 0.0, header_bytes
-        )
 
 
 class SpoutSource(SourceOperator):
@@ -385,7 +304,7 @@ class SpoutSource(SourceOperator):
         self.batch_size = batch_size
         self._spouts: Dict[int, Spout] = {}
         self._iters: Dict[int, Any] = {}
-        self._contexts: Dict[int, ShimContext] = {}
+        self._contexts: Dict[int, OperatorContext] = {}
         self._live: List[int] = []
         self._cursor = 0
         for instance, server in sorted(placement.items()):
@@ -395,7 +314,9 @@ class SpoutSource(SourceOperator):
                     f"factory of spout {name!r} returned "
                     f"{type(operator).__name__}, not a Spout"
                 )
-            context = ShimContext(name, instance, parallelism, server)
+            context = OperatorContext(
+                name, instance, parallelism, server, lambda: 0.0
+            )
             operator.open(context)
             self._spouts[instance] = operator
             self._contexts[instance] = context
@@ -477,7 +398,7 @@ class HostedBolt(PhysicalOperator):
         self._header = header_bytes
         self._server = server
         self.operators: Dict[int, Bolt] = {}
-        self.contexts: Dict[int, ShimContext] = {}
+        self.contexts: Dict[int, OperatorContext] = {}
         #: tuples taken so far, per hosted instance
         self.received: Dict[int, int] = {}
         #: per input, the owner rule before an open swap (:meth:`hold`)
@@ -506,15 +427,18 @@ class HostedBolt(PhysicalOperator):
                     f"factory of bolt {self.name!r} returned "
                     f"{type(operator).__name__}, not a Bolt"
                 )
-            context = ShimContext(
-                self.name, instance, parallelism, server, self._header
+            context = OperatorContext(
+                self.name, instance, parallelism, server, lambda: 0.0,
+                self._header,
             )
             operator.open(context)
             self.operators[instance] = operator
             self.contexts[instance] = context
             self.received[instance] = 0
 
-    def _process(self, batch: TupleBatch, input_index: int) -> None:
+    def _process(
+        self, batch: TupleBatch, input_index: int
+    ) -> Optional[TupleBatch]:
         # Imported here, not at module top: ``repro.engine`` imports
         # this module and must load without numpy (only the batch
         # backends, which hand in numpy ``dst_instances``, need it).
@@ -551,10 +475,9 @@ class HostedBolt(PhysicalOperator):
                 out_src.append(
                     np.full(len(emitted), instance, dtype=np.int64)
                 )
-        if out_values:
-            self._emit(
-                TupleBatch(out_values, src_instances=np.concatenate(out_src))
-            )
+        if not out_values:
+            return None
+        return TupleBatch(out_values, src_instances=np.concatenate(out_src))
 
     # -- the hold: tuples sent ahead of their state ---------------------
 
@@ -584,15 +507,18 @@ class HostedBolt(PhysicalOperator):
             self.held_tuples += len(held)
         return kept
 
-    def release(self) -> bool:
-        """Lift the hold: process what it held, in arrival order.
-        Whether there was any."""
+    def release(self) -> List[TupleBatch]:
+        """Lift the hold: process what it held, in arrival order, and
+        return the batches those emitted."""
         held, self._held, self._owner_before = self._held, [], None
+        stats = self.stats
         start = time.perf_counter()
-        for input_index, batch in held:
-            self._process(batch, input_index)
-        self.stats.busy_s += time.perf_counter() - start
-        return bool(held)
+        out = [self._process(batch, index) for index, batch in held]
+        stats.busy_s += time.perf_counter() - start
+        out = [batch for batch in out if batch is not None]
+        stats.batches_out += len(out)
+        stats.tuples_out += sum(map(len, out))
+        return out
 
     @property
     def completed(self) -> bool:
@@ -824,10 +750,6 @@ class PhysicalPlan:
             if routed is not None:
                 self.feed(edge, routed)
 
-    def _drain(self, op: PhysicalOperator) -> None:
-        while op.has_next():
-            self._push(op, op.get_next())
-
     def _cascade_done(self, op: PhysicalOperator) -> None:
         for edge in self.out_edges(op):
             if edge.producer_done():
@@ -836,14 +758,14 @@ class PhysicalPlan:
     def feed(self, edge: PhysicalEdge, batch: TupleBatch) -> None:
         """Hand ``edge``'s consumer one routed batch, then push what it
         emits on, depth-first."""
-        edge.dst.add_input(batch, edge.dst_input_index)
-        self._drain(edge.dst)
+        out = edge.dst.add_input(batch, edge.dst_input_index)
+        if out is not None:
+            self._push(edge.dst, out)
 
     def finish(self, edge: PhysicalEdge) -> None:
         """``edge`` will carry no more batches: tell its consumer, and
         cascade on if that completed it."""
         edge.dst.input_done(edge.dst_input_index)
-        self._drain(edge.dst)
         if edge.dst.completed:
             self._cascade_done(edge.dst)
 
@@ -861,7 +783,7 @@ class PhysicalPlan:
         return bool(live)
 
     def execute(self, on_round=None) -> None:
-        """Run every source dry and flush the whole DAG.
+        """Run every source dry and complete the whole DAG.
 
         ``on_round(plan)`` fires after each :meth:`step`, with no batch
         in flight — the quiescent points where a backend may apply
@@ -876,7 +798,7 @@ class PhysicalPlan:
             if not op.completed:
                 raise DeploymentError(
                     f"plan finished with operator {op.name!r} incomplete "
-                    f"(buffered output or missing input_done)"
+                    f"(missing input_done or held tuples)"
                 )
 
     # -- scripted reconfiguration ---------------------------------------
@@ -907,11 +829,14 @@ class PhysicalPlan:
 
     def release(self, op: PhysicalOperator) -> None:
         """Lift ``op``'s hold: process what it held, push the output on,
-        and cascade if that completed it."""
-        if op.release():
-            self._drain(op)
-            if op.completed:
-                self._cascade_done(op)
+        and cascade if that completed it — held tuples kept it
+        incomplete, and a sink's emit nothing, so completion is the
+        test, not output."""
+        was_completed = op.completed
+        for batch in op.release():
+            self._push(op, batch)
+        if op.completed and not was_completed:
+            self._cascade_done(op)
 
     # -- result ---------------------------------------------------------
 
@@ -930,7 +855,7 @@ class PhysicalPlan:
             }
         return {
             "emitted": self.emitted(),
-            "op_stats": {op.name: op.stats.as_dict() for op in self.operators},
+            "op_stats": {op.name: asdict(op.stats) for op in self.operators},
             "streams": {
                 name: (edge.routes.local_tuples, edge.routes.total_tuples)
                 for name, edge in self.edges_by_stream.items()

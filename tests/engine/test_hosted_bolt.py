@@ -50,6 +50,7 @@ from repro.engine.operators import (
     CountBolt,
     FunctionBolt,
     IteratorSpout,
+    OperatorContext,
     PartialCountBolt,
     PassThroughBolt,
     ShimTuple,
@@ -58,7 +59,6 @@ from repro.engine.operators import (
 )
 from repro.engine.physical import (
     HostedBolt,
-    ShimContext,
     TupleBatch,
     keyed_state_summary,
 )
@@ -124,8 +124,8 @@ def _observe(bolt, emitted):
 @settings(max_examples=60, deadline=None)
 def test_process_batch_equals_looping_process(name, first, second):
     looped, batched = BUILT_INS[name](), BUILT_INS[name]()
-    loop_context = ShimContext("op", 0, 1, 0, header_bytes=8)
-    batch_context = ShimContext("op", 0, 1, 0, header_bytes=8)
+    loop_context = OperatorContext("op", 0, 1, 0, lambda: 0.0, 8)
+    batch_context = OperatorContext("op", 0, 1, 0, lambda: 0.0, 8)
     for batch in (first, second):  # the second meets existing state
         for values in batch:
             looped.process(ShimTuple(values, 8), loop_context)
@@ -183,12 +183,11 @@ def test_overriding_process_alone_restores_the_default_loop():
 def test_hosted_bolt_runs_a_process_only_subclass_per_tuple():
     hosted = HostedBolt("A", ["S->A"], _DoubleCount, 2, 1, header_bytes=0)
     values = [(k,) for k in (1, 2, 1, 3)]
-    hosted.add_input(
+    out = hosted.add_input(
         TupleBatch(values, dst_instances=np.array([0, 1, 0, 1]))
     )
     assert hosted.state_snapshot() == {0: {1: 4}, 1: {2: 2, 3: 2}}
     assert hosted.received == {0: 2, 1: 2}
-    out = hosted.get_next()
     # grouped by emitting instance, each instance's in its own order
     assert out.values == [(1,), (1,), (1,), (1,), (2,), (2,), (3,), (3,)]
     assert out.src_instances.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]

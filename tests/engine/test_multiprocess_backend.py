@@ -103,7 +103,7 @@ def test_skew_table_equivalence_ten_seeds(seed):
     )
     assert report.ok, report.summary()
     # OpStats aggregated across workers must equal the DES totals:
-    # no double-count, no loss (the merge_op_stats contract, end to end)
+    # no double-count, no loss (the merge_counts contract, end to end)
     for op, count in ref.processed.items():
         assert cand.op_stats[op]["tuples_in"] == count
     assert_no_orphans()

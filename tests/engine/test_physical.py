@@ -2,18 +2,25 @@
 
 The seam is what makes backends pluggable, so its lifecycle rules are
 pinned independently of any backend: stats accounting in the base
-class, the completion/flush protocol, input-after-done rejection, the
-plan's quiescent ``on_round`` hook, the entry points a multiprocess
-worker drives its plan through (``step`` / ``feed`` / ``finish``, an
-edge's ``deliver`` / ``producer_done``), and a consumer's hold across
-a reconfiguration (``HostedBolt.hold``, ``PhysicalPlan.release``).
+class, ``add_input`` returning what an operator emits, completion once
+every input is done, input-after-done rejection, the plan's quiescent
+``on_round`` hook, the entry points a multiprocess worker drives its
+plan through (``step`` / ``feed`` / ``finish``, an edge's ``deliver`` /
+``producer_done``), a consumer's hold across a reconfiguration
+(``HostedBolt.hold``, ``PhysicalPlan.release``) and the one merge of
+per-plan counters (``merge_counts``).
 """
 
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.operators import CountBolt
 from repro.engine.physical import (
+    HostedBolt,
     OpStats,
     PhysicalEdge,
     PhysicalOperator,
@@ -21,7 +28,7 @@ from repro.engine.physical import (
     SourceOperator,
     TupleBatch,
     keyed_state_summary,
-    merge_op_stats,
+    merge_counts,
 )
 from repro.errors import DeploymentError
 
@@ -41,12 +48,11 @@ class ListSource(SourceOperator):
 
 class Passthrough(PhysicalOperator):
     def _process(self, batch, input_index):
-        self._emit(batch)
+        return batch
 
 
 class HoldAll(PhysicalOperator):
-    """Buffers everything; emits one merged batch only at flush —
-    exercises the completion/flush half of the protocol."""
+    """A sink: keeps every value it takes, emits nothing."""
 
     def __init__(self, name, input_names):
         super().__init__(name, input_names)
@@ -55,8 +61,13 @@ class HoldAll(PhysicalOperator):
     def _process(self, batch, input_index):
         self.held.extend(batch.values)
 
-    def _flush(self):
-        self._emit(TupleBatch(list(self.held)))
+
+class CountsDone(HoldAll):
+    done_calls = 0
+
+    def input_done(self, input_index=0):
+        self.done_calls += 1
+        super().input_done(input_index)
 
 
 def _batch(*values):
@@ -66,14 +77,13 @@ def _batch(*values):
 class TestOperatorLifecycle:
     def test_stats_track_batches_and_tuples(self):
         op = Passthrough("p", ["in"])
-        op.add_input(_batch(1, 2, 3))
+        out = op.add_input(_batch(1, 2, 3))
         assert op.stats.batches_in == 1
         assert op.stats.tuples_in == 3
-        assert op.has_next()
-        out = op.get_next()
         assert len(out) == 3
         assert op.stats.batches_out == 1
         assert op.stats.tuples_out == 3
+        assert HoldAll("h", ["in"]).add_input(_batch(1)) is None
 
     def test_busy_seconds_cover_process_and_poll_only(self):
         """``busy_s`` is kept by the base class, around ``_process`` /
@@ -84,7 +94,7 @@ class TestOperatorLifecycle:
         class Slow(Passthrough):
             def _process(self, batch, input_index):
                 time.sleep(0.02)
-                super()._process(batch, input_index)
+                return super()._process(batch, input_index)
 
         class SlowSource(ListSource):
             def _poll(self):
@@ -96,7 +106,6 @@ class TestOperatorLifecycle:
         op.add_input(_batch(2))
         busy = op.stats.busy_s
         assert busy >= 0.04
-        op.get_next()
         op.input_done(0)
         assert op.stats.busy_s == busy
         src = SlowSource("s", [_batch(1)])
@@ -104,16 +113,17 @@ class TestOperatorLifecycle:
         src.poll()  # the poll that finds it dry counts too
         busy = src.stats.busy_s
         assert busy >= 0.04
-        src.poll()  # exhausted: not polled again
+        src.poll()  # dry: not polled again
         assert src.stats.busy_s == busy
 
-    def test_completed_requires_done_and_drained(self):
-        op = Passthrough("p", ["in"])
-        op.add_input(_batch(1))
-        assert not op.completed  # input not done
+    def test_completed_means_every_input_done(self):
+        op = Passthrough("p", ["a", "b"])
+        op.add_input(_batch(1), 0)
+        assert not op.completed
         op.input_done(0)
-        assert not op.completed  # output not drained
-        op.get_next()
+        assert not op.completed  # input b still open
+        op.add_input(_batch(2), 1)
+        op.input_done(1)
         assert op.completed
 
     def test_input_after_done_rejected(self):
@@ -122,24 +132,14 @@ class TestOperatorLifecycle:
         with pytest.raises(DeploymentError):
             op.add_input(_batch(1))
 
-    def test_flush_fires_once_when_all_inputs_done(self):
-        op = HoldAll("h", ["a", "b"])
-        op.add_input(_batch(1), 0)
-        op.add_input(_batch(2), 1)
-        op.input_done(0)
-        assert not op.has_next()  # input b still open
-        op.input_done(1)
-        assert op.has_next()
-        assert sorted(op.get_next().values) == [(1,), (2,)]
-
     def test_source_exhaustion_flips_once(self):
         src = ListSource("s", [_batch(1)])
         first = src.poll()
         assert first is not None and src.stats.tuples_out == 1
+        assert not src.completed
         assert src.poll() is None
-        assert src.exhausted
-        assert src.poll() is None  # stays exhausted
         assert src.completed
+        assert src.poll() is None  # stays dry
 
     def test_source_rejects_input(self):
         src = ListSource("s", [])
@@ -187,7 +187,7 @@ class TestPlanDriver:
     def test_consumer_flushes_only_once_the_edge_is_finished(self):
         """Fan-in from elsewhere (a multiprocess worker's peers): the
         edge is done once a second producer has declared too, so the
-        local source running dry does not flush the consumer —
+        local source running dry does not complete the consumer —
         :meth:`PhysicalPlan.finish` does, after the other producer's
         batches came in through :meth:`PhysicalPlan.feed`."""
 
@@ -207,13 +207,13 @@ class TestPlanDriver:
         plan = PhysicalPlan([src, sink], [edge])
         while plan.step():
             pass
-        assert src.exhausted and edge.declared == 1
+        assert src.completed and edge.declared == 1
         plan.feed(edge, _batch(3))  # the other producer's last batch
-        assert sink.stats.batches_out == 0 and not plan.completed
+        assert not sink.completed and not plan.completed
         assert edge.declare()  # ... and its declaration
         plan.finish(edge)
         assert sink.held == [(1,), (2,), (3,)]
-        assert sink.stats.batches_out == 1 and plan.completed
+        assert sink.completed and plan.completed
 
     def test_feed_into_a_mid_plan_consumer_pushes_its_output_on(self):
         plan, sink = self._linear_plan([_batch(1)])
@@ -236,15 +236,11 @@ class TestPlanDriver:
     def test_incomplete_operator_raises(self):
         src = ListSource("s", [])
 
-        class NeverFlushes(PhysicalOperator):
-            def _process(self, batch, input_index):
-                pass
-
+        class NeverDone(HoldAll):
             def input_done(self, input_index=0):
-                # deliberately breaks protocol: never flushes
-                self._inputs_done[input_index] = True
+                pass  # deliberately breaks protocol: records nothing
 
-        sink = NeverFlushes("bad", ["s"])
+        sink = NeverDone("bad", ["s"])
         plan = PhysicalPlan([src, sink], [PhysicalEdge("e", src, sink, 0)])
         with pytest.raises(DeploymentError, match="incomplete"):
             plan.execute()
@@ -265,38 +261,41 @@ class TestPlanDriver:
         assert sink.stats.batches_in == 3
 
 
+def _parity_before():
+    """Before the swap, key k lived on instance k % 2."""
+    return [lambda values: np.array([v[0] % 2 for v in values])]
+
+
+#: (keys, dst): 1, 5 and 7 moved to instance 0, so the hold keeps them
+_SWAPPED = (([1, 2, 3], [0, 0, 1]), ([5, 4], [0, 0]), ([7], [0]))
+
+
+def _routed(keys, dst):
+    return TupleBatch([(k,) for k in keys], dst_instances=np.array(dst))
+
+
 class TestTheHold:
     """The consumer's half of an in-band reconfiguration: after a swap,
     a tuple whose key another instance owned before it waits for that
     key's state, until :meth:`PhysicalPlan.release`."""
 
-    def test_held_tuples_wait_then_run_in_order_and_cascade_once(self):
-        import numpy as np
-
-        from repro.engine.operators import CountBolt
-        from repro.engine.physical import HostedBolt
-
-        class CountsDone(HoldAll):
-            done_calls = 0
-
-            def input_done(self, input_index=0):
-                self.done_calls += 1
-                super().input_done(input_index)
-
+    def _plan(self, forward):
         src = ListSource("s", [])
-        bolt = HostedBolt("b", ["s"], lambda: CountBolt(0), 2, 1, 0)
+        bolt = HostedBolt(
+            "b", ["s"], lambda: CountBolt(0, forward=forward), 2, 1, 0
+        )
         sink = CountsDone("sink", ["b"])
         into = PhysicalEdge("s->b", src, bolt, 0)
         plan = PhysicalPlan(
             [src, bolt, sink], [into, PhysicalEdge("b->sink", bolt, sink, 0)]
         )
-        # before the swap, key k lived on instance k % 2
-        bolt.hold([lambda values: np.array([v[0] % 2 for v in values])])
-        for keys, dst in (([1, 2, 3], [0, 0, 1]), ([5, 4], [0, 0])):
-            plan.feed(
-                into,
-                TupleBatch([(k,) for k in keys], dst_instances=np.array(dst)),
-            )
+        bolt.hold(_parity_before())
+        for keys, dst in _SWAPPED[:2]:
+            plan.feed(into, _routed(keys, dst))
+        return plan, bolt, sink
+
+    def test_held_tuples_wait_then_run_in_order_and_cascade_once(self):
+        plan, bolt, sink = self._plan(forward=True)
         # unchanged owners went straight through; 1 and 5 moved to 0
         assert sink.held == [(2,), (3,), (4,)]
         assert bolt.held_tuples == 2
@@ -312,57 +311,76 @@ class TestTheHold:
         plan.release(bolt)  # nothing held: no second cascade
         assert sink.done_calls == 1
 
+    def test_a_release_that_emits_nothing_still_cascades_once(self):
+        """A non-forwarding bolt's held tuples emit nothing, yet they
+        kept it incomplete: its release completes it, and only that
+        release cascades ``input_done``."""
+        plan, bolt, sink = self._plan(forward=False)
+        while plan.step():
+            pass
+        assert not bolt.completed and sink.done_calls == 0
+        plan.release(bolt)
+        assert sink.held == []
+        assert bolt.operators[0].state == {1: 1, 2: 1, 4: 1, 5: 1}
+        assert bolt.completed and plan.completed
+        assert sink.done_calls == 1
+        plan.release(bolt)
+        assert sink.done_calls == 1
+
+    @pytest.mark.parametrize("forward", [False, True])
+    def test_out_stats_count_what_add_input_and_release_returned(
+        self, forward
+    ):
+        bolt = HostedBolt(
+            "b", ["s"], lambda: CountBolt(0, forward=forward), 2, 1, 0
+        )
+        bolt.hold(_parity_before())
+        returned = [bolt.add_input(_routed(*batch)) for batch in _SWAPPED]
+        assert returned[2] is None  # all of it held
+        returned = [b for b in returned if b is not None] + bolt.release()
+        assert bolt.stats.batches_out == len(returned)
+        assert bolt.stats.tuples_out == sum(map(len, returned))
+        assert bolt.stats.tuples_out == (6 if forward else 0)
+
 
 class TestMergeOpStats:
     """The sharded-stats contract (multiprocess backend): OpStats is
     plain unsynchronized state, so every shard keeps its own and the
-    coordinator combines with merge_op_stats — no double-count, no
-    loss, even when some shards never report (early termination)."""
-
-    def _stats(self, **kw):
-        stats = OpStats()
-        for name, value in kw.items():
-            setattr(stats, name, value)
-        return stats
+    coordinator sums their plain-dict forms with merge_counts — no
+    double-count, no loss, even when some shards never report (early
+    termination)."""
 
     def test_merge_sums_every_field(self):
-        merged = merge_op_stats(
+        first = OpStats(batches_in=1, tuples_in=10, busy_s=0.5)
+        second = OpStats(batches_in=2, tuples_in=20, busy_s=0.25)
+        merged = merge_counts(
             [
-                {"A": self._stats(batches_in=1, tuples_in=10, busy_s=0.5)},
-                {"A": self._stats(batches_in=2, tuples_in=20, busy_s=0.25)},
-                {"B": self._stats(tuples_out=7)},
+                {"A": asdict(first)},
+                {"A": asdict(second)},
+                {"B": {"table_hits": 7, "hash_fallbacks": 1}},
+                {"B": {"table_hits": 2, "hash_fallbacks": 0}},
             ]
         )
-        assert merged["A"].batches_in == 3
-        assert merged["A"].tuples_in == 30
-        assert merged["A"].busy_s == 0.75
-        assert merged["B"].tuples_out == 7
+        assert merged["A"] == asdict(
+            OpStats(batches_in=3, tuples_in=30, busy_s=0.75)
+        )
+        assert type(merged["A"]["tuples_in"]) is int  # counters stay ints
+        assert merged["B"] == {"table_hits": 9, "hash_fallbacks": 1}
 
     def test_merge_does_not_mutate_shards(self):
-        # aliasing a shard's object into the result would double-count
+        # aliasing a shard's dict into the result would double-count
         # on the next aggregation of the same shard list
-        shard = {"A": self._stats(tuples_in=5)}
-        merged = merge_op_stats([shard])
+        shard = {"A": {"tuples_in": 5}}
+        merged = merge_counts([shard, shard])
         assert merged["A"] is not shard["A"]
-        merge_op_stats([shard])
-        assert shard["A"].tuples_in == 5
-
-    def test_merge_accepts_serialized_dicts(self):
-        # worker results cross a process boundary as as_dict() payloads
-        merged = merge_op_stats(
-            [
-                {"A": self._stats(tuples_in=4, batches_out=1).as_dict()},
-                {"A": self._stats(tuples_in=6)},
-            ]
-        )
-        assert merged["A"].tuples_in == 10
-        assert merged["A"].batches_out == 1
+        assert merged == {"A": {"tuples_in": 10}}
+        assert shard == {"A": {"tuples_in": 5}}
 
     def test_missing_shards_lose_nothing_present(self):
         # early termination: only one worker reported — the merge is
         # exactly that worker's stats, not zeros
-        merged = merge_op_stats([{}, {"A": self._stats(tuples_in=3)}])
-        assert merged["A"].tuples_in == 3
+        merged = merge_counts([{}, {"A": {"tuples_in": 3}}])
+        assert merged == {"A": {"tuples_in": 3}}
 
 
 def test_engine_imports_and_runs_the_des_without_numpy():

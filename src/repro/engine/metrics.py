@@ -214,25 +214,7 @@ class MetricsHub:
             },
         )
 
-    # -- reporting (hot path, called by executors) ----------------------
-
-    def on_emit(self, op: str, instance: int) -> None:
-        self.emitted[(op, instance)] += 1
-
-    def on_route(self, stream: str, remote: bool, nbytes: int) -> None:
-        counters = self.streams[stream]
-        if remote:
-            counters.remote_tuples += 1
-            counters.remote_bytes += nbytes
-        else:
-            counters.local_tuples += 1
-            counters.local_bytes += nbytes
-
-    def on_delivered(self, op: str, instance: int) -> None:
-        self.received[(op, instance)] += 1
-
-    def on_processed(self, op: str, instance: int) -> None:
-        self.processed[(op, instance)] += 1
+    # -- reporting (the executors write the tallies above directly) ----
 
     def on_fault(self, action: str) -> None:
         self.faults[action] += 1

@@ -25,11 +25,11 @@ from repro.engine.simulator import Simulator
 class FifoChannel:
     """A rate-limited FIFO resource (one direction of a NIC).
 
-    Work items are served back-to-back at ``rate`` bytes/second; the
-    completion callback fires when the last byte has passed.
+    Work items are served back-to-back at ``rate`` bytes/second;
+    :meth:`reserve` returns when the last byte has passed.
     """
 
-    __slots__ = ("_sim", "_rate", "_free_at", "busy_time", "bytes_served", "name")
+    __slots__ = ("_sim", "_rate", "_free_at", "name")
 
     def __init__(self, sim: Simulator, rate: Optional[float], name: str = ""):
         if rate is not None and rate <= 0:
@@ -37,13 +37,7 @@ class FifoChannel:
         self._sim = sim
         self._rate = rate
         self._free_at = 0.0
-        self.busy_time = 0.0
-        self.bytes_served = 0
         self.name = name
-
-    @property
-    def rate(self) -> Optional[float]:
-        return self._rate
 
     def reserve(self, nbytes: int, earliest: Optional[float] = None) -> float:
         """Reserve FIFO service for ``nbytes`` starting no earlier than
@@ -58,24 +52,7 @@ class FifoChannel:
         start = max(now if earliest is None else earliest, self._free_at)
         done = start + service
         self._free_at = done
-        self.busy_time += service
-        self.bytes_served += nbytes
         return done
-
-    def submit(self, nbytes: int, fn: Callable, *args: Any) -> float:
-        """Enqueue ``nbytes``; run ``fn(*args)`` at completion time.
-
-        Returns the completion time.
-        """
-        done = self.reserve(nbytes)
-        self._sim.post_at(done, fn, *args)
-        return done
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds this channel spent busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
 
 
 class Nic:

@@ -64,17 +64,20 @@ def test_stream_counters_locality_and_delta():
     assert delta.locality() == pytest.approx(2 / 6)
 
 
+def _processed(hub, op, instance):
+    """One processed tuple, tallied as an executor tallies it."""
+    hub.processed[(op, instance)] += 1
+
+
 def test_metrics_aggregates():
     hub = MetricsHub()
-    hub.on_processed("B", 0)
-    hub.on_processed("B", 0)
-    hub.on_processed("B", 1)
+    for instance in (0, 0, 1):
+        hub.processed[("B", instance)] += 1
     assert hub.processed_total("B") == 3
-    hub.on_emit("A", 0)
+    hub.emitted[("A", 0)] += 1
     assert hub.emitted_total("A") == 1
-    hub.on_delivered("B", 0)
-    hub.on_delivered("B", 0)
-    hub.on_delivered("B", 1)
+    for instance in (0, 0, 1):
+        hub.received[("B", instance)] += 1
     assert hub.received_per_instance("B", 3) == [2, 1, 0]
     assert hub.load_balance("B", 3) == pytest.approx(2 / 1.0)
 
@@ -86,9 +89,9 @@ def test_metrics_load_balance_empty():
 
 def test_metrics_locality_overall():
     hub = MetricsHub()
-    hub.on_route("S->A", remote=False, nbytes=10)
-    hub.on_route("S->A", remote=True, nbytes=10)
-    hub.on_route("A->B", remote=True, nbytes=10)
+    hub.streams["S->A"].local_tuples += 1
+    hub.streams["S->A"].remote_tuples += 1
+    hub.streams["A->B"].remote_tuples += 1
     assert hub.locality("S->A") == 0.5
     assert hub.locality() == pytest.approx(1 / 3)
     assert hub.locality("A->B") == 0.0
@@ -101,9 +104,9 @@ def test_throughput_sampler():
     sampler.start()
     # 10 tuples in the first second, 20 in the second.
     for i in range(10):
-        sim.schedule(0.5, hub.on_processed, "B", 0)
+        sim.schedule(0.5, _processed, hub, "B", 0)
     for i in range(20):
-        sim.schedule(1.5, hub.on_processed, "B", 0)
+        sim.schedule(1.5, _processed, hub, "B", 0)
     sim.run(until=3.0)
     assert [rate for _, rate in sampler.samples] == [10.0, 20.0, 0.0]
 

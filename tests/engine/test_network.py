@@ -18,21 +18,18 @@ def test_fifo_channel_serializes_back_to_back():
     sim = Simulator()
     channel = FifoChannel(sim, rate=100.0)  # 100 bytes/s
     done = []
-    channel.submit(50, done.append, "first")   # 0.5 s
-    channel.submit(100, done.append, "second")  # +1.0 s
+    sim.post_at(channel.reserve(50), done.append, "first")  # 0.5 s
+    sim.post_at(channel.reserve(100), done.append, "second")  # +1.0 s
     sim.run()
     assert done == ["first", "second"]
     assert sim.now == pytest.approx(1.5)
-    assert channel.bytes_served == 150
-    assert channel.busy_time == pytest.approx(1.5)
-    assert channel.utilization(3.0) == pytest.approx(0.5)
 
 
 def test_fifo_channel_infinite_rate():
     sim = Simulator()
     channel = FifoChannel(sim, rate=None)
     done = []
-    channel.submit(10**9, done.append, "x")
+    sim.post_at(channel.reserve(10**9), done.append, "x")
     sim.run()
     assert sim.now == 0.0
     assert done == ["x"]

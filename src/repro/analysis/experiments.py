@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import random
 import statistics
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.analysis.trace_eval import TwoHopEvaluator
-from repro.core import Manager, ManagerConfig
+from repro.core import KeyGraph, Manager, ManagerConfig
 from repro.core.assignment import compute_assignment, plan_reconfiguration
 from repro.core.compact_table import (
     CompactRoutingTable,
@@ -35,7 +36,6 @@ from repro.core.hierarchical import (
     assignment_quality,
     compute_hierarchical_assignment,
 )
-from repro.core.offline import keygraph_from_pairs
 from repro.core.table_delta import TableDelta, snapshot_wire_bytes
 from repro.engine import (
     Cluster,
@@ -310,6 +310,12 @@ def scale_point(num_keys: int) -> Dict:
 ABLATION_SERVERS = 4
 
 
+def _week_graph(workload: TwitterWorkload, week: int) -> KeyGraph:
+    """The exact key graph of one week of the two-hop trace."""
+    counts = Counter(workload.week_pairs(week))
+    return KeyGraph.from_stats({("S->A", "A->B"): counts.items()})
+
+
 def ablation_collector(workload: TwitterWorkload) -> Dict[str, float]:
     """Statistics collector: next-week locality of tables planned from
     SpaceSaving sketches of three budgets vs exact counting."""
@@ -351,10 +357,7 @@ def ablation_estimator(
     with a long one they all are."""
     evaluator = TwoHopEvaluator(ABLATION_SERVERS)
     streams = [evaluator.first_hop, evaluator.second_hop]
-    graphs = [
-        keygraph_from_pairs(list(workload.week_pairs(week)), "S->A", "A->B")
-        for week in range(weeks)
-    ]
+    graphs = [_week_graph(workload, week) for week in range(weeks)]
     metrics = {"rounds": float(weeks)}
     for horizon in (50_000_000, 100):
         estimator = ReconfigurationEstimator(
@@ -364,9 +367,10 @@ def ablation_estimator(
         deployed = 0
         for week, graph in enumerate(graphs):
             plan = plan_reconfiguration(
-                graph, streams, ABLATION_SERVERS, tables, seed=week
+                graph, streams, ABLATION_SERVERS, tables, seed=week,
+                estimator=estimator,
             )
-            if estimator.should_deploy(graph, plan, tables, streams):
+            if not plan.vetoed:
                 tables = {**tables, **plan.tables}
                 deployed += 1
         metrics[f"deployed_rounds_horizon_{horizon}"] = float(deployed)
@@ -400,7 +404,7 @@ def ablation_hierarchical(workload: TwitterWorkload) -> Dict[str, float]:
     cluster, two-level partitioning pays no more weighted network cost
     than flat partitioning once rack crossings are priced higher than
     in-rack hops."""
-    graph = keygraph_from_pairs(list(workload.week_pairs(0)), "S->A", "A->B")
+    graph = _week_graph(workload, 0)
     racks = [[0, 1], [2, 3]]
     metrics = {}
     for scheme, assignment in (

@@ -13,7 +13,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.core.assignment import RoutedStream, compute_assignment, expected_locality
+from repro.core.assignment import (
+    DEFAULT_IMBALANCE,
+    RoutedStream,
+    plan_reconfiguration,
+)
 from repro.core.keygraph import KeyGraph
 from repro.core.routing_table import RoutingTable
 from repro.engine.grouping import key_owner
@@ -112,7 +116,7 @@ class TwoHopEvaluator:
         pairs: Iterable[Pair],
         sketch_capacity: Optional[int] = None,
         max_edges: Optional[int] = None,
-        imbalance: float = 1.03,
+        imbalance: float = DEFAULT_IMBALANCE,
         seed: int = 0,
     ) -> Tuple[Dict[str, RoutingTable], float]:
         """Compute routing tables from observed pairs.
@@ -126,34 +130,24 @@ class TwoHopEvaluator:
             sketch = SpaceSaving(sketch_capacity)
             for pair in pairs:
                 sketch.offer(pair)
-            counts = {e.item: e.count for e in sketch.items()}
+            estimates = sketch.items()
         else:
-            counts = Counter(pairs)
-
-        graph = KeyGraph()
-        for (first_key, second_key), count in counts.items():
-            graph.add_pair(
-                self.first_hop.name,
-                first_key,
-                self.second_hop.name,
-                second_key,
-                count,
-            )
+            estimates = Counter(pairs).items()
+        hops = (self.first_hop.name, self.second_hop.name)
+        graph = KeyGraph.from_stats({hops: estimates})
         if max_edges is not None:
+            # Truncate before planning: the predicted locality is the
+            # one the partitioner reaches on the budgeted graph.
             graph = graph.top_edges(max_edges)
-        assignment = compute_assignment(
-            graph, self.num_servers, imbalance=imbalance, seed=seed
+        plan = plan_reconfiguration(
+            graph,
+            [self.first_hop, self.second_hop],
+            self.num_servers,
+            {},
+            imbalance=imbalance,
+            seed=seed,
         )
-        identity = {server: server for server in range(self.num_servers)}
-        tables = {
-            self.first_hop.name: assignment.table_for(
-                self.first_hop.name, identity
-            ),
-            self.second_hop.name: assignment.table_for(
-                self.second_hop.name, identity
-            ),
-        }
-        return tables, expected_locality(graph, assignment)
+        return plan.tables, plan.predicted_locality
 
 
 MODES = ("online", "offline", "hash-based")
@@ -166,7 +160,7 @@ def weekly_series(
     mode: str,
     sketch_capacity: Optional[int] = None,
     max_edges: Optional[int] = None,
-    imbalance: float = 1.03,
+    imbalance: float = DEFAULT_IMBALANCE,
     seed: int = 0,
 ) -> List[EvalResult]:
     """The Fig. 11 experiment loop for one policy.

@@ -1,17 +1,19 @@
 """From key graph to routing tables and migration lists.
 
 ``compute_assignment`` partitions the key graph across servers (the
-paper's Metis step). ``plan_reconfiguration`` turns an assignment into
-the deployable artifacts: one routing table per table-routed stream,
-plus the per-operator state migration lists the protocol ships inside
-its reconfiguration messages.
+paper's Metis step). ``plan_reconfiguration`` is the one planner of a
+round of Algorithm 1: it turns the collected statistics into the
+deployable artifacts — one routing table per table-routed stream (with
+its hybrid split set), the per-operator state migration lists the
+protocol ships inside its reconfiguration messages, and the optional
+estimator's verdict. The manager, the trace evaluation and the offline
+analysis all plan through it; none needs a simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Hashable,
     List,
@@ -29,6 +31,32 @@ from repro.partitioning import partition
 
 #: Default balance constraint α (Metis default, used by the paper).
 DEFAULT_IMBALANCE = 1.03
+
+
+@dataclass
+class HybridConfig:
+    """Tunables of hybrid (skew-resilient) routing.
+
+    When a :class:`~repro.core.manager.ManagerConfig` carries one of
+    these, every planning round re-derives each routed stream's *split
+    set* from the merged sketches (:func:`select_splits`): keys whose
+    observed frequency exceeds ``hot_fraction × total / n`` (a key's
+    fair share scaled by ``hot_fraction``) are split over
+    ``split_width`` instances anchored at their table owner. The split
+    set ships inside the routing-table payload, so it obeys every rule
+    tables already obey (atomic PROPAGATE swap, rescale resize, cache
+    invalidation). Requires the sources to use
+    ``HybridTableFieldsGrouping`` — a plain TableRouter silently ignores
+    the split set and keeps pinning the hot key.
+    """
+
+    #: a key is hot when its weight exceeds this multiple of the
+    #: per-instance fair share (total weight / n)
+    hot_fraction: float = 0.5
+    #: instances each hot key is spread over (clamped to n)
+    split_width: int = 2
+    #: cap on split keys per stream (heaviest first)
+    max_split_keys: int = 8
 
 
 @dataclass
@@ -177,6 +205,13 @@ class ReconfigurationPlan:
     predicted_locality: float
     #: the underlying key assignment
     assignment: KeyAssignment = field(repr=False, default=None)
+    #: dst op → {key: members} chosen by hybrid planning (streams with
+    #: an empty split set are absent)
+    split_sets: Dict[str, Dict] = field(default_factory=dict, repr=False)
+    #: the estimator's Estimate, when an estimator was given
+    estimate: Optional[object] = None
+    #: the estimator judged the plan not worth its migration cost
+    vetoed: bool = False
 
     def total_moved_keys(self) -> int:
         return sum(
@@ -215,6 +250,36 @@ def plan_migrations(
     return per_pair
 
 
+def select_splits(
+    hybrid: HybridConfig,
+    keygraph: KeyGraph,
+    stream: RoutedStream,
+    table: RoutingTable,
+) -> Dict:
+    """Deterministic split set for one stream: keys whose observed
+    weight exceeds ``hot_fraction`` of the per-instance fair share,
+    heaviest first (repr ties), split over ``split_width`` consecutive
+    instances anchored at their owner under ``table``."""
+    n = len(stream.dst_placements)
+    width = min(hybrid.split_width, n)
+    if width < 2:
+        return {}
+    weights = keygraph.stream_weights(stream.name)
+    total = sum(weights.values())
+    if total <= 0.0:
+        return {}
+    threshold = hybrid.hot_fraction * total / n
+    hot = sorted(
+        (key for key, weight in weights.items() if weight > threshold),
+        key=lambda key: (-weights[key], repr(key)),
+    )[: hybrid.max_split_keys]
+    splits: Dict = {}
+    for key in hot:
+        owner, _ = stream.owner(key, table, strict=False)
+        splits[key] = tuple(sorted((owner + j) % n for j in range(width)))
+    return splits
+
+
 def plan_reconfiguration(
     keygraph: KeyGraph,
     streams: Sequence[RoutedStream],
@@ -223,45 +288,56 @@ def plan_reconfiguration(
     imbalance: float = DEFAULT_IMBALANCE,
     seed: int = 0,
     max_edges: Optional[int] = None,
-    splits_for: Optional[Callable] = None,
+    hybrid: Optional[HybridConfig] = None,
+    estimator=None,
 ) -> ReconfigurationPlan:
     """Compute new tables and migration lists for the routed streams.
 
     ``old_tables`` may omit streams that never had a table (hash-only
     routing so far); migration then compares against hash owners.
-    ``splits_for(stream, table)`` names the split set each new table
-    carries (hybrid routing). It is applied *before* the tables are
-    diffed: against an unsplit new table every key that stays split
-    would read as a consolidation.
+    With ``hybrid``, each new table carries its :func:`select_splits`
+    split set. It is applied *before* the tables are diffed: against an
+    unsplit new table every key that stays split would read as a
+    consolidation. With ``estimator`` (a
+    :class:`~repro.core.estimator.ReconfigurationEstimator`), the plan
+    carries its estimate and is ``vetoed`` when the projected benefit
+    falls short of ``margin ×`` the migration cost.
     """
     assignment = compute_assignment(
         keygraph, num_servers, imbalance=imbalance, seed=seed,
         max_edges=max_edges,
     )
-    predicted = expected_locality(keygraph, assignment)
-
-    tables: Dict[str, RoutingTable] = {}
-    migrations: Dict[str, Dict[Tuple[int, int], List[Hashable]]] = {}
+    plan = ReconfigurationPlan(
+        tables={},
+        migrations={},
+        predicted_locality=expected_locality(keygraph, assignment),
+        assignment=assignment,
+    )
     for stream in streams:
         new_table = assignment.table_for(
             stream.name, stream.server_to_instance()
         )
-        if splits_for is not None:
-            new_table = new_table.with_splits(splits_for(stream, new_table))
-        tables[stream.name] = new_table
+        if hybrid is not None:
+            splits = select_splits(hybrid, keygraph, stream, new_table)
+            if splits:
+                plan.split_sets[stream.dst_op] = splits
+            new_table = new_table.with_splits(splits)
+        plan.tables[stream.name] = new_table
         if not stream.stateful_dst:
             continue
         old_table = old_tables.get(stream.name, RoutingTable.empty())
         per_pair = plan_migrations(old_table, new_table, stream)
         if not per_pair:
             continue
-        existing = migrations.setdefault(stream.dst_op, {})
+        existing = plan.migrations.setdefault(stream.dst_op, {})
         for pair, keys in per_pair.items():
             existing.setdefault(pair, []).extend(keys)
 
-    return ReconfigurationPlan(
-        tables=tables,
-        migrations=migrations,
-        predicted_locality=predicted,
-        assignment=assignment,
-    )
+    if estimator is not None:
+        plan.estimate = estimator.evaluate(
+            keygraph, plan, old_tables, streams
+        )
+        plan.vetoed = not plan.estimate.worthwhile_with_margin(
+            estimator.config.margin
+        )
+    return plan

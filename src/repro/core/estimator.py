@@ -14,9 +14,10 @@ the current tables and a candidate plan, it predicts:
   over an amortization horizon;
 - **cost**: bytes of state to migrate plus control traffic.
 
-The manager consults :meth:`ReconfigurationEstimator.evaluate` and
-skips deployment when the projected benefit does not cover the cost by
-the configured margin.
+The planner (:func:`repro.core.assignment.plan_reconfiguration`, given
+an ``estimator``) calls :meth:`ReconfigurationEstimator.evaluate` and
+marks the plan ``vetoed`` when the projected benefit does not cover
+the cost by the configured margin; the manager then skips deployment.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class Estimate:
     @property
     def locality_gain(self) -> float:
         return self.locality_after - self.locality_before
-
-    @property
-    def worthwhile(self) -> bool:
-        return self.benefit_bytes >= self.cost_bytes
 
     def worthwhile_with_margin(self, margin: float) -> bool:
         return self.benefit_bytes >= margin * self.cost_bytes
@@ -129,13 +126,3 @@ class ReconfigurationEstimator:
             benefit_bytes=benefit,
             cost_bytes=float(cost),
         )
-
-    def should_deploy(
-        self,
-        keygraph: KeyGraph,
-        plan: ReconfigurationPlan,
-        old_tables: Mapping[str, RoutingTable],
-        streams: Sequence[RoutedStream],
-    ) -> bool:
-        estimate = self.evaluate(keygraph, plan, old_tables, streams)
-        return estimate.worthwhile_with_margin(self.config.margin)

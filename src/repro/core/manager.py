@@ -4,9 +4,10 @@ The manager runs alongside the application (Section 3.3). Periodically
 (or on demand) it executes one reconfiguration *round*:
 
 1. collect pair statistics from every instrumented POI;
-2. build the bipartite key graph and partition it across servers;
-3. derive routing tables and migration lists
-   (:func:`repro.core.assignment.plan_reconfiguration`);
+2. build the bipartite key graph;
+3. plan the round with :func:`repro.core.assignment.plan_reconfiguration`
+   — partition, routing tables with their hybrid split sets, migration
+   lists and the estimator's veto all come from that one call;
 4. drive Algorithm 1 through the
    :class:`~repro.core.reconfiguration.ReconfigurationAgent` attached
    to every executor.
@@ -18,11 +19,11 @@ in-band steps (PROPAGATE/MIGRATE) go through the data channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.assignment import (
     DEFAULT_IMBALANCE,
+    HybridConfig,
     ReconfigurationPlan,
     RoutedStream,
     plan_reconfiguration,
@@ -66,31 +67,6 @@ PHASES = (
     "PROPAGATE",
     "MIGRATE",
 )
-
-
-@dataclass
-class HybridConfig:
-    """Tunables of hybrid (skew-resilient) routing.
-
-    When a :class:`ManagerConfig` carries one of these, every planning
-    round re-derives each routed stream's *split set* from the merged
-    sketches: keys whose observed frequency exceeds
-    ``hot_fraction × total / n`` (a key's fair share scaled by
-    ``hot_fraction``) are split over ``split_width`` instances anchored
-    at their table owner. The split set ships inside the routing-table
-    payload, so it obeys every rule tables already obey (atomic
-    PROPAGATE swap, rescale resize, cache invalidation). Requires the
-    sources to use ``HybridTableFieldsGrouping`` — a plain TableRouter
-    silently ignores the split set and keeps pinning the hot key.
-    """
-
-    #: a key is hot when its weight exceeds this multiple of the
-    #: per-instance fair share (total weight / n)
-    hot_fraction: float = 0.5
-    #: instances each hot key is spread over (clamped to n)
-    split_width: int = 2
-    #: cap on split keys per stream (heaviest first)
-    max_split_keys: int = 8
 
 
 @dataclass
@@ -140,15 +116,12 @@ class RoundRecord:
 
     round_id: int
     started_at: float
-    tables_sent_at: Optional[float] = None
     completed_at: Optional[float] = None
     plan: Optional[ReconfigurationPlan] = None
     collected_pairs: int = 0
     skipped: bool = False
     #: set when an estimator vetoed deployment ("not worthwhile")
     vetoed: bool = False
-    #: the estimator's Estimate, when an estimator is configured
-    estimate: Optional[object] = None
     #: set when the round deadline expired before completion
     aborted: bool = False
     aborted_at: Optional[float] = None
@@ -556,19 +529,9 @@ class Manager:
         plan = self._partition(
             record, keygraph, self._routed_streams, self._partition_size()
         )
-
-        if self.config.estimator is not None:
-            estimate = self.config.estimator.evaluate(
-                keygraph, plan, self.current_tables, self._routed_streams
-            )
-            record.estimate = estimate
-            if not estimate.worthwhile_with_margin(
-                self.config.estimator.config.margin
-            ):
-                record.vetoed = True
-                self._complete_round(record)
-                return
-
+        if plan.vetoed:
+            self._complete_round(record)
+            return
         self.current_tables.update(plan.tables)
         self._send_reconfigurations(plan)
 
@@ -576,20 +539,20 @@ class Manager:
         self, record: RoundRecord, keygraph, streams, num_servers: int
     ) -> ReconfigurationPlan:
         """The PARTITION phase of a round: plan ``streams`` over
-        ``num_servers`` under its span and publish the two
-        ``reconf_last_*`` gauges.
+        ``num_servers`` under its span, note the plan's decisions on
+        ``record`` and publish the two ``reconf_last_*`` gauges.
 
-        Hybrid mode re-derives each stream's split set from scratch
+        Plain rounds plan with the hybrid config and the estimator:
+        hybrid mode re-derives each stream's split set from scratch
         every plain round, so a key that cooled below the threshold
         consolidates (its partials gather on the table owner via
         :func:`~repro.core.assignment.plan_migrations`) and a newly hot
-        key starts splitting without migrating anything."""
+        key starts splitting without migrating anything. Rescale rounds
+        plan with neither."""
         partition_span = self._begin_phase(
             "PARTITION", edges=keygraph.num_edges, servers=num_servers
         )
-        splits_for = None
-        if self.config.hybrid is not None and not record.is_rescale:
-            splits_for = partial(self._select_splits, record, keygraph)
+        plain = not record.is_rescale
         plan = plan_reconfiguration(
             keygraph,
             streams,
@@ -598,17 +561,14 @@ class Manager:
             imbalance=self.config.imbalance,
             seed=self.config.seed + self._round_id,
             max_edges=self.config.max_edges,
-            splits_for=splits_for,
+            hybrid=self.config.hybrid if plain else None,
+            estimator=self.config.estimator if plain else None,
         )
         record.plan = plan
+        record.split_sets = plan.split_sets
+        record.vetoed = plan.vetoed
         moved = {}
-        if record.is_rescale:
-            # The plan's table-diff migrations compare owners across
-            # two different fallback moduli — meaningless for a
-            # rescale. State movement is scan-based instead (see
-            # RescaleSpec).
-            plan.migrations = {}
-        else:
+        if plain:  # a rescale clears its migrations (Rescale.plan)
             moved["moved_keys"] = plan.total_moved_keys()
         cut_weight = (
             1.0 - plan.predicted_locality
@@ -638,43 +598,7 @@ class Manager:
             )
         return len(servers)
 
-    def _select_splits(
-        self, record: RoundRecord, keygraph, stream: RoutedStream, table
-    ) -> Dict:
-        """Deterministic split set for one stream, noted on the round's
-        record: keys whose observed weight exceeds ``hot_fraction`` of
-        the per-instance fair share, heaviest first (repr ties), split
-        over ``split_width`` consecutive instances anchored at the
-        table owner."""
-        cfg = self.config.hybrid
-        n = len(stream.dst_placements)
-        if n < 2:
-            return {}
-        weights = keygraph.stream_weights(stream.name)
-        total = sum(weights.values())
-        if total <= 0.0:
-            return {}
-        threshold = cfg.hot_fraction * total / n
-        hot = sorted(
-            (key for key, weight in weights.items() if weight > threshold),
-            key=lambda key: (-weights[key], repr(key)),
-        )[: cfg.max_split_keys]
-        width = min(cfg.split_width, n)
-        if width < 2:
-            return {}
-        splits: Dict = {}
-        for key in hot:
-            owner, _ = stream.owner(key, table, strict=False)
-            splits[key] = tuple(
-                sorted((owner + j) % n for j in range(width))
-            )
-        if splits:
-            record.split_sets[stream.dst_op] = dict(splits)
-        return splits
-
     def _send_reconfigurations(self, plan: ReconfigurationPlan) -> None:
-        record = self.rounds[-1]
-        record.tables_sent_at = self.sim.now
         payloads = self._build_payloads(plan)
         self._ack_outstanding = len(payloads)
         self._complete_outstanding = len(payloads)

@@ -10,30 +10,16 @@ to ``TableFieldsGrouping(key, table=...)``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from collections import Counter
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.assignment import (
     DEFAULT_IMBALANCE,
-    compute_assignment,
-    expected_locality,
+    RoutedStream,
+    plan_reconfiguration,
 )
 from repro.core.keygraph import KeyGraph
 from repro.core.routing_table import RoutingTable
-
-
-def keygraph_from_pairs(
-    pairs: Iterable[Tuple[Hashable, Hashable]],
-    in_stream: str,
-    out_stream: str,
-) -> KeyGraph:
-    """Build a key graph from raw (in_key, out_key) observations."""
-    counts: Dict[Tuple[Hashable, Hashable], int] = {}
-    for pair in pairs:
-        counts[pair] = counts.get(pair, 0) + 1
-    graph = KeyGraph()
-    for (in_key, out_key), count in counts.items():
-        graph.add_pair(in_stream, in_key, out_stream, out_key, count)
-    return graph
 
 
 def offline_tables(
@@ -44,7 +30,6 @@ def offline_tables(
     imbalance: float = DEFAULT_IMBALANCE,
     seed: int = 0,
     max_edges: Optional[int] = None,
-    server_to_instance: Optional[Mapping[int, int]] = None,
 ) -> Tuple[Dict[str, RoutingTable], float]:
     """Compute routing tables for a two-hop chain from a trace sample.
 
@@ -54,30 +39,27 @@ def offline_tables(
         Observed ``(first key, second key)`` pairs, e.g.
         (location, hashtag) for the paper's Twitter application.
     num_servers:
-        Cluster size; with the paper's placement, also the parallelism.
-    server_to_instance:
-        Server → destination-instance mapping (identity by default).
+        Cluster size; with the paper's placement (instance ``i`` on
+        server ``i``), also the parallelism.
 
     Returns
     -------
     (tables, predicted_locality)
         ``tables`` maps each stream name to its routing table;
         ``predicted_locality`` is the co-location the partitioner
-        achieves on the sample itself.
+        achieves on the (truncated) sample itself.
     """
-    graph = keygraph_from_pairs(pairs, in_stream, out_stream)
+    graph = KeyGraph.from_stats(
+        {(in_stream, out_stream): Counter(pairs).items()}
+    )
     if max_edges is not None:
         graph = graph.top_edges(max_edges)
-    assignment = compute_assignment(
-        graph, num_servers, imbalance=imbalance, seed=seed
+    placements = list(range(num_servers))
+    streams = [  # preloaded at start: no state to migrate
+        RoutedStream(in_stream, "S", "A", placements, stateful_dst=False),
+        RoutedStream(out_stream, "A", "B", placements, stateful_dst=False),
+    ]
+    plan = plan_reconfiguration(
+        graph, streams, num_servers, {}, imbalance=imbalance, seed=seed
     )
-    mapping = (
-        {server: server for server in range(num_servers)}
-        if server_to_instance is None
-        else dict(server_to_instance)
-    )
-    tables = {
-        in_stream: assignment.table_for(in_stream, mapping),
-        out_stream: assignment.table_for(out_stream, mapping),
-    }
-    return tables, expected_locality(graph, assignment)
+    return plan.tables, plan.predicted_locality

@@ -125,7 +125,8 @@ class Rescale:
 
     def plan(self, record, keygraph) -> None:
         """Provision the new instance set, then repartition the key
-        graph for ``new_k`` and send payloads.
+        graph for ``new_k`` (the manager's PARTITION phase, without
+        hybrid splits or an estimator) and send payloads.
 
         Provisioning happens *before* payloads go out so that the whole
         round runs against the union view: spawned instances forward
@@ -172,6 +173,10 @@ class Rescale:
             for s in manager._routed_streams
         ]
         plan = manager._partition(record, keygraph, self.new_streams, new_k)
+        # The plan's table-diff migrations compare owners across two
+        # different fallback moduli — meaningless for a rescale. State
+        # movement is scan-based instead (see RescaleSpec).
+        plan.migrations = {}
         manager.current_tables.update(plan.tables)
         manager._send_reconfigurations(plan)
 

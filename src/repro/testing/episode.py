@@ -28,8 +28,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.assignment import HybridConfig
 from repro.core.compact_table import CompactTableConfig
-from repro.core.manager import HybridConfig, Manager, ManagerConfig
+from repro.core.manager import Manager, ManagerConfig
 from repro.engine.cluster import Cluster
 from repro.engine.runner import deploy
 from repro.engine.simulator import Simulator, event_kind

@@ -64,16 +64,19 @@ class TestEstimator:
     def test_short_horizon_vetoes_deployment(self):
         graph = _graph({(f"k{i}", f"v{i}"): 100 for i in range(12)})
         streams = _streams(2)
-        plan = plan_reconfiguration(graph, streams, 2, {})
         generous = ReconfigurationEstimator(
             EstimatorConfig(horizon_tuples=10_000_000)
         )
         stingy = ReconfigurationEstimator(
             EstimatorConfig(horizon_tuples=1)
         )
-        assert generous.should_deploy(graph, plan, {}, streams)
+        plan = plan_reconfiguration(graph, streams, 2, {}, estimator=generous)
+        assert not plan.vetoed
+        assert plan.estimate == generous.evaluate(graph, plan, {}, streams)
         if plan.total_moved_keys() > 0:
-            assert not stingy.should_deploy(graph, plan, {}, streams)
+            assert plan_reconfiguration(
+                graph, streams, 2, {}, estimator=stingy
+            ).vetoed
 
     def test_no_gain_means_no_benefit(self):
         graph = _graph({("a", "b"): 100})
@@ -93,7 +96,7 @@ class TestEstimator:
             benefit_bytes=1000.0,
             cost_bytes=600.0,
         )
-        assert estimate.worthwhile
+        assert estimate.worthwhile_with_margin(1.0)
         assert estimate.worthwhile_with_margin(1.5)
         assert not estimate.worthwhile_with_margin(2.0)
 

@@ -2,7 +2,7 @@
 
 A flash-crowd workload — correlated tail keys plus one shared hot key
 every spout emits — runs under a manager configured with a
-:class:`~repro.core.manager.HybridConfig`. The manager must derive the
+:class:`~repro.core.assignment.HybridConfig`. The manager must derive the
 split set from the collected statistics, re-derive it every round, ship
 it inside the routing-table payload, and keep per-key totals exact
 across split/unsplit transitions and migrations.
@@ -12,7 +12,7 @@ import random
 from collections import Counter
 
 from repro.core import Manager, ManagerConfig
-from repro.core.manager import HybridConfig
+from repro.core.assignment import HybridConfig
 from repro.engine import (
     Cluster,
     CountBolt,

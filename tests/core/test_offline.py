@@ -1,9 +1,10 @@
 """Tests for the offline analysis path."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core import offline_tables
-from repro.core.offline import keygraph_from_pairs
+from repro.core import KeyGraph, offline_tables
 from repro.engine import (
     Cluster,
     CountBolt,
@@ -16,12 +17,9 @@ from repro.engine import (
 from repro.engine.operators import IteratorSpout
 
 
-def test_keygraph_from_pairs_counts():
-    graph = keygraph_from_pairs(
-        [("asia", "#java"), ("asia", "#java"), ("asia", "#ruby")],
-        "S->A",
-        "A->B",
-    )
+def test_from_stats_counts_repeated_pairs():
+    pairs = [("asia", "#java"), ("asia", "#java"), ("asia", "#ruby")]
+    graph = KeyGraph.from_stats({("S->A", "A->B"): Counter(pairs).items()})
     assert graph.pair_weight("S->A", "asia", "A->B", "#java") == 2
     assert graph.pair_weight("S->A", "asia", "A->B", "#ruby") == 1
 
@@ -50,14 +48,6 @@ def test_offline_tables_respect_max_edges():
         pairs.extend([(i, i + 100)] * (50 - i))
     tables, _ = offline_tables(pairs, num_servers=2, max_edges=10)
     assert len(tables["S->A"]) == 10
-
-
-def test_offline_tables_custom_instance_mapping():
-    pairs = [(0, 10), (1, 11)] * 50
-    tables, _ = offline_tables(
-        pairs, num_servers=2, server_to_instance={0: 3, 1: 4}
-    )
-    assert set(tables["S->A"].as_dict().values()) <= {3, 4}
 
 
 def test_offline_tables_loaded_at_startup_give_locality():

@@ -15,7 +15,8 @@ from repro.core import (
     expected_locality,
     plan_reconfiguration,
 )
-from repro.core.assignment import RoutedStream
+from repro.core.assignment import HybridConfig, RoutedStream
+from repro.core.estimator import EstimatorConfig, ReconfigurationEstimator
 
 pair_counts = st.dictionaries(
     keys=st.tuples(
@@ -25,6 +26,13 @@ pair_counts = st.dictionaries(
     values=st.integers(min_value=1, max_value=1000),
     min_size=1,
     max_size=40,
+)
+
+hybrid_configs = st.builds(
+    HybridConfig,
+    hot_fraction=st.floats(min_value=0.05, max_value=1.5),
+    split_width=st.integers(min_value=1, max_value=5),
+    max_split_keys=st.integers(min_value=1, max_value=6),
 )
 
 
@@ -131,3 +139,82 @@ def test_determinism_of_full_plan():
     for plan in plans[1:]:
         assert plan.tables == plans[0].tables
         assert plan.migrations == plans[0].migrations
+
+
+def _old_tables(counts, n):
+    """Pre-round tables: every first-hop key on instance 0 and, with
+    two instances or more, the first two observed keys already split
+    (consolidations and split-to-split transitions)."""
+    first_keys = sorted({k1 for (k1, _) in counts})
+    old = RoutingTable({k: 0 for k in first_keys})
+    presplit = first_keys[:2] if n >= 2 else []
+    return {"S->A": old.with_splits({k: (0, 1) for k in presplit})}
+
+
+@given(
+    counts=pair_counts,
+    n=st.integers(min_value=1, max_value=5),
+    hybrid=hybrid_configs,
+)
+@settings(max_examples=40, deadline=None)
+def test_split_sets_are_anchored_at_the_table_owner(counts, n, hybrid):
+    graph = _graph(counts)
+    streams = _streams(n)
+    plan = plan_reconfiguration(graph, streams, n, {}, hybrid=hybrid)
+    width = min(hybrid.split_width, n)
+    for stream in streams:
+        table = plan.tables[stream.name]
+        splits = plan.split_sets.get(stream.dst_op, {})
+        assert dict(table.splits) == splits
+        assert len(splits) <= hybrid.max_split_keys
+        if width < 2:
+            assert not splits
+        for key, members in splits.items():
+            owner = table.lookup(key)
+            assert members == tuple(
+                sorted((owner + j) % n for j in range(width))
+            )
+
+
+@given(
+    counts=pair_counts,
+    n=st.integers(min_value=2, max_value=5),
+    hybrid=hybrid_configs,
+)
+@settings(max_examples=40, deadline=None)
+def test_keys_split_in_the_new_table_never_migrate(counts, n, hybrid):
+    graph = _graph(counts)
+    streams = _streams(n)
+    old = _old_tables(counts, n)
+    plan = plan_reconfiguration(graph, streams, n, old, hybrid=hybrid)
+    for stream in streams:
+        split = set(plan.tables[stream.name].split_keys())
+        for keys in plan.migrations.get(stream.dst_op, {}).values():
+            assert not split & set(keys)
+
+
+@given(
+    counts=pair_counts,
+    n=st.integers(min_value=1, max_value=5),
+    horizon=st.integers(min_value=1, max_value=10_000_000),
+    margin=st.floats(min_value=0.0, max_value=4.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_veto_holds_iff_benefit_falls_short_of_margin(
+    counts, n, horizon, margin
+):
+    graph = _graph(counts)
+    streams = _streams(n)
+    old = _old_tables(counts, n)
+    estimator = ReconfigurationEstimator(
+        EstimatorConfig(horizon_tuples=horizon, margin=margin)
+    )
+    plan = plan_reconfiguration(graph, streams, n, old, estimator=estimator)
+    estimate = plan.estimate
+    assert estimate == estimator.evaluate(graph, plan, old, streams)
+    assert plan.vetoed == (
+        estimate.benefit_bytes < margin * estimate.cost_bytes
+    )
+    unarmed = plan_reconfiguration(graph, streams, n, old)
+    assert unarmed.estimate is None and not unarmed.vetoed
+    assert unarmed.tables == plan.tables

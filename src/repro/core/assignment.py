@@ -13,6 +13,7 @@ analysis all plan through it; none needs a simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Dict,
     Hashable,
@@ -236,12 +237,17 @@ def plan_migrations(
     stays put and new traffic spreads over the members.
     """
     per_pair: Dict[Tuple[int, int], List[Hashable]] = {}
-    moved = old_table.moved_keys(new_table, stream.fallback_instance)
+    # stream.fallback_instance with the seed and width bound once, not
+    # re-derived for every key a table names and the other does not
+    fallback = partial(
+        hash_owner,
+        seed=stream.hash_seed,
+        num_destinations=len(stream.dst_placements),
+    )
+    moved = old_table.moved_keys(new_table, fallback)
     for key, (old_instance, new_instance) in moved.items():
         per_pair.setdefault((old_instance, new_instance), []).append(key)
-    consolidations = old_table.split_consolidations(
-        new_table, stream.fallback_instance
-    )
+    consolidations = old_table.split_consolidations(new_table, fallback)
     for key, (members, new_owner) in consolidations.items():
         for member in members:
             if member == new_owner:

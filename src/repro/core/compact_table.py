@@ -217,7 +217,7 @@ class CompactRoutingTable:
         self._fps = array("Q", bytes(8 * self._capacity))
         self._owners = array("i", bytes(4 * self._capacity))
         self._tombstones = 0
-        self._len = 0
+        self._len = len(items)
         self._exact: Dict[Hashable, int] = {}
         self._filter = KeyFilter(
             max(len(items), 1),
@@ -227,11 +227,42 @@ class CompactRoutingTable:
         self.lookups = 0
         self.filter_rejects = 0
         self.filter_false_positives = 0
-        self._fingerprint = 0
+        fingerprint = 0
         for key, members in self._splits.items():
-            self._fingerprint ^= split_fingerprint(key, members)
+            fingerprint ^= split_fingerprint(key, members)
+        # One pass writes the store, the filter cells and the XOR
+        # fingerprint. A new store holds no tombstone, so one probe from
+        # the home slot ends at the empty slot the key takes, or at its
+        # fingerprint: a build-time collision between two resident keys,
+        # where the first keeps the slot and the later one stays raw in
+        # ``_exact``, so both stay exact.
+        fps, owners, exact = self._fps, self._owners, self._exact
+        fp_mask, slot_mask = self._mask, self._capacity - 1
+        cells = self._filter._cells
+        num_cells = self._filter._num_cells
+        probes = range(self._config.filter_hashes)
         for key, owner in items.items():
-            self._build_insert(key, owner)
+            fp = (stable_hash(key, _KEY_FP_SEED) & fp_mask) + 2
+            slot = fp & slot_mask
+            current = fps[slot]
+            while current != _EMPTY and current != fp:
+                slot = (slot + 1) & slot_mask
+                current = fps[slot]
+            if current == _EMPTY:
+                fps[slot] = fp
+                owners[slot] = owner
+            else:
+                exact[key] = owner
+            # KeyFilter.add, inlined: the positions of KeyFilter._positions
+            h = stable_hash(key, _FILTER_SEED)
+            h1 = h & 0xFFFFFFFF
+            h2 = (h >> 32) | 1
+            for i in probes:
+                pos = (h1 + i * h2) % num_cells
+                if cells[pos] < 255:
+                    cells[pos] += 1
+            fingerprint ^= entry_fingerprint(key, owner)
+        self._fingerprint = fingerprint
 
     @classmethod
     def from_table(
@@ -273,19 +304,6 @@ class CompactRoutingTable:
             self._tombstones -= 1
         fps[slot] = fp
         self._owners[slot] = owner
-
-    def _build_insert(self, key: Hashable, owner: int) -> None:
-        fp = self._slot_fp(key)
-        if self._find(fp) >= 0 or key in self._exact:
-            # build-time fingerprint collision between two resident
-            # keys: the second key keeps its raw form so both stay
-            # exact (first-writer keeps the slot)
-            self._exact[key] = owner
-        else:
-            self._place(fp, owner)
-        self._filter.add(key)
-        self._fingerprint ^= entry_fingerprint(key, owner)
-        self._len += 1
 
     def _maybe_rebuild(self) -> None:
         """Re-pack the store when deltas have bloated it: tombstones

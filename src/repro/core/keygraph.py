@@ -14,6 +14,7 @@ paper's conclusion).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
 
 from repro.partitioning import Graph
@@ -147,16 +148,22 @@ class KeyGraph:
     def to_partition_graph(self) -> Tuple[Graph, List[KeyVertex]]:
         """Materialize as a partitioner graph.
 
-        Returns the graph and the vertex-id → key-vertex mapping.
+        Returns the graph and the vertex-id → key-vertex mapping. The
+        level-0 graph is written through the trusted
+        :meth:`Graph.from_distinct_edges`: :meth:`add_pair` already
+        keeps one positive entry per pair over known vertices, so only
+        a self-pair is left to reject. Ids and weights are mapped in C,
+        one column at a time.
         """
         vertices = sorted(self._vertex_weights)
-        index = {vertex: i for i, vertex in enumerate(vertices)}
-        graph = Graph(
-            len(vertices),
-            [self._vertex_weights[vertex] for vertex in vertices],
+        index = dict(zip(vertices, range(len(vertices))))
+        ends = list(map(index.__getitem__, chain.from_iterable(self._edges)))
+        graph = Graph.from_distinct_edges(
+            list(map(float, map(self._vertex_weights.__getitem__, vertices))),
+            ends[0::2],
+            ends[1::2],
+            list(self._edges.values()),
         )
-        for (u, v), weight in self._edges.items():
-            graph.add_edge(index[u], index[v], weight)
         return graph, vertices
 
     def __repr__(self) -> str:

@@ -5,13 +5,44 @@ weight (key frequency, in the paper's usage) and each edge a positive
 weight (key-pair co-occurrence count). Parallel edge insertions
 accumulate; self-loops are rejected because they never contribute to an
 edge cut.
+
+:func:`random_order` is the one source of the partitioner's random
+visiting orders.
 """
 
 from __future__ import annotations
 
+import operator
+import random
+from functools import reduce
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitioningError
+
+
+def random_order(n: int, rng: random.Random) -> List[int]:
+    """``list(range(n))`` permuted exactly as ``rng.shuffle`` permutes
+    it: the same ``getrandbits`` calls in the same order, so the
+    permutation and the generator's state afterwards are the same.
+
+    ``shuffle`` draws ``j = rng._randbelow(i + 1)`` for ``i = n-1 .. 1``
+    with one Python call per element; here the draws are inlined and
+    the bit count, constant between powers of two, is computed once per
+    power.
+    """
+    order = list(range(n))
+    getrandbits = rng.getrandbits
+    top = n - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        bottom = max(1, (1 << (bits - 1)) - 1)
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
+        top = bottom - 1
+    return order
 
 
 class FlatGraph:
@@ -106,6 +137,41 @@ class Graph:
         graph = cls(num_vertices, vertex_weights)
         for u, v, weight in edges:
             graph.add_edge(u, v, weight)
+        return graph
+
+    @classmethod
+    def from_distinct_edges(
+        cls,
+        vertex_weights: List[float],
+        heads: Sequence[int],
+        tails: Sequence[int],
+        weights: Sequence[float],
+    ) -> "Graph":
+        """Trusted build from distinct edges in parallel columns: edge
+        ``i`` is ``{heads[i], tails[i]}`` of weight ``weights[i]``.
+
+        The caller guarantees what :meth:`add_edge` would check: ids in
+        range, each unordered pair at most once, positive edge weights
+        and non-negative float vertex weights (``KeyGraph.add_pair``
+        does). So nothing accumulates and nothing is checked per edge;
+        only a self-loop is still rejected, as :meth:`add_edge` rejects
+        it. The result equals :meth:`add_edge` in edge order: the same
+        rows in the same order, and the same ``total_edge_weight`` bit
+        for bit (a left-to-right sum, as the edges accumulate).
+        ``vertex_weights`` is kept, not copied.
+        """
+        if any(map(operator.eq, heads, tails)):
+            loop = next(u for u, v in zip(heads, tails) if u == v)
+            raise PartitioningError(f"self-loop on vertex {loop} rejected")
+        adj: List[Dict[int, float]] = [{} for _ in vertex_weights]
+        for u, v, weight in zip(heads, tails, weights):
+            adj[u][v] = weight
+            adj[v][u] = weight
+        graph = cls.__new__(cls)
+        graph._adj = adj
+        graph._vertex_weights = vertex_weights
+        graph._num_edges = len(weights)
+        graph._total_edge_weight = reduce(operator.add, weights, 0.0)
         return graph
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:

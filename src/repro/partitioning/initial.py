@@ -13,7 +13,7 @@ import heapq
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.partitioning.graph import FlatGraph, Graph
+from repro.partitioning.graph import FlatGraph, Graph, random_order
 from repro.partitioning.quality import edge_cut
 
 
@@ -26,8 +26,7 @@ def _grow_once(
     parts = [1] * n
     # Growth (re)starts walk one shuffled order with a cursor, so a graph
     # of many components costs O(n) in restarts, not O(n) per restart.
-    order = list(range(n))
-    rng.shuffle(order)
+    order = random_order(n, rng)
     cursor = 0
     weight0 = 0.0
     grown = 0

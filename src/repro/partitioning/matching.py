@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from repro.partitioning.graph import FlatGraph, Graph
+from repro.partitioning.graph import FlatGraph, Graph, random_order
 
 #: Three fair shares of the 60 vertices coarsening aims for (Metis'
 #: ``maxvwgt`` is 1.5, which stalls a uniform graph just above 60).
@@ -44,10 +44,8 @@ def heavy_edge_matching(
     share = max(MAX_PAIR_SHARE, 2.0 / max(2, len(adj)))
     limit = max(flat.max_vertex_weight, share * flat.total_vertex_weight)
     match = [-1] * len(adj)
-    order = list(range(len(adj)))
-    rng.shuffle(order)
     waiting: Dict[int, int] = {}  # hub -> leaf left unmatched so far
-    for v in order:
+    for v in random_order(len(adj), rng):
         if match[v] != -1:
             continue
         best_neighbor = v  # stays unmatched unless a free neighbor fits

@@ -14,7 +14,9 @@ paper's conclusion).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
 
 from repro.partitioning import Graph
@@ -154,8 +156,17 @@ class KeyGraph:
         keeps one positive entry per pair over known vertices, so only
         a self-pair is left to reject. Ids and weights are mapped in C,
         one column at a time.
+
+        Vertex ids follow ``sorted`` (stream, key) order, built stream
+        by stream: each stream's keys are sorted by key alone, which
+        spares a tuple comparison per step of the sort.
         """
-        vertices = sorted(self._vertex_weights)
+        by_stream: Dict[str, List[KeyVertex]] = defaultdict(list)
+        for vertex in self._vertex_weights:
+            by_stream[vertex[0]].append(vertex)
+        vertices: List[KeyVertex] = []
+        for stream in sorted(by_stream):
+            vertices += sorted(by_stream[stream], key=itemgetter(1))
         index = dict(zip(vertices, range(len(vertices))))
         ends = list(map(index.__getitem__, chain.from_iterable(self._edges)))
         graph = Graph.from_distinct_edges(

@@ -44,6 +44,7 @@ from __future__ import annotations
 import zlib
 import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError
@@ -65,6 +66,8 @@ def normalize_key_fn(key: KeySpec) -> Callable[[tuple], Any]:
 
 
 _MASK64 = (1 << 64) - 1
+#: how the seed enters a hash: ``crc32(key bytes) ^ seed * _SEED_MULT``
+_SEED_MULT = 0x9E3779B97F4A7C15
 
 #: Key types safe to use as memo keys. Scalars only: values of
 #: *different* scalar types are disambiguated by including the type in
@@ -83,17 +86,33 @@ _HASH_MEMO: dict = {}
 _HASH_MEMO_MAX = 1 << 17
 
 
-def _stable_hash_uncached(key: Any, seed: int) -> int:
+def _key_bytes(key: Any) -> bytes:
+    """The bytes ``key`` hashes as: its ``repr`` in UTF-8. The one
+    statement of that rule — the scalar hash reads every key through
+    it, the batch hash (:func:`_key_crcs`) the keys it cannot tell
+    from a float zero by their ``repr``.
+
+    ``-0.0 == 0.0``, so the memos and a bolt's state merge the two:
+    they must have one hash, or the merged key's owner would be
+    whichever zero the process happened to hash first. Any float zero
+    reads as ``0.0``; a float *subclass* keeps its own ``repr``.
+    """
     if key.__class__ is float and key == 0.0:
-        # -0.0 == 0.0, so the memos and a bolt's state merge the two:
-        # they must have one hash, or the merged key's owner would be
-        # whichever zero the process happened to hash first
         key = 0.0
-    data = repr(key).encode("utf-8", errors="backslashreplace")
-    x = (zlib.crc32(data) ^ (seed * 0x9E3779B97F4A7C15)) & _MASK64
+    return repr(key).encode("utf-8", "backslashreplace")
+
+
+def _mix(x):
+    """The splitmix64 finalizer, one body for both hash paths: a Python
+    int is masked to 64 bits, a ``uint64`` array wraps (the mask is a
+    no-op on it)."""
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _stable_hash_uncached(key: Any, seed: int) -> int:
+    return _mix((zlib.crc32(_key_bytes(key)) ^ seed * _SEED_MULT) & _MASK64)
 
 
 def stable_hash(key: Any, seed: int = 0) -> int:
@@ -131,8 +150,52 @@ def clear_stable_hash_memo() -> None:
 
 def hash_owner(key: Any, seed: int, num_destinations: int) -> int:
     """The hash fallback of Section 3.3 — where a key goes when no
-    table names it. The only place the fallback is spelled."""
+    table names it. The only place the fallback is spelled per key
+    (:func:`_hash_owners` spells it over arrays)."""
     return stable_hash(key, seed) % num_destinations
+
+
+def _key_crcs(keys: Sequence[Any]):
+    """CRC32 of every key's :func:`_key_bytes`, as ``uint64``: one
+    C-level ``repr`` → ``encode`` → ``crc32`` pass. Only a key whose
+    ``repr`` is ``-0.0`` may read otherwise, and goes through
+    :func:`_key_bytes` itself."""
+    import numpy as np
+
+    data = list(
+        map(
+            str.encode,
+            map(repr, keys),
+            repeat("utf-8"),
+            repeat("backslashreplace"),
+        )
+    )
+    if b"-0.0" in data:
+        for index, item in enumerate(data):
+            if item == b"-0.0":
+                data[index] = _key_bytes(keys[index])
+    return np.fromiter(map(zlib.crc32, data), dtype=np.uint64, count=len(data))
+
+
+def _seeded(crcs, seed: int):
+    """The hashes of the keys behind ``crcs`` under ``seed``: the seed
+    term is worked out once per batch."""
+    return _mix(crcs ^ (seed * _SEED_MULT & _MASK64))
+
+
+def stable_hashes(keys: Sequence[Any], seed: int = 0):
+    """:func:`stable_hash` of every key of ``keys``, as a ``uint64``
+    array, in one pass over the batch instead of a call chain per key
+    (no memo: the batch callers intern their keys already)."""
+    return _seeded(_key_crcs(keys), seed)
+
+
+def _hash_owners(crcs, seed: int, num_destinations: int):
+    """:func:`hash_owner` of the keys behind ``crcs``, as ``int64``:
+    the fallback spelled over arrays."""
+    import numpy as np
+
+    return (_seeded(crcs, seed) % num_destinations).astype(np.int64)
 
 
 def _entry_out_of_range(key, instance, num_destinations) -> RoutingError:
@@ -175,31 +238,44 @@ def key_owners(
     seed: int,
     num_destinations: int,
     strict: bool = True,
-) -> Tuple[List[int], List[bool]]:
-    """:func:`key_owner` of every key of a batch, as two parallel lists
-    ``(owners, from_table)`` — one ``lookup_many`` call on a table that
-    has it instead of a ``lookup`` per key (what a router's ``route``
-    resolving a batch of new vocabulary ids wants)."""
-    count = len(keys)
-    if table is None:
-        found: Sequence[Optional[int]] = (None,) * count
-    else:
+):
+    """:func:`key_owner` of every key of a batch, as two arrays
+    ``(owners, from_table)`` (``int64``, ``bool``) — what a router's
+    ``route`` resolving a batch of new vocabulary ids wants: one
+    ``lookup_many`` call on a table that has it instead of a ``lookup``
+    per key, and the keys no entry holds hashed in one batch. The first
+    out-of-range entry, in key order, raises as :func:`key_owner`
+    does."""
+    import numpy as np
+
+    owners = np.zeros(len(keys), dtype=np.int64)
+    found: Optional[Sequence[Optional[int]]] = None
+    if table is not None:
         lookup_many = getattr(table, "lookup_many", None)
         found = (
             list(map(table.lookup, keys))
             if lookup_many is None
             else lookup_many(keys)
         )
-    owners: List[int] = []
-    from_table: List[bool] = []
-    for key, instance in zip(keys, found):
-        hit = instance is not None and 0 <= instance < num_destinations
-        if not hit:
-            if strict and instance is not None:
-                raise _entry_out_of_range(key, instance, num_destinations)
-            instance = hash_owner(key, seed, num_destinations)
-        owners.append(instance)
-        from_table.append(hit)
+    if found is None or found.count(None) == len(keys):  # all hashed
+        from_table = np.zeros(len(keys), dtype=bool)
+    else:
+        # a miss (None) reads as nan, which no range holds
+        entries = np.array(found, dtype=np.float64)
+        from_table = (entries >= 0) & (entries < num_destinations)
+        if strict:
+            stale = np.flatnonzero(~from_table & ~np.isnan(entries))
+            if len(stale):
+                index = int(stale[0])
+                raise _entry_out_of_range(
+                    keys[index], found[index], num_destinations
+                )
+        owners[from_table] = entries[from_table]
+    misses = ~from_table
+    if misses.any():
+        if not misses.all():
+            keys = list(compress(keys, misses.tolist()))
+        owners[misses] = _hash_owners(_key_crcs(keys), seed, num_destinations)
     return owners, from_table
 
 
@@ -569,13 +645,10 @@ class _HashFieldsRouter(Router):
         """``values -> owners`` (``int64``) under the current table and
         width, kept across a later swap: where a batch's keys lived
         before it. Counts nothing, interns nothing."""
-        import numpy as np
-
         key_fn, table, seed, n = self._key_fn, self._table, self._seed, self._n
-        return lambda values: np.array(
-            key_owners(list(map(key_fn, values)), table, seed, n)[0],
-            dtype=np.int64,
-        )
+        return lambda values: key_owners(
+            list(map(key_fn, values)), table, seed, n
+        )[0]
 
     def route(self, values: Sequence[tuple], ids=None):
         """``Router.route``; ``ids``, when given, are the batch's keys
@@ -616,12 +689,8 @@ class _HashFieldsRouter(Router):
         owners, from_table = key_owners(
             keys[known:], self._table, self._seed, self._n
         )
-        self.owners = np.concatenate(
-            [self.owners, np.array(owners, dtype=np.int64)]
-        )
-        self._from_table = np.concatenate(
-            [self._from_table, np.array(from_table, dtype=bool)]
-        )
+        self.owners = np.concatenate([self.owners, owners])
+        self._from_table = np.concatenate([self._from_table, from_table])
 
     def _reresolve(self) -> None:
         """Resolve every interned key afresh: on the first ``route``
@@ -968,6 +1037,21 @@ def candidate_instances(
     )
 
 
+def candidates_of(
+    keys: Sequence[Any], seed: int, num_destinations: int, d: int
+) -> List[Tuple[int, ...]]:
+    """:func:`candidate_instances` of every key of ``keys``: one
+    key-bytes pass and ``d`` mixes over the batch."""
+    crcs = _key_crcs(keys)
+    columns = [
+        _hash_owners(
+            crcs, seed + i * _CANDIDATE_SEED_STRIDE, num_destinations
+        ).tolist()
+        for i in range(d)
+    ]
+    return list(zip(*columns))
+
+
 class _DChoicesRouter(Router):
     """d-choices router caching each key's *candidate tuple* only —
     the final pick depends on the live per-destination send counts, so
@@ -1023,7 +1107,9 @@ class _DChoicesRouter(Router):
         ids, _ = self.vocab.encode(keys)
         candidates = self._candidates
         cands = self._cands  # id → candidate tuple
-        cands.extend(map(candidates, self.vocab.keys[len(cands):]))
+        new_keys = self.vocab.keys[len(cands):]
+        if new_keys:
+            cands += candidates_of(new_keys, self._seed, self._n, self._d)
         sent = self._sent
         dst: List[int] = []
         for key, kid in zip(keys, ids.tolist()):

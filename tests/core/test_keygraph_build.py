@@ -94,6 +94,34 @@ def test_trusted_build_equals_add_edge(pairs):
     _assert_same_graph(built, reference)
 
 
+#: per stream one key type: ints, text and tuples never meet in a sort
+_STREAM_KEYS = {
+    "A->B": st.integers(-50, 50),
+    "B->C": st.text(max_size=3),
+    "S->A": st.tuples(st.integers(0, 3), st.text(max_size=1)),
+    "C->D": st.floats(allow_nan=False),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vertices_are_in_sorted_stream_key_order(data):
+    """Vertex ids follow ``sorted`` over the (stream, key) vertices,
+    whatever the streams and the order their pairs came in."""
+    streams = data.draw(
+        st.lists(st.sampled_from(sorted(_STREAM_KEYS)), min_size=2,
+                 max_size=4, unique=True)
+    )
+    keygraph = KeyGraph()
+    for _ in range(data.draw(st.integers(1, 60))):
+        a, b = data.draw(st.permutations(streams))[:2]
+        keygraph.add_pair(
+            a, data.draw(_STREAM_KEYS[a]), b, data.draw(_STREAM_KEYS[b]), 1
+        )
+    _, vertices = keygraph.to_partition_graph()
+    assert vertices == sorted(keygraph._vertex_weights)
+
+
 def test_repeated_pairs_accumulate_before_the_build():
     keygraph = KeyGraph()
     for count in (0.1, 0.2, 0.3):

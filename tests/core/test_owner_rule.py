@@ -10,8 +10,9 @@ identically; this property checks each of them against the one
 function instead of against each other, pair by pair.
 
 The rule is the DES's, so this file needs no numpy: the ``chaos`` CI
-job runs it without numpy installed, and the batch entry point
-(``route``) and the backends, which do need it, are skipped there.
+job runs it without numpy installed, and the batch entry points
+(``route``, ``key_owners``) and the backends, which do need it, are
+skipped there.
 """
 
 import importlib
@@ -192,6 +193,7 @@ mixed_keys_st = st.one_of(
 )
 
 
+@needs_numpy
 @given(
     keys=st.lists(mixed_keys_st, max_size=40),
     n=st.integers(min_value=1, max_value=9),
@@ -322,4 +324,4 @@ def test_the_owner_rule_is_checked_without_numpy():
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert " 4 skipped" in done.stdout, done.stdout
+    assert " 5 skipped" in done.stdout, done.stdout

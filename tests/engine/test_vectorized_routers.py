@@ -12,6 +12,10 @@ built from the same grouping and context:
   for arbitrary keys, seeds, widths and (partial) tables — including
   after ``update_table`` and ``resize`` — and count ``table_hits`` /
   ``hash_fallbacks`` per *tuple* on both paths;
+- the hash over arrays is the scalar hash: ``stable_hashes`` equals
+  ``stable_hash`` per key and ``candidates_of`` equals
+  ``candidate_instances`` per key (float zeros, look-alikes of ``-0.0``
+  and seeds past 64 bits included);
 - PKG: candidate tuples equal ``candidate_instances`` and the picks
   equal ``select``'s on the same tuple sequence;
 - hybrid: split keys land inside their member set, scalar or not,
@@ -28,7 +32,7 @@ built from the same grouping and context:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.routing_table import RoutingTable
@@ -46,7 +50,10 @@ from repro.engine.grouping import (
     TableFieldsGrouping,
     Vocab,
     candidate_instances,
+    candidates_of,
     route_per_source,
+    stable_hash,
+    stable_hashes,
 )
 
 keys_st = st.one_of(
@@ -67,6 +74,57 @@ small_tables = st.dictionaries(
     max_size=20,
 )
 seeds = st.integers(min_value=0, max_value=2**32)
+
+
+class _Float(float):
+    """A float subclass: its zeros keep their own ``repr``."""
+
+
+class _LooksLikeZero:
+    """Not a float, but ``repr`` reads ``-0.0``."""
+
+    def __repr__(self):
+        return "-0.0"
+
+
+hash_keys_st = st.one_of(
+    keys_st,
+    loose_keys_st,
+    st.integers(),
+    st.binary(max_size=4),
+    st.sampled_from(
+        [0.0, -0.0, _Float(-0.0), _Float(0.0), _LooksLikeZero(), "-0.0",
+         (-0.0,), ("a", 0.0)]
+    ),
+)
+#: seeds as wide as a derived seed gets, and past it
+wide_seeds = st.integers(min_value=0, max_value=2**64)
+
+
+@given(keys=st.lists(hash_keys_st, max_size=40), seed=wide_seeds)
+@example(keys=[], seed=0)
+@example(keys=[-0.0], seed=2**64)
+@example(keys=[_Float(-0.0)], seed=2**64 - 1)
+@settings(max_examples=200, deadline=None)
+def test_stable_hashes_is_stable_hash_per_key(keys, seed):
+    hashes = stable_hashes(keys, seed)
+    assert hashes.dtype == np.uint64
+    assert hashes.tolist() == [stable_hash(key, seed) for key in keys]
+
+
+@given(
+    keys=st.lists(hash_keys_st, max_size=30),
+    seed=wide_seeds,
+    n=st.integers(min_value=1, max_value=9),
+    d=st.integers(min_value=2, max_value=4),
+)
+@example(keys=[], seed=0, n=3, d=3)
+@example(keys=[-0.0], seed=2**64, n=7, d=3)
+@settings(max_examples=150, deadline=None)
+def test_batch_candidates_are_candidate_instances(keys, seed, n, d):
+    assert candidates_of(keys, seed, n, d) == [
+        candidate_instances(key, seed, n, d) for key in keys
+    ]
 
 
 def _context(n, seed, src_instance=0, num_servers=1):
@@ -185,6 +243,7 @@ def test_resize_swaps_width_and_table_like_the_router(
     n=st.integers(min_value=2, max_value=9),
     d=st.integers(min_value=2, max_value=4),
 )
+@example(keys=[0, "a", 0, 1.5, None, "a", -0.0], seed=7, n=5, d=3)
 @settings(max_examples=100, deadline=None)
 def test_pkg_edge_candidates_match_and_contain_picks(keys, seed, n, d):
     router, twin = _pair(PartialKeyGrouping(0, d=d), n, seed)
@@ -472,7 +531,7 @@ def test_backends_hold_no_routing_math():
             assert name not in source, f"{module.__name__} uses {name}"
 
     router_class = re.compile(r"^\s*class\s+\w+\([^)]*Router\b", re.M)
-    hash_fallback = re.compile(r"stable_hash\([^)]*\)\s*%")
+    hash_fallback = re.compile(r"(stable_hash|_seeded)\([^)]*\)\s*%")
     stream_seed = re.compile(r"stable_hash\(\s*\w*\.?(stream_)?name\s*\)")
     #: modules that may call a table's ``lookup``: the rule itself, the
     #: compact table's own diffing, and ``scale_point``'s count of
@@ -503,7 +562,8 @@ def test_backends_hold_no_routing_math():
     assert seeds_derived_in == ["engine/grouping.py"]
     grouping_source = (root / "engine/grouping.py").read_text()
     assert grouping_source.count(".lookup(") == 1
-    assert len(hash_fallback.findall(grouping_source)) == 1
+    # once per key (``hash_owner``), once over arrays (``_hash_owners``)
+    assert len(hash_fallback.findall(grouping_source)) == 2
 
 
 def test_the_batch_data_plane_never_calls_np_unique():

@@ -34,6 +34,7 @@ input set.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -280,7 +281,16 @@ def run_topology(
         raise DeploymentError(
             f"unknown backend {backend!r}; one of {available_backends()}"
         ) from None
-    return runner(topology, options or BackendOptions())
+    try:
+        module = importlib.import_module(f"{__name__}.{backend}")
+    except ImportError as exc:
+        if exc.name != "numpy":
+            raise
+        raise DeploymentError(
+            f"the {backend!r} backend needs numpy, which is not "
+            f"installed (pip install 'repro[batch]')"
+        ) from exc
+    return getattr(module, runner)(topology, options or BackendOptions())
 
 
 def _default_servers(topology: Topology, options: BackendOptions) -> int:
@@ -290,17 +300,34 @@ def _default_servers(topology: Topology, options: BackendOptions) -> int:
 
 
 from repro.engine.backends.reference import run_reference  # noqa: E402
-from repro.engine.backends.vectorized import run_vectorized  # noqa: E402
-from repro.engine.backends.multiprocess import (  # noqa: E402
-    MultiprocessBackendError,
-    run_multiprocess,
-)
 
-_BACKENDS: Dict[str, Callable[[Topology, BackendOptions], BackendResult]] = {
-    "reference": run_reference,
-    "vectorized": run_vectorized,
-    "multiprocess": run_multiprocess,
+#: backend -> its runner, a function of the module named after it. The
+#: batch modules import numpy, so each loads when a run, or an access to
+#: one of ``_BATCH_NAMES``, first asks for it: the DES and the planner
+#: never load them, and a multiprocess run loads its module before it
+#: forks.
+_BACKENDS: Dict[str, str] = {
+    "reference": "run_reference",
+    "vectorized": "run_vectorized",
+    "multiprocess": "run_multiprocess",
 }
+_BATCH_NAMES = {
+    "run_vectorized": "vectorized",
+    "run_multiprocess": "multiprocess",
+    "MultiprocessBackendError": "multiprocess",
+}
+
+
+def __getattr__(name: str) -> Any:
+    """A batch backend's public name, its module loaded on first use."""
+    try:
+        backend = _BATCH_NAMES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(f"{__name__}.{backend}"), name)
+
 
 __all__ = [
     "BackendOptions",

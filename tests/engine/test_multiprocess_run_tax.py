@@ -7,7 +7,8 @@ worker does once is done ``servers × runs`` times:
    imported again by every worker of every run. Each worker reports the
    ``sys.modules`` names that appeared during its run; the list is
    empty for every routing policy (checked from a fresh interpreter, as a
-   parent that already holds the module would hide the import).
+   parent that already holds the module would hide the import). Its
+   first run loads the backend module, and numpy, before it forks.
 2. **The run timeline** — seven marks a worker, five for the
    coordinator, on one clock.
 3. **Pipes that hold a message** — every queue's pipe is raised to
@@ -81,6 +82,8 @@ def _skew(seed=0, tuples_per_instance=300):
 _LATE_IMPORTS_SCRIPT = textwrap.dedent(
     """
     import json
+    import os
+    import sys
     from repro.core.routing_table import RoutingTable
     from repro.engine import CountBolt, TopologyBuilder
     from repro.engine.backends import BackendOptions, run_topology
@@ -89,6 +92,18 @@ _LATE_IMPORTS_SCRIPT = textwrap.dedent(
         PartialKeyGrouping, ShuffleGrouping, TableFieldsGrouping,
     )
     from repro.engine.operators import IteratorSpout
+
+    # the first run loads the backend, and numpy, before its forks
+    assert "repro.engine.backends.multiprocess" not in sys.modules
+    assert "numpy" not in sys.modules
+    numpy_at_fork = []
+    fork = os.fork
+
+    def recording_fork():
+        numpy_at_fork.append("numpy" in sys.modules)
+        return fork()
+
+    os.fork = recording_fork
 
     def source(ctx):
         for i in range(150):
@@ -125,7 +140,7 @@ _LATE_IMPORTS_SCRIPT = textwrap.dedent(
             server: stats["late_imports"]
             for server, stats in result.measured["per_server"].items()
         }
-    print(json.dumps(late))
+    print(json.dumps({"late": late, "numpy_at_fork": numpy_at_fork}))
     """
 )
 
@@ -140,7 +155,9 @@ def test_no_worker_imports_anything_during_its_run():
         timeout=100,
     )
     assert done.returncode == 0, done.stderr
-    late = json.loads(done.stdout.splitlines()[-1])
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["numpy_at_fork"] == [True] * 12  # 6 runs, 2 workers each
+    late = out["late"]
     assert sorted(late) == [
         "BroadcastGrouping", "FieldsGrouping", "HybridTableFieldsGrouping",
         "PartialKeyGrouping", "ShuffleGrouping", "TableFieldsGrouping",

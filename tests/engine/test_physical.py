@@ -384,10 +384,11 @@ class TestMergeOpStats:
 
 
 def test_engine_imports_and_runs_the_des_without_numpy():
-    """numpy is a dependency of the batch backends only (pyproject
-    declares none): ``repro.engine`` — this seam included — must import
-    and run a DES topology with numpy unimportable, and its routers
-    must swap tables and widths without the batch state of ``route``."""
+    """numpy is a dependency of the batch backends only (pyproject's
+    optional ``batch`` extra): ``repro.engine`` — this seam included —
+    must import and run a DES topology with numpy unimportable, and its
+    routers must swap tables and widths without the batch state of
+    ``route``."""
     import os
     import subprocess
     import sys

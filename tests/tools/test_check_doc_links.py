@@ -155,3 +155,30 @@ def test_history_names_fields_as_they_were(monkeypatch, tmp_path):
         "CHANGES.md",
         "- PR 4: `CostModel.router_cache_size` sizes the LRU\n",
     )
+
+
+def test_changes_entries_keep_to_the_word_budget(monkeypatch, tmp_path):
+    """An entry numbered ``BUDGETED_FROM_PR`` or later, continuation
+    lines included, is at most 250 words; older entries and FOUND lines
+    are not counted."""
+    def words(count):
+        return " ".join(["word"] * count)
+
+    (tmp_path / "CHANGES.md").write_text(
+        "# CHANGES\n\n"
+        f"- PR 40: {words(600)}\n"
+        f"- PR 41: {words(247)}\n"
+        f"FOUND: {words(300)}\n"
+        f"- PR 42: {words(100)}\n"
+        f"{words(149)}\n"
+        f"- PR 43: {words(200)}\n"
+        f"MENDED: {words(300)}\n"
+    )
+    monkeypatch.setattr(links, "REPO", str(tmp_path))
+    assert links.check_changes_budget() == [
+        "CHANGES.md:6: the PR 42 entry is 252 words; keep it to 250",
+    ]
+
+
+def test_the_repo_keeps_its_changes_entries_to_the_budget():
+    assert links.check_changes_budget() == []

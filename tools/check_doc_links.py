@@ -30,6 +30,11 @@ the class, or one its ``__init__`` (or a base's) assigns, so a doc
 naming a renamed config field or seam method fails too. ``CHANGES.md``
 is exempt (names as they were).
 
+Each ``CHANGES.md`` entry (its ``- PR <n>:`` line and any lines that
+continue it) numbered :data:`BUDGETED_FROM_PR` or later is at most
+:data:`WORD_BUDGET` words, so the history stays in proportion to the
+change; older entries predate the budget.
+
 ROADMAP items are renumbered whenever the roadmap is rewritten, so the
 docs that describe the code (README, DESIGN, EXPERIMENTS) and every
 ``.py`` file under ``src/``, ``tools/`` and ``tests/`` cite an item by
@@ -90,6 +95,12 @@ TITLE_CITING = [
 PR_NUMBER = re.compile(r"\bPRs?\s+\d")
 #: docs that describe the code as it is, with no PR narration
 PRESENT_TENSE = ["DESIGN.md"]
+#: a CHANGES.md entry's first line, and the lines that start anything else
+CHANGES_ENTRY = re.compile(r"- PR (\d+):")
+CHANGES_OTHER = re.compile(r"- |FOUND:|MENDED:|#|\s*$")
+#: entries of PRs numbered from this one on keep to WORD_BUDGET words
+BUDGETED_FROM_PR = 41
+WORD_BUDGET = 250
 
 
 def _exists(rel: str, base: str = "") -> bool:
@@ -279,6 +290,26 @@ def check_pr_narration() -> list:
     )
 
 
+def check_changes_budget(rel: str = "CHANGES.md") -> list:
+    """Every budgeted CHANGES entry longer than :data:`WORD_BUDGET`."""
+    entries = []  # [lineno, PR number, words]
+    with open(os.path.join(REPO, rel)) as handle:
+        for lineno, line in enumerate(handle, 1):
+            start = CHANGES_ENTRY.match(line)
+            if start:
+                entries.append([lineno, int(start.group(1)), 0])
+            elif CHANGES_OTHER.match(line):
+                entries.append([lineno, None, 0])
+            if entries:
+                entries[-1][2] += len(line.split())
+    return [
+        f"{rel}:{lineno}: the PR {pr} entry is {words} words; "
+        f"keep it to {WORD_BUDGET}"
+        for lineno, pr, words in entries
+        if pr is not None and pr >= BUDGETED_FROM_PR and words > WORD_BUDGET
+    ]
+
+
 def main() -> int:
     problems = []
     classes = _known_classes()
@@ -287,6 +318,8 @@ def main() -> int:
             problems.extend(check_file(rel, classes))
     problems.extend(check_roadmap_citations())
     problems.extend(check_pr_narration())
+    if _exists("CHANGES.md"):
+        problems.extend(check_changes_budget())
     for problem in problems:
         print(problem)
     if problems:

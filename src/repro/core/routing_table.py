@@ -21,7 +21,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Dict, Hashable, Iterator, Mapping, Optional, Tuple
 
-from repro.engine.grouping import stable_hash
+from repro.engine.grouping import canonical_key, stable_hash_uncached
 
 #: split-set wire format: key → ordered tuple of destination instances
 SplitSet = Dict[Hashable, Tuple[int, ...]]
@@ -34,16 +34,23 @@ _SPLIT_FP_SEED = 0x51C6E40D
 def entry_fingerprint(key: Hashable, owner: int) -> int:
     """64-bit fingerprint of one ``key → owner`` mapping entry.
 
-    Keys are canonicalized through ``repr`` — the same form
+    Keys are read through the ``repr`` of their
+    :func:`~repro.engine.grouping.canonical_key` — the form
     :func:`~repro.engine.grouping.stable_hash` routes on — so two
-    tables agree on an entry's fingerprint iff they agree on the entry.
+    tables agree on an entry's fingerprint iff they agree on the entry,
+    whichever of two equal keys each holds. Hashed once: the
+    ``stable_hash`` memo is for routed keys, not table entries.
     """
-    return stable_hash((repr(key), owner), _ENTRY_FP_SEED)
+    return stable_hash_uncached(
+        (repr(canonical_key(key)), owner), _ENTRY_FP_SEED
+    )
 
 
 def split_fingerprint(key: Hashable, members: Tuple[int, ...]) -> int:
     """64-bit fingerprint of one split-set entry."""
-    return stable_hash((repr(key), tuple(members)), _SPLIT_FP_SEED)
+    return stable_hash_uncached(
+        (repr(canonical_key(key)), tuple(members)), _SPLIT_FP_SEED
+    )
 
 
 def table_fingerprint(table) -> int:

@@ -69,37 +69,58 @@ _MASK64 = (1 << 64) - 1
 #: how the seed enters a hash: ``crc32(key bytes) ^ seed * _SEED_MULT``
 _SEED_MULT = 0x9E3779B97F4A7C15
 
-#: Key types safe to use as memo keys. Scalars only: values of
-#: *different* scalar types are disambiguated by including the type in
-#: the memo key (``1``, ``1.0`` and ``True`` are equal as dict keys but
-#: have different reprs, hence different stable hashes). Containers are
-#: excluded because their *elements* can collide the same way
-#: (``(1,)`` vs ``(True,)``) without the outer type telling them apart.
-_SCALAR_KEY_TYPES = frozenset((str, bytes, int, float, bool, type(None)))
-
-#: Hot-key interning for :func:`stable_hash`: the repr/CRC/splitmix
-#: pipeline runs once per distinct (key, seed), not once per tuple.
-#: Bounded by wholesale clearing — with realistic key cardinalities the
-#: memo never fills; if it does, dropping it costs one recomputation
-#: per key and keeps results identical either way.
+#: Hot-key interning for :func:`stable_hash`: the canonical-key/repr/
+#: CRC/splitmix pipeline runs once per distinct (key, seed), not once
+#: per tuple. Bounded by wholesale clearing — with realistic key
+#: cardinalities the memo never fills; if it does, dropping it costs
+#: one recomputation per key and keeps results identical either way.
 _HASH_MEMO: dict = {}
 _HASH_MEMO_MAX = 1 << 17
 
+#: the classes :func:`canonical_key` leaves as they are, hashed by the
+#: batch's C-level pass
+_PLAIN_KEY_CLASSES = frozenset((str, int, bytes))
+
+
+def canonical_key(key: Any) -> Any:
+    """What a key is: the one value that ``key`` and every key equal
+    to it hash, and are sized, as.
+
+    A bolt's state dict, a routing table, the memos and a batch
+    vocabulary all let ``==`` decide which keys are one, so equal keys
+    must hash alike too, or one key's state could sit on two owners:
+
+    - a bool, or any int subclass, is the int it equals;
+    - an integral float is that int (either float zero is ``0``), any
+      other float a plain float;
+    - a tuple (a named one too) is the tuple of its elements' canonical
+      keys;
+    - NaN equals no key, itself included, so it has no owner and
+      raises :class:`~repro.errors.RoutingError`.
+
+    Every other value is its own canonical key.
+    """
+    if isinstance(key, tuple):
+        return tuple(map(canonical_key, key))
+    if isinstance(key, float):
+        if key.is_integer():
+            return int(key)
+        if key != key:
+            raise RoutingError(
+                "NaN is not a routing key: it equals no key, itself "
+                "included, so no table or state dict can find it again"
+            )
+        return float(key)
+    if isinstance(key, int):
+        return int(key)
+    return key
+
 
 def _key_bytes(key: Any) -> bytes:
-    """The bytes ``key`` hashes as: its ``repr`` in UTF-8. The one
-    statement of that rule — the scalar hash reads every key through
-    it, the batch hash (:func:`_key_crcs`) the keys it cannot tell
-    from a float zero by their ``repr``.
-
-    ``-0.0 == 0.0``, so the memos and a bolt's state merge the two:
-    they must have one hash, or the merged key's owner would be
-    whichever zero the process happened to hash first. Any float zero
-    reads as ``0.0``; a float *subclass* keeps its own ``repr``.
-    """
-    if key.__class__ is float and key == 0.0:
-        key = 0.0
-    return repr(key).encode("utf-8", "backslashreplace")
+    """The bytes ``key`` hashes as: the ``repr`` of its
+    :func:`canonical_key` in UTF-8. Run where a key is hashed (a memo
+    miss, a batch's new keys), never on a memo hit."""
+    return repr(canonical_key(key)).encode("utf-8", "backslashreplace")
 
 
 def _mix(x):
@@ -111,7 +132,8 @@ def _mix(x):
     return x ^ (x >> 31)
 
 
-def _stable_hash_uncached(key: Any, seed: int) -> int:
+def stable_hash_uncached(key: Any, seed: int) -> int:
+    """:func:`stable_hash` without the memo, for values hashed once."""
     return _mix((zlib.crc32(_key_bytes(key)) ^ seed * _SEED_MULT) & _MASK64)
 
 
@@ -124,23 +146,21 @@ def stable_hash(key: Any, seed: int = 0) -> int:
     correlating the owners of paired keys), so a splitmix64 finalizer
     mixes the CRC with the seed non-linearly.
 
-    Results for scalar keys are interned in a bounded module-level
-    memo (the repr/encode/CRC/mix pipeline is the single hottest data-
-    plane cost); the memo is transparent — cached and uncached calls
-    return identical values. Any float zero hashes as ``0.0``: ``-0.0``
-    is equal to it, so one memo entry serves both.
+    Results are interned in a bounded module-level memo keyed by the
+    key itself (the hash pipeline is the single hottest data-plane
+    cost). Equal keys share an entry and have one hash
+    (:func:`canonical_key`), so the memo is transparent: cached and
+    uncached calls return identical values.
     """
-    if key.__class__ in _SCALAR_KEY_TYPES:
-        memo_key = (key.__class__, key, seed)
-        cached = _HASH_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
-        value = _stable_hash_uncached(key, seed)
-        if len(_HASH_MEMO) >= _HASH_MEMO_MAX:
-            _HASH_MEMO.clear()
-        _HASH_MEMO[memo_key] = value
-        return value
-    return _stable_hash_uncached(key, seed)
+    memo_key = (key, seed)
+    cached = _HASH_MEMO.get(memo_key)
+    if cached is not None:
+        return cached
+    value = stable_hash_uncached(key, seed)
+    if len(_HASH_MEMO) >= _HASH_MEMO_MAX:
+        _HASH_MEMO.clear()
+    _HASH_MEMO[memo_key] = value
+    return value
 
 
 def clear_stable_hash_memo() -> None:
@@ -157,24 +177,24 @@ def hash_owner(key: Any, seed: int, num_destinations: int) -> int:
 
 def _key_crcs(keys: Sequence[Any]):
     """CRC32 of every key's :func:`_key_bytes`, as ``uint64``: one
-    C-level ``repr`` → ``encode`` → ``crc32`` pass. Only a key whose
-    ``repr`` is ``-0.0`` may read otherwise, and goes through
-    :func:`_key_bytes` itself."""
+    C-level ``repr`` → ``encode`` → ``crc32`` pass. Keys of exact class
+    ``str`` / ``int`` / ``bytes`` are their own canonical keys; only
+    keys of other classes go through :func:`canonical_key`, one by
+    one."""
     import numpy as np
 
-    data = list(
-        map(
-            str.encode,
-            map(repr, keys),
-            repeat("utf-8"),
-            repeat("backslashreplace"),
-        )
+    if not _PLAIN_KEY_CLASSES.issuperset(map(type, keys)):
+        keys = [
+            key if key.__class__ in _PLAIN_KEY_CLASSES else canonical_key(key)
+            for key in keys
+        ]
+    data = map(
+        str.encode,
+        map(repr, keys),
+        repeat("utf-8"),
+        repeat("backslashreplace"),
     )
-    if b"-0.0" in data:
-        for index, item in enumerate(data):
-            if item == b"-0.0":
-                data[index] = _key_bytes(keys[index])
-    return np.fromiter(map(zlib.crc32, data), dtype=np.uint64, count=len(data))
+    return np.fromiter(map(zlib.crc32, data), dtype=np.uint64, count=len(keys))
 
 
 def _seeded(crcs, seed: int):
@@ -359,63 +379,46 @@ def stream_context(
     )
 
 
-class _Memo(dict):
-    """Key → id for the keys of one scalar type; a missing key is
-    interned on lookup, at the end of the vocabulary's ``keys``."""
+class _KeyIds(dict):
+    """Key → id; a missing key is interned on lookup, at the end of
+    ``keys``."""
 
-    __slots__ = ("_interned",)
+    __slots__ = ("keys",)
 
-    def __init__(self, interned: List[Any]) -> None:
-        self._interned = interned
+    def __init__(self) -> None:
+        self.keys: List[Any] = []
 
     def __missing__(self, key) -> int:
-        kid = self[key] = len(self._interned)
-        self._interned.append(key)
+        kid = self[key] = len(self.keys)
+        self.keys.append(key)
         return kid
 
 
 class Vocab:
     """Key interning for a keyed router's batches: key → dense id,
-    id → key.
+    id → key (``keys``). Keys that compare equal are one key
+    (:func:`canonical_key`), so they share one id; tuple keys are
+    interned like any other."""
 
-    Keys are type-tagged exactly like the routers' memos (``1`` /
-    ``1.0`` / ``True`` must not alias): one memo per scalar type, all
-    numbering into the same ``keys``. Non-scalar keys are never
-    interned — their elements can alias the same way without the outer
-    type telling them apart — and encode as id ``-1``.
-    """
-
-    __slots__ = ("_memos", "keys")
+    __slots__ = ("_ids", "keys")
 
     def __init__(self) -> None:
-        self.keys: List[Any] = []
-        self._memos = {cls: _Memo(self.keys) for cls in _SCALAR_KEY_TYPES}
+        self._ids = _KeyIds()
+        self.keys = self._ids.keys
 
     def id_of(self, key) -> Optional[int]:
         """The id ``key`` was interned under, None if it never was."""
-        memo = self._memos.get(key.__class__)
-        return None if memo is None else memo.get(key)
+        return self._ids.get(key)
 
     def encode(self, raw_keys):
-        """(``int64`` ids of ``raw_keys``, whether any is non-scalar)."""
+        """``int64`` ids of ``raw_keys``, new keys interned."""
         import numpy as np
 
-        memos = self._memos
-        classes = set(map(type, raw_keys))
-        if len(classes) == 1:
-            memo = memos.get(classes.pop())
-            if memo is not None:  # one scalar type: no per-key dispatch
-                ids = np.fromiter(
-                    map(memo.__getitem__, raw_keys),
-                    dtype=np.int64,
-                    count=len(raw_keys),
-                )
-                return ids, False
-        ids = [
-            -1 if (memo := memos.get(key.__class__)) is None else memo[key]
-            for key in raw_keys
-        ]
-        return np.array(ids, dtype=np.int64), -1 in ids
+        return np.fromiter(
+            map(self._ids.__getitem__, raw_keys),
+            dtype=np.int64,
+            count=len(raw_keys),
+        )
 
 
 class Router:
@@ -654,26 +657,13 @@ class _HashFieldsRouter(Router):
         """``Router.route``; ``ids``, when given, are the batch's keys
         already interned into ``vocab`` (a caller that walked the key
         column for its own reasons), so neither is done again."""
-        import numpy as np
-
         if self.vocab is None:
             self.vocab = Vocab()
             self._reresolve()
         if ids is None:
-            ids, loose = self.vocab.encode(list(map(self._key_fn, values)))
-        else:
-            loose = bool(len(ids)) and ids.min() < 0
+            ids = self.vocab.encode(list(map(self._key_fn, values)))
         self._extend()
-        if not loose:
-            return self._route_ids(ids), ids, None
-        # Non-scalar keys are never interned: ``select`` routes each.
-        interned = ids >= 0
-        dst = np.empty(len(ids), dtype=np.int64)
-        dst[interned] = self._route_ids(ids[interned])
-        select = self.select
-        for row in np.flatnonzero(~interned).tolist():
-            dst[row] = select(values[row])[0]
-        return dst, ids, None
+        return self._route_ids(ids), ids, None
 
     def _route_ids(self, ids):
         return self.owners[ids]
@@ -803,21 +793,15 @@ class TableRouter(_HashFieldsRouter):
 
     def _select_for_key(self, key) -> List[int]:
         cache = self._cache
-        if cache is None or key.__class__ not in _SCALAR_KEY_TYPES:
+        entry = None if cache is None else cache.get(key)
+        if entry is None:
             instance, table_hit = key_owner(
                 key, self._table, self._seed, self._n
             )
-            route = [instance]
-        else:
-            memo_key = (key.__class__, key)
-            entry = cache.get(memo_key)
-            if entry is None:
-                instance, table_hit = key_owner(
-                    key, self._table, self._seed, self._n
-                )
-                entry = ([instance], table_hit)
-                cache.put(memo_key, entry)
-            route, table_hit = entry
+            entry = ([instance], table_hit)
+            if cache is not None:
+                cache.put(key, entry)
+        route, table_hit = entry
         # Count per select, not per cache fill: the hit/fallback split
         # the telemetry layer exports stays per-tuple exact.
         if table_hit:
@@ -1085,14 +1069,10 @@ class _DChoicesRouter(Router):
 
     def select(self, values: tuple) -> List[int]:
         key = self._key_fn(values)
-        if key.__class__ in _SCALAR_KEY_TYPES:
-            memo_key = (key.__class__, key)
-            candidates = self._cache.get(memo_key)
-            if candidates is None:
-                candidates = self._candidates(key)
-                self._cache.put(memo_key, candidates)
-        else:
+        candidates = self._cache.get(key)
+        if candidates is None:
             candidates = self._candidates(key)
+            self._cache.put(key, candidates)
         sent = self._sent
         dst = min(candidates, key=sent.__getitem__)
         sent[dst] += 1
@@ -1101,22 +1081,17 @@ class _DChoicesRouter(Router):
     def route(self, values: Sequence[tuple]):
         import numpy as np
 
-        keys = list(map(self._key_fn, values))
         if self.vocab is None:
             self.vocab, self._cands = Vocab(), []
-        ids, _ = self.vocab.encode(keys)
-        candidates = self._candidates
+        ids = self.vocab.encode(list(map(self._key_fn, values)))
         cands = self._cands  # id → candidate tuple
         new_keys = self.vocab.keys[len(cands):]
         if new_keys:
             cands += candidates_of(new_keys, self._seed, self._n, self._d)
         sent = self._sent
         dst: List[int] = []
-        for key, kid in zip(keys, ids.tolist()):
-            choice = min(
-                cands[kid] if kid >= 0 else candidates(key),
-                key=sent.__getitem__,
-            )
+        for candidates in map(cands.__getitem__, ids.tolist()):
+            choice = min(candidates, key=sent.__getitem__)
             dst.append(choice)
             sent[choice] += 1
         return np.array(dst, dtype=np.int64), ids, None

@@ -41,11 +41,8 @@ def field_size(value: Any) -> int:
         return len(value) if value.isascii() else len(value.encode("utf-8"))
     if isinstance(value, bytes):
         return len(value)
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
+        # a bool is the int it equals (``grouping.canonical_key``)
         return 8
     if value is None:
         return 0

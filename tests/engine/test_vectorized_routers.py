@@ -18,12 +18,12 @@ built from the same grouping and context:
   and seeds past 64 bits included);
 - PKG: candidate tuples equal ``candidate_instances`` and the picks
   equal ``select``'s on the same tuple sequence;
-- hybrid: split keys land inside their member set, scalar or not,
+- hybrid: split keys land inside their member set, scalar or tuple,
   and tail keys route exactly like ``select``;
-- key interning is type-tagged: ``1``, ``1.0`` and ``True`` are equal
-  as dict keys but are distinct routing keys (distinct reprs, hence
-  potentially distinct hashes) — the vocabulary must never alias them;
-- non-scalar keys are never interned and route through ``select``;
+- the vocabulary interns keys that compare equal (``1``, ``1.0``,
+  ``True``; ``(1, "x")``, ``(True, "x")``) as one key, tuples like any
+  other, and a counting bolt keyed by a tuple field counts on the
+  ``bincount`` kernel exactly as on the DES;
 - ``route(values, ids)`` with ids a caller interned into the router's
   vocabulary is ``route(values)``, counters included;
 - policies with no batch form (broadcast, global, local-or-shuffle,
@@ -62,9 +62,7 @@ keys_st = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.booleans(),
     st.none(),
-)
-# containers are never interned: (1,) / (True,) would alias
-loose_keys_st = st.one_of(
+    # (1,) / (True,) and (1, "") / (True, "") are one key each
     st.tuples(st.integers(min_value=0, max_value=3)),
     st.tuples(st.booleans(), st.text(max_size=2)),
 )
@@ -89,7 +87,6 @@ class _LooksLikeZero:
 
 hash_keys_st = st.one_of(
     keys_st,
-    loose_keys_st,
     st.integers(),
     st.binary(max_size=4),
     st.sampled_from(
@@ -229,7 +226,7 @@ def test_resize_swaps_width_and_table_like_the_router(
     assert dst == _select(twin, keys)
     assert all(0 <= d < new_n for d in dst)
     # owners cover every interned key: what state migration reads
-    assert router.owners[router.vocab.encode(keys)[0]].tolist() == dst
+    assert router.owners[router.vocab.encode(keys)].tolist() == dst
     hashed, hashed_twin = _pair(FieldsGrouping(0), n, seed)
     _route(hashed, keys)
     hashed.resize(new_n)
@@ -261,7 +258,7 @@ def test_pkg_edge_candidates_match_and_contain_picks(keys, seed, n, d):
     assert _route(router, keys) == _select(twin, keys)
 
 
-#: key 0 and the non-scalar key ("a", 1) are split; the table sends
+#: key 0 and the tuple key ("a", 1) are split; the table sends
 #: ("a", 1) to instance 0, outside its member set {1}
 SPLIT_KEYS = (0, ("a", 1))
 
@@ -328,7 +325,7 @@ def _counters(router):
 
 
 @given(
-    keys=st.lists(st.one_of(keys_st, loose_keys_st), max_size=30),
+    keys=st.lists(keys_st, max_size=30),
     seed=seeds,
     n=st.integers(min_value=2, max_value=6),
     kind=st.sampled_from(["hash", "table", "hybrid"]),
@@ -338,8 +335,8 @@ def _counters(router):
 def test_route_by_given_ids_is_route(keys, seed, n, kind, mapped):
     """``route(values, ids)``, the ids interned by the caller into the
     router's own vocabulary, is ``route(values)`` on a twin: the same
-    destinations, ids and counters, non-scalar keys (id −1) going
-    through ``select``, before and after a table swap and a resize."""
+    destinations, ids and counters, before and after a table swap and
+    a resize."""
 
     def table(width):
         return RoutingTable(mapped, splits={0: (0, 1), (1,): (width - 1,)})
@@ -354,7 +351,7 @@ def test_route_by_given_ids_is_route(keys, seed, n, kind, mapped):
     values = [(key,) for key in keys]
 
     def check():
-        ids, _ = router.vocab.encode(keys)
+        ids = router.vocab.encode(keys)
         dst, given, rows = router.route(values, ids)
         expected = twin.route(values)
         assert given is ids and rows is None
@@ -377,8 +374,8 @@ def test_route_by_given_ids_is_route(keys, seed, n, kind, mapped):
 
 
 def test_hybrid_routes_a_split_non_scalar_key_like_select():
-    """The member sequence of a batch of one split key is ``select``'s:
-    a non-scalar key is never interned, so ``select`` routes it."""
+    """The member sequence of a batch of one split tuple key is
+    ``select``'s: the batch picks per tuple from the key's members."""
     table = RoutingTable({("a", 1): 0}, splits={("a", 1): (2, 3)})
     router, twin = _pair(HybridTableFieldsGrouping(0, table=table), 4, 0)
     assert _route(router, [("a", 1)] * 6) == [2, 3, 2, 3, 2, 3]
@@ -387,32 +384,29 @@ def test_hybrid_routes_a_split_non_scalar_key_like_select():
     assert router.sent_counts == twin.sent_counts == [0, 0, 3, 3]
 
 
-def test_vocab_is_type_tagged():
+def test_vocab_interns_equal_keys_as_one():
+    """Keys that compare equal are one key of a bolt's state, so one
+    id: the first one seen stands for them all. Tuple keys are
+    interned like any other."""
     vocab = Vocab()
-    ids, loose = vocab.encode([1, 1.0, True, 1, "1"])
-    # equal-as-dict-keys values of different types get distinct ids
-    assert ids[0] != ids[1] != ids[2]
-    assert ids[0] == ids[3]
-    assert len(vocab.keys) == 4
-    assert not loose
-    ids, loose = vocab.encode([(1,), 1])
-    assert ids.tolist() == [-1, 0] and loose
-    assert len(vocab.keys) == 4  # containers are never interned
-    assert [vocab.id_of(k) for k in (1, 1.0, True, "1")] == [0, 1, 2, 3]
-    assert vocab.id_of((1,)) is None and vocab.id_of(2) is None
+    ids = vocab.encode([1, 1.0, True, "1", (1, "x"), (True, "x"), -0.0, 0])
+    assert ids.tolist() == [0, 0, 0, 1, 2, 2, 3, 3]
+    assert vocab.keys == [1, "1", (1, "x"), -0.0]
+    assert [vocab.id_of(k) for k in (1.0, (1.0, "x"), 0.0, False)] == [
+        0, 2, 3, 3
+    ]
+    assert vocab.id_of(2) is None and vocab.id_of((1,)) is None
 
 
 @given(batches=st.lists(st.lists(keys_st, max_size=12), max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_vocab_single_type_batches_share_the_id_space(batches):
-    """A batch of one scalar type takes the per-type memo in one map;
-    a mixed batch dispatches per key. Both number into one id space:
-    whichever path saw a key first, every later one finds it."""
+    """A batch encodes as its keys do one by one: whichever batch saw a
+    key (or a key equal to it) first, every later one finds its id."""
     vocab, one_by_one = Vocab(), Vocab()
     for batch in batches:
-        ids, loose = vocab.encode(batch)
-        assert not loose
-        expected = [int(one_by_one.encode([key])[0][0]) for key in batch]
+        ids = vocab.encode(batch)
+        expected = [int(one_by_one.encode([key])[0]) for key in batch]
         assert ids.tolist() == expected
         assert ids.tolist() == [vocab.id_of(key) for key in batch]
     assert vocab.keys == one_by_one.keys
@@ -421,13 +415,59 @@ def test_vocab_single_type_batches_share_the_id_space(batches):
     ]
 
 
+def test_tuple_keys_count_on_the_bincount_kernel():
+    """A ``CountBolt`` keyed by a tuple field runs on the vectorized
+    ``bincount`` kernel, and every instance's state equals the DES's
+    exactly: equal tuple keys from different spout instances merge
+    into one entry on one instance."""
+    from repro.engine import CountBolt, TopologyBuilder
+    from repro.engine.backends import BackendOptions, run_topology
+    from repro.engine.backends.vectorized import _VectorCountOp
+    from repro.engine.operators import IteratorSpout
+
+    spellings = [
+        lambda i: (i % 7, "x"),
+        lambda i: (bool(i % 2) if i % 7 < 2 else float(i % 7), "x"),
+        lambda i: ((i % 3, (i % 2 == 0, -0.0)), "y"),
+    ]
+    builder = TopologyBuilder()
+    builder.spout(
+        "S",
+        lambda: IteratorSpout(
+            lambda ctx: [
+                (spellings[ctx.instance_index](i), i) for i in range(200)
+            ]
+        ),
+        parallelism=3,
+    )
+    builder.bolt(
+        "B", lambda: CountBolt(0, forward=False), 4,
+        inputs={"S": FieldsGrouping(0)},
+    )
+    options = BackendOptions(num_servers=2, batch_size=32)
+    reference = run_topology(builder.build(), "reference", options)
+    vector = run_topology(builder.build(), "vectorized", options)
+    bolt = vector.handle.ops["B"]
+    assert isinstance(bolt, _VectorCountOp)
+    expected = {
+        executor.instance: dict(executor.operator.state)
+        for executor in reference.handle.executors["B"]
+    }
+    assert bolt.state_snapshot() == expected
+    assert vector.per_key_totals == reference.per_key_totals
+    assert vector.key_instances == reference.key_instances
+    assert len(bolt.routes.router.vocab.keys) == 7 + 6
+
+
 @given(
-    keys=st.lists(st.one_of(keys_st, loose_keys_st), min_size=1, max_size=30),
+    keys=st.lists(keys_st, min_size=1, max_size=30),
     seed=seeds,
     n=st.integers(min_value=2, max_value=9),
 )
 @settings(max_examples=100, deadline=None)
 def test_non_scalar_keys_resolve_directly_like_the_routers(keys, seed, n):
+    """Tuple keys, among scalars, route in a batch as ``select`` routes
+    them, through a table that names some of them."""
     table = RoutingTable({(1,): 1, (True, "a"): 0, 5: 1})
     router, twin = _pair(TableFieldsGrouping(0, table=table), n, seed)
     assert _route(router, keys) == _select(twin, keys)

@@ -80,7 +80,7 @@ _column_kinds = _scalars + [
 ]
 
 
-# routing keys: the scalars a vocabulary interns, type-tagged apart
+# routing keys: ``1`` / ``1.0`` / ``True`` are one key of one size
 _keys = st.one_of(
     st.sampled_from([1, 1.0, True, 0, 0.0, False]),
     st.integers(-(2**70), 2**70),
@@ -364,8 +364,8 @@ _MIXED_KEYS = [1, True, 1.0, 2, False, 0.5, 7, "1"]
 
 def _mixed_key_stream(instance, count=240):
     """A routing-key column of ``int``, ``bool``, ``float`` and ``str``
-    keys, with a non-scalar key in some batches (size-64 batches 0, 1
-    and 3 of each instance) and none in the others."""
+    keys, with a tuple key in some batches (size-64 batches 0, 1 and 3
+    of each instance) and none in the others."""
     for i in range(count):
         key = (i, "k") if i % 97 == 0 else _MIXED_KEYS[(i + instance) % 8]
         yield (key, f"tag{i % 13}", bytes(i % 29))
@@ -447,9 +447,8 @@ def test_a_batch_is_sized_by_the_first_edge_it_crosses():
     """Fan-out: the first of the source's edges sizes its batches, its
     key by id and the second edge's by the second edge's ids, which it
     interns for it; a chain's later edges are sized by id the same way.
-    Hosted emissions are sized at their first edge by id; a batch
-    holding a non-scalar key is sized by column, and ``1`` / ``1.0`` /
-    ``True`` keep 8 / 8 / 1."""
+    Hosted emissions are sized at their first edge by id, tuple keys
+    too, and ``1`` / ``1.0`` / ``True``, one key, are 8 bytes."""
     options = BackendOptions(num_servers=3, batch_size=64)
     edges = run_topology(
         _fan_out_topology(), "vectorized", options
@@ -475,7 +474,9 @@ def test_a_batch_is_sized_by_the_first_edge_it_crosses():
         _mixed_key_topology(), "vectorized", options
     ).handle.edges_by_stream["S->A"]
     vocab = edge.router.vocab
-    assert len(vocab.keys) == len(_MIXED_KEYS)
-    assert len(edge.sizes_of_id) == len(_MIXED_KEYS)
-    ids = [vocab.id_of(key) for key in (1, 1.0, True)]
-    assert edge.sizes_of_id[ids].tolist() == [8, 8, 1]
+    # 1 / True / 1.0 and False are keys 1 and 0; 3 tuple keys per run
+    assert len(vocab.keys) == len(_MIXED_KEYS) - 2 + 3
+    assert _sized_by_id(edge)
+    assert {vocab.id_of(key) for key in (1, 1.0, True)} == {vocab.id_of(1)}
+    assert edge.sizes_of_id[vocab.id_of(True)] == 8
+    assert edge.sizes_of_id[vocab.id_of((97, "k"))] == 9

@@ -23,6 +23,12 @@ otherwise. Names, directions and bounds are read from
 ``BENCHMARK.json``; nothing under ``perf/`` is edited. Exit 0: claim
 met, nothing regressed, no larger share of failed operations; 1
 otherwise.
+
+Without ``--metric`` the run claims nothing: every metric is checked
+against its bound, and the verdict and exit status say only whether
+one regressed or the change failed a larger share of operations::
+
+    python tools/paired_bench.py --parent HEAD --workload flickr-mp-hash
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -126,9 +132,12 @@ def judge(metric: dict, parent: List[float], change: List[float]) -> dict:
     }
 
 
-def verdict(metrics: Dict[str, dict], claimed: str, pairs: List[dict]) -> dict:
+def verdict(
+    metrics: Dict[str, dict], claimed: Optional[str], pairs: List[dict]
+) -> dict:
     """``judge`` of every metric, failure totals per side, and ``ok``:
-    claim met, no other metric regressed, no larger share failed."""
+    claim met (when one is made), no other metric regressed, no larger
+    share failed."""
     rows = {
         name: judge(
             metrics[name],
@@ -152,12 +161,12 @@ def verdict(metrics: Dict[str, dict], claimed: str, pairs: List[dict]) -> dict:
     return {
         "pairs": len(pairs), "rows": rows, "failed": failed,
         "regressed": regressed,
-        "ok": rows[claimed]["claim"] == "met" and not regressed
-        and share["change"] <= share["parent"],
+        "ok": (claimed is None or rows[claimed]["claim"] == "met")
+        and not regressed and share["change"] <= share["parent"],
     }
 
 
-def render(workload: str, claimed: str, result: dict) -> str:
+def render(workload: str, claimed: Optional[str], result: dict) -> str:
     lines = [
         f"{workload}: median [q1, q3] per side over {result['pairs']} pairs"
     ]
@@ -177,7 +186,10 @@ def render(workload: str, claimed: str, result: dict) -> str:
         f"{side} {result['failed'][side][0]} / {result['failed'][side][1]}"
         for side in SIDES
     ))
-    lines.append("verdict: " + ("PASS" if result["ok"] else "FAIL"))
+    lines.append(
+        "verdict: " + ("PASS" if result["ok"] else "FAIL")
+        + ("" if claimed else " (no claim: regressions and failures only)")
+    )
     return "\n".join(lines)
 
 
@@ -204,7 +216,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True,
                         help="checkout directory or git revision")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--metric", required=True, choices=sorted(metrics))
+    parser.add_argument("--metric", choices=sorted(metrics),
+                        help="the claimed metric; none: no-regression run")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--first-seed", type=int, default=11)

@@ -9,8 +9,8 @@ are transparent: same routes, same counters, same event sequences.
 These tests pin that against :func:`key_owner` as the reference:
 equivalence on a randomized mixed-type key stream, invalidation on
 every table swap, per-select counter exactness, LRU bounding, and
-type-disambiguated memo keys (``1``, ``1.0`` and ``True`` are equal as
-dict keys but hash to different destinations).
+one memo entry and one route for keys that compare equal (``1``,
+``1.0`` and ``True`` are one key, ``grouping.canonical_key``).
 """
 
 import random
@@ -224,27 +224,26 @@ def test_route_cache_is_bounded_lru(monkeypatch):
         assert len(router._cache) == 3
 
 
-def test_equal_keys_of_different_types_do_not_collide():
-    """1 == 1.0 == True as dict keys, but their reprs (hence hashes)
-    differ: every memo key must include the type."""
-    kinds = (("int", 1), ("float", 1.0), ("bool", True))
-    expected = {kind: hash_owner(key, SEED, 1000) for kind, key in kinds}
-    # Sanity: with 1000 destinations the three reprs land apart.
-    assert len(set(expected.values())) > 1
-    for grouping_ in (
-        FieldsGrouping(0),
-        TableFieldsGrouping(0, table=CompactRoutingTable({})),
-    ):
-        router = grouping_.build_router(_context(1000))
-        for _ in range(2):  # second pass: served from the memos
-            routes = {kind: router.select((key,))[0] for kind, key in kinds}
-            assert routes == expected
-    pkg = PartialKeyGrouping(0).build_router(_context(1000))
-    for kind, key in kinds:
-        for _ in range(2):
-            assert pkg.select((key,))[0] in candidate_instances(
-                key, SEED, 1000, 2
-            )
+def test_equal_keys_of_different_types_share_one_route():
+    """1 == 1.0 == True: one key of a bolt's state, so one owner,
+    whichever spelling filled the memos first."""
+    spellings = (1, 1.0, True)
+    for first in spellings:
+        clear_stable_hash_memo()
+        owner = hash_owner(first, SEED, 1000)
+        for grouping_ in (
+            FieldsGrouping(0),
+            TableFieldsGrouping(0, table=CompactRoutingTable({})),
+        ):
+            router = grouping_.build_router(_context(1000))
+            for _ in range(2):  # second pass: served from the memos
+                routes = [router.select((key,))[0] for key in spellings]
+                assert routes == [owner] * 3
+        pkg = PartialKeyGrouping(0).build_router(_context(1000))
+        candidates = candidate_instances(first, SEED, 1000, 2)
+        for key in spellings * 2:
+            assert pkg.select((key,))[0] in candidates
+    clear_stable_hash_memo()
 
 
 def test_stable_hash_memo_is_transparent():

@@ -45,6 +45,7 @@ from typing import Dict, Hashable, Iterator, Mapping, Optional, Tuple
 from repro.core.routing_table import (
     RoutingTable,
     SplitSet,
+    entries_fingerprint,
     entry_fingerprint,
     split_fingerprint,
 )
@@ -52,7 +53,7 @@ from repro.engine.grouping import stable_hash
 from repro.errors import ReconfigurationError
 
 #: seeds separating the filter's position stream from the entry
-#: fingerprint stream (both derive from one stable_hash call per key)
+#: fingerprint stream (two stable_hash calls per key, one per seed)
 _FILTER_SEED = 0x2F0E1B85
 _KEY_FP_SEED = 0x6B7D3A29
 
@@ -204,6 +205,8 @@ class CompactRoutingTable:
         mapping: Optional[Mapping[Hashable, int]] = None,
         splits: Optional[Mapping[Hashable, Tuple[int, ...]]] = None,
         config: Optional[CompactTableConfig] = None,
+        *,
+        fingerprint: Optional[int] = None,
     ) -> None:
         self._config = config or CompactTableConfig()
         self._mask = (1 << self._config.fingerprint_bits) - 1
@@ -227,15 +230,17 @@ class CompactRoutingTable:
         self.lookups = 0
         self.filter_rejects = 0
         self.filter_false_positives = 0
-        fingerprint = 0
-        for key, members in self._splits.items():
-            fingerprint ^= split_fingerprint(key, members)
-        # One pass writes the store, the filter cells and the XOR
-        # fingerprint. A new store holds no tombstone, so one probe from
-        # the home slot ends at the empty slot the key takes, or at its
-        # fingerprint: a build-time collision between two resident keys,
-        # where the first keeps the slot and the later one stays raw in
-        # ``_exact``, so both stay exact.
+        if fingerprint is None:  # else the known one (from_table)
+            fingerprint = entries_fingerprint(items.items())
+            for key, members in self._splits.items():
+                fingerprint ^= split_fingerprint(key, members)
+        self._fingerprint = fingerprint
+        # One pass writes the store and the filter cells. A new store
+        # holds no tombstone, so one probe from the home slot ends at the
+        # empty slot the key takes, or at its fingerprint: a build-time
+        # collision between two resident keys, where the first keeps the
+        # slot and the later one stays raw in ``_exact``, so both stay
+        # exact.
         fps, owners, exact = self._fps, self._owners, self._exact
         fp_mask, slot_mask = self._mask, self._capacity - 1
         cells = self._filter._cells
@@ -261,16 +266,16 @@ class CompactRoutingTable:
                 pos = (h1 + i * h2) % num_cells
                 if cells[pos] < 255:
                     cells[pos] += 1
-            fingerprint ^= entry_fingerprint(key, owner)
-        self._fingerprint = fingerprint
 
     @classmethod
     def from_table(
         cls, table: RoutingTable, config: Optional[CompactTableConfig] = None
     ) -> "CompactRoutingTable":
         """Compact an enumerable table (entries fingerprinted, splits
-        carried raw). The result compares equal to ``table``."""
-        return cls(table.mapping, table.splits, config)
+        carried raw). The result compares equal to ``table``, whose
+        cached fingerprint it reuses."""
+        known = table.fingerprint()
+        return cls(table.mapping, table.splits, config, fingerprint=known)
 
     # ------------------------------------------------------------------
     # Fingerprint store internals

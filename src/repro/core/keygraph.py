@@ -66,19 +66,19 @@ class KeyGraph:
         ``stats`` maps ``(in_stream, out_stream)`` to an iterable of
         pair estimates: either ``ItemEstimate`` objects whose item is
         ``(in_key, out_key)``, or plain ``((in_key, out_key), count)``
-        tuples.
+        tuples. A positive count goes in as :meth:`add_pair` adds it.
         """
         graph = cls()
+        weights, edges = graph._vertex_weights, graph._edges
         for (in_stream, out_stream), estimates in stats.items():
             for estimate in estimates:
-                if hasattr(estimate, "item"):
-                    (in_key, out_key), count = estimate.item, estimate.count
-                else:
-                    (in_key, out_key), count = estimate
+                (in_key, out_key), count = estimate[0], estimate[1]
                 if count > 0:
-                    graph.add_pair(
-                        in_stream, in_key, out_stream, out_key, count
-                    )
+                    u, v = (in_stream, in_key), (out_stream, out_key)
+                    weights[u] = weights.get(u, 0.0) + count
+                    weights[v] = weights.get(v, 0.0) + count
+                    edge = (v, u) if u > v else (u, v)
+                    edges[edge] = edges.get(edge, 0.0) + count
         return graph
 
     # ------------------------------------------------------------------

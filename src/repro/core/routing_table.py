@@ -18,10 +18,12 @@ split set for free.
 
 from __future__ import annotations
 
+import zlib
 from types import MappingProxyType
-from typing import Dict, Hashable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
-from repro.engine.grouping import canonical_key, stable_hash_uncached
+from repro.engine.grouping import _MASK64, _PLAIN_KEY_CLASSES, _SEED_MULT
+from repro.engine.grouping import _mix, canonical_key, stable_hash_uncached
 
 #: split-set wire format: key → ordered tuple of destination instances
 SplitSet = Dict[Hashable, Tuple[int, ...]]
@@ -31,19 +33,30 @@ _ENTRY_FP_SEED = 0x7A3C9F11
 _SPLIT_FP_SEED = 0x51C6E40D
 
 
-def entry_fingerprint(key: Hashable, owner: int) -> int:
-    """64-bit fingerprint of one ``key → owner`` mapping entry.
+def entries_fingerprint(items: Iterable[Tuple[Hashable, int]]) -> int:
+    """XOR of the 64-bit fingerprints of ``key → owner`` entries, in
+    one loop. An entry hashes as ``(repr(canonical_key(key)), owner)``
+    does under ``_ENTRY_FP_SEED``, its bytes spelled ``f"({r!r}, {o!r})"``:
+    keys are read in the form :func:`~repro.engine.grouping.stable_hash`
+    routes on, so two tables agree on an entry's fingerprint iff they
+    agree on the entry, whichever of two equal keys each holds. Not
+    memoized: the ``stable_hash`` memo is for routed keys."""
+    seed_term = _ENTRY_FP_SEED * _SEED_MULT & _MASK64
+    crc32, errors = zlib.crc32, "backslashreplace"
+    acc = 0
+    for key, owner in items:
+        if key.__class__ not in _PLAIN_KEY_CLASSES:
+            key = canonical_key(key)
+        if owner.__class__ is not int:
+            owner = canonical_key(owner)
+        data = f"({repr(key)!r}, {owner!r})".encode("utf-8", errors)
+        acc ^= _mix(crc32(data) ^ seed_term)
+    return acc
 
-    Keys are read through the ``repr`` of their
-    :func:`~repro.engine.grouping.canonical_key` — the form
-    :func:`~repro.engine.grouping.stable_hash` routes on — so two
-    tables agree on an entry's fingerprint iff they agree on the entry,
-    whichever of two equal keys each holds. Hashed once: the
-    ``stable_hash`` memo is for routed keys, not table entries.
-    """
-    return stable_hash_uncached(
-        (repr(canonical_key(key)), owner), _ENTRY_FP_SEED
-    )
+
+def entry_fingerprint(key: Hashable, owner: int) -> int:
+    """64-bit fingerprint of one ``key → owner`` mapping entry."""
+    return entries_fingerprint(((key, owner),))
 
 
 def split_fingerprint(key: Hashable, members: Tuple[int, ...]) -> int:
@@ -156,9 +169,7 @@ class RoutingTable:
         :class:`~repro.core.table_delta.TableDelta` base checks rely
         on. Empty tables fingerprint to 0 (matching ``None``)."""
         if self._fingerprint is None:
-            acc = 0
-            for key, owner in self._mapping.items():
-                acc ^= entry_fingerprint(key, owner)
+            acc = entries_fingerprint(self._mapping.items())
             for key, members in self._splits.items():
                 acc ^= split_fingerprint(key, members)
             self._fingerprint = acc
@@ -202,8 +213,9 @@ class RoutingTable:
         :meth:`split_consolidations`.
         """
         moved: Dict[Hashable, Tuple[int, int]] = {}
+        split = self._splits.keys() | new._splits.keys()
         for key in {**self._mapping, **new._mapping}:  # ordered union
-            if key in self._splits or key in new._splits:
+            if split and key in split:
                 continue
             old_owner = self._mapping.get(key)
             new_owner = new._mapping.get(key)

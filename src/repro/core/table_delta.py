@@ -25,7 +25,8 @@ it as an anomaly and the manager's abort path resyncs with a full push.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.compact_table import CompactRoutingTable
 from repro.core.routing_table import RoutingTable, table_fingerprint
@@ -48,6 +49,12 @@ def key_wire_bytes(key: Hashable) -> int:
     return len(repr(key).encode("utf-8", "backslashreplace"))
 
 
+def keys_wire_bytes(keys: Iterable[Hashable]) -> int:
+    """:func:`key_wire_bytes` summed over ``keys``, in C."""
+    utf8, errors = repeat("utf-8"), repeat("backslashreplace")
+    return sum(map(len, map(str.encode, map(repr, keys), utf8, errors)))
+
+
 def snapshot_wire_bytes(table) -> int:
     """Modeled size of a full-table PROPAGATE payload.
 
@@ -61,9 +68,8 @@ def snapshot_wire_bytes(table) -> int:
         return SNAPSHOT_HEADER_BYTES
     if isinstance(table, CompactRoutingTable):
         return SNAPSHOT_HEADER_BYTES + table.memory_bytes()
-    total = SNAPSHOT_HEADER_BYTES
-    for key, _owner in table.items():
-        total += 2 + key_wire_bytes(key) + 2
+    total = SNAPSHOT_HEADER_BYTES + 4 * len(table)
+    total += keys_wire_bytes(table.keys())
     for key, members in table.splits.items():
         total += 2 + key_wire_bytes(key) + 1 + 2 * len(members)
     return total
@@ -195,11 +201,9 @@ class TableDelta:
         a u8 member count + u16 per member."""
         if self.snapshot is not None:
             return snapshot_wire_bytes(self.snapshot)
-        total = DELTA_HEADER_BYTES
-        for key in self.set_entries:
-            total += 2 + key_wire_bytes(key) + 2
-        for key in self.removed_keys:
-            total += 2 + key_wire_bytes(key)
+        sets, removed = self.set_entries, self.removed_keys
+        total = DELTA_HEADER_BYTES + 4 * len(sets) + keys_wire_bytes(sets)
+        total += 2 * len(removed) + keys_wire_bytes(removed)
         for key, members in self.set_splits.items():
             total += 2 + key_wire_bytes(key) + 1 + 2 * len(members)
         for key in self.removed_splits:

@@ -41,8 +41,9 @@ a batch is routed, so the DES runs without it.
 
 from __future__ import annotations
 
-import zlib
 import operator
+import sys
+import zlib
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -96,10 +97,13 @@ def canonical_key(key: Any) -> Any:
     - a tuple (a named one too) is the tuple of its elements' canonical
       keys;
     - NaN equals no key, itself included, so it has no owner and
-      raises :class:`~repro.errors.RoutingError`.
+      raises :class:`~repro.errors.RoutingError`;
+    - a numpy scalar is the canonical key of its ``.item()``.
 
     Every other value is its own canonical key.
     """
+    if key.__class__ in _PLAIN_KEY_CLASSES:
+        return key
     if isinstance(key, tuple):
         return tuple(map(canonical_key, key))
     if isinstance(key, float):
@@ -113,7 +117,15 @@ def canonical_key(key: Any) -> Any:
         return float(key)
     if isinstance(key, int):
         return int(key)
+    if is_numpy_scalar(key):
+        return canonical_key(key.item())
     return key
+
+
+def is_numpy_scalar(value: Any) -> bool:
+    """Whether ``value`` is a numpy scalar, told without importing it."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, numpy.generic)
 
 
 def _key_bytes(key: Any) -> bytes:

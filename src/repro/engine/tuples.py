@@ -11,6 +11,8 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Iterable, Optional
 
+from repro.engine.grouping import is_numpy_scalar
+
 
 class Padding:
     """A placeholder for an opaque payload of ``nbytes`` bytes."""
@@ -48,6 +50,8 @@ def field_size(value: Any) -> int:
         return 0
     if isinstance(value, (tuple, list)):
         return sum(field_size(item) for item in value)
+    if is_numpy_scalar(value):
+        return field_size(value.item())
     # Fallback: a conservative small object.
     return 16
 

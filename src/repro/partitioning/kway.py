@@ -17,7 +17,7 @@ from repro.partitioning.coarsen import coarsen_until
 from repro.partitioning.graph import FlatGraph, Graph
 from repro.partitioning.initial import greedy_bisection
 from repro.partitioning.kway_refine import refine_kway
-from repro.partitioning.quality import part_weights
+from repro.partitioning.quality import part_weights, ratio_to_ideal
 from repro.partitioning.refine import fm_refine
 
 #: Default imbalance bound, matching the Metis default the paper uses
@@ -93,7 +93,7 @@ def balance_of(graph: Graph, parts: List[int], nparts: int) -> float:
         raise PartitioningError(f"nparts must be >= 1, got {nparts}")
     weights = part_weights(graph, parts, nparts)
     total = sum(weights)
-    return max(weights) / (total / nparts) if total > 0 else 0.0
+    return ratio_to_ideal(max(weights), total, nparts) if total > 0 else 0.0
 
 
 def multilevel_bisection(
@@ -141,6 +141,10 @@ def _recurse(
     parts = [0] * graph.num_vertices
     for side, count, offset in ((0, left, 0), (1, nparts - left, left)):
         members = [v for v, half in enumerate(halves) if half == side]
+        if count == 1:  # a leaf: no subgraph, and no RNG draw either way
+            for v in members:
+                parts[v] = offset
+            continue
         sub = _recurse(graph.subgraph(members), count, level_imbalance, rng)
         for v, part in zip(members, sub):
             parts[v] = offset + part

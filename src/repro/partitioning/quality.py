@@ -53,4 +53,10 @@ def balance(graph: Graph, parts: Sequence[int], nparts: int) -> float:
     total = graph.total_vertex_weight
     if total <= 0:
         return 1.0
-    return max(weights) / (total / nparts)
+    return ratio_to_ideal(max(weights), total, nparts)
+
+
+def ratio_to_ideal(heaviest: float, total: float, nparts: int) -> float:
+    """``heaviest / (total / nparts)``, finite for a subnormal ``total``."""
+    ideal = total / nparts
+    return heaviest / ideal if ideal else heaviest / total * nparts

@@ -17,15 +17,14 @@ budget, typically a few MB per instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterator, List, Optional
+from typing import Hashable, Iterator, List, NamedTuple, Optional
 
 from repro.spacesaving.summary import StreamSummary
 
 
-@dataclass(frozen=True)
-class ItemEstimate:
-    """An estimated counter for one monitored item.
+class ItemEstimate(NamedTuple):
+    """An estimated counter for one monitored item (a named tuple: a
+    sketch builds one per monitored item each time it is read).
 
     Attributes
     ----------
@@ -138,8 +137,7 @@ class SpaceSaving:
 
     def items(self) -> Iterator[ItemEstimate]:
         """All monitored items, most frequent first."""
-        for item, count, error in self._summary.items_descending():
-            yield ItemEstimate(item, count, error)
+        return map(ItemEstimate._make, self._summary.items_descending())
 
     def top(self, k: int) -> List[ItemEstimate]:
         """The ``k`` highest-count estimates, most frequent first."""

@@ -1,4 +1,10 @@
-"""The level-0 partition graph: the trusted build equals ``add_edge``.
+"""The key graph and its level-0 partition graph: each trusted build
+equals the validating one.
+
+``KeyGraph.from_stats`` writes its pairs without an ``add_pair`` call
+each: it must keep the vertex and edge insertion order and add the
+weights in the same order, from ``ItemEstimate``s and from plain
+``(pair, count)`` tuples alike.
 
 ``KeyGraph.to_partition_graph`` writes the partitioner's input through
 ``Graph.from_distinct_edges``, which checks and accumulates nothing per
@@ -20,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core.keygraph import KeyGraph
 from repro.errors import PartitioningError
 from repro.partitioning import Graph
+from repro.spacesaving import ItemEstimate
 
 
 def _reference(keygraph: KeyGraph):
@@ -162,3 +169,44 @@ def test_first_self_pair_in_edge_order_is_named():
     message = _error(keygraph, KeyGraph.to_partition_graph)
     assert message == _error(keygraph, _reference)
     assert message.startswith("self-loop on vertex ")
+
+
+def _weights_in_order(keygraph: KeyGraph):
+    return (
+        [(v, _bits(w)) for v, w in keygraph._vertex_weights.items()],
+        [(e, _bits(w)) for e, w in keygraph._edges.items()],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_HOPS),
+            _KEYS,
+            _KEYS,
+            st.one_of(_COUNTS, st.sampled_from([0, -1, 0.0])),
+        ),
+        max_size=120,
+    )
+)
+def test_from_stats_equals_add_pair(pairs):
+    """Same vertices, edges, insertion order and weight bits as
+    ``add_pair`` fed the positive counts hop by hop, in order; a count
+    of zero or less is skipped."""
+    tuples, estimates = {}, {}
+    for hop, in_key, out_key, count in pairs:
+        tuples.setdefault(hop, []).append(((in_key, out_key), count))
+        estimates.setdefault(hop, []).append(
+            ItemEstimate((in_key, out_key), count, 0)
+        )
+    reference = KeyGraph()
+    for (in_stream, out_stream), hop_pairs in tuples.items():
+        for (in_key, out_key), count in hop_pairs:
+            if count > 0:
+                reference.add_pair(
+                    in_stream, in_key, out_stream, out_key, count
+                )
+    expected = _weights_in_order(reference)
+    assert _weights_in_order(KeyGraph.from_stats(tuples)) == expected
+    assert _weights_in_order(KeyGraph.from_stats(estimates)) == expected

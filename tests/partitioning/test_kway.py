@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitioningError
 from repro.partitioning import Graph, balance, edge_cut, part_weights, partition
+from repro.partitioning.graph import FlatGraph
+from repro.partitioning.kway import balance_of
 
 
 def _grid_graph(rows, cols):
@@ -111,6 +113,52 @@ def test_zero_weight_graph_splits_by_count():
     parts = partition(graph, 2, seed=1)
     counts = [parts.count(0), parts.count(1)]
     assert sorted(counts) == [4, 4]
+
+
+@pytest.mark.parametrize(
+    "nparts, subgraphs", [(2, 0), (3, 1), (4, 2), (5, 3), (8, 6)]
+)
+def test_subgraph_only_for_sides_of_two_or_more_parts(
+    monkeypatch, nparts, subgraphs
+):
+    """A side that gets one part is that part: its members take the
+    side's offset, and no subgraph of them is built. One subgraph per
+    side that is split again (4-way: the two halves; 5-way: 3 + 2 at
+    the root, then the 2 of the 3)."""
+    calls = []
+    build = FlatGraph.subgraph
+
+    def counted(graph, vertices):
+        calls.append(len(vertices))
+        return build(graph, vertices)
+
+    graph = _grid_graph(8, 8)
+    expected = partition(graph, nparts, seed=3)
+    monkeypatch.setattr(FlatGraph, "subgraph", counted)
+    assert partition(graph, nparts, seed=3) == expected
+    assert len(calls) == subgraphs
+    assert all(calls)
+
+
+def test_balance_of_a_subnormal_total():
+    """``total / nparts`` underflows to 0 for the smallest subnormal
+    total; the balance is still the heaviest part over the ideal."""
+    graph = Graph(1, [5e-324])
+    assert balance(graph, [0], 2) == 2.0
+    assert balance_of(graph, [0], 2) == 2.0
+    graph = Graph(2, [5e-324, 5e-324])
+    assert balance(graph, [0, 1], 2) == balance_of(graph, [0, 1], 2) == 1.0
+
+
+def test_balance_of_a_normal_total_is_max_over_ideal():
+    graph = Graph(3, [0.1, 0.2, 0.4])
+    parts = [0, 1, 1]
+    weights = part_weights(graph, parts, 2)
+    heaviest = max(weights)
+    assert balance(graph, parts, 2) == heaviest / (
+        graph.total_vertex_weight / 2
+    )
+    assert balance_of(graph, parts, 2) == heaviest / (sum(weights) / 2)
 
 
 def test_bipartite_key_graph_from_paper_figure5():

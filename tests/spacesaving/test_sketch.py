@@ -37,6 +37,21 @@ def test_exact_until_capacity():
     assert sketch.max_error() == 0
 
 
+def test_item_estimate_fields_equality_and_properties():
+    estimate = ItemEstimate("c", 5, 2)
+    assert (estimate.item, estimate.count, estimate.error) == ("c", 5, 2)
+    assert estimate == ItemEstimate("c", 5, 2)
+    assert hash(estimate) == hash(ItemEstimate("c", 5, 2))
+    assert estimate != ItemEstimate("d", 5, 2)
+    assert estimate != ItemEstimate("c", 4, 2)
+    assert estimate != ItemEstimate("c", 5, 0)
+    assert estimate.lower_bound == 3
+    assert not estimate.guaranteed
+    assert ItemEstimate("c", 5, 0).guaranteed
+    with pytest.raises(AttributeError):
+        estimate.count = 6
+
+
 def test_eviction_inherits_min_count_as_error():
     sketch = SpaceSaving(capacity=2)
     sketch.offer("a")
